@@ -15,7 +15,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| c.find(&filter).len())
         });
         g.bench_with_input(BenchmarkId::new("mongo_find_via_jnl", n), &coll, |b, c| {
-            b.iter(|| c.find_via_jnl(&filter).len())
+            b.iter(|| bench::jnl_docs(c, &filter).len())
         });
     }
     let store = bench::scaling_doc(5_000, 11);

@@ -753,7 +753,7 @@ fn s1() {
     let direct = coll.find(&filter).len();
     let direct_ms = t0.elapsed().as_secs_f64() * 1e3;
     let t0 = std::time::Instant::now();
-    let via_jnl = coll.find_via_jnl(&filter).len();
+    let via_jnl = jnl_docs(&coll, &filter).len();
     let jnl_ms = t0.elapsed().as_secs_f64() * 1e3;
     println!("mongo find over 20k docs: direct {direct} hits ({direct_ms:.1} ms), JNL {via_jnl} hits ({jnl_ms:.1} ms), agree: {}", direct == via_jnl);
 
@@ -1340,19 +1340,19 @@ fn s6() {
     }
     frag.set_pool(jpar::Pool::with_threads(max_threads));
     let frag_segments = frag.segments().len();
-    let frag_out = frag.find_via_jnl(&jnl_filter);
-    let frag_jnl_ms = best_ms(9, || frag.find_via_jnl(&jnl_filter));
+    let frag_out = jnl_docs(&frag, &jnl_filter);
+    let frag_jnl_ms = best_ms(9, || jnl_docs(&frag, &jnl_filter));
     let frag_agg_ms = best_ms(9, || jagg::aggregate(&frag, &agg));
     let frag_agg_out = jagg::aggregate(&frag, &agg);
 
     frag.compact();
-    let comp_out = frag.find_via_jnl(&jnl_filter);
-    let comp_jnl_ms = best_ms(9, || frag.find_via_jnl(&jnl_filter));
+    let comp_out = jnl_docs(&frag, &jnl_filter);
+    let comp_jnl_ms = best_ms(9, || jnl_docs(&frag, &jnl_filter));
     let comp_agg_ms = best_ms(9, || jagg::aggregate(&frag, &agg));
     let comp_agg_out = jagg::aggregate(&frag, &agg);
     assert_eq!(
         comp_out, frag_out,
-        "S6 gate: compaction changed find_via_jnl results"
+        "S6 gate: compaction changed JNL results"
     );
     assert_eq!(
         comp_agg_out, frag_agg_out,
@@ -1363,10 +1363,10 @@ fn s6() {
     // 1001 of them — so the margin is enormous).
     assert!(
         comp_jnl_ms <= frag_jnl_ms,
-        "S6 gate: compacted find_via_jnl slower than fragmented: {comp_jnl_ms:.2} ms vs {frag_jnl_ms:.2} ms"
+        "S6 gate: compacted JNL evaluation slower than fragmented: {comp_jnl_ms:.2} ms vs {frag_jnl_ms:.2} ms"
     );
     println!(
-        "compaction ({n_frag} inserts): find_via_jnl {frag_jnl_ms:.2} -> {comp_jnl_ms:.2} ms ({:.1}x), \
+        "compaction ({n_frag} inserts): JNL {frag_jnl_ms:.2} -> {comp_jnl_ms:.2} ms ({:.1}x), \
          unwind_group {frag_agg_ms:.2} -> {comp_agg_ms:.2} ms ({:.2}x), segments {frag_segments} -> {}",
         frag_jnl_ms / comp_jnl_ms,
         frag_agg_ms / comp_agg_ms,
@@ -1374,7 +1374,7 @@ fn s6() {
     );
 
     let json = format!(
-        "{{\n  \"experiment\": \"s6_parallel\",\n  \"units\": \"ms (best of 9, sequential/parallel samples interleaved)\",\n  \"threads\": {{\"sequential\": 1, \"parallel\": {max_threads}, \"gate_tolerance\": {tolerance}}},\n  \"gates\": \"asserted: parallel output == sequential output on every workload; parallel_ms <= sequential_ms * tolerance at max threads; compacted find_via_jnl <= fragmented with identical results\",\n  \"collection\": {{\"documents\": {}, \"segments\": {}}},\n  \"workloads\": [\n{}\n  ],\n  \"compaction\": {{\"documents\": {n_frag}, \"segments_fragmented\": {frag_segments}, \"segments_compacted\": {}, \"fragmented_jnl_ms\": {frag_jnl_ms:.3}, \"compacted_jnl_ms\": {comp_jnl_ms:.3}, \"jnl_speedup\": {:.3}, \"fragmented_agg_ms\": {frag_agg_ms:.3}, \"compacted_agg_ms\": {comp_agg_ms:.3}, \"agg_speedup\": {:.3}}}\n}}\n",
+        "{{\n  \"experiment\": \"s6_parallel\",\n  \"units\": \"ms (best of 9, sequential/parallel samples interleaved)\",\n  \"threads\": {{\"sequential\": 1, \"parallel\": {max_threads}, \"gate_tolerance\": {tolerance}}},\n  \"gates\": \"asserted: parallel output == sequential output on every workload; parallel_ms <= sequential_ms * tolerance at max threads; compacted JNL evaluation <= fragmented with identical results\",\n  \"collection\": {{\"documents\": {}, \"segments\": {}}},\n  \"workloads\": [\n{}\n  ],\n  \"compaction\": {{\"documents\": {n_frag}, \"segments_fragmented\": {frag_segments}, \"segments_compacted\": {}, \"fragmented_jnl_ms\": {frag_jnl_ms:.3}, \"compacted_jnl_ms\": {comp_jnl_ms:.3}, \"jnl_speedup\": {:.3}, \"fragmented_agg_ms\": {frag_agg_ms:.3}, \"compacted_agg_ms\": {comp_agg_ms:.3}, \"agg_speedup\": {:.3}}}\n}}\n",
         coll.len(),
         coll.segments().len(),
         entries.join(",\n"),
@@ -1417,7 +1417,7 @@ fn s7() {
     );
     // Generous enough for the slowest legitimate path to the first charge
     // point (a byte budget only trips once something materialises, so a
-    // leading whole-tree JNL match runs to completion first), tight enough
+    // leading `$match` scan runs to completion first), tight enough
     // that a hung poll loop cannot hide.
     const GRACE_MS: f64 = 500.0;
     let max_threads = jpar::Pool::auto().threads();
@@ -1520,7 +1520,7 @@ fn s7() {
         let ms = once_ms(|| {
             assert!(
                 matches!(
-                    coll.find_with_ctx(&find_filter, &cancelled),
+                    coll.find_with_ctx(&find_filter, None, &cancelled),
                     Err(QueryError::Cancelled)
                 ),
                 "S7 gate: cancelled query did not return Cancelled"
@@ -1542,7 +1542,7 @@ fn s7() {
         let ms = once_ms(|| {
             assert!(
                 matches!(
-                    coll.find_with_ctx(&find_filter, &no_rows),
+                    coll.find_with_ctx(&find_filter, None, &no_rows),
                     Err(QueryError::BudgetExceeded {
                         resource: Resource::Rows
                     })
@@ -1573,7 +1573,7 @@ fn s7() {
         let ms = once_ms(|| {
             assert!(
                 matches!(
-                    coll.find_with_ctx(&find_filter, &slow),
+                    coll.find_with_ctx(&find_filter, None, &slow),
                     Err(QueryError::Deadline)
                 ),
                 "S7 gate: slow-node fault did not surface Deadline"
@@ -1594,7 +1594,7 @@ fn s7() {
         let mut contained = 0u32;
         for k in [1u64, 2, 3, 5, 8, 13, 21, 34, 55] {
             let ctx = QueryCtx::new().with_fault(Fault::PanicAtPoll(k));
-            match coll.find_with_ctx(&find_filter, &ctx) {
+            match coll.find_with_ctx(&find_filter, None, &ctx) {
                 Ok(v) => assert_eq!(v, base_find, "S7 gate: fault-free run diverged at k={k}"),
                 Err(QueryError::WorkerPanicked { payload, .. }) => {
                     assert!(
@@ -1642,7 +1642,7 @@ fn s7() {
                 }
             };
             let failed = if i % 2 == 0 {
-                coll.find_with_ctx(&find_filter, &ctx).is_err()
+                coll.find_with_ctx(&find_filter, None, &ctx).is_err()
             } else {
                 jagg::aggregate_with_ctx(&coll, &pipes[(i % 4) as usize % pipes.len()].1, &ctx)
                     .is_err()
@@ -1725,7 +1725,7 @@ fn s7() {
         ));
     };
     gate_overhead("find_scan", &|| coll.find(&find_filter).len(), &|| {
-        coll.find_with_ctx(&find_filter, &live)
+        coll.find_with_ctx(&find_filter, None, &live)
             .expect("live ctx never trips")
             .len()
     });
@@ -1961,7 +1961,7 @@ fn s8() {
 /// 2. indexed `$eq`/range `find` must not be slower than the scan at
 ///    20k documents;
 /// 3. the selective workload (`eq_unique`, one matching document) must
-///    answer at least 2x faster than the scan, at the `find_refs` level
+///    answer at least 2x faster than the scan, at the routed-refs level
 ///    and through the `jagg` leading-`$match`.
 fn s9() {
     header(
@@ -1999,8 +1999,8 @@ fn s9() {
         for (label, src) in s9_workloads() {
             let f = mongofind::Filter::parse_str(src).expect("workload filter parses");
             assert_eq!(
-                frag.find_refs_indexed(&f),
-                frag.find_refs(&f),
+                routed_refs(&frag, &f),
+                scan_refs(&frag, &f),
                 "S9 gate: indexed != scan on fragmented layout, {label}"
             );
         }
@@ -2008,8 +2008,8 @@ fn s9() {
         for (label, src) in s9_workloads() {
             let f = mongofind::Filter::parse_str(src).expect("workload filter parses");
             assert_eq!(
-                frag.find_refs_indexed(&f),
-                frag.find_refs(&f),
+                routed_refs(&frag, &f),
+                scan_refs(&frag, &f),
                 "S9 gate: indexed != scan after compact(), {label}"
             );
         }
@@ -2035,22 +2035,22 @@ fn s9() {
             "S9 workload {label} must engage the planner"
         );
         // Gate 1b: byte-identical refs and documents on the 20k layout.
-        let probe_refs = coll.find_refs_indexed(&f);
+        let probe_refs = routed_refs(&coll, &f);
+        let scan = scan_refs(&coll, &f);
         assert_eq!(
-            probe_refs,
-            coll.find_refs(&f),
+            probe_refs, scan,
             "S9 gate: indexed refs != scan refs on {label}"
         );
         assert_eq!(
-            coll.find_indexed(&f),
             coll.find(&f),
+            scan.iter().map(|&d| coll.json_of(d)).collect::<Vec<_>>(),
             "S9 gate: indexed documents != scan documents on {label}"
         );
         let hits = probe_refs.len();
         drop(probe_refs);
 
-        let scan_ms = time_ms(9, || scan_coll.find_refs(&f));
-        let indexed_ms = time_ms(9, || coll.find_refs_indexed(&f));
+        let scan_ms = time_ms(9, || scan_refs(&scan_coll, &f));
+        let indexed_ms = time_ms(9, || routed_refs(&coll, &f));
         // Gate 2: probing must not cost wall time against the scan.
         assert!(
             indexed_ms <= scan_ms,
@@ -2102,7 +2102,7 @@ fn s9() {
     );
 
     let json = format!(
-        "{{\n  \"experiment\": \"s9_secondary_indexes\",\n  \"units\": \"ms (median of 9)\",\n  \"collection\": {{\"documents\": {}, \"indexes\": [\"id\", \"name.first\", \"age\"], \"build_ms\": {build_ms:.3}}},\n  \"gates\": \"asserted: indexed results byte-identical to scan on one-parse/fragmented/post-compact layouts; indexed find <= scan on every workload; selective eq >= 2x at find_refs level and through the jagg leading-$match\",\n  \"match_pipeline\": {{\"scan_ms\": {match_scan_ms:.4}, \"indexed_ms\": {match_indexed_ms:.4}, \"speedup\": {match_speedup:.2}}},\n  \"workloads\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"experiment\": \"s9_secondary_indexes\",\n  \"units\": \"ms (median of 9)\",\n  \"collection\": {{\"documents\": {}, \"indexes\": [\"id\", \"name.first\", \"age\"], \"build_ms\": {build_ms:.3}}},\n  \"gates\": \"asserted: indexed results byte-identical to scan on one-parse/fragmented/post-compact layouts; indexed find <= scan on every workload; selective eq >= 2x at the routed-refs level and through the jagg leading-$match\",\n  \"match_pipeline\": {{\"scan_ms\": {match_scan_ms:.4}, \"indexed_ms\": {match_indexed_ms:.4}, \"speedup\": {match_speedup:.2}}},\n  \"workloads\": [\n{}\n  ]\n}}\n",
         coll.len(),
         entries.join(",\n")
     );
@@ -2120,12 +2120,11 @@ fn s9() {
 ///    paths — the same paired-sample protocol as the S7 poll-overhead
 ///    gate (minimum of 31 alternating-order paired deltas).
 /// 2. **EXPLAIN cannot lie.** For every S9 corpus filter plus the
-///    supplemental JNL/scan workloads, the route `EXPLAIN` claims is the
-///    route the counters prove execution took: an index route records
-///    probes and zero scanned documents / visited segments, a JNL route
-///    records visited segments and neither of the others, a scan route
-///    records scanned documents only — and the routed row count equals
-///    the scan oracle's.
+///    supplemental unindexed workloads, the route `EXPLAIN` claims is
+///    the route the counters prove execution took: an index route
+///    records probes and zero scanned documents / visited segments, a
+///    scan route records scanned documents only — and the routed row
+///    count equals the scan oracle's.
 /// 3. **EXPLAIN ANALYZE counts right.** On every S5 pipeline the traced
 ///    executor's per-stage cardinalities (fused blocks expanded) equal
 ///    the value-based reference executor's, stage for stage.
@@ -2171,7 +2170,7 @@ fn s10() {
         ])
     );
     let mut route_entries = Vec::new();
-    let mut routes_seen = [false; 3];
+    let mut routes_seen = [false; 2];
     for (label, src, expected_route) in s10_route_workloads() {
         let f = mongofind::Filter::parse_str(src).expect("workload filter parses");
         let ex = icoll.explain(&f);
@@ -2191,7 +2190,7 @@ fn s10() {
         // returns.
         assert_eq!(
             an.rows,
-            icoll.find_refs(&f).len(),
+            scan_refs(&icoll, &f).len(),
             "S10 gate: routed row count differs from the scan oracle on {label}"
         );
         let probes = an.counters.get(Counter::IndexProbes);
@@ -2212,18 +2211,6 @@ fn s10() {
                 );
                 routes_seen[0] = true;
             }
-            Route::Jnl => {
-                assert!(
-                    segments > 0,
-                    "S10 gate: JNL route visited no segments on {label}"
-                );
-                assert_eq!(
-                    (probes, scanned),
-                    (0, 0),
-                    "S10 gate: JNL route touched index/scan counters on {label}"
-                );
-                routes_seen[1] = true;
-            }
             Route::Scan => {
                 assert!(
                     scanned > 0,
@@ -2234,7 +2221,7 @@ fn s10() {
                     (0, 0),
                     "S10 gate: scan route touched index/JNL counters on {label}"
                 );
-                routes_seen[2] = true;
+                routes_seen[1] = true;
             }
         }
         println!(
@@ -2260,9 +2247,9 @@ fn s10() {
     }
     assert!(
         routes_seen.iter().all(|&b| b),
-        "S10 gate: the route corpus must exercise index, JNL and scan"
+        "S10 gate: the route corpus must exercise both index and scan"
     );
-    println!("route gate: every claimed route proven by its counters, all three routes exercised");
+    println!("route gate: every claimed route proven by its counters, both routes exercised");
 
     // --- gate 3: EXPLAIN ANALYZE vs reference cardinalities -----------
     let docs = coll.docs().to_vec();
@@ -2353,7 +2340,7 @@ fn s10() {
     };
     let find_filter = mongofind::Filter::parse_str(S6_FIND_FILTER).expect("filter parses");
     gate_overhead("find_scan", &|| coll.find(&find_filter).len(), &|| {
-        coll.find_with_ctx(&find_filter, &mctx)
+        coll.find_with_ctx(&find_filter, None, &mctx)
             .expect("metrics ctx never trips")
             .len()
     });
@@ -2369,10 +2356,10 @@ fn s10() {
         mongofind::Filter::parse_str(r#"{"name.first": "Sue"}"#).expect("filter parses");
     gate_overhead(
         "indexed_probe",
-        &|| icoll.find_refs_routed(&probe_filter).len(),
+        &|| routed_refs(&icoll, &probe_filter).len(),
         &|| {
             icoll
-                .find_refs_routed_with_ctx(&probe_filter, &mctx)
+                .find_refs_with_ctx(&probe_filter, &mctx)
                 .expect("metrics ctx never trips")
                 .len()
         },
@@ -2384,7 +2371,7 @@ fn s10() {
     let pipe = jagg::Pipeline::parse_str(s6_pipelines()[0].1).expect("pipeline parses");
     jagg::aggregate_with_ctx(&icoll, &pipe, &sctx).expect("span ctx never trips");
     icoll
-        .find_refs_routed_with_ctx(&probe_filter, &sctx)
+        .find_refs_with_ctx(&probe_filter, &sctx)
         .expect("span ctx never trips");
     let spans = span_sink.spans().expect("sink was built with a span log");
     let trace = spans.to_chrome_trace();
@@ -2447,10 +2434,9 @@ fn s10() {
 ///    `Ok` or a *typed* `QueryError` — panics contained at the serve
 ///    boundary, deadlines enforced, no permit leaked, and the server
 ///    fully serviceable afterwards.
-/// 3. **The persistent pool earns its keep.** The same S6 µs-scale find
-///    under `Dispatch::Park` (persistent parked helpers) must not be
-///    slower than `Dispatch::Spawn` (per-scope thread spawn), best of
-///    61 interleaved samples, small noise tolerance.
+///
+/// The persistent pool at max threads against one thread is gated by
+/// `s6` (parallel output equal, parallel time within tolerance).
 fn s11() {
     use std::time::Duration;
 
@@ -2459,16 +2445,15 @@ fn s11() {
 
     header(
         "S11",
-        "Serving — snapshot linearizability, fault storms, admission, persistent pool",
+        "Serving — snapshot linearizability, fault storms, admission",
     );
     let max_threads = jpar::Pool::auto().threads();
     let text = s5_collection_text();
     let mut seed = mongofind::Collection::parse_str(&text).expect("workload parses");
     seed.set_pool(jpar::Pool::with_threads(max_threads));
     println!(
-        "collection: {} documents, pool: {max_threads} thread(s), dispatch: {:?}",
-        seed.len(),
-        seed.pool().dispatch()
+        "collection: {} documents, pool: {max_threads} thread(s)",
+        seed.len()
     );
 
     let server = Server::new(
@@ -2659,53 +2644,15 @@ fn s11() {
          {deadlines} deadlines, {fault_shed} shed), zero aborts, zero leaked permits"
     );
 
-    // --- gate 3: persistent pool vs per-scope spawn -------------------
-    fn once_ms<T>(f: impl FnOnce() -> T) -> f64 {
-        let t0 = std::time::Instant::now();
-        std::hint::black_box(f());
-        t0.elapsed().as_secs_f64() * 1e3
-    }
-    let mut pcoll = mongofind::Collection::parse_str(&text).expect("workload parses");
-    pcoll.set_pool(jpar::Pool::with_threads(max_threads).with_dispatch(jpar::Dispatch::Park));
-    let mut scoll = mongofind::Collection::parse_str(&text).expect("workload parses");
-    scoll.set_pool(jpar::Pool::with_threads(max_threads).with_dispatch(jpar::Dispatch::Spawn));
-    let park_out = pcoll.find(&find_filter);
-    let spawn_out = scoll.find(&find_filter);
-    assert_eq!(
-        park_out, spawn_out,
-        "S11 gate: dispatch strategies disagree on results"
-    );
-    let (mut park_ms, mut spawn_ms) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..61 {
-        park_ms = park_ms.min(once_ms(|| pcoll.find(&find_filter)));
-        spawn_ms = spawn_ms.min(once_ms(|| scoll.find(&find_filter)));
-    }
-    // With real helpers in play the persistent pool must win (spawn pays
-    // thread creation per call); at 1 thread both paths are the same
-    // inline code and only noise separates them.
-    let tolerance = if max_threads > 1 { 1.05 } else { 1.15 };
-    assert!(
-        park_ms <= spawn_ms * tolerance,
-        "S11 gate: persistent pool ({park_ms:.4} ms) slower than per-scope spawn \
-         ({spawn_ms:.4} ms, tolerance {tolerance}x)"
-    );
-    println!(
-        "dispatch: park {park_ms:.4} ms vs spawn {spawn_ms:.4} ms on the S6 find \
-         ({:.2}x, best of 61 interleaved)",
-        spawn_ms / park_ms
-    );
-
     let report = Val::obj(vec![
         ("experiment", Val::str("s11_serving")),
-        ("units", Val::str("ms (best of 61 interleaved samples)")),
         (
             "gates",
             Val::str(
                 "asserted: every concurrent read byte-identical to the serial replay of its \
                  snapshot's committed log prefix (storms + compactions racing); fault storm \
                  of injected panics/sleeps yields typed errors only with zero aborts and \
-                 zero leaked permits, server serviceable after; persistent park-dispatch \
-                 pool <= per-scope spawn on the S6 find workload",
+                 zero leaked permits, server serviceable after",
             ),
         ),
         ("threads", Val::int(max_threads as u64)),
@@ -2729,14 +2676,6 @@ fn s11() {
                 ("panics_contained", Val::int(contained)),
                 ("deadlines", Val::int(deadlines)),
                 ("shed", Val::int(fault_shed)),
-            ]),
-        ),
-        (
-            "dispatch",
-            Val::obj(vec![
-                ("park_ms", Val::float(park_ms, 4)),
-                ("spawn_ms", Val::float(spawn_ms, 4)),
-                ("speedup", Val::float(spawn_ms / park_ms, 2)),
             ]),
         ),
     ]);

@@ -25,6 +25,32 @@ pub fn time_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
     samples[samples.len() / 2]
 }
 
+/// The document-scan oracle, ungoverned.
+pub fn scan_refs(coll: &mongofind::Collection, f: &mongofind::Filter) -> Vec<mongofind::DocRef> {
+    coll.find_refs_via_scan_with_ctx(f, &jguard::QueryCtx::unlimited())
+        .expect("an unlimited scan never trips")
+}
+
+/// The routed find path (index probe or scan, per `route_of`), ungoverned.
+pub fn routed_refs(coll: &mongofind::Collection, f: &mongofind::Filter) -> Vec<mongofind::DocRef> {
+    coll.find_refs_with_ctx(f, &jguard::QueryCtx::unlimited())
+        .expect("an unlimited find never trips")
+}
+
+/// The JNL oracle (the paper's Prop 1 engine), ungoverned.
+pub fn jnl_refs(coll: &mongofind::Collection, f: &mongofind::Filter) -> Vec<mongofind::DocRef> {
+    coll.find_refs_via_jnl_with_ctx(f, &jguard::QueryCtx::unlimited())
+        .expect("an unlimited JNL evaluation never trips")
+}
+
+/// [`jnl_refs`], materialised.
+pub fn jnl_docs(coll: &mongofind::Collection, f: &mongofind::Filter) -> Vec<Json> {
+    jnl_refs(coll, f)
+        .into_iter()
+        .map(|d| coll.json_of(d))
+        .collect()
+}
+
 /// Least-squares slope of `log(y)` against `log(x)` — the empirical
 /// exponent of a scaling curve. Linear algorithms fit ≈1, quadratic ≈2.
 pub fn loglog_slope(points: &[(f64, f64)]) -> f64 {
@@ -238,9 +264,10 @@ pub fn s5_pipelines() -> Vec<(&'static str, &'static str)> {
             ]"#,
         ),
         (
-            // The leading $match IS in the exact fragment: the executor
-            // answers it with one whole-tree JNL evaluation per segment
-            // (Filter::jnl_exact fast path) before the group stage.
+            // The leading $match is in the exact JNL fragment (the key
+            // keeps its historical name); the executor answers it on the
+            // routed find path — a scan here, no index is declared —
+            // before the group stage.
             "jnl_match_group_compound_id",
             r#"[
                 {"$match": {"name.last": {"$in": ["Doe", "Smith", "Lopez", "Chen", "Haddad", "Kim"]}}},
@@ -257,8 +284,8 @@ pub fn s5_pipelines() -> Vec<(&'static str, &'static str)> {
 
 /// S6: the parallel-execution benchmark pipelines (label, pipeline JSON).
 /// Both group — the stage whose chunk-merge plan the experiment gates —
-/// and one leads with an exact-fragment `$match` (whole-tree JNL per
-/// segment) while the other fans `$unwind` row expansion out first.
+/// and one leads with an exact-fragment `$match` (a parallel document
+/// scan) while the other fans `$unwind` row expansion out first.
 pub fn s6_pipelines() -> Vec<(&'static str, &'static str)> {
     vec![
         (
@@ -330,16 +357,15 @@ pub fn s9_workloads() -> Vec<(&'static str, &'static str)> {
 /// S10: the supplemental route workloads (label, filter JSON, expected
 /// route name) that extend [`s9_workloads`] — all of which probe the
 /// declared indexes — so the explain/execute agreement gate exercises
-/// every branch of `Collection::route_of`. `name.last` is unindexed:
-/// the exact-fragment equality takes the whole-segment JNL route and the
-/// order comparison (outside the exact fragment) falls through to the
-/// chunk-parallel scan.
+/// both branches of `Collection::route_of`. `name.last` is unindexed, so
+/// both the exact-fragment equality (the label keeps its historical
+/// name) and the order comparison take the chunk-parallel scan.
 pub fn s10_route_workloads() -> Vec<(&'static str, &'static str, &'static str)> {
     let mut all: Vec<(&'static str, &'static str, &'static str)> = s9_workloads()
         .into_iter()
         .map(|(label, src)| (label, src, "index"))
         .collect();
-    all.push(("jnl_eq_unindexed", r#"{"name.last": "Kim"}"#, "jnl"));
+    all.push(("jnl_eq_unindexed", r#"{"name.last": "Kim"}"#, "scan"));
     all.push((
         "scan_order_unindexed",
         r#"{"name.last": {"$gt": "K"}}"#,

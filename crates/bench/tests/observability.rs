@@ -18,7 +18,9 @@
 
 use std::sync::Arc;
 
-use bench::{s10_route_workloads, S6_FIND_FILTER, S9_INDEX_PATHS};
+use bench::{
+    jnl_refs, routed_refs, s10_route_workloads, scan_refs, S6_FIND_FILTER, S9_INDEX_PATHS,
+};
 use jguard::QueryCtx;
 use jtrace::{Counter, QueryMetrics, Snapshot};
 use mongofind::{Collection, Filter};
@@ -114,7 +116,7 @@ fn work_counters_invariant_across_threads_and_layouts() {
             let mut observed = Vec::new();
             for (label, f) in &filters {
                 let snap = counters_of(|ctx| {
-                    coll.find_refs_routed_with_ctx(f, ctx)
+                    coll.find_refs_with_ctx(f, ctx)
                         .unwrap_or_else(|e| panic!("{label} failed: {e}"));
                 });
                 observed.push(work_totals(&snap));
@@ -152,11 +154,20 @@ fn routed_rows_equal_scan_oracle_on_every_layout() {
                 expected_route,
                 "{label} on {layout}"
             );
+            let scan = scan_refs(&coll, &f);
             assert_eq!(
-                coll.find_refs_routed(&f),
-                coll.find_refs(&f),
+                routed_refs(&coll, &f),
+                scan,
                 "routed refs != scan refs on {label} ({layout})"
             );
+            // The JNL oracle agrees too wherever the compilation is exact.
+            if f.jnl_exact() {
+                assert_eq!(
+                    jnl_refs(&coll, &f),
+                    scan,
+                    "JNL refs != scan refs on {label} ({layout})"
+                );
+            }
         }
     }
 }
@@ -212,7 +223,7 @@ fn explain_text_snapshots_for_the_s9_corpus() {
         (
             r#"{"name.last": "Kim"}"#,
             "find name.last = \"Kim\"\n\
-             \x20 route: jnl  [docs=100, segments=1]\n\
+             \x20 route: scan  [docs=100, segments=1]\n\
              \x20 indexes: [id, name.first, age]\n",
         ),
         (
@@ -255,7 +266,7 @@ fn explain_json_snapshots_for_the_s9_corpus() {
         coll.explain(&f).to_json().to_string(),
         "{\"query\":\"find\",\
           \"filter\":\"name.last = \\\"Kim\\\"\",\
-          \"route\":\"jnl\",\
+          \"route\":\"scan\",\
           \"docs\":100,\
           \"segments\":1,\
           \"indexes\":[\"id\",\"name.first\",\"age\"],\

@@ -43,11 +43,11 @@
 //!
 //! ## Fast paths
 //!
-//! * A leading `$match` whose filter is in the exactly-compilable JNL
-//!   fragment ([`Filter::jnl_exact`]) is answered by **one** whole-tree JNL
-//!   evaluation per segment (the Proposition 1 engine), not a per-document
-//!   walk; outside the fragment it runs [`Filter::matches_at`] per
-//!   document — no materialisation either way.
+//! * A leading `$match` runs straight off the collection through
+//!   [`Collection::find_refs_with_ctx`]: a secondary-index probe when
+//!   the declared indexes answer part of the filter, the document scan
+//!   ([`Filter::matches_at`] per document) otherwise — no
+//!   materialisation either way.
 //! * `$group` keys that resolve to tree nodes are hashed by their
 //!   [`CanonTable`] class: two key nodes with equal subtrees share a
 //!   class, so the common case never materialises or hashes a key value
@@ -416,22 +416,17 @@ impl<'c> Engine<'c> {
         }
     }
 
-    /// The first `$match` of a pipeline, straight off the collection.
-    /// Route choice, in order: a secondary-index probe when the
-    /// collection's declared indexes answer part of the conjunction
-    /// ([`Collection::index_answerable`] — bitmap intersection plus a
-    /// residual pass on survivors only); one whole-tree JNL evaluation
-    /// per segment when the filter compiles exactly (Proposition 1
-    /// answers every document of a segment at once);
-    /// [`Filter::matches_at`] per document otherwise. All three are
-    /// (already governed) `Collection` paths returning refs in
-    /// `(segment, doc)` order, so the route is unobservable in the
-    /// output.
+    /// The first `$match` of a pipeline, straight off the collection
+    /// through the one governed find path,
+    /// [`Collection::find_refs_with_ctx`]: a secondary-index probe when
+    /// [`Collection::route_of`] says the declared indexes answer part of
+    /// the conjunction (bitmap intersection plus a residual pass on
+    /// survivors only), [`Filter::matches_at`] per document otherwise.
+    /// Both routes return refs in `(segment, doc)` order, so the route
+    /// is unobservable in the output, and `EXPLAIN` asks the same
+    /// routing function, so a plan's claimed route is the one that runs.
     fn leading_match(&self, f: &Filter) -> Result<Vec<Row>, QueryError> {
-        // One routing function serves execution and `EXPLAIN`
-        // ([`Collection::route_of`]), so a plan's claimed route is, by
-        // construction, the route this fast path takes.
-        let refs = self.coll.find_refs_routed_with_ctx(f, &self.guard)?;
+        let refs = self.coll.find_refs_with_ctx(f, &self.guard)?;
         Ok(refs.into_iter().map(Row::node).collect())
     }
 

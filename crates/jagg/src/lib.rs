@@ -20,7 +20,7 @@
 //!
 //! | Surface stage | Report operator | Semantics here |
 //! |---|---|---|
-//! | `{"$match": φ}` | selection `Match_φ` | keep the trees satisfying the filter condition `φ` — the condition language is [`mongofind::Filter`], i.e. the source paper's deterministic JNL fragment; a leading `$match` in the exact fragment is answered by one whole-tree JNL evaluation per segment (Proposition 1) |
+//! | `{"$match": φ}` | selection `Match_φ` | keep the trees satisfying the filter condition `φ` — the condition language is [`mongofind::Filter`], i.e. the source paper's deterministic JNL fragment; a leading `$match` runs through the collection's routed find path (index probe when answerable, document scan otherwise) |
 //! | `{"$unwind": "$p"}` | unnest `Unwind_p` | one output tree per element of the array at path `p`, with `p` rebound to the element; missing paths and empty arrays produce nothing, non-arrays pass through as their own single element |
 //! | `{"$project": π}` | projection `Project_π` | synthesize a new tree per input from kept paths, field references and literals |
 //! | `{"$group": {_id: g, a_i: α_i}}` | grouping `Group_{g;α}` | partition by the value of `g` (missing keys form their own group whose output omits `_id` — the §2 fragment has no `null`), fold each part through the accumulators `α` |

@@ -7,8 +7,8 @@
 //! index range `0..n` (documents, rows, or segments) through a pure
 //! function of shared read-only state. This crate is the one
 //! parallelism substrate they share — the build environment has no
-//! crates.io access (so no `rayon`), and `std::thread::scope` is all
-//! that is needed for this shape of work.
+//! crates.io access (so no `rayon`), and a small set of parked helper
+//! threads is all that is needed for this shape of work.
 //!
 //! ## Threading model
 //!
@@ -40,26 +40,15 @@
 //!   path against this serial fallback; a parallel run that disagrees
 //!   with `N = 1` is a bug by definition.
 //!
-//! ## Dispatch strategies
+//! ## Dispatch
 //!
-//! A pool value also carries *how* workers are provided
-//! ([`Dispatch`]):
-//!
-//! * [`Dispatch::Park`] (the default) lends out **persistent helper
-//!   threads** parked on a condvar between jobs. Wake-ups cost
-//!   microseconds instead of the per-call `thread::spawn` cost, which is
-//!   what a serving layer running many µs-scale queries needs; the
-//!   calling thread always participates inline, so a dispatch can never
-//!   hang waiting for busy helpers. See `src/park.rs` for the protocol.
-//! * [`Dispatch::Spawn`] is the legacy per-call
-//!   [`std::thread::scope`] strategy, kept selectable (and benchmarked
-//!   against `Park` by `harness s11`) so the persistent pool always has
-//!   an in-tree baseline.
-//!
-//! Both strategies claim chunks from the same work-stealing counter and
-//! splice results in chunk order, so the choice affects latency only —
-//! results are identical, and `N = 1` still runs inline with no worker
-//! machinery at all.
+//! Workers are **persistent helper threads** parked on a condvar between
+//! jobs. Wake-ups cost microseconds instead of a per-call
+//! `thread::spawn`, which is what a serving layer running many µs-scale
+//! queries needs; the calling thread always participates inline, so a
+//! dispatch can never hang waiting for busy helpers. See `src/park.rs`
+//! for the protocol. `N = 1` runs inline with no worker machinery at
+//! all.
 //!
 //! ## Choosing a thread count
 //!
@@ -69,8 +58,7 @@
 //! counts are clamped to at least 1: `JPAR_THREADS` values of `0`,
 //! unparseable garbage, or numbers too large for `usize` fall back to
 //! the machine's parallelism (itself at least 1) rather than erroring —
-//! the contract pinned by `tests/env_contract.rs`. The dispatch strategy
-//! can likewise be overridden with `JPAR_DISPATCH=park|spawn`.
+//! the contract pinned by `tests/env_contract.rs`.
 
 use std::ops::Range;
 use std::panic::AssertUnwindSafe;
@@ -84,22 +72,6 @@ mod park;
 
 /// The environment variable overriding [`Pool::auto`]'s thread count.
 pub const THREADS_ENV: &str = "JPAR_THREADS";
-
-/// The environment variable overriding [`Pool::auto`]'s dispatch
-/// strategy (`park` or `spawn`, case-insensitive; anything else keeps
-/// the default).
-pub const DISPATCH_ENV: &str = "JPAR_DISPATCH";
-
-/// How a pool call obtains its worker threads. See the crate docs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Dispatch {
-    /// Persistent parked helpers, woken per dispatch (default).
-    #[default]
-    Park,
-    /// Per-call scoped spawn — the legacy strategy, kept as the A/B
-    /// baseline for the persistent pool.
-    Spawn,
-}
 
 /// Renders a caught panic payload for [`QueryError::WorkerPanicked`].
 pub fn panic_payload(p: Box<dyn std::any::Any + Send>) -> String {
@@ -132,19 +104,17 @@ fn contain<T>(
     }
 }
 
-/// A worker pool: a thread count plus the dispatch strategy.
+/// A worker pool: a thread count.
 ///
 /// `Pool` is a plain value (cheap to copy, it owns no OS resources).
-/// Under [`Dispatch::Park`] workers are borrowed from a process-global
-/// set of persistent parked helpers for the duration of one call; under
-/// [`Dispatch::Spawn`] they are spawned per call inside a
-/// [`std::thread::scope`]. Either way every worker is quiesced before
-/// the call returns, so borrowed data needs no `'static` lifetime and a
-/// panicking worker propagates to (or is contained for) the caller.
+/// Workers are borrowed from a process-global set of persistent parked
+/// helpers for the duration of one call, and every worker is quiesced
+/// before the call returns, so borrowed data needs no `'static` lifetime
+/// and a panicking worker propagates to (or is contained for) the
+/// caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pool {
     threads: usize,
-    dispatch: Dispatch,
 }
 
 impl Default for Pool {
@@ -157,29 +127,18 @@ impl Pool {
     /// A single-threaded pool: every call runs inline on the calling
     /// thread, in order — the semantic oracle of the parallel paths.
     pub fn serial() -> Pool {
-        Pool {
-            threads: 1,
-            dispatch: Dispatch::default(),
-        }
+        Pool { threads: 1 }
     }
 
     /// A pool with an explicit thread count (clamped to at least 1).
     pub fn with_threads(threads: usize) -> Pool {
         Pool {
             threads: threads.max(1),
-            dispatch: Dispatch::default(),
         }
     }
 
-    /// The same pool with an explicit dispatch strategy.
-    pub fn with_dispatch(mut self, dispatch: Dispatch) -> Pool {
-        self.dispatch = dispatch;
-        self
-    }
-
     /// The machine's available parallelism, overridden by the
-    /// `JPAR_THREADS` environment variable when set to a positive number;
-    /// the dispatch strategy is likewise overridable via `JPAR_DISPATCH`.
+    /// `JPAR_THREADS` environment variable when set to a positive number.
     pub fn auto() -> Pool {
         let from_env = std::env::var(THREADS_ENV)
             .ok()
@@ -190,23 +149,13 @@ impl Pool {
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1)
         });
-        let dispatch = match std::env::var(DISPATCH_ENV) {
-            Ok(v) if v.eq_ignore_ascii_case("spawn") => Dispatch::Spawn,
-            Ok(v) if v.eq_ignore_ascii_case("park") => Dispatch::Park,
-            _ => Dispatch::default(),
-        };
-        Pool { threads, dispatch }
+        Pool { threads }
     }
 
     /// The number of worker threads this pool dispatches to (including
     /// the calling thread, which always participates).
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The dispatch strategy this pool uses for its workers.
-    pub fn dispatch(&self) -> Dispatch {
-        self.dispatch
     }
 
     /// A chunk size for `len` items that yields several chunks per worker
@@ -333,7 +282,7 @@ impl Pool {
                     break;
                 }
                 if stolen {
-                    // Claimed by a spawned worker rather than the caller.
+                    // Claimed by a helper rather than the caller.
                     ctx.record(Counter::ChunksStolen, 1);
                 }
                 match run_chunk(i) {
@@ -350,7 +299,7 @@ impl Pool {
 
         // A rangeless error for a panic that escaped `run_worker` itself
         // (i.e. outside any chunk's containment) — kept alive as a value
-        // so neither strategy ever re-raises across the pool boundary.
+        // so it never re-raises across the pool boundary.
         let coordinator_error = |p: Box<dyn std::any::Any + Send>| -> WorkerOut<T> {
             let payload = panic_payload(p);
             ctx.record_panic(usize::MAX, &payload);
@@ -366,35 +315,17 @@ impl Pool {
             )
         };
 
-        let mut outputs: Vec<WorkerOut<T>> = Vec::with_capacity(workers);
-        match self.dispatch {
-            Dispatch::Spawn => std::thread::scope(|scope| {
-                let handles: Vec<_> = (1..workers)
-                    .map(|_| scope.spawn(|| run_worker(true)))
-                    .collect();
-                outputs.push(run_worker(false));
-                for h in handles {
-                    // `run_worker` contains every panic, so `join` failing
-                    // would mean a panic outside any chunk; keep the
-                    // process alive anyway and surface it as a rangeless
-                    // error.
-                    outputs.push(h.join().unwrap_or_else(&coordinator_error));
-                }
-            }),
-            Dispatch::Park => {
-                let sink: Mutex<Vec<WorkerOut<T>>> = Mutex::new(Vec::with_capacity(workers));
-                let task = |on_helper: bool| {
-                    let out = std::panic::catch_unwind(AssertUnwindSafe(|| run_worker(on_helper)))
-                        .unwrap_or_else(|p| {
-                            stop.store(true, Ordering::Relaxed);
-                            coordinator_error(p)
-                        });
-                    sink.lock().unwrap_or_else(|e| e.into_inner()).push(out);
-                };
-                park::dispatch(workers - 1, &task);
-                outputs = sink.into_inner().unwrap_or_else(|e| e.into_inner());
-            }
-        }
+        let sink: Mutex<Vec<WorkerOut<T>>> = Mutex::new(Vec::with_capacity(workers));
+        let task = |on_helper: bool| {
+            let out = std::panic::catch_unwind(AssertUnwindSafe(|| run_worker(on_helper)))
+                .unwrap_or_else(|p| {
+                    stop.store(true, Ordering::Relaxed);
+                    coordinator_error(p)
+                });
+            sink.lock().unwrap_or_else(|e| e.into_inner()).push(out);
+        };
+        park::dispatch(workers - 1, &task);
+        let outputs = sink.into_inner().unwrap_or_else(|e| e.into_inner());
 
         let mut first_err: Option<(usize, QueryError)> = None;
         let mut slots: Vec<Option<T>> = (0..n_chunks).map(|_| None).collect();
@@ -564,20 +495,6 @@ mod tests {
     }
 
     #[test]
-    fn park_and_spawn_dispatch_agree() {
-        let data: Vec<u64> = (0..50_000u64)
-            .map(|i| i.wrapping_mul(2654435761) % 997)
-            .collect();
-        let serial: Vec<u64> = Pool::serial().map_chunks(data.len(), 512, |r| data[r].iter().sum());
-        for dispatch in [Dispatch::Park, Dispatch::Spawn] {
-            let pool = Pool::with_threads(4).with_dispatch(dispatch);
-            assert_eq!(pool.dispatch(), dispatch);
-            let got = pool.map_chunks(data.len(), 512, |r| data[r].iter().sum::<u64>());
-            assert_eq!(got, serial, "{dispatch:?} must match the serial oracle");
-        }
-    }
-
-    #[test]
     fn park_dispatch_survives_concurrent_callers() {
         // Many threads dispatching simultaneously exercises the shared
         // helper queue: jobs must not steal each other's chunks or lose
@@ -588,7 +505,7 @@ mod tests {
             for _ in 0..8 {
                 let data = &data;
                 s.spawn(move || {
-                    let pool = Pool::with_threads(4).with_dispatch(Dispatch::Park);
+                    let pool = Pool::with_threads(4);
                     for _ in 0..50 {
                         let partials =
                             pool.map_chunks(data.len(), 333, |r| data[r].iter().sum::<u64>());
@@ -604,9 +521,9 @@ mod tests {
         // A dispatched worker that itself dispatches must make progress
         // even when every helper is busy: the inner caller participates
         // inline by construction.
-        let pool = Pool::with_threads(4).with_dispatch(Dispatch::Park);
+        let pool = Pool::with_threads(4);
         let out = pool.map(8, |i| {
-            let inner = Pool::with_threads(2).with_dispatch(Dispatch::Park);
+            let inner = Pool::with_threads(2);
             inner
                 .map_chunks(1000, 100, |r| r.sum::<usize>())
                 .iter()
@@ -619,7 +536,7 @@ mod tests {
 
     #[test]
     fn park_dispatch_contains_panics_and_stays_reusable() {
-        let pool = Pool::with_threads(4).with_dispatch(Dispatch::Park);
+        let pool = Pool::with_threads(4);
         for _ in 0..10 {
             let err = jguard::with_quiet_panics(|| {
                 pool.try_map_chunks(&QueryCtx::new(), 100, 10, |r| {

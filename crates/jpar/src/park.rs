@@ -1,10 +1,10 @@
 //! The persistent parked-helper dispatch core.
 //!
 //! A serving process runs many µs-scale queries per second; spawning OS
-//! threads per pool call (the legacy [`crate::Dispatch::Spawn`]
-//! strategy) costs more than the queries themselves. This module keeps a
-//! small, process-global set of helper threads parked on a condvar and
-//! lends them out to pool calls for the duration of one dispatch.
+//! threads per pool call costs more than the queries themselves. This
+//! module keeps a small, process-global set of helper threads parked on
+//! a condvar and lends them out to pool calls for the duration of one
+//! dispatch.
 //!
 //! ## Protocol
 //!

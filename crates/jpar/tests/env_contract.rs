@@ -1,4 +1,4 @@
-//! Pins the `JPAR_THREADS` / `JPAR_DISPATCH` environment contract of
+//! Pins the `JPAR_THREADS` environment contract of
 //! [`Pool::auto`], so the persistent-pool rewrite (or any future one)
 //! cannot silently change env semantics:
 //!
@@ -11,7 +11,7 @@
 //! Environment variables are process-global, so every case runs inside
 //! one `#[test]` (cargo runs separate `#[test]` fns concurrently).
 
-use jpar::{Dispatch, Pool, DISPATCH_ENV, THREADS_ENV};
+use jpar::{Pool, THREADS_ENV};
 
 /// Sets `var` for the duration of `f`, restoring the previous state
 /// afterwards even if an assertion fails.
@@ -78,28 +78,5 @@ fn jpar_threads_env_edge_cases_clamp_to_at_least_one() {
             Pool::auto().threads()
         }),
         fallback
-    );
-}
-
-#[test]
-fn jpar_dispatch_env_selects_strategy() {
-    let default = with_env(DISPATCH_ENV, None, || Pool::auto().dispatch());
-    assert_eq!(default, Dispatch::Park, "persistent pool is the default");
-    assert_eq!(
-        with_env(DISPATCH_ENV, Some("spawn"), || Pool::auto().dispatch()),
-        Dispatch::Spawn
-    );
-    assert_eq!(
-        with_env(DISPATCH_ENV, Some("SPAWN"), || Pool::auto().dispatch()),
-        Dispatch::Spawn
-    );
-    assert_eq!(
-        with_env(DISPATCH_ENV, Some("park"), || Pool::auto().dispatch()),
-        Dispatch::Park
-    );
-    // Unknown values keep the default rather than erroring.
-    assert_eq!(
-        with_env(DISPATCH_ENV, Some("fibers"), || Pool::auto().dispatch()),
-        Dispatch::Park
     );
 }

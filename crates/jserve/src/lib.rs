@@ -10,7 +10,7 @@
 //! | Layer | Type | Contract |
 //! |---|---|---|
 //! | snapshot isolation | [`Store`] / [`Snapshot`] | readers get an immutable epoch-stamped view; the writer publishes atomically; [`Store::compact`] merges off to the side and catches up by segment adoption |
-//! | worker pool | [`jpar::Dispatch::Park`] | persistent parked helpers replace per-scope thread spawn on every pool-driven query path (the collection's pool configuration rides into every snapshot) |
+//! | worker pool | [`jpar::Pool`] | persistent parked helpers serve every pool-driven query path (the collection's pool configuration rides into every snapshot) |
 //! | admission | [`Admission`] | bounded deadline-aware queue; excess load shed fail-closed as [`jguard::QueryError::Overloaded`] |
 //! | verbs | [`Server`] / [`Request`] | find / projected find / aggregate / insert / `EXPLAIN` / `EXPLAIN ANALYZE`, each under a tenant's [`jguard::QueryCtx`] with a shared [`jtrace::QueryMetrics`] sink, panic-contained at the serve boundary |
 //!

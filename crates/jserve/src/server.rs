@@ -7,7 +7,10 @@
 //! registered tenant ([`TenantSpec`]): admission first, then a
 //! [`QueryCtx`] carrying the tenant's deadline and budgets plus its
 //! shared [`QueryMetrics`] sink, then execution against an immutable
-//! [`crate::Snapshot`] acquired once per request.
+//! [`crate::Snapshot`] acquired once per request. Every read verb —
+//! find, projected find, a pipeline's leading `$match`, and `EXPLAIN
+//! ANALYZE` — executes through [`Collection::find_refs_with_ctx`], the
+//! routed path whose route `EXPLAIN` reports.
 //!
 //! ## Failure envelope
 //!
@@ -163,7 +166,8 @@ fn bad_query(e: impl std::fmt::Display) -> QueryError {
 
 impl Server {
     /// Wraps a seed collection. The collection's pool configuration
-    /// (thread count, dispatch strategy) is inherited by every snapshot.
+    /// (thread count) and declared indexes are inherited by every
+    /// snapshot.
     pub fn new(coll: Collection, admission: AdmissionConfig) -> Server {
         Server {
             store: Store::new(coll),
@@ -278,13 +282,13 @@ impl Server {
         match req {
             Request::Find { filter } => {
                 let f = Filter::parse_str(filter).map_err(bad_query)?;
-                let docs = coll.find_with_ctx(&f, ctx)?;
+                let docs = coll.find_with_ctx(&f, None, ctx)?;
                 Ok(Response::Docs { epoch, docs })
             }
             Request::FindProject { filter, projection } => {
                 let f = Filter::parse_str(filter).map_err(bad_query)?;
                 let p = Projection::parse_str(projection).map_err(bad_query)?;
-                let docs = coll.find_project_with_ctx(&f, &p, ctx)?;
+                let docs = coll.find_with_ctx(&f, Some(&p), ctx)?;
                 Ok(Response::Docs { epoch, docs })
             }
             Request::Aggregate { pipeline } => {
@@ -393,6 +397,58 @@ mod tests {
     }
 
     #[test]
+    fn find_verbs_take_the_route_explain_reports() {
+        let mut coll = seed();
+        assert!(coll.create_index("id"));
+        let s = Server::new(coll, AdmissionConfig::default());
+        for (filter, route, rows) in [
+            (r#"{"id": 2}"#, "index", 1),
+            (r#"{"name.last": "Kim"}"#, "scan", 2),
+        ] {
+            let explain = Request::Explain {
+                filter: filter.into(),
+            };
+            assert!(s.register_tenant(TenantSpec::new(route)));
+            let Response::Plan { plan, .. } = s.serve(route, &explain).unwrap() else {
+                panic!("explain returns a plan")
+            };
+            let claimed = plan.as_object().and_then(|o| o.get("route"));
+            assert_eq!(claimed, Some(&Json::str(route)), "{filter}: {plan}");
+            let finds = [
+                Request::Find {
+                    filter: filter.into(),
+                },
+                Request::FindProject {
+                    filter: filter.into(),
+                    projection: r#"{"name.first": 1}"#.into(),
+                },
+            ];
+            for (i, req) in finds.iter().enumerate() {
+                // A fresh tenant per verb: its sink sees only this request.
+                let tenant = format!("{route}-{i}");
+                assert!(s.register_tenant(TenantSpec::new(tenant.as_str())));
+                let Response::Docs { docs, .. } = s.serve(&tenant, req).unwrap() else {
+                    panic!("find verbs return docs")
+                };
+                assert_eq!(docs.len(), rows, "{req:?}");
+                let m = s.tenant_metrics(&tenant).unwrap();
+                let (probes, scanned) = (m.get(Counter::IndexProbes), m.get(Counter::DocsScanned));
+                if route == "index" {
+                    assert!(
+                        probes >= 1 && scanned == 0,
+                        "{req:?}: {probes} probes, {scanned} scanned"
+                    );
+                } else {
+                    assert!(
+                        probes == 0 && scanned > 0,
+                        "{req:?}: {probes} probes, {scanned} scanned"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn explain_verbs_are_client_visible() {
         let s = server();
         for (req, needle) in [
@@ -491,7 +547,7 @@ mod tests {
         // A clean request records work against the tenant's shared sink.
         assert!(s.serve("slow", &req).is_ok());
         let m = s.tenant_metrics("slow").unwrap();
-        assert!(m.get(Counter::DocsScanned) > 0 || m.get(Counter::SegmentsVisited) > 0);
+        assert!(m.get(Counter::DocsScanned) > 0);
         // A fault that sleeps past the deadline trips Deadline, not a hang.
         let err = s
             .serve_with_fault("slow", &req, Fault::SleepAtPoll { at: 1, millis: 200 })

@@ -6,6 +6,7 @@
 //! cargo run --example mongo_collection
 //! ```
 
+use json_foundations::guard::QueryCtx;
 use json_foundations::mongo::{Collection, Filter, Projection};
 use jsondata::gen::person_records;
 
@@ -31,8 +32,14 @@ fn main() {
     );
     println!("  compiled JNL filter: {}", filter.to_jnl());
 
-    // The JNL engine answers identically (Prop 1 evaluation per document).
-    let via_jnl = coll.find_via_jnl(&filter);
+    // The JNL engine answers identically (one Prop 1 evaluation per
+    // segment answers every document at once).
+    let via_jnl: Vec<_> = coll
+        .find_refs_via_jnl_with_ctx(&filter, &QueryCtx::unlimited())
+        .expect("an unlimited evaluation never trips")
+        .into_iter()
+        .map(|d| coll.json_of(d))
+        .collect();
     assert_eq!(sues, via_jnl);
     println!("  JNL engine agrees on all documents\n");
 
@@ -54,7 +61,9 @@ fn main() {
 
     // Projection (§6 future work): keep only name.first and age.
     let projection = Projection::parse_str(r#"{"name.first": 1, "age": 1}"#).unwrap();
-    let preview = coll.find_project(&filter, &projection);
+    let preview = coll
+        .find_with_ctx(&filter, Some(&projection), &QueryCtx::unlimited())
+        .expect("an unlimited find never trips");
     println!("\nprojected sample:");
     for doc in preview.iter().take(3) {
         println!("  {doc}");

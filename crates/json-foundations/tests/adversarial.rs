@@ -50,7 +50,7 @@ fn hostile_corpus_never_panics_across_thread_counts() {
             let found = coll.find(&filter);
             let ctx = QueryCtx::new().with_timeout(Duration::from_secs(60));
             let governed = coll
-                .find_with_ctx(&filter, &ctx)
+                .find_with_ctx(&filter, None, &ctx)
                 .unwrap_or_else(|e| panic!("{label} x{threads}: {e}"));
             assert_eq!(found, governed, "{label} x{threads}");
             let agg = json_foundations::agg::aggregate(&coll, &pipe);
@@ -111,7 +111,7 @@ fn starved_budgets_fail_closed_on_hostile_survivors() {
             // A zero byte budget: any query materialising output must
             // return BudgetExceeded (or legitimately produce nothing).
             let starved = QueryCtx::new().with_byte_budget(0);
-            if let Err(e) = coll.find_with_ctx(&filter, &starved) {
+            if let Err(e) = coll.find_with_ctx(&filter, None, &starved) {
                 assert!(
                     matches!(e, QueryError::BudgetExceeded { .. }),
                     "{label} x{threads}: {e}"
@@ -127,7 +127,7 @@ fn starved_budgets_fail_closed_on_hostile_survivors() {
             let cancelled = QueryCtx::new();
             cancelled.cancel();
             assert!(matches!(
-                coll.find_with_ctx(&filter, &cancelled),
+                coll.find_with_ctx(&filter, None, &cancelled),
                 Err(QueryError::Cancelled)
             ));
             // An expired deadline is indistinguishable from cancellation

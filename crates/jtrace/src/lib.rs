@@ -1,8 +1,8 @@
 //! # jtrace — per-query observability primitives
 //!
-//! The stack has four distinct execution routes for a single query (index
-//! probe, whole-tree JNL evaluation, parallel scan, and `jstat`-pruned
-//! pipelines), but which route ran and what it touched is invisible at
+//! The stack answers a single query by several distinct means (index
+//! probe, parallel scan, `jstat`-pruned pipelines, and the whole-tree JNL
+//! oracle), but which one ran and what it touched is invisible at
 //! runtime. This crate is the substrate that makes it visible:
 //!
 //! * [`QueryMetrics`] — a sink of **sharded atomic counters** (documents
@@ -49,22 +49,24 @@ use std::time::Instant;
 /// [`Snapshot`] knows exactly what a count means.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Counter {
-    /// Documents visited by the parallel **scan** route
-    /// (`Collection::find_refs*` chunk loops). Zero when a query was
-    /// answered entirely by index probes or whole-tree JNL evaluation.
+    /// Documents visited by the parallel **scan** route (the
+    /// `Collection::find_refs_via_scan_with_ctx` chunk loops). Zero when
+    /// a query was answered entirely by index probes or by the
+    /// whole-tree JNL oracle.
     DocsScanned = 0,
     /// Rows charged to the row budget: matching refs emitted by
     /// scan/index/JNL matching, plus `$unwind` row production.
     RowsEmitted,
     /// Index probes executed (one per index-answerable conjunct, not per
-    /// segment). Zero when the planner fell back to scan or JNL.
+    /// segment). Zero when the planner chose the scan.
     IndexProbes,
     /// Doc-bitmap AND operations performed while intersecting probe
     /// results.
     BitmapIntersections,
     /// Residual predicate evaluations (`matches_at` on probe survivors).
     ResidualEvals,
-    /// Segments evaluated by the whole-tree **JNL** route (Proposition 1
+    /// Segments evaluated by the whole-tree **JNL** oracle
+    /// (`Collection::find_refs_via_jnl_with_ctx`, Proposition 1
     /// evaluation). Zero on the scan and index routes.
     SegmentsVisited,
     /// Per-query DFA symbol-bitset matcher compilations

@@ -1,17 +1,14 @@
 //! `EXPLAIN` / `EXPLAIN ANALYZE` for the `find` dialect.
 //!
 //! [`Collection::explain`] describes — without executing anything — the
-//! route the governed executor would take for a filter, mirroring the
-//! routing order of [`Collection::find_refs_routed_with_ctx`] (which is
-//! also the order the `jagg` leading-`$match` fast path uses):
+//! route [`Collection::find_refs_with_ctx`] takes for a filter. Both ask
+//! the one routing function, [`Collection::route_of`], which has two
+//! outcomes:
 //!
 //! 1. **index** — [`Collection::index_answerable`]: at least one conjunct
 //!    probes a declared secondary index; the plan lists every probe and
 //!    the residual predicate evaluated on bitmap survivors.
-//! 2. **jnl** — [`Filter::jnl_exact`]: the filter compiles exactly into
-//!    the deterministic JNL fragment and one evaluation per segment
-//!    answers every document of that segment at once.
-//! 3. **scan** — the chunk-parallel document scan.
+//! 2. **scan** — otherwise, the chunk-parallel document scan.
 //!
 //! [`Collection::explain_analyze`] executes the *same* routed path under
 //! a fresh [`QueryMetrics`] sink and annotates the plan with what
@@ -20,8 +17,7 @@
 //! function, the claimed route and the recorded counters cannot drift —
 //! the `s10` bench gate asserts exactly this agreement (an index route
 //! records probes and zero scanned documents; a scan route records
-//! scanned documents and zero probes; a JNL route records visited
-//! segments and neither of the others).
+//! scanned documents and zero probes).
 //!
 //! Both plans render two ways: [`FindExplain::to_json`] (machine-stable,
 //! natural-number wall time in microseconds — the value space is ℕ) and
@@ -33,28 +29,25 @@ use std::time::Instant;
 
 use jguard::{QueryCtx, QueryError};
 use jsondata::Json;
-use jtrace::{QueryMetrics, Snapshot, SpanKind, ALL_COUNTERS};
+use jtrace::{QueryMetrics, Snapshot, ALL_COUNTERS};
 
 use crate::index::Probe;
-use crate::{expect_ungoverned, Collection, DocRef, Filter};
+use crate::{Collection, Filter};
 
-/// The execution route chosen for a filter, in fallback order.
+/// The execution route chosen for a filter by [`Collection::route_of`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Route {
     /// Index probes + residual on survivors.
     Index,
-    /// Whole-segment JNL evaluation (the Prop 1 engine).
-    Jnl,
     /// Chunk-parallel document scan.
     Scan,
 }
 
 impl Route {
-    /// Stable lowercase name (`"index"` / `"jnl"` / `"scan"`).
+    /// Stable lowercase name (`"index"` / `"scan"`).
     pub fn name(self) -> &'static str {
         match self {
             Route::Index => "index",
-            Route::Jnl => "jnl",
             Route::Scan => "scan",
         }
     }
@@ -77,7 +70,7 @@ pub struct ProbeDesc {
 pub struct FindExplain {
     /// The filter, rendered ([`Filter`]'s `Display`).
     pub filter: String,
-    /// Chosen route (mirrors the executor's routing order exactly).
+    /// Chosen route ([`Collection::route_of`], shared with execution).
     pub route: Route,
     /// Documents in the collection at plan time.
     pub docs: usize,
@@ -242,14 +235,13 @@ fn describe_probe(path: &str, probe: &Probe<'_>) -> ProbeDesc {
 }
 
 impl Collection {
-    /// The route [`Collection::find_refs_routed_with_ctx`] (and the
-    /// `jagg` leading-`$match` fast path) takes for `filter` — the single
-    /// routing function `EXPLAIN` and execution share.
+    /// The route [`Collection::find_refs_with_ctx`] takes for `filter` —
+    /// the single routing function `EXPLAIN` and execution share:
+    /// [`Route::Index`] iff [`Collection::index_answerable`], else
+    /// [`Route::Scan`].
     pub fn route_of(&self, filter: &Filter) -> Route {
         if self.index_answerable(filter) {
             Route::Index
-        } else if filter.jnl_exact() {
-            Route::Jnl
         } else {
             Route::Scan
         }
@@ -286,31 +278,6 @@ impl Collection {
         }
     }
 
-    /// [`Collection::find_refs`] through the same routing `EXPLAIN`
-    /// describes: index probe when answerable, whole-segment JNL when the
-    /// filter sits in the exact fragment, scan otherwise.
-    pub fn find_refs_routed(&self, filter: &Filter) -> Vec<DocRef> {
-        expect_ungoverned(self.find_refs_routed_with_ctx(filter, &QueryCtx::unlimited()))
-    }
-
-    /// [`Collection::find_refs_routed`] under a [`QueryCtx`]. The route
-    /// decision runs inside a `plan` span when the context carries a
-    /// span-recording sink.
-    pub fn find_refs_routed_with_ctx(
-        &self,
-        filter: &Filter,
-        ctx: &QueryCtx,
-    ) -> Result<Vec<DocRef>, QueryError> {
-        ctx.span_open(SpanKind::Plan, 0);
-        let route = self.route_of(filter);
-        ctx.span_close(SpanKind::Plan, 0);
-        match route {
-            Route::Index => self.find_refs_indexed_with_ctx(filter, ctx),
-            Route::Jnl => self.find_refs_via_jnl_with_ctx(filter, ctx),
-            Route::Scan => self.find_refs_with_ctx(filter, ctx),
-        }
-    }
-
     /// `EXPLAIN ANALYZE`: plans, then executes the routed path under a
     /// fresh private span-recording [`QueryMetrics`] sink, and returns
     /// the plan annotated with actual rows, wall time, counters, and the
@@ -320,7 +287,7 @@ impl Collection {
         let sink = Arc::new(QueryMetrics::with_spans(ANALYZE_SPAN_CAPACITY));
         let ctx = QueryCtx::new().with_metrics(Arc::clone(&sink));
         let start = Instant::now();
-        let refs = self.find_refs_routed_with_ctx(filter, &ctx)?;
+        let refs = self.find_refs_with_ctx(filter, &ctx)?;
         let wall_us = start.elapsed().as_micros() as u64;
         let spans = sink.spans().expect("sink was built with a span ring");
         Ok(FindAnalyze {
@@ -371,24 +338,34 @@ mod tests {
         assert_eq!(an.counters.get(Counter::DocsScanned), 0);
         assert_eq!(an.counters.get(Counter::SegmentsVisited), 0);
 
-        // JNL route: unindexed exact-fragment filter.
-        let f = Filter::parse_str(r#"{"name.last": "Kim"}"#).unwrap();
-        let ex = coll.explain(&f);
-        assert_eq!(ex.route, Route::Jnl);
-        let an = coll.explain_analyze(&f).unwrap();
-        assert_eq!(an.rows, 2);
-        assert!(an.counters.get(Counter::SegmentsVisited) > 0);
-        assert_eq!(an.counters.get(Counter::IndexProbes), 0);
-        assert_eq!(an.counters.get(Counter::DocsScanned), 0);
+        // Scan route: any unindexed filter, in or out of the exactly
+        // JNL-compilable fragment.
+        for (src, rows) in [
+            (r#"{"name.last": "Kim"}"#, 2),
+            (r#"{"name.last": {"$gt": "K"}}"#, 2),
+        ] {
+            let f = Filter::parse_str(src).unwrap();
+            let ex = coll.explain(&f);
+            assert_eq!(ex.route, Route::Scan, "{src}");
+            let an = coll.explain_analyze(&f).unwrap();
+            assert_eq!(an.rows, rows, "{src}");
+            assert_eq!(an.counters.get(Counter::DocsScanned), coll.len() as u64);
+            assert_eq!(an.counters.get(Counter::IndexProbes), 0);
+            assert_eq!(an.counters.get(Counter::SegmentsVisited), 0);
+        }
 
-        // Scan route: order comparison on an unindexed path.
-        let f = Filter::parse_str(r#"{"name.last": {"$gt": "K"}}"#).unwrap();
-        let ex = coll.explain(&f);
-        assert_eq!(ex.route, Route::Scan);
-        let an = coll.explain_analyze(&f).unwrap();
-        assert_eq!(an.counters.get(Counter::DocsScanned), coll.len() as u64);
-        assert_eq!(an.counters.get(Counter::IndexProbes), 0);
-        assert_eq!(an.counters.get(Counter::SegmentsVisited), 0);
+        // The JNL oracle is no route, but it records its own counter:
+        // one per segment evaluated, and neither probes nor scans.
+        let f = Filter::parse_str(r#"{"name.last": "Kim"}"#).unwrap();
+        let sink = Arc::new(QueryMetrics::new());
+        let ctx = QueryCtx::new().with_metrics(Arc::clone(&sink));
+        assert_eq!(coll.find_refs_via_jnl_with_ctx(&f, &ctx).unwrap().len(), 2);
+        assert_eq!(
+            sink.get(Counter::SegmentsVisited),
+            coll.segments().len() as u64
+        );
+        assert_eq!(sink.get(Counter::IndexProbes), 0);
+        assert_eq!(sink.get(Counter::DocsScanned), 0);
     }
 
     #[test]
@@ -402,7 +379,12 @@ mod tests {
             r#"{"age": {"$gte": 30}, "name.last": "Kim"}"#,
         ] {
             let f = Filter::parse_str(src).unwrap();
-            assert_eq!(coll.find_refs_routed(&f), coll.find_refs(&f), "{src}");
+            let ctx = QueryCtx::unlimited();
+            assert_eq!(
+                coll.find_refs_with_ctx(&f, &ctx).unwrap(),
+                coll.find_refs_via_scan_with_ctx(&f, &ctx).unwrap(),
+                "{src}"
+            );
         }
     }
 

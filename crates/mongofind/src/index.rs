@@ -32,9 +32,11 @@
 //! dialect makes `Compare`/positive-`In` false on an unresolvable path,
 //! and a document without the path simply never enters a posting.
 //!
-//! The scan path ([`Collection::find_refs`]) stays untouched as the
-//! differential oracle; `tests/index_differential.rs` sweeps layouts and
-//! thread counts asserting byte-identical output.
+//! [`Collection::find_refs_with_ctx`] takes this path whenever
+//! [`Collection::route_of`] says [`Route::Index`](crate::Route::Index).
+//! The document scan ([`Collection::find_refs_via_scan_with_ctx`]) stays
+//! as the differential oracle; `tests/index_differential.rs` sweeps
+//! layouts and thread counts asserting byte-identical output.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -46,7 +48,7 @@ use jsondata::canon::CanonTable;
 use jsondata::{Json, JsonTree, NodeId};
 use jtrace::{Counter, SpanKind};
 
-use crate::{cmp_node_json, cmp_nodes, expect_ungoverned, Cmp, Collection, DocRef, Filter, Path};
+use crate::{cmp_node_json, cmp_nodes, Cmp, Collection, DocRef, Filter, Path};
 
 /// All secondary indexes of one [`Collection`], plus the per-segment
 /// canonical-label tables they share. Empty (the default) until
@@ -437,60 +439,36 @@ impl Collection {
     }
 
     /// Whether the declared indexes can answer at least part of `filter`
-    /// — i.e. whether [`Collection::find_refs_indexed`] will probe rather
-    /// than fall back to the scan.
+    /// — i.e. whether [`Collection::route_of`] picks the index route.
     pub fn index_answerable(&self, filter: &Filter) -> bool {
         self.indexes.answers(filter)
     }
 
-    /// [`Collection::find_refs`] answered by index probe: the conjunctive
-    /// prefix the indexes can answer materialises document-set bitmaps
-    /// (one per probe, ANDed in place), and only the surviving documents
-    /// see the residual predicate. Falls back to the scan when no
-    /// conjunct is index-answerable. Output is byte-identical to
-    /// [`Collection::find_refs`] for every filter (differentially
-    /// tested).
-    pub fn find_refs_indexed(&self, filter: &Filter) -> Vec<DocRef> {
-        expect_ungoverned(self.find_refs_indexed_with_ctx(filter, &QueryCtx::unlimited()))
-    }
-
-    /// [`Collection::find_refs_indexed`] under a [`QueryCtx`]: each
-    /// materialised bitmap debits the byte budget, the residual pass
-    /// polls per surviving document, and matches charge the row budget —
-    /// the same observable governance surface as the scan path.
-    pub fn find_refs_indexed_with_ctx(
+    /// The index route of [`Collection::find_refs_with_ctx`]: the
+    /// conjunctive prefix the indexes can answer materialises
+    /// document-set bitmaps (one per probe, ANDed in place, each debiting
+    /// the byte budget), and only the surviving documents see the
+    /// residual predicate (polled per document, matches charged to the
+    /// row budget). Output is byte-identical to the scan for every filter
+    /// (differentially tested).
+    pub(crate) fn find_refs_by_index(
         &self,
         filter: &Filter,
         ctx: &QueryCtx,
     ) -> Result<Vec<DocRef>, QueryError> {
-        match self.indexes.plan(filter) {
-            Some(plan) => self
-                .indexes
-                .execute(&plan, &self.segments, &self.doc_refs, ctx),
-            None => self.find_refs_with_ctx(filter, ctx),
-        }
-    }
-
-    /// [`Collection::find`] answered by index probe (scan fallback when
-    /// nothing is index-answerable).
-    pub fn find_indexed(&self, filter: &Filter) -> Vec<Json> {
-        expect_ungoverned(self.find_indexed_with_ctx(filter, &QueryCtx::unlimited()))
-    }
-
-    /// [`Collection::find_indexed`] under a [`QueryCtx`].
-    pub fn find_indexed_with_ctx(
-        &self,
-        filter: &Filter,
-        ctx: &QueryCtx,
-    ) -> Result<Vec<Json>, QueryError> {
-        let refs = self.find_refs_indexed_with_ctx(filter, ctx)?;
-        self.materialize_refs(ctx, refs, |d| self.json_of(d))
+        let plan = self
+            .indexes
+            .plan(filter)
+            .expect("the index route implies a plan");
+        self.indexes
+            .execute(&plan, &self.segments, &self.doc_refs, ctx)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::{Collection, Filter};
+    use crate::{Collection, DocRef, Filter, Route};
+    use jguard::QueryCtx;
 
     fn coll() -> Collection {
         Collection::parse_str(
@@ -507,6 +485,15 @@ mod tests {
 
     fn f(src: &str) -> Filter {
         Filter::parse_str(src).unwrap()
+    }
+
+    fn routed(c: &Collection, q: &Filter) -> Vec<DocRef> {
+        c.find_refs_with_ctx(q, &QueryCtx::unlimited()).unwrap()
+    }
+
+    fn scan(c: &Collection, q: &Filter) -> Vec<DocRef> {
+        c.find_refs_via_scan_with_ctx(q, &QueryCtx::unlimited())
+            .unwrap()
     }
 
     #[test]
@@ -533,8 +520,8 @@ mod tests {
             r#"{"age": {"$lt": 5}}"#,
         ] {
             let q = f(src);
-            assert!(c.index_answerable(&q), "{src}");
-            assert_eq!(c.find_refs_indexed(&q), c.find_refs(&q), "{src}");
+            assert_eq!(c.route_of(&q), Route::Index, "{src}");
+            assert_eq!(routed(&c, &q), scan(&c, &q), "{src}");
         }
     }
 
@@ -545,9 +532,9 @@ mod tests {
         // "name.first" is not indexed: it must run as residual on the
         // probe survivors.
         let q = f(r#"{"age": 28, "name.first": "Ann"}"#);
-        assert!(c.index_answerable(&q));
-        let hits = c.find_indexed(&q);
-        assert_eq!(hits, c.find(&q));
+        assert_eq!(c.route_of(&q), Route::Index);
+        let hits = routed(&c, &q);
+        assert_eq!(hits, scan(&c, &q));
         assert_eq!(hits.len(), 1);
     }
 
@@ -562,8 +549,8 @@ mod tests {
             r#"{"age": {"$exists": "true"}}"#,
         ] {
             let q = f(src);
-            assert!(!c.index_answerable(&q), "{src}");
-            assert_eq!(c.find_refs_indexed(&q), c.find_refs(&q), "{src}");
+            assert_eq!(c.route_of(&q), Route::Scan, "{src}");
+            assert_eq!(routed(&c, &q), scan(&c, &q), "{src}");
         }
     }
 
@@ -573,11 +560,11 @@ mod tests {
         c.create_index("age");
         c.insert(&jsondata::parse(r#"{"name": {"first": "Zoe"}, "age": 28}"#).unwrap());
         let q = f(r#"{"age": 28}"#);
-        assert_eq!(c.find_refs_indexed(&q).len(), 3);
-        assert_eq!(c.find_refs_indexed(&q), c.find_refs(&q));
+        assert_eq!(routed(&c, &q).len(), 3);
+        assert_eq!(routed(&c, &q), scan(&c, &q));
         c.compact();
-        assert_eq!(c.find_refs_indexed(&q), c.find_refs(&q));
-        assert_eq!(c.find_indexed(&q).len(), 3);
+        assert_eq!(routed(&c, &q), scan(&c, &q));
+        assert_eq!(c.find(&q).len(), 3);
     }
 
     #[test]
@@ -586,18 +573,18 @@ mod tests {
         c.create_index("age");
         let q = f(r#"{"age": 28}"#);
         assert!(c.index_answerable(&q));
-        assert!(c.find_refs_indexed(&q).is_empty());
+        assert!(routed(&c, &q).is_empty());
     }
 
     #[test]
     fn governed_probe_charges_budgets() {
-        use jguard::{QueryCtx, QueryError, Resource};
+        use jguard::{QueryError, Resource};
         let mut c = coll();
         c.create_index("age");
         let q = f(r#"{"age": 28}"#);
         // A one-byte budget cannot pay for the probe bitmap.
         let ctx = QueryCtx::new().with_byte_budget(1);
-        match c.find_refs_indexed_with_ctx(&q, &ctx) {
+        match c.find_refs_with_ctx(&q, &ctx) {
             Err(QueryError::BudgetExceeded {
                 resource: Resource::Bytes,
             }) => {}
@@ -605,9 +592,6 @@ mod tests {
         }
         // An ample budget answers normally.
         let ctx = QueryCtx::new().with_byte_budget(1 << 20);
-        assert_eq!(
-            c.find_refs_indexed_with_ctx(&q, &ctx).unwrap(),
-            c.find_refs(&q)
-        );
+        assert_eq!(c.find_refs_with_ctx(&q, &ctx).unwrap(), scan(&c, &q));
     }
 }

@@ -13,9 +13,12 @@
 //! * [`Filter::to_jnl`] — the compilation into a deterministic JNL unary
 //!   formula (the paper's Example 1 becomes
 //!   `eqdoc(@"name", "Sue")`-style conditions).
-//! * [`Collection::find`] — evaluation over a collection, implemented *by*
-//!   the JNL engine, plus [`Projection`] (the §6 future-work feature) as a
-//!   basic include/exclude JSON→JSON transformation.
+//! * [`Collection::find`] — evaluation over a collection (index probe or
+//!   document scan, chosen by [`Collection::route_of`]), plus
+//!   [`Projection`] (the §6 future-work feature) as a basic
+//!   include/exclude JSON→JSON transformation. The compiled JNL formula
+//!   evaluated by the Prop 1 engine stays available as an oracle
+//!   ([`Collection::find_refs_via_jnl_with_ctx`]).
 //!
 //! ```
 //! use jsondata::parse;
@@ -42,7 +45,7 @@ use jguard::{QueryCtx, QueryError};
 use jnl::ast::{Binary, Unary};
 use jpar::Pool;
 use jsondata::{Interner, Json, JsonTree, NodeId, NodeKind, ParseLimits};
-use jtrace::Counter;
+use jtrace::{Counter, SpanKind};
 
 mod explain;
 mod index;
@@ -139,8 +142,8 @@ impl Path {
     /// Compiles the path to its JNL navigation axis: numeric segments
     /// become array-position steps, everything else a key step. Public for
     /// the static analyzer (`jstat`), which builds path-existence probes
-    /// (`[α]`) against declared schemas from the same compilation the
-    /// filter fast path uses.
+    /// (`[α]`) against declared schemas from the same compilation the JNL
+    /// oracle evaluates.
     pub fn to_binary(&self) -> Binary {
         Binary::compose(
             self.0
@@ -405,9 +408,9 @@ impl Filter {
     /// right numeric keys would satisfy it), and numeric path segments
     /// compile to array positions while [`Filter::matches`] also accepts
     /// them as object keys — so all four are excluded from the exact
-    /// fragment. Callers (e.g. the `jagg` `$match` fast path) use this to
-    /// decide when one whole-collection JNL evaluation may answer the
-    /// filter for every document at once.
+    /// fragment. On exact filters the JNL oracle
+    /// ([`Collection::find_refs_via_jnl_with_ctx`]) must agree with the
+    /// document scan; the differential suites and `jstat` key on this.
     pub fn jnl_exact(&self) -> bool {
         fn path_exact(p: &Path) -> bool {
             // A numeric segment is Binary::Index in JNL (arrays only) but a
@@ -471,8 +474,8 @@ impl Filter {
     }
 
     /// [`Filter::matches_tree`] anchored at an arbitrary node — `doc` plays
-    /// the document root, which is how [`Collection`] evaluates one filter
-    /// over every element of a single whole-collection tree.
+    /// the document root, which is how the [`Collection`] scan evaluates
+    /// one filter over every document of a segment tree.
     pub fn matches_at(&self, tree: &JsonTree, doc: NodeId) -> bool {
         match self {
             Filter::And(fs) => fs.iter().all(|f| f.matches_at(tree, doc)),
@@ -801,17 +804,19 @@ pub struct DocRef {
 /// [`Collection::set_pool`] or the `JPAR_THREADS` environment variable) is
 /// the byte-identical serial oracle, and collections smaller than a chunk
 /// never leave the calling thread. Per-segment whole-tree JNL evaluations
-/// ([`Collection::find_refs_via_jnl`]) fan out one segment per task with
-/// fully worker-owned evaluation state.
+/// ([`Collection::find_refs_via_jnl_with_ctx`]) fan out one segment per
+/// task with fully worker-owned evaluation state.
 ///
 /// ## Snapshots
 ///
 /// Segment trees are held behind [`Arc`]s and never mutated after they
-/// are built, so **cloning a collection is cheap** (reference bumps for
-/// the trees and index postings, a copy of the doc-ref vector and the
-/// symbol table — no tree is ever re-built): a clone is an immutable
-/// snapshot sharing all bulk storage with its origin. `jserve` builds
-/// its copy-on-write snapshot isolation on exactly this property, with
+/// are built, so a clone never re-builds or copies a tree: the trees and
+/// index postings are shared by reference bump. A clone does **copy**
+/// the symbol table and the doc-ref vector, so it costs O(distinct
+/// strings + documents) time and memory — about 40 µs at 20k documents
+/// on a 2-vCPU x86-64 VM — and since string *values* are interned, the
+/// symbol table holds document data. `jserve` builds its copy-on-write
+/// snapshot isolation on this clone (one per insert), with
 /// [`Collection::adopt_segment`] as the replay primitive that carries a
 /// segment built against a newer interner back onto an older clone.
 pub struct Collection {
@@ -820,7 +825,7 @@ pub struct Collection {
     interner: Interner,
     segments: Vec<Arc<JsonTree>>,
     doc_refs: Vec<DocRef>,
-    /// The worker pool driving `find`/`find_project`/JNL scans (and the
+    /// The worker pool driving `find` scans and JNL evaluations (and the
     /// `jagg` executor over this collection).
     pool: Pool,
     /// Lazily materialised owned documents (compatibility accessor only);
@@ -1041,8 +1046,8 @@ impl Collection {
 
     /// The documents, as owned values — a **compatibility accessor**,
     /// materialised lazily from the tree column on first use and cached
-    /// until the next insert. Hot paths ([`Collection::find`],
-    /// [`Collection::find_project`], aggregation) never touch this cache.
+    /// until the next insert. Hot paths ([`Collection::find_with_ctx`],
+    /// aggregation) never touch this cache.
     pub fn docs(&self) -> &[Json] {
         self.docs_cache
             .get_or_init(|| self.doc_refs.iter().map(|&d| self.json_of(d)).collect())
@@ -1089,20 +1094,36 @@ impl Collection {
         self.segments[d.seg as usize].json_at(d.node)
     }
 
-    /// `db.collection.find(filter)`: tree-column locations of the matching
-    /// documents, evaluated via [`Filter::matches_at`] — the allocation-free
-    /// core `find` and the aggregation executor share. Documents are
-    /// scanned in parallel chunks on the collection's pool; survivors come
-    /// back spliced in `(segment, doc)` order for every thread count.
-    pub fn find_refs(&self, filter: &Filter) -> Vec<DocRef> {
-        expect_ungoverned(self.find_refs_with_ctx(filter, &QueryCtx::unlimited()))
+    /// `db.collection.find(filter)` — **the** governed read path: the
+    /// tree-column locations of the matching documents, in `(segment,
+    /// doc)` order, answered on the route [`Collection::route_of`]
+    /// chooses (the index probe when the declared indexes answer part of
+    /// the conjunction, the document scan otherwise). The route decision
+    /// runs inside a `plan` span when the context carries a
+    /// span-recording sink. `EXPLAIN`, the `jagg` leading `$match` and
+    /// every `jserve` read verb reach execution through here, so a plan's
+    /// claimed route is the route that runs. Both routes poll `ctx`,
+    /// charge survivors against the row budget and return worker panics
+    /// as [`QueryError::WorkerPanicked`].
+    pub fn find_refs_with_ctx(
+        &self,
+        filter: &Filter,
+        ctx: &QueryCtx,
+    ) -> Result<Vec<DocRef>, QueryError> {
+        ctx.span_open(SpanKind::Plan, 0);
+        let route = self.route_of(filter);
+        ctx.span_close(SpanKind::Plan, 0);
+        match route {
+            Route::Index => self.find_refs_by_index(filter, ctx),
+            Route::Scan => self.find_refs_via_scan_with_ctx(filter, ctx),
+        }
     }
 
-    /// [`Collection::find_refs`] under a [`QueryCtx`]: the scan polls the
-    /// context per document, survivors charge the row budget, and worker
-    /// panics come back as [`QueryError::WorkerPanicked`] instead of
-    /// unwinding — the collection stays untouched and queryable.
-    pub fn find_refs_with_ctx(
+    /// The document-scan oracle: every document is tested with
+    /// [`Filter::matches_at`] in parallel chunks on the collection's pool,
+    /// whatever indexes are declared. The index differential suites and
+    /// the harness gates compare the routed path against this.
+    pub fn find_refs_via_scan_with_ctx(
         &self,
         filter: &Filter,
         ctx: &QueryCtx,
@@ -1138,7 +1159,7 @@ impl Collection {
     }
 
     /// Materialises each ref through `make`, in parallel chunks, preserving
-    /// order (`find`/`find_project`/`find_via_jnl` output assembly). Polls
+    /// order (the output assembly of [`Collection::find_with_ctx`]). Polls
     /// `ctx` per document and charges each materialised value against the
     /// byte budget (a no-op traversal-free call when no budget is set).
     fn materialize_refs(
@@ -1162,60 +1183,46 @@ impl Collection {
     }
 
     /// `db.collection.find(filter)`: the matching documents, synthesized
-    /// from the tree column (no eager document vector is consulted).
+    /// from the tree column — [`Collection::find_with_ctx`] without a
+    /// projection or limits (a contained worker panic is re-raised).
     pub fn find(&self, filter: &Filter) -> Vec<Json> {
-        expect_ungoverned(self.find_with_ctx(filter, &QueryCtx::unlimited()))
+        expect_ungoverned(self.find_with_ctx(filter, None, &QueryCtx::unlimited()))
     }
 
-    /// [`Collection::find`] under a [`QueryCtx`]: deadline/cancellation
-    /// polls per scanned document, row budget charged on matches, byte
-    /// budget charged on materialised output.
-    pub fn find_with_ctx(&self, filter: &Filter, ctx: &QueryCtx) -> Result<Vec<Json>, QueryError> {
-        let refs = self.find_refs_with_ctx(filter, ctx)?;
-        self.materialize_refs(ctx, refs, |d| self.json_of(d))
-    }
-
-    /// `find(filter, projection)`: projected documents, synthesized
-    /// directly from the tree ([`Projection::apply_tree`]) — only the kept
-    /// subtrees are ever materialised.
-    pub fn find_project(&self, filter: &Filter, projection: &Projection) -> Vec<Json> {
-        expect_ungoverned(self.find_project_with_ctx(filter, projection, &QueryCtx::unlimited()))
-    }
-
-    /// [`Collection::find_project`] under a [`QueryCtx`] (see
-    /// [`Collection::find_with_ctx`] for the governance semantics; the
-    /// byte budget sees only the *projected* values).
-    pub fn find_project_with_ctx(
+    /// `find(filter, projection)` under a [`QueryCtx`]: the refs of
+    /// [`Collection::find_refs_with_ctx`], materialised in order — whole
+    /// documents, or only the kept subtrees of a [`Projection`]
+    /// ([`Projection::apply_tree`]). Materialisation polls `ctx` per
+    /// document and charges each value (projected, when projecting)
+    /// against the byte budget.
+    pub fn find_with_ctx(
         &self,
         filter: &Filter,
-        projection: &Projection,
+        projection: Option<&Projection>,
         ctx: &QueryCtx,
     ) -> Result<Vec<Json>, QueryError> {
         let refs = self.find_refs_with_ctx(filter, ctx)?;
         self.materialize_refs(ctx, refs, |d| {
-            projection.apply_tree(&self.segments[d.seg as usize], d.node)
+            let tree = &self.segments[d.seg as usize];
+            match projection {
+                Some(p) => p.apply_tree(tree, d.node),
+                None => tree.json_at(d.node),
+            }
         })
     }
 
-    /// Evaluates the filter by compiling to JNL and running the Prop 1
-    /// engine: tree-column locations of the satisfying documents. One
-    /// evaluation per segment tree answers every document of that segment
-    /// at once — JNL navigation is downward-only, so a formula's truth at
-    /// a document node equals its truth at the root of that document
-    /// parsed standalone. This is the whole-collection fast path the
-    /// `jagg` leading-`$match` rides when the filter is
-    /// [`Filter::jnl_exact`]. Segments evaluate concurrently on the
-    /// collection's pool ([`jnl::eval::evaluate_batch`]); each worker owns
-    /// its whole evaluation context, and the satisfying refs are read off
-    /// the per-segment node sets in `(segment, doc)` order.
-    pub fn find_refs_via_jnl(&self, filter: &Filter) -> Vec<DocRef> {
-        expect_ungoverned(self.find_refs_via_jnl_with_ctx(filter, &QueryCtx::unlimited()))
-    }
-
-    /// [`Collection::find_refs_via_jnl`] under a [`QueryCtx`]: the
-    /// per-segment JNL evaluations poll the context every
-    /// [`jguard::POLL_STRIDE`] nodes (inside the Prop 1 walk loops), and
-    /// the surviving refs charge the row budget.
+    /// The paper's engine as an oracle: compiles the filter to JNL and
+    /// runs the Prop 1 evaluator, returning the tree-column locations of
+    /// the satisfying documents. One evaluation per segment tree answers
+    /// every document of that segment at once — JNL navigation is
+    /// downward-only, so a formula's truth at a document node equals its
+    /// truth at the root of that document parsed standalone. Agrees with
+    /// [`Collection::find_refs_with_ctx`] on the [`Filter::jnl_exact`]
+    /// fragment (differentially tested). Segments evaluate concurrently
+    /// on the collection's pool ([`jnl::eval::evaluate_batch_ctx`]), each
+    /// worker owning its whole evaluation context; the walk loops poll
+    /// `ctx` every [`jguard::POLL_STRIDE`] nodes and the surviving refs
+    /// charge the row budget.
     pub fn find_refs_via_jnl_with_ctx(
         &self,
         filter: &Filter,
@@ -1232,22 +1239,6 @@ impl Collection {
             .collect();
         ctx.charge_rows(out.len() as u64)?;
         Ok(out)
-    }
-
-    /// [`Collection::find_refs_via_jnl`], materialised (the differential
-    /// path used in tests/benches against [`Collection::find`]).
-    pub fn find_via_jnl(&self, filter: &Filter) -> Vec<Json> {
-        expect_ungoverned(self.find_via_jnl_with_ctx(filter, &QueryCtx::unlimited()))
-    }
-
-    /// [`Collection::find_via_jnl`] under a [`QueryCtx`].
-    pub fn find_via_jnl_with_ctx(
-        &self,
-        filter: &Filter,
-        ctx: &QueryCtx,
-    ) -> Result<Vec<Json>, QueryError> {
-        let refs = self.find_refs_via_jnl_with_ctx(filter, ctx)?;
-        self.materialize_refs(ctx, refs, |d| self.json_of(d))
     }
 
     /// Merges the tree column into **one segment**: every document's
@@ -1314,6 +1305,19 @@ impl Clone for Collection {
 mod tests {
     use super::*;
     use jsondata::parse;
+
+    /// The JNL oracle's answer, materialised.
+    fn find_via_jnl(coll: &Collection, f: &Filter) -> Vec<Json> {
+        let refs = coll
+            .find_refs_via_jnl_with_ctx(f, &QueryCtx::unlimited())
+            .unwrap();
+        refs.into_iter().map(|d| coll.json_of(d)).collect()
+    }
+
+    fn find_project(coll: &Collection, f: &Filter, p: &Projection) -> Vec<Json> {
+        coll.find_with_ctx(f, Some(p), &QueryCtx::unlimited())
+            .unwrap()
+    }
 
     fn people() -> Collection {
         Collection::from_array(
@@ -1453,7 +1457,7 @@ mod tests {
         for src in filters {
             let f = Filter::parse_str(src).unwrap();
             let direct: Vec<Json> = coll.find(&f);
-            let via_jnl = coll.find_via_jnl(&f);
+            let via_jnl = find_via_jnl(&coll, &f);
             assert_eq!(direct, via_jnl, "filter {src}");
             // And the compiled formula is deterministic JNL.
             assert!(f.to_jnl().fragment().is_deterministic(), "filter {src}");
@@ -1465,7 +1469,7 @@ mod tests {
         let coll = people();
         let f = Filter::parse_str(r#"{"age": {"$gte": 30}}"#).unwrap();
         let p = Projection::parse_str(r#"{"name.first": 1, "age": 1}"#).unwrap();
-        let out = coll.find_project(&f, &p);
+        let out = find_project(&coll, &f, &p);
         assert_eq!(out.len(), 2);
         for d in &out {
             assert!(d.get("name").unwrap().get("first").is_some());
@@ -1578,8 +1582,8 @@ mod tests {
         for f in filter_corpus() {
             assert_eq!(fused.find(&f), two_pass.find(&f), "filter {f:?}");
             assert_eq!(
-                fused.find_via_jnl(&f),
-                two_pass.find_via_jnl(&f),
+                find_via_jnl(&fused, &f),
+                find_via_jnl(&two_pass, &f),
                 "filter {f:?}"
             );
         }
@@ -1600,7 +1604,7 @@ mod tests {
         let miss = Filter::parse_str(r#"{"age": {"$gt": 40}}"#).unwrap();
         assert_eq!(coll.find(&hit).len(), 1);
         assert_eq!(coll.find(&miss).len(), 0);
-        assert_eq!(coll.find_via_jnl(&hit).len(), 1);
+        assert_eq!(find_via_jnl(&coll, &hit).len(), 1);
         // The value constructor agrees, including on scalar roots.
         let scalar = Collection::from_json(&Json::Num(7));
         assert_eq!(scalar.docs(), &[Json::Num(7)]);
@@ -1628,8 +1632,8 @@ mod tests {
         for f in filter_corpus() {
             assert_eq!(coll.find(&f), rebuilt.find(&f), "filter {f:?}");
             assert_eq!(
-                coll.find_via_jnl(&f),
-                rebuilt.find_via_jnl(&f),
+                find_via_jnl(&coll, &f),
+                find_via_jnl(&rebuilt, &f),
                 "filter {f:?}"
             );
         }
@@ -1647,17 +1651,17 @@ mod tests {
         let coll = people();
         let p = Projection::parse_str(r#"{"name.first": 1, "age": 1, "name.last": 1}"#).unwrap();
         let all = Filter::parse_str(r#"{"age": {"$exists": "true"}}"#).unwrap();
-        let via_tree = coll.find_project(&all, &p);
+        let via_tree = find_project(&coll, &all, &p);
         let via_value: Vec<Json> = coll.docs().iter().map(|d| p.apply(d)).collect();
         assert_eq!(via_tree, via_value);
         // Empty include keeps whole documents.
         let keep_all = Projection::default();
-        assert_eq!(coll.find_project(&all, &keep_all), coll.docs());
+        assert_eq!(find_project(&coll, &all, &keep_all), coll.docs());
     }
 
     #[test]
     fn jnl_exact_fragment_is_honest() {
-        // Exact filters: one whole-collection JNL evaluation must agree
+        // Exact filters: the JNL oracle must agree
         // with direct matching — already covered by
         // `jnl_compilation_agrees_on_equality_fragment`; here we pin the
         // classifier itself on both sides of the boundary.

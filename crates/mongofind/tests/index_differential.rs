@@ -1,17 +1,49 @@
 //! Index-vs-scan differential suite.
 //!
-//! The scan path (`Collection::find_refs`) is the oracle; the index path
-//! (`Collection::find_refs_indexed`) must be **byte-identical** to it for
-//! every filter — probed or fallen back — across every segment layout the
+//! The document scan (`Collection::find_refs_via_scan_with_ctx`) is the
+//! oracle; the routed path (`Collection::find_refs_with_ctx`, which takes
+//! the index route whenever `Collection::route_of` says so) must be
+//! **byte-identical** to it — and, on the exactly JNL-compilable
+//! fragment, so must the JNL oracle — for every filter, probed or
+//! scanned, across every segment layout the
 //! tree column can be in ({one big parse, 1k single-doc inserts,
 //! post-compact, empty}) and every thread count ({1, 2, 8}; the probe
 //! itself is sequential, but the fallback scans and the materialisation
 //! passes ride the pool). Incremental maintenance (inserts after the
 //! index is built) and unicode keys/values get dedicated sweeps.
 
+use std::sync::Arc;
+
+use jguard::QueryCtx;
 use jpar::Pool;
 use jsondata::{gen, serialize::to_string, Json};
-use mongofind::{Collection, Filter};
+use jtrace::{Counter, QueryMetrics};
+use mongofind::{Collection, DocRef, Filter, Route};
+
+/// The scan oracle.
+fn scan(coll: &Collection, f: &Filter) -> Vec<DocRef> {
+    coll.find_refs_via_scan_with_ctx(f, &QueryCtx::unlimited())
+        .unwrap()
+}
+
+/// The routed path, checked to have run the route `route_of` names — an
+/// index route probes and scans nothing, a scan route scans every
+/// document and probes nothing — so an index comparison can never
+/// silently become a scan-vs-scan self-comparison.
+fn routed(coll: &Collection, f: &Filter) -> Vec<DocRef> {
+    let sink = Arc::new(QueryMetrics::new());
+    let ctx = QueryCtx::new().with_metrics(Arc::clone(&sink));
+    let refs = coll.find_refs_with_ctx(f, &ctx).unwrap();
+    let (probes, scanned) = (
+        sink.get(Counter::IndexProbes),
+        sink.get(Counter::DocsScanned),
+    );
+    match coll.route_of(f) {
+        Route::Index => assert!(probes > 0 && scanned == 0, "{f:?}"),
+        Route::Scan => assert!(probes == 0 && scanned == coll.len() as u64, "{f:?}"),
+    }
+    refs
+}
 
 /// Filters crossing the probe planner's whole surface: indexed `$eq`,
 /// ranges, `$in`, compound probe+residual, unindexed paths (scan
@@ -85,20 +117,18 @@ fn indexed_find_agrees_with_scan_across_layouts_and_threads() {
     for (label, mut coll) in shapes(1000) {
         for f in filter_corpus() {
             coll.set_pool(Pool::serial());
-            let oracle_refs = coll.find_refs(&f);
-            let oracle_docs = coll.find(&f);
+            let oracle_refs = scan(&coll, &f);
+            let oracle_docs: Vec<Json> = oracle_refs.iter().map(|&d| coll.json_of(d)).collect();
             for threads in [1, 2, 8] {
                 coll.set_pool(Pool::with_threads(threads));
-                assert_eq!(
-                    coll.find_refs_indexed(&f),
-                    oracle_refs,
-                    "{label} x{threads} {f:?}"
-                );
-                assert_eq!(
-                    coll.find_indexed(&f),
-                    oracle_docs,
-                    "{label} x{threads} {f:?}"
-                );
+                assert_eq!(routed(&coll, &f), oracle_refs, "{label} x{threads} {f:?}");
+                assert_eq!(coll.find(&f), oracle_docs, "{label} x{threads} {f:?}");
+                if f.jnl_exact() {
+                    let jnl = coll
+                        .find_refs_via_jnl_with_ctx(&f, &QueryCtx::unlimited())
+                        .unwrap();
+                    assert_eq!(jnl, oracle_refs, "{label} x{threads} {f:?}");
+                }
             }
         }
     }
@@ -117,17 +147,17 @@ fn incremental_maintenance_keeps_probes_exact() {
         coll.insert(d);
         if i % 50 == 0 {
             for f in filter_corpus() {
-                assert_eq!(coll.find_refs_indexed(&f), coll.find_refs(&f), "{f:?}");
+                assert_eq!(routed(&coll, &f), scan(&coll, &f), "{f:?}");
             }
         }
     }
     for f in filter_corpus() {
-        assert_eq!(coll.find_refs_indexed(&f), coll.find_refs(&f), "{f:?}");
+        assert_eq!(routed(&coll, &f), scan(&coll, &f), "{f:?}");
     }
     // Compact the mixed column and sweep once more (full rebuild).
     coll.compact();
     for f in filter_corpus() {
-        assert_eq!(coll.find_refs_indexed(&f), coll.find_refs(&f), "{f:?}");
+        assert_eq!(routed(&coll, &f), scan(&coll, &f), "{f:?}");
     }
 }
 
@@ -154,18 +184,18 @@ fn unicode_keys_and_values_probe_exactly() {
         r#"{"città": "zürich"}"#,
     ] {
         let f = Filter::parse_str(src).unwrap();
-        assert!(coll.index_answerable(&f), "{src}");
-        assert_eq!(coll.find_refs_indexed(&f), coll.find_refs(&f), "{src}");
+        assert_eq!(coll.route_of(&f), Route::Index, "{src}");
+        assert_eq!(routed(&coll, &f), scan(&coll, &f), "{src}");
     }
     // Insert more unicode after the build, then compact: maintenance and
     // rebuild must both keep byte-exact agreement.
     coll.insert(&jsondata::parse(r#"{"città": "Zürich", "n": 7}"#).unwrap());
     coll.insert(&jsondata::parse(r#"{"città": "øster", "n": 8}"#).unwrap());
     let f = Filter::parse_str(r#"{"città": "Zürich"}"#).unwrap();
-    assert_eq!(coll.find_refs_indexed(&f).len(), 3);
-    assert_eq!(coll.find_refs_indexed(&f), coll.find_refs(&f));
+    assert_eq!(routed(&coll, &f).len(), 3);
+    assert_eq!(routed(&coll, &f), scan(&coll, &f));
     coll.compact();
-    assert_eq!(coll.find_refs_indexed(&f), coll.find_refs(&f));
+    assert_eq!(routed(&coll, &f), scan(&coll, &f));
 }
 
 #[test]
@@ -195,7 +225,7 @@ fn structured_value_probes_agree() {
         r#"{"v": {"$in": [[1, 2, 3], 5]}}"#,
     ] {
         let f = Filter::parse_str(src).unwrap();
-        assert!(coll.index_answerable(&f), "{src}");
-        assert_eq!(coll.find_refs_indexed(&f), coll.find_refs(&f), "{src}");
+        assert_eq!(coll.route_of(&f), Route::Index, "{src}");
+        assert_eq!(routed(&coll, &f), scan(&coll, &f), "{src}");
     }
 }

@@ -6,15 +6,46 @@
 //! documented contract). The sweeps here cross thread counts {1, 2, 8}
 //! with the three segment layouts the tree column can be in: one big
 //! parse (a single array segment), many single-document insert segments,
-//! and the post-`compact()` merge of the latter.
+//! and the post-`compact()` merge of the latter. On every cell the
+//! routed path (`find_refs_with_ctx`, with and without an index to take)
+//! must equal the document-scan oracle, and so must the JNL oracle on
+//! the exactly JNL-compilable fragment.
 //!
 //! `Collection::compact` itself is pinned by an equivalence property:
 //! documents, symbols and every query answer must be unchanged by
 //! compaction, on a hand corpus and on seeded generated documents.
 
+use jguard::QueryCtx;
 use jpar::Pool;
 use jsondata::{gen, parse, serialize::to_string, Json};
-use mongofind::{Collection, Filter, Projection};
+use mongofind::{Collection, DocRef, Filter, Projection};
+
+fn routed(coll: &Collection, f: &Filter) -> Vec<DocRef> {
+    coll.find_refs_with_ctx(f, &QueryCtx::unlimited()).unwrap()
+}
+
+fn scan(coll: &Collection, f: &Filter) -> Vec<DocRef> {
+    coll.find_refs_via_scan_with_ctx(f, &QueryCtx::unlimited())
+        .unwrap()
+}
+
+fn via_jnl(coll: &Collection, f: &Filter) -> Vec<DocRef> {
+    coll.find_refs_via_jnl_with_ctx(f, &QueryCtx::unlimited())
+        .unwrap()
+}
+
+/// The JNL oracle's answer, materialised (refs differ across layouts).
+fn via_jnl_docs(coll: &Collection, f: &Filter) -> Vec<Json> {
+    via_jnl(coll, f)
+        .into_iter()
+        .map(|d| coll.json_of(d))
+        .collect()
+}
+
+fn find_project(coll: &Collection, f: &Filter, p: &Projection) -> Vec<Json> {
+    coll.find_with_ctx(f, Some(p), &QueryCtx::unlimited())
+        .unwrap()
+}
 
 /// Filters crossing the exact-JNL fragment boundary, nested paths,
 /// numeric segments, and every operator class.
@@ -76,28 +107,32 @@ fn find_paths_agree_across_thread_counts_and_layouts() {
     // and multi-segment JNL fan-out both engage at 2 and 8 threads).
     let projection = Projection::parse_str(r#"{"name.first": 1, "age": 1}"#).unwrap();
     for (label, mut coll) in shapes(1000) {
+        // The same layout with an index to route through: `age` filters
+        // take the index route there and the scan route on `coll`.
+        let mut indexed = coll.clone();
+        indexed.create_index("age");
         for f in filter_corpus() {
             coll.set_pool(Pool::serial());
-            let refs = coll.find_refs(&f);
-            let found = coll.find(&f);
-            let projected = coll.find_project(&f, &projection);
-            let via_jnl = coll.find_via_jnl(&f);
-            let refs_jnl = coll.find_refs_via_jnl(&f);
+            let refs = scan(&coll, &f);
+            let found: Vec<Json> = refs.iter().map(|&d| coll.json_of(d)).collect();
+            let projected = find_project(&coll, &f, &projection);
+            let refs_jnl = via_jnl(&coll, &f);
+            if f.jnl_exact() {
+                assert_eq!(refs_jnl, refs, "{label} JNL vs scan {f:?}");
+            }
             for threads in [1, 2, 8] {
                 coll.set_pool(Pool::with_threads(threads));
-                assert_eq!(coll.find_refs(&f), refs, "{label} x{threads} {f:?}");
+                indexed.set_pool(Pool::with_threads(threads));
+                assert_eq!(scan(&coll, &f), refs, "{label} x{threads} {f:?}");
+                assert_eq!(routed(&coll, &f), refs, "{label} x{threads} {f:?}");
+                assert_eq!(routed(&indexed, &f), refs, "{label} x{threads} {f:?}");
                 assert_eq!(coll.find(&f), found, "{label} x{threads} {f:?}");
                 assert_eq!(
-                    coll.find_project(&f, &projection),
+                    find_project(&coll, &f, &projection),
                     projected,
                     "{label} x{threads} {f:?}"
                 );
-                assert_eq!(coll.find_via_jnl(&f), via_jnl, "{label} x{threads} {f:?}");
-                assert_eq!(
-                    coll.find_refs_via_jnl(&f),
-                    refs_jnl,
-                    "{label} x{threads} {f:?}"
-                );
+                assert_eq!(via_jnl(&coll, &f), refs_jnl, "{label} x{threads} {f:?}");
             }
         }
     }
@@ -110,7 +145,7 @@ fn parallel_scan_respects_document_order() {
     let mut coll = big_parse(2000);
     coll.set_pool(Pool::with_threads(8));
     let all = Filter::parse_str(r#"{"age": {"$gte": 18}}"#).unwrap();
-    let refs = coll.find_refs(&all);
+    let refs = scan(&coll, &all);
     assert_eq!(refs.len(), coll.len());
     assert!(
         refs.windows(2)
@@ -137,8 +172,8 @@ fn compact_preserves_documents_and_query_answers() {
         .map(|f| {
             (
                 coll.find(f),
-                coll.find_via_jnl(f),
-                coll.find_project(f, &projection),
+                via_jnl_docs(&coll, f),
+                find_project(&coll, f, &projection),
             )
         })
         .collect();
@@ -153,15 +188,11 @@ fn compact_preserves_documents_and_query_answers() {
     );
     for (f, before) in filter_corpus().iter().zip(answers_before) {
         assert_eq!(coll.find(f), before.0, "find after compact, {f:?}");
+        assert_eq!(via_jnl_docs(&coll, f), before.1, "JNL after compact, {f:?}");
         assert_eq!(
-            coll.find_via_jnl(f),
-            before.1,
-            "find_via_jnl after compact, {f:?}"
-        );
-        assert_eq!(
-            coll.find_project(f, &projection),
+            find_project(&coll, f, &projection),
             before.2,
-            "find_project after compact, {f:?}"
+            "projected find after compact, {f:?}"
         );
     }
 
@@ -199,8 +230,8 @@ fn compact_equivalence_on_seeded_random_documents() {
         assert_eq!(&coll.find(f), b, "compacted vs uncompacted, {f:?}");
         assert_eq!(coll.find(f), rebuilt.find(f), "compacted vs rebuilt, {f:?}");
         assert_eq!(
-            coll.find_via_jnl(f),
-            rebuilt.find_via_jnl(f),
+            via_jnl_docs(&coll, f),
+            via_jnl_docs(&rebuilt, f),
             "JNL compacted vs rebuilt, {f:?}"
         );
     }
