@@ -1,300 +1,10 @@
-//! Frozen **pre-interning** implementations, kept as the regression
-//! baseline for the S2 interning experiment.
-//!
-//! Before the `Sym` layer landed, every hot path compared and cloned owned
-//! `String` keys: `JsonTree` stored one `Vec<(String, NodeId)>` per object
-//! node (children sorted lexicographically, key lookup = binary search over
-//! string compares), `EvalContext::new` re-owned every edge key into a
-//! `Vec<Option<String>>`, and `CanonTable` signatures carried owned string
-//! payloads hashed with SipHash. This module re-creates those exact data
-//! structures and algorithms so `harness s2` can measure the speedup of the
-//! interned implementation **in the same binary** — the honest
-//! before/after a past-state git checkout cannot give once the old code is
-//! gone.
-//!
-//! Coverage is deliberately scoped to the E1/E7 workloads (the two
-//! experiments the interning PR moves): deterministic JNL over
-//! key/index/compose paths with both equality forms, and JSL
-//! `Arr ∧ Unique` under the canonical strategy — plus, for the S3
-//! DFA-bitset experiment, the frozen **per-node-visit NFA** regex matching
-//! ([`exists_regex_edge_strings`], [`jsl_eval_strings`]) that predates both
-//! the per-symbol memo and the precomputed bitset tiers.
+//! The frozen **per-node-visit** regex matching that predates both the
+//! per-symbol memo and the precomputed bitset tiers, kept as the third
+//! side of the S3 DFA-bitset experiment's strings ≡ memo ≡ bitset gate:
+//! [`exists_regex_edge_strings`] for JNL and [`jsl_eval_strings`] for JSL.
 
-use std::collections::HashMap;
-
-use jnl::ast::{Binary, Unary};
 use jsl::ast::{Jsl, NodeTest};
-use jsondata::{Json, JsonTree, NodeId, NodeKind};
-
-/// The pre-interning per-object child storage: children re-owned as
-/// `(String, NodeId)` pairs sorted by key, one vector per node — exactly
-/// what `JsonTree` stored before the CSR/symbol rework.
-pub struct StringChildIndex {
-    by_node: Vec<Vec<(String, NodeId)>>,
-}
-
-impl StringChildIndex {
-    /// Rebuilds the legacy storage from a tree (not part of any timed
-    /// region: this corresponds to tree construction, not evaluation).
-    pub fn build(tree: &JsonTree) -> StringChildIndex {
-        let by_node = tree
-            .node_ids()
-            .map(|n| {
-                let mut cs: Vec<(String, NodeId)> = tree
-                    .obj_children(n)
-                    .map(|(k, c)| (k.to_owned(), c))
-                    .collect();
-                cs.sort_by(|a, b| a.0.cmp(&b.0));
-                cs
-            })
-            .collect();
-        StringChildIndex { by_node }
-    }
-
-    /// The legacy `child_by_key`: binary search over string comparisons.
-    pub fn child_by_key(&self, n: NodeId, key: &str) -> Option<NodeId> {
-        let cs = &self.by_node[n.index()];
-        cs.binary_search_by(|(k, _)| k.as_str().cmp(key))
-            .ok()
-            .map(|i| cs[i].1)
-    }
-}
-
-/// The pre-interning canonical-label table: signatures carry owned strings
-/// and are hashed with `std`'s default SipHash, as the seed did.
-pub struct StringCanon {
-    class: Vec<u32>,
-    interner: HashMap<StrSig, u32>,
-}
-
-#[derive(PartialEq, Eq, Hash)]
-enum StrSig {
-    Int(u64),
-    Str(String),
-    Arr(Vec<u32>),
-    Obj(Vec<(String, u32)>),
-}
-
-impl StringCanon {
-    /// One bottom-up hash-consing pass (legacy signature layout).
-    pub fn build(tree: &JsonTree) -> StringCanon {
-        let mut class = vec![0u32; tree.node_count()];
-        let mut interner: HashMap<StrSig, u32> = HashMap::new();
-        for n in tree.bottom_up() {
-            let sig = match tree.kind(n) {
-                NodeKind::Int => StrSig::Int(tree.num_value(n).expect("Int value")),
-                NodeKind::Str => StrSig::Str(tree.str_value(n).expect("Str value").to_owned()),
-                NodeKind::Arr => StrSig::Arr(
-                    tree.arr_children(n)
-                        .iter()
-                        .map(|c| class[c.index()])
-                        .collect(),
-                ),
-                NodeKind::Obj => {
-                    let mut pairs: Vec<(String, u32)> = tree
-                        .obj_children(n)
-                        .map(|(k, c)| (k.to_owned(), class[c.index()]))
-                        .collect();
-                    pairs.sort_by(|a, b| a.0.cmp(&b.0));
-                    StrSig::Obj(pairs)
-                }
-            };
-            let next = interner.len() as u32;
-            class[n.index()] = *interner.entry(sig).or_insert(next);
-        }
-        StringCanon { class, interner }
-    }
-
-    /// The class of node `n`.
-    pub fn class_of(&self, n: NodeId) -> u32 {
-        self.class[n.index()]
-    }
-
-    /// The legacy external-document probe (string signatures throughout).
-    pub fn class_of_json(&self, value: &Json) -> Option<u32> {
-        let sig = match value {
-            Json::Num(n) => StrSig::Int(*n),
-            Json::Str(s) => StrSig::Str(s.clone()),
-            Json::Array(items) => {
-                let classes = items
-                    .iter()
-                    .map(|v| self.class_of_json(v))
-                    .collect::<Option<Vec<u32>>>()?;
-                StrSig::Arr(classes)
-            }
-            Json::Object(o) => {
-                let mut pairs = o
-                    .iter()
-                    .map(|(k, v)| self.class_of_json(v).map(|c| (k.to_owned(), c)))
-                    .collect::<Option<Vec<(String, u32)>>>()?;
-                pairs.sort_by(|a, b| a.0.cmp(&b.0));
-                StrSig::Obj(pairs)
-            }
-        };
-        self.interner.get(&sig).copied()
-    }
-}
-
-/// The pre-interning deterministic-JNL evaluation context: canonical labels
-/// with string signatures plus the cloned per-node edge-key vector
-/// `EvalContext::new` used to materialise.
-pub struct StringEvalContext<'t> {
-    tree: &'t JsonTree,
-    index: &'t StringChildIndex,
-    canon: StringCanon,
-    /// Rebuilt per evaluation, as the old context did — the clone cost is
-    /// part of what interning removed.
-    #[allow(dead_code)]
-    edge_key: Vec<Option<String>>,
-}
-
-enum Step {
-    Key(String),
-    Index(i64),
-    Test(Vec<bool>),
-}
-
-/// Evaluates a deterministic JNL formula with the legacy string-comparing
-/// engine. Supports the fragment the E1 workloads use (key/index/compose
-/// paths, tests, both equality forms); panics on regex or range steps.
-pub fn linear_eval_strings(tree: &JsonTree, index: &StringChildIndex, phi: &Unary) -> Vec<bool> {
-    let mut edge_key = vec![None; tree.node_count()];
-    for n in tree.node_ids() {
-        if let Some(jsondata::EdgeLabel::Key(k)) = tree.edge_from_parent(n) {
-            edge_key[n.index()] = Some(k.to_owned());
-        }
-    }
-    let mut ctx = StringEvalContext {
-        tree,
-        index,
-        canon: StringCanon::build(tree),
-        edge_key,
-    };
-    eval_unary(&mut ctx, phi)
-}
-
-fn eval_unary(ctx: &mut StringEvalContext<'_>, phi: &Unary) -> Vec<bool> {
-    let n = ctx.tree.node_count();
-    match phi {
-        Unary::True => vec![true; n],
-        Unary::Not(p) => {
-            let mut s = eval_unary(ctx, p);
-            for b in &mut s {
-                *b = !*b;
-            }
-            s
-        }
-        Unary::And(ps) => {
-            let mut acc = vec![true; n];
-            for p in ps {
-                let s = eval_unary(ctx, p);
-                for (a, b) in acc.iter_mut().zip(s) {
-                    *a &= b;
-                }
-            }
-            acc
-        }
-        Unary::Or(ps) => {
-            let mut acc = vec![false; n];
-            for p in ps {
-                let s = eval_unary(ctx, p);
-                for (a, b) in acc.iter_mut().zip(s) {
-                    *a |= b;
-                }
-            }
-            acc
-        }
-        Unary::Exists(alpha) => {
-            let steps = compile(ctx, alpha);
-            (0..n)
-                .map(|i| walk(ctx, &steps, NodeId::from_index(i)).is_some())
-                .collect()
-        }
-        Unary::EqDoc(alpha, doc) => {
-            let steps = compile(ctx, alpha);
-            match ctx.canon.class_of_json(doc) {
-                Some(target) => (0..n)
-                    .map(|i| {
-                        walk(ctx, &steps, NodeId::from_index(i))
-                            .is_some_and(|m| ctx.canon.class_of(m) == target)
-                    })
-                    .collect(),
-                None => vec![false; n],
-            }
-        }
-        Unary::EqPair(alpha, beta) => {
-            let sa = compile(ctx, alpha);
-            let sb = compile(ctx, beta);
-            (0..n)
-                .map(|i| {
-                    let from = NodeId::from_index(i);
-                    match (walk(ctx, &sa, from), walk(ctx, &sb, from)) {
-                        (Some(x), Some(y)) => ctx.canon.class_of(x) == ctx.canon.class_of(y),
-                        _ => false,
-                    }
-                })
-                .collect()
-        }
-    }
-}
-
-fn compile(ctx: &mut StringEvalContext<'_>, alpha: &Binary) -> Vec<Step> {
-    let mut steps = Vec::new();
-    flatten(ctx, alpha, &mut steps);
-    steps
-}
-
-fn flatten(ctx: &mut StringEvalContext<'_>, alpha: &Binary, out: &mut Vec<Step>) {
-    match alpha {
-        Binary::Epsilon => {}
-        Binary::Key(w) => out.push(Step::Key(w.clone())),
-        Binary::Index(i) => out.push(Step::Index(*i)),
-        Binary::Test(phi) => out.push(Step::Test(eval_unary(ctx, phi))),
-        Binary::Compose(parts) => {
-            for p in parts {
-                flatten(ctx, p, out);
-            }
-        }
-        other => panic!("baseline engine covers the E1 fragment only, got {other:?}"),
-    }
-}
-
-fn walk(ctx: &StringEvalContext<'_>, steps: &[Step], from: NodeId) -> Option<NodeId> {
-    let mut cur = from;
-    for s in steps {
-        match s {
-            Step::Key(w) => cur = ctx.index.child_by_key(cur, w)?,
-            Step::Index(i) => cur = ctx.tree.child_by_signed_index(cur, *i)?,
-            Step::Test(set) => {
-                if !set[cur.index()] {
-                    return None;
-                }
-            }
-        }
-    }
-    Some(cur)
-}
-
-/// The pre-interning E7 evaluation: `Arr ∧ Unique` under the canonical
-/// strategy, with the canonical table built on string signatures (the cost
-/// the interning change moves).
-pub fn e7_canonical_strings(tree: &JsonTree) -> Vec<bool> {
-    let canon = StringCanon::build(tree);
-    tree.node_ids()
-        .map(|n| {
-            if tree.kind(n) != NodeKind::Arr {
-                return false;
-            }
-            let mut classes: Vec<u32> = tree
-                .arr_children(n)
-                .iter()
-                .map(|c| canon.class_of(*c))
-                .collect();
-            classes.sort_unstable();
-            classes.windows(2).all(|w| w[0] != w[1])
-        })
-        .collect()
-}
+use jsondata::{JsonTree, NodeId, NodeKind};
 
 /// The frozen pre-interning evaluation of `[X_e]⊤` — the nodes with some
 /// outgoing object edge whose key matches `e`. One NFA run per resolved
@@ -418,26 +128,16 @@ mod tests {
     use crate::{e1_formula, e7_doc, e7_formula, scaling_doc};
     use jsl::{EvalOptions, UniqueStrategy};
 
-    #[test]
-    fn legacy_child_by_key_agrees_with_interned() {
-        let doc = scaling_doc(2000, 5);
-        let tree = JsonTree::build(&doc);
-        let index = StringChildIndex::build(&tree);
-        for n in tree.node_ids() {
-            for key in ["a", "name", "items", "absent-key", ""] {
-                assert_eq!(index.child_by_key(n, key), tree.child_by_key(n, key));
-            }
-        }
-    }
-
+    // The `legacy_e1`/`legacy_e7` names date from the pre-interning string
+    // engines these workloads were first checked against; the oracles are
+    // now the §4.2/§4.3 transcription and the Prop 6 pairwise strategy.
     #[test]
     fn legacy_e1_engine_agrees_with_interned() {
         let doc = scaling_doc(3000, 1);
         let tree = JsonTree::build(&doc);
-        let index = StringChildIndex::build(&tree);
         let phi = e1_formula();
         assert_eq!(
-            linear_eval_strings(&tree, &index, &phi),
+            jnl::eval::naive::eval(&tree, &phi),
             jnl::eval::linear::eval(&tree, &phi).unwrap()
         );
     }
@@ -446,16 +146,20 @@ mod tests {
     fn legacy_e7_agrees_with_interned() {
         let doc = e7_doc(512, 100);
         let tree = JsonTree::build(&doc);
-        let legacy = e7_canonical_strings(&tree);
-        let interned = jsl::eval::evaluate_with(
-            &tree,
-            &e7_formula(),
-            EvalOptions {
-                unique: UniqueStrategy::Canonical,
-                ..Default::default()
-            },
+        let with = |unique| {
+            jsl::eval::evaluate_with(
+                &tree,
+                &e7_formula(),
+                EvalOptions {
+                    unique,
+                    ..Default::default()
+                },
+            )
+        };
+        assert_eq!(
+            with(UniqueStrategy::NaivePairwise),
+            with(UniqueStrategy::Canonical)
         );
-        assert_eq!(legacy, interned);
     }
 
     #[test]
@@ -497,25 +201,6 @@ mod tests {
                 jsl::eval::evaluate_with(&tree, &psi, opts),
                 "jsl {edge:?}"
             );
-        }
-    }
-
-    #[test]
-    fn legacy_canon_classes_characterise_equality() {
-        let doc = scaling_doc(1000, 9);
-        let tree = JsonTree::build(&doc);
-        let legacy = StringCanon::build(&tree);
-        let interned = jsondata::CanonTable::build(&tree);
-        // Class *ids* may differ (allocation order), but the partition must
-        // be identical.
-        for a in tree.node_ids() {
-            for b in [tree.root(), NodeId::from_index(tree.node_count() / 2)] {
-                assert_eq!(
-                    legacy.class_of(a) == legacy.class_of(b),
-                    interned.class_of(a) == interned.class_of(b),
-                    "partition mismatch at {a:?},{b:?}"
-                );
-            }
         }
     }
 }

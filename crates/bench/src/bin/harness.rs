@@ -35,7 +35,6 @@ const MODES: &[(&str, fn())] = &[
     ("e12", e12),
     ("t1", t1),
     ("s1", s1),
-    ("s2", s2),
     ("s3", s3),
     ("s4", s4),
     ("s5", s5),
@@ -769,142 +768,6 @@ fn s1() {
     }
 }
 
-/// S2 — the interning experiment: `Sym`-based hot paths vs the frozen
-/// pre-interning string implementations (`bench::baseline`), emitting the
-/// machine-readable `BENCH_interning.json` that tracks the perf trajectory
-/// from this change onward.
-fn s2() {
-    header(
-        "S2",
-        "Interning — Sym hot paths vs pre-interning string baseline",
-    );
-
-    // --- key lookup: hit and miss over a wide object ---
-    let n_keys = 4096usize;
-    let obj = jsondata::gen::wide_object(n_keys);
-    let tree = JsonTree::build(&obj);
-    let index = bench::baseline::StringChildIndex::build(&tree);
-    let root = tree.root();
-    let hits: Vec<String> = (0..n_keys).map(|i| format!("k{i}")).collect();
-    let misses: Vec<String> = (0..n_keys).map(|i| format!("m{i}")).collect();
-    let count = |keys: &[String], f: &dyn Fn(&str) -> Option<jsondata::NodeId>| {
-        keys.iter().filter(|k| f(k).is_some()).count()
-    };
-    assert_eq!(count(&hits, &|k| tree.child_by_key(root, k)), n_keys);
-    assert_eq!(count(&hits, &|k| index.child_by_key(root, k)), n_keys);
-    assert_eq!(count(&misses, &|k| tree.child_by_key(root, k)), 0);
-    let per_ns = |ms: f64| ms * 1e6 / n_keys as f64;
-    let hit_new = per_ns(time_ms(9, || count(&hits, &|k| tree.child_by_key(root, k))));
-    let hit_old = per_ns(time_ms(9, || {
-        count(&hits, &|k| index.child_by_key(root, k))
-    }));
-    let miss_new = per_ns(time_ms(9, || {
-        count(&misses, &|k| tree.child_by_key(root, k))
-    }));
-    let miss_old = per_ns(time_ms(9, || {
-        count(&misses, &|k| index.child_by_key(root, k))
-    }));
-    println!(
-        "{}",
-        row(&[
-            "lookup".into(),
-            "baseline ns".into(),
-            "interned ns".into(),
-            "speedup".into()
-        ])
-    );
-    println!(
-        "{}",
-        row(&[
-            "hit".into(),
-            format!("{hit_old:.1}"),
-            format!("{hit_new:.1}"),
-            format!("{:.2}x", hit_old / hit_new)
-        ])
-    );
-    println!(
-        "{}",
-        row(&[
-            "miss".into(),
-            format!("{miss_old:.1}"),
-            format!("{miss_new:.1}"),
-            format!("{:.2}x", miss_old / miss_new)
-        ])
-    );
-
-    // --- E1: deterministic JNL evaluation throughput ---
-    let phi = e1_formula();
-    let doc = scaling_doc(1 << 14, 1);
-    let e1_tree = JsonTree::build(&doc);
-    let e1_nodes = e1_tree.node_count();
-    let e1_index = bench::baseline::StringChildIndex::build(&e1_tree);
-    assert_eq!(
-        bench::baseline::linear_eval_strings(&e1_tree, &e1_index, &phi),
-        jnl::eval::linear::eval(&e1_tree, &phi).unwrap(),
-        "baseline and interned E1 engines must agree"
-    );
-    let e1_old = time_ms(9, || {
-        bench::baseline::linear_eval_strings(&e1_tree, &e1_index, &phi)
-    });
-    let e1_new = time_ms(9, || jnl::eval::linear::eval(&e1_tree, &phi).unwrap());
-    let e1_speedup = e1_old / e1_new;
-
-    // --- E7: JSL Arr ∧ Unique (canonical strategy) throughput ---
-    use jsl::{EvalOptions, UniqueStrategy};
-    let e7_len = 8192usize;
-    let e7_doc = jsondata::gen::wide_array(e7_len);
-    let e7_tree = JsonTree::build(&e7_doc);
-    let e7_phi = e7_formula();
-    let canonical = EvalOptions {
-        unique: UniqueStrategy::Canonical,
-        ..Default::default()
-    };
-    assert_eq!(
-        bench::baseline::e7_canonical_strings(&e7_tree),
-        jsl::eval::evaluate_with(&e7_tree, &e7_phi, canonical),
-        "baseline and interned E7 evaluations must agree"
-    );
-    let e7_old = time_ms(9, || bench::baseline::e7_canonical_strings(&e7_tree));
-    let e7_new = time_ms(9, || jsl::eval::evaluate_with(&e7_tree, &e7_phi, canonical));
-    let e7_speedup = e7_old / e7_new;
-
-    println!(
-        "{}",
-        row(&[
-            "eval".into(),
-            "baseline ms".into(),
-            "interned ms".into(),
-            "speedup".into()
-        ])
-    );
-    println!(
-        "{}",
-        row(&[
-            format!("E1 |J|={e1_nodes}"),
-            format!("{e1_old:.2}"),
-            format!("{e1_new:.2}"),
-            format!("{e1_speedup:.2}x")
-        ])
-    );
-    println!(
-        "{}",
-        row(&[
-            format!("E7 len={e7_len}"),
-            format!("{e7_old:.2}"),
-            format!("{e7_new:.2}"),
-            format!("{e7_speedup:.2}x")
-        ])
-    );
-
-    let json = format!(
-        "{{\n  \"experiment\": \"s2_interning\",\n  \"units\": {{\"lookup\": \"ns_per_lookup\", \"eval\": \"ms_per_eval\"}},\n  \"key_lookup\": {{\n    \"object_keys\": {n_keys},\n    \"hit\": {{\"baseline\": {hit_old:.2}, \"interned\": {hit_new:.2}, \"speedup\": {:.3}}},\n    \"miss\": {{\"baseline\": {miss_old:.2}, \"interned\": {miss_new:.2}, \"speedup\": {:.3}}}\n  }},\n  \"e1_jnl_eval\": {{\"nodes\": {e1_nodes}, \"baseline\": {e1_old:.3}, \"interned\": {e1_new:.3}, \"speedup\": {e1_speedup:.3}}},\n  \"e7_jsl_eval\": {{\"array_len\": {e7_len}, \"baseline\": {e7_old:.3}, \"interned\": {e7_new:.3}, \"speedup\": {e7_speedup:.3}}}\n}}\n",
-        hit_old / hit_new,
-        miss_old / miss_new,
-    );
-    std::fs::write("BENCH_interning.json", &json).expect("write BENCH_interning.json");
-    println!("wrote BENCH_interning.json");
-}
-
 /// S3 — the DFA-bitset experiment: regex edge matching through precomputed
 /// symbol bitsets vs the lazy per-symbol memo tier vs the frozen
 /// per-node-visit string baseline, on regex-heavy E1/E7-style workloads
@@ -1121,12 +984,12 @@ fn s5() {
     let text = s5_collection_text();
     let coll = mongofind::Collection::parse_str(&text).expect("workload parses");
     // Materialise the reference's document vector up front so its timed
-    // region measures pipeline execution, not the docs() cache fill.
-    let docs = coll.docs().to_vec();
+    // region measures pipeline execution, not materialisation.
+    let docs = coll.docs();
     println!(
         "collection: {} documents, {} tree nodes, {} symbols",
         coll.len(),
-        coll.tree().node_count(),
+        coll.segments()[0].node_count(),
         coll.interner().len()
     );
     println!(
@@ -1186,7 +1049,10 @@ fn s5() {
             "collection",
             Val::obj(vec![
                 ("documents", Val::int(coll.len() as u64)),
-                ("tree_nodes", Val::int(coll.tree().node_count() as u64)),
+                (
+                    "tree_nodes",
+                    Val::int(coll.segments()[0].node_count() as u64),
+                ),
                 ("symbols", Val::int(coll.interner().len() as u64)),
             ]),
         ),
@@ -1853,7 +1719,7 @@ fn s8() {
     // --- Part 2: analyzer overhead + prune equivalence on pipelines ---
     let text = s5_collection_text();
     let coll = mongofind::Collection::parse_str(&text).expect("workload parses");
-    let docs = coll.docs().to_vec();
+    let docs = coll.docs();
     let mut pipes: Vec<(&str, String)> = s5_pipelines()
         .into_iter()
         .map(|(l, s)| (l, s.to_owned()))
@@ -2252,7 +2118,7 @@ fn s10() {
     println!("route gate: every claimed route proven by its counters, both routes exercised");
 
     // --- gate 3: EXPLAIN ANALYZE vs reference cardinalities -----------
-    let docs = coll.docs().to_vec();
+    let docs = coll.docs();
     let mut analyze_entries = Vec::new();
     for (label, src) in s5_pipelines() {
         let pipe = jagg::Pipeline::parse_str(src).expect("workload pipeline parses");

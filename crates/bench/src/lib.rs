@@ -1,7 +1,7 @@
 //! Shared workloads and measurement helpers for the experiment harness and
-//! the Criterion benches. Each experiment (E1–E12 in DESIGN.md) reproduces
-//! one complexity claim of the paper; the workloads here define the
-//! parameter sweeps both entry points use.
+//! the bench tests. Each experiment (E1–E12 in DESIGN.md) reproduces one
+//! complexity claim of the paper; the workloads here define its parameter
+//! sweeps.
 
 pub mod baseline;
 pub mod jsonout;

@@ -261,10 +261,12 @@ impl<'c> Engine<'c> {
         if missing.is_empty() {
             return Ok(());
         }
-        let built = self.pool.try_map(&self.guard, missing.len(), |k| {
-            self.guard.record(Counter::CanonBuilds, 1);
-            Ok(CanonTable::build(&self.coll.segments()[missing[k]]))
-        })?;
+        let built = self
+            .pool
+            .try_map_chunks(&self.guard, missing.len(), 1, |r| {
+                self.guard.record(Counter::CanonBuilds, 1);
+                Ok(CanonTable::build(&self.coll.segments()[missing[r.start]]))
+            })?;
         for (i, table) in missing.into_iter().zip(built) {
             // A racing get_or_init may have won the slot; either table is
             // byte-identical (class assignment is deterministic per tree).

@@ -436,7 +436,7 @@ mod tests {
         ] {
             let p = Pipeline::parse_str(src).unwrap();
             let an = explain_analyze(&c, &p).unwrap();
-            let expected = crate::reference::stage_cardinalities(c.docs(), &p);
+            let expected = crate::reference::stage_cardinalities(&c.docs(), &p);
             let got: Vec<usize> = an.stages.iter().map(|s| s.rows_out).collect();
             assert_eq!(got, expected, "{src}");
             assert_eq!(an.rows, *expected.last().unwrap(), "{src}");

@@ -17,7 +17,7 @@ fn check(coll: &Collection, pipeline_src: &str) {
         panic!("pipeline {pipeline_src} does not parse: {e}");
     });
     let via_tree = jagg::aggregate(coll, &pipe);
-    let via_value = reference::aggregate(coll.docs(), &pipe);
+    let via_value = reference::aggregate(&coll.docs(), &pipe);
     assert_eq!(via_tree, via_value, "pipeline {pipeline_src}");
 }
 
@@ -213,7 +213,7 @@ fn insert_then_aggregate_matches_rebuild() {
         r#"{"name": {"first": "Sue"}, "age": 19, "hobbies": ["go"], "scores": [2, 2]}"#,
     )
     .unwrap();
-    let rebuilt = Collection::from_array(&Json::Array(coll.docs().to_vec())).unwrap();
+    let rebuilt = Collection::from_array(&Json::Array(coll.docs())).unwrap();
     assert_eq!(coll.docs(), rebuilt.docs());
     for src in corpus() {
         let pipe = Pipeline::parse_str(src).unwrap();
@@ -345,7 +345,7 @@ fn group_ordering_and_missing_key_group_are_defined() {
 #[test]
 fn docs_cache_is_consistent_before_and_after_insert() {
     let mut coll = people();
-    let before = coll.docs().to_vec();
+    let before = coll.docs();
     coll.insert(&parse(r#"{"x": 1}"#).unwrap());
     let after = coll.docs();
     assert_eq!(after.len(), before.len() + 1);

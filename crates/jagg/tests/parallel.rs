@@ -78,7 +78,7 @@ fn pipeline_corpus() -> Vec<&'static str> {
 #[test]
 fn aggregate_is_identical_across_thread_counts_and_layouts() {
     for (label, mut coll) in shapes(900) {
-        let docs = coll.docs().to_vec();
+        let docs = coll.docs();
         for src in pipeline_corpus() {
             let pipe = Pipeline::parse_str(src).unwrap();
             let oracle = reference::aggregate(&docs, &pipe);
@@ -111,7 +111,7 @@ fn cross_segment_groups_merge_order_sensitively() {
             {"$sort": {"_id": 1}}]"#,
     )
     .unwrap();
-    let oracle = reference::aggregate(coll.docs(), &pipe);
+    let oracle = reference::aggregate(&coll.docs(), &pipe);
     for threads in [1, 2, 8] {
         coll.set_pool(Pool::with_threads(threads));
         assert_eq!(jagg::aggregate(&coll, &pipe), oracle, "x{threads}");

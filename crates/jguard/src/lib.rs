@@ -52,7 +52,7 @@
 //!
 //! ## Panic-free guarantees
 //!
-//! `jpar`'s fallible entry points (`try_map`, `try_map_chunks`,
+//! `jpar`'s fallible entry points (`try_map_chunks`,
 //! `try_flat_map_chunks`) contain worker panics with `catch_unwind`
 //! and convert them to [`QueryError::WorkerPanicked`], joining the
 //! remaining workers; the pool and any shared immutable state stay

@@ -223,7 +223,7 @@ pub fn evaluate_batch<T>(trees: &[T], phi: &Unary, pool: &jpar::Pool) -> Vec<Nod
 where
     T: std::borrow::Borrow<JsonTree> + Sync,
 {
-    pool.map(trees.len(), |i| evaluate(trees[i].borrow(), phi))
+    pool.map_chunks(trees.len(), 1, |r| evaluate(trees[r.start].borrow(), phi))
 }
 
 /// Governed [`evaluate`]: the linear engine polls `guard` every
@@ -265,8 +265,8 @@ pub fn evaluate_batch_ctx<T>(
 where
     T: std::borrow::Borrow<JsonTree> + Sync,
 {
-    pool.try_map(guard, trees.len(), |i| {
-        evaluate_ctx(trees[i].borrow(), phi, guard)
+    pool.try_map_chunks(guard, trees.len(), 1, |r| {
+        evaluate_ctx(trees[r.start].borrow(), phi, guard)
     })
 }
 

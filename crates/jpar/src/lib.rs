@@ -40,6 +40,15 @@
 //!   path against this serial fallback; a parallel run that disagrees
 //!   with `N = 1` is a bug by definition.
 //!
+//! ## Entry points
+//!
+//! Three calls cover every caller: [`Pool::try_map_chunks`], the governed
+//! core (polls a [`QueryCtx`] per chunk and contains panics);
+//! [`Pool::try_flat_map_chunks`], the same with chunk results
+//! concatenated; and [`Pool::map_chunks`], the ungoverned convenience
+//! that re-raises a contained panic on the calling thread. One item per
+//! chunk is `chunk = 1` (the item index is `range.start`).
+//!
 //! ## Dispatch
 //!
 //! Workers are **persistent helper threads** parked on a condvar between
@@ -170,18 +179,6 @@ impl Pool {
         len.div_ceil(self.threads * 4).max(min_chunk).max(1)
     }
 
-    /// Maps each index of `0..len` through `f`, returning the results in
-    /// index order. Equivalent to `map_chunks(len, 1, |r| f(r.start))` —
-    /// one item per chunk, for coarse-grained items (e.g. one whole-tree
-    /// evaluation per collection segment).
-    pub fn map<T, F>(&self, len: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.map_chunks(len, 1, |r| f(r.start))
-    }
-
     /// Splits `0..len` into chunks of `chunk` items (the last chunk may be
     /// short), evaluates `f` on each chunk, and returns the chunk results
     /// **in chunk order**. Workers steal chunk indices from one atomic
@@ -204,16 +201,6 @@ impl Pool {
             }
             Err(e) => unreachable!("unlimited ctx cannot fail, got {e}"),
         }
-    }
-
-    /// Fallible [`Pool::map`]: checks `ctx` between items and contains
-    /// worker panics. See [`Pool::try_map_chunks`].
-    pub fn try_map<T, F>(&self, ctx: &QueryCtx, len: usize, f: F) -> Result<Vec<T>, QueryError>
-    where
-        T: Send,
-        F: Fn(usize) -> Result<T, QueryError> + Sync,
-    {
-        self.try_map_chunks(ctx, len, 1, |r| f(r.start))
     }
 
     /// The governed core of the pool: like [`Pool::map_chunks`] but
@@ -348,23 +335,10 @@ impl Pool {
             .collect())
     }
 
-    /// [`Pool::map_chunks`] with the chunk results concatenated — the
+    /// [`Pool::try_map_chunks`] with the chunk results concatenated — the
     /// common "filter/flat-map a row vector" shape. Item order is
     /// preserved exactly (chunks are contiguous index ranges spliced in
     /// chunk order).
-    pub fn flat_map_chunks<T, F>(&self, len: usize, chunk: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(Range<usize>) -> Vec<T> + Sync,
-    {
-        self.map_chunks(len, chunk, f)
-            .into_iter()
-            .flatten()
-            .collect()
-    }
-
-    /// Fallible [`Pool::flat_map_chunks`]: governed, panic-contained,
-    /// chunk results concatenated in chunk order.
     pub fn try_flat_map_chunks<T, F>(
         &self,
         ctx: &QueryCtx,
@@ -392,7 +366,7 @@ mod tests {
     fn map_preserves_index_order() {
         for threads in [1, 2, 3, 8] {
             let pool = Pool::with_threads(threads);
-            let out = pool.map(100, |i| i * i);
+            let out = pool.map_chunks(100, 1, |r| r.start * r.start);
             assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
         }
     }
@@ -419,9 +393,11 @@ mod tests {
         let expect: Vec<u64> = data.iter().copied().filter(|&x| x % 7 == 0).collect();
         for threads in [1, 2, 8] {
             let pool = Pool::with_threads(threads);
-            let got = pool.flat_map_chunks(data.len(), 128, |r| {
-                data[r].iter().copied().filter(|&x| x % 7 == 0).collect()
-            });
+            let got = pool
+                .try_flat_map_chunks(&QueryCtx::unlimited(), data.len(), 128, |r| {
+                    Ok(data[r].iter().copied().filter(|&x| x % 7 == 0).collect())
+                })
+                .expect("no faults");
             assert_eq!(got, expect);
         }
     }
@@ -522,13 +498,13 @@ mod tests {
         // even when every helper is busy: the inner caller participates
         // inline by construction.
         let pool = Pool::with_threads(4);
-        let out = pool.map(8, |i| {
+        let out = pool.map_chunks(8, 1, |r| {
             let inner = Pool::with_threads(2);
             inner
                 .map_chunks(1000, 100, |r| r.sum::<usize>())
                 .iter()
                 .sum::<usize>()
-                + i
+                + r.start
         });
         let inner_total: usize = (0..1000).sum();
         assert_eq!(out, (0..8).map(|i| inner_total + i).collect::<Vec<_>>());

@@ -1,6 +1,6 @@
 //! A panicking worker closure must never abort the process or poison
 //! the pool: it surfaces as `QueryError::WorkerPanicked` (try APIs) or
-//! re-raises on the calling thread (legacy APIs), and the same pool
+//! re-raises on the calling thread (`map_chunks`), and the same pool
 //! value keeps dispatching correctly afterwards.
 
 use jguard::{with_quiet_panics, Fault, QueryCtx, QueryError};
@@ -41,7 +41,7 @@ fn pool_is_reusable_after_a_panic() {
             });
             assert!(matches!(r, Err(QueryError::WorkerPanicked { .. })));
             // The very same pool value still produces correct results.
-            let ok = pool.map(100, |i| i + 1);
+            let ok = pool.map_chunks(100, 1, |r| r.start + 1);
             assert_eq!(ok, (1..=100).collect::<Vec<_>>());
         }
     });
@@ -67,7 +67,7 @@ fn legacy_map_chunks_reraises_on_calling_thread() {
         assert!(msg.contains("50..60"), "chunk range named: {msg}");
         // Still alive and correct.
         assert_eq!(
-            pool.map(10, |i| i * 2),
+            pool.map_chunks(10, 1, |r| r.start * 2),
             (0..10).map(|i| i * 2).collect::<Vec<_>>()
         );
     });
@@ -114,9 +114,15 @@ fn try_results_match_infallible_results() {
         .collect();
     for threads in [1, 2, 8] {
         let pool = Pool::with_threads(threads);
-        let plain = pool.flat_map_chunks(data.len(), 512, |r| {
-            data[r].iter().copied().filter(|&x| x % 3 == 0).collect()
-        });
+        let plain = pool
+            .map_chunks(data.len(), 512, |r| {
+                data[r]
+                    .iter()
+                    .copied()
+                    .filter(|&x| x % 3 == 0)
+                    .collect::<Vec<_>>()
+            })
+            .concat();
         let tried = pool
             .try_flat_map_chunks(&QueryCtx::unlimited(), data.len(), 512, |r| {
                 Ok(data[r].iter().copied().filter(|&x| x % 3 == 0).collect())

@@ -21,7 +21,7 @@ fn main() {
     println!(
         "collection: {} documents ({} tree nodes, {} interned symbols)\n",
         coll.len(),
-        coll.tree().node_count(),
+        coll.segments()[0].node_count(),
         coll.interner().len()
     );
 
@@ -50,7 +50,7 @@ fn main() {
     // tree executor must agree output-for-output (CI-gated by harness s5).
     assert_eq!(
         aggregate(&coll, &pipe),
-        reference::aggregate(coll.docs(), &pipe),
+        reference::aggregate(&coll.docs(), &pipe),
         "executors agree by construction"
     );
     println!("  (value-based reference executor agrees)\n");

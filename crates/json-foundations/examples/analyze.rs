@@ -63,8 +63,9 @@ fn main() {
     );
 
     // The rewrite is semantics-preserving: identical output documents.
-    let before = reference::aggregate(coll.docs(), &pipe);
-    let after = reference::aggregate(coll.docs(), &pruned);
+    let docs = coll.docs();
+    let before = reference::aggregate(&docs, &pipe);
+    let after = reference::aggregate(&docs, &pruned);
     assert_eq!(before, after, "prune must not change the output");
     println!("output identical on {} result documents:", after.len());
     for doc in &after {

@@ -19,7 +19,7 @@ fn main() {
     println!(
         "collection: {} documents ({} tree nodes, {} interned symbols)\n",
         coll.len(),
-        coll.tree().node_count(),
+        coll.segments()[0].node_count(),
         coll.interner().len()
     );
 

@@ -3,8 +3,8 @@
 //! Every `O(|J|·|φ|)` bound in the paper assumes edge-label tests are
 //! `O(1)`, yet a string-keyed tree pays a full comparison (and often a
 //! clone) per test. Real-world JSON corpora have tiny key vocabularies
-//! relative to their node counts, so a per-tree [`Interner`] turns the
-//! dominant per-node string work into `u32` compares:
+//! relative to their node counts, so an [`Interner`] turns the dominant
+//! per-node string work into `u32` compares:
 //!
 //! * [`JsonTree::build`](crate::JsonTree::build) interns every object key
 //!   and string leaf once; nodes store [`Sym`]s, never owned strings.
@@ -18,15 +18,18 @@
 //!   bit load; the lazy `(regex, Sym)` memo remains as the fallback for
 //!   regexes too large to determinise.
 //!
-//! Symbols are **per-tree**: comparing `Sym`s from different trees is
-//! meaningless (and the type offers no cross-tree guard beyond that
-//! documented contract, matching `NodeId`).
+//! Symbols are **per-interner**: every tree built through one interner
+//! (`parse_to_tree_into`, `JsonTree::build_into`, `concat_subtrees`, every
+//! segment of a `mongofind::Collection`) shares one assignment, so their
+//! `Sym`s compare directly. Comparing `Sym`s from trees built through
+//! different interners is meaningless (and the type offers no guard beyond
+//! that documented contract, matching `NodeId`).
 //!
 //! Symbols are allocated densely in interning order and never move, so a
-//! consumer can snapshot the table (`len` plus [`Interner::iter`]), build a
-//! dense per-symbol structure, and later catch up on symbols interned after
-//! the snapshot with [`Interner::iter_from`] — the contract the bitset tier
-//! relies on to stay valid while new atoms are interned.
+//! consumer can snapshot the table (`len` plus [`Interner::iter`]) and
+//! later catch up on symbols interned after the snapshot with
+//! [`Interner::iter_from`] — how `Collection::adopt_segment` replays a
+//! newer segment's symbols onto an older clone of its collection.
 
 use crate::fxhash::FxHashMap;
 

@@ -39,7 +39,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use jguard::{QueryCtx, QueryError};
 use jnl::ast::{Binary, Unary};
@@ -786,10 +786,9 @@ pub struct DocRef {
 /// document ever loaded, and filters evaluate on the trees directly with no
 /// per-query parsing, tree building, or value traversal.
 ///
-/// Owned [`Json`] documents are **not** kept eagerly: the value-returning
-/// APIs synthesize results from the tree ([`JsonTree::json_at`]), and
-/// [`Collection::docs`] materialises a compatibility snapshot lazily on
-/// first use.
+/// Owned [`Json`] documents are **not** kept: the value-returning APIs
+/// synthesize results from the tree ([`JsonTree::json_at`]), and
+/// [`Collection::docs`] materialises every document afresh on each call.
 ///
 /// A collection loaded from a non-array root has defined **single-document
 /// semantics**: the root value is the collection's one document. `find` and
@@ -819,6 +818,7 @@ pub struct DocRef {
 /// snapshot isolation on this clone (one per insert), with
 /// [`Collection::adopt_segment`] as the replay primitive that carries a
 /// segment built against a newer interner back onto an older clone.
+#[derive(Clone)]
 pub struct Collection {
     /// The shared symbol table; every segment's interner is a snapshot of
     /// this one at its build time.
@@ -828,9 +828,6 @@ pub struct Collection {
     /// The worker pool driving `find` scans and JNL evaluations (and the
     /// `jagg` executor over this collection).
     pool: Pool,
-    /// Lazily materialised owned documents (compatibility accessor only);
-    /// reset by [`Collection::insert`].
-    docs_cache: OnceLock<Vec<Json>>,
     /// The collection's declared JSL schema, if any — a **promise** that
     /// every document conforms (attachment does not validate documents;
     /// pair with the gatekeeper validation paths to enforce it). The
@@ -901,7 +898,6 @@ impl Collection {
             segments: vec![Arc::new(tree)],
             doc_refs,
             pool: Pool::auto(),
-            docs_cache: OnceLock::new(),
             schema: None,
             indexes: IndexSet::default(),
         }
@@ -1012,7 +1008,6 @@ impl Collection {
             node: tree.root(),
         });
         self.segments.push(tree);
-        self.docs_cache = OnceLock::new();
         // Incremental index maintenance: the new segment holds exactly one
         // document, appended at the end of the ordinal space.
         self.indexes
@@ -1044,13 +1039,10 @@ impl Collection {
         self.push_segment_arc(Arc::clone(tree));
     }
 
-    /// The documents, as owned values — a **compatibility accessor**,
-    /// materialised lazily from the tree column on first use and cached
-    /// until the next insert. Hot paths ([`Collection::find_with_ctx`],
-    /// aggregation) never touch this cache.
-    pub fn docs(&self) -> &[Json] {
-        self.docs_cache
-            .get_or_init(|| self.doc_refs.iter().map(|&d| self.json_of(d)).collect())
+    /// The documents, as owned values, materialised from the tree column
+    /// on every call. For tests and set-up; query paths never call it.
+    pub fn docs(&self) -> Vec<Json> {
+        self.doc_refs.iter().map(|&d| self.json_of(d)).collect()
     }
 
     /// Number of documents.
@@ -1081,12 +1073,6 @@ impl Collection {
     /// snapshot).
     pub fn interner(&self) -> &Interner {
         &self.interner
-    }
-
-    /// The initial segment tree (compatibility accessor from the
-    /// single-tree era; use [`Collection::segments`] to see inserts).
-    pub fn tree(&self) -> &JsonTree {
-        &self.segments[0]
     }
 
     /// Materialises one document from the tree column.
@@ -1273,31 +1259,10 @@ impl Collection {
             .map(|&node| DocRef { seg: 0, node })
             .collect();
         self.segments = vec![Arc::new(merged)];
-        self.docs_cache = OnceLock::new();
         // Node ids and canonical classes all changed: indexes are rebuilt
         // from the merged segment (correctness pinned by the post-compact
         // differential sweeps).
         self.indexes.rebuild(&self.segments, &self.doc_refs);
-    }
-}
-
-/// Cloning is the snapshot primitive: segment trees and index postings
-/// are shared by [`Arc`] bump (never copied), the doc-ref vector and the
-/// symbol table are copied (both `O(collection)` but allocation-flat —
-/// the same cost every single `insert` already pays for its interner
-/// snapshot), and the lazy docs cache starts empty rather than cloning
-/// materialised documents the snapshot may never read.
-impl Clone for Collection {
-    fn clone(&self) -> Collection {
-        Collection {
-            interner: self.interner.clone(),
-            segments: self.segments.clone(),
-            doc_refs: self.doc_refs.clone(),
-            pool: self.pool,
-            docs_cache: OnceLock::new(),
-            schema: self.schema.clone(),
-            indexes: self.indexes.clone(),
-        }
     }
 }
 
@@ -1531,7 +1496,7 @@ mod tests {
         // exactly like the value-backed one on every (filter, doc) pair.
         let coll = people();
         for f in filter_corpus() {
-            for d in coll.docs() {
+            for d in &coll.docs() {
                 let tree = JsonTree::build(d);
                 assert_eq!(f.matches(d), f.matches_tree(&tree), "filter {f:?} on {d}");
             }
@@ -1578,7 +1543,7 @@ mod tests {
         let fused = Collection::parse_str(src).unwrap();
         let two_pass = Collection::from_array(&parse(src).unwrap()).unwrap();
         assert_eq!(fused.docs(), two_pass.docs());
-        assert!(fused.tree().identical(two_pass.tree()));
+        assert!(fused.segments()[0].identical(&two_pass.segments()[0]));
         for f in filter_corpus() {
             assert_eq!(fused.find(&f), two_pass.find(&f), "filter {f:?}");
             assert_eq!(
@@ -1627,7 +1592,7 @@ mod tests {
         assert_eq!(coll.segments().len(), 3);
 
         // From-scratch rebuild over the materialised documents.
-        let rebuilt = Collection::from_array(&Json::Array(coll.docs().to_vec())).unwrap();
+        let rebuilt = Collection::from_array(&Json::Array(coll.docs())).unwrap();
         assert_eq!(coll.docs(), rebuilt.docs());
         for f in filter_corpus() {
             assert_eq!(coll.find(&f), rebuilt.find(&f), "filter {f:?}");

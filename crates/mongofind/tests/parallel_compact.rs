@@ -165,7 +165,7 @@ fn parallel_scan_respects_document_order() {
 fn compact_preserves_documents_and_query_answers() {
     let projection = Projection::parse_str(r#"{"name.last": 1, "age": 1}"#).unwrap();
     let mut coll = fragmented(300);
-    let docs_before = coll.docs().to_vec();
+    let docs_before = coll.docs();
     let sym_age = coll.interner().lookup("age").unwrap();
     let answers_before: Vec<(Vec<Json>, Vec<Json>, Vec<Json>)> = filter_corpus()
         .iter()
@@ -219,7 +219,7 @@ fn compact_equivalence_on_seeded_random_documents() {
     for seed in 0..40u64 {
         coll.insert(&gen::random_json(&gen::GenConfig::sized(seed, 50)));
     }
-    let docs_before = coll.docs().to_vec();
+    let docs_before = coll.docs();
     let filters = filter_corpus();
     let before: Vec<Vec<Json>> = filters.iter().map(|f| coll.find(f)).collect();
 

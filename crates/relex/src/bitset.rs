@@ -27,8 +27,7 @@
 //!
 //! A bitset is built against a *snapshot* of the symbol table (symbols
 //! `0..len` at compile time). Symbols interned later are still answered
-//! correctly — by a direct DFA run — and [`SymMatcher::extend`] appends
-//! their verdicts so they rejoin the bit-test fast path.
+//! correctly, by a direct DFA run.
 
 use crate::dfa::Dfa;
 use crate::memo::{KeyMatchMemo, RegexKeyedVec};
@@ -122,7 +121,7 @@ pub struct SymMatcher {
 
 enum Repr {
     /// Bitset over the symbol snapshot; the DFA stays around to answer
-    /// symbols interned after the snapshot and to extend the bitset.
+    /// symbols interned after the snapshot.
     Bits { dfa: Dfa, bits: SymBitset },
     /// Lazy tri-state memo (regex too large to determinise).
     Memo(KeyMatchMemo),
@@ -191,18 +190,6 @@ impl SymMatcher {
         match &self.repr {
             Repr::Bits { dfa, .. } => dfa.is_match(s),
             Repr::Memo(m) => m.is_match(s),
-        }
-    }
-
-    /// Appends verdicts for symbols interned after the snapshot this
-    /// matcher was compiled against (`strings` must yield exactly the new
-    /// strings, in symbol order). No-op on the memo tier, which is lazy by
-    /// construction.
-    pub fn extend<'a>(&mut self, strings: impl Iterator<Item = &'a str>) {
-        if let Repr::Bits { dfa, bits } = &mut self.repr {
-            for s in strings {
-                bits.push(dfa.is_match(s));
-            }
         }
     }
 }
@@ -329,13 +316,13 @@ mod tests {
         let e = Regex::parse("k[0-9]+").unwrap();
         let snapshot = ["k1", "nope"];
         let mut m = SymMatcher::compile(&e, snapshot.iter().copied());
+        // In-snapshot symbols are bit tests that never resolve.
+        assert!(m.matches_sym(0, || unreachable!("bit test must not resolve")));
         // Symbols 2 and 3 were interned after the snapshot.
         assert!(m.matches_sym(2, || "k42"));
         assert!(!m.matches_sym(3, || "zzz"));
+        // Answering them leaves the snapshot bitset at its compiled length.
         assert_eq!(m.bitset().unwrap().len(), 2);
-        m.extend(["k42", "zzz"].into_iter());
-        assert_eq!(m.bitset().unwrap().len(), 4);
-        assert!(m.matches_sym(2, || unreachable!("bit test must not resolve")));
     }
 
     #[test]
