@@ -321,13 +321,7 @@ impl<'c> Engine<'c> {
                 &stages[1..]
             }
             _ => {
-                rows = self
-                    .coll
-                    .doc_refs()
-                    .iter()
-                    .copied()
-                    .map(Row::node)
-                    .collect();
+                rows = self.coll.doc_refs().into_iter().map(Row::node).collect();
                 stages
             }
         };

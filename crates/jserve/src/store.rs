@@ -2,18 +2,19 @@
 //!
 //! A [`Store`] wraps a [`Collection`] for concurrent serving. Readers
 //! call [`Store::snapshot`] and get an immutable [`Snapshot`] — an
-//! `Arc`-shared view of the collection (segment trees, interner view,
-//! index set) that stays valid for as long as they hold it, no matter
-//! what the writer does meanwhile. The segmented column makes this
-//! cheap: a collection clone is a handful of `Arc` bumps plus the
-//! interner table, never a copy of document data.
+//! `Arc`-shared view of the collection (segment trees with their symbol
+//! tables, index set) that stays valid for as long as they hold it, no
+//! matter what the writer does meanwhile. The segmented column makes this
+//! cheap: a collection clone is O(segments) `Arc` bumps, never a copy of
+//! a symbol table or of document data.
 //!
 //! ## Write protocol
 //!
 //! A single writer lock serializes mutation. [`Store::insert_str`]
 //! clones the current snapshot's collection (cheap), appends the new
-//! document as an insert-segment through the shared interner lineage
-//! (indexes maintained incrementally), appends the document text to the
+//! document as an insert-segment built on the last segment's symbol table
+//! (shared when the document brings no new string, copied once when it
+//! does; indexes maintained incrementally), appends the document text to the
 //! **commit log**, and publishes the new snapshot atomically. Readers
 //! holding the old snapshot are untouched; the next
 //! [`Store::snapshot`] call sees the new epoch.
@@ -136,9 +137,23 @@ impl Store {
     /// epoch with a bumped layout. Returns `false` (publishing nothing)
     /// when a concurrent compaction published first.
     pub fn compact(&self) -> bool {
+        let (base, merged) = self.merge();
+        self.install(&base, merged)
+    }
+
+    /// The merge half of [`Store::compact`], off the writer lock: the
+    /// current snapshot and its compacted collection.
+    fn merge(&self) -> (Arc<Snapshot>, Collection) {
         let base = self.snapshot();
         let mut coll = base.coll.clone();
         coll.compact();
+        (base, coll)
+    }
+
+    /// The install half of [`Store::compact`]: `coll` is `base`'s
+    /// collection, compacted. Adopts the segments committed since `base`
+    /// and publishes, unless another compaction published first.
+    fn install(&self, base: &Snapshot, mut coll: Collection) -> bool {
         // The catch-up runs under the writer lock: no insert can commit
         // while segments are adopted, and the lock is held only for the
         // (bounded) suffix of segments that raced the merge — never for
@@ -239,24 +254,65 @@ mod tests {
 
     #[test]
     fn compact_adopts_segments_committed_during_merge() {
-        // Simulate "insert raced the merge" deterministically: the race
-        // window is between `base` and the writer-lock catch-up, which
-        // the concurrent s11 storm exercises for real; here the adopted
-        // path is forced by inserting after compact() already ran once
-        // (segments > 1 again) and compacting again.
-        let store = Store::new(seed());
-        store
-            .insert_str(r#"{"id": 7, "age": 70}"#, ParseLimits::default())
-            .unwrap();
-        assert!(store.compact());
-        store
-            .insert_str(r#"{"id": 8, "age": 80}"#, ParseLimits::default())
-            .unwrap();
+        // The race window of a background compaction, forced
+        // deterministically: k inserts commit between the merge half and
+        // the install half, so the install must adopt all k.
+        let mut coll = seed();
+        coll.create_index("age");
+        let store = Store::new(coll);
+        for i in 0..3 {
+            store
+                .insert_str(
+                    &format!(r#"{{"id": {}, "age": {}}}"#, 10 + i, 60 + i),
+                    ParseLimits::default(),
+                )
+                .unwrap();
+        }
+        let (base, merged) = store.merge();
+        let k = 4;
+        for i in 0..k {
+            store
+                .insert_str(
+                    &format!(
+                        r#"{{"id": {}, "age": {}, "tag": "raced-{i}"}}"#,
+                        20 + i,
+                        70 + i
+                    ),
+                    ParseLimits::default(),
+                )
+                .unwrap();
+        }
+        let raced = store.snapshot();
+        assert!(store.install(&base, merged));
         let snap = store.snapshot();
-        assert_eq!(snap.collection().len(), 4);
-        assert_eq!(snap.collection().segments().len(), 2);
-        let f = Filter::parse_str(r#"{"age": {"$gte": 70}}"#).unwrap();
-        assert_eq!(snap.collection().find(&f).len(), 2);
+        let c = snap.collection();
+        assert_eq!(c.segments().len(), 1 + k, "merged segment + k adopted");
+        assert_eq!(snap.epoch(), raced.epoch(), "compaction keeps the epoch");
+        assert_eq!(snap.layout(), raced.layout() + 1);
+
+        // Results equal a serial replay of the committed log prefix.
+        let mut replay = seed();
+        for entry in store.log_prefix(snap.epoch() as usize) {
+            replay.insert_str(&entry).unwrap();
+        }
+        assert_eq!(c.docs(), replay.docs());
+        for q in [
+            r#"{"age": {"$gte": 62}}"#,
+            r#"{"tag": "raced-2"}"#,
+            r#"{"id": 1}"#,
+        ] {
+            let f = Filter::parse_str(q).unwrap();
+            assert_eq!(c.find(&f), replay.find(&f), "{q}");
+        }
+
+        // The adopted documents' new strings resolve through the
+        // collection's table, to the symbols their segments carry.
+        for (i, seg) in c.segments()[1..].iter().enumerate() {
+            let tag = format!("raced-{i}");
+            let sym = c.interner().lookup(&tag).expect("adopted string");
+            assert_eq!(seg.sym(&tag), Some(sym));
+            assert_eq!(c.interner().resolve(sym), tag);
+        }
     }
 
     #[test]

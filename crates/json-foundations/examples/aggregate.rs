@@ -70,8 +70,8 @@ fn main() {
         println!("  {doc}");
     }
 
-    // Incremental insert appends a segment to the tree column through the
-    // collection's shared interner; pipelines see the document at once.
+    // Incremental insert appends a segment to the tree column, built on
+    // the collection's symbol table; pipelines see the document at once.
     coll.insert_str(
         r#"{"name": {"first": "Sue", "last": "Zenith"}, "age": 99, "hobbies": ["chess"]}"#,
     )

@@ -5,10 +5,12 @@
 //! every malformed input. Both paths reduce to the same `TreeBuilder`
 //! event core; this suite pins that equivalence from the outside.
 
+use std::sync::Arc;
+
 use jsondata::serialize::{to_string, to_string_pretty};
 use jsondata::{
     gen, parse, parse_to_tree, parse_to_tree_into, parse_to_tree_with_limits, parse_with_limits,
-    CanonTable, Interner, JsonTree, ParseLimits,
+    CanonTable, JsonTree, ParseLimits,
 };
 
 /// Asserts full structural identity between the fused and two-pass trees of
@@ -267,9 +269,9 @@ fn shared_interner_symbols_are_stable_across_documents() {
         let doc_b = gen::random_json(&gen::GenConfig::sized(seed + 1000, 60));
         let (src_a, src_b) = (to_string(&doc_a), to_string(&doc_b));
 
-        let mut shared = Interner::new();
-        let t_a = parse_to_tree_into(&src_a, limits, &mut shared).unwrap();
-        let t_b = parse_to_tree_into(&src_b, limits, &mut shared).unwrap();
+        let t_a = parse_to_tree_into(&src_a, limits, &Arc::default()).unwrap();
+        let t_b = parse_to_tree_into(&src_b, limits, t_a.interner()).unwrap();
+        let shared = t_b.interner();
 
         // Sym stability: every string interned by both trees carries the
         // same symbol, and t_a's table is a prefix of t_b's.
@@ -282,9 +284,8 @@ fn shared_interner_symbols_are_stable_across_documents() {
         // The shared-interner tree is *not* identical to a fresh-interner
         // parse in general, but denotes the same value and matches the
         // two-pass shared-interner construction.
-        let mut shared2 = Interner::new();
-        let two_a = JsonTree::build_into(&parse(&src_a).unwrap(), &mut shared2);
-        let two_b = JsonTree::build_into(&parse(&src_b).unwrap(), &mut shared2);
+        let two_a = JsonTree::build_into(&parse(&src_a).unwrap(), &Arc::default());
+        let two_b = JsonTree::build_into(&parse(&src_b).unwrap(), two_a.interner());
         assert!(t_a.identical(&two_a), "seed {seed}: shared doc A");
         assert!(t_b.identical(&two_b), "seed {seed}: shared doc B");
         assert_eq!(t_a.to_json(), doc_a);
@@ -295,18 +296,21 @@ fn shared_interner_symbols_are_stable_across_documents() {
 #[test]
 fn shared_interner_survives_parse_errors() {
     let limits = ParseLimits::default();
-    let mut shared = Interner::new();
-    let t1 = parse_to_tree_into(r#"{"k": "v"}"#, limits, &mut shared).unwrap();
-    // A malformed document must not lose the shared table (it may add
-    // symbols from the well-formed prefix).
+    let t1 = parse_to_tree_into(r#"{"k": "v"}"#, limits, &Arc::default()).unwrap();
+    let shared = Arc::clone(t1.interner());
+    // A malformed document never writes its base table: neither existing
+    // symbols nor the well-formed prefix's new strings change it.
     let before = shared.lookup("k");
-    assert!(parse_to_tree_into(r#"{"new": "w", "bad" 1}"#, limits, &mut shared).is_err());
+    let len = shared.len();
+    assert!(parse_to_tree_into(r#"{"new": "w", "bad" 1}"#, limits, &shared).is_err());
     assert_eq!(
         shared.lookup("k"),
         before,
         "existing symbols survive errors"
     );
-    let t2 = parse_to_tree_into(r#"{"v": "k"}"#, limits, &mut shared).unwrap();
+    assert_eq!(shared.lookup("new"), None, "the failed prefix adds nothing");
+    assert_eq!(shared.len(), len);
+    let t2 = parse_to_tree_into(r#"{"v": "k"}"#, limits, &shared).unwrap();
     assert_eq!(t1.sym("k"), t2.sym("k"));
     assert_eq!(t1.sym("v"), t2.sym("v"));
 }

@@ -18,18 +18,18 @@
 //!   bit load; the lazy `(regex, Sym)` memo remains as the fallback for
 //!   regexes too large to determinise.
 //!
-//! Symbols are **per-interner**: every tree built through one interner
-//! (`parse_to_tree_into`, `JsonTree::build_into`, `concat_subtrees`, every
-//! segment of a `mongofind::Collection`) shares one assignment, so their
-//! `Sym`s compare directly. Comparing `Sym`s from trees built through
-//! different interners is meaningless (and the type offers no guard beyond
-//! that documented contract, matching `NodeId`).
+//! Symbols are **per-interner**: every tree built on one table or on an
+//! extension of it (`parse_to_tree_into`, `JsonTree::build_into`,
+//! `concat_subtrees`, every segment of a `mongofind::Collection`) shares
+//! one assignment, so their `Sym`s compare directly. Comparing `Sym`s from
+//! trees built through different interners is meaningless (and the type
+//! offers no guard beyond that documented contract, matching `NodeId`).
 //!
 //! Symbols are allocated densely in interning order and never move, so a
-//! consumer can snapshot the table (`len` plus [`Interner::iter`]) and
-//! later catch up on symbols interned after the snapshot with
-//! [`Interner::iter_from`] — how `Collection::adopt_segment` replays a
-//! newer segment's symbols onto an older clone of its collection.
+//! table extended from another keeps every symbol of its base. Trees hold
+//! their table behind an `Arc`: a tree whose document brings no new string
+//! shares its base's table, and one that does copies the table once, at
+//! its first new string, and extends the copy.
 
 use crate::fxhash::FxHashMap;
 
@@ -115,18 +115,9 @@ impl Interner {
 
     /// Iterates `(Sym, &str)` pairs in interning order.
     pub fn iter(&self) -> impl Iterator<Item = (Sym, &str)> {
-        self.iter_from(0)
-    }
-
-    /// Iterates `(Sym, &str)` pairs starting at symbol index `start` — the
-    /// catch-up half of the snapshot contract: a dense structure built over
-    /// symbols `0..start` extends itself with exactly the strings interned
-    /// since.
-    pub fn iter_from(&self, start: usize) -> impl Iterator<Item = (Sym, &str)> {
         self.strings
             .iter()
             .enumerate()
-            .skip(start)
             .map(|(i, s)| (Sym(i as u32), s.as_ref()))
     }
 }
@@ -166,20 +157,5 @@ mod tests {
         i.intern("a");
         let pairs: Vec<(usize, &str)> = i.iter().map(|(s, t)| (s.index(), t)).collect();
         assert_eq!(pairs, vec![(0, "z"), (1, "a")]);
-    }
-
-    #[test]
-    fn iter_from_resumes_a_snapshot() {
-        let mut i = Interner::new();
-        i.intern("a");
-        i.intern("b");
-        let snapshot = i.len();
-        i.intern("c");
-        i.intern("a"); // duplicate: no new symbol
-        i.intern("d");
-        let fresh: Vec<(usize, &str)> =
-            i.iter_from(snapshot).map(|(s, t)| (s.index(), t)).collect();
-        assert_eq!(fresh, vec![(2, "c"), (3, "d")]);
-        assert!(i.iter_from(i.len()).next().is_none());
     }
 }

@@ -18,7 +18,8 @@
 //!   object-child relation and an index-labelled array-child relation.
 //!   Storage is CSR-style (flattened child arrays addressed by offset
 //!   spans), and every object key and string atom is interned into a
-//!   per-tree symbol table.
+//!   symbol table the tree holds behind an `Arc`, shared with the trees
+//!   built on it that added no string.
 //! * [`intern`] — the symbol layer: [`Sym`] (a stable `u32` per distinct
 //!   string) and [`Interner`]. Edge-label tests across the logic engines
 //!   compare symbols, never strings; `child_by_key` is an `O(1)` interner

@@ -18,12 +18,12 @@
 //!   malformed input; `tests/parse_fusion.rs` asserts both properties
 //!   differentially.
 //!
-//! [`parse_to_tree_into`] additionally threads a caller-owned [`Interner`]
-//! through the parse, so a batch of documents loaded through one interner
-//! assigns the same [`Sym`](crate::Sym) to the same string across all of
-//! their trees (each tree carries a snapshot clone of the shared table; on a
-//! parse error the shared table is preserved, though it may retain symbols
-//! interned from the failed prefix).
+//! [`parse_to_tree_into`] additionally starts the parse from a base
+//! [`Interner`], so a batch of documents, each parsed on the previous
+//! tree's table, assigns the same [`Sym`](crate::Sym) to the same string
+//! across all of their trees. A tree shares its base table until the
+//! document brings a new string; the base itself is never written, so a
+//! parse error leaves it exactly as it was.
 //!
 //! ## Shape
 //!
@@ -40,6 +40,7 @@
 
 use std::borrow::Cow;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use crate::error::{ParseError, ParseErrorKind, Position};
 use crate::fxhash::{FxHashSet, FxHasher};
@@ -114,35 +115,24 @@ pub fn parse_to_tree(input: &str) -> Result<JsonTree, ParseError> {
 /// semantics match [`parse_with_limits`] exactly (same error kind at the
 /// same position on every malformed input).
 pub fn parse_to_tree_with_limits(input: &str, limits: ParseLimits) -> Result<JsonTree, ParseError> {
-    let mut builder = TreeBuilder::new(Interner::new());
-    parse_document(input, limits, &mut builder)?;
-    Ok(builder.finish())
+    parse_to_tree_into(input, limits, &Arc::default())
 }
 
-/// [`parse_to_tree_with_limits`] interning into a caller-owned shared table
-/// — the batch-loading form: every document parsed through one `interner`
-/// assigns the same [`Sym`](crate::Sym) to the same string, so symbols are
-/// comparable across the resulting trees. Each returned tree carries a
-/// snapshot clone of the shared table (cost `O(symbols interned so far)`);
-/// on error the shared table is left usable (it may retain symbols from the
-/// document's well-formed prefix).
+/// [`parse_to_tree_with_limits`] interning on top of a `base` table — the
+/// batch-loading form: parsing each document on the previous tree's table
+/// assigns the same [`Sym`](crate::Sym) to the same string across the
+/// batch, so symbols are comparable across the resulting trees. The tree
+/// shares `base` when the document brings no new string; otherwise it
+/// holds an extended copy (cost `O(symbols)`, paid at the first new
+/// string). `base` is never written, so an error leaves it unchanged.
 pub fn parse_to_tree_into(
     input: &str,
     limits: ParseLimits,
-    interner: &mut Interner,
+    base: &Arc<Interner>,
 ) -> Result<JsonTree, ParseError> {
-    let mut builder = TreeBuilder::new(std::mem::take(interner));
-    match parse_document(input, limits, &mut builder) {
-        Ok(()) => {
-            let tree = builder.finish();
-            *interner = tree.interner().clone();
-            Ok(tree)
-        }
-        Err(e) => {
-            *interner = builder.into_interner();
-            Err(e)
-        }
-    }
+    let mut builder = TreeBuilder::new(Arc::clone(base));
+    parse_document(input, limits, &mut builder)?;
+    Ok(builder.finish())
 }
 
 /// Receiver of the document-order parse event stream. Exactly one value is
@@ -907,13 +897,16 @@ mod tests {
 
     #[test]
     fn shared_interner_keeps_symbols_stable() {
-        let mut shared = Interner::new();
         let limits = ParseLimits::default();
-        let t1 = parse_to_tree_into(r#"{"k": "v"}"#, limits, &mut shared).unwrap();
-        let t2 = parse_to_tree_into(r#"{"v": "k", "w": 1}"#, limits, &mut shared).unwrap();
+        let t1 = parse_to_tree_into(r#"{"k": "v"}"#, limits, &Arc::default()).unwrap();
+        let t2 = parse_to_tree_into(r#"{"v": "k", "w": 1}"#, limits, t1.interner()).unwrap();
         assert_eq!(t1.sym("k"), t2.sym("k"));
         assert_eq!(t1.sym("v"), t2.sym("v"));
-        assert_eq!(t1.sym("w"), None, "t1 snapshot predates \"w\"");
-        assert_eq!(shared.lookup("w"), t2.sym("w"));
+        assert_eq!(t1.sym("w"), None, "t1's table predates \"w\"");
+        assert_eq!(t2.interner().lookup("w"), t2.sym("w"));
+        assert!(t2.sym("w").is_some());
+        // A document of known strings only shares its base table.
+        let t3 = parse_to_tree_into(r#"["k", {"w": "v"}]"#, limits, t2.interner()).unwrap();
+        assert!(Arc::ptr_eq(t2.interner(), t3.interner()));
     }
 }

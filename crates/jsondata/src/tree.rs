@@ -11,9 +11,11 @@
 //!   *descending* order therefore visits children before parents — the
 //!   bottom-up evaluation order used throughout the logic engines — without
 //!   materialising an explicit post-order.
-//! * All strings — object keys **and** string leaves — are interned into a
-//!   per-tree [`Interner`]; nodes store [`Sym`]s, never owned strings. Edge
-//!   tests on the logic engines' hot paths are therefore `u32` compares.
+//! * All strings — object keys **and** string leaves — are interned into
+//!   the tree's [`Interner`]; nodes store [`Sym`]s, never owned strings.
+//!   Edge tests on the logic engines' hot paths are therefore `u32`
+//!   compares. The table sits behind an [`Arc`]: trees built from one base
+//!   table share it until a document brings a string the base lacks.
 //! * Storage is CSR-style: one flattened `children` array (with a parallel
 //!   `keys` array of symbols) addressed by per-node offset spans, instead of
 //!   one heap allocation per node. Object children are stored **sorted by
@@ -26,6 +28,7 @@
 //!   by the scaling benchmarks are safe.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::fxhash::FxHashSet;
 use crate::intern::{Interner, Sym};
@@ -42,7 +45,7 @@ impl NodeId {
     }
 
     /// Constructs a `NodeId` from a raw arena index (test/bench helper).
-    pub fn from_index(i: usize) -> NodeId {
+    pub const fn from_index(i: usize) -> NodeId {
         NodeId(i as u32)
     }
 }
@@ -119,8 +122,9 @@ pub struct JsonTree {
     height: Vec<u32>,
     /// `size[i]`: number of nodes in the subtree rooted at node `i`.
     size: Vec<u32>,
-    /// The per-tree symbol table for keys and string atoms.
-    interner: Interner,
+    /// The symbol table for keys and string atoms, shared with every tree
+    /// built from the same base that added no string of its own.
+    interner: Arc<Interner>,
 }
 
 /// The streaming construction core shared by [`JsonTree::build`] and the
@@ -133,7 +137,9 @@ pub struct JsonTree {
 /// * Node ids are assigned in document-order pre-order (parents before
 ///   children, subtrees contiguous).
 /// * Keys and string atoms are interned the moment they are lexed, so the
-///   symbol table grows in document order.
+///   symbol table grows in document order. The builder starts from a base
+///   table and copies it (`Arc::make_mut`) only at the first string the
+///   base lacks, so a document with no new string shares its base's table.
 /// * Open containers live on an explicit stack (`open`); their pending child
 ///   entries stack up in one shared `scratch` buffer, so construction does
 ///   **no per-node allocation** and document depth never becomes call-stack
@@ -150,7 +156,7 @@ pub struct JsonTree {
 /// [`JsonTree::identical`] trees by construction; the differential test
 /// suite (`tests/parse_fusion.rs`) pins that equivalence.
 pub(crate) struct TreeBuilder {
-    interner: Interner,
+    interner: Arc<Interner>,
     kinds: Vec<NodeKind>,
     parents: Vec<u32>,
     payload: Vec<u64>,
@@ -180,9 +186,9 @@ struct OpenFrame {
 }
 
 impl TreeBuilder {
-    /// A builder interning into `interner` (possibly pre-populated, for
-    /// shared-interner batch loading).
-    pub(crate) fn new(interner: Interner) -> TreeBuilder {
+    /// A builder interning on top of `interner` (possibly pre-populated,
+    /// for shared-interner batch loading).
+    pub(crate) fn new(interner: Arc<Interner>) -> TreeBuilder {
         TreeBuilder {
             interner,
             kinds: Vec::new(),
@@ -194,6 +200,15 @@ impl TreeBuilder {
             closed_span: Vec::new(),
             seen_keys: FxHashSet::default(),
             pending_key: NO_KEY,
+        }
+    }
+
+    /// The symbol of `s`, copying the base table on the first string it
+    /// lacks.
+    fn intern(&mut self, s: &str) -> Sym {
+        match self.interner.lookup(s) {
+            Some(sym) => sym,
+            None => Arc::make_mut(&mut self.interner).intern(s),
         }
     }
 
@@ -224,7 +239,7 @@ impl TreeBuilder {
 
     /// A string value (interned as an atom).
     pub(crate) fn str_atom(&mut self, s: &str) {
-        let sym = self.interner.intern(s);
+        let sym = self.intern(s);
         self.new_node(NodeKind::Str, sym.index() as u64);
     }
 
@@ -265,7 +280,7 @@ impl TreeBuilder {
     /// key duplicates an earlier member of that object (the caller reports
     /// the error; the builder is then abandoned).
     pub(crate) fn object_key(&mut self, key: &str) -> bool {
-        let sym = self.interner.intern(key);
+        let sym = self.intern(key);
         let top = self.open.last().expect("object_key outside an object");
         debug_assert!(top.is_obj, "object_key inside an array");
         if !self.seen_keys.insert((top.id, sym)) {
@@ -311,12 +326,6 @@ impl TreeBuilder {
         );
         self.closed.extend_from_slice(&self.scratch[start..]);
         self.scratch.truncate(start);
-    }
-
-    /// Recovers the interner from an abandoned builder (the shared-interner
-    /// entry point restores its caller's table on parse errors).
-    pub(crate) fn into_interner(self) -> Interner {
-        self.interner
     }
 
     /// Flattens into the final CSR arrays and computes the height/size
@@ -378,23 +387,19 @@ impl JsonTree {
     /// `JsonTree::build(&parse(s)?)` and `parse_to_tree(s)` produce
     /// [`JsonTree::identical`] trees.
     pub fn build(doc: &Json) -> JsonTree {
-        let mut b = TreeBuilder::new(Interner::new());
-        Self::feed(&mut b, doc);
-        b.finish()
+        Self::build_into(doc, &Arc::default())
     }
 
-    /// [`JsonTree::build`] interning into a caller-owned table — the batch
-    /// loading form: documents built through one interner assign the same
-    /// [`Sym`] to the same string, so symbols are comparable across their
-    /// trees. The returned tree carries a snapshot clone of the interner
-    /// (cost `O(symbols)`); `interner` keeps accumulating for the next
-    /// document.
-    pub fn build_into(doc: &Json, interner: &mut Interner) -> JsonTree {
-        let mut b = TreeBuilder::new(std::mem::take(interner));
+    /// [`JsonTree::build`] interning on top of a `base` table — the batch
+    /// loading form: each document is built from the previous tree's
+    /// table, so every string keeps one [`Sym`] across the batch and
+    /// symbols compare directly. The tree shares `base` when the document
+    /// brings no new string; otherwise it holds an extended copy (cost
+    /// `O(symbols)`, paid once, at the first new string).
+    pub fn build_into(doc: &Json, base: &Arc<Interner>) -> JsonTree {
+        let mut b = TreeBuilder::new(Arc::clone(base));
         Self::feed(&mut b, doc);
-        let tree = b.finish();
-        *interner = tree.interner.clone();
-        tree
+        b.finish()
     }
 
     /// Replays `doc` into the builder as a document-order event stream.
@@ -444,8 +449,8 @@ impl JsonTree {
         }
     }
 
-    /// Merges subtrees taken from trees that all intern through one shared
-    /// symbol assignment into a **single array-rooted tree**: the result's
+    /// Merges subtrees taken from trees that all share one symbol
+    /// assignment into a **single array-rooted tree**: the result's
     /// root is an array whose `i`-th element is a copy of `parts[i]`'s
     /// subtree. This is the segment-compaction primitive of
     /// `mongofind::Collection::compact` — many single-document insert
@@ -453,27 +458,24 @@ impl JsonTree {
     /// (one JNL evaluation, one canonical-label table, one parallel task
     /// *per segment*) collapses to one.
     ///
-    /// `interner` must be the shared table the part trees were built
-    /// through (each part's own interner is a prefix snapshot of it), so
-    /// every [`Sym`] in a part resolves to the same string in `interner`
-    /// and the replay copies symbols **without re-hashing a single
-    /// string**. The builder consumes the table and hands it back extended
-    /// (unchanged, in fact: replay interns nothing new).
+    /// `base` must extend the table of every part tree (the parts were
+    /// built through one lineage of tables), so every [`Sym`] in a part
+    /// resolves to the same string in `base` and the replay copies
+    /// symbols **without re-hashing a single string**. Replay interns
+    /// nothing new, so the merged tree shares `base` itself.
     ///
     /// Replay emits each object's members in the stored symbol-sorted
     /// order, so node ids within the result are pre-order over that
     /// layout; `json_at` values are exactly the part values (object
     /// equality is unordered).
-    pub fn concat_subtrees(parts: &[(&JsonTree, NodeId)], interner: &mut Interner) -> JsonTree {
-        let mut b = TreeBuilder::new(std::mem::take(interner));
+    pub fn concat_subtrees(parts: &[(&JsonTree, NodeId)], base: &Arc<Interner>) -> JsonTree {
+        let mut b = TreeBuilder::new(Arc::clone(base));
         b.begin_array();
         for &(tree, node) in parts {
             tree.replay_into(node, &mut b);
         }
         b.end_array();
-        let merged = b.finish();
-        *interner = merged.interner.clone();
-        merged
+        b.finish()
     }
 
     /// Replays the subtree at `n` into `b` as a document-order event
@@ -554,8 +556,9 @@ impl JsonTree {
         self.kinds.len()
     }
 
-    /// The tree's symbol table (object keys and string atoms).
-    pub fn interner(&self) -> &Interner {
+    /// The tree's symbol table (object keys and string atoms), shared by
+    /// reference with the trees built on it that added no string.
+    pub fn interner(&self) -> &Arc<Interner> {
         &self.interner
     }
 
@@ -1135,9 +1138,10 @@ mod tests {
 
     #[test]
     fn concat_subtrees_merges_shared_interner_parts() {
-        // Three "segments" built through one shared interner, then merged:
-        // values round-trip, symbols stay shared, nothing new is interned.
-        let mut shared = crate::intern::Interner::new();
+        // Three "segments", each built on the previous one's table, then
+        // merged: values round-trip, symbols stay shared, nothing new is
+        // interned.
+        let mut shared = Arc::default();
         let docs = [
             parse(r#"{"name": {"first": "Sue"}, "age": 28}"#).unwrap(),
             parse(r#"{"name": {"first": "John"}, "tags": ["a", "Sue"]}"#).unwrap(),
@@ -1145,12 +1149,27 @@ mod tests {
         ];
         let segs: Vec<JsonTree> = docs
             .iter()
-            .map(|d| JsonTree::build_into(d, &mut shared))
+            .map(|d| {
+                let t = JsonTree::build_into(d, &shared);
+                shared = Arc::clone(t.interner());
+                t
+            })
             .collect();
+        // The number-only third document brought no string: it shares the
+        // second segment's table.
+        assert!(Arc::ptr_eq(segs[1].interner(), segs[2].interner()));
         let before = shared.len();
         let parts: Vec<(&JsonTree, NodeId)> = segs.iter().map(|t| (t, t.root())).collect();
-        let merged = JsonTree::concat_subtrees(&parts, &mut shared);
-        assert_eq!(shared.len(), before, "replay interns nothing new");
+        let merged = JsonTree::concat_subtrees(&parts, &shared);
+        assert_eq!(
+            merged.interner().len(),
+            before,
+            "replay interns nothing new"
+        );
+        assert!(
+            Arc::ptr_eq(merged.interner(), &shared),
+            "so it shares the base"
+        );
         assert_eq!(merged.kind(merged.root()), NodeKind::Arr);
         assert_eq!(merged.child_count(merged.root()), 3);
         for (i, d) in docs.iter().enumerate() {
@@ -1173,20 +1192,18 @@ mod tests {
 
     #[test]
     fn concat_subtrees_of_nothing_is_an_empty_array() {
-        let mut shared = crate::intern::Interner::new();
-        let merged = JsonTree::concat_subtrees(&[], &mut shared);
+        let merged = JsonTree::concat_subtrees(&[], &Arc::default());
         assert_eq!(merged.to_json(), Json::array([]));
     }
 
     #[test]
     fn concat_subtrees_can_lift_inner_nodes() {
         // Parts need not be roots: any node of a shared-interner tree works.
-        let mut shared = crate::intern::Interner::new();
         let doc = parse(r#"{"a": {"x": 1}, "b": [7, 2]}"#).unwrap();
-        let t = JsonTree::build_into(&doc, &mut shared);
+        let t = JsonTree::build(&doc);
         let a = t.child_by_key(t.root(), "a").unwrap();
         let b = t.child_by_key(t.root(), "b").unwrap();
-        let merged = JsonTree::concat_subtrees(&[(&t, b), (&t, a)], &mut shared);
+        let merged = JsonTree::concat_subtrees(&[(&t, b), (&t, a)], t.interner());
         assert_eq!(merged.to_json(), parse(r#"[[7, 2], {"x": 1}]"#).unwrap());
     }
 

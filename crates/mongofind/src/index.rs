@@ -40,6 +40,7 @@
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use jguard::{QueryCtx, QueryError};
@@ -48,7 +49,9 @@ use jsondata::canon::CanonTable;
 use jsondata::{Json, JsonTree, NodeId};
 use jtrace::{Counter, SpanKind};
 
-use crate::{cmp_node_json, cmp_nodes, Cmp, Collection, DocRef, Filter, Path};
+use crate::{
+    cmp_node_json, cmp_nodes, doc_count, doc_refs_at, Cmp, Collection, DocRef, Filter, Path,
+};
 
 /// All secondary indexes of one [`Collection`], plus the per-segment
 /// canonical-label tables they share. Empty (the default) until
@@ -81,6 +84,7 @@ struct PathIndex {
 }
 
 /// The postings of one `(path, segment)` pair.
+#[derive(Default)]
 struct SegPosting {
     /// canon class → ascending global document ordinals (the hash side).
     eq: HashMap<u32, Vec<u32>>,
@@ -112,35 +116,40 @@ pub(crate) struct IndexPlan<'f> {
     pub(crate) residual: Vec<&'f Filter>,
 }
 
-/// Builds the postings of one `(path, segment)` pair from the segment's
-/// `(ordinal, doc-root)` list.
-fn build_posting(
+/// Builds the postings of `path` for segments `first..` of the column,
+/// filing the documents at `ordinals` (which must be exactly those
+/// segments' documents) under their segments in one ordinal-order pass.
+fn build_postings(
     path: &Path,
-    tree: &JsonTree,
-    canon: &CanonTable,
-    docs: &[(u32, NodeId)],
-) -> SegPosting {
-    let mut eq: HashMap<u32, Vec<u32>> = HashMap::new();
-    let mut sorted: Vec<(u32, NodeId)> = Vec::new();
-    for &(ord, doc) in docs {
-        if let Some(v) = path.resolve_node(tree, doc) {
-            eq.entry(canon.class_of(v)).or_default().push(ord);
-            sorted.push((ord, v));
+    segments: &[Arc<JsonTree>],
+    canons: &[Arc<CanonTable>],
+    first: usize,
+    ordinals: Range<usize>,
+) -> Vec<Arc<SegPosting>> {
+    let mut out: Vec<SegPosting> = segments[first..]
+        .iter()
+        .map(|_| SegPosting::default())
+        .collect();
+    for (ord, d) in ordinals.clone().zip(doc_refs_at(segments, ordinals)) {
+        let seg = d.seg as usize;
+        if let Some(v) = path.resolve_node(&segments[seg], d.node) {
+            let posting = &mut out[seg - first];
+            let class = canons[seg].class_of(v);
+            posting.eq.entry(class).or_default().push(ord as u32);
+            posting.sorted.push((ord as u32, v));
         }
     }
-    // Ordinal tiebreak keeps the column deterministic across rebuilds.
-    sorted.sort_by(|&(oa, na), &(ob, nb)| cmp_nodes(tree, na, nb).then(oa.cmp(&ob)));
-    SegPosting { eq, sorted }
-}
-
-/// Groups document ordinals by segment: `out[seg]` lists the
-/// `(global ordinal, doc-root)` pairs of that segment, in order.
-fn group_by_segment(n_segs: usize, doc_refs: &[DocRef]) -> Vec<Vec<(u32, NodeId)>> {
-    let mut per: Vec<Vec<(u32, NodeId)>> = vec![Vec::new(); n_segs];
-    for (i, d) in doc_refs.iter().enumerate() {
-        per[d.seg as usize].push((i as u32, d.node));
-    }
-    per
+    out.into_iter()
+        .zip(&segments[first..])
+        .map(|(mut posting, tree)| {
+            // Ordinal tiebreak keeps the column deterministic across
+            // rebuilds.
+            posting
+                .sorted
+                .sort_by(|&(oa, na), &(ob, nb)| cmp_nodes(tree, na, nb).then(oa.cmp(&ob)));
+            Arc::new(posting)
+        })
+        .collect()
 }
 
 impl IndexSet {
@@ -176,28 +185,13 @@ impl IndexSet {
 
     /// Declares an index on `path_str`, building it over the current
     /// column. Returns `false` (and changes nothing) if already declared.
-    pub(crate) fn create(
-        &mut self,
-        path_str: &str,
-        segments: &[Arc<JsonTree>],
-        doc_refs: &[DocRef],
-    ) -> bool {
+    pub(crate) fn create(&mut self, path_str: &str, segments: &[Arc<JsonTree>]) -> bool {
         if self.paths.iter().any(|p| p.name == path_str) {
             return false;
         }
         self.ensure_canons(segments);
         let path = Path::parse(path_str);
-        let per_seg = group_by_segment(segments.len(), doc_refs);
-        let segs = (0..segments.len())
-            .map(|s| {
-                Arc::new(build_posting(
-                    &path,
-                    &segments[s],
-                    &self.canons[s],
-                    &per_seg[s],
-                ))
-            })
-            .collect();
+        let segs = build_postings(&path, segments, &self.canons, 0, 0..doc_count(segments));
         self.paths.push(PathIndex {
             name: path_str.to_owned(),
             path,
@@ -206,57 +200,36 @@ impl IndexSet {
         true
     }
 
-    /// Incremental maintenance for [`Collection::insert`]: the new
-    /// single-document segment at `doc_refs[new_ordinal]` gets its canon
+    /// Incremental maintenance for [`Collection::insert`]: the new last
+    /// segment of `segments`, holding the last document, gets its canon
     /// table and one posting per declared index; existing postings are
     /// untouched. No-op while no index is declared.
-    pub(crate) fn add_segment(
-        &mut self,
-        segments: &[Arc<JsonTree>],
-        new_ordinal: usize,
-        doc_refs: &[DocRef],
-    ) {
+    pub(crate) fn add_segment(&mut self, segments: &[Arc<JsonTree>]) {
         if self.paths.is_empty() {
             return;
         }
-        let d = doc_refs[new_ordinal];
-        debug_assert_eq!(
-            d.seg as usize,
-            self.canons.len(),
-            "segments append one at a time"
-        );
-        let tree = &segments[d.seg as usize];
-        self.canons.push(Arc::new(CanonTable::build(tree)));
-        let canon = self.canons.last().expect("just pushed");
-        let docs = [(new_ordinal as u32, d.node)];
+        let last = segments.len() - 1;
+        debug_assert_eq!(last, self.canons.len(), "segments append one at a time");
+        self.ensure_canons(segments);
+        let n = doc_count(segments);
         for pi in &mut self.paths {
-            let posting = build_posting(&pi.path, tree, canon, &docs);
-            pi.segs.push(Arc::new(posting));
+            let posting = build_postings(&pi.path, segments, &self.canons, last, n - 1..n);
+            pi.segs.extend(posting);
         }
     }
 
     /// Full rebuild for [`Collection::compact`]: node ids and canon
     /// classes are all invalidated by the segment merge, so every table
     /// and posting is reconstructed from the new column.
-    pub(crate) fn rebuild(&mut self, segments: &[Arc<JsonTree>], doc_refs: &[DocRef]) {
+    pub(crate) fn rebuild(&mut self, segments: &[Arc<JsonTree>]) {
         if self.paths.is_empty() {
             return;
         }
         self.canons.clear();
         self.ensure_canons(segments);
-        let per_seg = group_by_segment(segments.len(), doc_refs);
-        let canons = &self.canons;
+        let n = doc_count(segments);
         for pi in &mut self.paths {
-            pi.segs = (0..segments.len())
-                .map(|s| {
-                    Arc::new(build_posting(
-                        &pi.path,
-                        &segments[s],
-                        &canons[s],
-                        &per_seg[s],
-                    ))
-                })
-                .collect();
+            pi.segs = build_postings(&pi.path, segments, &self.canons, 0, 0..n);
         }
     }
 
@@ -334,10 +307,9 @@ impl IndexSet {
         &self,
         plan: &IndexPlan<'_>,
         segments: &[Arc<JsonTree>],
-        doc_refs: &[DocRef],
         ctx: &QueryCtx,
     ) -> Result<Vec<DocRef>, QueryError> {
-        let n = doc_refs.len();
+        let n = doc_count(segments);
         let bitmap_bytes = (n.div_ceil(64) * 8) as u64;
         let mut acc: Option<BitSet> = None;
         for (ordinal, (pi, probe)) in plan.probes.iter().enumerate() {
@@ -364,9 +336,8 @@ impl IndexSet {
         let mut poll = ctx.poller();
         let mut out = Vec::new();
         let mut residual_evals = 0u64;
-        for i in acc.iter() {
+        for d in doc_refs_at(segments, acc.iter()) {
             poll.tick()?;
-            let d = doc_refs[i];
             let tree = &segments[d.seg as usize];
             if !plan.residual.is_empty() {
                 residual_evals += 1;
@@ -424,13 +395,7 @@ impl Collection {
     /// incrementally; [`Collection::compact`] rebuilds it. Returns
     /// `false` if the path is already indexed.
     pub fn create_index(&mut self, path: &str) -> bool {
-        let Collection {
-            indexes,
-            segments,
-            doc_refs,
-            ..
-        } = self;
-        indexes.create(path, segments, doc_refs)
+        self.indexes.create(path, &self.segments)
     }
 
     /// Whether a secondary index is declared on `path`.
@@ -460,8 +425,7 @@ impl Collection {
             .indexes
             .plan(filter)
             .expect("the index route implies a plan");
-        self.indexes
-            .execute(&plan, &self.segments, &self.doc_refs, ctx)
+        self.indexes.execute(&plan, &self.segments, ctx)
     }
 }
 

@@ -768,8 +768,11 @@ pub fn insert_path(pairs: &mut Vec<(String, Json)>, path: &[String], value: Json
 /// Where a document lives inside a [`Collection`]'s tree column: the
 /// segment tree holding it and its root node within that segment. Segment
 /// `0` is the initial load; every [`Collection::insert`] appends one more.
-/// All segments intern through one shared table, so a [`jsondata::Sym`] is
-/// comparable across the segments of one collection.
+/// Refs are derived from the segments, never stored: the first documents
+/// are segment 0's (its root's array children, or the root itself for a
+/// non-array load), then one per insert segment, at that segment's root.
+/// Each segment's table extends the one before it, so a
+/// [`jsondata::Sym`] is comparable across the segments of one collection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DocRef {
     /// Index into [`Collection::segments`].
@@ -781,10 +784,12 @@ pub struct DocRef {
 /// A queryable collection of documents, backed by a **persistent, segmented
 /// tree column**: the initial load is kept as one [`JsonTree`] (the whole
 /// collection array flattened through the fused parser), and every
-/// [`Collection::insert`] appends a further segment tree built through the
-/// collection's shared [`Interner`] — so one symbol table spans every
-/// document ever loaded, and filters evaluate on the trees directly with no
-/// per-query parsing, tree building, or value traversal.
+/// [`Collection::insert`] appends a further segment tree built on the last
+/// segment's [`Interner`] — so one symbol assignment spans every document
+/// ever loaded, and filters evaluate on the trees directly with no
+/// per-query parsing, tree building, or value traversal. The segments are
+/// the one source of truth: the collection's symbol table is the last
+/// segment's, and its document list is derived from the segments.
 ///
 /// Owned [`Json`] documents are **not** kept: the value-returning APIs
 /// synthesize results from the tree ([`JsonTree::json_at`]), and
@@ -809,22 +814,20 @@ pub struct DocRef {
 /// ## Snapshots
 ///
 /// Segment trees are held behind [`Arc`]s and never mutated after they
-/// are built, so a clone never re-builds or copies a tree: the trees and
-/// index postings are shared by reference bump. A clone does **copy**
-/// the symbol table and the doc-ref vector, so it costs O(distinct
-/// strings + documents) time and memory — about 40 µs at 20k documents
-/// on a 2-vCPU x86-64 VM — and since string *values* are interned, the
-/// symbol table holds document data. `jserve` builds its copy-on-write
-/// snapshot isolation on this clone (one per insert), with
-/// [`Collection::adopt_segment`] as the replay primitive that carries a
-/// segment built against a newer interner back onto an older clone.
+/// are built, so a clone never re-builds or copies a tree: the trees,
+/// their symbol tables, the index postings and the schema are shared by
+/// reference bump, and a clone costs O(segments). An insert whose
+/// document brings no new string shares the previous segment's table;
+/// one that does copies the table once, in O(distinct strings) — and
+/// since string *values* are interned, the table holds document data.
+/// `jserve` builds its copy-on-write snapshot isolation on this clone
+/// (one per insert), with [`Collection::adopt_segment`] as the append
+/// that carries a segment built on a newer clone back onto an older one.
 #[derive(Clone)]
 pub struct Collection {
-    /// The shared symbol table; every segment's interner is a snapshot of
-    /// this one at its build time.
-    interner: Interner,
+    /// The tree column. Never empty; segment `s + 1`'s symbol table
+    /// extends segment `s`'s, so the last table resolves every `Sym`.
     segments: Vec<Arc<JsonTree>>,
-    doc_refs: Vec<DocRef>,
     /// The worker pool driving `find` scans and JNL evaluations (and the
     /// `jagg` executor over this collection).
     pool: Pool,
@@ -834,7 +837,7 @@ pub struct Collection {
     /// `jstat` analyzer uses it for schema-aware dead-path detection
     /// (`J004`). The *expression itself* is validated at attachment:
     /// ill-formed schemas (dangling `$ref`, precedence cycle) are rejected.
-    schema: Option<jsl::RecursiveJsl>,
+    schema: Option<Arc<jsl::RecursiveJsl>>,
     /// Secondary indexes declared via [`Collection::create_index`]:
     /// per-path hash + sorted-column structures, maintained incrementally
     /// per insert-segment and rebuilt on [`Collection::compact`].
@@ -855,9 +858,7 @@ impl Collection {
     /// collection (the shared non-array-root semantics of `find` and
     /// `aggregate`).
     pub fn from_json(doc: &Json) -> Collection {
-        let mut interner = Interner::new();
-        let tree = JsonTree::build_into(doc, &mut interner);
-        Collection::from_first_segment(tree, interner)
+        Collection::from_first_segment(JsonTree::build(doc))
     }
 
     /// Builds from collection text through the **fused parser**: the
@@ -865,10 +866,8 @@ impl Collection {
     /// one pass — no intermediate value tree is ever built. Non-array roots
     /// get the [`Collection::from_json`] single-document semantics.
     pub fn parse_str(src: &str) -> Result<Collection, FilterError> {
-        let mut interner = Interner::new();
-        let tree = jsondata::parse_to_tree_into(src, ParseLimits::default(), &mut interner)
-            .map_err(|e| FilterError(e.to_string()))?;
-        Ok(Collection::from_first_segment(tree, interner))
+        let tree = jsondata::parse_to_tree(src).map_err(|e| FilterError(e.to_string()))?;
+        Ok(Collection::from_first_segment(tree))
     }
 
     /// [`Collection::parse_str`] with explicit [`ParseLimits`] — the
@@ -876,27 +875,13 @@ impl Collection {
     /// is rejected with [`QueryError::ParseLimit`] *before* any tree is
     /// built (the size cap is checked against the raw text length).
     pub fn parse_str_with_limits(src: &str, limits: ParseLimits) -> Result<Collection, QueryError> {
-        let mut interner = Interner::new();
-        let tree = jsondata::parse_to_tree_into(src, limits, &mut interner)?;
-        Ok(Collection::from_first_segment(tree, interner))
+        let tree = jsondata::parse_to_tree_with_limits(src, limits)?;
+        Ok(Collection::from_first_segment(tree))
     }
 
-    fn from_first_segment(tree: JsonTree, interner: Interner) -> Collection {
-        let doc_refs = match tree.kind(tree.root()) {
-            NodeKind::Arr => tree
-                .arr_children(tree.root())
-                .iter()
-                .map(|&node| DocRef { seg: 0, node })
-                .collect(),
-            _ => vec![DocRef {
-                seg: 0,
-                node: tree.root(),
-            }],
-        };
+    fn from_first_segment(tree: JsonTree) -> Collection {
         Collection {
-            interner,
             segments: vec![Arc::new(tree)],
-            doc_refs,
             pool: Pool::auto(),
             schema: None,
             indexes: IndexSet::default(),
@@ -919,7 +904,7 @@ impl Collection {
         schema: jsl::RecursiveJsl,
     ) -> Result<(), jsl::WellFormednessError> {
         schema.well_formed()?;
-        self.schema = Some(schema);
+        self.schema = Some(Arc::new(schema));
         Ok(())
     }
 
@@ -939,7 +924,7 @@ impl Collection {
 
     /// The declared JSL schema, if any.
     pub fn schema(&self) -> Option<&jsl::RecursiveJsl> {
-        self.schema.as_ref()
+        self.schema.as_deref()
     }
 
     /// Sets the worker pool driving this collection's query scans (and the
@@ -963,23 +948,23 @@ impl Collection {
 
     /// Appends **one** document (whatever its JSON type — an array value is
     /// one array-valued document, not a batch) as a new segment tree built
-    /// through the collection's shared interner, so its symbols are
-    /// comparable with every existing segment. Queries see the new document
+    /// on the collection's symbol table, so its symbols are comparable
+    /// with every existing segment. Queries see the new document
     /// immediately; results agree exactly with a from-scratch rebuild of
     /// the extended collection (differentially tested).
     pub fn insert(&mut self, doc: &Json) {
-        let tree = JsonTree::build_into(doc, &mut self.interner);
-        self.push_segment(tree);
+        let tree = JsonTree::build_into(doc, self.interner());
+        self.push_segment(Arc::new(tree));
     }
 
     /// [`Collection::insert`] from document text through the fused parser
-    /// ([`jsondata::parse_to_tree_into`] with the shared interner). On a
-    /// parse error the collection is unchanged (the shared table may retain
-    /// symbols from the document's well-formed prefix, which is harmless).
+    /// ([`jsondata::parse_to_tree_into`] on the collection's symbol
+    /// table). On a parse error the collection, its symbol table
+    /// included, is unchanged.
     pub fn insert_str(&mut self, src: &str) -> Result<(), FilterError> {
-        let tree = jsondata::parse_to_tree_into(src, ParseLimits::default(), &mut self.interner)
+        let tree = jsondata::parse_to_tree_into(src, ParseLimits::default(), self.interner())
             .map_err(|e| FilterError(e.to_string()))?;
-        self.push_segment(tree);
+        self.push_segment(Arc::new(tree));
         Ok(())
     }
 
@@ -992,67 +977,49 @@ impl Collection {
         src: &str,
         limits: ParseLimits,
     ) -> Result<(), QueryError> {
-        let tree = jsondata::parse_to_tree_into(src, limits, &mut self.interner)?;
-        self.push_segment(tree);
+        let tree = jsondata::parse_to_tree_into(src, limits, self.interner())?;
+        self.push_segment(Arc::new(tree));
         Ok(())
     }
 
-    fn push_segment(&mut self, tree: JsonTree) {
-        self.push_segment_arc(Arc::new(tree));
-    }
-
-    fn push_segment_arc(&mut self, tree: Arc<JsonTree>) {
-        let seg = self.segments.len() as u32;
-        self.doc_refs.push(DocRef {
-            seg,
-            node: tree.root(),
-        });
+    /// Appends one single-document segment, maintaining the indexes
+    /// incrementally.
+    fn push_segment(&mut self, tree: Arc<JsonTree>) {
         self.segments.push(tree);
-        // Incremental index maintenance: the new segment holds exactly one
-        // document, appended at the end of the ordinal space.
-        self.indexes
-            .add_segment(&self.segments, self.doc_refs.len() - 1, &self.doc_refs);
+        self.indexes.add_segment(&self.segments);
     }
 
     /// Appends an **already-built** segment tree shared with another
-    /// collection — the replay primitive of snapshot-isolated serving:
-    /// a compacted clone catches up with segments its origin appended
-    /// while the compaction ran, without re-parsing or copying them.
+    /// collection — how a compacted clone catches up with segments its
+    /// origin appended while the compaction ran, without re-parsing or
+    /// copying them.
     ///
-    /// The segment must come from the same interner lineage: its
-    /// interner snapshot has this collection's symbol table as a prefix
-    /// (or is a prefix of it). Interners grow append-only and interning
-    /// is monotone, so catching up means replaying the missing suffix of
-    /// the segment's table — symbol indices are preserved exactly, which
-    /// `debug_assert`s verify per adopted symbol. Adopting a segment
-    /// from an unrelated interner is a logic error and will scramble
-    /// query results (it cannot, however, cause memory unsafety).
+    /// The segment's symbol table must extend this collection's — it was
+    /// inserted into a clone of this collection's lineage after this
+    /// collection's last segment was built — since the adopted table
+    /// becomes the collection's table. Adopting a segment from an
+    /// unrelated lineage is a logic error and will scramble query results
+    /// (it cannot, however, cause memory unsafety).
     pub fn adopt_segment(&mut self, tree: &Arc<JsonTree>) {
-        let seg_interner = tree.interner();
-        for (sym, s) in seg_interner.iter_from(self.interner.len()) {
-            let assigned = self.interner.intern(s);
-            debug_assert_eq!(
-                assigned, sym,
-                "adopted segment is not from this collection's interner lineage"
-            );
-        }
-        self.push_segment_arc(Arc::clone(tree));
+        self.push_segment(Arc::clone(tree));
     }
 
     /// The documents, as owned values, materialised from the tree column
     /// on every call. For tests and set-up; query paths never call it.
     pub fn docs(&self) -> Vec<Json> {
-        self.doc_refs.iter().map(|&d| self.json_of(d)).collect()
+        doc_refs_at(&self.segments, 0..self.len())
+            .map(|d| self.json_of(d))
+            .collect()
     }
 
     /// Number of documents.
     pub fn len(&self) -> usize {
-        self.doc_refs.len()
+        doc_count(&self.segments)
     }
 
     /// Whether the collection holds no documents.
     pub fn is_empty(&self) -> bool {
-        self.doc_refs.is_empty()
+        self.len() == 0
     }
 
     /// The segment trees of the collection's tree column (segment 0 is the
@@ -1064,15 +1031,19 @@ impl Collection {
         &self.segments
     }
 
-    /// Every document's location in the tree column, in document order.
-    pub fn doc_refs(&self) -> &[DocRef] {
-        &self.doc_refs
+    /// Every document's location in the tree column, in document order
+    /// (derived from the segments on each call).
+    pub fn doc_refs(&self) -> Vec<DocRef> {
+        doc_refs_at(&self.segments, 0..self.len()).collect()
     }
 
-    /// The collection's shared symbol table (a superset of every segment's
-    /// snapshot).
-    pub fn interner(&self) -> &Interner {
-        &self.interner
+    /// The collection's symbol table: the last segment's, which extends
+    /// every earlier segment's table.
+    pub fn interner(&self) -> &Arc<Interner> {
+        self.segments
+            .last()
+            .expect("a collection has at least one segment")
+            .interner()
     }
 
     /// Materialises one document from the tree column.
@@ -1127,13 +1098,13 @@ impl Collection {
         ctx: &QueryCtx,
         keep: impl Fn(DocRef) -> bool + Sync,
     ) -> Result<Vec<DocRef>, QueryError> {
-        let n = self.doc_refs.len();
+        let n = self.len();
         let chunk = self.pool.chunk_for(n, DOC_CHUNK_MIN);
         self.pool.try_flat_map_chunks(ctx, n, chunk, |r| {
             let mut poll = ctx.poller();
             let mut out = Vec::new();
             ctx.record(Counter::DocsScanned, r.len() as u64);
-            for &d in &self.doc_refs[r] {
+            for d in doc_refs_at(&self.segments, r) {
                 poll.tick()?;
                 if keep(d) {
                     out.push(d);
@@ -1217,10 +1188,7 @@ impl Collection {
         let phi = filter.to_jnl();
         ctx.record(Counter::SegmentsVisited, self.segments.len() as u64);
         let sats = jnl::eval::evaluate_batch_ctx(&self.segments, &phi, &self.pool, ctx)?;
-        let out: Vec<DocRef> = self
-            .doc_refs
-            .iter()
-            .copied()
+        let out: Vec<DocRef> = doc_refs_at(&self.segments, 0..self.len())
             .filter(|d| sats[d.seg as usize][d.node.index()])
             .collect();
         ctx.charge_rows(out.len() as u64)?;
@@ -1228,7 +1196,7 @@ impl Collection {
     }
 
     /// Merges the tree column into **one segment**: every document's
-    /// subtree replays — symbols copied as-is through the shared interner,
+    /// subtree replays — symbols copied as-is onto the last segment's table,
     /// no string is ever re-hashed, no [`Json`] is ever materialised —
     /// into a single array-rooted [`JsonTree`]
     /// ([`JsonTree::concat_subtrees`]). Document order, query results and
@@ -1245,25 +1213,54 @@ impl Collection {
         if self.segments.len() <= 1 {
             return;
         }
-        let mut interner = std::mem::take(&mut self.interner);
-        let parts: Vec<(&JsonTree, NodeId)> = self
-            .doc_refs
-            .iter()
+        let parts: Vec<(&JsonTree, NodeId)> = doc_refs_at(&self.segments, 0..self.len())
             .map(|d| (self.segments[d.seg as usize].as_ref(), d.node))
             .collect();
-        let merged = JsonTree::concat_subtrees(&parts, &mut interner);
-        self.interner = interner;
-        self.doc_refs = merged
-            .arr_children(merged.root())
-            .iter()
-            .map(|&node| DocRef { seg: 0, node })
-            .collect();
+        let merged = JsonTree::concat_subtrees(&parts, self.interner());
         self.segments = vec![Arc::new(merged)];
         // Node ids and canonical classes all changed: indexes are rebuilt
         // from the merged segment (correctness pinned by the post-compact
         // differential sweeps).
-        self.indexes.rebuild(&self.segments, &self.doc_refs);
+        self.indexes.rebuild(&self.segments);
     }
+}
+
+/// Segment 0's documents: its root's array children, or the root itself
+/// for a non-array load.
+fn seed_docs(seed: &JsonTree) -> &[NodeId] {
+    const ROOT: &[NodeId] = &[NodeId::from_index(0)];
+    match seed.kind(seed.root()) {
+        NodeKind::Arr => seed.arr_children(seed.root()),
+        _ => ROOT,
+    }
+}
+
+/// Number of documents in the tree column `segments`: segment 0's, plus
+/// one per insert segment.
+pub(crate) fn doc_count(segments: &[Arc<JsonTree>]) -> usize {
+    seed_docs(&segments[0]).len() + segments.len() - 1
+}
+
+/// The document column, derived from the segments — the one mapping from
+/// document ordinals to tree-column locations. Ordinals `0..n0` are
+/// segment 0's `n0` documents ([`seed_docs`]); ordinal `n0 + s - 1` is the
+/// root of insert segment `s`. Yields the [`DocRef`] of each of
+/// `ordinals` (each `< doc_count(segments)`), in the order given.
+pub(crate) fn doc_refs_at<'a>(
+    segments: &'a [Arc<JsonTree>],
+    ordinals: impl Iterator<Item = usize> + 'a,
+) -> impl Iterator<Item = DocRef> + 'a {
+    let seed = seed_docs(&segments[0]);
+    ordinals.map(move |i| match seed.get(i) {
+        Some(&node) => DocRef { seg: 0, node },
+        None => {
+            let seg = i - seed.len() + 1;
+            DocRef {
+                seg: seg as u32,
+                node: segments[seg].root(),
+            }
+        }
+    })
 }
 
 #[cfg(test)]
@@ -1607,6 +1604,22 @@ mod tests {
         let age = coll.interner().lookup("age").unwrap();
         assert_eq!(coll.segments()[1].sym("age"), Some(age));
         assert_eq!(coll.segments()[2].sym("age"), Some(age));
+    }
+
+    #[test]
+    fn failed_insert_leaves_the_symbol_table_unchanged() {
+        let mut coll = people();
+        let (len, table) = (coll.interner().len(), Arc::clone(coll.interner()));
+        assert!(coll.insert_str(r#"{"brand-new": 1, "x" 2}"#).is_err());
+        assert_eq!(coll.interner().len(), len);
+        assert_eq!(coll.interner().lookup("brand-new"), None);
+        assert!(Arc::ptr_eq(coll.interner(), &table));
+        let limits = ParseLimits::depth(1);
+        assert!(coll
+            .insert_str_with_limits(r#"{"brand-new": [[1]]}"#, limits)
+            .is_err());
+        assert_eq!(coll.interner().lookup("brand-new"), None);
+        assert_eq!(coll.len(), 3);
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! results for every thread count — the 1-thread pool runs the chunks
 //! inline in order and is therefore the semantic oracle (`jpar`'s
 //! documented contract). The sweeps here cross thread counts {1, 2, 8}
-//! with the three segment layouts the tree column can be in: one big
-//! parse (a single array segment), many single-document insert segments,
-//! and the post-`compact()` merge of the latter. On every cell the
+//! with the segment layouts the tree column can be in: one big parse (a
+//! single array segment), many single-document insert segments, the
+//! post-`compact()` merge of the latter, a compacted clone that adopted
+//! segments its origin appended afterwards, and the `[]` and non-array
+//! single-document seeds. On every cell the
 //! routed path (`find_refs_with_ctx`, with and without an index to take)
 //! must equal the document-scan oracle, and so must the JNL oracle on
 //! the exactly JNL-compilable fragment.
@@ -15,9 +17,11 @@
 //! documents, symbols and every query answer must be unchanged by
 //! compaction, on a hand corpus and on seeded generated documents.
 
+use std::sync::Arc;
+
 use jguard::QueryCtx;
 use jpar::Pool;
-use jsondata::{gen, parse, serialize::to_string, Json};
+use jsondata::{gen, parse, serialize::to_string, Json, NodeKind};
 use mongofind::{Collection, DocRef, Filter, Projection};
 
 fn routed(coll: &Collection, f: &Filter) -> Vec<DocRef> {
@@ -73,30 +77,64 @@ fn big_parse(n: usize) -> Collection {
     Collection::parse_str(&to_string(&gen::person_records(n, 42))).unwrap()
 }
 
-/// `n` single-document insert segments (the fragmented layout).
-fn fragmented(n: usize) -> Collection {
+fn person_docs(n: usize) -> Vec<Json> {
     let Json::Array(docs) = gen::person_records(n, 42) else {
         panic!("person_records returns an array");
     };
+    docs
+}
+
+/// `n` single-document insert segments (the fragmented layout).
+fn fragmented(n: usize) -> Collection {
     let mut coll = Collection::parse_str("[]").unwrap();
-    for d in &docs {
+    for d in &person_docs(n) {
         coll.insert_str(&to_string(d)).unwrap();
     }
     assert_eq!(coll.segments().len(), n + 1);
     coll
 }
 
-fn shapes(n: usize) -> Vec<(&'static str, Collection)> {
+/// The first `n - k` documents inserted and compacted on a clone, then the
+/// last `k` inserted on the origin and adopted by the compacted clone —
+/// the catch-up of a background compaction.
+fn compacted_then_adopted(n: usize, k: usize) -> Collection {
+    let docs = person_docs(n);
+    let mut origin = Collection::parse_str("[]").unwrap();
+    for d in &docs[..n - k] {
+        origin.insert_str(&to_string(d)).unwrap();
+    }
+    let mut compacted = origin.clone();
+    compacted.compact();
+    for d in &docs[n - k..] {
+        origin.insert_str(&to_string(d)).unwrap();
+    }
+    for seg in &origin.segments()[n - k + 1..] {
+        compacted.adopt_segment(seg);
+    }
+    assert_eq!(compacted.segments().len(), 1 + k);
+    compacted
+}
+
+/// Every layout, with the documents a one-parse load of the same input
+/// holds.
+fn shapes(n: usize) -> Vec<(&'static str, Collection, Vec<Json>)> {
     let mut compacted = fragmented(n);
     compacted.compact();
+    let single = r#"{"age": 30, "name": {"first": "Sue"}}"#;
     vec![
-        ("one_big_parse", big_parse(n)),
-        ("fragmented_inserts", fragmented(n)),
-        ("post_compact", compacted),
-        ("empty", Collection::parse_str("[]").unwrap()),
+        ("one_big_parse", big_parse(n), person_docs(n)),
+        ("fragmented_inserts", fragmented(n), person_docs(n)),
+        ("post_compact", compacted, person_docs(n)),
+        (
+            "compacted_then_adopted",
+            compacted_then_adopted(n, n / 10),
+            person_docs(n),
+        ),
+        ("empty", Collection::parse_str("[]").unwrap(), vec![]),
         (
             "single_doc",
-            Collection::parse_str(r#"{"age": 30, "name": {"first": "Sue"}}"#).unwrap(),
+            Collection::parse_str(single).unwrap(),
+            vec![parse(single).unwrap()],
         ),
     ]
 }
@@ -106,7 +144,7 @@ fn find_paths_agree_across_thread_counts_and_layouts() {
     // 1000 docs: comfortably past the parallel thresholds (chunked scans
     // and multi-segment JNL fan-out both engage at 2 and 8 threads).
     let projection = Projection::parse_str(r#"{"name.first": 1, "age": 1}"#).unwrap();
-    for (label, mut coll) in shapes(1000) {
+    for (label, mut coll, _) in shapes(1000) {
         // The same layout with an index to route through: `age` filters
         // take the index route there and the scan route on `coll`.
         let mut indexed = coll.clone();
@@ -135,6 +173,59 @@ fn find_paths_agree_across_thread_counts_and_layouts() {
                 assert_eq!(via_jnl(&coll, &f), refs_jnl, "{label} x{threads} {f:?}");
             }
         }
+    }
+}
+
+#[test]
+fn derived_doc_column_and_symbol_table_hold_on_every_layout() {
+    // The invariants the collection derives from its segments instead of
+    // storing: the document list and the symbol table.
+    for (label, mut coll, docs) in shapes(300) {
+        // doc_refs() is segment 0's documents (the root's array children,
+        // or the root of a non-array seed), then one root per insert
+        // segment.
+        let segs = coll.segments();
+        let seed = &segs[0];
+        let mut expect: Vec<DocRef> = match seed.kind(seed.root()) {
+            NodeKind::Arr => seed
+                .arr_children(seed.root())
+                .iter()
+                .map(|&node| DocRef { seg: 0, node })
+                .collect(),
+            _ => vec![DocRef {
+                seg: 0,
+                node: seed.root(),
+            }],
+        };
+        for (s, tree) in segs.iter().enumerate().skip(1) {
+            expect.push(DocRef {
+                seg: s as u32,
+                node: tree.root(),
+            });
+        }
+        assert_eq!(coll.doc_refs(), expect, "{label}");
+        assert_eq!(coll.len(), docs.len(), "{label}");
+        assert_eq!(coll.docs(), docs, "{label}");
+
+        // Every segment's symbols resolve the same through the
+        // collection's table as through the segment's own.
+        for tree in segs {
+            for (sym, s) in tree.interner().iter() {
+                assert_eq!(coll.interner().resolve(sym), s, "{label}");
+            }
+        }
+
+        // A clone shares the table; so does an insert whose strings are
+        // all known already.
+        assert!(
+            Arc::ptr_eq(coll.clone().interner(), coll.interner()),
+            "{label}"
+        );
+        let table = Arc::clone(coll.interner());
+        let known = docs.first().cloned().unwrap_or(Json::Num(7));
+        coll.insert_str(&to_string(&known)).unwrap();
+        assert!(Arc::ptr_eq(coll.interner(), &table), "{label}");
+        assert_eq!(coll.docs().last(), Some(&known), "{label}");
     }
 }
 
