@@ -1616,16 +1616,20 @@ fn s7() {
     println!("wrote BENCH_robustness.json");
 }
 
+/// The S8 sat sweeps as `(seed, formulas, depth, step budget)`. Each budget
+/// is about 1.5x the most steps any formula of its sweep needs (67 on sweep
+/// 11, 3,417 on sweep 22): a search regression of that size trips gate 2.
+const S8_SWEEPS: [(u64, usize, usize, usize); 2] = [(11, 400, 3, 100), (22, 200, 4, 5_100)];
+
 /// S8 — the static-analysis experiment. Deterministic gates inside the
 /// harness:
 ///
-/// 1. the Sym-keyed deterministic sat solver and the frozen string-keyed
-///    oracle must agree Sat/Unsat/Unknown on every formula of the shared
-///    `jnl::gen` sweeps, and every witness either engine returns must
-///    satisfy its formula through the production evaluator;
-/// 2. the Sym-keyed engine must not be slower than the string-keyed
-///    baseline it replaced (10% timer-noise headroom — both runs are
-///    serial, so no CPU-count carve-out is needed);
+/// 1. every `Sat` witness on the shared `jnl::gen` sweeps must satisfy its
+///    formula through the production evaluator, and no `Unsat` verdict may
+///    have a small model (`jnl::gen::small_model`; at least 10 per sweep
+///    must fit its cap);
+/// 2. every formula must be decided, with its default-budget verdict,
+///    within its sweep's step budget ([`S8_SWEEPS`]);
 /// 3. `prune(analyze(..))` must be output-identical to the unpruned
 ///    pipeline through both executors on every S5 pipeline plus two
 ///    salted pipelines that carry provably-dead stages (and the salted
@@ -1638,81 +1642,75 @@ fn s8() {
 
     header(
         "S8",
-        "Static analysis — Sym vs string sat parity & speed, analyzer overhead, prune equivalence",
+        "Static analysis — sat verdicts vs small models, step budgets, analyzer overhead, prune equivalence",
     );
 
-    // --- Part 1: sat engine parity and timing on the shared sweeps ---
-    let verdict = |r: &jnl::SatResult| match r {
-        jnl::SatResult::Sat(_) => "sat",
-        jnl::SatResult::Unsat => "unsat",
-        jnl::SatResult::Unknown(_) => "unknown",
-    };
+    // --- Part 1: sat verdicts against the oracle, step budgets, timing ---
     println!(
         "{}",
         row(&[
             "sweep".into(),
-            "sat/unsat/unk".into(),
-            "string ms".into(),
+            "sat/unsat".into(),
+            "unsat enumerated".into(),
+            "step budget".into(),
             "sym ms".into(),
-            "speedup".into(),
         ])
     );
     let mut sweep_entries = Vec::new();
-    for (seed, count, depth) in [(11u64, 400usize, 3usize), (22, 200, 4)] {
+    for (seed, count, depth, budget) in S8_SWEEPS {
         let phis = jnl::gen::formulas(seed, count, depth);
-        let (mut n_sat, mut n_unsat, mut n_unk) = (0usize, 0usize, 0usize);
+        let (mut n_sat, mut n_unsat, mut n_enum) = (0usize, 0usize, 0usize);
         for phi in &phis {
-            let symed = jnl::sat_deterministic(phi);
-            let strung = jnl::sat::det_str::sat_deterministic_strings(phi);
-            assert_eq!(
-                verdict(&symed),
-                verdict(&strung),
-                "S8 gate: engines disagree on {phi}"
-            );
-            for (engine, r) in [("sym", &symed), ("string", &strung)] {
-                if let jnl::SatResult::Sat(w) = r {
-                    let tree = JsonTree::build(w);
+            let r = jnl::sat_deterministic(phi);
+            match &r {
+                jnl::SatResult::Sat(w) => {
+                    n_sat += 1;
                     assert!(
-                        jnl::check_root(&tree, phi),
-                        "S8 gate: {engine} witness fails its formula {phi}"
+                        jnl::check_root(&JsonTree::build(w), phi),
+                        "S8 gate: witness {w} fails its formula {phi}"
                     );
                 }
+                jnl::SatResult::Unsat => {
+                    n_unsat += 1;
+                    match jnl::gen::small_model(phi, jnl::gen::SMALL_MODEL_CAP) {
+                        Ok(Some(m)) => panic!("S8 gate: {phi} is Unsat but has the model {m}"),
+                        Ok(None) => n_enum += 1,
+                        Err(_) => {}
+                    }
+                }
+                jnl::SatResult::Unknown(_) => {}
             }
-            match symed {
-                jnl::SatResult::Sat(_) => n_sat += 1,
-                jnl::SatResult::Unsat => n_unsat += 1,
-                jnl::SatResult::Unknown(_) => n_unk += 1,
-            }
+            // The search is deterministic: within budget it runs exactly as
+            // at the default budget, witness included.
+            let budgeted = jnl::sat::det::sat_deterministic_with_budget(phi, budget);
+            assert!(
+                !matches!(budgeted, jnl::SatResult::Unknown(_)) && budgeted == r,
+                "S8 gate: {phi} is not decided within {budget} steps \
+                 (got {budgeted:?}, default budget {r:?})"
+            );
         }
-        let str_ms = time_ms(7, || {
-            phis.iter()
-                .filter(|p| jnl::sat::det_str::sat_deterministic_strings(p).is_sat())
-                .count()
-        });
+        assert!(
+            n_enum >= 10,
+            "S8 gate: only {n_enum} Unsat verdicts fit the small-model cap on sweep {seed}"
+        );
         let sym_ms = time_ms(7, || {
             phis.iter()
                 .filter(|p| jnl::sat_deterministic(p).is_sat())
                 .count()
         });
-        assert!(
-            sym_ms <= str_ms * 1.10,
-            "S8 gate: Sym-keyed sat slower than the string-keyed baseline on sweep {seed}: \
-             {sym_ms:.2} ms vs {str_ms:.2} ms"
-        );
         let label = format!("seed {seed} depth {depth} ({count} formulas)");
         println!(
             "{}",
             row(&[
                 label,
-                format!("{n_sat}/{n_unsat}/{n_unk}"),
-                format!("{str_ms:.2}"),
+                format!("{n_sat}/{n_unsat}"),
+                n_enum.to_string(),
+                budget.to_string(),
                 format!("{sym_ms:.2}"),
-                format!("{:.2}x", str_ms / sym_ms),
             ])
         );
         sweep_entries.push(format!(
-            "    {{\"seed\": {seed}, \"depth\": {depth}, \"formulas\": {count}, \"sat\": {n_sat}, \"unsat\": {n_unsat}, \"unknown\": {n_unk}, \"string_ms\": {str_ms:.3}, \"sym_ms\": {sym_ms:.3}, \"speedup\": {:.3}}}",
-            str_ms / sym_ms
+            "    {{\"seed\": {seed}, \"depth\": {depth}, \"formulas\": {count}, \"sat\": {n_sat}, \"unsat\": {n_unsat}, \"unsat_enumerated\": {n_enum}, \"step_budget\": {budget}, \"sym_ms\": {sym_ms:.3}}}"
         ));
     }
 
@@ -1808,7 +1806,8 @@ fn s8() {
     }
 
     let json = format!(
-        "{{\n  \"experiment\": \"s8_static_analysis\",\n  \"units\": \"ms (median of 7)\",\n  \"gates\": \"asserted: Sym/string sat verdict agreement with evaluator-verified witnesses; sym_ms <= 1.10 * string_ms; prune output-identical through both executors on every pipeline; salted pipelines rewritten; analyze+prune <= one execution\",\n  \"sat_sweeps\": [\n{}\n  ],\n  \"analyzer\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"experiment\": \"s8_static_analysis\",\n  \"units\": \"ms (median of 7)\",\n  \"gates\": \"asserted: every sat witness satisfies its formula through check_root; no Unsat verdict has a small model (jnl::gen::small_model, cap {}); every formula decided with its default-budget verdict within the sweep's step_budget; prune output-identical through both executors on every pipeline; salted pipelines rewritten; analyze+prune <= one execution\",\n  \"sat_sweeps\": [\n{}\n  ],\n  \"analyzer\": [\n{}\n  ]\n}}\n",
+        jnl::gen::SMALL_MODEL_CAP,
         sweep_entries.join(",\n"),
         analyzer_entries.join(",\n")
     );

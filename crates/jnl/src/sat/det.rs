@@ -31,9 +31,7 @@
 //! `u32`s and — crucially — the full state clone at every branch point
 //! copies `Copy` symbols instead of owned `String`s. Strings are resolved
 //! only at the edges: against embedded `EQ(α, A)` documents and when a
-//! saturated state is concretised into a witness. The pre-interning
-//! string-keyed tableau is frozen in [`super::det_str`] as the
-//! differential verdict-and-witness oracle.
+//! saturated state is concretised into a witness.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -64,9 +62,14 @@ pub fn sat_deterministic_with_budget(phi: &Unary, budget: usize) -> SatResult {
     // formula, so it is applied only where that is satisfiability-preserving:
     // equality operators embed concrete documents whose array positions
     // would fall out of sync with the ranked indices.
-    const RANK_THRESHOLD: u64 = 4096;
+    const RANK_THRESHOLD: i64 = 4096;
     let mut indices = BTreeSet::new();
     collect_indices_u(phi, &mut indices);
+    // The tableau has no step for a negative index: a path through one
+    // would close its branch as if no document could satisfy it.
+    if indices.first().is_some_and(|&i| i < 0) {
+        return SatResult::Unknown("negative array indices are not supported".to_owned());
+    }
     let needs_ranking = indices.last().is_some_and(|&m| m > RANK_THRESHOLD);
     let ranked;
     let phi: &Unary = if needs_ranking {
@@ -112,12 +115,12 @@ fn rank_preprocess(phi: &Unary) -> Unary {
     // Collect all non-negative indices used anywhere, rank them globally
     // (a finer per-level ranking is possible but not necessary for
     // correctness: the global ranking also preserves order).
-    let mut indices: BTreeSet<u64> = BTreeSet::new();
+    let mut indices: BTreeSet<i64> = BTreeSet::new();
     collect_indices_u(phi, &mut indices);
     let rank: BTreeMap<u64, u64> = indices
-        .iter()
+        .range(0..)
         .enumerate()
-        .map(|(r, &i)| (i, r as u64))
+        .map(|(r, &i)| (i as u64, r as u64))
         .collect();
     map_indices_u(phi, &rank)
 }
@@ -175,7 +178,7 @@ fn intern_keys_b(alpha: &Binary, syms: &mut Interner) {
     }
 }
 
-fn collect_indices_u(phi: &Unary, out: &mut BTreeSet<u64>) {
+fn collect_indices_u(phi: &Unary, out: &mut BTreeSet<i64>) {
     match phi {
         Unary::True => {}
         Unary::Not(p) => collect_indices_u(p, out),
@@ -189,10 +192,10 @@ fn collect_indices_u(phi: &Unary, out: &mut BTreeSet<u64>) {
     }
 }
 
-fn collect_indices_b(alpha: &Binary, out: &mut BTreeSet<u64>) {
+fn collect_indices_b(alpha: &Binary, out: &mut BTreeSet<i64>) {
     match alpha {
-        Binary::Index(i) if *i >= 0 => {
-            out.insert(*i as u64);
+        Binary::Index(i) => {
+            out.insert(*i);
         }
         Binary::Test(p) => collect_indices_u(p, out),
         Binary::Compose(ps) => ps.iter().for_each(|p| collect_indices_b(p, out)),
@@ -1320,6 +1323,14 @@ mod tests {
     #[test]
     fn nondeterministic_formula_reports_unknown() {
         let phi = U::exists(B::any_key());
+        assert!(matches!(sat_deterministic(&phi), SatResult::Unknown(_)));
+    }
+
+    #[test]
+    fn negative_indices_report_unknown() {
+        // `[X_{-1}]` holds of any non-empty array; the tableau cannot
+        // place a negative index, so it must not answer Unsat.
+        let phi = U::exists(B::compose(vec![B::key("a"), B::index(-1)]));
         assert!(matches!(sat_deterministic(&phi), SatResult::Unknown(_)));
     }
 

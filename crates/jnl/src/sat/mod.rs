@@ -6,9 +6,9 @@
 //!   generate-and-verify pass (every `Sat` answer carries a witness
 //!   document that has been re-checked by the reference evaluator).
 //!
-//! * [`det_str`] — the pre-interning string-keyed tableau, frozen as the
-//!   differential verdict-and-witness oracle for [`det`] (exercised by the
-//!   `sat_parity` property suite and `harness s8`).
+//!   `sat_parity` and `harness s8` check its verdicts against
+//!   [`crate::gen::small_model`], an exhaustive search of small documents
+//!   that shares no search code with the tableau.
 //!
 //! * [`containment`] — containment/equivalence checking by reduction to
 //!   satisfiability (`φ ⊑ ψ` iff `φ ∧ ¬ψ` unsatisfiable), the coNP static
@@ -21,7 +21,6 @@
 
 pub mod containment;
 pub mod det;
-pub mod det_str;
 
 use jsondata::Json;
 
