@@ -970,12 +970,16 @@ fn s4() {
 /// S5 — the aggregation experiment: the `jagg` tree-backed pipeline
 /// executor (cursor rows + overlay bindings over the collection's tree
 /// column) vs the naive value-based reference executor, on a 20k-record
-/// collection. Two deterministic gates run inside the harness: both
-/// executors must produce identical output documents on every pipeline,
-/// and the tree executor must not be slower than the reference it
-/// subsumes (the reference clones every document into owned rows before
-/// it can do anything — exactly the cost the tree executor avoids).
-/// Wall times land in `BENCH_aggregate.json`.
+/// collection. Three gates run inside the harness: both executors must
+/// produce identical output documents on every pipeline; the tree
+/// executor must not be slower than the reference it subsumes (the
+/// reference clones every document into owned rows before it can do
+/// anything — exactly the cost the tree executor avoids); and, on the
+/// `$group` pipelines, one `jagg::aggregate` call may add at most
+/// [`S5_ALLOCS_PER_ROW_MAX`] heap allocations per added input document
+/// between [`S5_ALLOC_SIZES`] (a count by `bench::memtrack`, not a
+/// timing). Wall times and allocation counts land in
+/// `BENCH_aggregate.json`.
 fn s5() {
     header(
         "S5",
@@ -1000,6 +1004,8 @@ fn s5() {
             "reference ms".into(),
             "tree ms".into(),
             "speedup".into(),
+            "allocs".into(),
+            "allocs/row".into(),
         ])
     );
     let mut entries = Vec::new();
@@ -1017,6 +1023,7 @@ fn s5() {
 
         let ref_ms = time_ms(9, || jagg::reference::aggregate(&docs, &pipe));
         let tree_ms = time_ms(9, || jagg::aggregate(&coll, &pipe));
+        let allocs = s5_allocs(&pipe);
         // Deterministic gate 2: the tree executor must not be slower than
         // the naive reference (it does strictly less copying; the margin
         // is recorded for trend tracking).
@@ -1024,6 +1031,17 @@ fn s5() {
             tree_ms <= ref_ms,
             "S5 gate: tree executor slower than the value reference on {label}: {tree_ms:.2} ms vs {ref_ms:.2} ms"
         );
+        let [(small, a_small), (large, a_large)] = allocs;
+        let per_row = (a_large as f64 - a_small as f64) / (large - small) as f64;
+        // Deterministic gate 3: `$group` allocates per distinct key and
+        // per output, not per input row.
+        if S5_ALLOC_GATED.contains(&label) {
+            assert!(
+                per_row <= S5_ALLOCS_PER_ROW_MAX,
+                "S5 gate: {label} adds {per_row:.3} allocations per added input row \
+                 ({a_small} at {small} docs, {a_large} at {large}); the bound is {S5_ALLOCS_PER_ROW_MAX}"
+            );
+        }
         println!(
             "{}",
             row(&[
@@ -1032,6 +1050,8 @@ fn s5() {
                 format!("{ref_ms:.2}"),
                 format!("{tree_ms:.2}"),
                 format!("{:.2}x", ref_ms / tree_ms),
+                format!("{a_large}"),
+                format!("{per_row:.3}"),
             ])
         );
         entries.push(Val::obj(vec![
@@ -1040,11 +1060,20 @@ fn s5() {
             ("reference_ms", Val::float(ref_ms, 3)),
             ("tree_ms", Val::float(tree_ms, 3)),
             ("speedup", Val::float(ref_ms / tree_ms, 3)),
+            ("allocs", Val::int(a_large)),
+            ("allocs_per_added_row", Val::float(per_row, 3)),
         ]));
     }
     let report = Val::obj(vec![
         ("experiment", Val::str("s5_aggregate")),
-        ("units", Val::str("ms_per_pipeline (median of 9)")),
+        (
+            "units",
+            Val::str(
+                "ms_per_pipeline (median of 9); allocs: heap allocations of one \
+                 aggregate call at the largest gate size; allocs_per_added_row: \
+                 added allocations per added input document between the gate sizes",
+            ),
+        ),
         (
             "collection",
             Val::obj(vec![
@@ -1060,12 +1089,47 @@ fn s5() {
             "gates",
             Val::str(
                 "asserted: tree output == reference output on every pipeline; \
-                 tree_ms <= reference_ms",
+                 tree_ms <= reference_ms; allocs_per_added_row <= 0.1 on \
+                 match_unwind_group_sort and jnl_match_group_compound_id",
             ),
         ),
         ("pipelines", Val::Arr(entries)),
     ]);
     jsonout::write("BENCH_aggregate.json", &report);
+}
+
+/// The S5 pipelines whose allocations per added input row are gated.
+const S5_ALLOC_GATED: [&str; 2] = ["match_unwind_group_sort", "jnl_match_group_compound_id"];
+
+/// S5's allocation bound: heap allocations one `jagg::aggregate` call may
+/// add per added input document. A per-row owned key, observation or
+/// binding costs at least one allocation per row, ten times this.
+const S5_ALLOCS_PER_ROW_MAX: f64 = 0.1;
+
+/// The collection sizes (`person_records(n, 7)`) S5's allocation gate
+/// compares.
+const S5_ALLOC_SIZES: [usize; 2] = [10_000, 20_000];
+
+/// Heap allocations of one `jagg::aggregate(pipe)` call at each of
+/// [`S5_ALLOC_SIZES`], on a serial pool so the count does not depend on
+/// the thread schedule. It does move by a few allocations with the
+/// per-process hash seed (`Json` equality allocates, and how often a map
+/// lookup compares keys depends on the hash layout), which the
+/// difference between the two sizes cancels. One unmeasured call first
+/// builds what the collection keeps across queries (each segment's
+/// canonical-label table), as a served collection's indexes already
+/// have.
+fn s5_allocs(pipe: &jagg::Pipeline) -> [(usize, u64); 2] {
+    S5_ALLOC_SIZES.map(|n| {
+        let text = jsondata::serialize::to_string(&jsondata::gen::person_records(n, 7));
+        let coll = mongofind::Collection::parse_str(&text)
+            .expect("workload parses")
+            .with_pool(jpar::Pool::serial());
+        drop(jagg::aggregate(&coll, pipe));
+        let (out, prof) = memtrack::measure(|| jagg::aggregate(&coll, pipe));
+        drop(out);
+        (n, prof.allocs)
+    })
 }
 
 /// S6 — the parallel-execution experiment: the pool-driven find/aggregate

@@ -300,3 +300,33 @@ fn pipeline_explain_text_snapshot() {
                 \x20 note: top-k fusion: $sort+$skip+$limit run as a bounded heap (skip=5, limit=10)\n";
     assert_eq!(text, want, "pipeline explain snapshot drift:\n{text}");
 }
+
+/// `bytes_charged` of each S5 pipeline of [`bench::s5_pipelines`] under
+/// a byte budget, the same on every layout and thread count. These are
+/// the figures of the executor that materialised every `$group` key and
+/// `$push` element per row; the node-native executor charges each kept
+/// handle what its value will cost, so a budget trips on the same row.
+const S5_BYTES_CHARGED: [u64; 3] = [2071, 124_798, 36_726];
+
+#[test]
+fn s5_bytes_charged_are_those_of_the_materialising_executor() {
+    let docs = corpus();
+    for (label, mut coll) in layouts(&docs) {
+        for ((name, src), want) in bench::s5_pipelines().into_iter().zip(S5_BYTES_CHARGED) {
+            let pipe = jagg::Pipeline::parse_str(src).expect("S5 pipeline parses");
+            for threads in [1, 2] {
+                coll.set_pool(jpar::Pool::with_threads(threads));
+                let sink = Arc::new(QueryMetrics::new());
+                let ctx = QueryCtx::new()
+                    .with_byte_budget(u64::MAX / 2)
+                    .with_metrics(Arc::clone(&sink));
+                jagg::aggregate_with_ctx(&coll, &pipe, &ctx).expect("within budget");
+                assert_eq!(
+                    sink.get(Counter::BytesCharged),
+                    want,
+                    "{label} {name} x{threads}"
+                );
+            }
+        }
+    }
+}

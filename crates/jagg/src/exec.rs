@@ -12,17 +12,19 @@
 //! * Overlay bindings `path ↦ (segment, node)` record `$unwind`
 //!   substitutions without copying the document: the row *means* "the base
 //!   subtree with the value at `path` replaced by the bound subtree".
+//!   A binding borrows the `$unwind` stage's own [`Path`], and a row holds
+//!   its first binding inline, so unwinding allocates nothing per row.
 //!   Bindings are applied in list order (a later binding resolves through —
-//!   and therefore nests inside or shadows — earlier ones).
+//!   and therefore nests inside or shadows — earlier ones); resolving a
+//!   path through them walks the list in place, with no scratch vector.
 //! * `Base::Owned` — an owned [`Json`], produced only at a `$group` or
 //!   `$project` boundary, which must synthesize values that exist in no
 //!   tree.
 //!
 //! Documents are materialised to [`Json`] exactly once, at pipeline output
 //! — or earlier only where a stage genuinely observes a synthesized value
-//! (a `$group` key, a projected field, a sort key, an accumulator
-//! observation, or the rare merged view of a subtree that contains a
-//! binding).
+//! (a projected field, a sort key, a distinct `$group` key, a `$group`
+//! output, or the rare merged view of a subtree that contains a binding).
 //!
 //! ## Parallel execution
 //!
@@ -32,14 +34,21 @@
 //! results splice back in chunk order, so the output is identical for
 //! every thread count and a 1-thread pool (or a row vector below
 //! `PAR_MIN_ROWS`) runs the exact sequential code inline. Everything a
-//! worker touches is read-only shared state: the executor's per-segment
-//! [`CanonTable`]s live in `OnceLock` slots and are built **eagerly, in
-//! parallel, before a `$group` fan-out** (never through `&mut self`
-//! laziness), and `$group` itself is a three-phase plan — parallel key
-//! resolution, a sequential unification barrier, parallel accumulation
-//! with an in-chunk-order merge (see `Engine::group`). `$sort`'s
-//! comparison sort, `$skip`/`$limit` and group-output assembly stay
-//! sequential on the merged stream.
+//! worker touches is read-only shared state, and `$group` is a three-phase
+//! plan — parallel key resolution, a sequential unification barrier,
+//! parallel accumulation with an in-chunk-order merge (see
+//! `Engine::group`). `$sort`'s comparison sort, `$skip`/`$limit` and
+//! group-output assembly stay sequential on the merged stream.
+//!
+//! ## Canon tables
+//!
+//! `$group` keys are classed by each segment's canonical-label table,
+//! which the segment tree owns ([`JsonTree::canon`]): it is built once per
+//! segment — by index maintenance on an indexed collection, or by the
+//! first query that needs it — and every later query, snapshot and index
+//! reads the same table. Before a `$group` resolves keys, the segments its
+//! rows can reach that still lack a table build theirs in parallel; only
+//! those builds count as `canon_builds`.
 //!
 //! ## Fast paths
 //!
@@ -48,13 +57,20 @@
 //!   the declared indexes answer part of the filter, the document scan
 //!   ([`Filter::matches_at`] per document) otherwise — no
 //!   materialisation either way.
-//! * `$group` keys that resolve to tree nodes are hashed by their
-//!   [`CanonTable`] class: two key nodes with equal subtrees share a
-//!   class, so the common case never materialises or hashes a key value
-//!   at all. At the unification barrier each distinct `(segment, class)`
-//!   materialises **at most once per collection run** and unifies with
-//!   other segments' classes — and with synthesized keys — through one
-//!   shared [`Json`]-keyed map.
+//! * A `$group` `_id` is a tuple of its field paths (none for a constant,
+//!   one for `"$path"`, one per path field of a compound document). When
+//!   every field of a row resolves to a tree node or is missing, the row's
+//!   key is a tuple of `(segment, class)` pairs in one flat per-chunk
+//!   buffer: two nodes share a class exactly when their subtrees are
+//!   equal, so the common case never materialises or hashes a key value.
+//!   At the unification barrier each distinct tuple materialises **once**
+//!   and unifies — with other segments' tuples and with keys that had to
+//!   be synthesized — through one shared [`Json`]-keyed map.
+//! * Accumulators hold tree handles: `$push`/`$first`/`$last`/`$min`/
+//!   `$max` keep `(segment, node)` handles (or an owned value, for a
+//!   synthesized observation), `$min`/`$max` compare handles in place
+//!   across trees ([`cmp_nodes`]), and each kept handle materialises once,
+//!   in the group's output document. `$sum`/`$avg` read `Int` payloads.
 //! * `$sort` immediately followed by `$limit k` (or `$skip s` + `$limit
 //!   k`) never performs the full sort: a bounded max-heap retains the
 //!   `s + k` best rows under the stable `(sort keys, input position)`
@@ -62,17 +78,16 @@
 //!   semantics as the oracle.
 
 use std::cmp::Ordering;
-use std::sync::OnceLock;
 use std::time::Instant;
 
 use jguard::{QueryCtx, QueryError};
 use jpar::Pool;
 use jsondata::fxhash::FxHashMap;
-use jsondata::{CanonTable, Json, JsonTree, NodeId, NodeKind};
+use jsondata::{Json, JsonTree, NodeId, NodeKind};
 use jtrace::{Counter, SpanKind};
 use mongofind::{
-    cmp_node_json, insert_path, json_kind, resolve_node_step, type_matches_kind, Collection,
-    DocRef, Filter, Path,
+    cmp_node_json, cmp_nodes, insert_path, json_kind, resolve_node_step, type_matches_kind,
+    Collection, DocRef, Filter, Path,
 };
 
 use crate::explain::StageActual;
@@ -163,27 +178,66 @@ enum Base {
     Owned(Json),
 }
 
+/// One `$unwind` binding: the stage's path and the element bound there.
+type Bind<'p> = (&'p Path, DocRef);
+
+/// A row's `$unwind` bindings in list order. A single binding — the
+/// common case — is held inline, so a bound row costs no allocation and
+/// is no larger than a row holding a plain vector.
+#[derive(Clone, Default)]
+enum Binds<'p> {
+    #[default]
+    None,
+    One(Bind<'p>),
+    Many(Vec<Bind<'p>>),
+}
+
+impl<'p> Binds<'p> {
+    fn push(&mut self, b: Bind<'p>) {
+        *self = match std::mem::take(self) {
+            Binds::None => Binds::One(b),
+            Binds::One(a) => Binds::Many(vec![a, b]),
+            Binds::Many(mut v) => {
+                v.push(b);
+                Binds::Many(v)
+            }
+        };
+    }
+
+    fn is_empty(&self) -> bool {
+        matches!(self, Binds::None)
+    }
+
+    fn as_slice(&self) -> &[Bind<'p>] {
+        match self {
+            Binds::None => &[],
+            Binds::One(b) => std::slice::from_ref(b),
+            Binds::Many(v) => v,
+        }
+    }
+}
+
 /// One pipeline row: a base document plus `$unwind` overlay bindings
 /// (only ever non-empty on `Base::Node` rows — owned documents are
 /// rebound in place).
 #[derive(Clone)]
-struct Row {
+struct Row<'p> {
     base: Base,
-    binds: Vec<(Path, DocRef)>,
+    binds: Binds<'p>,
 }
 
-impl Row {
-    fn node(d: DocRef) -> Row {
+impl Row<'_> {
+    fn node(d: DocRef) -> Self {
         Row {
             base: Base::Node(d),
-            binds: Vec::new(),
+            binds: Binds::default(),
         }
     }
 
-    fn owned(j: Json) -> Row {
+    fn owned(j: Json) -> Self {
         Row {
             base: Base::Owned(j),
-            binds: Vec::new(),
+            binds: Binds::default(),
         }
     }
 }
@@ -198,16 +252,68 @@ enum Resolved<'a> {
     Merged(Json),
 }
 
+impl Resolved<'_> {
+    fn as_val(&self) -> Val<'_> {
+        match self {
+            Resolved::Node(d) => Val::Node(*d),
+            Resolved::Owned(j) => Val::Json(j),
+            Resolved::Merged(j) => Val::Json(j),
+        }
+    }
+}
+
+/// A borrowed value: a subtree still in the tree column, or a `Json`.
+#[derive(Clone, Copy)]
+enum Val<'a> {
+    Node(DocRef),
+    Json(&'a Json),
+}
+
+/// An accumulator's kept observation: a handle into the tree column, or
+/// an owned value when the observation was synthesized (a constant, an
+/// owned row's field, a merged view). Materialised once, at output.
+enum Obs {
+    Node(DocRef),
+    Owned(Json),
+}
+
+impl Obs {
+    fn as_val(&self) -> Val<'_> {
+        match self {
+            Obs::Node(d) => Val::Node(*d),
+            Obs::Owned(j) => Val::Json(j),
+        }
+    }
+}
+
+/// A `$group` key tuple entry for a field that is missing on the row.
+const MISSING: (u32, u32) = (u32::MAX, u32::MAX);
+
+/// A row's phase-1 `$group` key.
+enum RowKey {
+    /// A tuple: the row's `width` entries are the next slice of its
+    /// chunk's `classes`/`nodes` buffers.
+    Tuple,
+    /// A materialised key (`None` = the missing-key group).
+    Owned(Option<Json>),
+}
+
+/// Phase-1 `$group` keys of one chunk of rows, in row order.
+struct ChunkKeys {
+    keys: Vec<RowKey>,
+    /// `(segment, class)` per tuple entry ([`MISSING`] for a missing
+    /// field) — the part of a tuple that is hashed.
+    classes: Vec<(u32, u32)>,
+    /// A node of each entry's class, to materialise the key from.
+    nodes: Vec<NodeId>,
+}
+
 struct Engine<'c> {
     coll: &'c Collection,
     pool: Pool,
     /// The query's governance context ([`QueryCtx::unlimited`] on the
     /// legacy path — every poll and charge is then a no-op branch).
     guard: QueryCtx,
-    /// Canonical-label tables, one slot per segment (the `$group` key fast
-    /// path). Thread-safe on-demand construction; `$group` fan-outs build
-    /// every missing slot eagerly (and in parallel) first.
-    canon: Vec<OnceLock<CanonTable>>,
 }
 
 impl<'c> Engine<'c> {
@@ -216,9 +322,6 @@ impl<'c> Engine<'c> {
             coll,
             pool: *coll.pool(),
             guard,
-            canon: (0..coll.segments().len())
-                .map(|_| OnceLock::new())
-                .collect(),
         }
     }
 
@@ -230,49 +333,38 @@ impl<'c> Engine<'c> {
         self.tree(d.seg).json_at(d.node)
     }
 
-    fn canon(&self, seg: u32) -> &CanonTable {
-        self.canon[seg as usize].get_or_init(|| {
-            self.guard.record(Counter::CanonBuilds, 1);
-            CanonTable::build(&self.coll.segments()[seg as usize])
-        })
-    }
-
     /// Builds the missing canonical-label tables of every segment `rows`
-    /// can resolve a key node in, fanning the builds out on the pool — the
-    /// eager pre-fan-out form of [`Engine::canon`], so `$group` workers
-    /// only ever *read* the slots. Row key resolution can only land in a
-    /// tree reachable from the row — its base cursor's segment or a
-    /// binding's — so segments hosting no row (a selective leading
-    /// `$match` over a fragmented collection leaves most of them empty)
-    /// are never built.
-    fn build_canon_for(&self, rows: &[Row]) -> Result<(), QueryError> {
-        let mut needed = vec![false; self.canon.len()];
+    /// can resolve a key node in, fanning the builds out on the pool, so
+    /// `$group` workers only ever *read* tables. Row key resolution can
+    /// only land in a tree reachable from the row — its base cursor's
+    /// segment or a binding's — so segments hosting no row (a selective
+    /// leading `$match` over a fragmented collection leaves most of them
+    /// empty) are never built.
+    fn build_canon_for(&self, rows: &[Row<'_>]) -> Result<(), QueryError> {
+        let segments = self.coll.segments();
+        let mut needed = vec![false; segments.len()];
         for row in rows {
             if let Base::Node(d) = &row.base {
                 needed[d.seg as usize] = true;
             }
-            for (_, v) in &row.binds {
+            for (_, v) in row.binds.as_slice() {
                 needed[v.seg as usize] = true;
             }
         }
-        let missing: Vec<usize> = (0..self.canon.len())
-            .filter(|&i| needed[i] && self.canon[i].get().is_none())
+        let missing: Vec<usize> = (0..segments.len())
+            .filter(|&i| needed[i] && !segments[i].has_canon())
             .collect();
         if missing.is_empty() {
             return Ok(());
         }
-        let built = self
-            .pool
+        self.pool
             .try_map_chunks(&self.guard, missing.len(), 1, |r| {
-                self.guard.record(Counter::CanonBuilds, 1);
-                Ok(CanonTable::build(&self.coll.segments()[missing[r.start]]))
-            })?;
-        for (i, table) in missing.into_iter().zip(built) {
-            // A racing get_or_init may have won the slot; either table is
-            // byte-identical (class assignment is deterministic per tree).
-            let _ = self.canon[i].set(table);
-        }
-        Ok(())
+                if segments[missing[r.start]].ensure_canon() {
+                    self.guard.record(Counter::CanonBuilds, 1);
+                }
+                Ok(())
+            })
+            .map(drop)
     }
 
     /// The chunk size row-range fan-outs use: collapses to one inline
@@ -297,12 +389,12 @@ impl<'c> Engine<'c> {
     /// cardinalities arithmetically: `$sort` preserves the row count and
     /// the pagination arithmetic is exact, so the trace matches the
     /// unfused reference executor stage for stage.
-    fn run_traced(
+    fn run_traced<'p>(
         &self,
-        stages: &[Stage],
+        stages: &'p [Stage],
         mut trace: Option<&mut Vec<StageActual>>,
     ) -> Result<Vec<Json>, QueryError> {
-        let mut rows: Vec<Row>;
+        let mut rows: Vec<Row<'p>>;
         let rest = match stages.first() {
             // Leading-$match fast path: the filter runs over the tree
             // column before any row struct is even built.
@@ -421,12 +513,16 @@ impl<'c> Engine<'c> {
     /// Both routes return refs in `(segment, doc)` order, so the route
     /// is unobservable in the output, and `EXPLAIN` asks the same
     /// routing function, so a plan's claimed route is the one that runs.
-    fn leading_match(&self, f: &Filter) -> Result<Vec<Row>, QueryError> {
+    fn leading_match<'p>(&self, f: &Filter) -> Result<Vec<Row<'p>>, QueryError> {
         let refs = self.coll.find_refs_with_ctx(f, &self.guard)?;
         Ok(refs.into_iter().map(Row::node).collect())
     }
 
-    fn step(&self, mut rows: Vec<Row>, stage: &Stage) -> Result<Vec<Row>, QueryError> {
+    fn step<'p>(
+        &self,
+        mut rows: Vec<Row<'p>>,
+        stage: &'p Stage,
+    ) -> Result<Vec<Row<'p>>, QueryError> {
         Ok(match stage {
             Stage::Match(f) => {
                 let n = rows.len();
@@ -500,59 +596,63 @@ impl<'c> Engine<'c> {
     // ---- path resolution over rows ----------------------------------
 
     /// Resolves a dotted path on a row, honouring overlay bindings. At each
-    /// step, a binding whose (remaining) path is empty substitutes the
-    /// current cursor — the **last** such binding wins, and bindings
-    /// recorded before it are stale (they addressed the subtree it
-    /// replaced; the executor only ever appends a binding at or below the
-    /// resolution frontier of earlier ones, so this drop is exact). If
-    /// bindings survive below the final cursor, the subtree is synthesized
-    /// as a merged view.
-    fn resolve<'r>(&self, row: &'r Row, path: &Path) -> Option<Resolved<'r>> {
-        match &row.base {
-            Base::Owned(j) => path.resolve(j).map(Resolved::Owned),
-            Base::Node(d) => {
-                let mut cur = *d;
-                let mut active: Vec<(&[String], DocRef)> = row
-                    .binds
-                    .iter()
-                    .map(|(p, v)| (p.0.as_slice(), *v))
-                    .collect();
-                for seg in &path.0 {
-                    substitute(&mut cur, &mut active);
-                    let t = self.tree(cur.seg);
-                    cur = DocRef {
-                        seg: cur.seg,
-                        node: resolve_node_step(t, cur.node, seg)?,
-                    };
-                    active = active
-                        .into_iter()
-                        .filter_map(|(p, v)| {
-                            p.split_first()
-                                .and_then(|(head, rest)| (head == seg).then_some((rest, v)))
-                        })
-                        .collect();
-                }
-                substitute(&mut cur, &mut active);
-                if active.is_empty() {
-                    Some(Resolved::Node(cur))
-                } else {
-                    Some(Resolved::Merged(self.merge(cur, &active)))
-                }
+    /// depth, a live binding whose path equals the prefix walked so far
+    /// substitutes the current cursor — the **last** such binding wins,
+    /// and bindings recorded before it go stale (they addressed the
+    /// subtree it replaced; the executor only ever appends a binding at or
+    /// below the resolution frontier of earlier ones, so this drop is
+    /// exact). If live bindings remain strictly below the final cursor,
+    /// the subtree is synthesized as a merged view.
+    fn resolve<'r>(&self, row: &'r Row<'_>, path: &Path) -> Option<Resolved<'r>> {
+        let d = match &row.base {
+            Base::Owned(j) => return path.resolve(j).map(Resolved::Owned),
+            Base::Node(d) => *d,
+        };
+        if row.binds.is_empty() {
+            let node = path.resolve_node(self.tree(d.seg), d.node)?;
+            return Some(Resolved::Node(DocRef { seg: d.seg, node }));
+        }
+        let binds = row.binds.as_slice();
+        let mut cur = d;
+        // Bindings before position `live` are stale.
+        let mut live = 0;
+        let segs = &path.0;
+        for depth in 0..=segs.len() {
+            let prefix = &segs[..depth];
+            if let Some(i) = binds[live..].iter().rposition(|(p, _)| p.0 == prefix) {
+                cur = binds[live + i].1;
+                live += i + 1;
             }
+            if depth < segs.len() {
+                cur = DocRef {
+                    seg: cur.seg,
+                    node: resolve_node_step(self.tree(cur.seg), cur.node, &segs[depth])?,
+                };
+            }
+        }
+        let mut below = binds[live..]
+            .iter()
+            .filter(|(p, _)| p.0.len() > segs.len() && p.0.starts_with(segs))
+            .map(|(p, v)| (&p.0[segs.len()..], *v))
+            .peekable();
+        if below.peek().is_none() {
+            Some(Resolved::Node(cur))
+        } else {
+            Some(Resolved::Merged(self.merge(cur, below)))
         }
     }
 
     /// Materialises `cur` with the surviving bindings written in, in order.
-    fn merge(&self, cur: DocRef, binds: &[(&[String], DocRef)]) -> Json {
+    fn merge<'a>(&self, cur: DocRef, binds: impl Iterator<Item = (&'a [String], DocRef)>) -> Json {
         let mut j = self.json_of(cur);
         for (p, v) in binds {
-            set_at(&mut j, p, self.json_of(*v));
+            set_at(&mut j, p, self.json_of(v));
         }
         j
     }
 
     /// Materialises a whole row (pipeline output, or an owned rebase).
-    fn materialize(&self, row: Row) -> Json {
+    fn materialize(&self, row: Row<'_>) -> Json {
         match row.base {
             Base::Owned(j) => j,
             Base::Node(_) => self.materialize_ref(&row),
@@ -561,15 +661,11 @@ impl<'c> Engine<'c> {
 
     /// [`Engine::materialize`] without consuming the row (the parallel
     /// output path, where rows are materialised through a shared borrow).
-    fn materialize_ref(&self, row: &Row) -> Json {
+    fn materialize_ref(&self, row: &Row<'_>) -> Json {
         match &row.base {
             Base::Owned(j) => j.clone(),
             Base::Node(d) => {
-                let mut j = self.json_of(*d);
-                for (p, v) in &row.binds {
-                    set_at(&mut j, &p.0, self.json_of(*v));
-                }
-                j
+                self.merge(*d, row.binds.as_slice().iter().map(|(p, v)| (&p.0[..], *v)))
             }
         }
     }
@@ -582,31 +678,69 @@ impl<'c> Engine<'c> {
         }
     }
 
-    /// Evaluates a value expression on a row, materialising the result
-    /// (accumulator observations, compound `_id` fields, projected values).
-    fn eval_expr(&self, row: &Row, e: &ValueExpr) -> Option<Json> {
+    /// A value expression's value on a row, unmaterialised: a constant is
+    /// a borrowed owned value.
+    fn eval_ref<'r>(&self, row: &'r Row<'_>, e: &'r ValueExpr) -> Option<Resolved<'r>> {
         match e {
-            ValueExpr::Const(c) => Some(c.clone()),
-            ValueExpr::Field(p) => self.resolve(row, p).map(|r| self.materialize_resolved(r)),
+            ValueExpr::Const(c) => Some(Resolved::Owned(c)),
+            ValueExpr::Field(p) => self.resolve(row, p),
         }
+    }
+
+    /// Evaluates a value expression on a row, materialising the result
+    /// (a projected value).
+    fn eval_expr(&self, row: &Row<'_>, e: &ValueExpr) -> Option<Json> {
+        self.eval_ref(row, e).map(|r| self.materialize_resolved(r))
+    }
+
+    /// Keeps a value as an accumulator observation: a pure subtree stays a
+    /// tree handle, anything else is materialised.
+    fn keep(&self, r: Resolved<'_>) -> Obs {
+        match r {
+            Resolved::Node(d) => Obs::Node(d),
+            other => Obs::Owned(self.materialize_resolved(other)),
+        }
+    }
+
+    /// Evaluates a value expression as an accumulator observation.
+    fn observe(&self, row: &Row<'_>, e: &ValueExpr) -> Option<Obs> {
+        self.eval_ref(row, e).map(|r| self.keep(r))
     }
 
     /// Evaluates a value expression as a number (`$sum`/`$avg`
     /// observations) without materialising non-numeric values.
-    fn eval_num(&self, row: &Row, e: &ValueExpr) -> Option<u64> {
-        match e {
-            ValueExpr::Const(c) => c.as_num(),
-            ValueExpr::Field(p) => match self.resolve(row, p)? {
-                Resolved::Node(d) => self.tree(d.seg).num_value(d.node),
-                Resolved::Owned(j) => j.as_num(),
-                Resolved::Merged(j) => j.as_num(),
-            },
+    fn eval_num(&self, row: &Row<'_>, e: &ValueExpr) -> Option<u64> {
+        match self.eval_ref(row, e)? {
+            Resolved::Node(d) => self.tree(d.seg).num_value(d.node),
+            Resolved::Owned(j) => j.as_num(),
+            Resolved::Merged(j) => j.as_num(),
+        }
+    }
+
+    /// [`Json::total_cmp`] over borrowed values, comparing tree handles in
+    /// place — across segments too.
+    fn cmp_val(&self, a: Val<'_>, b: Val<'_>) -> Ordering {
+        match (a, b) {
+            (Val::Node(x), Val::Node(y)) => {
+                cmp_nodes(self.tree(x.seg), x.node, self.tree(y.seg), y.node)
+            }
+            (Val::Node(x), Val::Json(v)) => cmp_node_json(self.tree(x.seg), x.node, v),
+            (Val::Json(v), Val::Node(y)) => cmp_node_json(self.tree(y.seg), y.node, v).reverse(),
+            (Val::Json(v), Val::Json(w)) => v.total_cmp(w),
+        }
+    }
+
+    /// Materialises a kept observation (once, at group output).
+    fn obs_json(&self, o: Obs) -> Json {
+        match o {
+            Obs::Node(d) => self.json_of(d),
+            Obs::Owned(j) => j,
         }
     }
 
     // ---- $match ------------------------------------------------------
 
-    fn row_matches(&self, row: &Row, f: &Filter) -> bool {
+    fn row_matches(&self, row: &Row<'_>, f: &Filter) -> bool {
         match &row.base {
             Base::Node(d) if row.binds.is_empty() => f.matches_at(self.tree(d.seg), d.node),
             Base::Owned(j) => f.matches(j),
@@ -615,14 +749,14 @@ impl<'c> Engine<'c> {
     }
 
     /// [`Filter::matches`] semantics on a row with overlay bindings.
-    fn matches_overlay(&self, row: &Row, f: &Filter) -> bool {
+    fn matches_overlay(&self, row: &Row<'_>, f: &Filter) -> bool {
         match f {
             Filter::And(fs) => fs.iter().all(|f| self.matches_overlay(row, f)),
             Filter::Or(fs) => fs.iter().any(|f| self.matches_overlay(row, f)),
             Filter::Not(f) => !self.matches_overlay(row, f),
             Filter::Compare(p, cmp, v) => match self.resolve(row, p) {
                 Some(r) => {
-                    let ord = self.cmp_resolved(&r, v);
+                    let ord = self.cmp_val(r.as_val(), Val::Json(v));
                     match cmp {
                         mongofind::Cmp::Eq => ord.is_eq(),
                         mongofind::Cmp::Ne => !ord.is_eq(),
@@ -635,7 +769,12 @@ impl<'c> Engine<'c> {
                 None => false,
             },
             Filter::In(p, items, pos) => match self.resolve(row, p) {
-                Some(r) => items.iter().any(|v| self.cmp_resolved(&r, v).is_eq()) == *pos,
+                Some(r) => {
+                    items
+                        .iter()
+                        .any(|v| self.cmp_val(r.as_val(), Val::Json(v)).is_eq())
+                        == *pos
+                }
                 None => false,
             },
             Filter::Exists(p, flag) => self.resolve(row, p).is_some() == *flag,
@@ -646,14 +785,6 @@ impl<'c> Engine<'c> {
             Filter::Type(p, ty) => self
                 .resolve(row, p)
                 .is_some_and(|r| self.resolved_type_is(&r, ty)),
-        }
-    }
-
-    fn cmp_resolved(&self, r: &Resolved<'_>, v: &Json) -> Ordering {
-        match r {
-            Resolved::Node(d) => cmp_node_json(self.tree(d.seg), d.node, v),
-            Resolved::Owned(j) => j.total_cmp(v),
-            Resolved::Merged(j) => j.total_cmp(v),
         }
     }
 
@@ -679,7 +810,7 @@ impl<'c> Engine<'c> {
 
     // ---- $project ----------------------------------------------------
 
-    fn project(&self, row: &Row, spec: &[(Path, ProjectField)]) -> Json {
+    fn project(&self, row: &Row<'_>, spec: &[(Path, ProjectField)]) -> Json {
         let mut pairs: Vec<(String, Json)> = Vec::new();
         for (path, field) in spec {
             let value = match field {
@@ -697,7 +828,7 @@ impl<'c> Engine<'c> {
 
     // ---- $unwind -----------------------------------------------------
 
-    fn unwind(&self, rows: Vec<Row>, path: &Path) -> Result<Vec<Row>, QueryError> {
+    fn unwind<'p>(&self, rows: Vec<Row<'p>>, path: &'p Path) -> Result<Vec<Row<'p>>, QueryError> {
         let n = rows.len();
         let chunk = self.row_chunk(n);
         if chunk >= n {
@@ -726,7 +857,7 @@ impl<'c> Engine<'c> {
     }
 
     /// Unwinds one row, appending its output rows in order.
-    fn unwind_into(&self, row: Row, path: &Path, out: &mut Vec<Row>) {
+    fn unwind_into<'p>(&self, row: Row<'p>, path: &'p Path, out: &mut Vec<Row<'p>>) {
         enum Plan {
             Keep,
             Drop,
@@ -762,9 +893,7 @@ impl<'c> Engine<'c> {
                 let t = self.tree(arr.seg);
                 for &node in t.arr_children(arr.node) {
                     let mut unwound = row.clone();
-                    unwound
-                        .binds
-                        .push((path.clone(), DocRef { seg: arr.seg, node }));
+                    unwound.binds.push((path, DocRef { seg: arr.seg, node }));
                     out.push(unwound);
                 }
             }
@@ -786,66 +915,85 @@ impl<'c> Engine<'c> {
     /// `$group`, as a three-phase plan whose serial specialisation (one
     /// chunk) is the defined semantics:
     ///
-    /// 1. **Key resolution (parallel).** Each row's `_id` resolves once.
-    ///    Keys that are pure tree nodes stay unmaterialised — `(segment,
-    ///    canonical class)` plus a representative node — everything else
-    ///    (constants, compound documents, synthesized/owned/merged values,
-    ///    the missing-key group) materialises its key value here.
+    /// 1. **Key resolution (parallel).** Each row's `_id` resolves once,
+    ///    as a tuple over the id's field paths ([`key_paths`]). When every
+    ///    field resolves to a tree node or is missing, the row's key stays
+    ///    unmaterialised: one `(segment, class)` pair per field in the
+    ///    chunk's flat buffer, plus a representative node. Any other row
+    ///    (a field resolving to an owned or merged value) materialises its
+    ///    key value here.
     /// 2. **Unification barrier (sequential).** Row keys map to global
-    ///    group ids: each distinct `(segment, class)` materialises its
-    ///    value **at most once per collection run** and funnels — together
-    ///    with every synthesized key — through one shared `Json`-keyed
-    ///    map, so equal keys from different segments (or different
-    ///    representations) land in one group.
+    ///    group ids: each distinct tuple materialises its value **once**
+    ///    and funnels — together with every synthesized key — through one
+    ///    shared `Json`-keyed map, so equal keys from different segments
+    ///    (or different representations) land in one group.
     /// 3. **Accumulation (parallel) + in-order merge.** Chunks fold their
     ///    rows into per-chunk accumulator tables keyed by group id; the
     ///    barrier merges chunk tables **in chunk order**, which restores
     ///    exact input order for the order-sensitive accumulators
-    ///    (`$push`/`$first`/`$last`) and plain sums for the rest.
-    fn group(&self, rows: Vec<Row>, spec: &GroupSpec) -> Result<Vec<Row>, QueryError> {
-        /// A resolved-but-not-yet-unified row key.
-        enum KeyH {
-            /// A pure tree-node key: `(segment, class)` plus one node of
-            /// that class to materialise from if the barrier needs to.
-            Class { seg: u32, class: u32, rep: NodeId },
-            /// A materialised key (`None` = the missing-key group).
-            Owned(Option<Json>),
-        }
-
+    ///    (`$push`/`$first`/`$last`) and plain sums for the rest. Kept
+    ///    observations are tree handles until the group's output document
+    ///    materialises them.
+    fn group<'p>(&self, rows: Vec<Row<'p>>, spec: &GroupSpec) -> Result<Vec<Row<'p>>, QueryError> {
         let n = rows.len();
         let chunk = self.row_chunk(n);
-        if chunk < n && matches!(spec.id, IdExpr::Field(_)) {
-            // The fan-out reads canon slots; build the reachable ones up
-            // front.
+        let paths = key_paths(&spec.id);
+        let width = paths.len();
+        if width > 0 {
+            // Key resolution reads canon tables; build the reachable
+            // missing ones up front.
             self.build_canon_for(&rows)?;
         }
 
-        // Phase 1: per-row key handles, in row order.
-        let keys: Vec<KeyH> = self.pool.try_flat_map_chunks(&self.guard, n, chunk, |r| {
+        // Phase 1: per-row key tuples, in row order, one buffer per chunk.
+        let keys: Vec<ChunkKeys> = self.pool.try_map_chunks(&self.guard, n, chunk, |r| {
             let mut poll = self.guard.poller();
-            let mut out = Vec::with_capacity(r.len());
+            let mut ck = ChunkKeys {
+                keys: Vec::with_capacity(r.len()),
+                classes: Vec::with_capacity(r.len() * width),
+                nodes: Vec::with_capacity(r.len() * width),
+            };
             for i in r {
                 poll.tick()?;
-                out.push(match &spec.id {
-                    IdExpr::Field(p) => match self.resolve(&rows[i], p) {
-                        Some(Resolved::Node(d)) => KeyH::Class {
-                            seg: d.seg,
-                            class: self.canon(d.seg).class_of(d.node),
-                            rep: d.node,
-                        },
-                        resolved => KeyH::Owned(resolved.map(|r| self.materialize_resolved(r))),
-                    },
-                    id => KeyH::Owned(self.group_key(&rows[i], id)),
-                });
+                let row = &rows[i];
+                let at = ck.classes.len();
+                let mut tuple = true;
+                for p in &paths {
+                    match self.resolve(row, p) {
+                        Some(Resolved::Node(d)) => {
+                            let class = self.tree(d.seg).canon().class_of(d.node);
+                            ck.classes.push((d.seg, class));
+                            ck.nodes.push(d.node);
+                        }
+                        None => {
+                            ck.classes.push(MISSING);
+                            ck.nodes.push(NodeId::from_index(0));
+                        }
+                        Some(_) => {
+                            tuple = false;
+                            break;
+                        }
+                    }
+                }
+                if tuple {
+                    ck.keys.push(RowKey::Tuple);
+                } else {
+                    ck.classes.truncate(at);
+                    ck.nodes.truncate(at);
+                    let values = paths
+                        .iter()
+                        .map(|p| self.resolve(row, p).map(|r| self.materialize_resolved(r)));
+                    ck.keys.push(RowKey::Owned(assemble_key(&spec.id, values)));
+                }
             }
-            Ok(out)
+            Ok(ck)
         })?;
 
         // Phase 2: the unification barrier. Every *distinct* group key
         // materialises exactly once, and is charged to the byte budget at
-        // that moment (the per-row handles carry no new allocation).
+        // that moment (the per-row tuples carry no new allocation).
         let mut by_json: FxHashMap<Option<Json>, usize> = FxHashMap::default();
-        let mut by_class: FxHashMap<(u32, u32), usize> = FxHashMap::default();
+        let mut by_tuple: FxHashMap<Box<[(u32, u32)]>, usize> = FxHashMap::default();
         let mut group_keys: Vec<Option<Json>> = Vec::new();
         let guard = &self.guard;
         let mut slot =
@@ -861,29 +1009,43 @@ impl<'c> Engine<'c> {
                 group_keys.push(key);
                 Ok(gi)
             };
-        let mut row_gis: Vec<usize> = Vec::with_capacity(n);
+        let mut row_gis: Vec<u32> = Vec::with_capacity(n);
         let mut poll = self.guard.poller();
-        for k in keys {
-            poll.tick()?;
-            row_gis.push(match k {
-                KeyH::Class { seg, class, rep } => match by_class.get(&(seg, class)) {
-                    Some(&gi) => gi,
-                    None => {
-                        let key = Some(self.tree(seg).json_at(rep));
-                        let gi = slot(key, &mut group_keys)?;
-                        by_class.insert((seg, class), gi);
+        for ck in keys {
+            let mut at = 0;
+            for key in ck.keys {
+                poll.tick()?;
+                let gi = match key {
+                    RowKey::Owned(key) => slot(key, &mut group_keys)?,
+                    RowKey::Tuple => {
+                        let tuple = &ck.classes[at..at + width];
+                        let gi = match by_tuple.get(tuple) {
+                            Some(&gi) => gi,
+                            None => {
+                                let nodes = &ck.nodes[at..at + width];
+                                let values = tuple.iter().zip(nodes).map(|(&(seg, c), &node)| {
+                                    ((seg, c) != MISSING)
+                                        .then(|| self.json_of(DocRef { seg, node }))
+                                });
+                                let key = assemble_key(&spec.id, values);
+                                let gi = slot(key, &mut group_keys)?;
+                                by_tuple.insert(tuple.into(), gi);
+                                gi
+                            }
+                        };
+                        at += width;
                         gi
                     }
-                },
-                KeyH::Owned(key) => slot(key, &mut group_keys)?,
-            });
+                };
+                row_gis.push(gi as u32);
+            }
         }
         let n_groups = group_keys.len();
 
         // Phase 3: per-chunk accumulation, merged in chunk order.
-        let partials: Vec<FxHashMap<usize, Vec<AccState>>> =
+        let partials: Vec<FxHashMap<u32, Vec<AccState>>> =
             self.pool.try_map_chunks(&self.guard, n, chunk, |r| {
-                let mut local: FxHashMap<usize, Vec<AccState>> = FxHashMap::default();
+                let mut local: FxHashMap<u32, Vec<AccState>> = FxHashMap::default();
                 let mut poll = self.guard.poller();
                 for i in r {
                     poll.tick()?;
@@ -899,11 +1061,11 @@ impl<'c> Engine<'c> {
         let mut states: Vec<Option<Vec<AccState>>> = (0..n_groups).map(|_| None).collect();
         for partial in partials {
             for (gi, part) in partial {
-                match &mut states[gi] {
-                    None => states[gi] = Some(part),
+                match &mut states[gi as usize] {
+                    None => states[gi as usize] = Some(part),
                     Some(dst) => {
                         for (d, s) in dst.iter_mut().zip(part) {
-                            d.absorb(s);
+                            self.absorb(d, s);
                         }
                     }
                 }
@@ -925,7 +1087,7 @@ impl<'c> Engine<'c> {
                     pairs.push(("_id".into(), idj));
                 }
                 for ((name, _), state) in spec.accs.iter().zip(states) {
-                    if let Some(v) = state.finish() {
+                    if let Some(v) = self.finish(state) {
                         pairs.push((name.clone(), v));
                     }
                 }
@@ -934,29 +1096,11 @@ impl<'c> Engine<'c> {
             .collect())
     }
 
-    /// The group key of a row (`Field` ids are resolved inline by
-    /// `Engine::group` so the class fast path shares the resolution).
-    fn group_key(&self, row: &Row, id: &IdExpr) -> Option<Json> {
-        match id {
-            IdExpr::Const(c) => Some(c.clone()),
-            IdExpr::Field(_) => unreachable!("Field ids are resolved inline by group()"),
-            IdExpr::Doc(fields) => {
-                let mut pairs: Vec<(String, Json)> = Vec::new();
-                for (name, e) in fields {
-                    if let Some(v) = self.eval_expr(row, e) {
-                        pairs.push((name.clone(), v));
-                    }
-                }
-                Some(Json::object(pairs).expect("parser validated distinct names"))
-            }
-        }
-    }
-
     fn accumulate_into(
         &self,
         state: &mut AccState,
         acc: &Accumulator,
-        row: &Row,
+        row: &Row<'_>,
     ) -> Result<(), QueryError> {
         match (state, acc) {
             (AccState::Sum(total), Accumulator::Sum(e)) => {
@@ -971,32 +1115,32 @@ impl<'c> Engine<'c> {
                 }
             }
             (AccState::Min(best), Accumulator::Min(e)) => {
-                if let Some(v) = self.observe_cmp(row, e, best, Ordering::Less) {
-                    *best = Some(v);
-                }
+                self.observe_best(row, e, best, Ordering::Less);
             }
             (AccState::Max(best), Accumulator::Max(e)) => {
-                if let Some(v) = self.observe_cmp(row, e, best, Ordering::Greater) {
-                    *best = Some(v);
-                }
+                self.observe_best(row, e, best, Ordering::Greater);
             }
             (AccState::Count(n), Accumulator::Count) => *n += 1,
             (AccState::Push(items), Accumulator::Push(e)) => {
                 // `$push` is the one accumulator with unbounded state: every
-                // retained element is charged to the byte budget.
-                if let Some(v) = self.eval_expr(row, e) {
-                    self.guard.charge_json(&v)?;
-                    items.push(v);
+                // retained element is charged to the byte budget, at what
+                // its materialised value will cost.
+                if let Some(o) = self.observe(row, e) {
+                    match &o {
+                        Obs::Node(d) => self.guard.charge_node(self.tree(d.seg), d.node)?,
+                        Obs::Owned(j) => self.guard.charge_json(j)?,
+                    }
+                    items.push(o);
                 }
             }
             (AccState::First(slot), Accumulator::First(e)) => {
                 if slot.is_none() {
-                    *slot = self.eval_expr(row, e);
+                    *slot = self.observe(row, e);
                 }
             }
             (AccState::Last(slot), Accumulator::Last(e)) => {
-                if let Some(v) = self.eval_expr(row, e) {
-                    *slot = Some(v);
+                if let Some(o) = self.observe(row, e) {
+                    *slot = Some(o);
                 }
             }
             _ => unreachable!("state shape fixed by AccState::new"),
@@ -1004,30 +1148,83 @@ impl<'c> Engine<'c> {
         Ok(())
     }
 
-    /// Observes a `$min`/`$max` candidate, materialising it **only** when
-    /// it displaces the current best (tree-node candidates are compared in
-    /// place via [`cmp_node_json`]).
-    fn observe_cmp(
-        &self,
-        row: &Row,
-        e: &ValueExpr,
-        best: &Option<Json>,
-        want: Ordering,
-    ) -> Option<Json> {
-        match e {
-            ValueExpr::Const(c) => match best {
-                None => Some(c.clone()),
-                Some(b) => (c.total_cmp(b) == want).then(|| c.clone()),
-            },
-            ValueExpr::Field(p) => {
-                let r = self.resolve(row, p)?;
-                match best {
-                    None => Some(self.materialize_resolved(r)),
-                    Some(b) => {
-                        (self.cmp_resolved(&r, b) == want).then(|| self.materialize_resolved(r))
-                    }
+    /// Observes a `$min`/`$max` candidate: it displaces the current best
+    /// only when it compares strictly `want`, and is compared in place —
+    /// a tree candidate is kept as a handle, an owned one materialises
+    /// only when it wins.
+    fn observe_best(&self, row: &Row<'_>, e: &ValueExpr, best: &mut Option<Obs>, want: Ordering) {
+        let Some(r) = self.eval_ref(row, e) else {
+            return;
+        };
+        let wins = best
+            .as_ref()
+            .is_none_or(|b| self.cmp_val(r.as_val(), b.as_val()) == want);
+        if wins {
+            *best = Some(self.keep(r));
+        }
+    }
+
+    /// Folds `later` — the state accumulated over a *later* contiguous row
+    /// range — into `dst`. Merging chunk states in chunk order is exactly
+    /// the sequential fold: sums/counts add, min/max compare (ties keep
+    /// the earlier observation, as the sequential fold does), `$push`
+    /// concatenates, `$first` keeps the earliest observation and `$last`
+    /// the latest.
+    fn absorb(&self, dst: &mut AccState, later: AccState) {
+        match (dst, later) {
+            (AccState::Sum(a), AccState::Sum(b)) => *a += b,
+            (AccState::Avg { sum, count }, AccState::Avg { sum: s2, count: c2 }) => {
+                *sum += s2;
+                *count += c2;
+            }
+            (AccState::Min(a), AccState::Min(b)) => self.absorb_best(a, b, Ordering::Less),
+            (AccState::Max(a), AccState::Max(b)) => self.absorb_best(a, b, Ordering::Greater),
+            (AccState::Count(a), AccState::Count(b)) => *a += b,
+            (AccState::Push(a), AccState::Push(b)) => a.extend(b),
+            (AccState::First(a), AccState::First(b)) => {
+                if a.is_none() {
+                    *a = b;
                 }
             }
+            (AccState::Last(a), AccState::Last(b)) => {
+                if b.is_some() {
+                    *a = b;
+                }
+            }
+            _ => unreachable!("state shape fixed by AccState::new"),
+        }
+    }
+
+    /// The `$min`/`$max` merge rule: take the later best only when it
+    /// strictly beats the earlier one (a tie keeps the earlier
+    /// observation, matching the sequential fold's strict-comparison
+    /// displacement).
+    fn absorb_best(&self, dst: &mut Option<Obs>, later: Option<Obs>, want: Ordering) {
+        if let Some(v) = later {
+            let take = dst
+                .as_ref()
+                .is_none_or(|d| self.cmp_val(v.as_val(), d.as_val()) == want);
+            if take {
+                *dst = Some(v);
+            }
+        }
+    }
+
+    /// The output value, or `None` for empty-observation accumulators
+    /// whose field is omitted (the fragment has no `null`). Kept handles
+    /// materialise here, once each.
+    fn finish(&self, state: AccState) -> Option<Json> {
+        match state {
+            AccState::Sum(total) => Some(Json::Num(saturate(total))),
+            AccState::Avg { count: 0, .. } => None,
+            AccState::Avg { sum, count } => Some(Json::Num(saturate(sum / count as u128))),
+            AccState::Min(v) | AccState::Max(v) | AccState::First(v) | AccState::Last(v) => {
+                v.map(|o| self.obs_json(o))
+            }
+            AccState::Count(n) => Some(Json::Num(n)),
+            AccState::Push(items) => Some(Json::Array(
+                items.into_iter().map(|o| self.obs_json(o)).collect(),
+            )),
         }
     }
 
@@ -1038,7 +1235,7 @@ impl<'c> Engine<'c> {
     /// `Engine::top_k` share.
     fn sort_keys(
         &self,
-        rows: &[Row],
+        rows: &[Row<'_>],
         spec: &[(Path, SortOrder)],
     ) -> Result<Vec<Vec<Option<Json>>>, QueryError> {
         let n = rows.len();
@@ -1066,12 +1263,16 @@ impl<'c> Engine<'c> {
         })
     }
 
-    fn sort(&self, rows: Vec<Row>, spec: &[(Path, SortOrder)]) -> Result<Vec<Row>, QueryError> {
+    fn sort<'p>(
+        &self,
+        rows: Vec<Row<'p>>,
+        spec: &[(Path, SortOrder)],
+    ) -> Result<Vec<Row<'p>>, QueryError> {
         // Sort keys are resolved on the tree and materialised once per row
         // (they are typically scalars); the rows themselves stay cursors.
         // The comparison sort runs sequentially on the merged stream.
         let keys = self.sort_keys(&rows, spec)?;
-        let mut keyed: Vec<(Vec<Option<Json>>, Row)> = keys.into_iter().zip(rows).collect();
+        let mut keyed: Vec<(Vec<Option<Json>>, Row<'p>)> = keys.into_iter().zip(rows).collect();
         // Stable, so equal-key rows keep their input order.
         keyed.sort_by(|(ka, _), (kb, _)| cmp_sort_keys(spec, ka, kb));
         Ok(keyed.into_iter().map(|(_, row)| row).collect())
@@ -1087,13 +1288,13 @@ impl<'c> Engine<'c> {
     /// position = stability). `jagg::reference` runs the unfused full
     /// sort as the oracle; the differential suite pins equality including
     /// tie cases.
-    fn top_k(
+    fn top_k<'p>(
         &self,
-        rows: Vec<Row>,
+        rows: Vec<Row<'p>>,
         spec: &[(Path, SortOrder)],
         skip: usize,
         limit: usize,
-    ) -> Result<Vec<Row>, QueryError> {
+    ) -> Result<Vec<Row<'p>>, QueryError> {
         let keep = skip.saturating_add(limit);
         if keep == 0 || rows.is_empty() {
             return Ok(Vec::new());
@@ -1110,7 +1311,7 @@ impl<'c> Engine<'c> {
         // `(keys, seq)` order: the root is the worst kept row, displaced
         // whenever a strictly-earlier-ordering row arrives (`PeekMut`
         // restores the heap on drop).
-        let mut heap: std::collections::BinaryHeap<TopEnt<'_>> =
+        let mut heap: std::collections::BinaryHeap<TopEnt<'_, 'p>> =
             std::collections::BinaryHeap::with_capacity(keep);
         let mut poll = self.guard.poller();
         for (seq, (keys, row)) in keys.into_iter().zip(rows).enumerate() {
@@ -1139,28 +1340,28 @@ impl<'c> Engine<'c> {
 /// One candidate row of `Engine::top_k`'s bounded heap, ordered by the
 /// stable `(sort keys, input position)` total order — the row itself does
 /// not participate in comparisons.
-struct TopEnt<'s> {
+struct TopEnt<'s, 'p> {
     spec: &'s [(Path, SortOrder)],
     keys: Vec<Option<Json>>,
     seq: usize,
-    row: Row,
+    row: Row<'p>,
 }
 
-impl PartialEq for TopEnt<'_> {
+impl PartialEq for TopEnt<'_, '_> {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
 }
 
-impl Eq for TopEnt<'_> {}
+impl Eq for TopEnt<'_, '_> {}
 
-impl PartialOrd for TopEnt<'_> {
+impl PartialOrd for TopEnt<'_, '_> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for TopEnt<'_> {
+impl Ord for TopEnt<'_, '_> {
     fn cmp(&self, other: &Self) -> Ordering {
         cmp_sort_keys(self.spec, &self.keys, &other.keys).then(self.seq.cmp(&other.seq))
     }
@@ -1170,12 +1371,12 @@ impl Ord for TopEnt<'_> {
 enum AccState {
     Sum(u128),
     Avg { sum: u128, count: u64 },
-    Min(Option<Json>),
-    Max(Option<Json>),
+    Min(Option<Obs>),
+    Max(Option<Obs>),
     Count(u64),
-    Push(Vec<Json>),
-    First(Option<Json>),
-    Last(Option<Json>),
+    Push(Vec<Obs>),
+    First(Option<Obs>),
+    Last(Option<Obs>),
 }
 
 impl AccState {
@@ -1191,64 +1392,48 @@ impl AccState {
             Accumulator::Last(_) => AccState::Last(None),
         }
     }
+}
 
-    /// Folds `later` — the state accumulated over a *later* contiguous row
-    /// range — into `self`. Merging chunk states in chunk order is exactly
-    /// the sequential fold: sums/counts add, min/max compare (ties keep
-    /// the earlier observation, as the sequential fold does), `$push`
-    /// concatenates, `$first` keeps the earliest observation and `$last`
-    /// the latest.
-    fn absorb(&mut self, later: AccState) {
-        match (self, later) {
-            (AccState::Sum(a), AccState::Sum(b)) => *a += b,
-            (AccState::Avg { sum, count }, AccState::Avg { sum: s2, count: c2 }) => {
-                *sum += s2;
-                *count += c2;
-            }
-            (AccState::Min(a), AccState::Min(b)) => absorb_best(a, b, Ordering::Less),
-            (AccState::Max(a), AccState::Max(b)) => absorb_best(a, b, Ordering::Greater),
-            (AccState::Count(a), AccState::Count(b)) => *a += b,
-            (AccState::Push(a), AccState::Push(b)) => a.extend(b),
-            (AccState::First(a), AccState::First(b)) => {
-                if a.is_none() {
-                    *a = b;
+/// Assembles a `$group` key from the values at its [`key_paths`], in
+/// that order (`None` = the path is missing on the row). A compound key
+/// omits its missing fields; a bare `"$path"` key that is missing is the
+/// missing-key group, `None`.
+fn assemble_key(id: &IdExpr, mut values: impl Iterator<Item = Option<Json>>) -> Option<Json> {
+    let mut next = || values.next().expect("one value per key path");
+    match id {
+        IdExpr::Const(c) => Some(c.clone()),
+        IdExpr::Field(_) => next(),
+        IdExpr::Doc(fields) => {
+            let mut pairs: Vec<(String, Json)> = Vec::new();
+            for (name, e) in fields {
+                let v = match e {
+                    ValueExpr::Const(c) => Some(c.clone()),
+                    ValueExpr::Field(_) => next(),
+                };
+                if let Some(v) = v {
+                    pairs.push((name.clone(), v));
                 }
             }
-            (AccState::Last(a), AccState::Last(b)) => {
-                if b.is_some() {
-                    *a = b;
-                }
-            }
-            _ => unreachable!("state shape fixed by AccState::new"),
-        }
-    }
-
-    /// The output value, or `None` for empty-observation accumulators
-    /// whose field is omitted (the fragment has no `null`).
-    fn finish(self) -> Option<Json> {
-        match self {
-            AccState::Sum(total) => Some(Json::Num(saturate(total))),
-            AccState::Avg { count: 0, .. } => None,
-            AccState::Avg { sum, count } => Some(Json::Num(saturate(sum / count as u128))),
-            AccState::Min(v) | AccState::Max(v) | AccState::First(v) | AccState::Last(v) => v,
-            AccState::Count(n) => Some(Json::Num(n)),
-            AccState::Push(items) => Some(Json::Array(items)),
+            Some(Json::object(pairs).expect("parser validated distinct names"))
         }
     }
 }
 
-/// The `$min`/`$max` merge rule: take the later best only when it strictly
-/// beats the earlier one (a tie keeps the earlier observation, matching
-/// the sequential fold's strict-comparison displacement).
-fn absorb_best(dst: &mut Option<Json>, later: Option<Json>, want: Ordering) {
-    if let Some(v) = later {
-        let take = match dst.as_ref() {
-            None => true,
-            Some(d) => v.total_cmp(d) == want,
-        };
-        if take {
-            *dst = Some(v);
-        }
+/// The field paths a `$group` `_id` reads, in id order: none for a
+/// constant, the path of `"$path"`, and the path fields of a compound
+/// document (its constant fields are the same on every row). A row's key
+/// is a function of the values at these paths.
+fn key_paths(id: &IdExpr) -> Vec<&Path> {
+    match id {
+        IdExpr::Const(_) => Vec::new(),
+        IdExpr::Field(p) => vec![p],
+        IdExpr::Doc(fields) => fields
+            .iter()
+            .filter_map(|(_, e)| match e {
+                ValueExpr::Field(p) => Some(p),
+                ValueExpr::Const(_) => None,
+            })
+            .collect(),
     }
 }
 
@@ -1312,15 +1497,6 @@ pub(crate) fn cmp_opt_json(a: &Option<Json>, b: &Option<Json>) -> Ordering {
         (None, Some(_)) => Ordering::Less,
         (Some(_), None) => Ordering::Greater,
         (Some(x), Some(y)) => x.total_cmp(y),
-    }
-}
-
-/// Applies the pending exact-match binding (the last one wins; entries
-/// before it addressed the subtree it replaced and are dropped).
-fn substitute(cur: &mut DocRef, active: &mut Vec<(&[String], DocRef)>) {
-    if let Some(i) = active.iter().rposition(|(p, _)| p.is_empty()) {
-        *cur = active[i].1;
-        active.drain(..=i);
     }
 }
 

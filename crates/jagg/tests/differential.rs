@@ -352,3 +352,57 @@ fn docs_cache_is_consistent_before_and_after_insert() {
     assert_eq!(&after[..before.len()], &before[..]);
     assert_eq!(after[before.len()], parse(r#"{"x": 1}"#).unwrap());
 }
+
+#[test]
+fn node_native_group_edge_cases_agree_on_every_layout() {
+    // Hand-made edges of the tuple-keyed `$group`: a compound key whose
+    // values recur in documents of different segments (with object keys
+    // interned in different orders), a compound key with one field
+    // missing, a tuple key that must unify with a merged `$unwind` view,
+    // and handle accumulators tied across segments.
+    let texts = [
+        r#"{"id": 0, "k": {"f": "Sue", "l": "Kim"}, "o": {"a": [1, 2], "k": "x"}, "v": {"p": 1, "q": [2]}}"#,
+        r#"{"id": 1, "k": {"l": "Kim", "f": "Sue"}, "o": {"k": "x", "a": 1}, "v": {"q": [2], "p": 1}}"#,
+        r#"{"id": 2, "k": {"f": "Sue"}, "o": {"k": "y", "a": [1]}, "v": "z"}"#,
+        r#"{"id": 3, "k": {"f": "Sue"}, "o": {"a": 2, "k": "x"}, "v": 3}"#,
+        r#"{"id": 4, "k": {}, "o": {"k": "x", "a": [2]}, "v": [3, 1]}"#,
+        r#"{"id": 5, "o": {"k": "y", "a": 1}, "v": {"p": 1, "q": [2]}}"#,
+    ];
+    let docs: Vec<Json> = texts.iter().map(|t| parse(t).unwrap()).collect();
+    let pipelines = [
+        r#"[{"$group": {"_id": {"f": "$k.f", "l": "$k.l"}, "ids": {"$push": "$id"},
+                        "lo": {"$min": "$v"}, "hi": {"$max": "$v"},
+                        "head": {"$first": "$v"}, "tail": {"$last": "$v"}, "vs": {"$push": "$v"}}}]"#,
+        r#"[{"$unwind": "$o.a"}, {"$group": {"_id": {"o": "$o"}, "ids": {"$push": "$id"}}}]"#,
+        r#"[{"$unwind": "$o.a"}, {"$group": {"_id": "$o", "n": {"$count": {}},
+                                             "lo": {"$min": "$o"}, "all": {"$push": "$o"}}}]"#,
+        r#"[{"$group": {"_id": "$v", "ids": {"$push": "$id"}, "hi": {"$max": "$k"}}}]"#,
+    ];
+    let mut layouts = Vec::new();
+    layouts.push(Collection::from_json(&Json::Array(docs.clone())));
+    for split in [0, 2, 4] {
+        let mut coll = Collection::from_json(&Json::Array(docs[..split].to_vec()));
+        for d in &docs[split..] {
+            coll.insert(d);
+        }
+        layouts.push(coll.clone());
+        coll.compact();
+        layouts.push(coll);
+    }
+    for mut coll in layouts {
+        assert_eq!(coll.docs(), docs);
+        for src in pipelines {
+            let pipe = Pipeline::parse_str(src).unwrap();
+            let oracle = reference::aggregate(&docs, &pipe);
+            for threads in [1, 2, 4] {
+                coll.set_pool(jpar::Pool::with_threads(threads));
+                assert_eq!(
+                    jagg::aggregate(&coll, &pipe),
+                    oracle,
+                    "{} segments x{threads}: {src}",
+                    coll.segments().len()
+                );
+            }
+        }
+    }
+}

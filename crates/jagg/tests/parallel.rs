@@ -196,3 +196,106 @@ fn top_k_stability_is_pinned_explicitly() {
         .collect();
     assert_eq!(ids, vec![1, 2, 3]);
 }
+
+/// Documents whose group keys and accumulator values recur across
+/// segments under different interning orders: compound keys with a
+/// missing field, values of every kind (objects with their keys written
+/// in either order), and an `o.a` that is an array on some documents (so
+/// `$unwind` leaves a merged view of `o`) and a scalar on others (so `o`
+/// stays a tree node with the same value).
+fn cross_segment_docs(n: u64) -> Vec<Json> {
+    const FIRSTS: [&str; 4] = ["Sue", "Ana", "Wei", "Omar"];
+    const LASTS: [&str; 3] = ["Kim", "Doe", "Chen"];
+    (0..n)
+        .map(|i| {
+            let last = match i % 5 {
+                0 => String::new(),
+                _ => format!(r#", "l": "{}""#, LASTS[(i % 3) as usize]),
+            };
+            let v = match i % 7 {
+                0 => format!("{}", i % 4),
+                1 => format!(r#""s{}""#, i % 3),
+                2 => format!("[{}, {}]", i % 2, i % 3),
+                3 => r#"{"b": 1, "a": [2]}"#.to_owned(),
+                4 => r#"{"a": [2], "b": 1}"#.to_owned(),
+                5 => format!(r#"{{"a": {}}}"#, i % 3),
+                _ => "[]".to_owned(),
+            };
+            let a = if i % 2 == 0 { "[1, 2]" } else { "1" };
+            let src = format!(
+                r#"{{"id": {i}, "k": {{"f": "{}"{last}}}, "v": {v}, "o": {{"k": "x", "a": {a}}}}}"#,
+                FIRSTS[(i % 4) as usize]
+            );
+            jsondata::parse(&src).unwrap()
+        })
+        .collect()
+}
+
+/// The layouts a `$group` must agree on: one parse, one segment per
+/// insert, a loaded half plus inserted half, and the compacted column.
+fn layouts(docs: &[Json]) -> Vec<(&'static str, Collection)> {
+    let one = Collection::from_json(&Json::Array(docs.to_vec()));
+    let mut fragmented = Collection::parse_str("[]").unwrap();
+    for d in docs {
+        fragmented.insert(d);
+    }
+    let half = docs.len() / 2;
+    let mut mixed = Collection::from_json(&Json::Array(docs[..half].to_vec()));
+    for d in &docs[half..] {
+        mixed.insert(d);
+    }
+    let mut compacted = fragmented.clone();
+    compacted.compact();
+    vec![
+        ("one_parse", one),
+        ("fragmented", fragmented),
+        ("half_inserted", mixed),
+        ("compacted", compacted),
+    ]
+}
+
+#[test]
+fn node_native_group_keys_and_handles_agree_across_segments() {
+    let docs = cross_segment_docs(700);
+    let cases = [
+        // Compound keys from every segment, one field missing on a fifth
+        // of the rows; every handle-keeping accumulator ties across
+        // segments (equal values, objects with reordered keys).
+        r#"[{"$group": {"_id": {"f": "$k.f", "l": "$k.l"}, "n": {"$count": {}},
+                        "lo": {"$min": "$v"}, "hi": {"$max": "$v"},
+                        "head": {"$first": "$v"}, "tail": {"$last": "$v"},
+                        "all": {"$push": "$v"}}},
+            {"$sort": {"_id": 1}}]"#,
+        // A compound key with a constant field, and one whose every field
+        // is missing.
+        r#"[{"$group": {"_id": {"c": 7, "f": "$k.f", "gone": "$nope"},
+                        "ids": {"$push": "$id"}}}]"#,
+        r#"[{"$group": {"_id": {"x": "$nope", "y": "$nope.too"}, "n": {"$count": {}}}}]"#,
+        // Tuple keys that must unify with owned keys: `o` is a merged view
+        // on unwound rows and a plain tree node on the rest.
+        r#"[{"$unwind": "$o.a"},
+            {"$group": {"_id": {"o": "$o", "f": "$k.f"}, "n": {"$count": {}},
+                        "ids": {"$push": "$id"}}}]"#,
+        r#"[{"$unwind": "$o.a"},
+            {"$group": {"_id": "$o", "lo": {"$min": "$o"}, "hi": {"$max": "$o"},
+                        "head": {"$first": "$o"}, "tail": {"$last": "$o"},
+                        "all": {"$push": "$o"}}}]"#,
+        // Bare keys over mixed kinds, and a constant key.
+        r#"[{"$group": {"_id": "$v", "n": {"$count": {}}, "lo": {"$min": "$id"}}}]"#,
+        r#"[{"$group": {"_id": "one", "lo": {"$min": "$v"}, "hi": {"$max": "$v"}}}]"#,
+    ];
+    for (label, mut coll) in layouts(&docs) {
+        for src in cases {
+            let pipe = Pipeline::parse_str(src).unwrap();
+            let oracle = reference::aggregate(&docs, &pipe);
+            for threads in [1, 2, 4] {
+                coll.set_pool(Pool::with_threads(threads));
+                assert_eq!(
+                    jagg::aggregate(&coll, &pipe),
+                    oracle,
+                    "{label} x{threads}: {src}"
+                );
+            }
+        }
+    }
+}

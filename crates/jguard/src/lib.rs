@@ -86,7 +86,7 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use jsondata::{Json, ParseError};
+use jsondata::{Json, JsonTree, NodeId, NodeKind, ParseError};
 use jtrace::{Counter, QueryMetrics, SpanKind};
 
 /// How many [`Poller::tick`]s elapse between two real context checks.
@@ -472,6 +472,17 @@ impl QueryCtx {
         self.charge_bytes(approx_json_bytes(value))
     }
 
+    /// [`QueryCtx::charge_json`] for a value still in its tree: charges
+    /// exactly what materialising `json(n)` and charging it would, and
+    /// walks the subtree only when a byte budget is present.
+    #[inline]
+    pub fn charge_node(&self, tree: &JsonTree, n: NodeId) -> Result<(), QueryError> {
+        if !self.has_byte_budget() {
+            return Ok(());
+        }
+        self.charge_bytes(approx_node_bytes(tree, n))
+    }
+
     /// A per-loop poller bound to this context.
     pub fn poller(&self) -> Poller<'_> {
         Poller::new(self)
@@ -525,6 +536,30 @@ pub fn approx_json_bytes(value: &Json) -> u64 {
             total
         }
     }
+}
+
+/// [`approx_json_bytes`] of `json(n)`, read off the tree without
+/// materialising it: each node of the subtree's contiguous id block adds
+/// its own header, string length, and (for an object) its key entries.
+pub fn approx_node_bytes(tree: &JsonTree, n: NodeId) -> u64 {
+    let lo = n.index();
+    (lo..lo + tree.subtree_size(n))
+        .map(|i| {
+            let id = NodeId::from_index(i);
+            match tree.kind(id) {
+                NodeKind::Int => 16,
+                NodeKind::Str => 24 + tree.str_value(id).map_or(0, str::len) as u64,
+                NodeKind::Arr => 24,
+                NodeKind::Obj => {
+                    24 + tree
+                        .obj_syms(id)
+                        .iter()
+                        .map(|&k| 24 + tree.resolve(k).len() as u64)
+                        .sum::<u64>()
+                }
+            }
+        })
+        .sum()
 }
 
 /// Bounds for [`retry_with_backoff`]: how many attempts to make and how
@@ -736,6 +771,45 @@ mod tests {
         let big = Json::Array((0..100).map(|_| Json::str("hello world")).collect());
         assert!(approx_json_bytes(&big) > approx_json_bytes(&small));
         assert!(approx_json_bytes(&big) >= 100 * 11);
+    }
+
+    #[test]
+    fn approx_node_bytes_equals_the_materialised_estimate() {
+        use jsondata::gen::{random_json, GenConfig};
+        for seed in 0..200u64 {
+            let doc = random_json(&GenConfig::sized(seed, 1 + (seed as usize % 60)));
+            let tree = JsonTree::build(&doc);
+            for n in tree.node_ids() {
+                assert_eq!(
+                    approx_node_bytes(&tree, n),
+                    approx_json_bytes(&tree.json_at(n)),
+                    "seed {seed}, node {n:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn charge_node_charges_like_charge_json() {
+        let tree = JsonTree::build(&jsondata::parse(r#"{"k": ["ab", 3, {"z": 1}]}"#).unwrap());
+        let metered = |f: &dyn Fn(&QueryCtx)| {
+            let sink = Arc::new(QueryMetrics::new());
+            let ctx = QueryCtx::new()
+                .with_byte_budget(1 << 20)
+                .with_metrics(Arc::clone(&sink));
+            f(&ctx);
+            sink.get(Counter::BytesCharged)
+        };
+        for n in tree.node_ids() {
+            assert_eq!(
+                metered(&|c| c.charge_node(&tree, n).unwrap()),
+                metered(&|c| c.charge_json(&tree.json_at(n)).unwrap())
+            );
+        }
+        assert_eq!(
+            QueryCtx::unlimited().charge_node(&tree, tree.root()),
+            Ok(())
+        );
     }
 
     #[test]

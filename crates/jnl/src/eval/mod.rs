@@ -73,8 +73,10 @@ impl std::error::Error for EvalError {}
 pub struct EvalContext<'t> {
     /// The document tree.
     pub tree: &'t JsonTree,
-    /// Canonical subtree labels (the online-equality refinement of Prop 1).
-    pub canon: CanonTable,
+    /// Canonical subtree labels (the online-equality refinement of Prop 1):
+    /// the tree's own table ([`JsonTree::canon`]), shared with every other
+    /// reader of the tree.
+    pub canon: &'t CanonTable,
     /// `regex → edge matcher` (bitset tier with lazy-memo fallback).
     matchers: SymMatcherTable,
     /// Governance handle for cooperative interruption (unlimited — a
@@ -83,8 +85,9 @@ pub struct EvalContext<'t> {
 }
 
 impl<'t> EvalContext<'t> {
-    /// Builds the context (one `O(|J|)` pass for the canonical labels; the
-    /// edge matchers compile on first sight of each regex).
+    /// Builds the context (one `O(|J|)` pass for the canonical labels the
+    /// first time any reader asks the tree for them; the edge matchers
+    /// compile on first sight of each regex).
     pub fn new(tree: &'t JsonTree) -> EvalContext<'t> {
         EvalContext::with_strategy(tree, EdgeStrategy::default())
     }
@@ -94,7 +97,7 @@ impl<'t> EvalContext<'t> {
     pub fn with_strategy(tree: &'t JsonTree, strategy: EdgeStrategy) -> EvalContext<'t> {
         EvalContext {
             tree,
-            canon: CanonTable::build(tree),
+            canon: tree.canon(),
             matchers: SymMatcherTable::with_strategy(strategy),
             guard: QueryCtx::unlimited(),
         }
@@ -104,9 +107,11 @@ impl<'t> EvalContext<'t> {
     /// evaluation loops poll `guard` (every [`jguard::POLL_STRIDE`]
     /// nodes) and stop with [`EvalError::Interrupted`] when it fails.
     pub fn with_guard(tree: &'t JsonTree, guard: QueryCtx) -> EvalContext<'t> {
-        // The canon table was just built by `new` — make the work visible
-        // to a metrics sink riding on the guard.
-        guard.record(Counter::CanonBuilds, 1);
+        // Make a table built for this evaluation visible to a metrics sink
+        // riding on the guard; a cached one costs nothing.
+        if tree.ensure_canon() {
+            guard.record(Counter::CanonBuilds, 1);
+        }
         EvalContext {
             guard,
             ..EvalContext::new(tree)
@@ -209,12 +214,12 @@ pub fn evaluate(tree: &JsonTree, phi: &Unary) -> NodeSet {
 /// `mongofind` tree column is one independent whole-tree evaluation).
 ///
 /// Every per-tree evaluation owns its *entire* mutable state — the
-/// [`EvalContext`] with its canonical-label table and regex edge
-/// matchers/DFA bitsets is built inside the worker, per tree, exactly as
-/// in the sequential path — so workers share only the immutable trees and
-/// formula. Results come back in tree order regardless of thread count,
-/// and a 1-thread pool runs the trees inline in order (byte-identical to
-/// mapping [`evaluate`] yourself).
+/// [`EvalContext`] with its regex edge matchers/DFA bitsets is built
+/// inside the worker, per tree, exactly as in the sequential path — so
+/// workers share only the immutable trees (with their canonical-label
+/// tables) and formula. Results come back in tree order regardless of
+/// thread count, and a 1-thread pool runs the trees inline in order
+/// (byte-identical to mapping [`evaluate`] yourself).
 ///
 /// Generic over how the caller stores its trees: a plain `&[JsonTree]`
 /// works, and so does the `&[Arc<JsonTree>]` a snapshot-sharing

@@ -47,8 +47,9 @@ pub struct EvalOptions {
 pub struct JslContext<'t> {
     /// The tree under evaluation.
     pub tree: &'t JsonTree,
-    /// Canonical subtree labels.
-    pub canon: CanonTable,
+    /// Canonical subtree labels: the tree's own table
+    /// ([`JsonTree::canon`]).
+    pub canon: &'t CanonTable,
     matchers: SymMatcherTable,
     options: EvalOptions,
 }
@@ -63,7 +64,7 @@ impl<'t> JslContext<'t> {
     pub fn with_options(tree: &'t JsonTree, options: EvalOptions) -> JslContext<'t> {
         JslContext {
             tree,
-            canon: CanonTable::build(tree),
+            canon: tree.canon(),
             matchers: SymMatcherTable::with_strategy(options.edge),
             options,
         }

@@ -26,10 +26,15 @@
 //! * Construction and reconstruction are iterative: document depth never
 //!   translates into call-stack depth, so million-node chain documents used
 //!   by the scaling benchmarks are safe.
+//! * A tree owns its one [`CanonTable`], built on first use
+//!   ([`JsonTree::canon`]) and kept for the tree's lifetime. Trees are
+//!   immutable and shared behind `Arc`s, so every holder of the tree —
+//!   each snapshot, index and query engine — reads the same table.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
+use crate::canon::CanonTable;
 use crate::fxhash::FxHashSet;
 use crate::intern::{Interner, Sym};
 use crate::value::Json;
@@ -125,6 +130,8 @@ pub struct JsonTree {
     /// The symbol table for keys and string atoms, shared with every tree
     /// built from the same base that added no string of its own.
     interner: Arc<Interner>,
+    /// The canonical-label table, built at most once ([`JsonTree::canon`]).
+    canon: OnceLock<CanonTable>,
 }
 
 /// The streaming construction core shared by [`JsonTree::build`] and the
@@ -374,6 +381,7 @@ impl TreeBuilder {
             height,
             size,
             interner: self.interner,
+            canon: OnceLock::new(),
         }
     }
 }
@@ -554,6 +562,31 @@ impl JsonTree {
     /// Total number of nodes, `|J|`.
     pub fn node_count(&self) -> usize {
         self.kinds.len()
+    }
+
+    /// The tree's canonical-label table: `class(n) == class(m)` iff
+    /// `json(n) == json(m)` (Proposition 1's refinement). Built in one
+    /// `O(|J|)` pass on the first call from any holder, then read by every
+    /// later one — index maintenance, `$group` keys and the logic engines
+    /// share it.
+    pub fn canon(&self) -> &CanonTable {
+        self.canon.get_or_init(|| CanonTable::build(self))
+    }
+
+    /// Builds the canonical-label table if it is absent; `true` iff this
+    /// call built it (what a query's `canon_builds` counter records).
+    pub fn ensure_canon(&self) -> bool {
+        let mut built = false;
+        self.canon.get_or_init(|| {
+            built = true;
+            CanonTable::build(self)
+        });
+        built
+    }
+
+    /// Whether the canonical-label table has been built.
+    pub fn has_canon(&self) -> bool {
+        self.canon.get().is_some()
     }
 
     /// The tree's symbol table (object keys and string atoms), shared by
@@ -777,6 +810,14 @@ impl JsonTree {
     /// The function `json(n)` of §3.1: the subtree rooted at `n`, which is
     /// again a valid JSON value (compositionality).
     pub fn json_at(&self, n: NodeId) -> Json {
+        // A leaf needs no scratch buffer.
+        match self.kind(n) {
+            NodeKind::Int => return Json::Num(self.payload[n.index()]),
+            NodeKind::Str => {
+                return Json::Str(self.str_value(n).expect("Str node has value").to_owned())
+            }
+            NodeKind::Arr | NodeKind::Obj => {}
+        }
         // Bottom-up reconstruction over the contiguous id range of the
         // subtree. Pre-order ids make every subtree a contiguous block
         // [n, n + size(n)).

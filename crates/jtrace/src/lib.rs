@@ -73,7 +73,9 @@ pub enum Counter {
     /// (`relex::SymMatcherTable` misses inside `jnl::eval`).
     DfaBitsetBuilds,
     /// `CanonTable` constructions performed on behalf of the query
-    /// (`$group` key classing; one per segment at most).
+    /// (`$group` key classing, governed JNL evaluation). A segment keeps
+    /// its table once built, so this is at most one per segment over the
+    /// segment's lifetime, and 0 on an indexed collection.
     CanonBuilds,
     /// Bytes debited from the byte budget (only charged when a byte budget
     /// is configured — see `jguard::QueryCtx::charge_json`).

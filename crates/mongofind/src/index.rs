@@ -3,13 +3,14 @@
 //! Two structures per declared path, both keyed through the collection's
 //! interned substrate rather than re-materialised values:
 //!
-//! * a **hash index** on `(path, canon-class)` — per segment, a
-//!   [`CanonTable`] assigns every subtree a hash-consed class id, and the
-//!   posting map sends each class to the ascending document ordinals whose
-//!   path value lands in that class. `$eq` probes an external constant via
-//!   [`CanonTable::class_of_json`]; an un-interned constant is a *proof of
-//!   absence* (no document can hold it), so the probe answers in O(1)
-//!   without touching a document. `$in` is a union of `$eq` probes.
+//! * a **hash index** on `(path, canon-class)` — per segment, the
+//!   segment's own canonical-label table ([`JsonTree::canon`]) assigns
+//!   every subtree a hash-consed class id, and the posting map sends each
+//!   class to the ascending document ordinals whose path value lands in
+//!   that class. `$eq` probes an external constant via
+//!   [`jsondata::CanonTable::class_of_json`]; an un-interned constant is
+//!   a *proof of absence* (no document can hold it), so the probe answers
+//!   in O(1) without touching a document. `$in` is a union of `$eq` probes.
 //! * a **sorted column** — per segment, the `(ordinal, value-node)` pairs
 //!   ordered by [`cmp_nodes`](crate::cmp_nodes) (the node-node twin of
 //!   [`Json::total_cmp`]); `$gt`/`$gte`/`$lt`/`$lte` binary-search the
@@ -45,7 +46,6 @@ use std::sync::Arc;
 
 use jguard::{QueryCtx, QueryError};
 use jnl::bitset::BitSet;
-use jsondata::canon::CanonTable;
 use jsondata::{Json, JsonTree, NodeId};
 use jtrace::{Counter, SpanKind};
 
@@ -53,24 +53,21 @@ use crate::{
     cmp_node_json, cmp_nodes, doc_count, doc_refs_at, Cmp, Collection, DocRef, Filter, Path,
 };
 
-/// All secondary indexes of one [`Collection`], plus the per-segment
-/// canonical-label tables they share. Empty (the default) until
-/// [`Collection::create_index`] declares a path; an empty set costs
+/// All secondary indexes of one [`Collection`]. Empty (the default)
+/// until [`Collection::create_index`] declares a path; an empty set costs
 /// nothing on insert.
 ///
-/// Per-segment postings and canon tables are immutable once built (a
+/// The hash side classes values through each segment's own
+/// canonical-label table ([`JsonTree::canon`]), so the index stores no
+/// table of its own. Per-segment postings are immutable once built (a
 /// segment's contents never change; maintenance only *appends* new
 /// per-segment entries), so they sit behind [`Arc`]s and cloning an
-/// `IndexSet` — which `Collection::clone` does for every snapshot — is
-/// a vector of reference bumps, never a posting rebuild.
+/// `IndexSet` — which `Collection::clone` does for every snapshot — is a
+/// vector of reference bumps, never a posting rebuild.
 #[derive(Default, Clone)]
 pub struct IndexSet {
     /// One index per declared path, in declaration order.
     paths: Vec<PathIndex>,
-    /// One [`CanonTable`] per segment, shared by every path index (built
-    /// lazily on the first `create_index`, parallel to
-    /// `Collection::segments` from then on).
-    canons: Vec<Arc<CanonTable>>,
 }
 
 /// One declared index: the dotted path and its per-segment postings.
@@ -122,7 +119,6 @@ pub(crate) struct IndexPlan<'f> {
 fn build_postings(
     path: &Path,
     segments: &[Arc<JsonTree>],
-    canons: &[Arc<CanonTable>],
     first: usize,
     ordinals: Range<usize>,
 ) -> Vec<Arc<SegPosting>> {
@@ -134,7 +130,7 @@ fn build_postings(
         let seg = d.seg as usize;
         if let Some(v) = path.resolve_node(&segments[seg], d.node) {
             let posting = &mut out[seg - first];
-            let class = canons[seg].class_of(v);
+            let class = segments[seg].canon().class_of(v);
             posting.eq.entry(class).or_default().push(ord as u32);
             posting.sorted.push((ord as u32, v));
         }
@@ -146,7 +142,7 @@ fn build_postings(
             // rebuilds.
             posting
                 .sorted
-                .sort_by(|&(oa, na), &(ob, nb)| cmp_nodes(tree, na, nb).then(oa.cmp(&ob)));
+                .sort_by(|&(oa, na), &(ob, nb)| cmp_nodes(tree, na, tree, nb).then(oa.cmp(&ob)));
             Arc::new(posting)
         })
         .collect()
@@ -175,23 +171,14 @@ impl IndexSet {
         &self.paths[i].name
     }
 
-    /// Ensures one [`CanonTable`] per segment (no-op when already built).
-    fn ensure_canons(&mut self, segments: &[Arc<JsonTree>]) {
-        while self.canons.len() < segments.len() {
-            self.canons
-                .push(Arc::new(CanonTable::build(&segments[self.canons.len()])));
-        }
-    }
-
     /// Declares an index on `path_str`, building it over the current
     /// column. Returns `false` (and changes nothing) if already declared.
     pub(crate) fn create(&mut self, path_str: &str, segments: &[Arc<JsonTree>]) -> bool {
         if self.paths.iter().any(|p| p.name == path_str) {
             return false;
         }
-        self.ensure_canons(segments);
         let path = Path::parse(path_str);
-        let segs = build_postings(&path, segments, &self.canons, 0, 0..doc_count(segments));
+        let segs = build_postings(&path, segments, 0, 0..doc_count(segments));
         self.paths.push(PathIndex {
             name: path_str.to_owned(),
             path,
@@ -201,35 +188,34 @@ impl IndexSet {
     }
 
     /// Incremental maintenance for [`Collection::insert`]: the new last
-    /// segment of `segments`, holding the last document, gets its canon
-    /// table and one posting per declared index; existing postings are
-    /// untouched. No-op while no index is declared.
+    /// segment of `segments`, holding the last document, gets one posting
+    /// per declared index (building that segment's canon table on the
+    /// way); existing postings are untouched. No-op while no index is
+    /// declared.
     pub(crate) fn add_segment(&mut self, segments: &[Arc<JsonTree>]) {
         if self.paths.is_empty() {
             return;
         }
         let last = segments.len() - 1;
-        debug_assert_eq!(last, self.canons.len(), "segments append one at a time");
-        self.ensure_canons(segments);
         let n = doc_count(segments);
         for pi in &mut self.paths {
-            let posting = build_postings(&pi.path, segments, &self.canons, last, n - 1..n);
+            debug_assert_eq!(pi.segs.len(), last, "segments append one at a time");
+            let posting = build_postings(&pi.path, segments, last, n - 1..n);
             pi.segs.extend(posting);
         }
     }
 
     /// Full rebuild for [`Collection::compact`]: node ids and canon
-    /// classes are all invalidated by the segment merge, so every table
-    /// and posting is reconstructed from the new column.
+    /// classes are all invalidated by the segment merge, so every posting
+    /// is reconstructed from the new column (whose trees carry their own,
+    /// fresh canon tables).
     pub(crate) fn rebuild(&mut self, segments: &[Arc<JsonTree>]) {
         if self.paths.is_empty() {
             return;
         }
-        self.canons.clear();
-        self.ensure_canons(segments);
         let n = doc_count(segments);
         for pi in &mut self.paths {
-            pi.segs = build_postings(&pi.path, segments, &self.canons, 0, 0..n);
+            pi.segs = build_postings(&pi.path, segments, 0, 0..n);
         }
     }
 
@@ -287,10 +273,10 @@ impl IndexSet {
         for (seg, posting) in index.segs.iter().enumerate() {
             let tree = &segments[seg];
             match probe {
-                Probe::Eq(v) => eq_hits(posting, &self.canons[seg], tree, v, out),
+                Probe::Eq(v) => eq_hits(posting, tree, v, out),
                 Probe::In(items) => {
                     for v in items.iter() {
-                        eq_hits(posting, &self.canons[seg], tree, v, out);
+                        eq_hits(posting, tree, v, out);
                     }
                 }
                 Probe::Range(cmp, v) => range_hits(posting, tree, *cmp, v, out),
@@ -354,10 +340,10 @@ impl IndexSet {
 
 /// `$eq` hits of one posting: classes the external constant into the
 /// segment's canon table and reads the posting list. An un-interned
-/// constant ([`CanonTable::class_of_json`] → `None`) is an absence proof —
-/// nothing to insert.
-fn eq_hits(posting: &SegPosting, canon: &CanonTable, tree: &JsonTree, v: &Json, out: &mut BitSet) {
-    if let Some(class) = canon.class_of_json(tree, v) {
+/// constant ([`jsondata::CanonTable::class_of_json`] → `None`) is an
+/// absence proof — nothing to insert.
+fn eq_hits(posting: &SegPosting, tree: &JsonTree, v: &Json, out: &mut BitSet) {
+    if let Some(class) = tree.canon().class_of_json(tree, v) {
         if let Some(ords) = posting.eq.get(&class) {
             for &o in ords {
                 out.insert(o as usize);

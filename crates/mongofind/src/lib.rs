@@ -621,15 +621,17 @@ pub fn cmp_node_json(tree: &JsonTree, n: NodeId, v: &Json) -> Ordering {
     }
 }
 
-/// [`Json::total_cmp`] between two subtrees of **one** tree, without
-/// materialising either. Implements the same total order as
-/// [`cmp_node_json`] — numbers < strings < arrays < objects, arrays
-/// element-wise then by length, objects as *string*-sorted key→value maps
-/// (symbol order is interning order, not lexicographic, so keys resolve
-/// before comparison). This is the comparator the sorted index column is
-/// built with; its agreement with `Json::total_cmp` is pinned by the
-/// order-property suite.
-pub fn cmp_nodes(tree: &JsonTree, a: NodeId, b: NodeId) -> Ordering {
+/// [`Json::total_cmp`] between a subtree of `ta` and a subtree of `tb`
+/// (which may be the same tree), without materialising either.
+/// Implements the same total order as [`cmp_node_json`] — numbers <
+/// strings < arrays < objects, arrays element-wise then by length, objects
+/// as *string*-sorted key→value maps (symbol order is interning order, not
+/// lexicographic, so keys resolve before comparison). Strings and keys
+/// compare by value, never by symbol, so the two trees need not share an
+/// interner. This is the comparator the sorted index column is built with
+/// and `$min`/`$max` compare their tree handles with; its agreement with
+/// `Json::total_cmp` is pinned by the order-property suite.
+pub fn cmp_nodes(ta: &JsonTree, a: NodeId, tb: &JsonTree, b: NodeId) -> Ordering {
     fn rank(k: NodeKind) -> u8 {
         match k {
             NodeKind::Int => 0,
@@ -638,27 +640,27 @@ pub fn cmp_nodes(tree: &JsonTree, a: NodeId, b: NodeId) -> Ordering {
             NodeKind::Obj => 3,
         }
     }
-    match (tree.kind(a), tree.kind(b)) {
-        (NodeKind::Int, NodeKind::Int) => tree
+    match (ta.kind(a), tb.kind(b)) {
+        (NodeKind::Int, NodeKind::Int) => ta
             .num_value(a)
             .expect("Int payload")
-            .cmp(&tree.num_value(b).expect("Int payload")),
-        (NodeKind::Str, NodeKind::Str) => tree
+            .cmp(&tb.num_value(b).expect("Int payload")),
+        (NodeKind::Str, NodeKind::Str) => ta
             .str_value(a)
             .expect("Str payload")
-            .cmp(tree.str_value(b).expect("Str payload")),
+            .cmp(tb.str_value(b).expect("Str payload")),
         (NodeKind::Arr, NodeKind::Arr) => {
-            for (&ca, &cb) in tree.arr_children(a).iter().zip(tree.arr_children(b)) {
-                let ord = cmp_nodes(tree, ca, cb);
+            for (&ca, &cb) in ta.arr_children(a).iter().zip(tb.arr_children(b)) {
+                let ord = cmp_nodes(ta, ca, tb, cb);
                 if ord != Ordering::Equal {
                     return ord;
                 }
             }
-            tree.child_count(a).cmp(&tree.child_count(b))
+            ta.child_count(a).cmp(&tb.child_count(b))
         }
         (NodeKind::Obj, NodeKind::Obj) => {
-            let mut ea: Vec<(&str, NodeId)> = tree.obj_children(a).collect();
-            let mut eb: Vec<(&str, NodeId)> = tree.obj_children(b).collect();
+            let mut ea: Vec<(&str, NodeId)> = ta.obj_children(a).collect();
+            let mut eb: Vec<(&str, NodeId)> = tb.obj_children(b).collect();
             ea.sort_unstable_by(|x, y| x.0.cmp(y.0));
             eb.sort_unstable_by(|x, y| x.0.cmp(y.0));
             for ((ka, ca), (kb, cb)) in ea.iter().zip(eb.iter()) {
@@ -666,7 +668,7 @@ pub fn cmp_nodes(tree: &JsonTree, a: NodeId, b: NodeId) -> Ordering {
                 if ord != Ordering::Equal {
                     return ord;
                 }
-                let ord = cmp_nodes(tree, *ca, *cb);
+                let ord = cmp_nodes(ta, *ca, tb, *cb);
                 if ord != Ordering::Equal {
                     return ord;
                 }

@@ -5,8 +5,9 @@
 //! * [`Json::total_cmp`] — value against value (the specification);
 //! * [`mongofind::cmp_node_json`] — tree node against external value
 //!   (what range probes binary-search with);
-//! * [`mongofind::cmp_nodes`] — node against node of one tree (what the
-//!   sorted column is built with).
+//! * [`mongofind::cmp_nodes`] — node against node, of one tree (what the
+//!   sorted column is built with) or of two (what `$group`'s `$min`/`$max`
+//!   compare their handles with across segments).
 //!
 //! Any disagreement is an index-order bug: a column sorted by one
 //! comparator but probed by another returns wrong ranges silently. The
@@ -41,14 +42,18 @@ fn assert_agree(a: &Json, b: &Json) {
         "cmp_node_json(b, a) vs total_cmp reversed: {a} <> {b}"
     );
     // Node-vs-node within the same tree.
-    assert_eq!(cmp_nodes(&tree, na, nb), spec, "cmp_nodes: {a} <> {b}");
     assert_eq!(
-        cmp_nodes(&tree, nb, na),
+        cmp_nodes(&tree, na, &tree, nb),
+        spec,
+        "cmp_nodes: {a} <> {b}"
+    );
+    assert_eq!(
+        cmp_nodes(&tree, nb, &tree, na),
         spec.reverse(),
         "cmp_nodes reversed: {a} <> {b}"
     );
     // Reflexivity of each side against itself.
-    assert_eq!(cmp_nodes(&tree, na, na), Ordering::Equal);
+    assert_eq!(cmp_nodes(&tree, na, &tree, na), Ordering::Equal);
     assert_eq!(cmp_node_json(&tree, nb, b), Ordering::Equal);
 }
 
@@ -120,7 +125,11 @@ fn object_order_is_string_sorted_not_interning_order() {
     let tree = JsonTree::build(&doc);
     let kids = tree.arr_children(tree.root());
     let (zn, an) = (kids[0], kids[1]);
-    assert_eq!(cmp_nodes(&tree, an, zn), Ordering::Less, "\"a\" < \"z\"");
+    assert_eq!(
+        cmp_nodes(&tree, an, &tree, zn),
+        Ordering::Less,
+        "\"a\" < \"z\""
+    );
     assert_eq!(
         cmp_node_json(&tree, an, &parse(r#"{"z": 0}"#).unwrap()),
         Ordering::Less
@@ -141,7 +150,7 @@ fn order_is_total_on_the_mixed_corpus() {
     let mut by_value: Vec<usize> = (0..corpus.len()).collect();
     by_value.sort_by(|&i, &j| corpus[i].total_cmp(&corpus[j]).then(i.cmp(&j)));
     let mut by_node: Vec<usize> = (0..corpus.len()).collect();
-    by_node.sort_by(|&i, &j| cmp_nodes(&tree, kids[i], kids[j]).then(i.cmp(&j)));
+    by_node.sort_by(|&i, &j| cmp_nodes(&tree, kids[i], &tree, kids[j]).then(i.cmp(&j)));
     assert_eq!(
         by_value, by_node,
         "total_cmp and cmp_nodes sort identically"
@@ -155,5 +164,59 @@ fn order_is_total_on_the_mixed_corpus() {
             Ordering::Greater,
             "sorted neighbours must not invert under cmp_node_json"
         );
+    }
+}
+
+#[test]
+fn cross_tree_comparison_agrees_with_total_cmp() {
+    // Two trees with their own interners, filled in opposite orders, so
+    // every shared string has a different symbol on each side: a
+    // comparator that compared symbols across trees would disagree with
+    // the value order here.
+    let mut corpus = edge_corpus();
+    corpus.extend((200..230u64).map(|s| gen::random_json(&gen::GenConfig::sized(s, 30))));
+    let fwd = JsonTree::build(&Json::Array(corpus.clone()));
+    let rev_docs: Vec<Json> = corpus.iter().rev().cloned().collect();
+    let rev = JsonTree::build(&Json::Array(rev_docs));
+    let fk = fwd.arr_children(fwd.root());
+    let rk = rev.arr_children(rev.root());
+    let n = corpus.len();
+    for (i, a) in corpus.iter().enumerate() {
+        for (j, b) in corpus.iter().enumerate() {
+            let spec = a.total_cmp(b);
+            let (na, nb) = (fk[i], rk[n - 1 - j]);
+            assert_eq!(cmp_nodes(&fwd, na, &rev, nb), spec, "{a} <> {b}");
+            assert_eq!(cmp_nodes(&rev, nb, &fwd, na), spec.reverse(), "{b} <> {a}");
+        }
+    }
+}
+
+#[test]
+fn cross_segment_comparison_agrees_with_total_cmp() {
+    // The collection case: a loaded segment plus insert segments whose
+    // tables extend it. Every document pair, across and within segments.
+    let docs: Vec<Json> = (300..340u64)
+        .map(|s| gen::random_json(&gen::GenConfig::sized(s, 20)))
+        .collect();
+    let mut coll = mongofind::Collection::from_json(&Json::Array(docs[..20].to_vec()));
+    for d in &docs[20..] {
+        coll.insert(d);
+    }
+    assert!(coll.segments().len() > 2);
+    let refs = coll.doc_refs();
+    for (i, x) in refs.iter().enumerate() {
+        for (j, y) in refs.iter().enumerate() {
+            let (tx, ty) = (
+                &coll.segments()[x.seg as usize],
+                &coll.segments()[y.seg as usize],
+            );
+            assert_eq!(
+                cmp_nodes(tx, x.node, ty, y.node),
+                docs[i].total_cmp(&docs[j]),
+                "{} <> {}",
+                docs[i],
+                docs[j]
+            );
+        }
     }
 }
