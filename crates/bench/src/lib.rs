@@ -253,7 +253,8 @@ pub fn s5_pipelines() -> Vec<(&'static str, &'static str)> {
         (
             // The leading $match is deliberately OUTSIDE the exact JNL
             // fragment ($in alongside an order comparison), so this
-            // pipeline exercises the per-document `matches_at` path.
+            // pipeline exercises the per-document bound-filter scan
+            // (`BoundFilter::matches_at`).
             "match_project_sort_paginate",
             r#"[
                 {"$match": {"name.first": {"$in": ["Sue", "Omar", "Ivy"]}, "age": {"$lte": 89}}},
@@ -317,7 +318,8 @@ pub fn s6_pipelines() -> Vec<(&'static str, &'static str)> {
 }
 
 /// S6: the find filter driving the chunk-parallel document scan (outside
-/// the exact JNL fragment, so it runs `matches_at` per document).
+/// the exact JNL fragment, so it runs the bound filter,
+/// `BoundFilter::matches_at`, per document).
 pub const S6_FIND_FILTER: &str =
     r#"{"name.first": {"$in": ["Sue", "Omar", "Ivy"]}, "age": {"$gte": 30, "$lte": 79}}"#;
 

@@ -26,6 +26,20 @@
 //! (a projected field, a sort key, a distinct `$group` key, a `$group`
 //! output, or the rare merged view of a subtree that contains a binding).
 //!
+//! ## Bound paths
+//!
+//! Each stage binds what it reads when it starts: `$match` binds its
+//! filter ([`Filter::bind`]), and `$project`, `$unwind`, `$group` (key
+//! paths and accumulator fields) and sort-key resolution bind their paths
+//! ([`Path::bind`]), all to the collection's table
+//! ([`Collection::interner`]; [`BoundPath`] says why one table serves
+//! every segment). Binding costs one table probe per path segment and
+//! string constant per stage; rows then step by symbol
+//! ([`mongofind::step_node`]) and hash no string. `Engine::resolve` takes
+//! a [`BoundPath`], and a `$match` over rows with bindings or owned bases
+//! walks the same [`BoundFilter`] as plain tree rows, through
+//! [`BoundFilter::matches_with`].
+//!
 //! ## Parallel execution
 //!
 //! Per-row stages (`$match`, `$project`, `$unwind`, sort-key resolution,
@@ -55,7 +69,7 @@
 //! * A leading `$match` runs straight off the collection through
 //!   [`Collection::find_refs_with_ctx`]: a secondary-index probe when
 //!   the declared indexes answer part of the filter, the document scan
-//!   ([`Filter::matches_at`] per document) otherwise — no
+//!   ([`BoundFilter::matches_at`] per document) otherwise — no
 //!   materialisation either way.
 //! * A `$group` `_id` is a tuple of its field paths (none for a constant,
 //!   one for `"$path"`, one per path field of a compound document). When
@@ -77,6 +91,7 @@
 //!   order (see `Engine::top_k`); `jagg::reference` keeps the full-sort
 //!   semantics as the oracle.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::time::Instant;
 
@@ -86,8 +101,8 @@ use jsondata::fxhash::FxHashMap;
 use jsondata::{Json, JsonTree, NodeId, NodeKind};
 use jtrace::{Counter, SpanKind};
 use mongofind::{
-    cmp_node_json, cmp_nodes, insert_path, json_kind, resolve_node_step, type_matches_kind,
-    Collection, DocRef, Filter, Path,
+    cmp_node_json, cmp_nodes, insert_path, step_node, BoundFilter, BoundPath, Collection, DocRef,
+    Filter, Operand, Path,
 };
 
 use crate::explain::StageActual;
@@ -269,6 +284,12 @@ enum Val<'a> {
     Json(&'a Json),
 }
 
+/// A [`ValueExpr`] whose field path is bound to the collection's table.
+enum BoundExpr<'p> {
+    Const(&'p Json),
+    Field(BoundPath<'p>),
+}
+
 /// An accumulator's kept observation: a handle into the tree column, or
 /// an owned value when the observation was synthesized (a constant, an
 /// owned row's field, a merged view). Materialised once, at output.
@@ -331,6 +352,20 @@ impl<'c> Engine<'c> {
 
     fn json_of(&self, d: DocRef) -> Json {
         self.tree(d.seg).json_at(d.node)
+    }
+
+    /// Binds a path a stage reads to the collection's table — once, when
+    /// the stage starts (see [`BoundPath`] for why one table serves every
+    /// segment).
+    fn bind<'p>(&self, path: &'p Path) -> BoundPath<'p> {
+        path.bind(self.coll.interner())
+    }
+
+    fn bind_expr<'p>(&self, e: &'p ValueExpr) -> BoundExpr<'p> {
+        match e {
+            ValueExpr::Const(c) => BoundExpr::Const(c),
+            ValueExpr::Field(p) => BoundExpr::Field(self.bind(p)),
+        }
     }
 
     /// Builds the missing canonical-label tables of every segment `rows`
@@ -509,7 +544,7 @@ impl<'c> Engine<'c> {
     /// [`Collection::find_refs_with_ctx`]: a secondary-index probe when
     /// [`Collection::route_of`] says the declared indexes answer part of
     /// the conjunction (bitmap intersection plus a residual pass on
-    /// survivors only), [`Filter::matches_at`] per document otherwise.
+    /// survivors only), the bound filter per document otherwise.
     /// Both routes return refs in `(segment, doc)` order, so the route
     /// is unobservable in the output, and `EXPLAIN` asks the same
     /// routing function, so a plan's claimed route is the one that runs.
@@ -525,6 +560,8 @@ impl<'c> Engine<'c> {
     ) -> Result<Vec<Row<'p>>, QueryError> {
         Ok(match stage {
             Stage::Match(f) => {
+                let f = f.bind(self.coll.interner());
+                let f = &f;
                 let n = rows.len();
                 let chunk = self.row_chunk(n);
                 if chunk >= n {
@@ -554,6 +591,17 @@ impl<'c> Engine<'c> {
                 }
             }
             Stage::Project(spec) => {
+                let spec: Vec<(&Path, BoundExpr<'_>)> = spec
+                    .iter()
+                    .map(|(path, field)| {
+                        let e = match field {
+                            ProjectField::Include => BoundExpr::Field(self.bind(path)),
+                            ProjectField::Expr(e) => self.bind_expr(e),
+                        };
+                        (path, e)
+                    })
+                    .collect();
+                let spec = &spec;
                 let n = rows.len();
                 let chunk = self.row_chunk(n);
                 self.pool.try_flat_map_chunks(&self.guard, n, chunk, |r| {
@@ -602,10 +650,13 @@ impl<'c> Engine<'c> {
     /// subtree it replaced; the executor only ever appends a binding at or
     /// below the resolution frontier of earlier ones, so this drop is
     /// exact). If live bindings remain strictly below the final cursor,
-    /// the subtree is synthesized as a merged view.
-    fn resolve<'r>(&self, row: &'r Row<'_>, path: &Path) -> Option<Resolved<'r>> {
+    /// the subtree is synthesized as a merged view. Tree steps go through
+    /// the bound path's symbols ([`step_node`]); binding paths compare
+    /// with the path's prefixes as written (they are the stages' own
+    /// paths, never looked up in a table).
+    fn resolve<'r>(&self, row: &'r Row<'_>, path: &BoundPath<'_>) -> Option<Resolved<'r>> {
         let d = match &row.base {
-            Base::Owned(j) => return path.resolve(j).map(Resolved::Owned),
+            Base::Owned(j) => return path.path().resolve(j).map(Resolved::Owned),
             Base::Node(d) => *d,
         };
         if row.binds.is_empty() {
@@ -616,17 +667,17 @@ impl<'c> Engine<'c> {
         let mut cur = d;
         // Bindings before position `live` are stale.
         let mut live = 0;
-        let segs = &path.0;
+        let segs = &path.path().0;
         for depth in 0..=segs.len() {
             let prefix = &segs[..depth];
             if let Some(i) = binds[live..].iter().rposition(|(p, _)| p.0 == prefix) {
                 cur = binds[live + i].1;
                 live += i + 1;
             }
-            if depth < segs.len() {
+            if let Some(step) = path.steps().get(depth) {
                 cur = DocRef {
                     seg: cur.seg,
-                    node: resolve_node_step(self.tree(cur.seg), cur.node, &segs[depth])?,
+                    node: step_node(self.tree(cur.seg), cur.node, step)?,
                 };
             }
         }
@@ -680,16 +731,16 @@ impl<'c> Engine<'c> {
 
     /// A value expression's value on a row, unmaterialised: a constant is
     /// a borrowed owned value.
-    fn eval_ref<'r>(&self, row: &'r Row<'_>, e: &'r ValueExpr) -> Option<Resolved<'r>> {
+    fn eval_ref<'r>(&self, row: &'r Row<'_>, e: &'r BoundExpr<'_>) -> Option<Resolved<'r>> {
         match e {
-            ValueExpr::Const(c) => Some(Resolved::Owned(c)),
-            ValueExpr::Field(p) => self.resolve(row, p),
+            BoundExpr::Const(c) => Some(Resolved::Owned(c)),
+            BoundExpr::Field(p) => self.resolve(row, p),
         }
     }
 
     /// Evaluates a value expression on a row, materialising the result
     /// (a projected value).
-    fn eval_expr(&self, row: &Row<'_>, e: &ValueExpr) -> Option<Json> {
+    fn eval_expr(&self, row: &Row<'_>, e: &BoundExpr<'_>) -> Option<Json> {
         self.eval_ref(row, e).map(|r| self.materialize_resolved(r))
     }
 
@@ -703,13 +754,13 @@ impl<'c> Engine<'c> {
     }
 
     /// Evaluates a value expression as an accumulator observation.
-    fn observe(&self, row: &Row<'_>, e: &ValueExpr) -> Option<Obs> {
+    fn observe(&self, row: &Row<'_>, e: &BoundExpr<'_>) -> Option<Obs> {
         self.eval_ref(row, e).map(|r| self.keep(r))
     }
 
     /// Evaluates a value expression as a number (`$sum`/`$avg`
     /// observations) without materialising non-numeric values.
-    fn eval_num(&self, row: &Row<'_>, e: &ValueExpr) -> Option<u64> {
+    fn eval_num(&self, row: &Row<'_>, e: &BoundExpr<'_>) -> Option<u64> {
         match self.eval_ref(row, e)? {
             Resolved::Node(d) => self.tree(d.seg).num_value(d.node),
             Resolved::Owned(j) => j.as_num(),
@@ -740,86 +791,36 @@ impl<'c> Engine<'c> {
 
     // ---- $match ------------------------------------------------------
 
-    fn row_matches(&self, row: &Row<'_>, f: &Filter) -> bool {
+    /// A row's `$match` verdict: a plain tree row is tested where it
+    /// stands; any other row walks the same bound filter through
+    /// [`Engine::resolve`], which honours overlay bindings.
+    fn row_matches(&self, row: &Row<'_>, f: &BoundFilter<'_>) -> bool {
         match &row.base {
             Base::Node(d) if row.binds.is_empty() => f.matches_at(self.tree(d.seg), d.node),
-            Base::Owned(j) => f.matches(j),
-            Base::Node(_) => self.matches_overlay(row, f),
+            _ => f.matches_with(&|p| self.resolve(row, p).map(|r| self.operand(r))),
         }
     }
 
-    /// [`Filter::matches`] semantics on a row with overlay bindings.
-    fn matches_overlay(&self, row: &Row<'_>, f: &Filter) -> bool {
-        match f {
-            Filter::And(fs) => fs.iter().all(|f| self.matches_overlay(row, f)),
-            Filter::Or(fs) => fs.iter().any(|f| self.matches_overlay(row, f)),
-            Filter::Not(f) => !self.matches_overlay(row, f),
-            Filter::Compare(p, cmp, v) => match self.resolve(row, p) {
-                Some(r) => {
-                    let ord = self.cmp_val(r.as_val(), Val::Json(v));
-                    match cmp {
-                        mongofind::Cmp::Eq => ord.is_eq(),
-                        mongofind::Cmp::Ne => !ord.is_eq(),
-                        mongofind::Cmp::Gt => ord.is_gt(),
-                        mongofind::Cmp::Gte => ord.is_ge(),
-                        mongofind::Cmp::Lt => ord.is_lt(),
-                        mongofind::Cmp::Lte => ord.is_le(),
-                    }
-                }
-                None => false,
-            },
-            Filter::In(p, items, pos) => match self.resolve(row, p) {
-                Some(r) => {
-                    items
-                        .iter()
-                        .any(|v| self.cmp_val(r.as_val(), Val::Json(v)).is_eq())
-                        == *pos
-                }
-                None => false,
-            },
-            Filter::Exists(p, flag) => self.resolve(row, p).is_some() == *flag,
-            Filter::Size(p, n) => self
-                .resolve(row, p)
-                .and_then(|r| self.resolved_arr_len(&r))
-                .is_some_and(|len| len as u64 == *n),
-            Filter::Type(p, ty) => self
-                .resolve(row, p)
-                .is_some_and(|r| self.resolved_type_is(&r, ty)),
-        }
-    }
-
-    fn resolved_arr_len(&self, r: &Resolved<'_>) -> Option<usize> {
+    /// A resolved value as the operand a filter condition tests.
+    fn operand<'r>(&self, r: Resolved<'r>) -> Operand<'r>
+    where
+        'c: 'r,
+    {
         match r {
-            Resolved::Node(d) => {
-                let t = self.tree(d.seg);
-                (t.kind(d.node) == NodeKind::Arr).then(|| t.child_count(d.node))
-            }
-            Resolved::Owned(j) => j.as_array().map(<[Json]>::len),
-            Resolved::Merged(j) => j.as_array().map(<[Json]>::len),
+            Resolved::Node(d) => Operand::Node(self.tree(d.seg), d.node),
+            Resolved::Owned(j) => Operand::Value(Cow::Borrowed(j)),
+            Resolved::Merged(j) => Operand::Value(Cow::Owned(j)),
         }
-    }
-
-    fn resolved_type_is(&self, r: &Resolved<'_>, ty: &str) -> bool {
-        let kind = match r {
-            Resolved::Node(d) => self.tree(d.seg).kind(d.node),
-            Resolved::Owned(j) => json_kind(j),
-            Resolved::Merged(j) => json_kind(j),
-        };
-        type_matches_kind(ty, kind)
     }
 
     // ---- $project ----------------------------------------------------
 
-    fn project(&self, row: &Row<'_>, spec: &[(Path, ProjectField)]) -> Json {
+    /// One output document: each `(output path, bound value)` of the
+    /// stage's spec, in spec order (`path: 1` binds the path itself).
+    fn project(&self, row: &Row<'_>, spec: &[(&Path, BoundExpr<'_>)]) -> Json {
         let mut pairs: Vec<(String, Json)> = Vec::new();
-        for (path, field) in spec {
-            let value = match field {
-                ProjectField::Include => self
-                    .resolve(row, path)
-                    .map(|r| self.materialize_resolved(r)),
-                ProjectField::Expr(e) => self.eval_expr(row, e),
-            };
-            if let Some(v) = value {
+        for (path, e) in spec {
+            if let Some(v) = self.eval_expr(row, e) {
                 insert_path(&mut pairs, &path.0, v);
             }
         }
@@ -829,6 +830,7 @@ impl<'c> Engine<'c> {
     // ---- $unwind -----------------------------------------------------
 
     fn unwind<'p>(&self, rows: Vec<Row<'p>>, path: &'p Path) -> Result<Vec<Row<'p>>, QueryError> {
+        let path = &self.bind(path);
         let n = rows.len();
         let chunk = self.row_chunk(n);
         if chunk >= n {
@@ -857,7 +859,7 @@ impl<'c> Engine<'c> {
     }
 
     /// Unwinds one row, appending its output rows in order.
-    fn unwind_into<'p>(&self, row: Row<'p>, path: &'p Path, out: &mut Vec<Row<'p>>) {
+    fn unwind_into<'p>(&self, row: Row<'p>, path: &BoundPath<'p>, out: &mut Vec<Row<'p>>) {
         enum Plan {
             Keep,
             Drop,
@@ -893,7 +895,9 @@ impl<'c> Engine<'c> {
                 let t = self.tree(arr.seg);
                 for &node in t.arr_children(arr.node) {
                     let mut unwound = row.clone();
-                    unwound.binds.push((path, DocRef { seg: arr.seg, node }));
+                    unwound
+                        .binds
+                        .push((path.path(), DocRef { seg: arr.seg, node }));
                     out.push(unwound);
                 }
             }
@@ -903,7 +907,7 @@ impl<'c> Engine<'c> {
                 let base = self.materialize(row);
                 for elem in items {
                     let mut doc = base.clone();
-                    set_at(&mut doc, &path.0, elem);
+                    set_at(&mut doc, &path.path().0, elem);
                     out.push(Row::owned(doc));
                 }
             }
@@ -937,7 +941,15 @@ impl<'c> Engine<'c> {
     fn group<'p>(&self, rows: Vec<Row<'p>>, spec: &GroupSpec) -> Result<Vec<Row<'p>>, QueryError> {
         let n = rows.len();
         let chunk = self.row_chunk(n);
-        let paths = key_paths(&spec.id);
+        let paths: Vec<BoundPath<'_>> = key_paths(&spec.id)
+            .into_iter()
+            .map(|p| self.bind(p))
+            .collect();
+        let operands: Vec<Option<BoundExpr<'_>>> = spec
+            .accs
+            .iter()
+            .map(|(_, acc)| acc_operand(acc).map(|e| self.bind_expr(e)))
+            .collect();
         let width = paths.len();
         if width > 0 {
             // Key resolution reads canon tables; build the reachable
@@ -1052,8 +1064,8 @@ impl<'c> Engine<'c> {
                     let states = local.entry(row_gis[i]).or_insert_with(|| {
                         spec.accs.iter().map(|(_, a)| AccState::new(a)).collect()
                     });
-                    for (state, (_, acc)) in states.iter_mut().zip(&spec.accs) {
-                        self.accumulate_into(state, acc, &rows[i])?;
+                    for (state, e) in states.iter_mut().zip(&operands) {
+                        self.accumulate_into(state, e.as_ref(), &rows[i])?;
                     }
                 }
                 Ok(local)
@@ -1096,32 +1108,34 @@ impl<'c> Engine<'c> {
             .collect())
     }
 
+    /// Folds one row into an accumulator's state; `e` is the
+    /// accumulator's bound operand (`None` only for `$count`).
     fn accumulate_into(
         &self,
         state: &mut AccState,
-        acc: &Accumulator,
+        e: Option<&BoundExpr<'_>>,
         row: &Row<'_>,
     ) -> Result<(), QueryError> {
-        match (state, acc) {
-            (AccState::Sum(total), Accumulator::Sum(e)) => {
+        match (state, e) {
+            (AccState::Sum(total), Some(e)) => {
                 if let Some(n) = self.eval_num(row, e) {
                     *total += n as u128;
                 }
             }
-            (AccState::Avg { sum, count }, Accumulator::Avg(e)) => {
+            (AccState::Avg { sum, count }, Some(e)) => {
                 if let Some(n) = self.eval_num(row, e) {
                     *sum += n as u128;
                     *count += 1;
                 }
             }
-            (AccState::Min(best), Accumulator::Min(e)) => {
+            (AccState::Min(best), Some(e)) => {
                 self.observe_best(row, e, best, Ordering::Less);
             }
-            (AccState::Max(best), Accumulator::Max(e)) => {
+            (AccState::Max(best), Some(e)) => {
                 self.observe_best(row, e, best, Ordering::Greater);
             }
-            (AccState::Count(n), Accumulator::Count) => *n += 1,
-            (AccState::Push(items), Accumulator::Push(e)) => {
+            (AccState::Count(n), None) => *n += 1,
+            (AccState::Push(items), Some(e)) => {
                 // `$push` is the one accumulator with unbounded state: every
                 // retained element is charged to the byte budget, at what
                 // its materialised value will cost.
@@ -1133,12 +1147,12 @@ impl<'c> Engine<'c> {
                     items.push(o);
                 }
             }
-            (AccState::First(slot), Accumulator::First(e)) => {
+            (AccState::First(slot), Some(e)) => {
                 if slot.is_none() {
                     *slot = self.observe(row, e);
                 }
             }
-            (AccState::Last(slot), Accumulator::Last(e)) => {
+            (AccState::Last(slot), Some(e)) => {
                 if let Some(o) = self.observe(row, e) {
                     *slot = Some(o);
                 }
@@ -1152,7 +1166,13 @@ impl<'c> Engine<'c> {
     /// only when it compares strictly `want`, and is compared in place —
     /// a tree candidate is kept as a handle, an owned one materialises
     /// only when it wins.
-    fn observe_best(&self, row: &Row<'_>, e: &ValueExpr, best: &mut Option<Obs>, want: Ordering) {
+    fn observe_best(
+        &self,
+        row: &Row<'_>,
+        e: &BoundExpr<'_>,
+        best: &mut Option<Obs>,
+        want: Ordering,
+    ) {
         let Some(r) = self.eval_ref(row, e) else {
             return;
         };
@@ -1238,6 +1258,7 @@ impl<'c> Engine<'c> {
         rows: &[Row<'_>],
         spec: &[(Path, SortOrder)],
     ) -> Result<Vec<Vec<Option<Json>>>, QueryError> {
+        let paths: Vec<BoundPath<'_>> = spec.iter().map(|(p, _)| self.bind(p)).collect();
         let n = rows.len();
         let chunk = self.row_chunk(n);
         self.pool.try_flat_map_chunks(&self.guard, n, chunk, |r| {
@@ -1246,7 +1267,7 @@ impl<'c> Engine<'c> {
             for i in r {
                 poll.tick()?;
                 let mut keys: Vec<Option<Json>> = Vec::with_capacity(spec.len());
-                for (p, _) in spec {
+                for p in &paths {
                     let k = self
                         .resolve(&rows[i], p)
                         .map(|x| self.materialize_resolved(x));
@@ -1434,6 +1455,20 @@ fn key_paths(id: &IdExpr) -> Vec<&Path> {
                 ValueExpr::Const(_) => None,
             })
             .collect(),
+    }
+}
+
+/// The value expression an accumulator observes (`None` for `$count`).
+fn acc_operand(acc: &Accumulator) -> Option<&ValueExpr> {
+    match acc {
+        Accumulator::Sum(e)
+        | Accumulator::Avg(e)
+        | Accumulator::Min(e)
+        | Accumulator::Max(e)
+        | Accumulator::Push(e)
+        | Accumulator::First(e)
+        | Accumulator::Last(e) => Some(e),
+        Accumulator::Count => None,
     }
 }
 

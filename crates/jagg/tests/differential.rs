@@ -406,3 +406,52 @@ fn node_native_group_edge_cases_agree_on_every_layout() {
         }
     }
 }
+
+#[test]
+fn late_segment_strings_bind_in_every_stage() {
+    // Hand-made: the loaded segment holds none of the strings the
+    // pipelines name; each insert brings some. Every stage binds its
+    // paths and constants to the collection's last table, which must
+    // serve the loaded segment too.
+    let texts = [
+        r#"{"id": 0, "t": ["a", "b"]}"#,
+        r#"{"id": 1, "t": "a"}"#,
+        r#"{"id": 2, "t": ["late", "a"], "who": {"mail": "x@late"}}"#,
+        r#"{"id": 3, "t": "late", "who": {"mail": "y@late", "0": "zero"}}"#,
+        r#"{"id": 4, "t": ["late", "late"], "who": ["w0", {"mail": "x@late"}]}"#,
+    ];
+    let docs: Vec<Json> = texts.iter().map(|t| parse(t).unwrap()).collect();
+    let pipelines = [
+        r#"[{"$unwind": "$t"}, {"$match": {"t": "late"}}, {"$group": {"_id": "$who.mail", "ids": {"$push": "$id"}}}]"#,
+        r#"[{"$unwind": "$t"}, {"$match": {"t": {"$ne": "late"}}}, {"$project": {"id": 1, "m": "$who.mail"}}]"#,
+        r#"[{"$match": {"who.0": {"$in": ["zero", "w0", "absent"]}}}, {"$project": {"id": 1, "z": "$who.0"}}]"#,
+        r#"[{"$unwind": "$who"}, {"$match": {"who.mail": "x@late"}}, {"$sort": {"id": 0}}]"#,
+        r#"[{"$project": {"id": 1, "s": {"$literal": "nowhere"}, "m": "$who.mail"}},
+            {"$match": {"s": "nowhere", "m": {"$exists": "true"}}}, {"$sort": {"m": 1, "id": 1}}]"#,
+        r#"[{"$group": {"_id": "$who.mail", "n": {"$count": {}}, "t": {"$last": "$t"}}}, {"$sort": {"_id": 0}}]"#,
+    ];
+    for split in [0, 1, 2] {
+        let mut coll = Collection::from_json(&Json::Array(docs[..split].to_vec()));
+        for d in &docs[split..] {
+            coll.insert(d);
+        }
+        let mut compacted = coll.clone();
+        compacted.compact();
+        for mut c in [coll, compacted] {
+            for src in pipelines {
+                let pipe = Pipeline::parse_str(src).unwrap();
+                let oracle = reference::aggregate(&docs, &pipe);
+                assert!(!oracle.is_empty(), "vacuous case: {src}");
+                for threads in [1, 2, 4] {
+                    c.set_pool(jpar::Pool::with_threads(threads));
+                    assert_eq!(
+                        jagg::aggregate(&c, &pipe),
+                        oracle,
+                        "split {split}, {} segments x{threads}: {src}",
+                        c.segments().len()
+                    );
+                }
+            }
+        }
+    }
+}

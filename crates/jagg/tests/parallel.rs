@@ -299,3 +299,95 @@ fn node_native_group_keys_and_handles_agree_across_segments() {
         }
     }
 }
+
+/// Documents whose later part brings keys and strings the first part
+/// never uses: the first `early` documents hold only `id`, `name` and
+/// early tags, the rest add `email`, `extra.{k,n,list}` and late tag
+/// strings. Loading the early part and inserting the rest leaves the
+/// first segment's table without any late string.
+fn late_vocabulary_docs(n: u64, early: u64) -> Vec<Json> {
+    (0..n)
+        .map(|i| {
+            let src = if i < early {
+                format!(
+                    r#"{{"id": {i}, "name": "n{}", "tags": ["t{}", "t{}"]}}"#,
+                    i % 3,
+                    i % 2,
+                    i % 4
+                )
+            } else {
+                let k = if i % 3 == 0 { "late-v" } else { "v2" };
+                let tags = match i % 4 {
+                    0 => r#"["t0", "late-tag"]"#,
+                    1 => r#""late-tag""#,
+                    2 => "[]",
+                    _ => r#"["late-tag", "t1", "late-tag"]"#,
+                };
+                format!(
+                    r#"{{"id": {i}, "name": "n{}", "email": "e{}@late", "tags": {tags},
+                        "extra": {{"k": "{k}", "n": {}, "list": ["late-1", "late-{}"]}}}}"#,
+                    i % 3,
+                    i % 5,
+                    i % 4,
+                    i % 3
+                )
+            };
+            jsondata::parse(&src).unwrap()
+        })
+        .collect()
+}
+
+#[test]
+fn stages_bind_keys_and_strings_first_seen_in_later_segments() {
+    let docs = late_vocabulary_docs(640, 200);
+    let mut fragmented = Collection::from_json(&Json::Array(docs[..200].to_vec()));
+    for d in &docs[200..] {
+        fragmented.insert(d);
+    }
+    assert!(fragmented.segments()[0].sym("late-tag").is_none());
+    assert!(fragmented.segments()[0].sym("email").is_none());
+    let mut compacted = fragmented.clone();
+    compacted.compact();
+    let cases = [
+        // An inner `$match` over unwound rows, on a string that exists
+        // only in insert segments, then a `$group` keyed by a late key.
+        r#"[{"$unwind": "$tags"}, {"$match": {"tags": "late-tag"}},
+            {"$group": {"_id": "$email", "n": {"$count": {}}, "ids": {"$push": "$id"}}}]"#,
+        // `$in`/`$ne` over unwound rows mixing early, late and absent
+        // strings; `$project` and `$sort` on late keys.
+        r#"[{"$unwind": "$tags"},
+            {"$match": {"tags": {"$in": ["late-tag", "t0", "absent"]}, "extra.k": {"$ne": "late-v"}}},
+            {"$project": {"id": 1, "tags": 1, "e": "$email", "x": "$extra.k"}},
+            {"$sort": {"e": 1, "id": 0}}]"#,
+        // Compound late keys and accumulators over late fields.
+        r#"[{"$group": {"_id": {"e": "$email", "x": "$extra.k"}, "sum": {"$sum": "$extra.n"},
+                        "head": {"$first": "$tags"}, "hi": {"$max": "$email"},
+                        "lo": {"$min": "$extra.list"}}},
+            {"$sort": {"_id": 1}}]"#,
+        // A leading `$match`, a nested `$unwind` and a `$match` on its
+        // elements, a sort on a late key, and a top-k cut.
+        r#"[{"$match": {"id": {"$gte": 100}}}, {"$unwind": "$extra.list"},
+            {"$match": {"extra.list": {"$nin": ["late-1", "absent"]}}},
+            {"$sort": {"extra.k": 1, "id": 0}}, {"$limit": 25}]"#,
+        // `$match` on owned rows: a late string, and a literal no
+        // document holds (owned values compare by value, never by symbol).
+        r#"[{"$project": {"id": 1, "e": "$email", "k": "$extra.k", "lit": {"$literal": "never-held"}}},
+            {"$match": {"k": "late-v", "lit": "never-held"}},
+            {"$group": {"_id": "$e", "n": {"$count": {}}}}]"#,
+    ];
+    for (label, mut coll) in [("fragmented", fragmented), ("compacted", compacted)] {
+        for src in cases {
+            let pipe = Pipeline::parse_str(src).unwrap();
+            let oracle = reference::aggregate(&docs, &pipe);
+            assert!(!oracle.is_empty(), "vacuous case: {src}");
+            for threads in [1, 2, 4] {
+                coll.set_pool(Pool::with_threads(threads));
+                assert_eq!(
+                    jagg::aggregate(&coll, &pipe),
+                    oracle,
+                    "{label} x{threads}: {src}"
+                );
+            }
+        }
+    }
+}

@@ -214,6 +214,51 @@ mod tests {
     }
 
     #[test]
+    fn snapshots_bind_queries_to_their_own_table() {
+        // Queries bind their strings to the snapshot's last table: an
+        // older snapshot, whose table lacks a string a later insert
+        // brought, must answer nothing for it (scan, index route and
+        // `$match` alike), and a newer one must find the document.
+        for indexed in [false, true] {
+            let mut coll = Collection::from_array(
+                &parse(r#"[{"id": 1, "email": "a@x"}, {"id": 2, "email": "b@x"}]"#).unwrap(),
+            )
+            .unwrap();
+            if indexed {
+                coll.create_index("email");
+            }
+            let store = Store::new(coll);
+            let before = store.snapshot();
+            store
+                .insert_str(r#"{"id": 3, "email": "new@x"}"#, ParseLimits::default())
+                .unwrap();
+            let after = store.snapshot();
+            assert!(before.collection().interner().lookup("new@x").is_none());
+            assert!(after.collection().interner().lookup("new@x").is_some());
+
+            let find = Filter::parse_str(r#"{"email": "new@x"}"#).unwrap();
+            let pipelines = [
+                r#"[{"$match": {"email": "new@x"}}]"#,
+                r#"[{"$unwind": "$id"}, {"$match": {"email": {"$in": ["new@x"]}}}]"#,
+            ]
+            .map(|src| jagg::Pipeline::parse_str(src).unwrap());
+            let doc = parse(r#"{"id": 3, "email": "new@x"}"#).unwrap();
+            for (snap, want) in [(&before, vec![]), (&after, vec![doc])] {
+                let c = snap.collection();
+                assert_eq!(
+                    c.find(&find),
+                    want,
+                    "indexed {indexed}, epoch {}",
+                    snap.epoch()
+                );
+                for p in &pipelines {
+                    assert_eq!(jagg::aggregate(c, p), want, "indexed {indexed}, {p:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn rejected_insert_changes_nothing() {
         let store = Store::new(seed());
         let before = store.snapshot();

@@ -8,9 +8,13 @@
 //!
 //! * [`JsonTree::build`](crate::JsonTree::build) interns every object key
 //!   and string leaf once; nodes store [`Sym`]s, never owned strings.
-//! * `child_by_key` becomes an `O(1)` interner probe followed by a binary
-//!   search over `Sym`s — a key absent from the interner cannot label any
-//!   edge, so the miss answers `None` without touching the node.
+//! * A key step is a binary search over a node's `Sym`s
+//!   (`child_by_sym`). Query engines resolve each key or string constant
+//!   they read to its symbol **once per query** (`mongofind`'s
+//!   `Path::bind`/`Filter::bind`), so per-row navigation hashes no string;
+//!   `child_by_key` (an [`Interner::lookup`] probe, then the same search)
+//!   is for one-off probes. A key absent from the interner cannot label
+//!   any edge, so the miss answers `None` without touching a node.
 //! * Regex edge tests throughout the logic engines run per **distinct
 //!   symbol**, not per node: the default tier compiles each regex to a DFA
 //!   and evaluates it over the whole table in one pass (a `SymBitset` in
@@ -92,8 +96,9 @@ impl Interner {
         sym
     }
 
-    /// The symbol of `s`, if it has been interned — the `O(1)` probe that
-    /// fronts every key lookup.
+    /// The symbol of `s`, if it has been interned — the `O(1)` probe a
+    /// query makes once per key or string constant when it binds, and
+    /// that fronts every one-off `child_by_key`.
     pub fn lookup(&self, s: &str) -> Option<Sym> {
         self.map.get(s).copied()
     }

@@ -22,9 +22,11 @@
 //!   built on it that added no string.
 //! * [`intern`] — the symbol layer: [`Sym`] (a stable `u32` per distinct
 //!   string) and [`Interner`]. Edge-label tests across the logic engines
-//!   compare symbols, never strings; `child_by_key` is an `O(1)` interner
-//!   probe plus a binary search over `u32`s, and a probe miss answers
-//!   without touching any node.
+//!   compare symbols, never strings. Queries bind each key and string
+//!   constant to its symbol once and step with `child_by_sym`, a binary
+//!   search over `u32`s; `child_by_key` (an `O(1)` interner probe, then the
+//!   same search) serves one-off probes, and a probe miss answers without
+//!   touching any node.
 //! * [`canon`] — canonical subtree labels: every node receives an integer
 //!   class id such that two nodes have equal ids iff their subtrees are equal
 //!   JSON values. This is the "online subtree equality" refinement that the

@@ -695,12 +695,15 @@ impl JsonTree {
     /// An `O(1)` interner probe resolves the key to a symbol — a miss means
     /// no edge anywhere in the tree carries this key — then a binary search
     /// over the node's key symbols (`u32` compares, no string work) finds
-    /// the child.
+    /// the child. The probe hashes `key`, so this is for one-off lookups: a
+    /// query walking many rows resolves its keys to symbols once and calls
+    /// [`JsonTree::child_by_sym`].
     pub fn child_by_key(&self, n: NodeId, key: &str) -> Option<NodeId> {
         self.child_by_sym(n, self.interner.lookup(key)?)
     }
 
-    /// [`JsonTree::child_by_key`] for an already-resolved symbol.
+    /// [`JsonTree::child_by_key`] for an already-resolved symbol — the
+    /// per-row key step of query engines (no string work at all).
     pub fn child_by_sym(&self, n: NodeId, sym: Sym) -> Option<NodeId> {
         match self.kind(n) {
             NodeKind::Obj => {

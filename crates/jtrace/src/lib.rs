@@ -63,7 +63,9 @@ pub enum Counter {
     /// Doc-bitmap AND operations performed while intersecting probe
     /// results.
     BitmapIntersections,
-    /// Residual predicate evaluations (`matches_at` on probe survivors).
+    /// Residual predicate evaluations: probe survivors tested against the
+    /// residual conjuncts (a bound filter, `BoundFilter::matches_at`).
+    /// Zero when the probes answer the whole filter.
     ResidualEvals,
     /// Segments evaluated by the whole-tree **JNL** oracle
     /// (`Collection::find_refs_via_jnl_with_ctx`, Proposition 1

@@ -28,7 +28,9 @@
 //! it into an index-answerable prefix — `Compare(Eq|Gt|Gte|Lt|Lte)` and
 //! positive `In` on indexed paths — plus a residual predicate. Probes
 //! materialise document-set bitmaps ([`jnl::bitset::BitSet`]) that are
-//! ANDed in place; the residual runs [`Filter::matches_at`] only on the
+//! ANDed in place; the residual conjuncts, bound to the collection's
+//! table once per query ([`Filter::bind`]), run
+//! [`BoundFilter::matches_at`](crate::BoundFilter::matches_at) only on the
 //! surviving ordinals. Missing-path semantics line up exactly: the filter
 //! dialect makes `Compare`/positive-`In` false on an unresolvable path,
 //! and a document without the path simply never enters a posting.
@@ -50,7 +52,8 @@ use jsondata::{Json, JsonTree, NodeId};
 use jtrace::{Counter, SpanKind};
 
 use crate::{
-    cmp_node_json, cmp_nodes, doc_count, doc_refs_at, Cmp, Collection, DocRef, Filter, Path,
+    cmp_node_json, cmp_nodes, doc_count, doc_refs_at, table_of, Cmp, Collection, DocRef, Filter,
+    Path,
 };
 
 /// All secondary indexes of one [`Collection`]. Empty (the default)
@@ -116,12 +119,14 @@ pub(crate) struct IndexPlan<'f> {
 /// Builds the postings of `path` for segments `first..` of the column,
 /// filing the documents at `ordinals` (which must be exactly those
 /// segments' documents) under their segments in one ordinal-order pass.
+/// The path is bound to the column's table once.
 fn build_postings(
     path: &Path,
     segments: &[Arc<JsonTree>],
     first: usize,
     ordinals: Range<usize>,
 ) -> Vec<Arc<SegPosting>> {
+    let path = path.bind(table_of(segments));
     let mut out: Vec<SegPosting> = segments[first..]
         .iter()
         .map(|_| SegPosting::default())
@@ -286,9 +291,10 @@ impl IndexSet {
 
     /// Executes a plan: probes materialise bitmaps (byte budget charged
     /// per bitmap), intersect in place with early exit on empty, then the
-    /// residual conjuncts run on survivors only (row budget charged, ctx
-    /// polled per document). Output is in ascending ordinal — i.e.
-    /// `(segment, doc)` — order, identical to the scan oracle.
+    /// residual conjuncts — bound to the column's table once — run on
+    /// survivors only (row budget charged, ctx polled per document).
+    /// Output is in ascending ordinal — i.e. `(segment, doc)` — order,
+    /// identical to the scan oracle.
     fn execute(
         &self,
         plan: &IndexPlan<'_>,
@@ -319,16 +325,18 @@ impl IndexSet {
             }
         }
         let acc = acc.expect("plan holds at least one probe");
+        let table = table_of(segments);
+        let residual: Vec<_> = plan.residual.iter().map(|f| f.bind(table)).collect();
         let mut poll = ctx.poller();
         let mut out = Vec::new();
         let mut residual_evals = 0u64;
         for d in doc_refs_at(segments, acc.iter()) {
             poll.tick()?;
             let tree = &segments[d.seg as usize];
-            if !plan.residual.is_empty() {
+            if !residual.is_empty() {
                 residual_evals += 1;
             }
-            if plan.residual.iter().all(|f| f.matches_at(tree, d.node)) {
+            if residual.iter().all(|f| f.matches_at(tree, d.node)) {
                 out.push(d);
             }
         }

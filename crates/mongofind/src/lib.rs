@@ -13,6 +13,13 @@
 //! * [`Filter::to_jnl`] — the compilation into a deterministic JNL unary
 //!   formula (the paper's Example 1 becomes
 //!   `eqdoc(@"name", "Sue")`-style conditions).
+//! * [`Filter::bind`] / [`Path::bind`] — the tree-side evaluators. A
+//!   query binds its paths and string constants to the collection's
+//!   symbol table once; rows then step by symbol ([`step_node`], a `u32`
+//!   binary search) and test string equality by symbol, so the paper's
+//!   `O(1)` edge-label tests hold per row without hashing a string.
+//!   [`Filter::matches`] on [`Json`] is the oracle the bound evaluators
+//!   are differentially tested against.
 //! * [`Collection::find`] — evaluation over a collection (index probe or
 //!   document scan, chosen by [`Collection::route_of`]), plus
 //!   [`Projection`] (the §6 future-work feature) as a basic
@@ -37,6 +44,7 @@
 //! assert_eq!(hits[0].get("age"), Some(&jsondata::Json::Num(28)));
 //! ```
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
@@ -44,7 +52,7 @@ use std::sync::Arc;
 use jguard::{QueryCtx, QueryError};
 use jnl::ast::{Binary, Unary};
 use jpar::Pool;
-use jsondata::{Interner, Json, JsonTree, NodeId, NodeKind, ParseLimits};
+use jsondata::{Interner, Json, JsonTree, NodeId, NodeKind, ParseLimits, Sym};
 use jtrace::{Counter, SpanKind};
 
 mod explain;
@@ -117,6 +125,13 @@ pub enum Filter {
 
 /// A dotted path: `"name.first"` → `["name", "first"]`; numeric segments
 /// address array positions.
+///
+/// A path is written in strings, but no tree-side evaluation walks it by
+/// string: a query binds each path it reads **once** against its
+/// collection's symbol table ([`Path::bind`]), and every row then steps
+/// through the [`BoundPath`] with [`step_node`] — a `u32` binary search per
+/// object step, never a string hash. [`Path::resolve`] walks owned
+/// [`Json`] values (the oracle side) by string.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Path(pub Vec<String>);
 
@@ -132,11 +147,22 @@ impl Path {
         resolve(doc, self)
     }
 
-    /// [`Path::resolve`] on a [`JsonTree`], anchored at `at` — no string is
-    /// ever cloned (an `O(1)` interner probe + `u32` binary search per
-    /// segment).
-    pub fn resolve_node(&self, tree: &JsonTree, at: NodeId) -> Option<NodeId> {
-        resolve_node(tree, at, self)
+    /// Binds this path to a symbol table: each segment's symbol and array
+    /// position are looked up once, here, so resolving the bound path on a
+    /// tree does no string work. See [`BoundPath`] for which table to bind
+    /// to.
+    pub fn bind(&self, table: &Interner) -> BoundPath<'_> {
+        BoundPath {
+            path: self,
+            steps: self
+                .0
+                .iter()
+                .map(|seg| Step {
+                    key: table.lookup(seg),
+                    index: seg.parse().ok(),
+                })
+                .collect(),
+        }
     }
 
     /// Compiles the path to its JNL navigation axis: numeric segments
@@ -154,6 +180,74 @@ impl Path {
                 })
                 .collect(),
         )
+    }
+}
+
+/// One segment of a [`BoundPath`], resolved against a symbol table.
+#[derive(Debug, Clone, Copy)]
+pub struct Step {
+    /// The segment's symbol, or `None` when the table does not hold the
+    /// string — then no object edge carries it.
+    key: Option<Sym>,
+    /// The segment as an array position, when it is numeric.
+    index: Option<usize>,
+}
+
+/// A [`Path`] bound to a symbol table by [`Path::bind`]: one [`Step`] per
+/// segment. It keeps a reference to its source path, which the owned-
+/// [`Json`] side and output assembly still read.
+///
+/// ## Which table
+///
+/// A query over a [`Collection`] binds to [`Collection::interner`], the
+/// last segment's table, and resolves the bound path in **every** segment.
+/// This is sound because every segment's table is a prefix of the last
+/// one: each segment is built on, and only ever extends, the table before
+/// it, and compaction replays onto the last table. So a symbol found in
+/// the last table names the same string in every segment, and a string
+/// absent from it is absent from every segment — no edge and no string
+/// leaf anywhere carries it, so a step without a symbol fails on every
+/// object, and a string constant without one equals no node. A tree
+/// outside any collection binds to its own table
+/// ([`JsonTree::interner`]).
+#[derive(Debug)]
+pub struct BoundPath<'p> {
+    path: &'p Path,
+    steps: Box<[Step]>,
+}
+
+impl<'p> BoundPath<'p> {
+    /// The path this was bound from.
+    pub fn path(&self) -> &'p Path {
+        self.path
+    }
+
+    /// The bound segments, in path order.
+    pub fn steps(&self) -> &[Step] {
+        &self.steps
+    }
+
+    /// Resolves the path on a [`JsonTree`] anchored at `at`: [`step_node`]
+    /// per step. Agrees with [`Path::resolve`] on `tree.json_at(at)` when
+    /// bound to a table the tree's table is a prefix of.
+    pub fn resolve_node(&self, tree: &JsonTree, at: NodeId) -> Option<NodeId> {
+        self.steps
+            .iter()
+            .try_fold(at, |cur, step| step_node(tree, cur, step))
+    }
+}
+
+/// THE single-step rule of the dialect's dotted paths on trees: an array
+/// node takes the step's position, an object node the child under the
+/// step's symbol (a `u32` binary search), anything else fails. Every
+/// tree-side path walk steps through here — [`BoundPath::resolve_node`]
+/// and the `jagg` overlay rows alike — so their semantics cannot drift
+/// from one another or from [`Path::resolve`].
+pub fn step_node(tree: &JsonTree, at: NodeId, step: &Step) -> Option<NodeId> {
+    match tree.kind(at) {
+        NodeKind::Arr => tree.child_by_index(at, step.index?),
+        NodeKind::Obj => tree.child_by_sym(at, step.key?),
+        _ => None,
     }
 }
 
@@ -464,47 +558,154 @@ impl Filter {
         }
     }
 
-    /// [`Filter::matches`] evaluated directly on a [`JsonTree`] — the
-    /// tree-backed twin used by [`Collection`], so documents loaded through
-    /// the fused parser (`jsondata::parse_to_tree`) are queried without ever
-    /// re-materialising a [`Json`]. Semantics agree with `matches` on
-    /// `tree.to_json()` exactly (differentially tested).
-    pub fn matches_tree(&self, tree: &JsonTree) -> bool {
-        self.matches_at(tree, tree.root())
+    /// Binds the filter's paths and string constants to a symbol table,
+    /// once, for evaluation on trees ([`BoundFilter::matches_at`]). See
+    /// [`BoundPath`] for which table to bind to.
+    pub fn bind(&self, table: &Interner) -> BoundFilter<'_> {
+        let konst = |value| BoundConst {
+            value,
+            sym: match value {
+                Json::Str(s) => table.lookup(s),
+                _ => None,
+            },
+        };
+        BoundFilter(match self {
+            Filter::And(fs) => Cond::And(fs.iter().map(|f| f.bind(table).0).collect()),
+            Filter::Or(fs) => Cond::Or(fs.iter().map(|f| f.bind(table).0).collect()),
+            Filter::Not(f) => Cond::Not(Box::new(f.bind(table).0)),
+            Filter::Compare(p, cmp, v) => Cond::Compare(p.bind(table), *cmp, konst(v)),
+            Filter::In(p, items, pos) => {
+                Cond::In(p.bind(table), items.iter().map(konst).collect(), *pos)
+            }
+            Filter::Exists(p, flag) => Cond::Exists(p.bind(table), *flag),
+            Filter::Size(p, n) => Cond::Size(p.bind(table), *n),
+            Filter::Type(p, ty) => Cond::Type(p.bind(table), ty),
+        })
+    }
+}
+
+/// A filter constant bound to a symbol table.
+#[derive(Debug)]
+struct BoundConst<'f> {
+    value: &'f Json,
+    /// A string constant's symbol; `None` for other constants, and for a
+    /// string the table lacks — which then equals no string node.
+    sym: Option<Sym>,
+}
+
+/// A [`Filter`] bound to a symbol table by [`Filter::bind`]: its paths are
+/// [`BoundPath`]s, and `$eq`/`$ne`/`$in`/`$nin` against a string constant
+/// compare the node's symbol with the constant's. Order comparisons and
+/// non-string constants compare values ([`cmp_node_json`]).
+///
+/// This is the tree side of the dialect: the [`Collection`] scan, the
+/// index route's residual and the `jagg` `$match` stage all evaluate a
+/// `BoundFilter`, and [`Filter::matches`] on [`Json`] stays the oracle it
+/// is differentially tested against.
+#[derive(Debug)]
+pub struct BoundFilter<'f>(Cond<'f>);
+
+/// The bound condition tree, one variant per [`Filter`] variant.
+#[derive(Debug)]
+enum Cond<'f> {
+    And(Vec<Cond<'f>>),
+    Or(Vec<Cond<'f>>),
+    Not(Box<Cond<'f>>),
+    Compare(BoundPath<'f>, Cmp, BoundConst<'f>),
+    In(BoundPath<'f>, Vec<BoundConst<'f>>, bool),
+    Exists(BoundPath<'f>, bool),
+    Size(BoundPath<'f>, u64),
+    Type(BoundPath<'f>, &'static str),
+}
+
+/// The value a bound condition tests at the end of its path.
+#[derive(Debug)]
+pub enum Operand<'a> {
+    /// A node of a tree whose table is a prefix of the binding table.
+    Node(&'a JsonTree, NodeId),
+    /// A value that lives in no tree (the `jagg` executor's synthesized
+    /// rows and merged views); compared by value, never by symbol.
+    Value(Cow<'a, Json>),
+}
+
+impl Operand<'_> {
+    /// Whether the operand equals `c`: by symbol for a tree string against
+    /// a string constant, by value otherwise.
+    fn eq_const(&self, c: &BoundConst<'_>) -> bool {
+        match (self, c.value) {
+            (Operand::Node(tree, n), Json::Str(_)) => c.sym.is_some() && tree.str_sym(*n) == c.sym,
+            _ => self.cmp_const(c).is_eq(),
+        }
     }
 
-    /// [`Filter::matches_tree`] anchored at an arbitrary node — `doc` plays
-    /// the document root, which is how the [`Collection`] scan evaluates
-    /// one filter over every document of a segment tree.
-    pub fn matches_at(&self, tree: &JsonTree, doc: NodeId) -> bool {
+    /// [`Json::total_cmp`] of the operand against `c`.
+    fn cmp_const(&self, c: &BoundConst<'_>) -> Ordering {
         match self {
-            Filter::And(fs) => fs.iter().all(|f| f.matches_at(tree, doc)),
-            Filter::Or(fs) => fs.iter().any(|f| f.matches_at(tree, doc)),
-            Filter::Not(f) => !f.matches_at(tree, doc),
-            Filter::Compare(p, cmp, v) => match resolve_node(tree, doc, p) {
-                Some(n) => {
-                    let ord = cmp_node_json(tree, n, v);
-                    match cmp {
-                        Cmp::Eq => ord.is_eq(),
-                        Cmp::Ne => !ord.is_eq(),
-                        Cmp::Gt => ord.is_gt(),
-                        Cmp::Gte => ord.is_ge(),
-                        Cmp::Lt => ord.is_lt(),
-                        Cmp::Lte => ord.is_le(),
-                    }
-                }
-                None => false,
-            },
-            Filter::In(p, items, pos) => match resolve_node(tree, doc, p) {
-                Some(n) => items.iter().any(|v| cmp_node_json(tree, n, v).is_eq()) == *pos,
-                None => false,
-            },
-            Filter::Exists(p, flag) => resolve_node(tree, doc, p).is_some() == *flag,
-            Filter::Size(p, n) => resolve_node(tree, doc, p)
-                .is_some_and(|m| tree.kind(m) == NodeKind::Arr && tree.child_count(m) as u64 == *n),
-            Filter::Type(p, ty) => {
-                resolve_node(tree, doc, p).is_some_and(|m| type_matches_kind(ty, tree.kind(m)))
+            Operand::Node(tree, n) => cmp_node_json(tree, *n, c.value),
+            Operand::Value(v) => v.total_cmp(c.value),
+        }
+    }
+
+    fn kind(&self) -> NodeKind {
+        match self {
+            Operand::Node(tree, n) => tree.kind(*n),
+            Operand::Value(v) => json_kind(v),
+        }
+    }
+
+    fn arr_len(&self) -> Option<usize> {
+        match self {
+            Operand::Node(tree, n) => {
+                (tree.kind(*n) == NodeKind::Arr).then(|| tree.child_count(*n))
             }
+            Operand::Value(v) => v.as_array().map(<[Json]>::len),
+        }
+    }
+}
+
+impl BoundFilter<'_> {
+    /// Whether the document rooted at `doc` of `tree` satisfies the
+    /// filter. Agrees with [`Filter::matches`] on `tree.json_at(doc)`
+    /// (differentially tested across segments and layouts).
+    pub fn matches_at(&self, tree: &JsonTree, doc: NodeId) -> bool {
+        self.matches_with(&|p| p.resolve_node(tree, doc).map(|n| Operand::Node(tree, n)))
+    }
+
+    /// The condition walk over any row representation: `resolve` finds
+    /// the operand at a bound path (`None` when the path is missing).
+    /// [`BoundFilter::matches_at`] resolves on one tree; the `jagg`
+    /// executor resolves through its `$unwind` overlay bindings, so both
+    /// walk this one code path.
+    pub fn matches_with<'a>(
+        &self,
+        resolve: &impl Fn(&BoundPath<'_>) -> Option<Operand<'a>>,
+    ) -> bool {
+        self.0.matches_with(resolve)
+    }
+}
+
+impl Cond<'_> {
+    fn matches_with<'a>(&self, resolve: &impl Fn(&BoundPath<'_>) -> Option<Operand<'a>>) -> bool {
+        match self {
+            Cond::And(cs) => cs.iter().all(|c| c.matches_with(resolve)),
+            Cond::Or(cs) => cs.iter().any(|c| c.matches_with(resolve)),
+            Cond::Not(c) => !c.matches_with(resolve),
+            Cond::Compare(p, cmp, c) => resolve(p).is_some_and(|x| match cmp {
+                Cmp::Eq => x.eq_const(c),
+                Cmp::Ne => !x.eq_const(c),
+                Cmp::Gt => x.cmp_const(c).is_gt(),
+                Cmp::Gte => x.cmp_const(c).is_ge(),
+                Cmp::Lt => x.cmp_const(c).is_lt(),
+                Cmp::Lte => x.cmp_const(c).is_le(),
+            }),
+            Cond::In(p, items, pos) => {
+                resolve(p).is_some_and(|x| items.iter().any(|c| x.eq_const(c)) == *pos)
+            }
+            Cond::Exists(p, flag) => resolve(p).is_some() == *flag,
+            Cond::Size(p, n) => resolve(p)
+                .and_then(|x| x.arr_len())
+                .is_some_and(|len| len as u64 == *n),
+            Cond::Type(p, ty) => resolve(p).is_some_and(|x| type_matches_kind(ty, x.kind())),
         }
     }
 }
@@ -521,29 +722,6 @@ fn resolve<'a>(doc: &'a Json, path: &Path) -> Option<&'a Json> {
     Some(cur)
 }
 
-/// One segment of [`Path::resolve_node`]: a numeric segment indexes an
-/// array node, every segment is a key lookup on an object node (an `O(1)`
-/// interner probe + `u32` binary search — no string is ever cloned). This
-/// is THE single-step rule of the dialect's dotted paths; binding-aware
-/// resolvers (the `jagg` overlay rows) step through it so their path
-/// semantics cannot drift from the plain tree walk.
-pub fn resolve_node_step(tree: &JsonTree, at: NodeId, seg: &str) -> Option<NodeId> {
-    match (tree.kind(at), seg.parse::<usize>()) {
-        (NodeKind::Arr, Ok(i)) => tree.child_by_index(at, i),
-        (NodeKind::Obj, _) => tree.child_by_key(at, seg),
-        _ => None,
-    }
-}
-
-/// [`resolve`] on a tree: [`resolve_node_step`] per segment.
-fn resolve_node(tree: &JsonTree, doc: NodeId, path: &Path) -> Option<NodeId> {
-    let mut cur = doc;
-    for seg in &path.0 {
-        cur = resolve_node_step(tree, cur, seg)?;
-    }
-    Some(cur)
-}
-
 /// The kind partition a JSON value belongs to (the value-side counterpart
 /// of [`JsonTree::kind`]).
 pub fn json_kind(v: &Json) -> NodeKind {
@@ -556,8 +734,9 @@ pub fn json_kind(v: &Json) -> NodeKind {
 }
 
 /// The `$type` vocabulary: whether a node kind satisfies a type name. The
-/// single source of truth for every `$type` test — [`Filter::matches`],
-/// [`Filter::matches_at`] and the `jagg` overlay matcher all consult it.
+/// single source of truth for every `$type` test — [`Filter::matches`]
+/// and [`BoundFilter::matches_with`] (the tree side and the `jagg` overlay
+/// rows) both consult it.
 pub fn type_matches_kind(ty: &str, kind: NodeKind) -> bool {
     matches!(
         (ty, kind),
@@ -723,19 +902,32 @@ impl Projection {
     /// path resolves on the tree and only the *kept* subtrees are
     /// materialised (via [`JsonTree::json_at`]) — the full document is never
     /// synthesised just to be cut down. Agrees with
-    /// `apply(&tree.json_at(doc))` exactly (differentially tested).
+    /// `apply(&tree.json_at(doc))` exactly (differentially tested). Binds
+    /// the include paths to `tree`'s own table on every call;
+    /// [`Collection::find_with_ctx`] binds them once per query instead.
     pub fn apply_tree(&self, tree: &JsonTree, doc: NodeId) -> Json {
-        if self.include.is_empty() {
-            return tree.json_at(doc);
-        }
-        let mut pairs: Vec<(String, Json)> = Vec::new();
-        for p in &self.include {
-            if let Some(n) = resolve_node(tree, doc, p) {
-                insert_path(&mut pairs, &p.0, tree.json_at(n));
-            }
-        }
-        Json::object(pairs).expect("projection paths produce distinct keys")
+        apply_bound(&self.bind(tree.interner()), tree, doc)
     }
+
+    /// The include paths, bound to `table`.
+    fn bind(&self, table: &Interner) -> Vec<BoundPath<'_>> {
+        self.include.iter().map(|p| p.bind(table)).collect()
+    }
+}
+
+/// [`Projection::apply_tree`] with include paths already bound (empty =
+/// keep the whole document).
+fn apply_bound(include: &[BoundPath<'_>], tree: &JsonTree, doc: NodeId) -> Json {
+    if include.is_empty() {
+        return tree.json_at(doc);
+    }
+    let mut pairs: Vec<(String, Json)> = Vec::new();
+    for p in include {
+        if let Some(n) = p.resolve_node(tree, doc) {
+            insert_path(&mut pairs, &p.path().0, tree.json_at(n));
+        }
+    }
+    Json::object(pairs).expect("projection paths produce distinct keys")
 }
 
 /// Inserts `value` at a dotted `path` into an under-construction object's
@@ -1040,12 +1232,11 @@ impl Collection {
     }
 
     /// The collection's symbol table: the last segment's, which extends
-    /// every earlier segment's table.
+    /// every earlier segment's table. Queries bind their paths and string
+    /// constants to it once ([`Filter::bind`], [`Path::bind`]; see
+    /// [`BoundPath`] for why that is sound in every segment).
     pub fn interner(&self) -> &Arc<Interner> {
-        self.segments
-            .last()
-            .expect("a collection has at least one segment")
-            .interner()
+        table_of(&self.segments)
     }
 
     /// Materialises one document from the tree column.
@@ -1078,17 +1269,20 @@ impl Collection {
         }
     }
 
-    /// The document-scan oracle: every document is tested with
-    /// [`Filter::matches_at`] in parallel chunks on the collection's pool,
-    /// whatever indexes are declared. The index differential suites and
-    /// the harness gates compare the routed path against this.
+    /// The document scan: the filter is bound to the collection's table
+    /// once ([`Filter::bind`]), then every document is tested with
+    /// [`BoundFilter::matches_at`] in parallel chunks on the collection's
+    /// pool, whatever indexes are declared. The index differential suites
+    /// and the harness gates compare the routed path against this, and
+    /// this against [`Filter::matches`].
     pub fn find_refs_via_scan_with_ctx(
         &self,
         filter: &Filter,
         ctx: &QueryCtx,
     ) -> Result<Vec<DocRef>, QueryError> {
+        let bound = filter.bind(self.interner());
         self.scan_refs(ctx, |d| {
-            filter.matches_at(&self.segments[d.seg as usize], d.node)
+            bound.matches_at(&self.segments[d.seg as usize], d.node)
         })
     }
 
@@ -1151,9 +1345,9 @@ impl Collection {
     /// `find(filter, projection)` under a [`QueryCtx`]: the refs of
     /// [`Collection::find_refs_with_ctx`], materialised in order — whole
     /// documents, or only the kept subtrees of a [`Projection`]
-    /// ([`Projection::apply_tree`]). Materialisation polls `ctx` per
-    /// document and charges each value (projected, when projecting)
-    /// against the byte budget.
+    /// ([`Projection::apply_tree`], with the include paths bound once per
+    /// query). Materialisation polls `ctx` per document and charges each
+    /// value (projected, when projecting) against the byte budget.
     pub fn find_with_ctx(
         &self,
         filter: &Filter,
@@ -1161,12 +1355,9 @@ impl Collection {
         ctx: &QueryCtx,
     ) -> Result<Vec<Json>, QueryError> {
         let refs = self.find_refs_with_ctx(filter, ctx)?;
+        let include = projection.map_or_else(Vec::new, |p| p.bind(self.interner()));
         self.materialize_refs(ctx, refs, |d| {
-            let tree = &self.segments[d.seg as usize];
-            match projection {
-                Some(p) => p.apply_tree(tree, d.node),
-                None => tree.json_at(d.node),
-            }
+            apply_bound(&include, &self.segments[d.seg as usize], d.node)
         })
     }
 
@@ -1235,6 +1426,15 @@ fn seed_docs(seed: &JsonTree) -> &[NodeId] {
         NodeKind::Arr => seed.arr_children(seed.root()),
         _ => ROOT,
     }
+}
+
+/// The symbol table of the tree column `segments`: the last segment's,
+/// which every earlier segment's table is a prefix of.
+pub(crate) fn table_of(segments: &[Arc<JsonTree>]) -> &Arc<Interner> {
+    segments
+        .last()
+        .expect("a collection has at least one segment")
+        .interner()
 }
 
 /// Number of documents in the tree column `segments`: segment 0's, plus
@@ -1497,7 +1697,12 @@ mod tests {
         for f in filter_corpus() {
             for d in &coll.docs() {
                 let tree = JsonTree::build(d);
-                assert_eq!(f.matches(d), f.matches_tree(&tree), "filter {f:?} on {d}");
+                let bound = f.bind(tree.interner());
+                assert_eq!(
+                    f.matches(d),
+                    bound.matches_at(&tree, tree.root()),
+                    "filter {f:?} on {d}"
+                );
             }
             // And collection-level: find (tree column) == value filtering.
             let via_tree: Vec<Json> = coll.find(&f);
@@ -1523,7 +1728,7 @@ mod tests {
             for f in &filters {
                 assert_eq!(
                     f.matches(&doc),
-                    f.matches_tree(&tree),
+                    f.bind(tree.interner()).matches_at(&tree, tree.root()),
                     "seed {seed}, filter {f:?} on {doc}"
                 );
             }
