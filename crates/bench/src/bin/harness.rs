@@ -975,10 +975,10 @@ fn s4() {
 /// executor must not be slower than the reference it subsumes (the
 /// reference clones every document into owned rows before it can do
 /// anything — exactly the cost the tree executor avoids); and, on the
-/// `$group` pipelines, one `jagg::aggregate` call may add at most
-/// [`S5_ALLOCS_PER_ROW_MAX`] heap allocations per added input document
-/// between [`S5_ALLOC_SIZES`] (a count by `bench::memtrack`, not a
-/// timing). Wall times and allocation counts land in
+/// [`S5_ALLOC_GATED`] pipelines, one `jagg::aggregate` call may add at
+/// most [`S5_ALLOCS_PER_ROW_MAX`] heap allocations per added input
+/// document between [`S5_ALLOC_SIZES`] (a count by `bench::memtrack`, not
+/// a timing). Wall times and allocation counts land in
 /// `BENCH_aggregate.json`.
 fn s5() {
     header(
@@ -1034,7 +1034,8 @@ fn s5() {
         let [(small, a_small), (large, a_large)] = allocs;
         let per_row = (a_large as f64 - a_small as f64) / (large - small) as f64;
         // Deterministic gate 3: `$group` allocates per distinct key and
-        // per output, not per input row.
+        // per output, and a top-k block projects its survivors only —
+        // neither allocates per input row.
         if S5_ALLOC_GATED.contains(&label) {
             assert!(
                 per_row <= S5_ALLOCS_PER_ROW_MAX,
@@ -1090,7 +1091,8 @@ fn s5() {
             Val::str(
                 "asserted: tree output == reference output on every pipeline; \
                  tree_ms <= reference_ms; allocs_per_added_row <= 0.1 on \
-                 match_unwind_group_sort and jnl_match_group_compound_id",
+                 match_unwind_group_sort, match_project_sort_paginate and \
+                 jnl_match_group_compound_id",
             ),
         ),
         ("pipelines", Val::Arr(entries)),
@@ -1099,7 +1101,11 @@ fn s5() {
 }
 
 /// The S5 pipelines whose allocations per added input row are gated.
-const S5_ALLOC_GATED: [&str; 2] = ["match_unwind_group_sort", "jnl_match_group_compound_id"];
+const S5_ALLOC_GATED: [&str; 3] = [
+    "match_unwind_group_sort",
+    "match_project_sort_paginate",
+    "jnl_match_group_compound_id",
+];
 
 /// S5's allocation bound: heap allocations one `jagg::aggregate` call may
 /// add per added input document. A per-row owned key, observation or

@@ -302,11 +302,14 @@ fn pipeline_explain_text_snapshot() {
 }
 
 /// `bytes_charged` of each S5 pipeline of [`bench::s5_pipelines`] under
-/// a byte budget, the same on every layout and thread count. These are
-/// the figures of the executor that materialised every `$group` key and
-/// `$push` element per row; the node-native executor charges each kept
+/// a byte budget, the same on every layout and thread count. The `$group`
+/// figures are those of the executor that materialised every `$group` key
+/// and `$push` element per row; the node-native executor charges each kept
 /// handle what its value will cost, so a budget trips on the same row.
-const S5_BYTES_CHARGED: [u64; 3] = [2071, 124_798, 36_726];
+/// The paginate pipeline's `$project` runs late, on its 50 survivors
+/// only, so it charges less than the executor that projected every row
+/// (124,798); [`FULL_SORT`] pins the unfused figures.
+const S5_BYTES_CHARGED: [u64; 3] = [2071, 41_683, 36_726];
 
 #[test]
 fn s5_bytes_charged_are_those_of_the_materialising_executor() {
@@ -325,6 +328,48 @@ fn s5_bytes_charged_are_those_of_the_materialising_executor() {
                     sink.get(Counter::BytesCharged),
                     want,
                     "{label} {name} x{threads}"
+                );
+            }
+        }
+    }
+}
+
+/// Full `$sort`s (no `$limit` follows) over the S5 paginate selection,
+/// with the `bytes_charged` of the executor that materialised every sort
+/// key: keys that are tree handles (sorting the matched documents), and
+/// keys of owned rows (sorting after the `$project`, which therefore runs
+/// before the sort and projects every row).
+const FULL_SORT: [(&str, u64); 2] = [
+    (
+        r#"[{"$match": {"name.first": {"$in": ["Sue", "Omar", "Ivy"]}, "age": {"$lte": 89}}},
+            {"$sort": {"age": 0, "name.first": 1}}]"#,
+        150_954,
+    ),
+    (
+        r#"[{"$match": {"name.first": {"$in": ["Sue", "Omar", "Ivy"]}, "age": {"$lte": 89}}},
+            {"$project": {"name.first": 1, "age": 1, "nh": "$hobbies"}},
+            {"$sort": {"age": 0, "name.first": 1}}]"#,
+        207_913,
+    ),
+];
+
+#[test]
+fn full_sort_bytes_charged_are_those_of_the_materialising_executor() {
+    let docs = corpus();
+    for (src, want) in FULL_SORT {
+        let pipe = jagg::Pipeline::parse_str(src).expect("pipeline parses");
+        for (label, mut coll) in layouts(&docs) {
+            for threads in [1, 2] {
+                coll.set_pool(jpar::Pool::with_threads(threads));
+                let sink = Arc::new(QueryMetrics::new());
+                let ctx = QueryCtx::new()
+                    .with_byte_budget(u64::MAX / 2)
+                    .with_metrics(Arc::clone(&sink));
+                jagg::aggregate_with_ctx(&coll, &pipe, &ctx).expect("within budget");
+                assert_eq!(
+                    sink.get(Counter::BytesCharged),
+                    want,
+                    "{label} x{threads}: {src}"
                 );
             }
         }

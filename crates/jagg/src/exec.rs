@@ -23,8 +23,17 @@
 //!
 //! Documents are materialised to [`Json`] exactly once, at pipeline output
 //! — or earlier only where a stage genuinely observes a synthesized value
-//! (a projected field, a sort key, a distinct `$group` key, a `$group`
-//! output, or the rare merged view of a subtree that contains a binding).
+//! (a projected field, a distinct `$group` key, a `$group` output, or the
+//! rare merged view of a subtree that contains a binding).
+//!
+//! Sort keys and the observations `$min`/`$max`/`$push`/`$first`/`$last`
+//! keep are `Obs` values: a `(segment, node)` handle, or an owned value
+//! only when the observed value is synthesized (an owned row's field, a
+//! merged view). Handles compare in place across trees
+//! ([`cmp_nodes`]/[`cmp_node_json`]) and are charged to the byte budget
+//! what their materialised values would cost
+//! ([`QueryCtx::charge_node`]), so budgets trip where they did when
+//! every key was materialised.
 //!
 //! ## Bound paths
 //!
@@ -85,11 +94,20 @@
 //!   synthesized observation), `$min`/`$max` compare handles in place
 //!   across trees ([`cmp_nodes`]), and each kept handle materialises once,
 //!   in the group's output document. `$sum`/`$avg` read `Int` payloads.
-//! * `$sort` immediately followed by `$limit k` (or `$skip s` + `$limit
-//!   k`) never performs the full sort: a bounded max-heap retains the
-//!   `s + k` best rows under the stable `(sort keys, input position)`
-//!   order (see `Engine::top_k`); `jagg::reference` keeps the full-sort
-//!   semantics as the oracle.
+//! * The stages run in the blocks of the one planner, `plan::plan`, which
+//!   `EXPLAIN` renders too. `$sort` immediately followed by `$limit k`
+//!   (or `$skip s` + `$limit k`) is a top-k block and never performs the
+//!   full sort: a bounded max-heap retains the `s + k` best rows under
+//!   the stable `(sort keys, input position)` order (see
+//!   `Engine::top_k`); `jagg::reference` keeps the full-sort semantics as
+//!   the oracle.
+//! * **Late projection.** A `$project` right before a top-k block's
+//!   `$sort` joins the block when each sort key is a `p: 1` or `"$q"`
+//!   output with no other output path above or below it (the exact
+//!   condition is on `plan::plan`). The heap then runs on the
+//!   pre-projection rows — keys resolve at `p` or `q`, as tree handles —
+//!   and only the `limit` survivors are projected, so a paginated
+//!   `$project`+`$sort` builds `limit` documents instead of one per row.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -109,6 +127,7 @@ use crate::explain::StageActual;
 use crate::pipeline::{
     Accumulator, GroupSpec, IdExpr, Pipeline, ProjectField, SortOrder, Stage, ValueExpr,
 };
+use crate::plan::{plan, Block, TopK};
 
 /// Row vectors below this length always execute sequentially inline,
 /// whatever the pool size — fan-out overhead would dominate.
@@ -290,9 +309,10 @@ enum BoundExpr<'p> {
     Field(BoundPath<'p>),
 }
 
-/// An accumulator's kept observation: a handle into the tree column, or
-/// an owned value when the observation was synthesized (a constant, an
-/// owned row's field, a merged view). Materialised once, at output.
+/// A kept observation — an accumulator's, or a sort key: a handle into
+/// the tree column, or an owned value when the observation was
+/// synthesized (a constant, an owned row's field, a merged view).
+/// Materialised once, at output, if at all.
 enum Obs {
     Node(DocRef),
     Owned(Json),
@@ -417,26 +437,26 @@ impl<'c> Engine<'c> {
     }
 
     /// [`Engine::run`] with an optional per-stage trace. Tracing adds one
-    /// `Instant` read per stage and nothing else — the untraced path takes
-    /// the exact same stage sequence (the trace is the only difference,
-    /// so `EXPLAIN ANALYZE` measures the executor it describes). Fused
-    /// `$sort`/`$skip`/`$limit` blocks report their interior
-    /// cardinalities arithmetically: `$sort` preserves the row count and
-    /// the pagination arithmetic is exact, so the trace matches the
-    /// unfused reference executor stage for stage.
+    /// `Instant` read per block and nothing else — the untraced path runs
+    /// the exact same blocks (the trace is the only difference, so
+    /// `EXPLAIN ANALYZE` measures the executor it describes). A top-k
+    /// block reports its interior cardinalities arithmetically: `$project`
+    /// and `$sort` preserve the row count and the pagination arithmetic is
+    /// exact, so the trace matches the unfused reference executor stage
+    /// for stage.
     fn run_traced<'p>(
         &self,
         stages: &'p [Stage],
         mut trace: Option<&mut Vec<StageActual>>,
     ) -> Result<Vec<Json>, QueryError> {
-        let mut rows: Vec<Row<'p>>;
-        let rest = match stages.first() {
+        let blocks = plan(stages);
+        let (mut rows, first): (Vec<Row<'p>>, usize) = match blocks.first() {
             // Leading-$match fast path: the filter runs over the tree
             // column before any row struct is even built.
-            Some(Stage::Match(f)) => {
+            Some(Block::Stage(Stage::Match(f))) => {
                 let t0 = trace.is_some().then(Instant::now);
                 self.guard.span_open(SpanKind::Stage, 0);
-                rows = self.leading_match(f)?;
+                let rows = self.leading_match(f)?;
                 self.guard.span_close(SpanKind::Stage, 0);
                 if let Some(tr) = trace.as_deref_mut() {
                     tr.push(StageActual {
@@ -445,72 +465,54 @@ impl<'c> Engine<'c> {
                         wall_us: elapsed_us(t0),
                     });
                 }
-                &stages[1..]
+                (rows, 1)
             }
-            _ => {
-                rows = self.coll.doc_refs().into_iter().map(Row::node).collect();
-                stages
-            }
+            _ => (self.coll.doc_refs().into_iter().map(Row::node).collect(), 0),
         };
-        let done = stages.len() - rest.len();
-        let mut i = 0;
-        while i < rest.len() {
+        let mut stage_no = first;
+        for block in &blocks[first..] {
             self.guard.check()?;
-            let stage_no = (done + i) as u32;
-            // Top-k pushdown: `$sort` whose output is immediately cut to
-            // `skip + limit` rows is answered by a bounded heap instead of
-            // a full sort.
-            if let Stage::Sort(spec) = &rest[i] {
-                let fused = match (rest.get(i + 1), rest.get(i + 2)) {
-                    (Some(Stage::Limit(k)), _) => Some((0usize, clamp_len(*k), 2usize)),
-                    (Some(Stage::Skip(s)), Some(Stage::Limit(k))) => {
-                        Some((clamp_len(*s), clamp_len(*k), 3))
-                    }
-                    _ => None,
-                };
-                if let Some((skip, limit, consumed)) = fused {
-                    let n_in = rows.len();
-                    let t0 = trace.is_some().then(Instant::now);
-                    self.guard.span_open(SpanKind::Stage, stage_no);
-                    rows = self.top_k(rows, spec, skip, limit)?;
-                    self.guard.span_close(SpanKind::Stage, stage_no);
+            let t0 = trace.is_some().then(Instant::now);
+            match block {
+                Block::Stage(stage) => {
+                    self.guard.span_open(SpanKind::Stage, stage_no as u32);
+                    rows = self.step(rows, stage)?;
+                    self.guard.span_close(SpanKind::Stage, stage_no as u32);
                     if let Some(tr) = trace.as_deref_mut() {
-                        // The fused block's wall time lands on the `$sort`
-                        // entry; the pagination arithmetic is free.
                         tr.push(StageActual {
-                            label: "$sort",
-                            rows_out: n_in,
+                            label: stage_label(stage),
+                            rows_out: rows.len(),
                             wall_us: elapsed_us(t0),
                         });
-                        if consumed == 3 {
-                            tr.push(StageActual {
-                                label: "$skip",
-                                rows_out: n_in.saturating_sub(skip),
-                                wall_us: 0,
-                            });
-                        }
-                        tr.push(StageActual {
-                            label: "$limit",
-                            rows_out: rows.len(),
-                            wall_us: 0,
-                        });
                     }
-                    i += consumed;
-                    continue;
+                }
+                Block::TopK(tk) => {
+                    // The block's span and wall time belong to its `$sort`.
+                    let sort_no = (stage_no + usize::from(tk.project.is_some())) as u32;
+                    let n_in = rows.len();
+                    self.guard.span_open(SpanKind::Stage, sort_no);
+                    rows = self.top_k(rows, tk)?;
+                    self.guard.span_close(SpanKind::Stage, sort_no);
+                    if let Some(tr) = trace.as_deref_mut() {
+                        let mut entry = |label, rows_out, wall_us| {
+                            tr.push(StageActual {
+                                label,
+                                rows_out,
+                                wall_us,
+                            })
+                        };
+                        if tk.project.is_some() {
+                            entry("$project", n_in, 0);
+                        }
+                        entry("$sort", n_in, elapsed_us(t0));
+                        if let Some(skip) = tk.skip {
+                            entry("$skip", n_in.saturating_sub(clamp_len(skip)), 0);
+                        }
+                        entry("$limit", rows.len(), 0);
+                    }
                 }
             }
-            let t0 = trace.is_some().then(Instant::now);
-            self.guard.span_open(SpanKind::Stage, stage_no);
-            rows = self.step(rows, &rest[i])?;
-            self.guard.span_close(SpanKind::Stage, stage_no);
-            if let Some(tr) = trace.as_deref_mut() {
-                tr.push(StageActual {
-                    label: stage_label(&rest[i]),
-                    rows_out: rows.len(),
-                    wall_us: elapsed_us(t0),
-                });
-            }
-            i += 1;
+            stage_no += block.len();
         }
         let n = rows.len();
         let chunk = self.row_chunk(n);
@@ -590,35 +592,13 @@ impl<'c> Engine<'c> {
                     rows
                 }
             }
-            Stage::Project(spec) => {
-                let spec: Vec<(&Path, BoundExpr<'_>)> = spec
-                    .iter()
-                    .map(|(path, field)| {
-                        let e = match field {
-                            ProjectField::Include => BoundExpr::Field(self.bind(path)),
-                            ProjectField::Expr(e) => self.bind_expr(e),
-                        };
-                        (path, e)
-                    })
-                    .collect();
-                let spec = &spec;
-                let n = rows.len();
-                let chunk = self.row_chunk(n);
-                self.pool.try_flat_map_chunks(&self.guard, n, chunk, |r| {
-                    let mut poll = self.guard.poller();
-                    let mut out = Vec::with_capacity(r.len());
-                    for i in r {
-                        poll.tick()?;
-                        let v = self.project(&rows[i], spec);
-                        self.guard.charge_json(&v)?;
-                        out.push(Row::owned(v));
-                    }
-                    Ok(out)
-                })?
-            }
+            Stage::Project(spec) => self.project_rows(rows, spec)?,
             Stage::Unwind(path) => self.unwind(rows, path)?,
             Stage::Group(spec) => self.group(rows, spec)?,
-            Stage::Sort(spec) => self.sort(rows, spec)?,
+            Stage::Sort(spec) => {
+                let keys: Vec<(&Path, SortOrder)> = spec.iter().map(|(p, o)| (p, *o)).collect();
+                self.sort(rows, &keys)?
+            }
             Stage::Skip(n) => {
                 let n = clamp_len(*n).min(rows.len());
                 rows.drain(..n);
@@ -814,6 +794,39 @@ impl<'c> Engine<'c> {
     }
 
     // ---- $project ----------------------------------------------------
+
+    /// `$project` over a row vector (parallel chunks, row order kept):
+    /// every output row is an owned document.
+    fn project_rows<'p>(
+        &self,
+        rows: Vec<Row<'p>>,
+        spec: &[(Path, ProjectField)],
+    ) -> Result<Vec<Row<'p>>, QueryError> {
+        let spec: Vec<(&Path, BoundExpr<'_>)> = spec
+            .iter()
+            .map(|(path, field)| {
+                let e = match field {
+                    ProjectField::Include => BoundExpr::Field(self.bind(path)),
+                    ProjectField::Expr(e) => self.bind_expr(e),
+                };
+                (path, e)
+            })
+            .collect();
+        let spec = &spec;
+        let n = rows.len();
+        let chunk = self.row_chunk(n);
+        self.pool.try_flat_map_chunks(&self.guard, n, chunk, |r| {
+            let mut poll = self.guard.poller();
+            let mut out = Vec::with_capacity(r.len());
+            for i in r {
+                poll.tick()?;
+                let v = self.project(&rows[i], spec);
+                self.guard.charge_json(&v)?;
+                out.push(Row::owned(v));
+            }
+            Ok(out)
+        })
+    }
 
     /// One output document: each `(output path, bound value)` of the
     /// stage's spec, in spec order (`path: 1` binds the path itself).
@@ -1140,10 +1153,7 @@ impl<'c> Engine<'c> {
                 // retained element is charged to the byte budget, at what
                 // its materialised value will cost.
                 if let Some(o) = self.observe(row, e) {
-                    match &o {
-                        Obs::Node(d) => self.guard.charge_node(self.tree(d.seg), d.node)?,
-                        Obs::Owned(j) => self.guard.charge_json(j)?,
-                    }
+                    self.charge_obs(&o)?;
                     items.push(o);
                 }
             }
@@ -1250,57 +1260,60 @@ impl<'c> Engine<'c> {
 
     // ---- $sort -------------------------------------------------------
 
-    /// Resolves the sort-key vector of every row (parallel chunks, row
-    /// order preserved) — the per-row half both [`Engine::sort`] and
-    /// `Engine::top_k` share.
-    fn sort_keys(
-        &self,
+    /// Resolves the sort keys of every row (parallel chunks, row order
+    /// preserved) — the per-row half both [`Engine::sort`] and
+    /// [`Engine::top_k`] share. A key that resolves to a pure subtree
+    /// stays a tree handle; only a synthesized one (an owned row's field,
+    /// a merged view) is owned. The buffer lives until the sort completes,
+    /// so each key is charged as part of the query's working set, at what
+    /// its materialised value would cost.
+    fn sort_keys<'s>(
+        &'s self,
         rows: &[Row<'_>],
-        spec: &[(Path, SortOrder)],
-    ) -> Result<Vec<Vec<Option<Json>>>, QueryError> {
-        let paths: Vec<BoundPath<'_>> = spec.iter().map(|(p, _)| self.bind(p)).collect();
+        by: &'s [(&Path, SortOrder)],
+    ) -> Result<SortKeys<'s, 'c>, QueryError> {
+        let paths: Vec<BoundPath<'_>> = by.iter().map(|(p, _)| self.bind(p)).collect();
         let n = rows.len();
         let chunk = self.row_chunk(n);
-        self.pool.try_flat_map_chunks(&self.guard, n, chunk, |r| {
+        let keys = self.pool.try_flat_map_chunks(&self.guard, n, chunk, |r| {
             let mut poll = self.guard.poller();
-            let mut out = Vec::with_capacity(r.len());
+            let mut out = Vec::with_capacity(r.len() * paths.len());
             for i in r {
                 poll.tick()?;
-                let mut keys: Vec<Option<Json>> = Vec::with_capacity(spec.len());
                 for p in &paths {
-                    let k = self
-                        .resolve(&rows[i], p)
-                        .map(|x| self.materialize_resolved(x));
-                    // The key buffer lives until the sort completes: it is
-                    // part of the query's working set and charged as such.
+                    let k = self.resolve(&rows[i], p).map(|x| self.keep(x));
                     if let Some(k) = &k {
-                        self.guard.charge_json(k)?;
+                        self.charge_obs(k)?;
                     }
-                    keys.push(k);
+                    out.push(k);
                 }
-                out.push(keys);
             }
             Ok(out)
+        })?;
+        Ok(SortKeys {
+            engine: self,
+            by,
+            keys,
         })
     }
 
     fn sort<'p>(
         &self,
         rows: Vec<Row<'p>>,
-        spec: &[(Path, SortOrder)],
+        by: &[(&Path, SortOrder)],
     ) -> Result<Vec<Row<'p>>, QueryError> {
-        // Sort keys are resolved on the tree and materialised once per row
-        // (they are typically scalars); the rows themselves stay cursors.
-        // The comparison sort runs sequentially on the merged stream.
-        let keys = self.sort_keys(&rows, spec)?;
-        let mut keyed: Vec<(Vec<Option<Json>>, Row<'p>)> = keys.into_iter().zip(rows).collect();
+        // The rows stay cursors; the comparison sort runs sequentially on
+        // the merged stream, over row positions.
+        let keys = self.sort_keys(&rows, by)?;
+        let mut keyed: Vec<(usize, Row<'p>)> = rows.into_iter().enumerate().collect();
         // Stable, so equal-key rows keep their input order.
-        keyed.sort_by(|(ka, _), (kb, _)| cmp_sort_keys(spec, ka, kb));
+        keyed.sort_by(|(a, _), (b, _)| keys.cmp(*a, *b));
         Ok(keyed.into_iter().map(|(_, row)| row).collect())
     }
 
-    /// The fused `$sort` + pagination: returns `stable_sort(rows)[skip ..
-    /// skip + limit]` while retaining only `skip + limit` rows at a time.
+    /// A top-k block ([`TopK`]): returns `stable_sort(rows)[skip ..
+    /// skip + limit]` while retaining only `skip + limit` rows at a time,
+    /// then runs the block's late `$project` on those survivors.
     ///
     /// Correctness rests on `(sort keys, input position)` being a *total*
     /// order: the bounded max-heap keeps the `skip + limit` least rows
@@ -1309,10 +1322,24 @@ impl<'c> Engine<'c> {
     /// position = stability). `jagg::reference` runs the unfused full
     /// sort as the oracle; the differential suite pins equality including
     /// tie cases.
-    fn top_k<'p>(
+    fn top_k<'p>(&self, rows: Vec<Row<'p>>, tk: &TopK<'_>) -> Result<Vec<Row<'p>>, QueryError> {
+        let kept = self.heap_select(
+            rows,
+            &tk.keys,
+            tk.skip.map_or(0, clamp_len),
+            clamp_len(tk.limit),
+        )?;
+        match tk.project {
+            Some(spec) => self.project_rows(kept, spec),
+            None => Ok(kept),
+        }
+    }
+
+    /// The bounded-heap half of [`Engine::top_k`].
+    fn heap_select<'p>(
         &self,
         rows: Vec<Row<'p>>,
-        spec: &[(Path, SortOrder)],
+        by: &[(&Path, SortOrder)],
         skip: usize,
         limit: usize,
     ) -> Result<Vec<Row<'p>>, QueryError> {
@@ -1322,24 +1349,22 @@ impl<'c> Engine<'c> {
         }
         if keep >= rows.len() {
             // The heap would hold everything: the full sort is cheaper.
-            let mut out = self.sort(rows, spec)?;
+            let mut out = self.sort(rows, by)?;
             out.drain(..skip.min(out.len()));
             out.truncate(limit);
             return Ok(out);
         }
-        let keys = self.sort_keys(&rows, spec)?;
+        let keys = self.sort_keys(&rows, by)?;
         // A max-heap of the `keep` least entries under [`TopEnt`]'s total
         // `(keys, seq)` order: the root is the worst kept row, displaced
         // whenever a strictly-earlier-ordering row arrives (`PeekMut`
         // restores the heap on drop).
-        let mut heap: std::collections::BinaryHeap<TopEnt<'_, 'p>> =
-            std::collections::BinaryHeap::with_capacity(keep);
+        let mut heap = std::collections::BinaryHeap::with_capacity(keep);
         let mut poll = self.guard.poller();
-        for (seq, (keys, row)) in keys.into_iter().zip(rows).enumerate() {
+        for (seq, row) in rows.into_iter().enumerate() {
             poll.tick()?;
             let ent = TopEnt {
-                spec,
-                keys,
+                keys: &keys,
                 seq,
                 row,
             };
@@ -1356,35 +1381,84 @@ impl<'c> Engine<'c> {
         kept.truncate(limit);
         Ok(kept.into_iter().map(|e| e.row).collect())
     }
+
+    /// Charges a kept observation to the byte budget, at what its
+    /// materialised value will cost.
+    fn charge_obs(&self, o: &Obs) -> Result<(), QueryError> {
+        match o {
+            Obs::Node(d) => self.guard.charge_node(self.tree(d.seg), d.node),
+            Obs::Owned(j) => self.guard.charge_json(j),
+        }
+    }
 }
 
-/// One candidate row of `Engine::top_k`'s bounded heap, ordered by the
-/// stable `(sort keys, input position)` total order — the row itself does
-/// not participate in comparisons.
-struct TopEnt<'s, 'p> {
-    spec: &'s [(Path, SortOrder)],
-    keys: Vec<Option<Json>>,
+/// The sort keys of a row vector, in one flat row-major buffer: row `i`'s
+/// keys are `keys[i * k .. (i + 1) * k]` for `k` sort keys (`None` = the
+/// key is missing on the row).
+struct SortKeys<'s, 'c> {
+    engine: &'s Engine<'c>,
+    by: &'s [(&'s Path, SortOrder)],
+    keys: Vec<Option<Obs>>,
+}
+
+impl SortKeys<'_, '_> {
+    /// The `$sort` order of rows `a` and `b`: the first key that differs
+    /// decides, honouring its direction. A missing key sorts before every
+    /// present one; present keys compare under [`Json::total_cmp`], tree
+    /// handles in place ([`Engine::cmp_val`]).
+    fn cmp(&self, a: usize, b: usize) -> Ordering {
+        let k = self.by.len();
+        let (ka, kb) = (
+            &self.keys[a * k..(a + 1) * k],
+            &self.keys[b * k..(b + 1) * k],
+        );
+        for ((x, y), (_, order)) in ka.iter().zip(kb).zip(self.by) {
+            let ord = match (x, y) {
+                (None, None) => Ordering::Equal,
+                (None, Some(_)) => Ordering::Less,
+                (Some(_), None) => Ordering::Greater,
+                (Some(x), Some(y)) => self.engine.cmp_val(x.as_val(), y.as_val()),
+            };
+            let ord = match order {
+                SortOrder::Asc => ord,
+                SortOrder::Desc => ord.reverse(),
+            };
+            if ord != Ordering::Equal {
+                return ord;
+            }
+        }
+        Ordering::Equal
+    }
+}
+
+/// One candidate row of `Engine::heap_select`'s bounded heap, ordered by
+/// the stable `(sort keys, input position)` total order — the row itself
+/// does not participate in comparisons.
+struct TopEnt<'k, 'c, 'p> {
+    keys: &'k SortKeys<'k, 'c>,
     seq: usize,
     row: Row<'p>,
 }
 
-impl PartialEq for TopEnt<'_, '_> {
+impl PartialEq for TopEnt<'_, '_, '_> {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
 }
 
-impl Eq for TopEnt<'_, '_> {}
+impl Eq for TopEnt<'_, '_, '_> {}
 
-impl PartialOrd for TopEnt<'_, '_> {
+impl PartialOrd for TopEnt<'_, '_, '_> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for TopEnt<'_, '_> {
+impl Ord for TopEnt<'_, '_, '_> {
     fn cmp(&self, other: &Self) -> Ordering {
-        cmp_sort_keys(self.spec, &self.keys, &other.keys).then(self.seq.cmp(&other.seq))
+        self.keys
+            .cmp(self.seq, other.seq)
+            .then(self.seq.cmp(&other.seq))
     }
 }
 
@@ -1501,27 +1575,6 @@ pub(crate) fn saturate(n: u128) -> u64 {
 /// its truncated low bits).
 pub(crate) fn clamp_len(n: u64) -> usize {
     usize::try_from(n).unwrap_or(usize::MAX)
-}
-
-/// The `$sort` comparator over per-row key vectors: first inequality under
-/// [`cmp_opt_json`] decides, honouring each key's direction. Shared by both
-/// executors (pure plumbing over already-resolved keys).
-pub(crate) fn cmp_sort_keys(
-    spec: &[(Path, SortOrder)],
-    ka: &[Option<Json>],
-    kb: &[Option<Json>],
-) -> Ordering {
-    for (i, (_, order)) in spec.iter().enumerate() {
-        let ord = cmp_opt_json(&ka[i], &kb[i]);
-        let ord = match order {
-            SortOrder::Asc => ord,
-            SortOrder::Desc => ord.reverse(),
-        };
-        if ord != Ordering::Equal {
-            return ord;
-        }
-    }
-    Ordering::Equal
 }
 
 /// `None` (missing) sorts before every present value; present values

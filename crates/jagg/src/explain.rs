@@ -4,17 +4,23 @@
 //! without executing anything: one node per stage, the leading-`$match`
 //! route (delegated to [`Collection::explain`] — the executor and the
 //! plan share one routing function, so they cannot disagree), and the
-//! top-k fusion the executor applies to `$sort` blocks whose output is
-//! immediately cut to `skip + limit` rows.
+//! fused blocks. Those come from the one planner the executor runs
+//! (`plan::plan`), so a plan cannot claim a fusion that does not run: a
+//! top-k block (`$sort` whose output is immediately cut to
+//! `skip + limit` rows) marks its stages fused with a note on the
+//! skip/limit arithmetic, and a `$project` it takes in for late
+//! projection is marked fused too, with a second note naming the paths
+//! the sort keys are read at.
 //!
 //! [`explain_analyze`] executes the pipeline under a fresh
 //! [`QueryMetrics`] sink with per-stage tracing and annotates the plan
 //! with actual row counts, per-stage wall time, and the full counter
 //! snapshot. Fused blocks are expanded back into their constituent
-//! stages — `$sort` preserves cardinality and the pagination arithmetic
-//! is exact — so the reported per-stage cardinalities equal the
-//! reference executor's ([`crate::reference::stage_cardinalities`]),
-//! which the `s10` bench gate asserts on every S5 pipeline.
+//! stages — `$project` and `$sort` preserve cardinality and the
+//! pagination arithmetic is exact — so the reported per-stage
+//! cardinalities equal the reference executor's
+//! ([`crate::reference::stage_cardinalities`]), which the `s10` bench
+//! gate asserts on every S5 pipeline.
 //!
 //! Static-analysis findings (`jstat` prunes and advisories) attach to a
 //! plan through [`PipelineExplain::add_note`] — the analyzer sits above
@@ -33,6 +39,7 @@ use crate::exec::{aggregate_traced_with_ctx, clamp_len, stage_label};
 use crate::pipeline::{
     Accumulator, GroupSpec, IdExpr, Pipeline, ProjectField, SortOrder, Stage, ValueExpr,
 };
+use crate::plan::{plan, Block};
 
 /// One plan node: a pipeline stage as the executor will run it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,7 +48,8 @@ pub struct StageExplain {
     pub label: &'static str,
     /// Rendered operand (filter text, sort spec, group summary, …).
     pub detail: String,
-    /// Whether the stage is absorbed into a top-k fused block.
+    /// Whether the stage is absorbed into a top-k fused block (a
+    /// `$project` is, when it runs late).
     pub fused: bool,
 }
 
@@ -123,7 +131,8 @@ pub struct StageActual {
     /// Rows leaving the stage.
     pub rows_out: usize,
     /// Wall time of the stage in microseconds (a fused block's time
-    /// lands on its `$sort`; the interior pagination reports `0`).
+    /// lands on its `$sort`; its `$project`, `$skip` and `$limit` report
+    /// `0`).
     pub wall_us: u64,
 }
 
@@ -298,42 +307,35 @@ fn stage_detail(stage: &Stage) -> String {
 }
 
 /// `EXPLAIN`: the plan for `pipeline` over `coll`, without executing
-/// anything. Fusion detection mirrors the executor's scan exactly (the
-/// same left-to-right cursor with consumed stages skipped).
+/// anything. The fused blocks are the executor's own (`plan::plan`).
 pub fn explain(coll: &Collection, pipeline: &Pipeline) -> PipelineExplain {
     let stages = &pipeline.stages;
     let mut notes = Vec::new();
     let mut fused = vec![false; stages.len()];
-    let mut i = 0;
-    while i < stages.len() {
-        if let Stage::Sort(_) = &stages[i] {
-            let consumed = match (stages.get(i + 1), stages.get(i + 2)) {
-                (Some(Stage::Limit(k)), _) => {
-                    notes.push(format!(
-                        "top-k fusion: $sort+$limit run as a bounded heap (skip=0, limit={})",
-                        clamp_len(*k)
-                    ));
-                    Some(2)
-                }
-                (Some(Stage::Skip(s)), Some(Stage::Limit(k))) => {
-                    notes.push(format!(
-                        "top-k fusion: $sort+$skip+$limit run as a bounded heap (skip={}, limit={})",
-                        clamp_len(*s),
-                        clamp_len(*k)
-                    ));
-                    Some(3)
-                }
-                _ => None,
-            };
-            if let Some(c) = consumed {
-                for flag in &mut fused[i..i + c] {
-                    *flag = true;
-                }
-                i += c;
-                continue;
+    let mut at = 0;
+    for block in plan(stages) {
+        if let Block::TopK(tk) = &block {
+            fused[at..at + block.len()].fill(true);
+            let limit = clamp_len(tk.limit);
+            notes.push(match tk.skip {
+                None => format!(
+                    "top-k fusion: $sort+$limit run as a bounded heap (skip=0, limit={limit})"
+                ),
+                Some(s) => format!(
+                    "top-k fusion: $sort+$skip+$limit run as a bounded heap (skip={}, limit={limit})",
+                    clamp_len(s)
+                ),
+            });
+            if tk.project.is_some() {
+                let keys: Vec<String> = tk.keys.iter().map(|(p, _)| p.to_string()).collect();
+                notes.push(format!(
+                    "late projection: $project runs after the top-k, on at most {limit} rows; \
+                     sort keys read before projection at {}",
+                    keys.join(", ")
+                ));
             }
         }
-        i += 1;
+        at += block.len();
     }
     let match_plan = match stages.first() {
         Some(Stage::Match(f)) => Some(coll.explain(f)),
@@ -426,6 +428,43 @@ mod tests {
     }
 
     #[test]
+    fn explain_marks_a_late_projected_project_fused() {
+        let c = coll();
+        let p = Pipeline::parse_str(
+            r#"[
+                {"$match": {"age": {"$gte": 30}}},
+                {"$project": {"name.first": 1, "age": 1, "h": "$hobbies"}},
+                {"$sort": {"age": 0, "h": 1}},
+                {"$limit": 2}
+            ]"#,
+        )
+        .unwrap();
+        let ex = explain(&c, &p);
+        let fused: Vec<bool> = ex.stages.iter().map(|s| s.fused).collect();
+        assert_eq!(fused, [false, true, true, true]);
+        assert_eq!(
+            ex.notes,
+            [
+                "top-k fusion: $sort+$limit run as a bounded heap (skip=0, limit=2)",
+                "late projection: $project runs after the top-k, on at most 2 rows; \
+                 sort keys read before projection at age, hobbies",
+            ]
+        );
+        assert!(ex
+            .render_text()
+            .contains("[1] $project: name.first, age, h = $hobbies  [fused: top-k]"));
+        // A prefix clash keeps the `$project` before the block.
+        let p = Pipeline::parse_str(
+            r#"[{"$project": {"name": 1, "name.first": 1}}, {"$sort": {"name.first": 1}}, {"$limit": 2}]"#,
+        )
+        .unwrap();
+        let ex = explain(&c, &p);
+        let fused: Vec<bool> = ex.stages.iter().map(|s| s.fused).collect();
+        assert_eq!(fused, [false, true, true]);
+        assert_eq!(ex.notes.len(), 1);
+    }
+
+    #[test]
     fn analyze_cardinalities_match_reference_through_fusion() {
         let c = coll();
         for src in [
@@ -433,6 +472,9 @@ mod tests {
             r#"[{"$unwind": "$hobbies"}, {"$group": {"_id": "$hobbies", "n": {"$sum": 1}}}]"#,
             r#"[{"$sort": {"age": 1}}, {"$limit": 2}, {"$project": {"age": 1}}]"#,
             r#"[{"$match": {"name.last": "Kim"}}, {"$count": "kims"}]"#,
+            // Late projection: the `$project` entry is derived, too.
+            r#"[{"$match": {"age": {"$gte": 30}}}, {"$project": {"age": 1, "h": "$hobbies"}}, {"$sort": {"age": 0}}, {"$skip": 1}, {"$limit": 1}]"#,
+            r#"[{"$unwind": "$hobbies"}, {"$project": {"hobbies": 1}}, {"$sort": {"hobbies": 1}}, {"$limit": 9}]"#,
         ] {
             let p = Pipeline::parse_str(src).unwrap();
             let an = explain_analyze(&c, &p).unwrap();

@@ -43,7 +43,9 @@
 //! run in chunked parallel over the row vector, `$group` accumulates
 //! per-chunk tables merged in chunk order at a barrier, and adjacent
 //! `$sort`+`$limit` (optionally with `$skip`) fuse into a bounded-heap
-//! top-k — all without changing a byte of output for any thread count
+//! top-k, which also takes in a `$project` right before the `$sort` when
+//! the sort keys allow it and projects only the rows the heap keeps —
+//! all without changing a byte of output for any thread count
 //! (the [`mod@reference`] oracle keeps the unfused full-sort semantics; the
 //! determinism suite in `tests/parallel.rs` and `harness s6` gate it).
 //! See [`exec`] for the threading model.
@@ -76,6 +78,7 @@
 pub mod exec;
 pub mod explain;
 pub mod pipeline;
+mod plan;
 pub mod reference;
 
 pub use exec::{aggregate, aggregate_with_ctx};

@@ -9,10 +9,12 @@
 //! the tree path (only the parsed [`Pipeline`] IR and the pure
 //! output-assembly helpers `insert_path`/`set_at`).
 
+use std::cmp::Ordering;
+
 use jsondata::Json;
 use mongofind::{insert_path, Path};
 
-use crate::exec::{clamp_len, cmp_opt_json, cmp_sort_keys, saturate, set_at};
+use crate::exec::{clamp_len, cmp_opt_json, saturate, set_at};
 use crate::pipeline::{
     Accumulator, GroupSpec, IdExpr, Pipeline, ProjectField, SortOrder, Stage, ValueExpr,
 };
@@ -31,8 +33,8 @@ pub fn aggregate(docs: &[Json], pipeline: &Pipeline) -> Vec<Json> {
 /// the number of rows after `pipeline.stages[i]`. This is the oracle the
 /// `EXPLAIN ANALYZE` agreement gate compares the tree executor's
 /// per-stage trace against: the traced executor must report the same
-/// counts even through its top-k fusion (whose interior `$sort`/`$skip`
-/// cardinalities it derives arithmetically).
+/// counts even through its top-k fusion (whose interior `$project`/
+/// `$sort`/`$skip` cardinalities it derives arithmetically).
 pub fn stage_cardinalities(docs: &[Json], pipeline: &Pipeline) -> Vec<usize> {
     let mut rows: Vec<Json> = docs.to_vec();
     let mut out = Vec::with_capacity(pipeline.stages.len());
@@ -204,4 +206,20 @@ fn sort(rows: Vec<Json>, spec: &[(Path, SortOrder)]) -> Vec<Json> {
         .collect();
     keyed.sort_by(|(ka, _), (kb, _)| cmp_sort_keys(spec, ka, kb));
     keyed.into_iter().map(|(_, doc)| doc).collect()
+}
+
+/// The `$sort` comparator over per-row key vectors: the first inequality
+/// under [`cmp_opt_json`] decides, honouring each key's direction.
+fn cmp_sort_keys(spec: &[(Path, SortOrder)], ka: &[Option<Json>], kb: &[Option<Json>]) -> Ordering {
+    for (i, (_, order)) in spec.iter().enumerate() {
+        let ord = cmp_opt_json(&ka[i], &kb[i]);
+        let ord = match order {
+            SortOrder::Asc => ord,
+            SortOrder::Desc => ord.reverse(),
+        };
+        if ord != Ordering::Equal {
+            return ord;
+        }
+    }
+    Ordering::Equal
 }

@@ -180,6 +180,13 @@ fn generated_pipelines_agree() {
         r#"{"$skip": 2}"#,
         r#"{"$limit": 7}"#,
         r#"{"$count": "rows"}"#,
+        // `$project → $sort → [$skip] → $limit` runs, one entry each:
+        // late-projected (`p: 1` and `"$q"` keys, over tree, bound or
+        // owned rows) and unfused (a prefix clash, a dropped key).
+        r#"{"$project": {"name.first": 1, "age": 1, "h": "$hobbies"}}, {"$sort": {"age": 0, "name.first": 1}}, {"$skip": 3}, {"$limit": 5}"#,
+        r#"{"$project": {"_id": 1, "n": 1, "h": "$hobbies", "a": "$age"}}, {"$sort": {"h": 1, "a": 0, "_id": 1}}, {"$limit": 4}"#,
+        r#"{"$project": {"name": 1, "name.first": 1, "age": 1}}, {"$sort": {"name.first": 1}}, {"$skip": 1}, {"$limit": 6}"#,
+        r#"{"$project": {"age": 1}}, {"$sort": {"name.first": 1, "age": 0}}, {"$limit": 3}"#,
     ];
     // A tiny deterministic LCG so the sweep needs no rand dependency.
     let mut state = 0x9e3779b97f4a7c15u64;
@@ -189,6 +196,7 @@ fn generated_pipelines_agree() {
             .wrapping_add(1442695040888963407);
         (state >> 33) as usize
     };
+    let mut late = 0;
     for case in 0..120 {
         let coll = Collection::from_array(&gen::person_records(40, case as u64)).unwrap();
         let len = 1 + next() % 4;
@@ -197,7 +205,14 @@ fn generated_pipelines_agree() {
             .collect();
         let src = format!("[{}]", stages.join(","));
         check(&coll, &src);
+        let plan = jagg::explain(&coll, &Pipeline::parse_str(&src).unwrap());
+        late += plan
+            .notes
+            .iter()
+            .filter(|n| n.starts_with("late projection"))
+            .count();
     }
+    assert!(late >= 10, "only {late} late-projected blocks generated");
 }
 
 #[test]

@@ -391,3 +391,113 @@ fn stages_bind_keys_and_strings_first_seen_in_later_segments() {
         }
     }
 }
+
+/// Documents for the late-projection cases: ages tie in runs of 150
+/// (so every skip boundary falls inside a tie run), and `hobbies` is an
+/// array of 0–2 elements (so `$unwind` leaves bound rows).
+fn paginate_docs(n: u64) -> Vec<Json> {
+    const FIRSTS: [&str; 5] = ["Sue", "Ana", "Wei", "Omar", "Ivy"];
+    const HOBBIES: [&str; 3] = ["chess", "yoga", "go"];
+    (0..n)
+        .map(|i| {
+            let hobbies: Vec<String> = (0..i % 3)
+                .map(|j| format!(r#""{}""#, HOBBIES[((i + j) % 3) as usize]))
+                .collect();
+            let src = format!(
+                r#"{{"id": {i}, "age": {}, "name": {{"first": "{}", "last": "L{}"}}, "hobbies": [{}]}}"#,
+                i % 4,
+                FIRSTS[(i % 5) as usize],
+                i % 7,
+                hobbies.join(", ")
+            );
+            jsondata::parse(&src).unwrap()
+        })
+        .collect()
+}
+
+/// A `$project` right before a top-k `$sort` runs after the heap when
+/// every sort key is an `p: 1` or `"$q"` output with no prefix clash
+/// (see `jagg::explain`'s late-projection note); every other shape runs
+/// as written. Both must agree with the reference, which always projects
+/// first.
+#[test]
+fn late_projection_agrees_with_the_reference() {
+    let docs = paginate_docs(600);
+    // (pipeline, whether the `$project` runs late)
+    let cases = [
+        // Eligible: `p: 1` keys, with ties straddling the skip boundary
+        // and the end of the page.
+        (
+            r#"[{"$project": {"id": 1, "age": 1}}, {"$sort": {"age": 1}}, {"$skip": 148}, {"$limit": 4}]"#,
+            true,
+        ),
+        (
+            r#"[{"$project": {"name.first": 1, "age": 1, "nh": "$hobbies"}},
+                {"$sort": {"age": 0, "name.first": 1}}, {"$skip": 30}, {"$limit": 50}]"#,
+            true,
+        ),
+        // Eligible: a key on a field-reference output.
+        (
+            r#"[{"$project": {"h": "$hobbies", "id": 1}}, {"$sort": {"h": 0, "id": 1}}, {"$limit": 6}]"#,
+            true,
+        ),
+        // Ineligible: an output path is a prefix or an extension of the
+        // key. In the second, the projected `name` is `{"first": id}`.
+        (
+            r#"[{"$project": {"name": 1, "name.first": 1, "id": 1}}, {"$sort": {"name.first": 1, "id": 0}}, {"$limit": 5}]"#,
+            false,
+        ),
+        (
+            r#"[{"$project": {"name.first": "$id", "name": 1}}, {"$sort": {"name": 1}}, {"$limit": 5}]"#,
+            false,
+        ),
+        // Ineligible: the `$project` drops the key.
+        (
+            r#"[{"$project": {"id": 1}}, {"$sort": {"age": 1, "id": 0}}, {"$limit": 5}]"#,
+            false,
+        ),
+        // Ineligible: no `$limit`, so the sort runs in full.
+        (
+            r#"[{"$project": {"id": 1, "age": 1}}, {"$sort": {"age": 0, "id": 1}}]"#,
+            false,
+        ),
+        // Rows carrying `$unwind` bindings.
+        (
+            r#"[{"$unwind": "$hobbies"}, {"$project": {"id": 1, "hobbies": 1, "f": "$name.first"}},
+                {"$sort": {"hobbies": 1, "f": 0}}, {"$skip": 97}, {"$limit": 9}]"#,
+            true,
+        ),
+        // Owned rows after `$group`.
+        (
+            r#"[{"$group": {"_id": {"a": "$age", "f": "$name.first"}, "n": {"$count": {}}, "ids": {"$push": "$id"}}},
+                {"$project": {"k": "$_id", "n": 1, "ids": 1}}, {"$sort": {"n": 0, "k.a": 1}}, {"$skip": 3}, {"$limit": 4}]"#,
+            false,
+        ),
+        (
+            r#"[{"$group": {"_id": {"a": "$age", "f": "$name.first"}, "n": {"$count": {}}, "ids": {"$push": "$id"}}},
+                {"$project": {"k": "$_id", "n": 1, "ids": 1}}, {"$sort": {"n": 0, "k": 1}}, {"$skip": 3}, {"$limit": 4}]"#,
+            true,
+        ),
+    ];
+    for (label, mut coll) in layouts(&docs) {
+        for (src, late) in cases {
+            let pipe = Pipeline::parse_str(src).unwrap();
+            let plan = jagg::explain(&coll, &pipe);
+            assert_eq!(
+                plan.notes.iter().any(|n| n.starts_with("late projection")),
+                late,
+                "{src}"
+            );
+            let oracle = reference::aggregate(&docs, &pipe);
+            assert!(!oracle.is_empty(), "vacuous case: {src}");
+            for threads in [1, 2, 4] {
+                coll.set_pool(Pool::with_threads(threads));
+                assert_eq!(
+                    jagg::aggregate(&coll, &pipe),
+                    oracle,
+                    "{label} x{threads}: {src}"
+                );
+            }
+        }
+    }
+}

@@ -350,11 +350,17 @@ impl Pool {
         T: Send,
         F: Fn(Range<usize>) -> Result<Vec<T>, QueryError> + Sync,
     {
-        Ok(self
-            .try_map_chunks(ctx, len, chunk, f)?
-            .into_iter()
-            .flatten()
-            .collect())
+        let mut parts = self.try_map_chunks(ctx, len, chunk, f)?;
+        // A single chunk (what a serial pool runs) is the output as it
+        // stands: no second buffer, no copy.
+        if parts.len() == 1 {
+            return Ok(parts.pop().expect("one part"));
+        }
+        let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+        for part in parts {
+            out.extend(part);
+        }
+        Ok(out)
     }
 }
 

@@ -37,7 +37,7 @@ use std::sync::{Arc, OnceLock};
 use crate::canon::CanonTable;
 use crate::fxhash::FxHashSet;
 use crate::intern::{Interner, Sym};
-use crate::value::Json;
+use crate::value::{Json, ObjectRepr};
 
 /// Identifier of a node within one [`JsonTree`]; indexes the arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -104,6 +104,60 @@ const NO_KEY: Sym = Sym::from_index(u32::MAX as usize);
 
 /// Sentinel in `parents` for the root.
 const NO_PARENT: u32 = u32::MAX;
+
+/// How many open containers [`JsonTree::json_at`] holds inline before it
+/// spills to the heap.
+const INLINE_FRAMES: usize = 16;
+
+/// A container [`JsonTree::json_at`] is still filling.
+enum Open {
+    Arr(Vec<Json>),
+    Obj(Vec<(String, Json)>),
+}
+
+impl Open {
+    fn close(self) -> Json {
+        match self {
+            Open::Arr(items) => Json::Array(items),
+            Open::Obj(pairs) => Json::Object(ObjectRepr::from_distinct(pairs)),
+        }
+    }
+}
+
+/// An open container of [`JsonTree::json_at`]'s walk: its child span
+/// in the flattened arrays, and the position of its next child.
+struct Frame {
+    next: usize,
+    end: usize,
+    open: Open,
+}
+
+/// [`JsonTree::json_at`]'s stack of open ancestors: the first
+/// [`INLINE_FRAMES`] live inline, deeper ones on the heap.
+#[derive(Default)]
+struct Frames {
+    inline: [Option<Frame>; INLINE_FRAMES],
+    spill: Vec<Frame>,
+    len: usize,
+}
+
+impl Frames {
+    fn push(&mut self, f: Frame) {
+        match self.inline.get_mut(self.len) {
+            Some(slot) => *slot = Some(f),
+            None => self.spill.push(f),
+        }
+        self.len += 1;
+    }
+
+    fn pop(&mut self) -> Option<Frame> {
+        self.len = self.len.checked_sub(1)?;
+        match self.inline.get_mut(self.len) {
+            Some(slot) => slot.take(),
+            None => self.spill.pop(),
+        }
+    }
+}
 
 /// An immutable JSON tree `J = (D, Obj, Arr, Str, Int, A, O, val)`.
 pub struct JsonTree {
@@ -812,49 +866,82 @@ impl JsonTree {
 
     /// The function `json(n)` of §3.1: the subtree rooted at `n`, which is
     /// again a valid JSON value (compositionality).
+    ///
+    /// One pre-order walk over the subtree builds every container straight
+    /// into its exact-capacity vector. An object's members come out in the
+    /// stored symbol order, and its key index is built without a duplicate
+    /// check (tree keys are distinct by §3.1 determinism). The walk keeps
+    /// its open containers on an explicit stack, held inline up to 16
+    /// deep, so document depth never becomes call-stack depth and a
+    /// document no deeper than that allocates only what the returned value
+    /// owns.
+    #[inline]
     pub fn json_at(&self, n: NodeId) -> Json {
-        // A leaf needs no scratch buffer.
-        match self.kind(n) {
-            NodeKind::Int => return Json::Num(self.payload[n.index()]),
-            NodeKind::Str => {
-                return Json::Str(self.str_value(n).expect("Str node has value").to_owned())
-            }
-            NodeKind::Arr | NodeKind::Obj => {}
+        match self.leaf_json(n) {
+            Some(leaf) => leaf,
+            None => self.container_json(n),
         }
-        // Bottom-up reconstruction over the contiguous id range of the
-        // subtree. Pre-order ids make every subtree a contiguous block
-        // [n, n + size(n)).
-        let lo = n.index();
-        let hi = lo + self.subtree_size(n);
-        let mut built: Vec<Option<Json>> = vec![None; hi - lo];
-        for i in (lo..hi).rev() {
-            let id = NodeId::from_index(i);
-            let j = match self.kind(id) {
-                NodeKind::Int => Json::Num(self.payload[i]),
-                NodeKind::Str => {
-                    Json::Str(self.str_value(id).expect("Str node has value").to_owned())
+    }
+
+    /// [`JsonTree::json_at`] of a container: the walk.
+    fn container_json(&self, n: NodeId) -> Json {
+        let mut cur = self.open(n);
+        let mut frames = Frames::default();
+        loop {
+            if cur.next < cur.end {
+                let c = self.children[cur.next];
+                cur.next += 1;
+                match self.leaf_json(c) {
+                    Some(leaf) => self.fill(&mut cur, leaf),
+                    None => frames.push(std::mem::replace(&mut cur, self.open(c))),
                 }
-                NodeKind::Arr => Json::Array(
-                    self.arr_children(id)
-                        .iter()
-                        .map(|c| built[c.index() - lo].take().expect("child built"))
-                        .collect(),
-                ),
-                NodeKind::Obj => Json::object(
-                    self.obj_entries(id)
-                        .map(|(k, c)| {
-                            (
-                                self.interner.resolve(k).to_owned(),
-                                built[c.index() - lo].take().expect("child built"),
-                            )
-                        })
-                        .collect(),
-                )
-                .expect("tree keys are distinct"),
-            };
-            built[i - lo] = Some(j);
+                continue;
+            }
+            let value = cur.open.close();
+            match frames.pop() {
+                Some(parent) => {
+                    cur = parent;
+                    self.fill(&mut cur, value);
+                }
+                None => return value,
+            }
         }
-        built[0].take().expect("root of subtree built")
+    }
+
+    /// `json(n)` of a leaf, or `None` for a container.
+    #[inline]
+    fn leaf_json(&self, n: NodeId) -> Option<Json> {
+        match self.kind(n) {
+            NodeKind::Int => Some(Json::Num(self.payload[n.index()])),
+            NodeKind::Str => Some(Json::Str(self.resolve(self.str_sym(n)?).to_owned())),
+            NodeKind::Arr | NodeKind::Obj => None,
+        }
+    }
+
+    /// A [`JsonTree::json_at`] frame for container `n`, sized to its
+    /// children.
+    fn open(&self, n: NodeId) -> Frame {
+        let span = self.span(n);
+        let open = match self.kind(n) {
+            NodeKind::Obj => Open::Obj(Vec::with_capacity(span.len())),
+            _ => Open::Arr(Vec::with_capacity(span.len())),
+        };
+        Frame {
+            next: span.start,
+            end: span.end,
+            open,
+        }
+    }
+
+    /// Appends the value of `frame`'s most recently visited child.
+    fn fill(&self, frame: &mut Frame, value: Json) {
+        match &mut frame.open {
+            Open::Arr(items) => items.push(value),
+            Open::Obj(pairs) => {
+                let key = self.resolve(self.keys[frame.next - 1]);
+                pairs.push((key.to_owned(), value));
+            }
+        }
     }
 
     /// The full document this tree represents.
@@ -1076,6 +1163,81 @@ mod tests {
         );
         let hobbies = t.child_by_key(t.root(), "hobbies").unwrap();
         assert_eq!(t.json_at(hobbies), parse(r#"["fishing","yoga"]"#).unwrap());
+    }
+
+    #[test]
+    fn json_at_of_every_node_is_the_value_at_its_path() {
+        for seed in 0..40u64 {
+            let doc = crate::gen::random_json(&crate::gen::GenConfig::sized(seed, 60));
+            let t = JsonTree::build(&doc);
+            for n in t.node_ids() {
+                let mut labels = Vec::new();
+                let mut at = n;
+                while let Some(label) = t.edge_from_parent(at) {
+                    labels.push(label);
+                    at = t.parent(at).unwrap();
+                }
+                let want = labels.iter().rev().fold(&doc, |v, label| match label {
+                    EdgeLabel::Key(k) => v.get(k).unwrap(),
+                    EdgeLabel::Index(i) => v.index(*i).unwrap(),
+                });
+                assert_eq!(&t.json_at(n), want, "seed {seed}, node {}", n.index());
+            }
+        }
+    }
+
+    #[test]
+    fn json_at_lists_members_in_symbol_order_not_child_id_order() {
+        // The first document interns "b" before "a"; the second lists "a"
+        // first, so its children's ids run a, b while their symbols run
+        // b, a. Both children are containers, so each closes into the
+        // slot its own key names.
+        let t = JsonTree::build(
+            &parse(r#"[{"b": 1, "a": 2}, {"a": {"x": [1]}, "b": [2, {"y": 3}]}]"#).unwrap(),
+        );
+        let second = t.child_by_index(t.root(), 1).unwrap();
+        let ids: Vec<NodeId> = t.obj_child_ids(second).to_vec();
+        assert!(ids[0] > ids[1], "stored order differs from id order");
+        let j = t.json_at(second);
+        assert_eq!(
+            j,
+            parse(r#"{"a": {"x": [1]}, "b": [2, {"y": 3}]}"#).unwrap()
+        );
+        let keys: Vec<&str> = j.as_object().unwrap().iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, ["b", "a"]);
+        assert_eq!(j.get("a"), Some(&parse(r#"{"x": [1]}"#).unwrap()));
+    }
+
+    #[test]
+    fn json_at_walks_a_4096_deep_document_on_a_small_stack() {
+        // Building, comparing and dropping nested values recurse (derived
+        // glue), so they run on a big stack; `json_at` itself runs on
+        // 64 KiB, which a walk whose frames grew with depth would
+        // overflow long before 4,096 levels.
+        std::thread::Builder::new()
+            .stack_size(256 * 1024 * 1024)
+            .spawn(|| {
+                let mut doc = Json::Num(7);
+                for i in 0..4096 {
+                    doc = if i % 2 == 0 {
+                        Json::object(vec![("c".into(), doc)]).unwrap()
+                    } else {
+                        Json::Array(vec![doc, Json::Num(i)])
+                    };
+                }
+                let t = JsonTree::build(&doc);
+                assert_eq!(t.height(), 4096);
+                let j = std::thread::Builder::new()
+                    .stack_size(64 * 1024)
+                    .spawn(move || t.json_at(t.root()))
+                    .unwrap()
+                    .join()
+                    .unwrap();
+                assert_eq!(j, doc);
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

@@ -49,14 +49,38 @@ impl ObjectRepr {
     /// Builds the representation, rejecting duplicate keys. The sorted index
     /// doubles as the duplicate detector (adjacent equal keys).
     fn new(pairs: Vec<(String, Json)>) -> Result<ObjectRepr, JsonError> {
+        let o = Self::indexed(pairs);
+        match o.duplicate() {
+            Some(k) => Err(JsonError::DuplicateKey(k.to_owned())),
+            None => Ok(o),
+        }
+    }
+
+    /// The trusted constructor, for pairs whose keys are distinct by
+    /// construction (a tree's object edges, §3.1 determinism): builds the
+    /// key-sorted index and skips the duplicate check, except in debug
+    /// builds.
+    pub(crate) fn from_distinct(pairs: Vec<(String, Json)>) -> ObjectRepr {
+        let o = Self::indexed(pairs);
+        debug_assert!(o.duplicate().is_none(), "keys must be distinct");
+        o
+    }
+
+    /// `pairs` with its key-sorted index (exact capacity, one allocation).
+    fn indexed(pairs: Vec<(String, Json)>) -> ObjectRepr {
         let mut by_key: Vec<u32> = (0..pairs.len() as u32).collect();
         by_key.sort_unstable_by(|&a, &b| pairs[a as usize].0.cmp(&pairs[b as usize].0));
-        for w in by_key.windows(2) {
-            if pairs[w[0] as usize].0 == pairs[w[1] as usize].0 {
-                return Err(JsonError::DuplicateKey(pairs[w[1] as usize].0.clone()));
-            }
-        }
-        Ok(ObjectRepr { pairs, by_key })
+        ObjectRepr { pairs, by_key }
+    }
+
+    /// A key that occurs twice, if any (equal keys are adjacent in the
+    /// sorted index).
+    fn duplicate(&self) -> Option<&str> {
+        self.by_key
+            .windows(2)
+            .map(|w| (&self.pairs[w[0] as usize].0, &self.pairs[w[1] as usize].0))
+            .find(|(a, b)| a == b)
+            .map(|(_, b)| b.as_str())
     }
 
     /// The key–value pairs in insertion order.
