@@ -1,7 +1,7 @@
 //! Shared workloads and measurement helpers for the experiment harness and
-//! the bench tests. Each experiment (E1–E12 in DESIGN.md) reproduces one
-//! complexity claim of the paper; the workloads here define its parameter
-//! sweeps.
+//! the bench tests. Each experiment (E1–E12, `harness e1`–`e12`)
+//! reproduces one complexity claim of the paper; the workloads here
+//! define its parameter sweeps.
 
 pub mod baseline;
 pub mod jsonout;
@@ -13,16 +13,106 @@ use jnl::ast::{Binary, Unary};
 use jsl::ast::{Jsl, NodeTest};
 use jsondata::{gen, Json};
 
+/// Times one run of a closure in milliseconds.
+fn once_ms<T>(f: impl FnOnce() -> T) -> f64 {
+    let t0 = Instant::now();
+    std::hint::black_box(f());
+    t0.elapsed().as_secs_f64() * 1e3
+}
+
+/// The middle element of `xs`.
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
 /// Times one closure in milliseconds (median of `reps` runs).
 pub fn time_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut samples = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        samples.push(t0.elapsed().as_secs_f64() * 1e3);
+    median((0..reps).map(|_| once_ms(&mut f)).collect())
+}
+
+/// What a query context costs over the same query run ungoverned, as
+/// [`ctx_overhead`] measured it.
+pub struct Overhead {
+    /// Median wall time of the ungoverned run.
+    pub base_ms: f64,
+    /// `base_ms` plus the median paired delta.
+    pub ctx_ms: f64,
+    /// The median paired delta as a percentage of `base_ms`.
+    pub pct: f64,
+    /// Heap allocations of one run on a serial pool (the same with and
+    /// without the context).
+    pub allocs: u64,
+}
+
+/// The overhead gate of `harness s7` (a live deadline) and `s10` (a
+/// metrics sink): `run` under `ctx` against `run` under
+/// `QueryCtx::unlimited()`, which is what the ungoverned entry points
+/// pass. It asserts three things, with `gate` naming the caller:
+///
+/// 1. both runs return the same output size;
+/// 2. on a serial pool both allocate exactly as often (a count, so no
+///    noise: the serial pool keeps it off the thread schedule, and the
+///    `FxHashMap` seed is fixed per process);
+/// 3. on `coll`'s own pool, the minimum of 31 alternating-order paired
+///    deltas is at most 2% of the base time plus 0.25 ms. Interference
+///    on a shared runner is one-sided: a spike lands on one half of a
+///    pair and moves only that pair's delta, while a real per-item
+///    regression is in every pair, so the minimum still shows it. The
+///    median delta is what gets reported.
+pub fn ctx_overhead(
+    gate: &str,
+    label: &str,
+    coll: &mut mongofind::Collection,
+    ctx: &jguard::QueryCtx,
+    run: &dyn Fn(&mongofind::Collection, &jguard::QueryCtx) -> usize,
+) -> Overhead {
+    let unlimited = jguard::QueryCtx::unlimited();
+    assert_eq!(
+        run(coll, &unlimited),
+        run(coll, ctx),
+        "{gate}: output differs under the context on {label}"
+    );
+    let pool = *coll.pool();
+    coll.set_pool(jpar::Pool::serial());
+    let (_, base) = memtrack::measure(|| run(coll, &unlimited));
+    let (_, with) = memtrack::measure(|| run(coll, ctx));
+    coll.set_pool(pool);
+    assert_eq!(
+        with.allocs, base.allocs,
+        "{gate}: the context changes allocations on {label}"
+    );
+    let coll = &*coll;
+    let pairs: Vec<(f64, f64)> = (0..31)
+        .map(|i| {
+            if i % 2 == 0 {
+                let b = once_ms(|| run(coll, &unlimited));
+                (b, once_ms(|| run(coll, ctx)))
+            } else {
+                let c = once_ms(|| run(coll, ctx));
+                (once_ms(|| run(coll, &unlimited)), c)
+            }
+        })
+        .collect();
+    let base_ms = median(pairs.iter().map(|&(b, _)| b).collect());
+    let delta_ms = median(pairs.iter().map(|&(b, c)| c - b).collect());
+    let min_delta_ms = pairs
+        .iter()
+        .map(|&(b, c)| c - b)
+        .fold(f64::INFINITY, f64::min);
+    let ctx_ms = base_ms + delta_ms;
+    let pct = delta_ms / base_ms * 100.0;
+    assert!(
+        min_delta_ms <= base_ms * 0.02 + 0.25,
+        "{gate}: overhead on {label}: {base_ms:.3} -> {ctx_ms:.3} ms \
+         ({pct:+.2}% median, {min_delta_ms:.3} ms min paired delta)"
+    );
+    Overhead {
+        base_ms,
+        ctx_ms,
+        pct,
+        allocs: base.allocs,
     }
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
 }
 
 /// The document-scan oracle, ungoverned.

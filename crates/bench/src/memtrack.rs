@@ -1,9 +1,9 @@
-//! A counting global allocator for the experiment harness: the S4 fusion
-//! experiment reports how many heap allocations and how much peak live
-//! memory each parse path costs, which is the "intermediate allocation"
-//! claim fusion makes (the two-pass route materialises an owned `Json` —
-//! one allocation per container/string plus the value arena — before the
-//! tree; the fused route never does).
+//! A counting global allocator for the experiment harness: its allocation
+//! gates count how many heap allocations and how much peak live memory a
+//! region costs. S4's is the "intermediate allocation" claim fusion makes
+//! (the two-pass route materialises an owned `Json` — one allocation per
+//! container/string plus the value arena — before the tree; the fused
+//! route never does).
 //!
 //! The harness binary installs [`CountingAlloc`] as its
 //! `#[global_allocator]`, but the counters are **off by default**: outside a

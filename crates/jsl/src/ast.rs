@@ -30,8 +30,8 @@ pub enum NodeTest {
     /// `Pattern(e)` — a string value in `L(e)`.
     Pattern(Regex),
     /// `Min(i)` — a number `≥ i`. (The paper's prose says "greater than";
-    /// we follow the JSON Schema semantics `≥` that Theorem 1 needs — see
-    /// DESIGN.md.)
+    /// we follow the JSON Schema semantics `≥` that Theorem 1 needs, so
+    /// `minimum` translates to `Min` exactly.)
     Min(u64),
     /// `Max(i)` — a number `≤ i` (same remark as [`NodeTest::Min`]).
     Max(u64),

@@ -9,7 +9,7 @@
 //!   paper's remark, the construction as written stays polynomial on the
 //!   `⟨[X_{a1}]∨[X_{a2}]⟩ ∘ …` family it cites — every top symbol occurs
 //!   exactly once at its substitution site, so nothing duplicates (see
-//!   EXPERIMENTS.md E6).
+//!   `harness e6`, which prints the sizes).
 //! * [`jnl_to_jsl_paths`] — the naive *path-expansion* translation the
 //!   paper's "keeps track of all the possible paths" remark describes:
 //!   disjunctions inside tests are distributed across compositions. This

@@ -27,8 +27,12 @@
 //! | [`guard`] | `jguard` | per-query governance: deadlines, budgets, cancellation, panic containment |
 //! | [`trace`] | `jtrace` | observability: per-query metrics sink, counter snapshots, flight-recorder span log |
 //!
-//! See `README.md` for a tour and `DESIGN.md`/`EXPERIMENTS.md` for the
-//! mapping from the paper's propositions to code and measurements.
+//! The `examples/` directory is a tour (`cargo run --example quickstart`).
+//! The experiment harness (`cargo run -p bench --release --bin harness`)
+//! maps the paper's propositions to measurements: `e1`–`e12` and `t1`
+//! reproduce its complexity claims and Table 1, and the `s*` modes gate
+//! the engines built on them; `docs/` covers indexes, static analysis,
+//! robustness, observability and serving.
 
 pub use jsondata as data;
 pub use relex as regex;

@@ -1,7 +1,8 @@
 //! Seeded document generators for tests and the benchmark harness.
 //!
-//! All generators are deterministic in their seed, so experiments in
-//! EXPERIMENTS.md are reproducible bit-for-bit.
+//! All generators are deterministic in their seed, so the experiment
+//! harness's workloads (`cargo run -p bench --bin harness`) are
+//! reproducible bit-for-bit.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
