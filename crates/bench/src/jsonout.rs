@@ -139,6 +139,110 @@ impl Report {
     }
 }
 
+/// One metric present in both reports a [`compare`] read.
+#[derive(Debug, PartialEq)]
+pub struct Change {
+    pub name: String,
+    pub unit: String,
+    pub better: String,
+    pub old: f64,
+    pub new: f64,
+}
+
+impl Change {
+    /// Wall-clock metrics (`ms`) move between two runs of the same code.
+    pub fn noisy(&self) -> bool {
+        self.unit == "ms"
+    }
+
+    /// Whether the value moved.
+    pub fn changed(&self) -> bool {
+        self.old != self.new
+    }
+}
+
+/// Compares two report texts key by key, in the old report's metric
+/// order. Errors when either text is not a report, when the experiments
+/// differ, or when the two metric sets differ.
+pub fn compare(old: &str, new: &str) -> Result<Vec<Change>, String> {
+    let (old_exp, old) = read(old).map_err(|e| format!("old report: {e}"))?;
+    let (new_exp, new) = read(new).map_err(|e| format!("new report: {e}"))?;
+    if old_exp != new_exp {
+        return Err(format!("experiment differs: {old_exp} vs {new_exp}"));
+    }
+    let names = |ms: &[Change]| -> Vec<String> {
+        let mut v: Vec<String> = ms.iter().map(|m| m.name.clone()).collect();
+        v.sort();
+        v
+    };
+    if names(&old) != names(&new) {
+        return Err(format!(
+            "metric sets differ: {:?} vs {:?}",
+            names(&old),
+            names(&new)
+        ));
+    }
+    Ok(old
+        .into_iter()
+        .map(|o| {
+            let n = new.iter().find(|n| n.name == o.name).expect("same names");
+            Change { new: n.old, ..o }
+        })
+        .collect())
+}
+
+/// Reads a report's experiment and metrics (each metric's value as
+/// `old`). `jsondata` models the paper's natural numbers only, so every
+/// bare number is quoted before parsing and read back as an `f64`.
+fn read(text: &str) -> Result<(String, Vec<Change>), String> {
+    let mut quoted = String::with_capacity(text.len() + 256);
+    let (mut in_str, mut escaped, mut in_num) = (false, false, false);
+    for c in text.chars() {
+        if in_str {
+            if escaped {
+                escaped = false;
+            } else if c == '\\' {
+                escaped = true;
+            } else if c == '"' {
+                in_str = false;
+            }
+        } else {
+            let continues = c.is_ascii_digit() || matches!(c, '.' | 'e' | 'E' | '+' | '-');
+            if (in_num && !continues) || (!in_num && (c.is_ascii_digit() || c == '-')) {
+                quoted.push('"');
+                in_num = !in_num;
+            }
+            in_str = c == '"';
+        }
+        quoted.push(c);
+    }
+    let doc = jsondata::parse(&quoted).map_err(|e| e.to_string())?;
+    let field = |v: &jsondata::Json, key: &str| -> Result<String, String> {
+        v.get(key)
+            .and_then(|f| f.as_str())
+            .map(str::to_owned)
+            .ok_or_else(|| format!("missing string field {key:?}"))
+    };
+    let metrics = doc
+        .get("metrics")
+        .and_then(|m| m.as_array())
+        .ok_or("missing metrics array")?;
+    let metrics = metrics
+        .iter()
+        .map(|m| {
+            let value = field(m, "value")?;
+            Ok(Change {
+                name: field(m, "name")?,
+                unit: field(m, "unit")?,
+                better: field(m, "better")?,
+                old: value.parse().map_err(|_| format!("bad value {value:?}"))?,
+                new: f64::NAN,
+            })
+        })
+        .collect::<Result<_, String>>()?;
+    Ok((field(&doc, "experiment")?, metrics))
+}
+
 /// `s` as a JSON string literal.
 fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -206,6 +310,35 @@ mod tests {
         }
         let empty = Report::new("none").render(1, 1, "x");
         assert!(empty.contains("\"gates\": [\n  ]"), "{empty}");
+    }
+
+    #[test]
+    fn compare_reads_rendered_reports_back() {
+        let mut a = Report::new("demo");
+        a.gate("a \"quoted\" gate with 1.5 and -2 in it");
+        a.ms("find.ms", 1.234_56);
+        a.count("find.allocs", 7u64, Better::Lower);
+        a.metric("find.ratio", 0.5, "ratio", Better::Higher);
+        let mut b = Report::new("demo");
+        b.ms("find.ms", 2.0);
+        b.metric("find.ratio", 0.5, "ratio", Better::Higher);
+        b.count("find.allocs", 7u64, Better::Lower);
+        let (a, b) = (a.render(2, 2, "x"), b.render(1, 1, "y"));
+        let changes = compare(&a, &b).unwrap();
+        let names: Vec<&str> = changes.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["find.ms", "find.allocs", "find.ratio"]);
+        assert_eq!((changes[0].old, changes[0].new), (1.2346, 2.0));
+        assert!(changes[0].noisy() && changes[0].changed());
+        assert!(changes[1..].iter().all(|c| !c.noisy() && !c.changed()));
+        assert_eq!(changes[2].better, "higher");
+
+        let mut c = Report::new("demo");
+        c.ms("find.ms", 2.0);
+        let err = compare(&a, &c.render(1, 1, "y")).unwrap_err();
+        assert!(err.starts_with("metric sets differ"), "{err}");
+        let err = compare(&a, &Report::new("other").render(1, 1, "y")).unwrap_err();
+        assert_eq!(err, "experiment differs: demo vs other");
+        assert!(compare("{", &a).unwrap_err().starts_with("old report"));
     }
 
     #[test]

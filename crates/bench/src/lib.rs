@@ -3,7 +3,6 @@
 //! reproduces one complexity claim of the paper; the workloads here
 //! define its parameter sweeps.
 
-pub mod baseline;
 pub mod jsonout;
 pub mod memtrack;
 
@@ -241,9 +240,8 @@ pub fn e7_formula() -> Jsl {
 
 /// S3 (JNL side): an array of `objects` objects with `keys_each` keys
 /// apiece, all `objects × keys_each` keys globally distinct — a
-/// high-distinct-key tree where the lazy memo gets no cross-node reuse (it
-/// degenerates to one NFA run per key, like the string baseline) while the
-/// bitset tier replaces every NFA run with a DFA table walk.
+/// high-distinct-key tree where a per-symbol cache gets no cross-node
+/// reuse, so the cost of an edge test is the cost of deciding one symbol.
 pub fn s3_jnl_doc(objects: usize, keys_each: usize) -> Json {
     Json::Array(
         (0..objects)
@@ -262,19 +260,18 @@ pub fn s3_jnl_doc(objects: usize, keys_each: usize) -> Json {
     )
 }
 
-/// S3 (JNL side): a regex over the `s3_jnl_doc` key space — keys whose last
-/// digit is 7, ≈10% of them, so existential scans rarely short-circuit —
-/// plus the `[X_e]⊤` formula navigating it.
-pub fn s3_jnl_workload() -> (relex::Regex, Unary) {
+/// S3 (JNL side): `[X_e]⊤` for a regex `e` over the `s3_jnl_doc` key
+/// space — keys whose last digit is 7, ≈10% of them, so existential scans
+/// rarely short-circuit.
+pub fn s3_jnl_workload() -> Unary {
     let e = relex::Regex::parse("k[0-9]*7").expect("well-formed");
-    let phi = Unary::exists(Binary::key_regex(e.clone()));
-    (e, phi)
+    Unary::exists(Binary::key_regex(e))
 }
 
 /// S3 (JSL side): an object with `n` distinct keys `u{i}` whose values are
-/// `n` distinct string atoms `v{i}` — the high-distinct-symbol regime where
-/// a lazy memo pays one NFA run per symbol and the bitset tier pays one
-/// (much cheaper) DFA table walk.
+/// `n` distinct string atoms `v{i}` — the high-distinct-symbol regime
+/// where each regex is decided on every symbol once, by one DFA table walk
+/// per symbol in the bitset pass.
 pub fn s3_doc(n: usize) -> Json {
     Json::object(
         (0..n)
@@ -506,6 +503,46 @@ mod tests {
         assert!((loglog_slope(&linear) - 1.0).abs() < 0.01);
         let quad: Vec<(f64, f64)> = (1..8).map(|i| (i as f64, 0.5 * (i * i) as f64)).collect();
         assert!((loglog_slope(&quad) - 2.0).abs() < 0.01);
+    }
+
+    #[test]
+    fn e1_linear_agrees_with_naive() {
+        let tree = jsondata::JsonTree::build(&scaling_doc(3000, 1));
+        let phi = e1_formula();
+        assert_eq!(
+            jnl::eval::naive::eval(&tree, &phi),
+            jnl::eval::linear::eval(&tree, &phi).unwrap()
+        );
+    }
+
+    #[test]
+    fn e7_pairwise_agrees_with_canonical() {
+        use jsl::{EvalOptions, UniqueStrategy};
+        let tree = jsondata::JsonTree::build(&e7_doc(512, 100));
+        let with = |unique| jsl::eval::evaluate_with(&tree, &e7_formula(), EvalOptions { unique });
+        assert_eq!(
+            with(UniqueStrategy::NaivePairwise),
+            with(UniqueStrategy::Canonical)
+        );
+    }
+
+    /// The `harness s3` gates at a size `cargo test` runs in milliseconds:
+    /// the engines against oracles that share no matcher code with them.
+    #[test]
+    fn s3_engines_agree_with_independent_oracles() {
+        let tree = jsondata::JsonTree::build(&s3_jnl_doc(64, 8));
+        let phi = s3_jnl_workload();
+        let oracle = jnl::eval::naive::eval(&tree, &phi);
+        assert_eq!(oracle, jnl::eval::pdl::eval(&tree, &phi).unwrap(), "pdl");
+        assert_eq!(oracle, jnl::eval::cubic::eval(&tree, &phi), "cubic");
+        assert_eq!(oracle.iter().filter(|&&b| b).count(), 51, "hits");
+
+        let tree = jsondata::JsonTree::build(&s3_doc(300));
+        let psi = s3_jsl_formula();
+        assert_eq!(
+            jsl::streaming::node_set(&psi, &tree).unwrap(),
+            jsl::eval::evaluate(&tree, &psi)
+        );
     }
 
     #[test]

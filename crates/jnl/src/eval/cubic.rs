@@ -23,13 +23,7 @@ pub fn eval(tree: &jsondata::JsonTree, phi: &Unary) -> NodeSet {
     eval_unary(&mut ctx, phi)
 }
 
-/// [`eval`] with an explicit edge-matching strategy (benchmark ablations).
-pub fn eval_with(tree: &jsondata::JsonTree, phi: &Unary, strategy: relex::EdgeStrategy) -> NodeSet {
-    let mut ctx = EvalContext::with_strategy(tree, strategy);
-    eval_unary(&mut ctx, phi)
-}
-
-fn eval_unary(ctx: &mut EvalContext<'_>, phi: &Unary) -> NodeSet {
+pub(crate) fn eval_unary(ctx: &mut EvalContext<'_>, phi: &Unary) -> NodeSet {
     let n = ctx.tree.node_count();
     match phi {
         Unary::True => vec![true; n],
@@ -135,8 +129,8 @@ fn relation(ctx: &mut EvalContext<'_>, alpha: &Binary) -> Vec<BitSet> {
             rows
         }
         Binary::KeyRegex(e) => {
-            // One matcher fetch per relation; on the default tier each edge
-            // test below is a single bit load.
+            // One matcher fetch per relation; each edge test below is a
+            // single bit load unless the regex fell back to the memo.
             let matcher = ctx.matcher_for(e);
             let mut rows = empty(n);
             for src in tree.node_ids() {

@@ -23,7 +23,7 @@ pub mod pdl;
 use jguard::{QueryCtx, QueryError};
 use jsondata::{CanonTable, Json, JsonTree, NodeId, Sym};
 use jtrace::Counter;
-use relex::{EdgeStrategy, MatcherId, Regex, SymMatcher, SymMatcherTable};
+use relex::{MatcherId, Regex, SymMatcher, SymMatcherTable};
 
 use crate::ast::Unary;
 
@@ -65,11 +65,11 @@ impl std::error::Error for EvalError {}
 /// per-regex edge matchers of the Proposition 3 proof's preprocessing step.
 ///
 /// Edge keys live in the tree itself as interned [`Sym`]s — nothing is
-/// cloned here. On the default [`EdgeStrategy::DfaBitset`] tier each regex
-/// is compiled to a DFA once per (query, tree) and evaluated over the whole
-/// symbol table in one pass, so every later edge test is a single bit load
-/// (no string resolution, no automaton run); regexes too large to
-/// determinise fall back to the lazy per-`(regex, symbol)` memo.
+/// cloned here. Each regex is compiled to a DFA once per (query, tree) and
+/// evaluated over the whole symbol table in one pass, so every later edge
+/// test is a single bit load (no string resolution, no automaton run);
+/// regexes too large to determinise fall back to a lazy per-symbol memo
+/// ([`SymMatcher::compile`] decides).
 pub struct EvalContext<'t> {
     /// The document tree.
     pub tree: &'t JsonTree,
@@ -77,7 +77,7 @@ pub struct EvalContext<'t> {
     /// the tree's own table ([`JsonTree::canon`]), shared with every other
     /// reader of the tree.
     pub canon: &'t CanonTable,
-    /// `regex → edge matcher` (bitset tier with lazy-memo fallback).
+    /// `regex → edge matcher` (a symbol bitset, or the memo fallback).
     matchers: SymMatcherTable,
     /// Governance handle for cooperative interruption (unlimited — a
     /// no-op — unless built through [`EvalContext::with_guard`]).
@@ -89,16 +89,10 @@ impl<'t> EvalContext<'t> {
     /// first time any reader asks the tree for them; the edge matchers
     /// compile on first sight of each regex).
     pub fn new(tree: &'t JsonTree) -> EvalContext<'t> {
-        EvalContext::with_strategy(tree, EdgeStrategy::default())
-    }
-
-    /// [`EvalContext::new`] with an explicit edge-matching strategy (the
-    /// lazy-memo tier is kept selectable for benchmark ablations).
-    pub fn with_strategy(tree: &'t JsonTree, strategy: EdgeStrategy) -> EvalContext<'t> {
         EvalContext {
             tree,
             canon: tree.canon(),
-            matchers: SymMatcherTable::with_strategy(strategy),
+            matchers: SymMatcherTable::new(),
             guard: QueryCtx::unlimited(),
         }
     }
@@ -147,7 +141,7 @@ impl<'t> EvalContext<'t> {
     }
 
     /// Whether the string behind `sym` (an edge key or string atom of this
-    /// tree) matches `e` — a bit load on the default tier.
+    /// tree) matches `e` — a bit load unless `e` fell back to the memo.
     pub fn key_matches(&mut self, e: &Regex, sym: Sym) -> bool {
         let tree = self.tree;
         self.matcher_for(e)
@@ -164,16 +158,17 @@ impl<'t> EvalContext<'t> {
 
     /// Pre-resolves `e` to a stable matcher id (compiling on first sight),
     /// so hot loops can fetch the matcher by vector index via
-    /// [`EvalContext::matcher`] with no AST hashing per edge. First-sight
-    /// compilations are recorded against the guard's metrics sink
-    /// (one [`Counter::DfaBitsetBuilds`] per distinct regex per context).
+    /// [`EvalContext::matcher`] with no AST hashing per edge. A first-sight
+    /// compilation that builds a symbol bitset is recorded against the
+    /// guard's metrics sink (one [`Counter::DfaBitsetBuilds`] per distinct
+    /// regex per context); a memo fallback builds none.
     pub fn matcher_id(&mut self, e: &Regex) -> MatcherId {
         let tree = self.tree;
         let before = self.matchers.len();
         let id = self
             .matchers
             .id(e, || tree.interner().iter().map(|(_, s)| s));
-        if self.matchers.len() > before {
+        if self.matchers.len() > before && self.matchers.get_mut(id).is_bitset() {
             self.guard.record(Counter::DfaBitsetBuilds, 1);
         }
         id
@@ -234,7 +229,8 @@ where
 /// Governed [`evaluate`]: the linear engine polls `guard` every
 /// [`jguard::POLL_STRIDE`] nodes; the PDL/cubic engines (whose inner
 /// fixpoints are not instrumented) check it before and after the run.
-/// Returns the guard's structured error instead of running to completion.
+/// Every engine records into the guard's metrics sink. Returns the
+/// guard's structured error instead of running to completion.
 pub fn evaluate_ctx(tree: &JsonTree, phi: &Unary, guard: &QueryCtx) -> Result<NodeSet, QueryError> {
     let frag = phi.fragment();
     if frag.is_deterministic() {
@@ -245,10 +241,11 @@ pub fn evaluate_ctx(tree: &JsonTree, phi: &Unary, guard: &QueryCtx) -> Result<No
         }
     } else {
         guard.check()?;
+        let mut ctx = EvalContext::with_guard(tree, guard.clone());
         let s = if !frag.eq_pair {
-            pdl::eval(tree, phi).expect("fragment checked EQ-pair-free")
+            pdl::eval_unary(&mut ctx, phi).expect("fragment checked EQ-pair-free")
         } else {
-            cubic::eval(tree, phi)
+            cubic::eval_unary(&mut ctx, phi)
         };
         guard.check()?;
         Ok(s)
@@ -288,4 +285,32 @@ pub fn selected_nodes(tree: &JsonTree, phi: &Unary) -> Vec<NodeId> {
         .filter(|&(_i, &b)| b)
         .map(|(i, &_b)| NodeId::from_index(i))
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use jtrace::QueryMetrics;
+
+    use super::*;
+    use crate::ast::Binary;
+
+    /// `dfa_bitset_builds` counts bitsets built, not regexes compiled: a
+    /// regex over the state cap falls back to the memo and builds none.
+    #[test]
+    fn dfa_bitset_builds_counts_only_bitsets() {
+        let doc = jsondata::parse(r#"{"k17": 1, "k2": {"aabababababab": "b"}}"#).unwrap();
+        let tree = JsonTree::build(&doc);
+        for (regex, builds) in [("k[0-9]*7", 1), ("(a|b)*a(a|b){12}", 0)] {
+            let e = Regex::parse(regex).unwrap();
+            let phi = Unary::exists(Binary::key_regex(e));
+            let sink = Arc::new(QueryMetrics::new());
+            let guard = QueryCtx::new().with_metrics(Arc::clone(&sink));
+            let hits = evaluate_ctx(&tree, &phi, &guard).unwrap();
+            assert_eq!(hits, naive::eval(&tree, &phi), "{regex}");
+            assert!(hits.contains(&true), "{regex} has a hit");
+            assert_eq!(sink.get(Counter::DfaBitsetBuilds), builds, "{regex}");
+        }
+    }
 }

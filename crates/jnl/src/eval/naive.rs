@@ -112,9 +112,9 @@ fn eval_binary(ctx: &mut EvalContext<'_>, alpha: &Binary) -> HashSet<(NodeId, No
             .collect(),
         Binary::KeyRegex(e) => {
             // Reference semantics on purpose: a fresh NFA run per resolved
-            // key, independent of the bitset/memo tiers the efficient
-            // engines use — so differential tests exercise those tiers
-            // against an implementation that cannot share their bugs.
+            // key, independent of the symbol matchers the efficient engines
+            // use — so differential tests exercise those matchers against
+            // an implementation that cannot share their bugs.
             let compiled = e.compile();
             let mut out = HashSet::new();
             for n in tree.node_ids() {

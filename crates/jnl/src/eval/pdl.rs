@@ -7,9 +7,8 @@
 //! BFS over the product of the tree and the NFA. Each product vertex
 //! `(node, state)` is visited at most once, and regex edge labels are
 //! pre-resolved to context matchers at NFA compile time (a precomputed
-//! symbol bitset on the default tier), so every edge check is `O(1)` — a
-//! vector index plus a bit load — and the whole pass is linear in
-//! `|J| · |α|`.
+//! symbol bitset), so every edge check is `O(1)` — a vector index plus a
+//! bit load — and the whole pass is linear in `|J| · |α|`.
 //!
 //! `EQ(α, β)` is rejected here — the paper shows it forces comparing pairs
 //! of nodes ([`super::cubic`] implements that case).
@@ -27,17 +26,7 @@ pub fn eval(tree: &jsondata::JsonTree, phi: &Unary) -> Result<NodeSet, EvalError
     eval_unary(&mut ctx, phi)
 }
 
-/// [`eval`] with an explicit edge-matching strategy (benchmark ablations).
-pub fn eval_with(
-    tree: &jsondata::JsonTree,
-    phi: &Unary,
-    strategy: relex::EdgeStrategy,
-) -> Result<NodeSet, EvalError> {
-    let mut ctx = EvalContext::with_strategy(tree, strategy);
-    eval_unary(&mut ctx, phi)
-}
-
-fn eval_unary(ctx: &mut EvalContext<'_>, phi: &Unary) -> Result<NodeSet, EvalError> {
+pub(crate) fn eval_unary(ctx: &mut EvalContext<'_>, phi: &Unary) -> Result<NodeSet, EvalError> {
     let n = ctx.tree.node_count();
     Ok(match phi {
         Unary::True => vec![true; n],

@@ -16,12 +16,13 @@
 //!   All engines share [`eval::EvalContext`], whose edge tests ride the
 //!   tree's interned key symbols (`jsondata::Sym`): key steps resolve to a
 //!   symbol once at compile time and walk with `u32` binary searches, and
-//!   every regex edge label compiles **once per (query, tree)** to a DFA
-//!   evaluated over the whole symbol table up front (`relex::SymBitset`) —
-//!   each edge test in the inner loops is then a single bit load, with a
-//!   lazy per-`(regex, symbol)` memo as the per-regex fallback when
-//!   determinisation exceeds `relex::bitset::MAX_EDGE_DFA_STATES`. The
-//!   paper's `O(1)` edge-test assumption is therefore met by construction.
+//!   every regex edge label compiles **once per (query, tree)** through
+//!   `relex::SymMatcher::compile` to a DFA evaluated over the whole symbol
+//!   table up front (`relex::SymBitset`), so each edge test in the inner
+//!   loops is a single bit load. The paper's `O(1)` edge-test assumption is
+//!   therefore met by construction; only a regex whose determinisation
+//!   exceeds `relex::bitset::MAX_EDGE_DFA_STATES` falls back to one NFA
+//!   run per tested symbol.
 //! * [`sat`] — satisfiability for the deterministic fragment (NP,
 //!   Prop 2) with verified witnesses. (The non-deterministic and recursive
 //!   decision procedures live in the `jsl` crate, via the Theorem 2

@@ -9,7 +9,7 @@
 //!   and scanned, `O(|J| log |J|)` (the refinement measured against it).
 
 use jsondata::{CanonTable, Json, JsonTree, NodeId, NodeKind, Sym};
-use relex::{EdgeStrategy, Regex, SymMatcher, SymMatcherTable};
+use relex::{Regex, SymMatcher, SymMatcherTable};
 
 use crate::ast::{Jsl, NodeTest};
 
@@ -32,18 +32,14 @@ pub enum UniqueStrategy {
 pub struct EvalOptions {
     /// Strategy for `Unique`.
     pub unique: UniqueStrategy,
-    /// Strategy for regex edge/pattern tests (default: precomputed DFA
-    /// bitsets over the symbol table; the lazy memo tier is kept for
-    /// benchmark ablations).
-    pub edge: EdgeStrategy,
 }
 
 /// Shared evaluation state (canonical table + per-regex edge matchers).
 ///
 /// Both edge keys and string atoms are interned by the tree, so every regex
 /// — key modality or `Pattern` node test — is compiled once per (query,
-/// tree); on the default tier its verdicts are precomputed as a symbol
-/// bitset and every test afterwards is a single bit load.
+/// tree) by [`SymMatcher::compile`]. It precomputes the verdicts as a
+/// symbol bitset, so every later test is a single bit load.
 pub struct JslContext<'t> {
     /// The tree under evaluation.
     pub tree: &'t JsonTree,
@@ -65,13 +61,13 @@ impl<'t> JslContext<'t> {
         JslContext {
             tree,
             canon: tree.canon(),
-            matchers: SymMatcherTable::with_strategy(options.edge),
+            matchers: SymMatcherTable::new(),
             options,
         }
     }
 
-    /// Whether the string behind `sym` matches `e` — a bit load on the
-    /// default tier.
+    /// Whether the string behind `sym` matches `e` — a bit load unless `e`
+    /// fell back to the memo.
     pub fn key_matches(&mut self, e: &Regex, sym: Sym) -> bool {
         let tree = self.tree;
         self.matcher_for(e)
@@ -323,7 +319,6 @@ mod tests {
                 &phi,
                 EvalOptions {
                     unique: UniqueStrategy::NaivePairwise,
-                    ..Default::default()
                 },
             );
             let canon = evaluate_with(
@@ -331,7 +326,6 @@ mod tests {
                 &phi,
                 EvalOptions {
                     unique: UniqueStrategy::Canonical,
-                    ..Default::default()
                 },
             );
             assert_eq!(naive, canon, "doc {src}");

@@ -28,7 +28,7 @@
 
 use std::fmt;
 
-use jsondata::Json;
+use jsondata::{Json, JsonTree};
 use relex::CompiledRegex;
 
 use crate::ast::{Jsl, NodeTest};
@@ -133,6 +133,17 @@ pub fn validate_stream(
         v.feed(&e)?;
     }
     v.finish()
+}
+
+/// The node set of `φ` over `tree` computed by streaming: entry `n` says
+/// whether the subtree at `n` validates. Each subtree is replayed as its
+/// own event stream, so this costs `O(|J| · depth)` events. The validator
+/// runs compiled NFAs on raw strings and shares no code with
+/// [`crate::eval`], which makes this the per-node oracle for it.
+pub fn node_set(phi: &Jsl, tree: &JsonTree) -> Result<Vec<bool>, StreamingUnsupported> {
+    tree.node_ids()
+        .map(|n| validate_stream(phi, events_of(&tree.json_at(n))))
+        .collect()
 }
 
 /// The subformula table: children indices precede parents (post-order).

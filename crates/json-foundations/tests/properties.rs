@@ -71,6 +71,33 @@ fn arb_json_unicode() -> impl Strategy<Value = Json> {
     })
 }
 
+/// An arbitrary document whose keys and string atoms are drawn from
+/// `{a,b}^13` — the words `(a|b)*a(a|b){12}` tests, so that regex has hits.
+fn arb_json_ab13() -> impl Strategy<Value = Json> {
+    let leaf = "[a-b]{13,13}".prop_map(Json::Str);
+    leaf.prop_recursive(3, 32, 4, |inner| {
+        prop_oneof![
+            prop::collection::vec(inner.clone(), 0..4).prop_map(Json::Array),
+            prop::collection::btree_map("[a-b]{13,13}", inner, 0..4).prop_map(|m| {
+                Json::object(m.into_iter().collect()).expect("btree keys are distinct")
+            }),
+        ]
+    })
+}
+
+/// `◇_e ⊤ ∧ ¬□_e Pattern(e)`: some key matches `e`, and some key matching
+/// `e` holds a value that is not a string atom matching `e`.
+fn jsl_edge_formula(e: &relex::Regex) -> jsl::Jsl {
+    use jsl::{Jsl, NodeTest};
+    Jsl::and(vec![
+        Jsl::DiamondKey(e.clone(), Box::new(Jsl::True)),
+        Jsl::not(Jsl::BoxKey(
+            e.clone(),
+            Box::new(Jsl::Test(NodeTest::Pattern(e.clone()))),
+        )),
+    ])
+}
+
 /// An arbitrary deterministic JNL formula over a small key space.
 fn arb_det_unary() -> impl Strategy<Value = Unary> {
     let path = prop::collection::vec(
@@ -167,63 +194,64 @@ proptest! {
     }
 
     // -------------------------------------------------------------
-    // Edge-matching tiers: string baseline vs lazy memo vs DFA bitset
+    // Edge matching: SymMatcher vs the NFA, engines vs streaming
     // -------------------------------------------------------------
 
     #[test]
     fn regex_tiers_three_way_agreement(doc in arb_json_unicode(), e in arb_regex()) {
+        // Three deciders that share no matcher code: the engines' symbol
+        // matcher, a fresh NFA run per string, and the streaming validator.
         let tree = JsonTree::build(&doc);
-        // Tier 0 (string baseline): a fresh NFA run per resolved string.
         let compiled = e.compile();
-        // Tier 1 (lazy memo): tri-state per-symbol cache.
-        let mut memo = relex::KeyMatchMemo::new(e.compile());
-        // Tier 2 (DFA bitset): precomputed over the whole symbol table.
         let mut matcher = relex::SymMatcher::compile(&e, tree.interner().iter().map(|(_, s)| s));
         prop_assert!(matcher.is_bitset(), "small regexes must determinise");
-        for (sym, s) in tree.interner().iter() {
-            let direct = compiled.is_match(s);
-            prop_assert_eq!(direct, memo.matches_str(sym.index(), s), "memo on {:?}", s);
-            prop_assert_eq!(direct, matcher.matches_sym(sym.index(), || s), "bitset on {:?}", s);
-        }
-        // And through a whole evaluation: the JSL key modalities and pattern
-        // test agree across the bitset and lazy-memo strategies.
-        let phi = jsl::Jsl::and(vec![
-            jsl::Jsl::DiamondKey(e.clone(), Box::new(jsl::Jsl::True)),
-            jsl::Jsl::not(jsl::Jsl::BoxKey(
-                e.clone(),
-                Box::new(jsl::Jsl::Test(jsl::NodeTest::Pattern(e.clone()))),
-            )),
-        ]);
-        let via_bitset = jsl::eval::evaluate_with(
-            &tree,
-            &phi,
-            jsl::EvalOptions { edge: relex::EdgeStrategy::DfaBitset, ..Default::default() },
-        );
-        let via_memo = jsl::eval::evaluate_with(
-            &tree,
-            &phi,
-            jsl::EvalOptions { edge: relex::EdgeStrategy::LazyMemo, ..Default::default() },
-        );
-        prop_assert_eq!(via_bitset, via_memo, "strategies diverge under {}", e);
-    }
-
-    #[test]
-    fn dfa_too_large_fallback_agrees(doc in arb_json_unicode()) {
-        // (a|b)*a(a|b)^12 needs 2^13 DFA states — above MAX_EDGE_DFA_STATES —
-        // so the matcher must pick the lazy memo tier and still agree with
-        // the string baseline on every interned symbol.
-        let e = relex::Regex::parse("(a|b)*a(a|b){12}").unwrap();
-        let tree = JsonTree::build(&doc);
-        let mut matcher = relex::SymMatcher::compile(&e, tree.interner().iter().map(|(_, s)| s));
-        prop_assert!(!matcher.is_bitset(), "blowup regex must fall back");
-        let compiled = e.compile();
         for (sym, s) in tree.interner().iter() {
             prop_assert_eq!(
                 compiled.is_match(s),
                 matcher.matches_sym(sym.index(), || s),
-                "fallback on {:?}", s
+                "matcher on {:?}", s
             );
         }
+        let phi = jsl_edge_formula(&e);
+        prop_assert_eq!(
+            jsl::eval::evaluate(&tree, &phi),
+            jsl::streaming::node_set(&phi, &tree).unwrap(),
+            "jsl vs streaming under {}", e
+        );
+    }
+
+    #[test]
+    fn dfa_too_large_fallback_agrees(doc in arb_json_unicode(), ab in arb_json_ab13()) {
+        // (a|b)*a(a|b)^12 needs 2^13 DFA states — above MAX_EDGE_DFA_STATES —
+        // so the matcher must fall back to the memo and still agree with
+        // the NFA on every interned symbol. `ab` draws its keys and atoms
+        // from {a,b}^13, so the regex has hits there, and whole evaluations
+        // through the fallback must agree with their oracles.
+        let e = relex::Regex::parse("(a|b)*a(a|b){12}").unwrap();
+        let compiled = e.compile();
+        for doc in [&doc, &ab] {
+            let tree = JsonTree::build(doc);
+            let mut matcher = relex::SymMatcher::compile(&e, tree.interner().iter().map(|(_, s)| s));
+            prop_assert!(!matcher.is_bitset(), "blowup regex must fall back");
+            for (sym, s) in tree.interner().iter() {
+                prop_assert_eq!(
+                    compiled.is_match(s),
+                    matcher.matches_sym(sym.index(), || s),
+                    "fallback on {:?}", s
+                );
+            }
+        }
+        let tree = JsonTree::build(&ab);
+        let exists = Unary::exists(Binary::key_regex(e.clone()));
+        let oracle = jnl::eval::naive::eval(&tree, &exists);
+        prop_assert_eq!(&oracle, &jnl::eval::pdl::eval(&tree, &exists).unwrap(), "pdl");
+        prop_assert_eq!(&oracle, &jnl::eval::cubic::eval(&tree, &exists), "cubic");
+        let psi = jsl_edge_formula(&e);
+        prop_assert_eq!(
+            jsl::eval::evaluate(&tree, &psi),
+            jsl::streaming::node_set(&psi, &tree).unwrap(),
+            "jsl vs streaming"
+        );
     }
 
     // -------------------------------------------------------------

@@ -86,7 +86,6 @@ fn unique_strategies_agree_on_lookalikes() {
             &phi,
             EvalOptions {
                 unique: UniqueStrategy::NaivePairwise,
-                ..Default::default()
             },
         );
         let b = jsl::eval::evaluate_with(
@@ -94,7 +93,6 @@ fn unique_strategies_agree_on_lookalikes() {
             &phi,
             EvalOptions {
                 unique: UniqueStrategy::Canonical,
-                ..Default::default()
             },
         );
         assert_eq!(a, b, "doc {src}");

@@ -58,7 +58,7 @@ use std::fmt;
 
 use jagg::pipeline::{Pipeline, ProjectField, SortOrder, Stage, ValueExpr};
 use jnl::ast::Unary;
-use jnl::{contained_in, sat_deterministic};
+use jnl::sat_deterministic;
 use jsl::ast::Jsl;
 use jsl::translate::jnl_to_jsl_cps;
 use jsl::{sat_recursive, RecursiveJsl, SatConfig};
@@ -274,7 +274,7 @@ fn path_dead(schema: &RecursiveJsl, p: &Path) -> bool {
 }
 
 /// Walk state threaded through the stage scan.
-struct Scan {
+struct Scan<'p> {
     /// Rows entering the current stage are still unmodified documents of
     /// the original collection — the precondition for every
     /// schema-conditional (`J004`) lint. Cleared by any stage that
@@ -291,7 +291,7 @@ struct Scan {
     row_bound: Option<u64>,
     /// The immediately preceding stage, if it was a `$sort` (index and
     /// key list) — the `J005` consecutive-sort window.
-    last_sort: Option<(usize, Vec<(Path, SortOrder)>)>,
+    last_sort: Option<(usize, &'p [(Path, SortOrder)])>,
 }
 
 impl Analyze for Pipeline {
@@ -340,12 +340,12 @@ impl Analyze for Pipeline {
     }
 }
 
-fn analyze_stage(
+fn analyze_stage<'p>(
     report: &mut Report,
-    scan: &mut Scan,
+    scan: &mut Scan<'p>,
     schema: Option<&RecursiveJsl>,
     i: usize,
-    stage: &Stage,
+    stage: &'p Stage,
 ) {
     let sort_window = scan.last_sort.take();
     match stage {
@@ -382,7 +382,7 @@ fn analyze_stage(
         }
         Stage::Sort(spec) => {
             analyze_sort(report, scan, schema, i, spec, sort_window);
-            scan.last_sort = Some((i, spec.clone()));
+            scan.last_sort = Some((i, spec));
         }
         Stage::Skip(n) => {
             if let Some(bound) = scan.row_bound {
@@ -456,38 +456,59 @@ fn analyze_match(
         }
     }
 
+    if !exact {
+        scan.prior.push((i, phi));
+        return;
+    }
+    // J002 and J003 both query ¬φ. It is built once, around φ itself,
+    // and the queries move their parts in and back out, so no formula
+    // is copied.
+    let mut not_phi = Unary::Not(Box::new(phi));
+
     // J002 — tautological: ¬φ unsatisfiable means every document
     // matches. Needs exactness (φ true must imply the filter matches).
-    if exact && sat_deterministic(&Unary::not(phi.clone())).is_unsat() {
+    if sat_deterministic(&not_phi).is_unsat() {
         report.push(
             LintCode::TautologicalMatch,
             i,
             "every document matches this filter; the stage is a no-op".to_owned(),
             Action::DeleteStage,
         );
-        scan.prior.push((i, phi));
+        scan.prior.push((i, negated(not_phi)));
         return;
     }
 
     // J003 — shadowed by an earlier $match: rows reaching this stage
     // already satisfy some earlier formula ψ (over-approximation is
-    // sound on that side); if ψ ⊑ φ and φ is exact, every row matches.
-    if exact {
-        for (j, psi) in &scan.prior {
-            if contained_in(psi.clone(), phi.clone()).is_contained() {
-                report.push(
-                    LintCode::StageShadowed,
-                    i,
-                    format!("already implied by the $match at stage {j}"),
-                    Action::DeleteStage,
-                );
-                scan.prior.push((i, phi));
-                return;
-            }
+    // sound on that side); if ψ ∧ ¬φ is unsatisfiable (ψ ⊑ φ) and φ is
+    // exact, every row matches.
+    for k in 0..scan.prior.len() {
+        let psi = std::mem::replace(&mut scan.prior[k].1, Unary::True);
+        let query = Unary::And(vec![psi, not_phi]);
+        let shadowed = sat_deterministic(&query).is_unsat();
+        let Unary::And(mut parts) = query else {
+            unreachable!("built as a conjunction")
+        };
+        (not_phi, scan.prior[k].1) = (parts.pop().expect("¬φ"), parts.pop().expect("ψ"));
+        if shadowed {
+            report.push(
+                LintCode::StageShadowed,
+                i,
+                format!("already implied by the $match at stage {}", scan.prior[k].0),
+                Action::DeleteStage,
+            );
+            break;
         }
     }
+    scan.prior.push((i, negated(not_phi)));
+}
 
-    scan.prior.push((i, phi));
+/// φ out of the `¬φ` that [`analyze_match`] built around it.
+fn negated(not_phi: Unary) -> Unary {
+    match not_phi {
+        Unary::Not(phi) => *phi,
+        _ => unreachable!("built as ¬φ"),
+    }
 }
 
 fn analyze_project(
@@ -530,7 +551,7 @@ fn analyze_sort(
     schema: Option<&RecursiveJsl>,
     i: usize,
     spec: &[(Path, SortOrder)],
-    sort_window: Option<(usize, Vec<(Path, SortOrder)>)>,
+    sort_window: Option<(usize, &[(Path, SortOrder)])>,
 ) {
     // J005 — consecutive $sorts. If the earlier key list is a prefix of
     // this one, rows tied on all our keys are tied on all of the earlier

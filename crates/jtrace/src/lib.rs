@@ -71,8 +71,9 @@ pub enum Counter {
     /// (`Collection::find_refs_via_jnl_with_ctx`, Proposition 1
     /// evaluation). Zero on the scan and index routes.
     SegmentsVisited,
-    /// Per-query DFA symbol-bitset matcher compilations
-    /// (`relex::SymMatcherTable` misses inside `jnl::eval`).
+    /// Per-query DFA symbol bitsets built: first sights of a regex inside
+    /// `jnl::eval` that determinise under the state cap (a regex that
+    /// falls back to the memo builds none).
     DfaBitsetBuilds,
     /// `CanonTable` constructions performed on behalf of the query
     /// (`$group` key classing, governed JNL evaluation). A segment keeps

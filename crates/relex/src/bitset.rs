@@ -1,29 +1,27 @@
-//! The precomputed DFA-over-symbols tier of edge matching.
+//! Edge matching over interned symbols: one decision per regex.
 //!
 //! With every key and string atom of a tree interned to a dense `u32`
 //! symbol (`jsondata::intern`), the set of symbols matching a regex is a
-//! *subset of a known finite universe* — so instead of deciding membership
-//! lazily per first-seen symbol (the [`KeyMatchMemo`] tier), a regex can be
-//! compiled **once per (query, tree)** to a [`Dfa`] and evaluated over the
-//! whole symbol table in one pass, producing a dense [`SymBitset`] with one
-//! bit per symbol. Every edge test in the evaluation inner loops then
-//! becomes a single bit load — no tri-state branch, no string resolution,
-//! no NFA run.
+//! *subset of a known finite universe*. [`SymMatcher::compile`] — the only
+//! way a regex becomes an edge matcher — compiles it **once per (query,
+//! tree)** to a [`Dfa`] and evaluates it over the whole symbol table in
+//! one pass, producing a dense [`SymBitset`] with one bit per symbol. Every
+//! edge test in the evaluation inner loops then becomes a single bit load:
+//! no tri-state branch, no string resolution, no automaton run.
 //!
 //! Determinisation can blow up (the classical `(a|b)*a(a|b)^n` family needs
-//! `2^(n+1)` states), so [`SymMatcher::compile`] caps subset construction at
-//! [`MAX_EDGE_DFA_STATES`] and falls back to the lazy [`KeyMatchMemo`] tier
-//! for the offending regex — chosen per regex at compile time, never probed
-//! again in the loop.
+//! `2^(n+1)` states), so subset construction is capped at
+//! [`MAX_EDGE_DFA_STATES`]. A regex over the cap gets the lazy per-symbol
+//! memo instead, which runs the NFA once per symbol actually tested. The
+//! choice is made per regex at compile time and never probed again in the
+//! loop.
 //!
 //! Cost model: the eager pass is `O(total interned bytes)` per distinct
 //! regex — the same order as building the tree — and each DFA step is a
-//! table walk, far cheaper than the memo tier's NFA simulation. Whole-tree
-//! evaluations (the logic engines' node-set semantics) always amortise it.
-//! A *selective* traversal that resolves only a handful of symbols (e.g. a
-//! single-path query over a huge, already-built tree) can prefer
-//! [`EdgeStrategy::LazyMemo`], which bounds work to the symbols actually
-//! tested.
+//! table walk. For an over-cap regex an eager pass would be one NFA run
+//! per interned symbol; that ties the memo on key-dense documents but
+//! loses by an order of magnitude on documents with many string atoms no
+//! key regex tests, so the memo stays the fallback.
 //!
 //! A bitset is built against a *snapshot* of the symbol table (symbols
 //! `0..len` at compile time). Symbols interned later are still answered
@@ -36,7 +34,7 @@ use crate::Regex;
 
 /// State cap for edge-matcher DFAs. Deliberately far below
 /// [`crate::dfa::MAX_DFA_STATES`]: a schema/formula regex that needs more
-/// than a few thousand states is adversarial, and the lazy memo tier
+/// than a few thousand states is adversarial, and the lazy memo fallback
 /// bounds its cost to one NFA run per *tested* symbol instead of an eager
 /// pass over the whole table.
 pub const MAX_EDGE_DFA_STATES: usize = 1 << 12;
@@ -101,20 +99,8 @@ impl SymBitset {
     }
 }
 
-/// How an evaluation context decides regex edge tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EdgeStrategy {
-    /// Compile each regex to a DFA and precompute a [`SymBitset`] over the
-    /// symbol table (falling back per regex on [`MAX_EDGE_DFA_STATES`]).
-    #[default]
-    DfaBitset,
-    /// Always use the lazy per-symbol [`KeyMatchMemo`] tier (kept for
-    /// benchmark ablations and differential tests).
-    LazyMemo,
-}
-
-/// A per-regex edge matcher: the precomputed bitset tier with its source
-/// DFA, or the lazy memo fallback.
+/// A per-regex edge matcher: a precomputed bitset with its source DFA, or
+/// the lazy memo fallback for a regex over [`MAX_EDGE_DFA_STATES`].
 pub struct SymMatcher {
     repr: Repr,
 }
@@ -130,7 +116,7 @@ enum Repr {
 impl SymMatcher {
     /// Compiles `e` for a symbol-table snapshot: determinise (capped at
     /// [`MAX_EDGE_DFA_STATES`]) and precompute the bitset, or fall back to
-    /// the lazy memo tier if determinisation blows up.
+    /// the lazy memo if determinisation blows up.
     pub fn compile<'a>(e: &Regex, strings: impl Iterator<Item = &'a str>) -> SymMatcher {
         let nfa = Nfa::from_regex(e);
         match Dfa::try_from_nfa_capped(&nfa, MAX_EDGE_DFA_STATES) {
@@ -146,31 +132,16 @@ impl SymMatcher {
         }
     }
 
-    /// A matcher pinned to the lazy memo tier (the [`EdgeStrategy::LazyMemo`]
-    /// ablation path).
-    pub fn lazy_memo(e: &Regex) -> SymMatcher {
-        SymMatcher {
-            repr: Repr::Memo(KeyMatchMemo::new(e.compile())),
-        }
-    }
-
-    /// Whether this matcher runs on the precomputed bitset tier.
+    /// Whether this matcher precomputed a bitset (its regex determinised
+    /// under the cap).
     pub fn is_bitset(&self) -> bool {
         matches!(self.repr, Repr::Bits { .. })
     }
 
-    /// The precomputed bitset, if this matcher has one.
-    pub fn bitset(&self) -> Option<&SymBitset> {
-        match &self.repr {
-            Repr::Bits { bits, .. } => Some(bits),
-            Repr::Memo(_) => None,
-        }
-    }
-
-    /// Membership of the string behind symbol `sym`. On the bitset tier this
-    /// is a single bit load and `resolve` is never called; symbols interned
-    /// after the snapshot fall back to one direct DFA run. On the memo tier
-    /// it is the tri-state table probe with a lazy NFA run.
+    /// Membership of the string behind symbol `sym`. With a bitset this is
+    /// a single bit load and `resolve` is never called; symbols interned
+    /// after the snapshot fall back to one direct DFA run. On the memo
+    /// fallback it is the tri-state table probe with a lazy NFA run.
     #[inline]
     pub fn matches_sym<'s>(&mut self, sym: usize, resolve: impl FnOnce() -> &'s str) -> bool {
         match &mut self.repr {
@@ -182,14 +153,6 @@ impl SymMatcher {
                 }
             }
             Repr::Memo(m) => m.matches_str(sym, resolve()),
-        }
-    }
-
-    /// Direct membership on a resolved string (no caching).
-    pub fn is_match(&self, s: &str) -> bool {
-        match &self.repr {
-            Repr::Bits { dfa, .. } => dfa.is_match(s),
-            Repr::Memo(m) => m.is_match(s),
         }
     }
 }
@@ -206,34 +169,15 @@ pub struct MatcherId(usize);
 /// Lookups go through the shared single-probe structure
 /// (`crate::memo::RegexKeyedVec`): one AST hash + one `u64` map probe + one
 /// AST equality check on a hit.
+#[derive(Default)]
 pub struct SymMatcherTable {
-    strategy: EdgeStrategy,
     matchers: RegexKeyedVec<SymMatcher>,
 }
 
-impl Default for SymMatcherTable {
-    fn default() -> Self {
-        SymMatcherTable::new()
-    }
-}
-
 impl SymMatcherTable {
-    /// An empty table using the default [`EdgeStrategy::DfaBitset`] tier.
+    /// An empty table.
     pub fn new() -> SymMatcherTable {
-        SymMatcherTable::with_strategy(EdgeStrategy::default())
-    }
-
-    /// An empty table with an explicit strategy.
-    pub fn with_strategy(strategy: EdgeStrategy) -> SymMatcherTable {
-        SymMatcherTable {
-            strategy,
-            matchers: RegexKeyedVec::default(),
-        }
-    }
-
-    /// The strategy this table compiles new regexes with.
-    pub fn strategy(&self) -> EdgeStrategy {
-        self.strategy
+        SymMatcherTable::default()
     }
 
     /// Number of distinct regexes compiled so far.
@@ -252,11 +196,10 @@ impl SymMatcherTable {
     where
         I: Iterator<Item = &'a str>,
     {
-        let strategy = self.strategy;
-        MatcherId(self.matchers.slot_or_insert_with(e, |e| match strategy {
-            EdgeStrategy::DfaBitset => SymMatcher::compile(e, strings()),
-            EdgeStrategy::LazyMemo => SymMatcher::lazy_memo(e),
-        }))
+        MatcherId(
+            self.matchers
+                .slot_or_insert_with(e, |e| SymMatcher::compile(e, strings())),
+        )
     }
 
     /// The matcher behind an id (a plain vector index; no hashing).
@@ -322,7 +265,10 @@ mod tests {
         assert!(m.matches_sym(2, || "k42"));
         assert!(!m.matches_sym(3, || "zzz"));
         // Answering them leaves the snapshot bitset at its compiled length.
-        assert_eq!(m.bitset().unwrap().len(), 2);
+        match &m.repr {
+            Repr::Bits { bits, .. } => assert_eq!(bits.len(), 2),
+            Repr::Memo(_) => panic!("k[0-9]+ determinises"),
+        }
     }
 
     #[test]
@@ -352,15 +298,5 @@ mod tests {
         assert!(t.get_mut(id1).matches_sym(0, || "aa"));
         assert!(!t.get_mut(id1).matches_sym(1, || "bb"));
         assert!(t.get_mut(id2).matches_sym(1, || "bb"));
-    }
-
-    #[test]
-    fn lazy_strategy_pins_memo_tier() {
-        let mut t = SymMatcherTable::with_strategy(EdgeStrategy::LazyMemo);
-        let e = Regex::parse("a+").unwrap();
-        let m = t.matcher(&e, || ["aa"].into_iter());
-        assert!(!m.is_bitset());
-        assert!(m.matches_sym(0, || "aa"));
-        assert!(!m.matches_sym(1, || "xx"));
     }
 }

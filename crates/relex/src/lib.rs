@@ -18,20 +18,15 @@
 //! subset-construction DFA over unicode scalar-value ranges, with product
 //! and complement constructions on DFAs.
 //!
-//! For role (1) on *interned* trees the crate provides a two-tier matching
-//! layer keyed by dense symbol indexes (see `jsondata::intern`):
-//!
-//! * [`bitset`] — the default tier. Each distinct regex is compiled to a
-//!   [`Dfa`] once per (query, tree) and evaluated over the whole symbol
-//!   table in one pass, yielding a [`SymBitset`] (one bit per symbol);
-//!   every edge test in an evaluation inner loop is then a single bit
-//!   load, with no string resolution and no automaton run.
-//! * [`memo`] — the lazy fallback tier. Regexes whose determinisation
-//!   exceeds [`bitset::MAX_EDGE_DFA_STATES`] keep the tri-state
-//!   [`KeyMatchMemo`] that runs the NFA once per first-seen symbol.
-//!
-//! [`SymMatcher`] packages the per-regex choice (made once, at compile
-//! time) and [`SymMatcherTable`] the per-context collection.
+//! For role (1) on *interned* trees, [`bitset`] matches by dense symbol
+//! index (see `jsondata::intern`). [`SymMatcher::compile`] is the one way
+//! a regex becomes an edge matcher: it compiles the regex to a [`Dfa`]
+//! once per (query, tree) and evaluates it over the whole symbol table in
+//! one pass, yielding a [`SymBitset`] (one bit per symbol), so every edge
+//! test in an evaluation inner loop is a single bit load. Only a regex
+//! whose determinisation exceeds [`bitset::MAX_EDGE_DFA_STATES`] falls
+//! back to a lazy memo that runs the NFA once per tested symbol.
+//! [`SymMatcherTable`] is the per-context collection of matchers.
 //!
 //! Semantics note: all matching is **anchored** (full-word membership in
 //! `L(e)`), exactly as the paper defines (`val(n) ∈ L(e)`). Unanchored
@@ -55,14 +50,13 @@ pub mod ast;
 pub mod bitset;
 pub mod classes;
 pub mod dfa;
-pub mod memo;
+mod memo;
 pub mod nfa;
 pub mod parse;
 
 pub use ast::Regex;
-pub use bitset::{EdgeStrategy, MatcherId, SymBitset, SymMatcher, SymMatcherTable};
+pub use bitset::{MatcherId, SymBitset, SymMatcher, SymMatcherTable};
 pub use classes::CharClass;
 pub use dfa::Dfa;
-pub use memo::{KeyMatchMemo, RegexMemoTable};
 pub use nfa::{CompiledRegex, Nfa};
 pub use parse::RegexError;

@@ -1,21 +1,12 @@
 //! Lazy per-symbol memoisation of anchored regex membership — the
-//! **fallback tier** of edge matching.
+//! fallback of edge matching for regexes whose determinisation exceeds
+//! [`crate::bitset::MAX_EDGE_DFA_STATES`], where an eager pass over the
+//! whole symbol table could cost one NFA run per interned string.
 //!
-//! The logic engines test edge keys and string atoms against regular
-//! expressions. With keys interned to dense `u32` symbols (see
-//! `jsondata::intern`), each regex needs to run **once per distinct
-//! symbol** rather than once per node: a [`KeyMatchMemo`] caches the
-//! verdict in a dense tri-state table indexed by symbol, filled lazily by
-//! NFA runs.
-//!
-//! The evaluation contexts now default to the *precomputed* tier —
-//! [`crate::bitset::SymMatcher`] compiles each regex to a DFA once per
-//! (query, tree) and materialises the whole verdict table as a
-//! [`crate::bitset::SymBitset`] in one pass. This lazy tier remains for
-//! regexes whose determinisation exceeds
-//! [`crate::bitset::MAX_EDGE_DFA_STATES`] (where an eager pass could be
-//! arbitrarily expensive), and as the ablation baseline benchmarks compare
-//! the bitset tier against.
+//! A [`KeyMatchMemo`] runs its regex **once per distinct symbol** that is
+//! actually tested, caching the verdict in a dense tri-state table indexed
+//! by symbol. [`crate::bitset::SymMatcher::compile`] decides per regex
+//! whether to build one.
 
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
@@ -29,30 +20,25 @@ const NO: u8 = 1;
 const YES: u8 = 2;
 
 /// A compiled regex plus a dense per-symbol verdict cache.
-pub struct KeyMatchMemo {
+pub(crate) struct KeyMatchMemo {
     compiled: CompiledRegex,
     verdicts: Vec<u8>,
 }
 
 impl KeyMatchMemo {
     /// Wraps a compiled regex with an empty cache.
-    pub fn new(compiled: CompiledRegex) -> KeyMatchMemo {
+    pub(crate) fn new(compiled: CompiledRegex) -> KeyMatchMemo {
         KeyMatchMemo {
             compiled,
             verdicts: Vec::new(),
         }
     }
 
-    /// Unmemoised membership test on a resolved string.
-    pub fn is_match(&self, s: &str) -> bool {
-        self.compiled.is_match(s)
-    }
-
     /// Memoised membership: the string `s` behind symbol index `sym` is run
     /// through the regex at most once per distinct symbol; later calls are a
     /// table load. Symbols denote one string by contract, so the cached
     /// verdict wins regardless of the `s` passed on later calls.
-    pub fn matches_str(&mut self, sym: usize, s: &str) -> bool {
+    pub(crate) fn matches_str(&mut self, sym: usize, s: &str) -> bool {
         if sym >= self.verdicts.len() {
             self.verdicts.resize(sym + 1, UNKNOWN);
         }
@@ -66,15 +52,10 @@ impl KeyMatchMemo {
             }
         }
     }
-
-    /// Number of symbols with a cached verdict (for tests/diagnostics).
-    pub fn cached(&self) -> usize {
-        self.verdicts.iter().filter(|&&v| v != UNKNOWN).count()
-    }
 }
 
-/// A regex-keyed vector with a single-probe hit path, shared by
-/// [`RegexMemoTable`] and `crate::bitset::SymMatcherTable`.
+/// A regex-keyed vector with a single-probe hit path, the storage of
+/// `crate::bitset::SymMatcherTable`.
 ///
 /// Values are keyed by a **precomputed 64-bit hash** of the regex AST: a
 /// hit costs one AST hash + one `u64` map probe + one AST equality check,
@@ -129,33 +110,6 @@ impl<V> RegexKeyedVec<V> {
     }
 }
 
-/// A per-regex collection of [`KeyMatchMemo`]s for standalone lazy-tier
-/// users (the evaluation contexts use `crate::bitset::SymMatcherTable`).
-///
-/// Callers iterating many symbols against one regex should still fetch the
-/// memo **once** and reuse it inside the loop; the probe hashes the full
-/// regex AST each call.
-#[derive(Default)]
-pub struct RegexMemoTable {
-    memos: RegexKeyedVec<KeyMatchMemo>,
-}
-
-impl RegexMemoTable {
-    /// An empty table.
-    pub fn new() -> RegexMemoTable {
-        RegexMemoTable::default()
-    }
-
-    /// The memo for `e`, compiling the regex on first sight (single probe;
-    /// see `RegexKeyedVec`).
-    pub fn memo(&mut self, e: &Regex) -> &mut KeyMatchMemo {
-        let slot = self
-            .memos
-            .slot_or_insert_with(e, |e| KeyMatchMemo::new(e.compile()));
-        self.memos.get_mut(slot)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,7 +122,8 @@ mod tests {
             assert!(memo.matches_str(0, "aba"));
             assert!(!memo.matches_str(7, "nope"));
         }
-        assert_eq!(memo.cached(), 2, "only the two distinct symbols resolved");
+        let cached = memo.verdicts.iter().filter(|&&v| v != UNKNOWN).count();
+        assert_eq!(cached, 2, "only the two distinct symbols resolved");
     }
 
     #[test]
