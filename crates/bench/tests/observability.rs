@@ -144,6 +144,44 @@ fn work_counters_invariant_across_threads_and_layouts() {
 }
 
 #[test]
+fn group_phase_spans_nest_in_the_stage_span() {
+    use jtrace::{SpanKind, SpanPhase};
+    // `$group` opens one `phase` span per phase, in order, inside its
+    // stage span: 0 resolution, 1 unification, 2 fold. Chunk spans fall
+    // inside the parallel phases and are left out here.
+    let docs = corpus();
+    let pipe = jagg::Pipeline::parse_str(
+        r#"[{"$unwind": "$hobbies"}, {"$group": {"_id": "$hobbies", "lo": {"$min": "$age"}}}]"#,
+    )
+    .expect("pipeline parses");
+    for (layout, mut coll) in layouts(&docs) {
+        for threads in [1usize, 2] {
+            coll.set_pool(jpar::Pool::with_threads(threads));
+            let sink = Arc::new(QueryMetrics::with_spans(1 << 14));
+            let ctx = QueryCtx::new().with_metrics(Arc::clone(&sink));
+            jagg::aggregate_with_ctx(&coll, &pipe, &ctx).expect("pipeline runs");
+            let spans = sink.spans().expect("sink was built with a span ring");
+            assert_eq!(spans.dropped(), 0);
+            let events: Vec<(SpanKind, SpanPhase, u32)> = spans
+                .events()
+                .into_iter()
+                .filter(|e| e.kind != SpanKind::Chunk)
+                .map(|e| (e.kind, e.phase, e.arg))
+                .collect();
+            let (open, close) = (SpanPhase::Open, SpanPhase::Close);
+            let mut want = vec![(SpanKind::Stage, open, 0), (SpanKind::Stage, close, 0)];
+            want.push((SpanKind::Stage, open, 1));
+            for phase in 0..3 {
+                want.push((SpanKind::Phase, open, phase));
+                want.push((SpanKind::Phase, close, phase));
+            }
+            want.push((SpanKind::Stage, close, 1));
+            assert_eq!(events, want, "{layout} x{threads}");
+        }
+    }
+}
+
+#[test]
 fn routed_rows_equal_scan_oracle_on_every_layout() {
     let docs = corpus();
     for (layout, coll) in layouts(&docs) {

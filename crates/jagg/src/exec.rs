@@ -29,7 +29,8 @@
 //! Sort keys and the observations `$min`/`$max`/`$push`/`$first`/`$last`
 //! keep are `Obs` values: a `(segment, node)` handle, or an owned value
 //! only when the observed value is synthesized (an owned row's field, a
-//! merged view). Handles compare in place across trees
+//! merged view) or is a number `$group` read as a `u64`. Handles compare
+//! in place across trees
 //! ([`cmp_nodes`]/[`cmp_node_json`]) and are charged to the byte budget
 //! what their materialised values would cost
 //! ([`QueryCtx::charge_node`]), so budgets trip where they did when
@@ -52,16 +53,19 @@
 //! ## Parallel execution
 //!
 //! Per-row stages (`$match`, `$project`, `$unwind`, sort-key resolution,
-//! output materialisation, the accumulator folds of `$group`) fan out in
+//! output materialisation, `$group`'s resolution and fold) fan out in
 //! contiguous row-range chunks on the collection's [`jpar::Pool`]; chunk
 //! results splice back in chunk order, so the output is identical for
 //! every thread count and a 1-thread pool (or a row vector below
 //! `PAR_MIN_ROWS`) runs the exact sequential code inline. Everything a
 //! worker touches is read-only shared state, and `$group` is a three-phase
-//! plan — parallel key resolution, a sequential unification barrier,
-//! parallel accumulation with an in-chunk-order merge (see
-//! `Engine::group`). `$sort`'s comparison sort, `$skip`/`$limit` and
-//! group-output assembly stay sequential on the merged stream.
+//! plan (see `Engine::group`): parallel resolution of each row's key and
+//! of each distinct operand path into per-chunk columns, a sequential
+//! unification barrier that also numbers each chunk's groups densely,
+//! and a parallel column-at-a-time fold into one flat state vector per
+//! chunk, merged in chunk order. `$sort`'s comparison sort,
+//! `$skip`/`$limit` and group-output assembly stay sequential on the
+//! merged stream.
 //!
 //! ## Canon tables
 //!
@@ -86,14 +90,26 @@
 //!   key is a tuple of `(segment, class)` pairs in one flat per-chunk
 //!   buffer: two nodes share a class exactly when their subtrees are
 //!   equal, so the common case never materialises or hashes a key value.
-//!   At the unification barrier each distinct tuple materialises **once**
-//!   and unifies — with other segments' tuples and with keys that had to
-//!   be synthesized — through one shared [`Json`]-keyed map.
-//! * Accumulators hold tree handles: `$push`/`$first`/`$last`/`$min`/
-//!   `$max` keep `(segment, node)` handles (or an owned value, for a
-//!   synthesized observation), `$min`/`$max` compare handles in place
-//!   across trees ([`cmp_nodes`]), and each kept handle materialises once,
-//!   in the group's output document. `$sum`/`$avg` read `Int` payloads.
+//!   Each field path resolves once per row, and a row with an owned or
+//!   merged field builds its key from the values already resolved. At the
+//!   unification barrier each distinct tuple is looked up as a slice,
+//!   materialises **once** and unifies — with other segments' tuples and
+//!   with keys that had to be synthesized — through one shared
+//!   [`Json`]-keyed map.
+//! * Accumulators read operand columns: each distinct operand path
+//!   resolves once per row, to a number's `u64`, a tree handle, a borrow
+//!   of an owned row's value, or a marker for a merged view, and every
+//!   accumulator on that path reads the same column. A merged view is
+//!   built only by the accumulators that keep or compare it
+//!   (`$min`/`$max`/`$push`/`$last`, and `$first` until it has a value)
+//!   and dropped after, so a chunk holds no views. Numbers fold
+//!   as plain `u64`: `$sum`/`$avg` add them, and `$min`/`$max` keep the
+//!   best number apart from the best other value, since numbers rank
+//!   below every other kind. Other values compare in place across trees
+//!   ([`cmp_nodes`]). `$push`/`$first`/`$last` and the non-number extremes
+//!   keep `(segment, node)` handles (or an owned value, for a synthesized
+//!   observation), and each kept handle materialises once, in the
+//!   group's output document.
 //! * The stages run in the blocks of the one planner, `plan::plan`, which
 //!   `EXPLAIN` renders too. `$sort` immediately followed by `$limit k`
 //!   (or `$skip s` + `$limit k`) is a top-k block and never performs the
@@ -286,16 +302,6 @@ enum Resolved<'a> {
     Merged(Json),
 }
 
-impl Resolved<'_> {
-    fn as_val(&self) -> Val<'_> {
-        match self {
-            Resolved::Node(d) => Val::Node(*d),
-            Resolved::Owned(j) => Val::Json(j),
-            Resolved::Merged(j) => Val::Json(j),
-        }
-    }
-}
-
 /// A borrowed value: a subtree still in the tree column, or a `Json`.
 #[derive(Clone, Copy)]
 enum Val<'a> {
@@ -330,6 +336,12 @@ impl Obs {
 /// A `$group` key tuple entry for a field that is missing on the row.
 const MISSING: (u32, u32) = (u32::MAX, u32::MAX);
 
+/// The `arg` of `$group`'s [`SpanKind::Phase`] spans, one per phase of
+/// `Engine::group`: key and operand resolution, unification, fold.
+const PHASE_RESOLVE: u32 = 0;
+const PHASE_UNIFY: u32 = 1;
+const PHASE_FOLD: u32 = 2;
+
 /// A row's phase-1 `$group` key.
 enum RowKey {
     /// A tuple: the row's `width` entries are the next slice of its
@@ -339,14 +351,48 @@ enum RowKey {
     Owned(Option<Json>),
 }
 
-/// Phase-1 `$group` keys of one chunk of rows, in row order.
-struct ChunkKeys {
+/// One row's value at one `$group` operand path, or an accumulator's
+/// constant.
+#[derive(Clone, Copy)]
+enum Cell<'r> {
+    Missing,
+    /// A number, from a tree node or an owned value alike.
+    Num(u64),
+    /// Any other tree value.
+    Node(DocRef),
+    /// Any other owned value: an owned row's field, or a constant.
+    Json(&'r Json),
+    /// A merged view at this operand path (never a number). It is built
+    /// from the row only when an accumulator keeps or compares it, and
+    /// dropped after.
+    Merged(&'r BoundPath<'r>),
+}
+
+/// Where an accumulator reads its observations.
+enum Src<'a> {
+    /// A constant (`Missing` for `$count`): the same cell on every row.
+    Const(Cell<'a>),
+    /// An operand column, shared by every accumulator reading its path.
+    Col(usize),
+}
+
+/// One chunk of `$group` rows: phase 1 fills the keys and operand
+/// columns, phase 2 the group ids.
+struct GroupChunk<'r> {
     keys: Vec<RowKey>,
     /// `(segment, class)` per tuple entry ([`MISSING`] for a missing
     /// field) — the part of a tuple that is hashed.
     classes: Vec<(u32, u32)>,
     /// A node of each entry's class, to materialise the key from.
     nodes: Vec<NodeId>,
+    /// Operand cells, column-major: column `c` is
+    /// `cells[c * rows .. (c + 1) * rows]`.
+    cells: Vec<Cell<'r>>,
+    /// Each row's chunk-local group id.
+    local: Vec<u32>,
+    /// The global group id of each local id (local ids are numbered in
+    /// first-seen order).
+    globals: Vec<u32>,
 }
 
 struct Engine<'c> {
@@ -635,13 +681,35 @@ impl<'c> Engine<'c> {
     /// with the path's prefixes as written (they are the stages' own
     /// paths, never looked up in a table).
     fn resolve<'r>(&self, row: &'r Row<'_>, path: &BoundPath<'_>) -> Option<Resolved<'r>> {
+        Some(match self.locate(row, path)? {
+            Ok(r) => r,
+            Err((cur, live)) => {
+                let segs = &path.path().0;
+                let below = row.binds.as_slice()[live..]
+                    .iter()
+                    .filter(|(p, _)| beneath(&p.0, segs))
+                    .map(|(p, v)| (&p.0[segs.len()..], *v));
+                Resolved::Merged(self.merge(cur, below))
+            }
+        })
+    }
+
+    /// [`Engine::resolve`] short of building a merged view: where one
+    /// would be synthesized, `Err` holds its subtree and the index of the
+    /// first live binding. `Ok` never holds [`Resolved::Merged`].
+    #[allow(clippy::type_complexity)]
+    fn locate<'r>(
+        &self,
+        row: &'r Row<'_>,
+        path: &BoundPath<'_>,
+    ) -> Option<Result<Resolved<'r>, (DocRef, usize)>> {
         let d = match &row.base {
-            Base::Owned(j) => return path.path().resolve(j).map(Resolved::Owned),
+            Base::Owned(j) => return path.path().resolve(j).map(|j| Ok(Resolved::Owned(j))),
             Base::Node(d) => *d,
         };
         if row.binds.is_empty() {
             let node = path.resolve_node(self.tree(d.seg), d.node)?;
-            return Some(Resolved::Node(DocRef { seg: d.seg, node }));
+            return Some(Ok(Resolved::Node(DocRef { seg: d.seg, node })));
         }
         let binds = row.binds.as_slice();
         let mut cur = d;
@@ -661,15 +729,10 @@ impl<'c> Engine<'c> {
                 };
             }
         }
-        let mut below = binds[live..]
-            .iter()
-            .filter(|(p, _)| p.0.len() > segs.len() && p.0.starts_with(segs))
-            .map(|(p, v)| (&p.0[segs.len()..], *v))
-            .peekable();
-        if below.peek().is_none() {
-            Some(Resolved::Node(cur))
+        if binds[live..].iter().any(|(p, _)| beneath(&p.0, segs)) {
+            Some(Err((cur, live)))
         } else {
-            Some(Resolved::Merged(self.merge(cur, below)))
+            Some(Ok(Resolved::Node(cur)))
         }
     }
 
@@ -709,42 +772,21 @@ impl<'c> Engine<'c> {
         }
     }
 
-    /// A value expression's value on a row, unmaterialised: a constant is
-    /// a borrowed owned value.
-    fn eval_ref<'r>(&self, row: &'r Row<'_>, e: &'r BoundExpr<'_>) -> Option<Resolved<'r>> {
-        match e {
-            BoundExpr::Const(c) => Some(Resolved::Owned(c)),
-            BoundExpr::Field(p) => self.resolve(row, p),
-        }
-    }
-
     /// Evaluates a value expression on a row, materialising the result
     /// (a projected value).
     fn eval_expr(&self, row: &Row<'_>, e: &BoundExpr<'_>) -> Option<Json> {
-        self.eval_ref(row, e).map(|r| self.materialize_resolved(r))
+        match e {
+            BoundExpr::Const(c) => Some((*c).clone()),
+            BoundExpr::Field(p) => self.resolve(row, p).map(|r| self.materialize_resolved(r)),
+        }
     }
 
-    /// Keeps a value as an accumulator observation: a pure subtree stays a
-    /// tree handle, anything else is materialised.
+    /// Keeps a resolved sort key: a pure subtree stays a tree handle,
+    /// anything else is materialised.
     fn keep(&self, r: Resolved<'_>) -> Obs {
         match r {
             Resolved::Node(d) => Obs::Node(d),
             other => Obs::Owned(self.materialize_resolved(other)),
-        }
-    }
-
-    /// Evaluates a value expression as an accumulator observation.
-    fn observe(&self, row: &Row<'_>, e: &BoundExpr<'_>) -> Option<Obs> {
-        self.eval_ref(row, e).map(|r| self.keep(r))
-    }
-
-    /// Evaluates a value expression as a number (`$sum`/`$avg`
-    /// observations) without materialising non-numeric values.
-    fn eval_num(&self, row: &Row<'_>, e: &BoundExpr<'_>) -> Option<u64> {
-        match self.eval_ref(row, e)? {
-            Resolved::Node(d) => self.tree(d.seg).num_value(d.node),
-            Resolved::Owned(j) => j.as_num(),
-            Resolved::Merged(j) => j.as_num(),
         }
     }
 
@@ -930,268 +972,378 @@ impl<'c> Engine<'c> {
     // ---- $group ------------------------------------------------------
 
     /// `$group`, as a three-phase plan whose serial specialisation (one
-    /// chunk) is the defined semantics:
+    /// chunk) is the defined semantics. Each phase runs in a
+    /// [`SpanKind::Phase`] span:
     ///
-    /// 1. **Key resolution (parallel).** Each row's `_id` resolves once,
-    ///    as a tuple over the id's field paths ([`key_paths`]). When every
-    ///    field resolves to a tree node or is missing, the row's key stays
-    ///    unmaterialised: one `(segment, class)` pair per field in the
-    ///    chunk's flat buffer, plus a representative node. Any other row
-    ///    (a field resolving to an owned or merged value) materialises its
-    ///    key value here.
+    /// 1. **Resolution (parallel).** One pass per row resolves each `_id`
+    ///    field path ([`key_paths`]) once and each *distinct* accumulator
+    ///    operand path once. When every key field resolves to a tree node
+    ///    or is missing, the row's key stays unmaterialised: one
+    ///    `(segment, class)` pair per field in the chunk's flat buffer,
+    ///    plus a representative node; any other row materialises its key
+    ///    from the values it already resolved. Each operand lands in its
+    ///    path's column as a [`Cell`]: a number as its `u64`, any other
+    ///    tree value as a handle, an owned row's value as a borrow, a
+    ///    merged view as a marker (never built here).
     /// 2. **Unification barrier (sequential).** Row keys map to global
-    ///    group ids: each distinct tuple materialises its value **once**
-    ///    and funnels — together with every synthesized key — through one
-    ///    shared `Json`-keyed map, so equal keys from different segments
-    ///    (or different representations) land in one group.
-    /// 3. **Accumulation (parallel) + in-order merge.** Chunks fold their
-    ///    rows into per-chunk accumulator tables keyed by group id; the
-    ///    barrier merges chunk tables **in chunk order**, which restores
-    ///    exact input order for the order-sensitive accumulators
-    ///    (`$push`/`$first`/`$last`) and plain sums for the rest. Kept
-    ///    observations are tree handles until the group's output document
-    ///    materialises them.
+    ///    group ids through a tuple map. Each distinct tuple materialises
+    ///    its value **once** and funnels — together with every
+    ///    synthesized key — through one shared `Json`-keyed map, so equal
+    ///    keys from different segments (or different representations)
+    ///    land in one group. Each chunk also numbers the groups its rows
+    ///    reach densely, in first-seen order.
+    /// 3. **Fold (parallel) + in-order merge.** Each chunk folds column
+    ///    by column — one accumulator over all its rows — into one flat
+    ///    state vector indexed `local group × accumulators` (see
+    ///    [`Engine::fold`]); the barrier merges chunk states **in chunk
+    ///    order**, which restores exact input order for the
+    ///    order-sensitive accumulators (`$push`/`$first`/`$last`) and
+    ///    plain sums for the rest. Kept observations are tree handles
+    ///    until the group's output document materialises them.
     fn group<'p>(&self, rows: Vec<Row<'p>>, spec: &GroupSpec) -> Result<Vec<Row<'p>>, QueryError> {
+        self.guard.span_open(SpanKind::Phase, PHASE_RESOLVE);
         let n = rows.len();
         let chunk = self.row_chunk(n);
         let paths: Vec<BoundPath<'_>> = key_paths(&spec.id)
             .into_iter()
             .map(|p| self.bind(p))
             .collect();
-        let operands: Vec<Option<BoundExpr<'_>>> = spec
+        let width = paths.len();
+        // The distinct operand paths, one column each.
+        let mut cols: Vec<BoundPath<'_>> = Vec::new();
+        let srcs: Vec<Src<'_>> = spec
             .accs
             .iter()
-            .map(|(_, acc)| acc_operand(acc).map(|e| self.bind_expr(e)))
+            .map(|(_, acc)| match acc_operand(acc) {
+                None => Src::Const(Cell::Missing),
+                Some(ValueExpr::Const(c)) => {
+                    Src::Const(c.as_num().map_or(Cell::Json(c), Cell::Num))
+                }
+                Some(ValueExpr::Field(p)) => {
+                    Src::Col(match cols.iter().position(|b| b.path() == p) {
+                        Some(c) => c,
+                        None => {
+                            cols.push(self.bind(p));
+                            cols.len() - 1
+                        }
+                    })
+                }
+            })
             .collect();
-        let width = paths.len();
         if width > 0 {
             // Key resolution reads canon tables; build the reachable
             // missing ones up front.
             self.build_canon_for(&rows)?;
         }
 
-        // Phase 1: per-row key tuples, in row order, one buffer per chunk.
-        let keys: Vec<ChunkKeys> = self.pool.try_map_chunks(&self.guard, n, chunk, |r| {
-            let mut poll = self.guard.poller();
-            let mut ck = ChunkKeys {
-                keys: Vec::with_capacity(r.len()),
-                classes: Vec::with_capacity(r.len() * width),
-                nodes: Vec::with_capacity(r.len() * width),
-            };
-            for i in r {
-                poll.tick()?;
-                let row = &rows[i];
-                let at = ck.classes.len();
-                let mut tuple = true;
-                for p in &paths {
-                    match self.resolve(row, p) {
-                        Some(Resolved::Node(d)) => {
-                            let class = self.tree(d.seg).canon().class_of(d.node);
-                            ck.classes.push((d.seg, class));
-                            ck.nodes.push(d.node);
-                        }
-                        None => {
-                            ck.classes.push(MISSING);
-                            ck.nodes.push(NodeId::from_index(0));
-                        }
-                        Some(_) => {
-                            tuple = false;
-                            break;
-                        }
+        // Phase 1: per-row key tuples and operand cells, one buffer set
+        // per chunk.
+        let rows = &rows;
+        let mut chunks: Vec<GroupChunk<'_>> =
+            self.pool.try_map_chunks(&self.guard, n, chunk, |r| {
+                let mut poll = self.guard.poller();
+                let len = r.len();
+                let mut ck = GroupChunk {
+                    keys: Vec::with_capacity(len),
+                    classes: Vec::with_capacity(len * width),
+                    nodes: Vec::with_capacity(len * width),
+                    cells: vec![Cell::Missing; len * cols.len()],
+                    local: Vec::new(),
+                    globals: Vec::new(),
+                };
+                for (k, i) in r.enumerate() {
+                    poll.tick()?;
+                    let row = &rows[i];
+                    let key = self.row_key(row, &paths, &spec.id, &mut ck);
+                    ck.keys.push(key);
+                    for (c, p) in cols.iter().enumerate() {
+                        ck.cells[c * len + k] = match self.locate(row, p) {
+                            None => Cell::Missing,
+                            Some(Ok(Resolved::Node(d))) => self
+                                .tree(d.seg)
+                                .num_value(d.node)
+                                .map_or(Cell::Node(d), Cell::Num),
+                            Some(Ok(Resolved::Owned(j))) => {
+                                j.as_num().map_or(Cell::Json(j), Cell::Num)
+                            }
+                            Some(Ok(Resolved::Merged(_)) | Err(_)) => Cell::Merged(p),
+                        };
                     }
                 }
-                if tuple {
-                    ck.keys.push(RowKey::Tuple);
-                } else {
-                    ck.classes.truncate(at);
-                    ck.nodes.truncate(at);
-                    let values = paths
-                        .iter()
-                        .map(|p| self.resolve(row, p).map(|r| self.materialize_resolved(r)));
-                    ck.keys.push(RowKey::Owned(assemble_key(&spec.id, values)));
-                }
-            }
-            Ok(ck)
-        })?;
+                Ok(ck)
+            })?;
+        self.guard.span_close(SpanKind::Phase, PHASE_RESOLVE);
 
         // Phase 2: the unification barrier. Every *distinct* group key
         // materialises exactly once, and is charged to the byte budget at
         // that moment (the per-row tuples carry no new allocation).
-        let mut by_json: FxHashMap<Option<Json>, usize> = FxHashMap::default();
-        let mut by_tuple: FxHashMap<Box<[(u32, u32)]>, usize> = FxHashMap::default();
+        self.guard.span_open(SpanKind::Phase, PHASE_UNIFY);
+        let mut by_json: FxHashMap<Option<Json>, u32> = FxHashMap::default();
+        let mut by_tuple: FxHashMap<Box<[(u32, u32)]>, u32> = FxHashMap::default();
         let mut group_keys: Vec<Option<Json>> = Vec::new();
         let guard = &self.guard;
         let mut slot =
-            |key: Option<Json>, group_keys: &mut Vec<Option<Json>>| -> Result<usize, QueryError> {
+            |key: Option<Json>, group_keys: &mut Vec<Option<Json>>| -> Result<u32, QueryError> {
                 if let Some(&gi) = by_json.get(&key) {
                     return Ok(gi);
                 }
                 if let Some(k) = &key {
                     guard.charge_json(k)?;
                 }
-                let gi = group_keys.len();
+                let gi = group_keys.len() as u32;
                 by_json.insert(key.clone(), gi);
                 group_keys.push(key);
                 Ok(gi)
             };
-        let mut row_gis: Vec<u32> = Vec::with_capacity(n);
+        // Per global group: its local id + 1 in the current chunk (0 =
+        // not reached yet), reset after each chunk.
+        let mut local_of: Vec<u32> = Vec::new();
         let mut poll = self.guard.poller();
-        for ck in keys {
+        for ck in &mut chunks {
+            ck.local.reserve_exact(ck.keys.len());
             let mut at = 0;
-            for key in ck.keys {
+            for key in std::mem::take(&mut ck.keys) {
                 poll.tick()?;
                 let gi = match key {
                     RowKey::Owned(key) => slot(key, &mut group_keys)?,
                     RowKey::Tuple => {
                         let tuple = &ck.classes[at..at + width];
-                        let gi = match by_tuple.get(tuple) {
+                        at += width;
+                        match by_tuple.get(tuple) {
                             Some(&gi) => gi,
                             None => {
-                                let nodes = &ck.nodes[at..at + width];
-                                let values = tuple.iter().zip(nodes).map(|(&(seg, c), &node)| {
-                                    ((seg, c) != MISSING)
-                                        .then(|| self.json_of(DocRef { seg, node }))
-                                });
-                                let key = assemble_key(&spec.id, values);
-                                let gi = slot(key, &mut group_keys)?;
+                                let values = self.tuple_json(tuple, &ck.nodes[at - width..at]);
+                                let gi = slot(assemble_key(&spec.id, values), &mut group_keys)?;
                                 by_tuple.insert(tuple.into(), gi);
                                 gi
                             }
-                        };
-                        at += width;
-                        gi
+                        }
                     }
                 };
-                row_gis.push(gi as u32);
+                local_of.resize(group_keys.len(), 0);
+                let l = &mut local_of[gi as usize];
+                if *l == 0 {
+                    ck.globals.push(gi);
+                    *l = ck.globals.len() as u32;
+                }
+                ck.local.push(*l - 1);
+            }
+            for &gi in &ck.globals {
+                local_of[gi as usize] = 0;
             }
         }
         let n_groups = group_keys.len();
+        self.guard.span_close(SpanKind::Phase, PHASE_UNIFY);
 
-        // Phase 3: per-chunk accumulation, merged in chunk order.
-        let partials: Vec<FxHashMap<u32, Vec<AccState>>> =
+        // Phase 3: per-chunk column-at-a-time folds into dense state,
+        // merged in chunk order.
+        self.guard.span_open(SpanKind::Phase, PHASE_FOLD);
+        let accs = spec.accs.len();
+        let fresh = |groups: usize| -> Vec<AccState> {
+            (0..groups)
+                .flat_map(|_| spec.accs.iter().map(|(_, a)| AccState::new(a)))
+                .collect()
+        };
+        let partials: Vec<Vec<AccState>> =
             self.pool.try_map_chunks(&self.guard, n, chunk, |r| {
-                let mut local: FxHashMap<u32, Vec<AccState>> = FxHashMap::default();
+                let ck = &chunks[r.start / chunk];
+                let len = r.len();
+                let mut state = fresh(ck.globals.len());
                 let mut poll = self.guard.poller();
-                for i in r {
-                    poll.tick()?;
-                    let states = local.entry(row_gis[i]).or_insert_with(|| {
-                        spec.accs.iter().map(|(_, a)| AccState::new(a)).collect()
-                    });
-                    for (state, e) in states.iter_mut().zip(&operands) {
-                        self.accumulate_into(state, e.as_ref(), &rows[i])?;
+                for (a, src) in srcs.iter().enumerate() {
+                    for (k, &l) in ck.local.iter().enumerate() {
+                        poll.tick()?;
+                        let cell = match src {
+                            Src::Const(c) => *c,
+                            Src::Col(c) => ck.cells[c * len + k],
+                        };
+                        self.fold(&mut state[l as usize * accs + a], cell, &rows[r.start + k])?;
                     }
                 }
-                Ok(local)
+                Ok(state)
             })?;
-        let mut states: Vec<Option<Vec<AccState>>> = (0..n_groups).map(|_| None).collect();
-        for partial in partials {
-            for (gi, part) in partial {
-                match &mut states[gi as usize] {
-                    None => states[gi as usize] = Some(part),
-                    Some(dst) => {
-                        for (d, s) in dst.iter_mut().zip(part) {
-                            self.absorb(d, s);
-                        }
-                    }
-                }
+        let mut states = fresh(n_groups);
+        for (ck, part) in chunks.iter().zip(partials) {
+            for (i, s) in part.into_iter().enumerate() {
+                let gi = ck.globals[i / accs] as usize;
+                self.absorb(&mut states[gi * accs + i % accs], s);
             }
         }
+        // The row columns are done with; free them before the outputs
+        // materialise.
+        drop(chunks);
 
         // Deterministic output order: missing key first, then total order.
-        let mut groups: Vec<(Option<Json>, Vec<AccState>)> = group_keys
-            .into_iter()
-            .zip(states)
-            .map(|(key, st)| (key, st.expect("every group id came from a row")))
-            .collect();
+        let mut groups: Vec<(Option<Json>, usize)> = group_keys.into_iter().zip(0..).collect();
         groups.sort_by(|a, b| cmp_opt_json(&a.0, &b.0));
-        Ok(groups
+        let out = groups
             .into_iter()
-            .map(|(id, states)| {
+            .map(|(id, gi)| {
                 let mut pairs: Vec<(String, Json)> = Vec::new();
                 if let Some(idj) = id {
                     pairs.push(("_id".into(), idj));
                 }
-                for ((name, _), state) in spec.accs.iter().zip(states) {
+                for (a, (name, _)) in spec.accs.iter().enumerate() {
+                    let state = std::mem::replace(&mut states[gi * accs + a], AccState::Count(0));
                     if let Some(v) = self.finish(state) {
                         pairs.push((name.clone(), v));
                     }
                 }
                 Row::owned(Json::object(pairs).expect("parser validated distinct names"))
             })
-            .collect())
+            .collect();
+        self.guard.span_close(SpanKind::Phase, PHASE_FOLD);
+        Ok(out)
     }
 
-    /// Folds one row into an accumulator's state; `e` is the
-    /// accumulator's bound operand (`None` only for `$count`).
-    fn accumulate_into(
+    /// Resolves a row's `$group` key, each field path once. While every
+    /// field is a tree node or missing, the key is a tuple appended to
+    /// the chunk's `classes`/`nodes`; at the first owned or merged field
+    /// the tuple so far is taken back and the key materialises from the
+    /// values already resolved plus the remaining fields.
+    fn row_key(
         &self,
-        state: &mut AccState,
-        e: Option<&BoundExpr<'_>>,
         row: &Row<'_>,
-    ) -> Result<(), QueryError> {
-        match (state, e) {
-            (AccState::Sum(total), Some(e)) => {
-                if let Some(n) = self.eval_num(row, e) {
-                    *total += n as u128;
+        paths: &[BoundPath<'_>],
+        id: &IdExpr,
+        ck: &mut GroupChunk<'_>,
+    ) -> RowKey {
+        let at = ck.classes.len();
+        for (j, p) in paths.iter().enumerate() {
+            match self.resolve(row, p) {
+                Some(Resolved::Node(d)) => {
+                    ck.classes
+                        .push((d.seg, self.tree(d.seg).canon().class_of(d.node)));
+                    ck.nodes.push(d.node);
+                }
+                None => {
+                    ck.classes.push(MISSING);
+                    ck.nodes.push(NodeId::from_index(0));
+                }
+                Some(owned) => {
+                    let before = self.tuple_json(&ck.classes[at..], &ck.nodes[at..]);
+                    let rest = paths[j + 1..]
+                        .iter()
+                        .map(|p| self.resolve(row, p).map(|r| self.materialize_resolved(r)));
+                    let values = before
+                        .chain(std::iter::once(Some(self.materialize_resolved(owned))))
+                        .chain(rest);
+                    let key = assemble_key(id, values);
+                    ck.classes.truncate(at);
+                    ck.nodes.truncate(at);
+                    return RowKey::Owned(key);
                 }
             }
-            (AccState::Avg { sum, count }, Some(e)) => {
-                if let Some(n) = self.eval_num(row, e) {
-                    *sum += n as u128;
+        }
+        RowKey::Tuple
+    }
+
+    /// Materialises key tuple entries (`None` for a missing field).
+    fn tuple_json<'a>(
+        &'a self,
+        classes: &'a [(u32, u32)],
+        nodes: &'a [NodeId],
+    ) -> impl Iterator<Item = Option<Json>> + 'a {
+        classes.iter().zip(nodes).map(|(&(seg, c), &node)| {
+            ((seg, c) != MISSING).then(|| self.json_of(DocRef { seg, node }))
+        })
+    }
+
+    /// Folds one row's observation into an accumulator's state (`$count`
+    /// ignores the cell). Numbers fold as plain `u64`s: `$sum`/`$avg` add
+    /// them and skip everything else, and `$min`/`$max` keep the best
+    /// number apart from the best other value ([`Extreme`]).
+    /// `$push`/`$first`/`$last` keep handles. A merged-view cell is built
+    /// from `row` only by the accumulators that keep or compare it.
+    fn fold(&self, state: &mut AccState, cell: Cell<'_>, row: &Row<'_>) -> Result<(), QueryError> {
+        match state {
+            AccState::Count(n) => *n += 1,
+            AccState::Sum(total) => {
+                if let Cell::Num(x) = cell {
+                    *total += u128::from(x);
+                }
+            }
+            AccState::Avg { sum, count } => {
+                if let Cell::Num(x) = cell {
+                    *sum += u128::from(x);
                     *count += 1;
                 }
             }
-            (AccState::Min(best), Some(e)) => {
-                self.observe_best(row, e, best, Ordering::Less);
-            }
-            (AccState::Max(best), Some(e)) => {
-                self.observe_best(row, e, best, Ordering::Greater);
-            }
-            (AccState::Count(n), None) => *n += 1,
-            (AccState::Push(items), Some(e)) => {
+            AccState::Min(best) => self.offer(best, cell, row, Ordering::Less),
+            AccState::Max(best) => self.offer(best, cell, row, Ordering::Greater),
+            AccState::Push(items) => {
                 // `$push` is the one accumulator with unbounded state: every
                 // retained element is charged to the byte budget, at what
                 // its materialised value will cost.
-                if let Some(o) = self.observe(row, e) {
+                if let Some(o) = self.obs(cell, row) {
                     self.charge_obs(&o)?;
                     items.push(o);
                 }
             }
-            (AccState::First(slot), Some(e)) => {
+            AccState::First(slot) => {
                 if slot.is_none() {
-                    *slot = self.observe(row, e);
+                    *slot = self.obs(cell, row);
                 }
             }
-            (AccState::Last(slot), Some(e)) => {
-                if let Some(o) = self.observe(row, e) {
+            AccState::Last(slot) => {
+                if let Some(o) = self.obs(cell, row) {
                     *slot = Some(o);
                 }
             }
-            _ => unreachable!("state shape fixed by AccState::new"),
         }
         Ok(())
     }
 
-    /// Observes a `$min`/`$max` candidate: it displaces the current best
-    /// only when it compares strictly `want`, and is compared in place —
-    /// a tree candidate is kept as a handle, an owned one materialises
-    /// only when it wins.
-    fn observe_best(
-        &self,
-        row: &Row<'_>,
-        e: &BoundExpr<'_>,
-        best: &mut Option<Obs>,
-        want: Ordering,
-    ) {
-        let Some(r) = self.eval_ref(row, e) else {
-            return;
+    /// Offers a `$min`/`$max` candidate. A number competes with the best
+    /// number by plain `u64` comparison; any other value displaces the
+    /// best other value only when it compares strictly `want`, in place —
+    /// a tree candidate is kept as a handle, an owned row's value is
+    /// cloned only when it wins, and a merged view is built, compared and
+    /// kept or dropped.
+    fn offer(&self, best: &mut Extreme, cell: Cell<'_>, row: &Row<'_>, want: Ordering) {
+        let wins = |val: Val<'_>| {
+            best.other
+                .as_ref()
+                .is_none_or(|b| self.cmp_val(val, b.as_val()) == want)
         };
-        let wins = best
-            .as_ref()
-            .is_none_or(|b| self.cmp_val(r.as_val(), b.as_val()) == want);
-        if wins {
-            *best = Some(self.keep(r));
+        match cell {
+            Cell::Missing => {}
+            Cell::Num(x) => best.offer_num(x, want),
+            Cell::Node(d) => {
+                if wins(Val::Node(d)) {
+                    best.other = Some(Obs::Node(d));
+                }
+            }
+            Cell::Json(j) => {
+                if wins(Val::Json(j)) {
+                    best.other = Some(Obs::Owned(j.clone()));
+                }
+            }
+            Cell::Merged(p) => {
+                let j = self.view(row, p);
+                if wins(Val::Json(&j)) {
+                    best.other = Some(Obs::Owned(j));
+                }
+            }
         }
+    }
+
+    /// A cell as a kept observation: a tree value stays a handle, a number
+    /// or an owned value is owned, and a merged view is built from `row`.
+    fn obs(&self, cell: Cell<'_>, row: &Row<'_>) -> Option<Obs> {
+        match cell {
+            Cell::Missing => None,
+            Cell::Num(x) => Some(Obs::Owned(Json::Num(x))),
+            Cell::Node(d) => Some(Obs::Node(d)),
+            Cell::Json(j) => Some(Obs::Owned(j.clone())),
+            Cell::Merged(p) => Some(Obs::Owned(self.view(row, p))),
+        }
+    }
+
+    /// Builds the merged view phase 1 located at `path` on `row`.
+    fn view(&self, row: &Row<'_>, path: &BoundPath<'_>) -> Json {
+        let r = self.resolve(row, path).expect("phase 1 located a view");
+        self.materialize_resolved(r)
     }
 
     /// Folds `later` — the state accumulated over a *later* contiguous row
@@ -1207,10 +1359,16 @@ impl<'c> Engine<'c> {
                 *sum += s2;
                 *count += c2;
             }
-            (AccState::Min(a), AccState::Min(b)) => self.absorb_best(a, b, Ordering::Less),
-            (AccState::Max(a), AccState::Max(b)) => self.absorb_best(a, b, Ordering::Greater),
+            (AccState::Min(a), AccState::Min(b)) => self.absorb_extreme(a, b, Ordering::Less),
+            (AccState::Max(a), AccState::Max(b)) => self.absorb_extreme(a, b, Ordering::Greater),
             (AccState::Count(a), AccState::Count(b)) => *a += b,
-            (AccState::Push(a), AccState::Push(b)) => a.extend(b),
+            (AccState::Push(a), AccState::Push(b)) => {
+                if a.is_empty() {
+                    *a = b;
+                } else {
+                    a.extend(b);
+                }
+            }
             (AccState::First(a), AccState::First(b)) => {
                 if a.is_none() {
                     *a = b;
@@ -1225,32 +1383,40 @@ impl<'c> Engine<'c> {
         }
     }
 
-    /// The `$min`/`$max` merge rule: take the later best only when it
-    /// strictly beats the earlier one (a tie keeps the earlier
-    /// observation, matching the sequential fold's strict-comparison
-    /// displacement).
-    fn absorb_best(&self, dst: &mut Option<Obs>, later: Option<Obs>, want: Ordering) {
-        if let Some(v) = later {
+    /// The `$min`/`$max` merge rule: the best numbers compare as `u64`s,
+    /// and the later best other value is taken only when it strictly
+    /// beats the earlier one (a tie keeps the earlier observation,
+    /// matching the sequential fold's strict-comparison displacement).
+    fn absorb_extreme(&self, dst: &mut Extreme, later: Extreme, want: Ordering) {
+        if let Some(x) = later.num {
+            dst.offer_num(x, want);
+        }
+        if let Some(v) = later.other {
             let take = dst
+                .other
                 .as_ref()
                 .is_none_or(|d| self.cmp_val(v.as_val(), d.as_val()) == want);
             if take {
-                *dst = Some(v);
+                dst.other = Some(v);
             }
         }
     }
 
     /// The output value, or `None` for empty-observation accumulators
     /// whose field is omitted (the fragment has no `null`). Kept handles
-    /// materialise here, once each.
+    /// materialise here, once each. Numbers rank below every other kind,
+    /// so `$min` prefers its best number and `$max` its best other value.
     fn finish(&self, state: AccState) -> Option<Json> {
         match state {
             AccState::Sum(total) => Some(Json::Num(saturate(total))),
             AccState::Avg { count: 0, .. } => None,
             AccState::Avg { sum, count } => Some(Json::Num(saturate(sum / count as u128))),
-            AccState::Min(v) | AccState::Max(v) | AccState::First(v) | AccState::Last(v) => {
-                v.map(|o| self.obs_json(o))
-            }
+            AccState::Min(e) => e
+                .num
+                .map(Json::Num)
+                .or_else(|| e.other.map(|o| self.obs_json(o))),
+            AccState::Max(e) => e.other.map(|o| self.obs_json(o)).or(e.num.map(Json::Num)),
+            AccState::First(v) | AccState::Last(v) => v.map(|o| self.obs_json(o)),
             AccState::Count(n) => Some(Json::Num(n)),
             AccState::Push(items) => Some(Json::Array(
                 items.into_iter().map(|o| self.obs_json(o)).collect(),
@@ -1466,8 +1632,8 @@ impl Ord for TopEnt<'_, '_, '_> {
 enum AccState {
     Sum(u128),
     Avg { sum: u128, count: u64 },
-    Min(Option<Obs>),
-    Max(Option<Obs>),
+    Min(Extreme),
+    Max(Extreme),
     Count(u64),
     Push(Vec<Obs>),
     First(Option<Obs>),
@@ -1479,12 +1645,32 @@ impl AccState {
         match acc {
             Accumulator::Sum(_) => AccState::Sum(0),
             Accumulator::Avg(_) => AccState::Avg { sum: 0, count: 0 },
-            Accumulator::Min(_) => AccState::Min(None),
-            Accumulator::Max(_) => AccState::Max(None),
+            Accumulator::Min(_) => AccState::Min(Extreme::default()),
+            Accumulator::Max(_) => AccState::Max(Extreme::default()),
             Accumulator::Count => AccState::Count(0),
             Accumulator::Push(_) => AccState::Push(Vec::new()),
             Accumulator::First(_) => AccState::First(None),
             Accumulator::Last(_) => AccState::Last(None),
+        }
+    }
+}
+
+/// A `$min`/`$max` state under the total order's rank rule: numbers rank
+/// below every other kind, so the best number and the best other value
+/// fold apart and [`Engine::finish`] picks by rank. Equal numbers are
+/// equal values, so which observation a number tie keeps is unobservable.
+#[derive(Default)]
+struct Extreme {
+    num: Option<u64>,
+    other: Option<Obs>,
+}
+
+impl Extreme {
+    /// Offers a number: it displaces the best number when it compares
+    /// `want` as a plain `u64`.
+    fn offer_num(&mut self, x: u64, want: Ordering) {
+        if self.num.is_none_or(|m| x.cmp(&m) == want) {
+            self.num = Some(x);
         }
     }
 }
@@ -1512,6 +1698,11 @@ fn assemble_key(id: &IdExpr, mut values: impl Iterator<Item = Option<Json>>) -> 
             Some(Json::object(pairs).expect("parser validated distinct names"))
         }
     }
+}
+
+/// Whether a binding at `bind` lies strictly beneath the path `segs`.
+fn beneath(bind: &[String], segs: &[String]) -> bool {
+    bind.len() > segs.len() && bind.starts_with(segs)
 }
 
 /// The field paths a `$group` `_id` reads, in id order: none for a

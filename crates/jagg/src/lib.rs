@@ -40,14 +40,16 @@
 //! (`BENCH_aggregate.json`).
 //!
 //! Execution fans out on the collection's [`jpar::Pool`]: per-row stages
-//! run in chunked parallel over the row vector, `$group` accumulates
-//! per-chunk tables merged in chunk order at a barrier, and adjacent
-//! `$sort`+`$limit` (optionally with `$skip`) fuse into a bounded-heap
-//! top-k, which also takes in a `$project` right before the `$sort` when
-//! the sort keys allow it and projects only the rows the heap keeps —
-//! all without changing a byte of output for any thread count
-//! (the [`mod@reference`] oracle keeps the unfused full-sort semantics; the
-//! determinism suite in `tests/parallel.rs` and `harness s6` gate it).
+//! run in chunked parallel over the row vector, `$group` resolves each
+//! distinct operand path once per row into per-chunk columns and folds
+//! them into one dense state vector per chunk, merged in chunk order at a
+//! barrier, and adjacent `$sort`+`$limit` (optionally with `$skip`) fuse
+//! into a bounded-heap top-k, which also takes in a `$project` right
+//! before the `$sort` when the sort keys allow it and projects only the
+//! rows the heap keeps — all without changing a byte of output for any
+//! thread count (the [`mod@reference`] oracle keeps the unfused full-sort
+//! semantics; the determinism suite in `tests/parallel.rs` and
+//! `harness s6` gate it).
 //! See [`exec`] for the threading model.
 //!
 //! ## Example

@@ -221,9 +221,14 @@ fn cross_segment_docs(n: u64) -> Vec<Json> {
                 5 => format!(r#"{{"a": {}}}"#, i % 3),
                 _ => "[]".to_owned(),
             };
+            // `v` is missing on every eleventh row.
+            let v = match i % 11 {
+                10 => String::new(),
+                _ => format!(r#", "v": {v}"#),
+            };
             let a = if i % 2 == 0 { "[1, 2]" } else { "1" };
             let src = format!(
-                r#"{{"id": {i}, "k": {{"f": "{}"{last}}}, "v": {v}, "o": {{"k": "x", "a": {a}}}}}"#,
+                r#"{{"id": {i}, "k": {{"f": "{}"{last}}}{v}, "o": {{"k": "x", "a": {a}}}}}"#,
                 FIRSTS[(i % 4) as usize]
             );
             jsondata::parse(&src).unwrap()
@@ -283,12 +288,35 @@ fn node_native_group_keys_and_handles_agree_across_segments() {
         // Bare keys over mixed kinds, and a constant key.
         r#"[{"$group": {"_id": "$v", "n": {"$count": {}}, "lo": {"$min": "$id"}}}]"#,
         r#"[{"$group": {"_id": "one", "lo": {"$min": "$v"}, "hi": {"$max": "$v"}}}]"#,
+        // Operand columns folded per chunk into dense state over the
+        // groups the chunk reaches, merged in chunk order. Groups recur
+        // every few rows, so from 2 threads on every group spans chunks,
+        // and a group's best number and best non-number (`v` is every
+        // kind, or missing) can come from different chunks.
+        r#"[{"$group": {"_id": "$k.l", "n": {"$count": {}}, "s": {"$sum": "$v"}, "a": {"$avg": "$v"},
+                        "lo": {"$min": "$v"}, "hi": {"$max": "$v"}, "all": {"$push": "$v"},
+                        "f": {"$first": "$v"}, "l": {"$last": "$v"}}}]"#,
+        r#"[{"$group": {"_id": "$v", "lo": {"$min": "$v"}, "hi": {"$max": "$v"},
+                        "ones": {"$sum": 1}, "also": {"$sum": 1}, "ids": {"$push": "$id"}}}]"#,
+        // Constant operands: a non-number sum, constant extremes, pushes.
+        r#"[{"$group": {"_id": "$k.f", "z": {"$sum": "x"}, "lo": {"$min": 3},
+                        "hi": {"$max": {"$literal": {"k": [1]}}}, "p": {"$push": "lit"},
+                        "f": {"$first": 7}}}]"#,
+        // A group per row.
+        r#"[{"$group": {"_id": "$id", "lo": {"$min": "$v"}, "s": {"$sum": "$id"}}},
+            {"$sort": {"s": 0}}, {"$limit": 20}]"#,
+        r#"[{"$project": {"k": 1, "v": 1, "n": "$id"}},
+            {"$group": {"_id": "$k.f", "lo": {"$min": "$v"}, "hi": {"$max": "$v"},
+                        "s": {"$sum": "$n"}, "top": {"$max": "$n"}, "ns": {"$push": "$n"}}}]"#,
+        r#"[{"$unwind": "$o.a"},
+            {"$group": {"_id": "$k.l", "lo": {"$min": "$o"}, "hi": {"$max": "$o"},
+                        "s": {"$sum": "$o.a"}, "amin": {"$min": "$o.a"}, "last": {"$last": "$o"}}}]"#,
     ];
     for (label, mut coll) in layouts(&docs) {
         for src in cases {
             let pipe = Pipeline::parse_str(src).unwrap();
             let oracle = reference::aggregate(&docs, &pipe);
-            for threads in [1, 2, 4] {
+            for threads in [1, 2, 4, 8] {
                 coll.set_pool(Pool::with_threads(threads));
                 assert_eq!(
                     jagg::aggregate(&coll, &pipe),

@@ -364,6 +364,9 @@ pub enum SpanKind {
     Stage,
     /// One parallel chunk (arg = chunk index).
     Chunk,
+    /// One phase of a multi-phase stage, nested in the stage's span (arg
+    /// = phase ordinal, numbered by the stage).
+    Phase,
 }
 
 impl SpanKind {
@@ -375,6 +378,7 @@ impl SpanKind {
             SpanKind::Probe => "probe",
             SpanKind::Stage => "stage",
             SpanKind::Chunk => "chunk",
+            SpanKind::Phase => "phase",
         }
     }
 
@@ -384,7 +388,8 @@ impl SpanKind {
             1 => SpanKind::Plan,
             2 => SpanKind::Probe,
             3 => SpanKind::Stage,
-            _ => SpanKind::Chunk,
+            4 => SpanKind::Chunk,
+            _ => SpanKind::Phase,
         }
     }
 }
