@@ -1816,7 +1816,11 @@ fn s8() {
 /// 2. on every workload, and on a selective leading `$match` through
 ///    `jagg`, the routed call must scan no document, probe at least one
 ///    index, and do less work (rows emitted + residual evaluations) than
-///    the scan's documents scanned.
+///    the scan's documents scanned;
+/// 3. the unindexed scan starts at the filter's symbol horizon: a lookup
+///    by a late inserted `email` scans only its document and the ones
+///    after it, while a filter on strings the first record uses scans
+///    every document.
 ///
 /// Times (medians of 9) are reported in `BENCH_index.json`.
 fn s9() {
@@ -1956,6 +1960,60 @@ fn s9() {
         "match.indexed_ms",
         time_ms(9, || jagg::aggregate(&coll, &pipe)),
     );
+
+    // Gate 3: the unindexed scan starts at the filter's symbol horizon.
+    // 300 documents are inserted after the 20k records, each with a
+    // unique `email`, and compacted after 128 of them. A lookup by the
+    // 150th email tests only that document and the ones after it; a
+    // filter on strings the first record uses tests every document.
+    report.gate(
+        "scan horizon: {email: <150th inserted>} scans n - ordinal(its document) documents, \
+         the control {name.last: {$gt: K}} scans all n",
+    );
+    let mut grown = mongofind::Collection::parse_str(&text).expect("workload parses");
+    let emails: Vec<String> = (0..300).map(|i| format!("u{i}@example.org")).collect();
+    for (i, email) in emails.iter().enumerate() {
+        let doc = format!(
+            r#"{{"id": {}, "name": {{"first": "Sue", "last": "Kim"}}, "age": 40, "hobbies": [], "email": "{email}"}}"#,
+            20_000 + i
+        );
+        grown.insert_str(&doc).expect("insert parses");
+        if i + 1 == 128 {
+            grown.compact();
+        }
+    }
+    let n = grown.len() as u64;
+    let target = 20_000 + 149;
+    let f = mongofind::Filter::parse_str(&format!(r#"{{"email": "{}"}}"#, emails[149]))
+        .expect("filter parses");
+    let (hits, horizon) = metered(|ctx| {
+        grown
+            .find_refs_with_ctx(&f, ctx)
+            .expect("the context never trips")
+    });
+    let control =
+        mongofind::Filter::parse_str(r#"{"name.last": {"$gt": "K"}}"#).expect("filter parses");
+    let (_, full) = metered(|ctx| {
+        grown
+            .find_refs_with_ctx(&control, ctx)
+            .expect("the context never trips")
+    });
+    let (scanned, control_scanned) = (horizon[Counter::DocsScanned], full[Counter::DocsScanned]);
+    assert!(
+        hits == [grown.doc_refs()[target]] && scanned == n - target as u64 && control_scanned == n,
+        "S9 gate: the email lookup scanned {scanned} of {n} documents (want {}) and found \
+         {hits:?}; the control scanned {control_scanned} (want {n})",
+        n - target as u64
+    );
+    println!(
+        "scan horizon: email lookup scans {scanned} of {n} documents, control {control_scanned}"
+    );
+    report.count("horizon.email.docs_scanned", scanned, Better::Lower);
+    report.count(
+        "horizon.control.docs_scanned",
+        control_scanned,
+        Better::Lower,
+    );
     report.write("BENCH_index.json");
 }
 
@@ -1973,8 +2031,9 @@ fn s9() {
 ///    supplemental unindexed workloads, the route `EXPLAIN` claims is
 ///    the route the counters prove execution took: an index route
 ///    records probes and zero scanned documents / visited segments, a
-///    scan route records scanned documents only — and the routed row
-///    count equals the scan oracle's.
+///    scan route records exactly the plan's `scan_docs` scanned documents
+///    and nothing else — and the routed row count equals the scan
+///    oracle's.
 /// 3. **EXPLAIN ANALYZE counts right.** On every S5 pipeline the traced
 ///    executor's per-stage cardinalities (fused blocks expanded) equal
 ///    the value-based reference executor's, stage for stage.
@@ -2051,9 +2110,9 @@ fn s10() {
                 routes_seen[0] = true;
             }
             Route::Scan => {
-                assert!(
-                    scanned > 0,
-                    "S10 gate: scan route scanned no documents on {label}"
+                assert_eq!(
+                    scanned, an.plan.scan_docs as u64,
+                    "S10 gate: scan route scanned other than the plan's scan_docs on {label}"
                 );
                 assert_eq!(
                     (probes, segments),

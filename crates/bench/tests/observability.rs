@@ -230,14 +230,14 @@ fn explain_text_snapshots_for_the_s9_corpus() {
         (
             r#"{"id": 12345}"#,
             "find id = 12345\n\
-             \x20 route: index  [docs=100, segments=1]\n\
+             \x20 route: index  [docs=100, scan_docs=0, segments=1]\n\
              \x20 indexes: [id, name.first, age]\n\
              \x20 probe[0] eq: id = 12345\n",
         ),
         (
             r#"{"age": {"$gte": 40, "$lt": 50}}"#,
             "find (age >= 40 && age < 50)\n\
-             \x20 route: index  [docs=100, segments=1]\n\
+             \x20 route: index  [docs=100, scan_docs=0, segments=1]\n\
              \x20 indexes: [id, name.first, age]\n\
              \x20 probe[0] range: age < 50\n\
              \x20 probe[1] range: age >= 40\n",
@@ -245,14 +245,14 @@ fn explain_text_snapshots_for_the_s9_corpus() {
         (
             r#"{"name.first": {"$in": ["Sue", "Omar", "Ivy"]}}"#,
             "find name.first in [\"Sue\", \"Omar\", \"Ivy\"]\n\
-             \x20 route: index  [docs=100, segments=1]\n\
+             \x20 route: index  [docs=100, scan_docs=0, segments=1]\n\
              \x20 indexes: [id, name.first, age]\n\
              \x20 probe[0] in: name.first in [\"Sue\", \"Omar\", \"Ivy\"]\n",
         ),
         (
             r#"{"age": {"$gte": 40, "$lt": 60}, "name.last": "Kim"}"#,
             "find (age >= 40 && age < 60 && name.last = \"Kim\")\n\
-             \x20 route: index  [docs=100, segments=1]\n\
+             \x20 route: index  [docs=100, scan_docs=0, segments=1]\n\
              \x20 indexes: [id, name.first, age]\n\
              \x20 probe[0] range: age < 60\n\
              \x20 probe[1] range: age >= 40\n\
@@ -261,13 +261,13 @@ fn explain_text_snapshots_for_the_s9_corpus() {
         (
             r#"{"name.last": "Kim"}"#,
             "find name.last = \"Kim\"\n\
-             \x20 route: scan  [docs=100, segments=1]\n\
+             \x20 route: scan  [docs=100, scan_docs=98, segments=1]\n\
              \x20 indexes: [id, name.first, age]\n",
         ),
         (
             r#"{"name.last": {"$gt": "K"}}"#,
             "find name.last > \"K\"\n\
-             \x20 route: scan  [docs=100, segments=1]\n\
+             \x20 route: scan  [docs=100, scan_docs=100, segments=1]\n\
              \x20 indexes: [id, name.first, age]\n",
         ),
     ];
@@ -292,6 +292,7 @@ fn explain_json_snapshots_for_the_s9_corpus() {
           \"filter\":\"(age >= 40 && age < 60 && name.last = \\\"Kim\\\")\",\
           \"route\":\"index\",\
           \"docs\":100,\
+          \"scan_docs\":0,\
           \"segments\":1,\
           \"indexes\":[\"id\",\"name.first\",\"age\"],\
           \"probes\":[\
@@ -306,6 +307,7 @@ fn explain_json_snapshots_for_the_s9_corpus() {
           \"filter\":\"name.last = \\\"Kim\\\"\",\
           \"route\":\"scan\",\
           \"docs\":100,\
+          \"scan_docs\":98,\
           \"segments\":1,\
           \"indexes\":[\"id\",\"name.first\",\"age\"],\
           \"probes\":[]}",
@@ -332,7 +334,7 @@ fn pipeline_explain_text_snapshot() {
                 \x20 [3] $limit: 10  [fused: top-k]\n\
                 \x20 leading $match plan:\n\
                 \x20   find age >= 30\n\
-                \x20     route: index  [docs=100, segments=1]\n\
+                \x20     route: index  [docs=100, scan_docs=0, segments=1]\n\
                 \x20     indexes: [id, name.first, age]\n\
                 \x20     probe[0] range: age >= 30\n\
                 \x20 note: top-k fusion: $sort+$skip+$limit run as a bounded heap (skip=5, limit=10)\n";

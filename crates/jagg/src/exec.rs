@@ -82,7 +82,8 @@
 //! * A leading `$match` runs straight off the collection through
 //!   [`Collection::find_refs_with_ctx`]: a secondary-index probe when
 //!   the declared indexes answer part of the filter, the document scan
-//!   ([`BoundFilter::matches_at`] per document) otherwise — no
+//!   ([`BoundFilter::matches_at`] per document, from the first document
+//!   that can hold the filter's newest required symbol) otherwise — no
 //!   materialisation either way.
 //! * A `$group` `_id` is a tuple of its field paths (none for a constant,
 //!   one for `"$path"`, one per path field of a compound document). When

@@ -95,12 +95,14 @@ pub fn panic_payload(p: Box<dyn std::any::Any + Send>) -> String {
 
 /// Runs one chunk with panic containment: a panic inside `f` (including
 /// an injected fault inside a context poll) becomes a structured
-/// [`QueryError::WorkerPanicked`] carrying the chunk's item range.
+/// [`QueryError::WorkerPanicked`] carrying the chunk's item range. Public
+/// for callers that poll a context outside any chunk, such as a scan
+/// left with no document to test.
 ///
 /// `AssertUnwindSafe` is sound here because on the error path every
 /// partial result is dropped and the pool's contract already requires
 /// closure captures to be shared read-only state.
-fn contain<T>(
+pub fn contain<T>(
     chunk: Range<usize>,
     f: impl FnOnce() -> Result<T, QueryError>,
 ) -> Result<T, QueryError> {

@@ -34,6 +34,14 @@
 //! their table behind an `Arc`: a tree whose document brings no new string
 //! shares its base's table, and one that does copies the table once, at
 //! its first new string, and extends the copy.
+//!
+//! That order is **relied on**: parse, insert and compaction all intern in
+//! first-use order, so a symbol's index is also the time its first
+//! document arrived, and no earlier document can carry it. A document
+//! scan starts at the first document that can hold the newest symbol its
+//! filter needs ([`JsonTree::first_child_using`](crate::JsonTree::first_child_using)
+//! and `mongofind::Collection::scan_start`). A table pre-populated out of
+//! document order keeps that bound sound, only less tight.
 
 use crate::fxhash::FxHashMap;
 

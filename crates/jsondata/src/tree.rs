@@ -30,6 +30,11 @@
 //!   ([`JsonTree::canon`]) and kept for the tree's lifetime. Trees are
 //!   immutable and shared behind `Arc`s, so every holder of the tree —
 //!   each snapshot, index and query engine — reads the same table.
+//! * An array-rooted tree also keeps a **horizon table**
+//!   ([`JsonTree::first_child_using`]): the running maximum of the symbols
+//!   its root's children use, as a sparse step list. Symbols are numbered
+//!   in first-use order, so it tells a document scan where the first
+//!   document that can carry a given key or string atom sits.
 
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -186,6 +191,19 @@ pub struct JsonTree {
     interner: Arc<Interner>,
     /// The canonical-label table, built at most once ([`JsonTree::canon`]).
     canon: OnceLock<CanonTable>,
+    /// The horizon table, built at most once ([`JsonTree::first_child_using`]).
+    horizon: OnceLock<Box<[HorizonStep]>>,
+}
+
+/// One step of a tree's horizon table: root children `child..` (up to the
+/// next step) may use symbols below `bound`, and no earlier child uses
+/// `bound - 1` or anything above it.
+#[derive(Debug, Clone, Copy)]
+struct HorizonStep {
+    /// Position of the root child where the running maximum grew.
+    child: u32,
+    /// One more than the largest symbol used by root children `0..=child`.
+    bound: u32,
 }
 
 /// The streaming construction core shared by [`JsonTree::build`] and the
@@ -436,6 +454,7 @@ impl TreeBuilder {
             size,
             interner: self.interner,
             canon: OnceLock::new(),
+            horizon: OnceLock::new(),
         }
     }
 }
@@ -641,6 +660,69 @@ impl JsonTree {
     /// Whether the canonical-label table has been built.
     pub fn has_canon(&self) -> bool {
         self.canon.get().is_some()
+    }
+
+    /// The position of the first array child of the root whose subtree
+    /// may use `sym` as a key or string atom: no earlier child does. Answers
+    /// `arr_children(root()).len()` when no child uses `sym` or a symbol
+    /// interned after it (and so 0 for a non-array root).
+    ///
+    /// A lookup is a binary search over the tree's horizon table, a sparse
+    /// step list of `(child, 1 + largest symbol children 0..=child use)`
+    /// with one step per growth of that running maximum, built in one
+    /// `O(|J|)` pass on the first call and kept ([`JsonTree::ensure_horizon`]).
+    /// The answer is the child where the running maximum first reaches
+    /// `sym`. It is exact when the tree interned its strings in document
+    /// order onto a table holding none of them (`parse_to_tree`,
+    /// [`JsonTree::build`], and [`JsonTree::concat_subtrees`] of documents
+    /// built in order along one table lineage), because a symbol is then
+    /// first reached by the child that first uses it. Over a pre-populated
+    /// table it is only a lower bound: a later symbol can appear first.
+    pub fn first_child_using(&self, sym: Sym) -> usize {
+        let steps = self.horizon();
+        let at = steps.partition_point(|s| s.bound as usize <= sym.index());
+        match steps.get(at) {
+            Some(s) => s.child as usize,
+            None => self.arr_children(self.root()).len(),
+        }
+    }
+
+    /// Builds the horizon table if it is absent — how a collection pays
+    /// for it once, where a multi-document segment is born, rather than in
+    /// the first query that scans it.
+    pub fn ensure_horizon(&self) {
+        self.horizon();
+    }
+
+    fn horizon(&self) -> &[HorizonStep] {
+        self.horizon.get_or_init(|| {
+            let mut steps = Vec::new();
+            let mut bound = 0u32;
+            for (child, &c) in self.arr_children(self.root()).iter().enumerate() {
+                // A subtree is one contiguous id block. Its strings are
+                // its string leaves and its objects' keys, and an object's
+                // keys are sorted, so its last key is its largest.
+                let block = c.index()..c.index() + self.subtree_size(c);
+                let used = block
+                    .filter_map(|i| match self.kinds[i] {
+                        NodeKind::Str => Some(self.payload[i] as u32),
+                        NodeKind::Obj => self
+                            .obj_syms(NodeId(i as u32))
+                            .last()
+                            .map(|k| k.index() as u32),
+                        _ => None,
+                    })
+                    .max();
+                if let Some(top) = used.filter(|&top| top >= bound) {
+                    bound = top + 1;
+                    steps.push(HorizonStep {
+                        child: child as u32,
+                        bound,
+                    });
+                }
+            }
+            steps.into_boxed_slice()
+        })
     }
 
     /// The tree's symbol table (object keys and string atoms), shared by
@@ -1419,5 +1501,115 @@ mod tests {
         let it = t.children(t.root());
         assert_eq!(it.size_hint(), (4, Some(4)));
         assert_eq!(t.children(t.root()).count(), 4);
+    }
+
+    /// Every key and string atom of `v`.
+    fn strings_of(v: &Json, out: &mut FxHashSet<String>) {
+        match v {
+            Json::Str(s) => {
+                out.insert(s.clone());
+            }
+            Json::Array(items) => items.iter().for_each(|x| strings_of(x, out)),
+            Json::Object(o) => {
+                for (k, x) in o.pairs() {
+                    out.insert(k.clone());
+                    strings_of(x, out);
+                }
+            }
+            Json::Num(_) => {}
+        }
+    }
+
+    /// Checks `first_child_using` for every symbol of `t` against the
+    /// first root child whose value holds the symbol's string: never
+    /// later, and the same child when `exact`.
+    fn check_horizon(t: &JsonTree, exact: bool) {
+        let kids: Vec<FxHashSet<String>> = t
+            .arr_children(t.root())
+            .iter()
+            .map(|&c| {
+                let mut set = FxHashSet::default();
+                strings_of(&t.json_at(c), &mut set);
+                set
+            })
+            .collect();
+        for (sym, text) in t.interner().iter() {
+            let first = kids
+                .iter()
+                .position(|k| k.contains(text))
+                .unwrap_or(kids.len());
+            let got = t.first_child_using(sym);
+            assert!(got <= first, "{text:?}: {got} is after child {first}");
+            if exact {
+                assert_eq!(got, first, "{text:?}");
+            }
+        }
+    }
+
+    /// An array of small random documents; document `j` may bring its own
+    /// key and string, and shares others with its neighbours.
+    fn random_array(seed: u64) -> Json {
+        let n = (seed % 12) as usize;
+        Json::Array(
+            (0..n)
+                .map(|j| {
+                    let mut cfg = crate::gen::GenConfig::sized(seed * 64 + j as u64, 12);
+                    cfg.key_pool.push(format!("k{j}"));
+                    cfg.string_pool
+                        .extend([format!("v{j}"), format!("w{}", j % 3)]);
+                    crate::gen::random_json(&cfg)
+                })
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn first_child_using_finds_the_first_child_that_uses_a_symbol() {
+        for seed in 0..40 {
+            let doc = random_array(seed);
+            check_horizon(
+                &crate::parse::parse_to_tree(&doc.to_string()).unwrap(),
+                true,
+            );
+            check_horizon(&JsonTree::build(&doc), true);
+            // Documents built in order along one table lineage, then
+            // concatenated onto the last table (what compaction does).
+            let Json::Array(items) = &doc else {
+                unreachable!("random_array returns an array")
+            };
+            let mut table = Arc::default();
+            let parts: Vec<JsonTree> = items
+                .iter()
+                .map(|d| {
+                    let t = JsonTree::build_into(d, &table);
+                    table = Arc::clone(t.interner());
+                    t
+                })
+                .collect();
+            let refs: Vec<(&JsonTree, NodeId)> = parts.iter().map(|t| (t, t.root())).collect();
+            check_horizon(&JsonTree::concat_subtrees(&refs, &table), true);
+        }
+    }
+
+    #[test]
+    fn first_child_using_over_a_pre_populated_table_is_a_lower_bound() {
+        let mut table = Interner::new();
+        for s in ["b", "a", "late"] {
+            table.intern(s);
+        }
+        let doc = parse(r#"[{"a": 1}, {"b": "x"}, ["late"], 7]"#).unwrap();
+        let t = JsonTree::build_into(&doc, &Arc::new(table));
+        check_horizon(&t, false);
+        let at = |s: &str| t.first_child_using(t.sym(s).unwrap());
+        // "b" and "late" were interned before "a", which child 0 uses, so
+        // the bound cannot rule child 0 (or child 1) out for them.
+        assert_eq!((at("b"), at("a"), at("late"), at("x")), (0, 0, 1, 1));
+        assert_eq!(t.first_child_using(Sym::from_index(4)), 4, "past the table");
+        let leaf = JsonTree::build(&Json::str("solo"));
+        assert_eq!(
+            leaf.first_child_using(Sym::from_index(0)),
+            0,
+            "no array root"
+        );
     }
 }

@@ -49,8 +49,9 @@ use std::time::Instant;
 /// [`Snapshot`] knows exactly what a count means.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Counter {
-    /// Documents visited by the parallel **scan** route (the
-    /// `Collection::find_refs_via_scan_with_ctx` chunk loops). Zero when
+    /// Documents tested by the parallel **scan** route (the
+    /// `Collection::find_refs_via_scan_with_ctx` chunk loops, which start
+    /// at `Collection::scan_start`). Zero when
     /// a query was answered entirely by index probes or by the
     /// whole-tree JNL oracle.
     DocsScanned = 0,

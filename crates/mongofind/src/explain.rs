@@ -17,7 +17,7 @@
 //! function, the claimed route and the recorded counters cannot drift —
 //! the `s10` bench gate asserts exactly this agreement (an index route
 //! records probes and zero scanned documents; a scan route records
-//! scanned documents and zero probes).
+//! exactly the plan's `scan_docs` scanned documents and zero probes).
 //!
 //! Both plans render two ways: [`FindExplain::to_json`] (machine-stable,
 //! natural-number wall time in microseconds — the value space is ℕ) and
@@ -74,6 +74,9 @@ pub struct FindExplain {
     pub route: Route,
     /// Documents in the collection at plan time.
     pub docs: usize,
+    /// Documents the scan route will test: those from
+    /// [`Collection::scan_start`] on. Zero on the index route.
+    pub scan_docs: usize,
     /// Segments of the tree column at plan time.
     pub segments: usize,
     /// Declared index paths, in declaration order.
@@ -93,6 +96,7 @@ impl FindExplain {
             ("filter".into(), Json::str(&self.filter)),
             ("route".into(), Json::str(self.route.name())),
             ("docs".into(), Json::Num(self.docs as u64)),
+            ("scan_docs".into(), Json::Num(self.scan_docs as u64)),
             ("segments".into(), Json::Num(self.segments as u64)),
             (
                 "indexes".into(),
@@ -121,9 +125,10 @@ impl FindExplain {
     pub fn render_text(&self) -> String {
         let mut out = format!("find {}\n", self.filter);
         out.push_str(&format!(
-            "  route: {}  [docs={}, segments={}]\n",
+            "  route: {}  [docs={}, scan_docs={}, segments={}]\n",
             self.route.name(),
             self.docs,
+            self.scan_docs,
             self.segments
         ));
         if !self.indexed_paths.is_empty() {
@@ -252,7 +257,10 @@ impl Collection {
         let route = self.route_of(filter);
         let mut probes = Vec::new();
         let mut residual = None;
-        if route == Route::Index {
+        let mut scan_docs = 0;
+        if route == Route::Scan {
+            scan_docs = self.len() - self.scan_start(&filter.bind(self.interner()));
+        } else {
             let plan = self
                 .indexes
                 .plan(filter)
@@ -271,6 +279,7 @@ impl Collection {
             filter: filter.to_string(),
             route,
             docs: self.len(),
+            scan_docs,
             segments: self.segments.len(),
             indexed_paths: self.indexes.declared().map(str::to_owned).collect(),
             probes,
@@ -340,16 +349,19 @@ mod tests {
 
         // Scan route: any unindexed filter, in or out of the exactly
         // JNL-compilable fragment.
-        for (src, rows) in [
-            (r#"{"name.last": "Kim"}"#, 2),
-            (r#"{"name.last": {"$gt": "K"}}"#, 2),
+        for (src, rows, scan_docs) in [
+            (r#"{"name.last": "Kim"}"#, 2, 3),
+            (r#"{"name.last": {"$gt": "K"}}"#, 2, 3),
+            // "Ada" is first interned by the last document.
+            (r#"{"name.first": "Ada"}"#, 1, 1),
         ] {
             let f = Filter::parse_str(src).unwrap();
             let ex = coll.explain(&f);
             assert_eq!(ex.route, Route::Scan, "{src}");
             let an = coll.explain_analyze(&f).unwrap();
             assert_eq!(an.rows, rows, "{src}");
-            assert_eq!(an.counters.get(Counter::DocsScanned), coll.len() as u64);
+            assert_eq!(ex.scan_docs, scan_docs, "{src}");
+            assert_eq!(an.counters.get(Counter::DocsScanned), ex.scan_docs as u64);
             assert_eq!(an.counters.get(Counter::IndexProbes), 0);
             assert_eq!(an.counters.get(Counter::SegmentsVisited), 0);
         }

@@ -227,6 +227,18 @@ impl<'p> BoundPath<'p> {
         &self.steps
     }
 
+    /// What a document must use for the path to resolve in it: the
+    /// latest key symbol of its non-numeric segments (a numeric segment
+    /// can step into an array instead).
+    fn horizon(&self) -> Horizon {
+        self.steps
+            .iter()
+            .filter(|s| s.index.is_none())
+            .map(|s| Horizon::of(s.key))
+            .max()
+            .unwrap_or(Horizon::Any)
+    }
+
     /// Resolves the path on a [`JsonTree`] anchored at `at`: [`step_node`]
     /// per step. Agrees with [`Path::resolve`] on `tree.json_at(at)` when
     /// bound to a table the tree's table is a prefix of.
@@ -593,6 +605,17 @@ struct BoundConst<'f> {
     sym: Option<Sym>,
 }
 
+impl BoundConst<'_> {
+    /// What a node equal to this constant must use: a string constant's
+    /// symbol, nothing for any other constant.
+    fn horizon(&self) -> Horizon {
+        match self.value {
+            Json::Str(_) => Horizon::of(self.sym),
+            _ => Horizon::Any,
+        }
+    }
+}
+
 /// A [`Filter`] bound to a symbol table by [`Filter::bind`]: its paths are
 /// [`BoundPath`]s, and `$eq`/`$ne`/`$in`/`$nin` against a string constant
 /// compare the node's symbol with the constant's. Order comparisons and
@@ -663,7 +686,47 @@ impl Operand<'_> {
     }
 }
 
+/// The oldest document a [`BoundFilter`] can match, in symbol time
+/// ([`BoundFilter::horizon`]). Symbols are numbered in first-use order,
+/// so a document built before a symbol was interned cannot carry it.
+/// Ordered `Any < From(s) < From(t) < Never` for `s < t`: a conjunction
+/// takes the latest horizon of its parts, a disjunction the earliest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Horizon {
+    /// Any document may match.
+    Any,
+    /// Only a document that uses this symbol, or one interned after it,
+    /// as a key or string atom may match.
+    From(Sym),
+    /// No document matches: the filter needs a string the binding table
+    /// lacks.
+    Never,
+}
+
+impl Horizon {
+    /// The horizon of needing `sym`, a symbol the table may lack.
+    fn of(sym: Option<Sym>) -> Horizon {
+        sym.map_or(Horizon::Never, Horizon::From)
+    }
+}
+
 impl BoundFilter<'_> {
+    /// The filter's horizon on the documents of trees whose tables are
+    /// prefixes of the binding table: every document that satisfies the
+    /// filter uses a symbol at or after it. It follows
+    /// [`BoundFilter::matches_at`]: a `Compare` (any operator), an `$in`
+    /// or `$nin`, `$exists: true`, `$size` and `$type` are false where
+    /// the path does not resolve, so they need the path's key symbols
+    /// (numeric segments may step into arrays, so they need nothing).
+    /// `$eq` on a string also needs that string's symbol, and `$in` the
+    /// oldest of its items' (any non-string item needs nothing). `$not`
+    /// and `$exists: false` can hold on an empty document, so they give
+    /// [`Horizon::Any`]. [`Collection::scan_start`] turns it into the
+    /// first document a scan must test.
+    pub fn horizon(&self) -> Horizon {
+        self.0.horizon()
+    }
+
     /// Whether the document rooted at `doc` of `tree` satisfies the
     /// filter. Agrees with [`Filter::matches`] on `tree.json_at(doc)`
     /// (differentially tested across segments and layouts).
@@ -685,6 +748,24 @@ impl BoundFilter<'_> {
 }
 
 impl Cond<'_> {
+    fn horizon(&self) -> Horizon {
+        match self {
+            Cond::And(cs) => cs.iter().map(Cond::horizon).max().unwrap_or(Horizon::Any),
+            Cond::Or(cs) => cs.iter().map(Cond::horizon).min().unwrap_or(Horizon::Never),
+            Cond::Not(_) | Cond::Exists(_, false) => Horizon::Any,
+            Cond::Compare(p, Cmp::Eq, c) => p.horizon().max(c.horizon()),
+            Cond::In(p, items, true) => {
+                let oldest = items.iter().map(BoundConst::horizon).min();
+                p.horizon().max(oldest.unwrap_or(Horizon::Never))
+            }
+            Cond::Compare(p, ..)
+            | Cond::In(p, ..)
+            | Cond::Exists(p, true)
+            | Cond::Size(p, _)
+            | Cond::Type(p, _) => p.horizon(),
+        }
+    }
+
     fn matches_with<'a>(&self, resolve: &impl Fn(&BoundPath<'_>) -> Option<Operand<'a>>) -> bool {
         match self {
             Cond::And(cs) => cs.iter().all(|c| c.matches_with(resolve)),
@@ -1074,6 +1155,7 @@ impl Collection {
     }
 
     fn from_first_segment(tree: JsonTree) -> Collection {
+        tree.ensure_horizon();
         Collection {
             segments: vec![Arc::new(tree)],
             pool: Pool::auto(),
@@ -1270,45 +1352,67 @@ impl Collection {
     }
 
     /// The document scan: the filter is bound to the collection's table
-    /// once ([`Filter::bind`]), then every document is tested with
+    /// once ([`Filter::bind`]), then every document from
+    /// [`Collection::scan_start`] on is tested with
     /// [`BoundFilter::matches_at`] in parallel chunks on the collection's
-    /// pool, whatever indexes are declared. The index differential suites
-    /// and the harness gates compare the routed path against this, and
-    /// this against [`Filter::matches`].
+    /// pool, whatever indexes are declared. The documents before that
+    /// start cannot match. The index differential suites and the harness
+    /// gates compare the routed path against this, and this against
+    /// [`Filter::matches`].
     pub fn find_refs_via_scan_with_ctx(
         &self,
         filter: &Filter,
         ctx: &QueryCtx,
     ) -> Result<Vec<DocRef>, QueryError> {
         let bound = filter.bind(self.interner());
-        self.scan_refs(ctx, |d| {
-            bound.matches_at(&self.segments[d.seg as usize], d.node)
-        })
-    }
-
-    /// The shared chunk-parallel document scan: keeps the refs satisfying
-    /// `keep`, in document order. Polls `ctx` per document and charges
-    /// surviving refs against the row budget.
-    fn scan_refs(
-        &self,
-        ctx: &QueryCtx,
-        keep: impl Fn(DocRef) -> bool + Sync,
-    ) -> Result<Vec<DocRef>, QueryError> {
-        let n = self.len();
+        let start = self.scan_start(&bound);
+        let n = self.len() - start;
+        if n == 0 {
+            // No document is left to test, and so no chunk polls: the
+            // scan still answers to `ctx` once, contained as a chunk is.
+            return jpar::contain(start..start, || ctx.check()).map(|()| Vec::new());
+        }
         let chunk = self.pool.chunk_for(n, DOC_CHUNK_MIN);
         self.pool.try_flat_map_chunks(ctx, n, chunk, |r| {
             let mut poll = ctx.poller();
             let mut out = Vec::new();
             ctx.record(Counter::DocsScanned, r.len() as u64);
-            for d in doc_refs_at(&self.segments, r) {
+            for d in doc_refs_at(&self.segments, start + r.start..start + r.end) {
                 poll.tick()?;
-                if keep(d) {
+                if bound.matches_at(&self.segments[d.seg as usize], d.node) {
                     out.push(d);
                 }
             }
             ctx.charge_rows(out.len() as u64)?;
             Ok(out)
         })
+    }
+
+    /// The ordinal of the first document that can satisfy `bound` (bound
+    /// to [`Collection::interner`]): the first one that uses a symbol at
+    /// or after [`BoundFilter::horizon`], `len()` for [`Horizon::Never`].
+    /// Segment 0 answers from its horizon table
+    /// ([`JsonTree::first_child_using`]). An insert segment holds one
+    /// document that uses only symbols its own table holds, and the
+    /// tables only grow from segment to segment, so the first insert
+    /// segment whose table reaches the horizon is found by binary search.
+    pub fn scan_start(&self, bound: &BoundFilter<'_>) -> usize {
+        let sym = match bound.horizon() {
+            Horizon::Any => return 0,
+            Horizon::Never => return self.len(),
+            Horizon::From(sym) => sym,
+        };
+        let reaches = |t: &Arc<JsonTree>| t.interner().len() > sym.index();
+        let seed = &self.segments[0];
+        let in_seed = match seed.kind(seed.root()) {
+            NodeKind::Arr => seed.first_child_using(sym),
+            _ => usize::from(!reaches(seed)),
+        };
+        let seed_len = seed_docs(seed).len();
+        if in_seed < seed_len {
+            return in_seed;
+        }
+        seed_len + self.segments[1..].partition_point(|t| !reaches(t))
     }
 
     /// Materialises each ref through `make`, in parallel chunks, preserving
@@ -1410,6 +1514,7 @@ impl Collection {
             .map(|d| (self.segments[d.seg as usize].as_ref(), d.node))
             .collect();
         let merged = JsonTree::concat_subtrees(&parts, self.interner());
+        merged.ensure_horizon();
         self.segments = vec![Arc::new(merged)];
         // Node ids and canonical classes all changed: indexes are rebuilt
         // from the merged segment (correctness pinned by the post-compact
