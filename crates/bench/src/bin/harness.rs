@@ -18,7 +18,7 @@ use bench::jsonout::{Better, Report};
 use bench::*;
 use jsondata::JsonTree;
 
-/// S4–S8 and S10 count allocations with `bench::memtrack`, so the
+/// S4–S8, S10 and S11 count allocations with `bench::memtrack`, so the
 /// harness installs its counting allocator. The counters are disabled
 /// outside `memtrack::measure` windows (one relaxed bool load per
 /// allocation), so no experiment's *timed* region is instrumented.
@@ -2257,6 +2257,12 @@ fn s10() {
 ///    `Ok` or a *typed* `QueryError` — panics contained at the serve
 ///    boundary, deadlines enforced, no permit leaked, and the server
 ///    fully serviceable afterwards.
+/// 3. **Insert cost independent of the symbol table.** 256 inserts, each
+///    bringing a new string, into a `jserve::Store` seeded with ~1k and
+///    with ~100k distinct strings: allocations per insert on the large
+///    table at most twice those on the small one (a copied table makes
+///    about two per existing string). Retained bytes per insert are
+///    reported.
 ///
 /// The persistent pool is gated by `s6`: output at several thread counts
 /// equal to the serial pool's, and the work split into chunks.
@@ -2467,6 +2473,48 @@ fn s11() {
          {deadlines} deadlines, {fault_shed} shed), zero aborts, zero leaked permits"
     );
 
+    // --- gate 3: an insert's cost does not grow with the symbol table ---
+    const INSERTS: usize = 256;
+    let mut cost: Vec<(&str, f64, f64)> = Vec::new();
+    for (label, distinct) in [("1k", 1_000usize), ("100k", 100_000)] {
+        let docs: Vec<String> = (0..distinct)
+            .map(|i| format!(r#"{{"id": {i}, "tag": "t{i}"}}"#))
+            .collect();
+        let store = jserve::Store::new(
+            mongofind::Collection::parse_str(&format!("[{}]", docs.join(",")))
+                .expect("seed parses"),
+        );
+        let base = store.snapshot().collection().interner().len();
+        let inserts: Vec<String> = (0..INSERTS)
+            .map(|i| format!(r#"{{"id": {}, "email": "u{i}@example.org"}}"#, distinct + i))
+            .collect();
+        let ((), prof) = memtrack::measure(|| {
+            for doc in &inserts {
+                store
+                    .insert_str(doc, jsondata::ParseLimits::default())
+                    .expect("insert commits");
+            }
+        });
+        assert_eq!(
+            store.snapshot().collection().interner().len(),
+            base + 1 + INSERTS,
+            "every insert brings one new string (the first also `email`)"
+        );
+        let allocs = prof.allocs as f64 / INSERTS as f64;
+        let retained = prof.live_bytes as f64 / INSERTS as f64;
+        println!(
+            "insert cost on a {base}-string table: {allocs:.1} allocations and \
+             {retained:.0} retained bytes per insert"
+        );
+        cost.push((label, allocs, retained));
+    }
+    let (small, large) = (cost[0].1, cost[1].1);
+    assert!(
+        large <= 2.0 * small,
+        "S11 gate: an insert makes {large:.1} allocations on the 100k-string table against \
+         {small:.1} on the 1k one (at most 2x allowed): its cost grows with the symbol table"
+    );
+
     let mut report = Report::new("s11_serving");
     report.gate(
         "every concurrent read byte-identical to the serial replay of its snapshot's committed \
@@ -2475,6 +2523,10 @@ fn s11() {
     report.gate(
         "fault storm of injected panics/sleeps yields typed errors only: zero aborts, \
          zero leaked permits, server serviceable after",
+    );
+    report.gate(
+        "256 inserts that each bring a new string make at most 2x the allocations per insert \
+         on a 100k-string table as on a 1k-string one",
     );
     for (name, n, better) in [
         (
@@ -2492,6 +2544,20 @@ fn s11() {
         ("faults.shed", fault_shed, Better::Lower),
     ] {
         report.count(name, n, better);
+    }
+    for (label, allocs, retained) in cost {
+        report.metric(
+            format!("insert.allocs_per_insert.{label}"),
+            allocs,
+            "count",
+            Better::Lower,
+        );
+        report.metric(
+            format!("insert.retained_bytes_per_insert.{label}"),
+            retained,
+            "bytes",
+            Better::Lower,
+        );
     }
     report.write("BENCH_serving.json");
 }

@@ -73,6 +73,10 @@ pub struct AllocProfile {
     /// Peak live heap bytes the region allocated above its entry level —
     /// its own high-water mark, including any transient intermediates.
     pub peak_bytes: usize,
+    /// Live heap bytes the region left allocated above its entry level —
+    /// what it retained. Frees of memory allocated before the window
+    /// lower it only down to zero.
+    pub live_bytes: usize,
 }
 
 /// Runs `f` with the counters enabled and reports its allocation profile.
@@ -88,6 +92,7 @@ pub fn measure<T>(f: impl FnOnce() -> T) -> (T, AllocProfile) {
     let profile = AllocProfile {
         allocs: ALLOCS.load(Relaxed),
         peak_bytes: PEAK.load(Relaxed),
+        live_bytes: LIVE.load(Relaxed),
     };
     (out, profile)
 }

@@ -83,7 +83,7 @@
 use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use jsondata::{Json, JsonTree, NodeId, NodeKind, ParseError};
@@ -637,17 +637,39 @@ pub fn retry_with_backoff<T>(
     unreachable!("loop returns on the final attempt")
 }
 
-/// Runs `f` with the global panic hook silenced, restoring it after.
-/// Used by the fault-injection harness and the containment tests so a
-/// thousand *intentional* panics do not flood stderr. The hook is
-/// process-global: concurrent tests may briefly lose their panic
-/// message, but the unwind (and thus the test failure) still happens.
+/// Runs `f` with injected panics silenced. While `f` runs, the panic hook
+/// drops every panic whose payload carries [`INJECTED_PANIC_MSG`] and
+/// passes every other one (a failed assertion, a real bug) to the hook
+/// installed before; that hook is back in place when `f` returns or
+/// unwinds. Used by the fault-injection harness and the containment tests
+/// so a thousand *intentional* panics do not flood stderr. The hook is
+/// process-global: panics on other threads meet the same filter while `f`
+/// runs, and overlapping callers on different threads can restore out of
+/// order.
 pub fn with_quiet_panics<T>(f: impl FnOnce() -> T) -> T {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let out = f();
-    std::panic::set_hook(prev);
-    out
+    type Hook = Box<dyn Fn(&std::panic::PanicHookInfo<'_>) + Sync + Send>;
+    let prev: Arc<Mutex<Option<Hook>>> = Arc::new(Mutex::new(Some(std::panic::take_hook())));
+    let forward = Arc::clone(&prev);
+    std::panic::set_hook(Box::new(move |info| {
+        let payload = info.payload();
+        let text = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+        if !text.is_some_and(|t| t.contains(INJECTED_PANIC_MSG)) {
+            let hook = forward.lock().unwrap_or_else(|e| e.into_inner());
+            if let Some(hook) = hook.as_ref() {
+                hook(info);
+            }
+        }
+    }));
+    // `set_hook` refuses to run on a panicking thread, so an unwind out of
+    // `f` is caught, the hook restored, and the unwind resumed.
+    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+    drop(std::panic::take_hook());
+    let hook = prev.lock().unwrap_or_else(|e| e.into_inner()).take();
+    std::panic::set_hook(hook.expect("the previous hook is restored once"));
+    out.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
 
 #[cfg(test)]

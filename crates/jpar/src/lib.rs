@@ -463,7 +463,7 @@ mod tests {
             let err = jguard::with_quiet_panics(|| {
                 pool.try_map_chunks(&ctx, 100, 10, |r| {
                     if r.start == 30 {
-                        panic!("chunk bomb");
+                        panic!("{}: chunk bomb", jguard::INJECTED_PANIC_MSG);
                     }
                     Ok(r.len())
                 })
@@ -525,7 +525,7 @@ mod tests {
             let err = jguard::with_quiet_panics(|| {
                 pool.try_map_chunks(&QueryCtx::new(), 100, 10, |r| {
                     if r.start == 50 {
-                        panic!("park bomb");
+                        panic!("{}: park bomb", jguard::INJECTED_PANIC_MSG);
                     }
                     Ok(r.len())
                 })

@@ -3,7 +3,7 @@
 //! re-raises on the calling thread (`map_chunks`), and the same pool
 //! value keeps dispatching correctly afterwards.
 
-use jguard::{with_quiet_panics, Fault, QueryCtx, QueryError};
+use jguard::{with_quiet_panics, Fault, QueryCtx, QueryError, INJECTED_PANIC_MSG};
 use jpar::Pool;
 
 #[test]
@@ -13,14 +13,14 @@ fn panicking_chunk_becomes_structured_error() {
             let pool = Pool::with_threads(threads);
             let r = pool.try_map_chunks(&QueryCtx::unlimited(), 100, 10, |r| {
                 if r.contains(&42) {
-                    panic!("chunk bomb");
+                    panic!("{INJECTED_PANIC_MSG}: chunk bomb");
                 }
                 Ok(r.len())
             });
             match r {
                 Err(QueryError::WorkerPanicked { chunk, payload }) => {
                     assert!(chunk.contains(&42), "chunk {chunk:?} should contain 42");
-                    assert_eq!(payload, "chunk bomb");
+                    assert_eq!(payload, format!("{INJECTED_PANIC_MSG}: chunk bomb"));
                 }
                 other => panic!("expected WorkerPanicked, got {other:?}"),
             }
@@ -35,7 +35,7 @@ fn pool_is_reusable_after_a_panic() {
         for round in 0..5 {
             let r = pool.try_map_chunks(&QueryCtx::unlimited(), 64, 4, |r| {
                 if r.start == 32 {
-                    panic!("round {round}");
+                    panic!("{INJECTED_PANIC_MSG}: round {round}");
                 }
                 Ok(r.len())
             });
@@ -54,7 +54,7 @@ fn legacy_map_chunks_reraises_on_calling_thread() {
         let caught = std::panic::catch_unwind(|| {
             pool.map_chunks(100, 10, |r| {
                 if r.start == 50 {
-                    panic!("legacy bomb");
+                    panic!("{INJECTED_PANIC_MSG}: legacy bomb");
                 }
                 r.len()
             })

@@ -13,8 +13,10 @@
 //! A single writer lock serializes mutation. [`Store::insert_str`]
 //! clones the current snapshot's collection (cheap), appends the new
 //! document as an insert-segment built on the last segment's symbol table
-//! (shared when the document brings no new string, copied once when it
-//! does; indexes maintained incrementally), appends the document text to the
+//! (shared when the document brings no new string; when it does, the new
+//! segment's table shares the old one's runs and adds the new strings in
+//! O(log n) amortised copies each, leaving the old table untouched;
+//! indexes maintained incrementally), appends the document text to the
 //! **commit log**, and publishes the new snapshot atomically. Readers
 //! holding the old snapshot are untouched; the next
 //! [`Store::snapshot`] call sees the new epoch.

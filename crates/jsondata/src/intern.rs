@@ -30,18 +30,29 @@
 //! offers no guard beyond that documented contract, matching `NodeId`).
 //!
 //! Symbols are allocated densely in interning order and never move, so a
-//! table extended from another keeps every symbol of its base. Trees hold
-//! their table behind an `Arc`: a tree whose document brings no new string
-//! shares its base's table, and one that does copies the table once, at
-//! its first new string, and extends the copy.
+//! table extended from another keeps every symbol of its base. The table
+//! is **persistent**: a list of immutable runs behind `Arc`s, each holding
+//! the strings of one contiguous symbol range and their lookup map. A
+//! clone copies the run pointers, never a string. Trees hold their table
+//! behind an `Arc` too: a tree whose document brings no new string shares
+//! its base's table, and one that does clones the run list and extends
+//! the clone. A new string on a shared table goes into a run of its own,
+//! and the newest runs merge like a binary counter (while the older of
+//! the last two is less than twice the newer), so a table keeps
+//! O(log n) runs and each new string costs O(log n) amortised copies. The
+//! runs the base shares are never written, so an older snapshot's table
+//! stays exactly as it was. A table nobody shares appends to its last run
+//! in place, so one big parse (or a query-owned table) stays one run.
 //!
-//! That order is **relied on**: parse, insert and compaction all intern in
-//! first-use order, so a symbol's index is also the time its first
-//! document arrived, and no earlier document can carry it. A document
+//! The interning order is **relied on**: parse, insert and compaction all
+//! intern in first-use order, so a symbol's index is also the time its
+//! first document arrived, and no earlier document can carry it. A document
 //! scan starts at the first document that can hold the newest symbol its
 //! filter needs ([`JsonTree::first_child_using`](crate::JsonTree::first_child_using)
 //! and `mongofind::Collection::scan_start`). A table pre-populated out of
 //! document order keeps that bound sound, only less tight.
+
+use std::sync::{Arc, OnceLock};
 
 use crate::fxhash::FxHashMap;
 
@@ -68,19 +79,68 @@ impl Sym {
 /// A string interning table: each distinct string receives one [`Sym`].
 ///
 /// Equality compares the symbol assignment itself — two interners are equal
-/// iff they map exactly the same strings to exactly the same [`Sym`]s (the
-/// lookup map is derived from that sequence, so only the dense string table
-/// is compared). This is the contract the parse-fusion differential tests
-/// rely on: identical event streams must produce identical symbol tables.
-#[derive(Debug, Default, Clone)]
+/// iff they map exactly the same strings to exactly the same [`Sym`]s, however
+/// their runs are split. This is the contract the parse-fusion differential
+/// tests rely on: identical event streams must produce identical symbol
+/// tables.
+#[derive(Debug, Clone)]
 pub struct Interner {
-    map: FxHashMap<Box<str>, Sym>,
+    /// The oldest run, from symbol 0; empty only when the table is. Kept
+    /// apart so that `resolve` reaches most symbols in one step.
+    head: Arc<Run>,
+    /// The newer runs, contiguous and in symbol order. Every run but a
+    /// uniquely owned last one may be shared with other tables and is
+    /// never written.
+    tail: Vec<Arc<Run>>,
+}
+
+/// The strings of symbols `start..start + strings.len()` and their lookup
+/// map.
+#[derive(Debug)]
+struct Run {
+    start: u32,
     strings: Vec<Box<str>>,
+    map: FxHashMap<Box<str>, Sym>,
+}
+
+impl Run {
+    fn with_capacity(start: u32, cap: usize) -> Run {
+        Run {
+            start,
+            strings: Vec::with_capacity(cap),
+            map: FxHashMap::with_capacity_and_hasher(cap, Default::default()),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.strings.len()
+    }
+
+    /// Appends `s` (absent from the whole table) as the next symbol.
+    fn push(&mut self, s: &str) -> Sym {
+        let sym = Sym(self.start + self.strings.len() as u32);
+        let owned: Box<str> = s.into();
+        self.strings.push(owned.clone());
+        self.map.insert(owned, sym);
+        sym
+    }
+}
+
+impl Default for Interner {
+    /// An empty table. Every empty table shares one empty run, so making
+    /// one allocates nothing.
+    fn default() -> Interner {
+        static EMPTY: OnceLock<Arc<Run>> = OnceLock::new();
+        Interner {
+            head: Arc::clone(EMPTY.get_or_init(|| Arc::new(Run::with_capacity(0, 0)))),
+            tail: Vec::new(),
+        }
+    }
 }
 
 impl PartialEq for Interner {
     fn eq(&self, other: &Interner) -> bool {
-        self.strings == other.strings
+        self.len() == other.len() && self.iter().map(|(_, s)| s).eq(other.iter().map(|(_, s)| s))
     }
 }
 
@@ -94,44 +154,105 @@ impl Interner {
 
     /// Interns `s`, returning its existing symbol or allocating the next one.
     pub fn intern(&mut self, s: &str) -> Sym {
-        if let Some(&sym) = self.map.get(s) {
+        if let Some(sym) = self.lookup(s) {
             return sym;
         }
-        let sym = Sym(self.strings.len() as u32);
-        let owned: Box<str> = s.into();
-        self.strings.push(owned.clone());
-        self.map.insert(owned, sym);
+        if self.is_empty() {
+            // The shared empty run holds nothing to share: take one of our
+            // own.
+            self.head = Arc::new(Run::with_capacity(0, 0));
+        }
+        let last = self.tail.last_mut().unwrap_or(&mut self.head);
+        let sym = match Arc::get_mut(last) {
+            Some(run) => run.push(s),
+            None => {
+                let mut run = Run::with_capacity(self.len() as u32, 1);
+                let sym = run.push(s);
+                self.tail.push(Arc::new(run));
+                sym
+            }
+        };
+        self.merge_tail();
         sym
     }
 
-    /// The symbol of `s`, if it has been interned — the `O(1)` probe a
-    /// query makes once per key or string constant when it binds, and
-    /// that fronts every one-off `child_by_key`.
+    /// Merges the last two runs while the older is less than twice the
+    /// newer, so run sizes at least halve from oldest to newest.
+    fn merge_tail(&mut self) {
+        while let Some(newer) = self.tail.last() {
+            let older = match self.tail.len() {
+                1 => &self.head,
+                n => &self.tail[n - 2],
+            };
+            if older.len() >= 2 * newer.len() {
+                return;
+            }
+            let newer = self.tail.pop().expect("a newer run");
+            let older = self.tail.last_mut().unwrap_or(&mut self.head);
+            if Arc::get_mut(older).is_none() {
+                let mut copy = Run::with_capacity(older.start, older.len() + newer.len());
+                for s in &older.strings {
+                    copy.push(s);
+                }
+                *older = Arc::new(copy);
+            }
+            let run = Arc::get_mut(older).expect("a run of this table's own");
+            for s in &newer.strings {
+                run.push(s);
+            }
+        }
+    }
+
+    /// The symbol of `s`, if it has been interned — the probe a query makes
+    /// once per key or string constant when it binds, and that fronts every
+    /// one-off `child_by_key`. One hash probe per run, oldest (largest)
+    /// first.
+    #[inline]
     pub fn lookup(&self, s: &str) -> Option<Sym> {
-        self.map.get(s).copied()
+        match self.head.map.get(s) {
+            Some(&sym) => Some(sym),
+            None => self.tail.iter().find_map(|run| run.map.get(s).copied()),
+        }
     }
 
     /// The string a symbol stands for.
+    #[inline]
     pub fn resolve(&self, sym: Sym) -> &str {
-        &self.strings[sym.index()]
+        match self.head.strings.get(sym.index()) {
+            Some(s) => s,
+            None => self.resolve_in_tail(sym.index()),
+        }
+    }
+
+    #[cold]
+    fn resolve_in_tail(&self, i: usize) -> &str {
+        let run = &self.tail[self.tail.partition_point(|r| r.start as usize <= i) - 1];
+        &run.strings[i - run.start as usize]
+    }
+
+    /// The runs, oldest first.
+    fn runs(&self) -> impl Iterator<Item = &Arc<Run>> {
+        std::iter::once(&self.head).chain(&self.tail)
     }
 
     /// Number of distinct interned strings.
     pub fn len(&self) -> usize {
-        self.strings.len()
+        let last = self.tail.last().unwrap_or(&self.head);
+        last.start as usize + last.len()
     }
 
     /// Whether nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
+        self.head.strings.is_empty()
     }
 
     /// Iterates `(Sym, &str)` pairs in interning order.
     pub fn iter(&self) -> impl Iterator<Item = (Sym, &str)> {
-        self.strings
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (Sym(i as u32), s.as_ref()))
+        self.runs().flat_map(|run| {
+            (run.start..)
+                .zip(&run.strings)
+                .map(|(i, s)| (Sym(i), s.as_ref()))
+        })
     }
 }
 
@@ -161,6 +282,33 @@ mod tests {
         }
         assert_eq!(i.len(), 4, "duplicates collapse");
         assert_eq!(i.lookup("absent"), None);
+    }
+
+    #[test]
+    fn shared_growth_keeps_logarithmic_runs() {
+        let mut t = Interner::new();
+        for i in 0..1000 {
+            t.intern(&format!("base{i}"));
+        }
+        assert!(t.tail.is_empty(), "a table nobody shares grows in place");
+        // The insert path: each version clones the last and brings two new
+        // strings, and every version stays alive.
+        let mut versions = Vec::new();
+        for i in 0..3000 {
+            let mut next = t.clone();
+            next.intern(&format!("new{i}"));
+            next.intern(&format!("more{i}"));
+            versions.push(std::mem::replace(&mut t, next));
+            let runs: Vec<usize> = t.runs().map(|r| r.len()).collect();
+            assert!(runs.len() <= 1 + t.len().ilog2() as usize, "{runs:?}");
+            assert!(
+                runs.windows(2).all(|w| w[0] >= 2 * w[1]),
+                "run sizes at least halve: {runs:?}"
+            );
+        }
+        assert_eq!(versions[0].len(), 1000, "the first version is untouched");
+        assert_eq!(t.resolve(Sym(999)), "base999");
+        assert_eq!(t.resolve(Sym(6999)), "more2999");
     }
 
     #[test]

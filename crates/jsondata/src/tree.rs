@@ -217,8 +217,11 @@ struct HorizonStep {
 ///   children, subtrees contiguous).
 /// * Keys and string atoms are interned the moment they are lexed, so the
 ///   symbol table grows in document order. The builder starts from a base
-///   table and copies it (`Arc::make_mut`) only at the first string the
+///   table and clones it (`Arc::make_mut`) only at the first string the
 ///   base lacks, so a document with no new string shares its base's table.
+///   The clone copies the base's run list, O(log n) pointers, never a
+///   string: the new strings go into runs of the clone's own, and the
+///   base table stays untouched (see [`Interner`]).
 /// * Open containers live on an explicit stack (`open`); their pending child
 ///   entries stack up in one shared `scratch` buffer, so construction does
 ///   **no per-node allocation** and document depth never becomes call-stack
@@ -282,8 +285,8 @@ impl TreeBuilder {
         }
     }
 
-    /// The symbol of `s`, copying the base table on the first string it
-    /// lacks.
+    /// The symbol of `s`, cloning the base table's run list on the first
+    /// string it lacks.
     fn intern(&mut self, s: &str) -> Sym {
         match self.interner.lookup(s) {
             Some(sym) => sym,

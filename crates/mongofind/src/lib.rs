@@ -1092,9 +1092,12 @@ pub struct DocRef {
 /// are built, so a clone never re-builds or copies a tree: the trees,
 /// their symbol tables, the index postings and the schema are shared by
 /// reference bump, and a clone costs O(segments). An insert whose
-/// document brings no new string shares the previous segment's table;
-/// one that does copies the table once, in O(distinct strings) — and
-/// since string *values* are interned, the table holds document data.
+/// document brings no new string shares the previous segment's table.
+/// One that does clones that table's run list (O(log n) `Arc`s, see
+/// [`Interner`]) and adds its strings in runs of its own, in O(log n)
+/// amortised copies per new string; the runs it shares are never
+/// written, so an older snapshot's table stays untouched. Since string
+/// *values* are interned, the table holds document data.
 /// `jserve` builds its copy-on-write snapshot isolation on this clone
 /// (one per insert), with [`Collection::adopt_segment`] as the append
 /// that carries a segment built on a newer clone back onto an older one.
