@@ -1307,7 +1307,10 @@ fn s6() {
 fn s7() {
     use std::time::Duration;
 
+    use std::sync::Arc;
+
     use jguard::{Fault, QueryCtx, QueryError, Resource, INJECTED_PANIC_MSG};
+    use jtrace::QueryMetrics;
 
     header(
         "S7",
@@ -1482,33 +1485,76 @@ fn s7() {
     }
 
     // --- gates 3+4: panic containment sweep, then the failure storm ----
+    // Gate 3 also runs S9's probe+residual workload on the index route,
+    // whose residual loop polls on the calling thread, outside any chunk.
+    let mut indexed = coll.clone();
+    for path in S9_INDEX_PATHS {
+        indexed.create_index(path);
+    }
+    let (_, residual_src) = s9_workloads()
+        .into_iter()
+        .find(|(label, _)| *label == "probe_residual")
+        .expect("S9 defines the probe+residual workload");
+    let residual = mongofind::Filter::parse_str(residual_src).expect("filter parses");
+    assert_eq!(
+        indexed.route_of(&residual),
+        mongofind::Route::Index,
+        "S7 setup: the residual filter must take the index route"
+    );
+    let base_residual = indexed.find(&residual);
+    // Runs one query under its own sink and a fault at poll `k`: a
+    // contained panic must surface as WorkerPanicked and leave exactly one
+    // audit event there. Returns whether the query panicked.
+    fn sweep(
+        what: &str,
+        k: u64,
+        base: &[jsondata::Json],
+        run: impl Fn(&QueryCtx) -> Result<Vec<jsondata::Json>, QueryError>,
+    ) -> bool {
+        let sink = Arc::new(QueryMetrics::new());
+        let ctx = QueryCtx::new()
+            .with_metrics(Arc::clone(&sink))
+            .with_fault(Fault::PanicAtPoll(k));
+        let r = run(&ctx);
+        let events = sink.panic_events().len();
+        match r {
+            Ok(v) => {
+                assert_eq!(v, base, "S7 gate: fault-free {what} diverged at k={k}");
+                assert_eq!(
+                    events, 0,
+                    "S7 gate: a clean {what} left audit events at k={k}"
+                );
+                false
+            }
+            Err(QueryError::WorkerPanicked { payload, .. }) => {
+                assert!(
+                    payload.contains(INJECTED_PANIC_MSG),
+                    "S7 gate: foreign panic payload from {what} at k={k}: {payload}"
+                );
+                assert_eq!(
+                    events, 1,
+                    "S7 gate: a contained panic in {what} left {events} audit events at k={k}"
+                );
+                true
+            }
+            Err(e) => panic!("S7 gate: injected panic in {what} surfaced as {e} at k={k}"),
+        }
+    }
     let (contained, storm_failures) = jguard::with_quiet_panics(|| {
         let mut contained = 0u32;
         for k in [1u64, 2, 3, 5, 8, 13, 21, 34, 55] {
-            let ctx = QueryCtx::new().with_fault(Fault::PanicAtPoll(k));
-            match coll.find_with_ctx(&find_filter, None, &ctx) {
-                Ok(v) => assert_eq!(v, base_find, "S7 gate: fault-free run diverged at k={k}"),
-                Err(QueryError::WorkerPanicked { payload, .. }) => {
-                    assert!(
-                        payload.contains(INJECTED_PANIC_MSG),
-                        "S7 gate: foreign panic payload at k={k}: {payload}"
-                    );
-                    contained += 1;
-                }
-                Err(e) => panic!("S7 gate: injected panic surfaced as {e} at k={k}"),
-            }
-            let ctx = QueryCtx::new().with_fault(Fault::PanicAtPoll(k));
-            match jagg::aggregate_with_ctx(&coll, &pipes[0].1, &ctx) {
-                Ok(v) => assert_eq!(v, base_aggs[0], "S7 gate: aggregate diverged at k={k}"),
-                Err(QueryError::WorkerPanicked { payload, .. }) => {
-                    assert!(
-                        payload.contains(INJECTED_PANIC_MSG),
-                        "S7 gate: foreign panic payload at k={k}: {payload}"
-                    );
-                    contained += 1;
-                }
-                Err(e) => panic!("S7 gate: injected panic surfaced as {e} at k={k}"),
-            }
+            let hits = [
+                sweep("find", k, &base_find, |ctx| {
+                    coll.find_with_ctx(&find_filter, None, ctx)
+                }),
+                sweep("indexed find", k, &base_residual, |ctx| {
+                    indexed.find_with_ctx(&residual, None, ctx)
+                }),
+                sweep("aggregate", k, &base_aggs[0], |ctx| {
+                    jagg::aggregate_with_ctx(&coll, &pipes[0].1, ctx)
+                }),
+            ];
+            contained += hits.into_iter().map(u32::from).sum::<u32>();
             // Pool and tree column must be reusable immediately.
             assert_eq!(
                 coll.find(&find_filter),
@@ -1517,7 +1563,7 @@ fn s7() {
             );
         }
         assert!(
-            contained >= 2,
+            contained >= 3,
             "S7 gate: the poll sweep never hit a live poll"
         );
 
@@ -1574,7 +1620,10 @@ fn s7() {
     report.gate(format!(
         "cancelled, expired and starved queries return their QueryError within {GRACE_MS} ms"
     ));
-    report.gate("injected panics surface as WorkerPanicked, pool reusable after each");
+    report.gate(
+        "injected panics in find (scan and index-with-residual routes) and aggregate surface \
+         as WorkerPanicked with exactly one audit event on the query's sink, pool reusable after each",
+    );
     report.gate("outputs byte-identical to the baselines after 1000 injected failures");
     report.gate("live-ctx runs allocate exactly as often as ungoverned runs (serial pool)");
     report.gate("live-ctx overhead: minimum of 31 paired base/ctx deltas <= 2% of base + 0.25 ms");

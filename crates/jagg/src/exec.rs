@@ -159,65 +159,42 @@ const ROW_CHUNK_MIN: usize = 128;
 /// Agrees exactly with [`crate::reference::aggregate`] over
 /// [`Collection::docs`] (differentially tested and CI-gated).
 pub fn aggregate(coll: &Collection, pipeline: &Pipeline) -> Vec<Json> {
-    match aggregate_with_ctx(coll, pipeline, &QueryCtx::unlimited()) {
-        Ok(out) => out,
-        Err(QueryError::WorkerPanicked { chunk, payload }) => {
-            panic!(
-                "worker panicked on chunk {}..{}: {payload}",
-                chunk.start, chunk.end
-            )
-        }
-        Err(e) => unreachable!("unlimited ctx cannot fail: {e}"),
-    }
+    jpar::ungoverned(|ctx| aggregate_with_ctx(coll, pipeline, ctx))
 }
 
 /// [`aggregate`] under a [`QueryCtx`]: every stage loop polls the
 /// context (per row, amortised through a [`jguard::Poller`]), `$group`
 /// accumulation and the `$push`/`$sort`/output buffers charge the byte
 /// budget, `$unwind` expansion and the leading `$match` charge the row
-/// budget, and a panicking worker surfaces as
-/// [`QueryError::WorkerPanicked`] with the collection untouched.
+/// budget, and a panic — in a worker or on the calling thread — surfaces
+/// as [`QueryError::WorkerPanicked`] with the collection untouched.
 pub fn aggregate_with_ctx(
     coll: &Collection,
     pipeline: &Pipeline,
     ctx: &QueryCtx,
 ) -> Result<Vec<Json>, QueryError> {
-    // Worker panics are already contained per chunk inside the pool; this
-    // outer net catches the coordinator-side loops (the `$group`
-    // unification barrier, between-stage glue) so *no* panic crosses the
-    // governed API boundary. `AssertUnwindSafe`: the engine is dropped on
-    // the error path and the collection is only read.
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        Engine::with_ctx(coll, ctx.clone()).run(&pipeline.stages)
-    })) {
-        Ok(r) => r,
-        Err(p) => Err(QueryError::WorkerPanicked {
-            chunk: 0..0,
-            payload: jpar::panic_payload(p),
-        }),
-    }
+    execute(coll, pipeline, ctx, None)
 }
 
-/// [`aggregate_with_ctx`] with a per-stage trace: `trace` receives one
-/// [`StageActual`] per pipeline stage (fused `$sort`/`$skip`/`$limit`
-/// blocks are expanded back into their constituent stages, interior
-/// cardinalities derived arithmetically). The `EXPLAIN ANALYZE` entry
-/// point of [`crate::explain`].
-pub(crate) fn aggregate_traced_with_ctx(
+/// The one executor entry behind [`aggregate_with_ctx`] and `EXPLAIN
+/// ANALYZE` ([`crate::explain::explain_analyze`]). With a `trace`, it
+/// receives one [`StageActual`] per pipeline stage (fused
+/// `$sort`/`$skip`/`$limit` blocks are expanded back into their
+/// constituent stages, interior cardinalities derived arithmetically).
+///
+/// Worker panics are contained per chunk inside the pool; the
+/// [`jpar::contain`] net around the run catches the calling thread's
+/// loops (the `$group` unification barrier, between-stage glue), so no
+/// panic crosses the governed boundary.
+pub(crate) fn execute(
     coll: &Collection,
     pipeline: &Pipeline,
     ctx: &QueryCtx,
-    trace: &mut Vec<StageActual>,
+    trace: Option<&mut Vec<StageActual>>,
 ) -> Result<Vec<Json>, QueryError> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        Engine::with_ctx(coll, ctx.clone()).run_traced(&pipeline.stages, Some(trace))
-    })) {
-        Ok(r) => r,
-        Err(p) => Err(QueryError::WorkerPanicked {
-            chunk: 0..0,
-            payload: jpar::panic_payload(p),
-        }),
-    }
+    jpar::contain(ctx, || {
+        Engine::with_ctx(coll, ctx.clone()).run(&pipeline.stages, trace)
+    })
 }
 
 /// The base value of a row.
@@ -479,19 +456,15 @@ impl<'c> Engine<'c> {
         }
     }
 
-    fn run(&self, stages: &[Stage]) -> Result<Vec<Json>, QueryError> {
-        self.run_traced(stages, None)
-    }
-
-    /// [`Engine::run`] with an optional per-stage trace. Tracing adds one
-    /// `Instant` read per block and nothing else — the untraced path runs
-    /// the exact same blocks (the trace is the only difference, so
-    /// `EXPLAIN ANALYZE` measures the executor it describes). A top-k
-    /// block reports its interior cardinalities arithmetically: `$project`
-    /// and `$sort` preserve the row count and the pagination arithmetic is
-    /// exact, so the trace matches the unfused reference executor stage
-    /// for stage.
-    fn run_traced<'p>(
+    /// Runs the planned blocks, with an optional per-stage trace.
+    /// Tracing adds one `Instant` read per block and nothing else — the
+    /// untraced path runs the exact same blocks (the trace is the only
+    /// difference, so `EXPLAIN ANALYZE` measures the executor it
+    /// describes). A top-k block reports its interior cardinalities
+    /// arithmetically: `$project` and `$sort` preserve the row count and
+    /// the pagination arithmetic is exact, so the trace matches the
+    /// unfused reference executor stage for stage.
+    fn run<'p>(
         &self,
         stages: &'p [Stage],
         mut trace: Option<&mut Vec<StageActual>>,

@@ -35,7 +35,7 @@ use jsondata::Json;
 use jtrace::{QueryMetrics, Snapshot, ALL_COUNTERS};
 use mongofind::{Collection, FindExplain};
 
-use crate::exec::{aggregate_traced_with_ctx, clamp_len, stage_label};
+use crate::exec::{clamp_len, execute, stage_label};
 use crate::pipeline::{
     Accumulator, GroupSpec, IdExpr, Pipeline, ProjectField, SortOrder, Stage, ValueExpr,
 };
@@ -370,7 +370,7 @@ pub fn explain_analyze(
     let ctx = QueryCtx::new().with_metrics(Arc::clone(&sink));
     let mut stages = Vec::new();
     let start = Instant::now();
-    let out = aggregate_traced_with_ctx(coll, pipeline, &ctx, &mut stages)?;
+    let out = execute(coll, pipeline, &ctx, Some(&mut stages))?;
     let wall_us = start.elapsed().as_micros() as u64;
     let spans = sink.spans().expect("sink was built with a span ring");
     Ok(PipelineAnalyze {
@@ -497,6 +497,44 @@ mod tests {
         assert!(obj.get("counters").is_some());
         let text = an.render_text();
         assert!(text.contains("actual[0] $match"), "{text}");
+    }
+
+    #[test]
+    fn analyze_execution_audits_each_contained_panic_once() {
+        use jguard::{Fault, QueryError, INJECTED_PANIC_MSG};
+        use jtrace::Counter;
+
+        // `explain_analyze` executes through `execute` with a trace under
+        // a context it builds; here the same context carries a fault.
+        let c = coll();
+        let p = Pipeline::parse_str(
+            r#"[{"$unwind": "$hobbies"}, {"$group": {"_id": "$hobbies", "n": {"$sum": 1}}}, {"$sort": {"_id": 1}}, {"$limit": 2}]"#,
+        )
+        .unwrap();
+        let mut panicked = 0;
+        jguard::with_quiet_panics(|| {
+            for k in 1..=8 {
+                let sink = Arc::new(QueryMetrics::with_spans(mongofind::ANALYZE_SPAN_CAPACITY));
+                let ctx = QueryCtx::new()
+                    .with_metrics(Arc::clone(&sink))
+                    .with_fault(Fault::PanicAtPoll(k));
+                let mut stages = Vec::new();
+                match execute(&c, &p, &ctx, Some(&mut stages)) {
+                    Err(QueryError::WorkerPanicked { payload, .. }) => {
+                        assert!(payload.contains(INJECTED_PANIC_MSG), "k={k}: {payload}");
+                        assert_eq!(sink.panic_events().len(), 1, "k={k}");
+                        assert_eq!(sink.get(Counter::WorkerPanics), 1, "k={k}");
+                        panicked += 1;
+                    }
+                    Ok(out) => {
+                        assert_eq!(out, crate::aggregate(&c, &p), "k={k}");
+                        assert!(sink.panic_events().is_empty(), "k={k}");
+                    }
+                    Err(e) => panic!("k={k}: an injected panic surfaced as {e}"),
+                }
+            }
+        });
+        assert!(panicked >= 2, "the sweep hit only {panicked} live polls");
     }
 
     #[test]

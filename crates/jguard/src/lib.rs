@@ -52,15 +52,16 @@
 //!
 //! ## Panic-free guarantees
 //!
-//! `jpar`'s fallible entry points (`try_map_chunks`,
-//! `try_flat_map_chunks`) contain worker panics with `catch_unwind`
-//! and convert them to [`QueryError::WorkerPanicked`], joining the
-//! remaining workers; the pool and any shared immutable state stay
-//! reusable. Every `mongofind`/`jagg` `*_with_ctx` API inherits this:
-//! they return `Err(WorkerPanicked)` rather than unwinding, as long as
-//! the panic originates inside the dispatched closure. The legacy
-//! (ctx-free) APIs re-raise the contained panic on the calling thread
-//! to preserve their documented behaviour.
+//! `jpar::contain` is the one place a panic becomes
+//! [`QueryError::WorkerPanicked`], recording its audit event
+//! ([`QueryCtx::record_panic`]) as it converts. The pool runs every
+//! chunk under it, joining the remaining workers, so the pool and any
+//! shared immutable state stay reusable; find, aggregate, both `EXPLAIN
+//! ANALYZE`s and `jserve`'s `Server::serve` run their execution under
+//! it, so a panic on the calling thread is contained too. Each returns
+//! `Err(WorkerPanicked)` rather than unwinding, with exactly one audit
+//! event. The ctx-free APIs unwrap through `jpar::ungoverned`, which
+//! re-raises the contained panic on the calling thread.
 //!
 //! ## Observability
 //!
@@ -753,9 +754,8 @@ mod tests {
         let ctx = QueryCtx::unlimited().with_fault(Fault::PanicAtPoll(3));
         assert_eq!(ctx.check(), Ok(()));
         assert_eq!(ctx.check(), Ok(()));
-        let r = with_quiet_panics(|| {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ctx.check()))
-        });
+        // The panic ends a scoped thread; joining it reports the panic.
+        let r = with_quiet_panics(|| std::thread::scope(|s| s.spawn(|| ctx.check()).join()));
         assert!(r.is_err(), "third poll panics");
         assert_eq!(ctx.check(), Ok(()), "later polls are clean");
     }

@@ -224,14 +224,6 @@ impl Binary {
         Binary::Range(0, None)
     }
 
-    /// Any child edge: `X_{Σ*} ∪ X_{0:∞}` expressed as `⟨⊤⟩`-free union via
-    /// `Compose`… composition cannot express union of steps, so this helper
-    /// returns the two-branch alternative used by callers:
-    /// `[any_child]φ ≡ [X_{Σ*}]φ ∨ [X_{0:∞}]φ`. Provided as a pair.
-    pub fn child_axes() -> (Binary, Binary) {
-        (Binary::any_key(), Binary::any_index())
-    }
-
     /// `α ∘ β`, flattening nested compositions.
     pub fn compose(parts: Vec<Binary>) -> Binary {
         let mut flat = Vec::with_capacity(parts.len());

@@ -19,8 +19,7 @@ use crate::eval::{EvalContext, EvalError, NodeSet};
 /// Evaluates a deterministic JNL formula; errors on non-deterministic or
 /// recursive constructs.
 pub fn eval(tree: &JsonTree, phi: &Unary) -> Result<NodeSet, EvalError> {
-    let mut ctx = EvalContext::new(tree);
-    eval_unary(&mut ctx, phi)
+    eval_with_guard(tree, phi, jguard::QueryCtx::unlimited())
 }
 
 /// [`eval`] under a governance context: the per-node walk loops poll

@@ -128,13 +128,6 @@ impl<'t> EvalContext<'t> {
         self.guard.check().map_err(EvalError::Interrupted)
     }
 
-    /// The key on the edge into `n`, if `n` is an object child (resolved
-    /// string; hot paths should use [`JsonTree::incoming_key_sym`] and
-    /// compare symbols).
-    pub fn incoming_key(&self, n: NodeId) -> Option<&'t str> {
-        self.tree.incoming_key_sym(n).map(|s| self.tree.resolve(s))
-    }
-
     /// The position on the edge into `n`, if `n` is an array child.
     pub fn incoming_index(&self, n: NodeId) -> Option<u64> {
         self.tree.incoming_index(n)
@@ -192,38 +185,10 @@ impl<'t> EvalContext<'t> {
 pub type NodeSet = Vec<bool>;
 
 /// Evaluates `φ` over `tree` with the best applicable engine:
-/// deterministic → [`linear`], no `EQ(α,β)` → [`pdl`], otherwise [`cubic`].
+/// deterministic → [`linear`], no `EQ(α,β)` → [`pdl`], otherwise [`cubic`]
+/// — [`evaluate_ctx`] under an unlimited context ([`jpar::ungoverned`]).
 pub fn evaluate(tree: &JsonTree, phi: &Unary) -> NodeSet {
-    let frag = phi.fragment();
-    if frag.is_deterministic() {
-        linear::eval(tree, phi).expect("fragment checked deterministic")
-    } else if !frag.eq_pair {
-        pdl::eval(tree, phi).expect("fragment checked EQ-pair-free")
-    } else {
-        cubic::eval(tree, phi)
-    }
-}
-
-/// [`evaluate`] over many trees at once, fanned out on `pool` — the
-/// per-segment entry point of a segmented collection (each segment of a
-/// `mongofind` tree column is one independent whole-tree evaluation).
-///
-/// Every per-tree evaluation owns its *entire* mutable state — the
-/// [`EvalContext`] with its regex edge matchers/DFA bitsets is built
-/// inside the worker, per tree, exactly as in the sequential path — so
-/// workers share only the immutable trees (with their canonical-label
-/// tables) and formula. Results come back in tree order regardless of
-/// thread count, and a 1-thread pool runs the trees inline in order
-/// (byte-identical to mapping [`evaluate`] yourself).
-///
-/// Generic over how the caller stores its trees: a plain `&[JsonTree]`
-/// works, and so does the `&[Arc<JsonTree>]` a snapshot-sharing
-/// collection holds (anything `Borrow<JsonTree> + Sync`).
-pub fn evaluate_batch<T>(trees: &[T], phi: &Unary, pool: &jpar::Pool) -> Vec<NodeSet>
-where
-    T: std::borrow::Borrow<JsonTree> + Sync,
-{
-    pool.map_chunks(trees.len(), 1, |r| evaluate(trees[r.start].borrow(), phi))
+    jpar::ungoverned(|guard| evaluate_ctx(tree, phi, guard))
 }
 
 /// Governed [`evaluate`]: the linear engine polls `guard` every
@@ -252,12 +217,23 @@ pub fn evaluate_ctx(tree: &JsonTree, phi: &Unary, guard: &QueryCtx) -> Result<No
     }
 }
 
-/// Governed [`evaluate_batch`]: fans the per-tree evaluations out
-/// through the pool's fallible dispatch, so an expired deadline, a
-/// cancellation, or a panicking evaluation surfaces as a structured
-/// [`QueryError`] with all workers joined and the pool reusable.
-/// Like [`evaluate_batch`], it accepts any `Borrow<JsonTree>` tree
-/// storage (`&[JsonTree]` or `&[Arc<JsonTree>]` alike).
+/// [`evaluate_ctx`] over many trees at once, fanned out on `pool` — the
+/// per-segment entry point of a segmented collection (each segment of a
+/// `mongofind` tree column is one independent whole-tree evaluation).
+///
+/// Every per-tree evaluation owns its *entire* mutable state — the
+/// [`EvalContext`] with its regex edge matchers/DFA bitsets is built
+/// inside the worker, per tree, exactly as in the sequential path — so
+/// workers share only the immutable trees (with their canonical-label
+/// tables) and formula. Results come back in tree order regardless of
+/// thread count, and a 1-thread pool runs the trees inline in order.
+/// The pool's fallible dispatch makes an expired deadline, a
+/// cancellation, or a panicking evaluation a structured [`QueryError`]
+/// with all workers joined and the pool reusable.
+///
+/// Generic over how the caller stores its trees: a plain `&[JsonTree]`
+/// works, and so does the `&[Arc<JsonTree>]` a snapshot-sharing
+/// collection holds (anything `Borrow<JsonTree> + Sync`).
 pub fn evaluate_batch_ctx<T>(
     trees: &[T],
     phi: &Unary,
@@ -275,16 +251,6 @@ where
 /// Convenience: does the root satisfy `φ`?
 pub fn check_root(tree: &JsonTree, phi: &Unary) -> bool {
     evaluate(tree, phi)[tree.root().index()]
-}
-
-/// Convenience: the nodes satisfying `φ`, as ids.
-pub fn selected_nodes(tree: &JsonTree, phi: &Unary) -> Vec<NodeId> {
-    evaluate(tree, phi)
-        .iter()
-        .enumerate()
-        .filter(|&(_i, &b)| b)
-        .map(|(i, &_b)| NodeId::from_index(i))
-        .collect()
 }
 
 #[cfg(test)]

@@ -51,7 +51,7 @@ pub mod reduce;
 pub mod sat;
 
 pub use ast::{Binary, Fragment, Unary};
-pub use eval::{check_root, evaluate, selected_nodes, EvalError};
+pub use eval::{check_root, evaluate, EvalError};
 pub use parser::{parse_binary, parse_unary, JnlParseError};
 pub use sat::containment::{contained_in, equivalent, Containment};
 pub use sat::{det::sat_deterministic, SatResult};

@@ -19,13 +19,6 @@ pub enum Containment {
     Unknown(String),
 }
 
-impl Containment {
-    /// Whether containment was established.
-    pub fn is_contained(&self) -> bool {
-        matches!(self, Containment::Contained)
-    }
-}
-
 /// Checks `φ ⊑ ψ` (at the root) for deterministic JNL formulas.
 ///
 /// Takes the formulas **by value**: the witness query `φ ∧ ¬ψ` is

@@ -21,8 +21,8 @@
 //!   (each worker builds its own) — the `jagg` executor does the
 //!   former for `CanonTable`s, the JNL batch evaluator does the latter
 //!   for its whole evaluation context.
-//! * **Work is stolen in chunks.** [`Pool::map_chunks`] splits `0..n`
-//!   into fixed-size chunks; workers claim chunk indices from one
+//! * **Work is stolen in chunks.** [`Pool::try_map_chunks`] splits
+//!   `0..n` into fixed-size chunks; workers claim chunk indices from one
 //!   atomic counter (`fetch_add`), so a slow chunk never stalls the
 //!   others and no per-item synchronisation exists.
 //! * **Results are spliced deterministically.** Each chunk's output is
@@ -42,12 +42,27 @@
 //!
 //! ## Entry points
 //!
-//! Three calls cover every caller: [`Pool::try_map_chunks`], the governed
-//! core (polls a [`QueryCtx`] per chunk and contains panics);
+//! Two calls cover every fan-out: [`Pool::try_map_chunks`], the governed
+//! core (polls a [`QueryCtx`] per chunk and contains panics), and
 //! [`Pool::try_flat_map_chunks`], the same with chunk results
-//! concatenated; and [`Pool::map_chunks`], the ungoverned convenience
-//! that re-raises a contained panic on the calling thread. One item per
-//! chunk is `chunk = 1` (the item index is `range.start`).
+//! concatenated. One item per chunk is `chunk = 1` (the item index is
+//! `range.start`).
+//!
+//! This crate also owns the governance boundary of every query engine
+//! above it:
+//!
+//! * [`contain`] is the one place a panic becomes
+//!   [`QueryError::WorkerPanicked`]. It records the audit event on the
+//!   context's metrics sink as it converts, so a panic is recorded
+//!   exactly once however many nets it crosses: the innermost net
+//!   converts it, and the outer ones see an error, not a panic. The pool
+//!   runs each chunk under it (the event carries the chunk index), and
+//!   every governed entry point (`find`, `aggregate`, both `EXPLAIN
+//!   ANALYZE`s, `Server::serve`) runs its execution under it, for the
+//!   panics raised outside any chunk (the event carries `usize::MAX`).
+//! * [`ungoverned`] is the one unwrap of the ctx-free entry points: it
+//!   runs a governed query under [`QueryCtx::unlimited`] and re-raises a
+//!   contained panic on the calling thread.
 //!
 //! ## Dispatch
 //!
@@ -83,7 +98,7 @@ mod park;
 pub const THREADS_ENV: &str = "JPAR_THREADS";
 
 /// Renders a caught panic payload for [`QueryError::WorkerPanicked`].
-pub fn panic_payload(p: Box<dyn std::any::Any + Send>) -> String {
+fn panic_payload(p: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = p.downcast_ref::<String>() {
@@ -93,26 +108,47 @@ pub fn panic_payload(p: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs one chunk with panic containment: a panic inside `f` (including
-/// an injected fault inside a context poll) becomes a structured
-/// [`QueryError::WorkerPanicked`] carrying the chunk's item range. Public
-/// for callers that poll a context outside any chunk, such as a scan
-/// left with no document to test.
+/// The net of a governed entry point: runs `f`, and a panic inside it
+/// (including an injected fault inside a context poll) becomes
+/// [`QueryError::WorkerPanicked`] with an empty chunk range, its audit
+/// event recorded on `ctx` with chunk index `usize::MAX`. A panic that an
+/// inner net (a pool chunk, a nested entry point) already converted
+/// reaches this one as an error, so it is recorded once.
+pub fn contain<T>(
+    ctx: &QueryCtx,
+    f: impl FnOnce() -> Result<T, QueryError>,
+) -> Result<T, QueryError> {
+    contain_chunk(ctx, usize::MAX, 0..0, f)
+}
+
+/// [`contain`] for chunk `index` of a fan-out, covering items `chunk`.
 ///
 /// `AssertUnwindSafe` is sound here because on the error path every
 /// partial result is dropped and the pool's contract already requires
-/// closure captures to be shared read-only state.
-pub fn contain<T>(
+/// closure captures to be shared read-only state; an entry point's net
+/// likewise drops its engine state and only ever read the collection.
+fn contain_chunk<T>(
+    ctx: &QueryCtx,
+    index: usize,
     chunk: Range<usize>,
     f: impl FnOnce() -> Result<T, QueryError>,
 ) -> Result<T, QueryError> {
-    match std::panic::catch_unwind(AssertUnwindSafe(f)) {
-        Ok(r) => r,
-        Err(p) => Err(QueryError::WorkerPanicked {
-            chunk,
-            payload: panic_payload(p),
-        }),
-    }
+    std::panic::catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|p| {
+        let payload = panic_payload(p);
+        ctx.record_panic(index, &payload);
+        Err(QueryError::WorkerPanicked { chunk, payload })
+    })
+}
+
+/// Runs a governed query under [`QueryCtx::unlimited`] and unwraps its
+/// result: the one delegation of the ctx-free entry points
+/// (`Collection::find`, `jagg::aggregate`, `jnl::evaluate`). An unlimited
+/// context raises no deadline, budget or cancellation error, so the only
+/// reachable failure is a contained panic, which is re-raised on the
+/// calling thread with [`QueryError`]'s `Display` (the chunk range and
+/// the payload).
+pub fn ungoverned<T>(query: impl FnOnce(&QueryCtx) -> Result<T, QueryError>) -> T {
+    query(&QueryCtx::unlimited()).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// A worker pool: a thread count.
@@ -181,39 +217,20 @@ impl Pool {
         len.div_ceil(self.threads * 4).max(min_chunk).max(1)
     }
 
-    /// Splits `0..len` into chunks of `chunk` items (the last chunk may be
-    /// short), evaluates `f` on each chunk, and returns the chunk results
-    /// **in chunk order**. Workers steal chunk indices from one atomic
-    /// counter; with one thread or one chunk everything runs inline on the
-    /// calling thread in order (the serial fallback).
-    ///
-    /// A panicking closure re-raises the (contained) panic on the calling
-    /// thread after all workers have been joined — the process never
-    /// aborts, and the pool stays usable. Callers that need the panic as
-    /// a value use [`Pool::try_map_chunks`].
-    pub fn map_chunks<T, F>(&self, len: usize, chunk: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(Range<usize>) -> T + Sync,
-    {
-        match self.try_map_chunks(&QueryCtx::unlimited(), len, chunk, |r| Ok(f(r))) {
-            Ok(out) => out,
-            Err(QueryError::WorkerPanicked { chunk, payload }) => {
-                panic!("jpar worker panicked on chunk {chunk:?}: {payload}")
-            }
-            Err(e) => unreachable!("unlimited ctx cannot fail, got {e}"),
-        }
-    }
-
-    /// The governed core of the pool: like [`Pool::map_chunks`] but
+    /// The governed core of the pool: splits `0..len` into chunks of
+    /// `chunk` items (the last chunk may be short), evaluates `f` on each
+    /// chunk, and returns the chunk results **in chunk order**. Workers
+    /// steal chunk indices from one atomic counter; with one thread or one
+    /// chunk everything runs inline on the calling thread in order (the
+    /// serial fallback). It is governed:
     ///
     /// * workers poll `ctx` **before claiming each chunk** — an expired
     ///   deadline, a cancellation, or an overdrawn budget stops the whole
     ///   fan-out within one chunk of work and returns the error;
-    /// * every chunk closure runs under `catch_unwind` — a panic becomes
-    ///   [`QueryError::WorkerPanicked`] with the chunk's item range, the
-    ///   remaining workers are joined, and the pool (plus any shared
-    ///   immutable state) stays reusable;
+    /// * every chunk closure runs under [`contain`] — a panic becomes
+    ///   [`QueryError::WorkerPanicked`] with the chunk's item range and is
+    ///   audited with the chunk index, the remaining workers are joined,
+    ///   and the pool (plus any shared immutable state) stays reusable;
     /// * when several chunks fail concurrently, the error of the
     ///   **lowest chunk index** wins, keeping the outcome deterministic
     ///   for a single planted fault regardless of thread count.
@@ -231,20 +248,16 @@ impl Pool {
         let chunk = chunk.max(1);
         let n_chunks = len.div_ceil(chunk);
         let range_of = |i: usize| i * chunk..((i + 1) * chunk).min(len);
-        // Runs chunk `i` with containment, recording the chunk span and —
-        // on a contained panic — the audit event into the ctx's metrics
-        // sink (both no-ops without a sink).
+        // Runs chunk `i` with containment, recording the chunk span into
+        // the ctx's metrics sink (a no-op without a sink).
         let run_chunk = |i: usize| -> Result<T, QueryError> {
             ctx.record(Counter::ChunksDispatched, 1);
             ctx.span_open(SpanKind::Chunk, i as u32);
-            let r = contain(range_of(i), || {
+            let r = contain_chunk(ctx, i, range_of(i), || {
                 ctx.check()?;
                 f(range_of(i))
             });
             ctx.span_close(SpanKind::Chunk, i as u32);
-            if let Err(QueryError::WorkerPanicked { payload, .. }) = &r {
-                ctx.record_panic(i, payload);
-            }
             r
         };
 
@@ -286,31 +299,15 @@ impl Pool {
             (claimed, err)
         };
 
-        // A rangeless error for a panic that escaped `run_worker` itself
-        // (i.e. outside any chunk's containment) — kept alive as a value
-        // so it never re-raises across the pool boundary.
-        let coordinator_error = |p: Box<dyn std::any::Any + Send>| -> WorkerOut<T> {
-            let payload = panic_payload(p);
-            ctx.record_panic(usize::MAX, &payload);
-            (
-                Vec::new(),
-                Some((
-                    usize::MAX,
-                    QueryError::WorkerPanicked {
-                        chunk: 0..0,
-                        payload,
-                    },
-                )),
-            )
-        };
-
         let sink: Mutex<Vec<WorkerOut<T>>> = Mutex::new(Vec::with_capacity(workers));
         let task = |on_helper: bool| {
-            let out = std::panic::catch_unwind(AssertUnwindSafe(|| run_worker(on_helper)))
-                .unwrap_or_else(|p| {
-                    stop.store(true, Ordering::Relaxed);
-                    coordinator_error(p)
-                });
+            // A panic that escapes `run_worker` itself, outside any chunk's
+            // net, is kept as a value so it never re-raises across the
+            // pool boundary.
+            let out = contain(ctx, || Ok(run_worker(on_helper))).unwrap_or_else(|e| {
+                stop.store(true, Ordering::Relaxed);
+                (Vec::new(), Some((usize::MAX, e)))
+            });
             sink.lock().unwrap_or_else(|e| e.into_inner()).push(out);
         };
         park::dispatch(workers - 1, &task);
@@ -374,7 +371,9 @@ mod tests {
     fn map_preserves_index_order() {
         for threads in [1, 2, 3, 8] {
             let pool = Pool::with_threads(threads);
-            let out = pool.map_chunks(100, 1, |r| r.start * r.start);
+            let out = pool
+                .try_map_chunks(&QueryCtx::unlimited(), 100, 1, |r| Ok(r.start * r.start))
+                .expect("no faults");
             assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
         }
     }
@@ -384,7 +383,11 @@ mod tests {
         for threads in [1, 2, 5] {
             for (len, chunk) in [(0, 4), (1, 4), (7, 3), (64, 64), (65, 64), (1000, 17)] {
                 let pool = Pool::with_threads(threads);
-                let parts = pool.map_chunks(len, chunk, |r| r.collect::<Vec<_>>());
+                let parts = pool
+                    .try_map_chunks(&QueryCtx::unlimited(), len, chunk, |r| {
+                        Ok(r.collect::<Vec<_>>())
+                    })
+                    .expect("no faults");
                 let flat: Vec<usize> = parts.concat();
                 assert_eq!(
                     flat,
@@ -479,6 +482,56 @@ mod tests {
     }
 
     #[test]
+    fn nested_nets_audit_each_panic_once() {
+        use std::sync::Arc;
+
+        let bomb =
+            || -> Result<usize, QueryError> { panic!("{}: net bomb", jguard::INJECTED_PANIC_MSG) };
+        for threads in [1, 4] {
+            let sink = Arc::new(jtrace::QueryMetrics::new());
+            let ctx = QueryCtx::new().with_metrics(Arc::clone(&sink));
+            let pool = Pool::with_threads(threads);
+            // A chunk panic under two entry-point nets: the chunk's net
+            // converts and audits it; the outer nets see an error.
+            let err = jguard::with_quiet_panics(|| {
+                contain(&ctx, || {
+                    contain(&ctx, || {
+                        pool.try_map_chunks(&ctx, 100, 10, |r| {
+                            if r.start == 70 {
+                                bomb()?;
+                            }
+                            Ok(r.len())
+                        })
+                    })
+                })
+            })
+            .expect_err("chunk 7 panics");
+            assert!(matches!(err, QueryError::WorkerPanicked { chunk, .. } if chunk == (70..80)));
+            let events = sink.panic_events();
+            assert_eq!(events.len(), 1);
+            assert_eq!(events[0].chunk, 7);
+            assert_eq!(sink.get(Counter::WorkerPanics), 1);
+        }
+
+        // A panic outside any chunk is audited by the innermost net with
+        // `usize::MAX` and an empty range.
+        let sink = Arc::new(jtrace::QueryMetrics::new());
+        let ctx = QueryCtx::new().with_metrics(Arc::clone(&sink));
+        let err = jguard::with_quiet_panics(|| contain(&ctx, || contain(&ctx, bomb)))
+            .expect_err("the net body panics");
+        assert_eq!(
+            err,
+            QueryError::WorkerPanicked {
+                chunk: 0..0,
+                payload: format!("{}: net bomb", jguard::INJECTED_PANIC_MSG),
+            }
+        );
+        let events = sink.panic_events();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].chunk, usize::MAX);
+    }
+
+    #[test]
     fn park_dispatch_survives_concurrent_callers() {
         // Many threads dispatching simultaneously exercises the shared
         // helper queue: jobs must not steal each other's chunks or lose
@@ -491,8 +544,11 @@ mod tests {
                 s.spawn(move || {
                     let pool = Pool::with_threads(4);
                     for _ in 0..50 {
-                        let partials =
-                            pool.map_chunks(data.len(), 333, |r| data[r].iter().sum::<u64>());
+                        let partials = pool
+                            .try_map_chunks(&QueryCtx::unlimited(), data.len(), 333, |r| {
+                                Ok(data[r].iter().sum::<u64>())
+                            })
+                            .expect("no faults");
                         assert_eq!(partials.iter().sum::<u64>(), expect);
                     }
                 });
@@ -506,14 +562,14 @@ mod tests {
         // even when every helper is busy: the inner caller participates
         // inline by construction.
         let pool = Pool::with_threads(4);
-        let out = pool.map_chunks(8, 1, |r| {
-            let inner = Pool::with_threads(2);
-            inner
-                .map_chunks(1000, 100, |r| r.sum::<usize>())
-                .iter()
-                .sum::<usize>()
-                + r.start
-        });
+        let ctx = QueryCtx::unlimited();
+        let out = pool
+            .try_map_chunks(&ctx, 8, 1, |r| {
+                let inner = Pool::with_threads(2);
+                let parts = inner.try_map_chunks(&ctx, 1000, 100, |r| Ok(r.sum::<usize>()))?;
+                Ok(parts.iter().sum::<usize>() + r.start)
+            })
+            .expect("no faults");
         let inner_total: usize = (0..1000).sum();
         assert_eq!(out, (0..8).map(|i| inner_total + i).collect::<Vec<_>>());
     }
@@ -546,7 +602,11 @@ mod tests {
         // The closure borrows a large shared slice; sums agree.
         let data: Vec<u64> = (0..100_000).collect();
         let pool = Pool::with_threads(4);
-        let partials = pool.map_chunks(data.len(), 1013, |r| data[r].iter().sum::<u64>());
+        let partials = pool
+            .try_map_chunks(&QueryCtx::unlimited(), data.len(), 1013, |r| {
+                Ok(data[r].iter().sum::<u64>())
+            })
+            .expect("no faults");
         let total: u64 = partials.iter().sum();
         assert_eq!(total, 100_000 * 99_999 / 2);
     }

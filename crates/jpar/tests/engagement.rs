@@ -20,14 +20,16 @@ const RENDEZVOUS: Duration = Duration::from_secs(10);
 fn two_threads_run_two_chunks_at_once() {
     let arrived = Mutex::new(0usize);
     let both = Condvar::new();
-    let met = Pool::with_threads(2).map_chunks(2, 1, |_| {
-        let mut n = arrived.lock().expect("no chunk panics holding the lock");
-        *n += 1;
-        both.notify_all();
-        let (n, _) = both
-            .wait_timeout_while(n, RENDEZVOUS, |n| *n < 2)
-            .expect("no chunk panics holding the lock");
-        *n == 2
+    let met = jpar::ungoverned(|ctx| {
+        Pool::with_threads(2).try_map_chunks(ctx, 2, 1, |_| {
+            let mut n = arrived.lock().expect("no chunk panics holding the lock");
+            *n += 1;
+            both.notify_all();
+            let (n, _) = both
+                .wait_timeout_while(n, RENDEZVOUS, |n| *n < 2)
+                .expect("no chunk panics holding the lock");
+            Ok(*n == 2)
+        })
     });
     assert_eq!(
         met,

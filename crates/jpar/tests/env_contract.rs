@@ -54,7 +54,9 @@ fn jpar_threads_env_edge_cases_clamp_to_at_least_one() {
     // spawn a huge number of threads.
     let huge = with_env(THREADS_ENV, Some("1048576"), Pool::auto);
     assert_eq!(huge.threads(), 1_048_576);
-    let out = huge.map_chunks(1000, 10, |r| r.len());
+    let out = huge
+        .try_map_chunks(&jguard::QueryCtx::unlimited(), 1000, 10, |r| Ok(r.len()))
+        .expect("no faults");
     assert_eq!(out.iter().sum::<usize>(), 1000);
 
     // "0" is not a usable thread count: fall back, never zero.

@@ -1,7 +1,7 @@
 //! A panicking worker closure must never abort the process or poison
 //! the pool: it surfaces as `QueryError::WorkerPanicked` (try APIs) or
-//! re-raises on the calling thread (`map_chunks`), and the same pool
-//! value keeps dispatching correctly afterwards.
+//! re-raises on the calling thread (through `jpar::ungoverned`), and the
+//! same pool value keeps dispatching correctly afterwards.
 
 use jguard::{with_quiet_panics, Fault, QueryCtx, QueryError, INJECTED_PANIC_MSG};
 use jpar::Pool;
@@ -41,22 +41,26 @@ fn pool_is_reusable_after_a_panic() {
             });
             assert!(matches!(r, Err(QueryError::WorkerPanicked { .. })));
             // The very same pool value still produces correct results.
-            let ok = pool.map_chunks(100, 1, |r| r.start + 1);
+            let ok = pool
+                .try_map_chunks(&QueryCtx::unlimited(), 100, 1, |r| Ok(r.start + 1))
+                .expect("no faults");
             assert_eq!(ok, (1..=100).collect::<Vec<_>>());
         }
     });
 }
 
 #[test]
-fn legacy_map_chunks_reraises_on_calling_thread() {
+fn ungoverned_reraises_on_calling_thread() {
     with_quiet_panics(|| {
         let pool = Pool::with_threads(4);
         let caught = std::panic::catch_unwind(|| {
-            pool.map_chunks(100, 10, |r| {
-                if r.start == 50 {
-                    panic!("{INJECTED_PANIC_MSG}: legacy bomb");
-                }
-                r.len()
+            jpar::ungoverned(|ctx| {
+                pool.try_map_chunks(ctx, 100, 10, |r| {
+                    if r.start == 50 {
+                        panic!("{INJECTED_PANIC_MSG}: legacy bomb");
+                    }
+                    Ok(r.len())
+                })
             })
         });
         let msg = match caught {
@@ -67,7 +71,7 @@ fn legacy_map_chunks_reraises_on_calling_thread() {
         assert!(msg.contains("50..60"), "chunk range named: {msg}");
         // Still alive and correct.
         assert_eq!(
-            pool.map_chunks(10, 1, |r| r.start * 2),
+            jpar::ungoverned(|ctx| pool.try_map_chunks(ctx, 10, 1, |r| Ok(r.start * 2))),
             (0..10).map(|i| i * 2).collect::<Vec<_>>()
         );
     });
@@ -115,13 +119,14 @@ fn try_results_match_infallible_results() {
     for threads in [1, 2, 8] {
         let pool = Pool::with_threads(threads);
         let plain = pool
-            .map_chunks(data.len(), 512, |r| {
-                data[r]
+            .try_map_chunks(&QueryCtx::unlimited(), data.len(), 512, |r| {
+                Ok(data[r]
                     .iter()
                     .copied()
                     .filter(|&x| x % 3 == 0)
-                    .collect::<Vec<_>>()
+                    .collect::<Vec<_>>())
             })
+            .unwrap()
             .concat();
         let tried = pool
             .try_flat_map_chunks(&QueryCtx::unlimited(), data.len(), 512, |r| {

@@ -28,7 +28,6 @@
 //!   (the `s11` fault-storm gate).
 
 use std::collections::HashMap;
-use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
@@ -253,17 +252,7 @@ impl Server {
         // The panic boundary: a panic anywhere under a verb becomes a
         // typed error with the permit released (Drop) and the snapshot
         // discarded — the server state cannot be poisoned by a request.
-        match std::panic::catch_unwind(AssertUnwindSafe(|| self.execute(&tenant, &ctx, req))) {
-            Ok(r) => r,
-            Err(p) => {
-                let payload = jpar::panic_payload(p);
-                ctx.record_panic(usize::MAX, &payload);
-                Err(QueryError::WorkerPanicked {
-                    chunk: 0..0,
-                    payload,
-                })
-            }
-        }
+        jpar::contain(&ctx, || self.execute(&tenant, &ctx, req))
     }
 
     fn execute(

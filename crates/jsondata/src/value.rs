@@ -330,44 +330,47 @@ impl Json {
 impl PartialEq for Json {
     /// Structural equality with **unordered** objects:
     /// `{"a":1,"b":2} == {"b":2,"a":1}`. Iterative, so equality of very deep
-    /// documents does not overflow the stack.
+    /// documents does not overflow the stack. Scalar members compare in
+    /// place and only pairs of nested containers go on the work stack, so
+    /// a comparison that meets no such pair (scalars, flat arrays and
+    /// objects) allocates nothing.
     fn eq(&self, other: &Json) -> bool {
-        let mut work: Vec<(&Json, &Json)> = vec![(self, other)];
-        while let Some((a, b)) = work.pop() {
-            match (a, b) {
-                (Json::Num(x), Json::Num(y)) => {
-                    if x != y {
-                        return false;
-                    }
-                }
-                (Json::Str(x), Json::Str(y)) => {
-                    if x != y {
-                        return false;
-                    }
-                }
+        let mut work: Vec<(&Json, &Json)> = Vec::new();
+        let mut pair = Some((self, other));
+        while let Some((a, b)) = pair {
+            let same = match (a, b) {
                 (Json::Array(x), Json::Array(y)) => {
-                    if x.len() != y.len() {
-                        return false;
-                    }
-                    work.extend(x.iter().zip(y.iter()));
+                    x.len() == y.len() && x.iter().zip(y).all(|(v, w)| member_eq(v, w, &mut work))
                 }
+                // Same cardinality and (keys distinct) every pair of `x`
+                // present in `y`.
                 (Json::Object(x), Json::Object(y)) => {
-                    // Same cardinality and (keys distinct) every pair of `x`
-                    // present in `y`.
-                    if x.len() != y.len() {
-                        return false;
-                    }
-                    for (k, v) in x.iter() {
-                        match y.get(k) {
-                            Some(w) => work.push((v, w)),
-                            None => return false,
-                        }
-                    }
+                    x.len() == y.len()
+                        && x.iter()
+                            .all(|(k, v)| y.get(k).is_some_and(|w| member_eq(v, w, &mut work)))
                 }
-                _ => return false,
+                _ => member_eq(a, b, &mut work),
+            };
+            if !same {
+                return false;
             }
+            pair = work.pop();
         }
         true
+    }
+}
+
+/// One member pair of [`Json::eq`]: scalars compare in place, a pair of
+/// containers of one kind is deferred to `work`, anything else differs.
+fn member_eq<'a>(a: &'a Json, b: &'a Json, work: &mut Vec<(&'a Json, &'a Json)>) -> bool {
+    match (a, b) {
+        (Json::Num(x), Json::Num(y)) => x == y,
+        (Json::Str(x), Json::Str(y)) => x == y,
+        (Json::Array(_), Json::Array(_)) | (Json::Object(_), Json::Object(_)) => {
+            work.push((a, b));
+            true
+        }
+        _ => false,
     }
 }
 
@@ -501,6 +504,27 @@ mod tests {
         let a = Json::array([Json::Num(1), Json::Num(2)]);
         let b = Json::array([Json::Num(2), Json::Num(1)]);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn deep_equality_does_not_recurse() {
+        // Deep enough that a frame per level overflows the comparing
+        // thread's 32 KiB stack; built and dropped (recursively) on the
+        // test thread.
+        let depth = 2_000;
+        let a = crate::gen::deep_chain(depth, "k", Json::Num(1));
+        let b = crate::gen::deep_chain(depth, "k", Json::Num(1));
+        let c = crate::gen::deep_chain(depth, "k", Json::Num(2));
+        let (same, differ) = std::thread::scope(|s| {
+            std::thread::Builder::new()
+                .stack_size(32 * 1024)
+                .spawn_scoped(s, || (a == b, a == c))
+                .expect("thread spawns")
+                .join()
+                .expect("comparison does not panic")
+        });
+        assert!(same);
+        assert!(!differ);
     }
 
     #[test]

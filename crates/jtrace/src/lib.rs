@@ -93,7 +93,8 @@ pub enum Counter {
     /// Chunks claimed by a spawned worker rather than the calling thread
     /// (schedule-dependent; zero on serial execution).
     ChunksStolen,
-    /// Worker panics contained by `jpar` (each also appends a
+    /// Panics contained by `jpar::contain`, in a pool chunk or by an
+    /// entry point's net outside any chunk (each also appends a
     /// [`PanicEvent`]).
     WorkerPanics,
 }
@@ -174,12 +175,12 @@ fn shard_index() -> usize {
     })
 }
 
-/// One panic contained by `jpar`'s per-chunk `catch_unwind`, preserved for
-/// post-hoc audit: which chunk died and what the payload said.
+/// One panic contained by `jpar::contain`, preserved for post-hoc audit:
+/// which chunk died and what the payload said.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PanicEvent {
     /// Index of the chunk whose worker panicked (`usize::MAX` when the
-    /// chunk is unknown, e.g. a coordinator-side containment).
+    /// panic was contained outside any chunk, by an entry point's net).
     pub chunk: usize,
     /// The panic payload, downcast to a string where possible.
     pub payload: String,

@@ -61,24 +61,6 @@ mod index;
 pub use explain::{FindAnalyze, FindExplain, ProbeDesc, Route, ANALYZE_SPAN_CAPACITY};
 pub use index::IndexSet;
 
-/// Unwraps a governed result obtained under [`QueryCtx::unlimited`] —
-/// the delegation path of the legacy (ctx-free) APIs. An unlimited
-/// context never raises deadline/budget/cancel errors, so the only
-/// reachable failure is a contained worker panic, which is re-raised
-/// here to preserve the legacy APIs' panic semantics.
-fn expect_ungoverned<T>(r: Result<T, QueryError>) -> T {
-    match r {
-        Ok(v) => v,
-        Err(QueryError::WorkerPanicked { chunk, payload }) => {
-            panic!(
-                "worker panicked on chunk {}..{}: {payload}",
-                chunk.start, chunk.end
-            )
-        }
-        Err(e) => unreachable!("unlimited ctx cannot fail: {e}"),
-    }
-}
-
 /// Minimum per-chunk document count for the parallel scan paths: ranges
 /// below this collapse into one chunk and run inline on the calling
 /// thread (see [`Pool::chunk_for`]), so small collections never pay a
@@ -1187,20 +1169,6 @@ impl Collection {
         Ok(())
     }
 
-    /// [`Collection::set_schema`], chainable at construction time.
-    pub fn with_schema(
-        mut self,
-        schema: jsl::RecursiveJsl,
-    ) -> Result<Collection, jsl::WellFormednessError> {
-        self.set_schema(schema)?;
-        Ok(self)
-    }
-
-    /// Removes the declared schema.
-    pub fn clear_schema(&mut self) {
-        self.schema = None;
-    }
-
     /// The declared JSL schema, if any.
     pub fn schema(&self) -> Option<&jsl::RecursiveJsl> {
         self.schema.as_deref()
@@ -1337,21 +1305,26 @@ impl Collection {
     /// runs inside a `plan` span when the context carries a
     /// span-recording sink. `EXPLAIN`, the `jagg` leading `$match` and
     /// every `jserve` read verb reach execution through here, so a plan's
-    /// claimed route is the route that runs. Both routes poll `ctx`,
-    /// charge survivors against the row budget and return worker panics
-    /// as [`QueryError::WorkerPanicked`].
+    /// claimed route is the route that runs. Both routes poll `ctx` and
+    /// charge survivors against the row budget. The call runs under
+    /// [`jpar::contain`]: a panic anywhere in it — in a scan chunk, or on
+    /// the calling thread, such as the index route's residual loop —
+    /// returns [`QueryError::WorkerPanicked`] with one audit event on
+    /// `ctx`'s metrics sink.
     pub fn find_refs_with_ctx(
         &self,
         filter: &Filter,
         ctx: &QueryCtx,
     ) -> Result<Vec<DocRef>, QueryError> {
-        ctx.span_open(SpanKind::Plan, 0);
-        let route = self.route_of(filter);
-        ctx.span_close(SpanKind::Plan, 0);
-        match route {
-            Route::Index => self.find_refs_by_index(filter, ctx),
-            Route::Scan => self.find_refs_via_scan_with_ctx(filter, ctx),
-        }
+        jpar::contain(ctx, || {
+            ctx.span_open(SpanKind::Plan, 0);
+            let route = self.route_of(filter);
+            ctx.span_close(SpanKind::Plan, 0);
+            match route {
+                Route::Index => self.find_refs_by_index(filter, ctx),
+                Route::Scan => self.find_refs_via_scan_with_ctx(filter, ctx),
+            }
+        })
     }
 
     /// The document scan: the filter is bound to the collection's table
@@ -1373,7 +1346,7 @@ impl Collection {
         if n == 0 {
             // No document is left to test, and so no chunk polls: the
             // scan still answers to `ctx` once, contained as a chunk is.
-            return jpar::contain(start..start, || ctx.check()).map(|()| Vec::new());
+            return jpar::contain(ctx, || ctx.check()).map(|()| Vec::new());
         }
         let chunk = self.pool.chunk_for(n, DOC_CHUNK_MIN);
         self.pool.try_flat_map_chunks(ctx, n, chunk, |r| {
@@ -1444,9 +1417,10 @@ impl Collection {
 
     /// `db.collection.find(filter)`: the matching documents, synthesized
     /// from the tree column — [`Collection::find_with_ctx`] without a
-    /// projection or limits (a contained worker panic is re-raised).
+    /// projection or limits ([`jpar::ungoverned`]: a contained panic is
+    /// re-raised).
     pub fn find(&self, filter: &Filter) -> Vec<Json> {
-        expect_ungoverned(self.find_with_ctx(filter, None, &QueryCtx::unlimited()))
+        jpar::ungoverned(|ctx| self.find_with_ctx(filter, None, ctx))
     }
 
     /// `find(filter, projection)` under a [`QueryCtx`]: the refs of
@@ -1454,17 +1428,20 @@ impl Collection {
     /// documents, or only the kept subtrees of a [`Projection`]
     /// ([`Projection::apply_tree`], with the include paths bound once per
     /// query). Materialisation polls `ctx` per document and charges each
-    /// value (projected, when projecting) against the byte budget.
+    /// value (projected, when projecting) against the byte budget. Like
+    /// the refs, the call runs under [`jpar::contain`].
     pub fn find_with_ctx(
         &self,
         filter: &Filter,
         projection: Option<&Projection>,
         ctx: &QueryCtx,
     ) -> Result<Vec<Json>, QueryError> {
-        let refs = self.find_refs_with_ctx(filter, ctx)?;
-        let include = projection.map_or_else(Vec::new, |p| p.bind(self.interner()));
-        self.materialize_refs(ctx, refs, |d| {
-            apply_bound(&include, &self.segments[d.seg as usize], d.node)
+        jpar::contain(ctx, || {
+            let refs = self.find_refs_with_ctx(filter, ctx)?;
+            let include = projection.map_or_else(Vec::new, |p| p.bind(self.interner()));
+            self.materialize_refs(ctx, refs, |d| {
+                apply_bound(&include, &self.segments[d.seg as usize], d.node)
+            })
         })
     }
 
