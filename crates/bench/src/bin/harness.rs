@@ -1948,8 +1948,9 @@ fn s9() {
 
     for (label, src) in s9_workloads() {
         let f = mongofind::Filter::parse_str(src).expect("workload filter parses");
-        assert!(
-            coll.index_answerable(&f),
+        assert_eq!(
+            coll.route_of(&f),
+            mongofind::Route::Index,
             "S9 workload {label} must engage the planner"
         );
         // Gate 1b: byte-identical refs and documents on the 20k layout.
@@ -2312,6 +2313,14 @@ fn s10() {
 ///    table at most twice those on the small one (a copied table makes
 ///    about two per existing string). Retained bytes per insert are
 ///    reported.
+/// 4. **A point read costs one probe, whatever the insert tail.** On a
+///    serial-pool server over the servebench-shaped corpus (20k person
+///    records indexed on `id`, `name.first` and `age`), a point Find,
+///    FindProject and `[{"$match": {"id": N}}]` Aggregate through
+///    [`jserve::Server::serve`] each dispatch no pool chunk, record one
+///    index probe and no bitmap intersection, and make the same number
+///    of allocations with 64 insert segments behind the seed as with
+///    none.
 ///
 /// The persistent pool is gated by `s6`: output at several thread counts
 /// equal to the serial pool's, and the work split into chunks.
@@ -2564,6 +2573,9 @@ fn s11() {
          {small:.1} on the 1k one (at most 2x allowed): its cost grows with the symbol table"
     );
 
+    // --- gate 4: a point read costs one probe, whatever the tail -------
+    let point = s11_point_reads();
+
     let mut report = Report::new("s11_serving");
     report.gate(
         "every concurrent read byte-identical to the serial replay of its snapshot's committed \
@@ -2576,6 +2588,11 @@ fn s11() {
     report.gate(
         "256 inserts that each bring a new string make at most 2x the allocations per insert \
          on a 100k-string table as on a 1k-string one",
+    );
+    report.gate(
+        "a served point find, projected find and $match aggregate each dispatch 0 chunks, \
+         record 1 index probe and 0 bitmap intersections, and make as many allocations with \
+         64 insert segments as with none",
     );
     for (name, n, better) in [
         (
@@ -2608,5 +2625,106 @@ fn s11() {
             Better::Lower,
         );
     }
+    for (verb, tail, allocs) in point {
+        report.count(
+            format!("point.{verb}.allocs.tail{tail}"),
+            allocs,
+            Better::Lower,
+        );
+    }
     report.write("BENCH_serving.json");
+}
+
+/// S11 gate 4: serves a point Find, FindProject and `$match` Aggregate on
+/// a serial-pool server over the servebench-shaped corpus, first with no
+/// insert segment and then with 64, and asserts each request's chunk,
+/// probe and intersection counts and that its allocations do not grow
+/// with the tail. Returns `(verb, insert segments, allocations)` rows.
+fn s11_point_reads() -> Vec<(&'static str, usize, u64)> {
+    use jserve::{AdmissionConfig, Request, Response, Server, TenantSpec};
+    use jtrace::Counter;
+
+    const TAIL: usize = 64;
+    let corpus = jsondata::gen::person_records(20_000, 1);
+    let mut coll = mongofind::Collection::parse_str(&jsondata::serialize::to_string(&corpus))
+        .expect("corpus parses");
+    for path in ["id", "name.first", "age"] {
+        assert!(coll.create_index(path));
+    }
+    coll.set_pool(jpar::Pool::serial());
+    let server = Server::new(coll, AdmissionConfig::default());
+    assert!(server.register_tenant(TenantSpec::new("point")));
+    let sink = server.tenant_metrics("point").expect("tenant registered");
+    let filter = r#"{"id": 4242}"#;
+    let verbs = [
+        (
+            "find",
+            Request::Find {
+                filter: filter.into(),
+            },
+        ),
+        (
+            "find_project",
+            Request::FindProject {
+                filter: filter.into(),
+                projection: r#"{"name.first": 1, "age": 1}"#.into(),
+            },
+        ),
+        (
+            "aggregate",
+            Request::Aggregate {
+                pipeline: format!(r#"[{{"$match": {filter}}}]"#),
+            },
+        ),
+    ];
+    let mut rows = Vec::new();
+    for tail in [0, TAIL] {
+        let inserted = server.store().snapshot().collection().segments().len() - 1;
+        for i in inserted..tail {
+            let doc = format!(
+                r#"{{"id": {}, "name": {{"first": "Sue", "last": "Kim"}}, "age": 40, "hobbies": [], "email": "u{i}@example.org"}}"#,
+                20_000 + i
+            );
+            let reply = server.serve("point", &Request::Insert { doc });
+            assert!(matches!(reply, Ok(Response::Inserted { .. })), "{reply:?}");
+        }
+        let segments = server.store().snapshot().collection().segments().len();
+        assert_eq!(segments, tail + 1, "S11: one segment per insert");
+        for (verb, req) in &verbs {
+            // A first, unmeasured call leaves lazily built state behind.
+            server.serve("point", req).expect("point read serves");
+            let before = sink.snapshot();
+            let (reply, prof) = memtrack::measure(|| server.serve("point", req));
+            let after = sink.snapshot();
+            let delta = |c: Counter| after.get(c) - before.get(c);
+            match reply {
+                Ok(Response::Docs { docs, .. }) => {
+                    assert_eq!(docs.len(), 1, "S11: point {verb} finds its document")
+                }
+                other => panic!("S11: point {verb} returned {other:?}"),
+            }
+            let (chunks, probes, ands) = (
+                delta(Counter::ChunksDispatched),
+                delta(Counter::IndexProbes),
+                delta(Counter::BitmapIntersections),
+            );
+            assert_eq!(
+                (chunks, probes, ands),
+                (0, 1, 0),
+                "S11 gate: a point {verb} at {tail} insert segments must dispatch 0 chunks, \
+                 record 1 index probe and 0 bitmap intersections (chunks, probes, ands)"
+            );
+            rows.push((*verb, tail, prof.allocs));
+        }
+    }
+    for (i, (verb, _, bare)) in rows[..verbs.len()].iter().enumerate() {
+        let tailed = rows[verbs.len() + i].2;
+        println!("point {verb}: {bare} allocations at 0 insert segments, {tailed} at {TAIL}");
+        assert_eq!(
+            *bare, tailed,
+            "S11 gate: a point {verb} makes {bare} allocations with no insert segment and \
+             {tailed} with {TAIL}: its cost grows with the insert tail"
+        );
+    }
+    rows
 }

@@ -564,12 +564,12 @@ impl<'c> Engine<'c> {
     /// The first `$match` of a pipeline, straight off the collection
     /// through the one governed find path,
     /// [`Collection::find_refs_with_ctx`]: a secondary-index probe when
-    /// [`Collection::route_of`] says the declared indexes answer part of
-    /// the conjunction (bitmap intersection plus a residual pass on
-    /// survivors only), the bound filter per document otherwise.
-    /// Both routes return refs in `(segment, doc)` order, so the route
-    /// is unobservable in the output, and `EXPLAIN` asks the same
-    /// routing function, so a plan's claimed route is the one that runs.
+    /// the declared indexes answer part of the conjunction (the probe
+    /// hits plus a residual pass on them only), the bound filter per
+    /// document otherwise. Both routes return refs in `(segment, doc)`
+    /// order, so the route is unobservable in the output, and `EXPLAIN`
+    /// asks the same planner, so a plan's claimed route is the one that
+    /// runs.
     fn leading_match<'p>(&self, f: &Filter) -> Result<Vec<Row<'p>>, QueryError> {
         let refs = self.coll.find_refs_with_ctx(f, &self.guard)?;
         Ok(refs.into_iter().map(Row::node).collect())

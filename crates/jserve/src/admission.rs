@@ -53,7 +53,7 @@ pub struct Admission {
 }
 
 /// An execution slot. Dropping it (normally or during a panic unwind)
-/// frees the slot and wakes one waiter — permits cannot leak.
+/// frees the slot and wakes one waiter, if any — permits cannot leak.
 pub struct Permit<'a> {
     gate: &'a Admission,
 }
@@ -62,8 +62,14 @@ impl Drop for Permit<'_> {
     fn drop(&mut self) {
         let mut st = self.gate.state.lock().unwrap_or_else(|e| e.into_inner());
         st.inflight -= 1;
+        // A waiter counts itself in `waiting` under this lock before it
+        // parks, so reading it here loses no wakeup; with nobody queued
+        // the notify (a wake syscall on futex condvars) is skipped.
+        let waiting = st.waiting > 0;
         drop(st);
-        self.gate.freed.notify_one();
+        if waiting {
+            self.gate.freed.notify_one();
+        }
     }
 }
 
@@ -175,6 +181,28 @@ mod tests {
         assert!(t0.elapsed() < Duration::from_millis(500));
         drop(_held);
         assert!(waiter.join().unwrap());
+    }
+
+    #[test]
+    fn dropped_permit_admits_the_queued_request() {
+        let gate = Arc::new(tight(1, 4, 10_000));
+        let held = gate.admit(None).unwrap();
+        let g2 = Arc::clone(&gate);
+        let waiter = std::thread::spawn(move || {
+            let t0 = Instant::now();
+            let admitted = g2.admit(None).is_ok();
+            (admitted, t0.elapsed())
+        });
+        while gate.state.lock().unwrap().waiting == 0 {
+            std::thread::yield_now();
+        }
+        drop(held);
+        let (admitted, waited) = waiter.join().unwrap();
+        assert!(admitted);
+        // Woken by the drop, not by the 10 s queue bound.
+        assert!(waited < Duration::from_secs(5), "waited {waited:?}");
+        assert_eq!(gate.state.lock().unwrap().waiting, 0);
+        assert_eq!(gate.inflight(), 0);
     }
 
     #[test]

@@ -106,6 +106,13 @@ impl CanonTable {
     /// resolved through `tree`'s interner first; a probe miss proves absence
     /// immediately.
     pub fn class_of_json(&self, tree: &JsonTree, value: &Json) -> Option<u32> {
+        // An atom is one signature lookup; only containers need the walk
+        // (and its work stacks).
+        match value {
+            Json::Num(n) => return self.interner.get(&Sig::Int(*n)).copied(),
+            Json::Str(s) => return self.interner.get(&Sig::Str(tree.sym(s)?)).copied(),
+            Json::Array(_) | Json::Object(_) => {}
+        }
         // Iterative bottom-up over the external value, mirroring `build` but
         // lookup-only: any unseen signature proves the value is absent.
         enum Frame<'a> {

@@ -2,19 +2,20 @@
 //!
 //! [`Collection::explain`] describes — without executing anything — the
 //! route [`Collection::find_refs_with_ctx`] takes for a filter. Both ask
-//! the one routing function, [`Collection::route_of`], which has two
-//! outcomes:
+//! the one index planner (`IndexSet::plan`) once and render or run the
+//! plan it returns; [`Collection::route_of`] reports its two outcomes:
 //!
-//! 1. **index** — [`Collection::index_answerable`]: at least one conjunct
-//!    probes a declared secondary index; the plan lists every probe and
-//!    the residual predicate evaluated on bitmap survivors.
+//! 1. **index** — a plan exists: at least one conjunct probes a declared
+//!    secondary index; the plan lists every probe and the residual
+//!    predicate evaluated on the probe hits (a lone `$eq` reads its
+//!    posting lists directly, other plans intersect bitmaps).
 //! 2. **scan** — otherwise, the chunk-parallel document scan.
 //!
 //! [`Collection::explain_analyze`] executes the *same* routed path under
 //! a fresh [`QueryMetrics`] sink and annotates the plan with what
 //! actually happened: row count, wall time, and the full counter
-//! snapshot. Because the plan and the execution share one routing
-//! function, the claimed route and the recorded counters cannot drift —
+//! snapshot. Because the plan and the execution share one planner, the
+//! claimed route and the recorded counters cannot drift —
 //! the `s10` bench gate asserts exactly this agreement (an index route
 //! records probes and zero scanned documents; a scan route records
 //! exactly the plan's `scan_docs` scanned documents and zero probes).
@@ -83,7 +84,7 @@ pub struct FindExplain {
     pub indexed_paths: Vec<String>,
     /// Index probes, in execution order (empty off the index route).
     pub probes: Vec<ProbeDesc>,
-    /// Residual conjunction evaluated on bitmap survivors, rendered;
+    /// Residual conjunction evaluated on the probe hits, rendered;
     /// `None` when the probes are exact (or off the index route).
     pub residual: Option<String>,
 }
@@ -240,41 +241,38 @@ fn describe_probe(path: &str, probe: &Probe<'_>) -> ProbeDesc {
 }
 
 impl Collection {
-    /// The route [`Collection::find_refs_with_ctx`] takes for `filter` —
-    /// the single routing function `EXPLAIN` and execution share:
-    /// [`Route::Index`] iff [`Collection::index_answerable`], else
+    /// The route [`Collection::find_refs_with_ctx`] takes for `filter`:
+    /// [`Route::Index`] iff the declared indexes plan at least one probe
+    /// for it (the planner `EXPLAIN` and execution share), else
     /// [`Route::Scan`].
     pub fn route_of(&self, filter: &Filter) -> Route {
-        if self.index_answerable(filter) {
-            Route::Index
-        } else {
-            Route::Scan
+        match self.indexes.plan(filter) {
+            Some(_) => Route::Index,
+            None => Route::Scan,
         }
     }
 
-    /// `EXPLAIN`: the plan for `filter`, without executing anything.
+    /// `EXPLAIN`: the plan for `filter`, without executing anything —
+    /// the index plan rendered as built, or the scan's extent.
     pub fn explain(&self, filter: &Filter) -> FindExplain {
-        let route = self.route_of(filter);
-        let mut probes = Vec::new();
-        let mut residual = None;
-        let mut scan_docs = 0;
-        if route == Route::Scan {
-            scan_docs = self.len() - self.scan_start(&filter.bind(self.interner()));
-        } else {
-            let plan = self
-                .indexes
-                .plan(filter)
-                .expect("index route implies a plan");
-            probes = plan
-                .probes
-                .iter()
-                .map(|(pi, probe)| describe_probe(self.indexes.path_name(*pi), probe))
-                .collect();
-            if !plan.residual.is_empty() {
-                let parts: Vec<String> = plan.residual.iter().map(|f| f.to_string()).collect();
-                residual = Some(parts.join(" && "));
+        let (route, scan_docs, probes, residual) = match self.indexes.plan(filter) {
+            None => {
+                let start = self.scan_start(&filter.bind(self.interner()));
+                (Route::Scan, self.len() - start, Vec::new(), None)
             }
-        }
+            Some(plan) => {
+                let probes = plan
+                    .probes
+                    .iter()
+                    .map(|(pi, probe)| describe_probe(self.indexes.path_name(*pi), probe))
+                    .collect();
+                let residual = (!plan.residual.is_empty()).then(|| {
+                    let parts: Vec<String> = plan.residual.iter().map(|f| f.to_string()).collect();
+                    parts.join(" && ")
+                });
+                (Route::Index, 0, probes, residual)
+            }
+        };
         FindExplain {
             filter: filter.to_string(),
             route,

@@ -26,28 +26,33 @@
 //!
 //! Planning ([`IndexSet::plan`]) flattens a conjunctive filter and splits
 //! it into an index-answerable prefix — `Compare(Eq|Gt|Gte|Lt|Lte)` and
-//! positive `In` on indexed paths — plus a residual predicate. Probes
-//! materialise document-set bitmaps ([`jnl::bitset::BitSet`]) that are
-//! ANDed in place; the residual conjuncts, bound to the collection's
-//! table once per query ([`Filter::bind`]), run
+//! positive `In` on indexed paths — plus a residual predicate. A lone
+//! `$eq` probe reads its per-segment posting lists straight into the hit
+//! list: each list is ascending and the segments are in ordinal order, so
+//! their concatenation is already in `(segment, doc)` order. Any other
+//! plan (intersections, `$in`, ranges) materialises one document-set
+//! bitmap ([`jnl::bitset::BitSet`]) per probe and ANDs them in place.
+//! The residual conjuncts, bound to the collection's table once per query
+//! ([`Filter::bind`]), then run
 //! [`BoundFilter::matches_at`](crate::BoundFilter::matches_at) only on the
-//! surviving ordinals. Missing-path semantics line up exactly: the filter
-//! dialect makes `Compare`/positive-`In` false on an unresolvable path,
-//! and a document without the path simply never enters a posting.
+//! hits. Missing-path semantics line up exactly: the filter dialect makes
+//! `Compare`/positive-`In` false on an unresolvable path, and a document
+//! without the path simply never enters a posting.
 //!
-//! [`Collection::find_refs_with_ctx`] takes this path whenever
-//! [`Collection::route_of`] says [`Route::Index`](crate::Route::Index).
-//! The document scan ([`Collection::find_refs_via_scan_with_ctx`]) stays
-//! as the differential oracle; `tests/index_differential.rs` sweeps
-//! layouts and thread counts asserting byte-identical output.
+//! [`Collection::find_refs_with_ctx`] plans once and executes this path
+//! whenever a plan exists (that is what [`Collection::route_of`] reports
+//! as [`Route::Index`](crate::Route::Index)). The document scan
+//! ([`Collection::find_refs_via_scan_with_ctx`]) stays as the
+//! differential oracle; `tests/index_differential.rs` sweeps layouts and
+//! thread counts asserting byte-identical output.
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
 use jguard::{QueryCtx, QueryError};
 use jnl::bitset::BitSet;
+use jsondata::fxhash::FxHashMap;
 use jsondata::{Json, JsonTree, NodeId};
 use jtrace::{Counter, SpanKind};
 
@@ -87,7 +92,7 @@ struct PathIndex {
 #[derive(Default)]
 struct SegPosting {
     /// canon class → ascending global document ordinals (the hash side).
-    eq: HashMap<u32, Vec<u32>>,
+    eq: FxHashMap<u32, Vec<u32>>,
     /// `(global ordinal, resolved value node)` ordered by
     /// [`cmp_nodes`] then ordinal (the sorted column). Storing the value
     /// node means range probes never re-resolve the path.
@@ -154,12 +159,6 @@ fn build_postings(
 }
 
 impl IndexSet {
-    /// Whether any index is declared (the fast-path gate: an empty set
-    /// costs nothing on insert and plans nothing).
-    pub fn is_empty(&self) -> bool {
-        self.paths.is_empty()
-    }
-
     /// The declared paths, in declaration order.
     pub fn declared(&self) -> impl Iterator<Item = &str> {
         self.paths.iter().map(|p| p.name.as_str())
@@ -225,10 +224,14 @@ impl IndexSet {
     }
 
     /// Splits a conjunctive filter into index probes + residual. `None`
-    /// when nothing is index-answerable (callers fall back to the scan).
-    /// Top-level `And`s are flattened through nesting; any other
-    /// top-level shape is treated as a one-conjunct conjunction.
+    /// when nothing is index-answerable (callers fall back to the scan),
+    /// at once when no index is declared. Top-level `And`s are flattened
+    /// through nesting; any other top-level shape is treated as a
+    /// one-conjunct conjunction.
     pub(crate) fn plan<'f>(&self, filter: &'f Filter) -> Option<IndexPlan<'f>> {
+        if self.paths.is_empty() {
+            return None;
+        }
         let mut probes = Vec::new();
         let mut residual = Vec::new();
         let mut stack: Vec<&'f Filter> = vec![filter];
@@ -258,13 +261,6 @@ impl IndexSet {
         Some(IndexPlan { probes, residual })
     }
 
-    /// Whether [`IndexSet::plan`] would find at least one probe for
-    /// `filter` — the planner gate `jagg` consults before routing a
-    /// leading `$match` through the index path.
-    pub(crate) fn answers(&self, filter: &Filter) -> bool {
-        !self.is_empty() && self.plan(filter).is_some()
-    }
-
     /// Runs one probe of the index at `pi`, inserting every matching
     /// document ordinal into `out`.
     fn probe_into(
@@ -275,13 +271,17 @@ impl IndexSet {
         out: &mut BitSet,
     ) {
         let index = &self.paths[pi];
-        for (seg, posting) in index.segs.iter().enumerate() {
-            let tree = &segments[seg];
+        let insert = |out: &mut BitSet, ords: &[u32]| {
+            for &o in ords {
+                out.insert(o as usize);
+            }
+        };
+        for (posting, tree) in index.segs.iter().zip(segments) {
             match probe {
-                Probe::Eq(v) => eq_hits(posting, tree, v, out),
+                Probe::Eq(v) => insert(out, posting.eq_list(tree, v)),
                 Probe::In(items) => {
                     for v in items.iter() {
-                        eq_hits(posting, tree, v, out);
+                        insert(out, posting.eq_list(tree, v));
                     }
                 }
                 Probe::Range(cmp, v) => range_hits(posting, tree, *cmp, v, out),
@@ -289,22 +289,76 @@ impl IndexSet {
         }
     }
 
-    /// Executes a plan: probes materialise bitmaps (byte budget charged
-    /// per bitmap), intersect in place with early exit on empty, then the
-    /// residual conjuncts — bound to the column's table once — run on
-    /// survivors only (row budget charged, ctx polled per document).
-    /// Output is in ascending ordinal — i.e. `(segment, doc)` — order,
-    /// identical to the scan oracle.
-    fn execute(
+    /// Executes a plan. A lone `$eq` probe concatenates its posting lists
+    /// into the hit list (charged to the byte budget); any other plan
+    /// builds one bitmap per probe (each charged before it is built) and
+    /// intersects them in place, stopping early on an empty one. The
+    /// residual conjuncts — bound to the column's table once — then run
+    /// on the hits only (ctx polled per document, survivors charged to
+    /// the row budget). Output is in ascending ordinal — i.e. `(segment,
+    /// doc)` — order, identical to the scan oracle.
+    pub(crate) fn execute(
         &self,
         plan: &IndexPlan<'_>,
         segments: &[Arc<JsonTree>],
         ctx: &QueryCtx,
     ) -> Result<Vec<DocRef>, QueryError> {
+        let mut hits = match plan.probes.as_slice() {
+            [(pi, Probe::Eq(v))] => {
+                ctx.record(Counter::IndexProbes, 1);
+                ctx.span_open(SpanKind::Probe, 0);
+                let ords = self.paths[*pi]
+                    .segs
+                    .iter()
+                    .zip(segments)
+                    .flat_map(|(posting, tree)| posting.eq_list(tree, v))
+                    .map(|&o| o as usize);
+                let hits: Vec<DocRef> = doc_refs_at(segments, ords).collect();
+                ctx.span_close(SpanKind::Probe, 0);
+                ctx.charge_bytes(std::mem::size_of_val(hits.as_slice()) as u64)?;
+                hits
+            }
+            probes => {
+                let acc = self.intersect(probes, segments, ctx)?;
+                doc_refs_at(segments, acc.iter()).collect()
+            }
+        };
+        let table = table_of(segments);
+        let residual: Vec<_> = plan.residual.iter().map(|f| f.bind(table)).collect();
+        let mut poll = ctx.poller();
+        let mut kept = 0;
+        for i in 0..hits.len() {
+            poll.tick()?;
+            let d = hits[i];
+            if residual
+                .iter()
+                .all(|f| f.matches_at(&segments[d.seg as usize], d.node))
+            {
+                hits[kept] = d;
+                kept += 1;
+            }
+        }
+        if !residual.is_empty() {
+            ctx.record(Counter::ResidualEvals, hits.len() as u64);
+        }
+        hits.truncate(kept);
+        ctx.charge_rows(kept as u64)?;
+        Ok(hits)
+    }
+
+    /// The bitmap side of [`IndexSet::execute`]: one document-set bitmap
+    /// per probe (byte budget charged per bitmap), ANDed in place with
+    /// early exit on empty.
+    fn intersect(
+        &self,
+        probes: &[(usize, Probe<'_>)],
+        segments: &[Arc<JsonTree>],
+        ctx: &QueryCtx,
+    ) -> Result<BitSet, QueryError> {
         let n = doc_count(segments);
         let bitmap_bytes = (n.div_ceil(64) * 8) as u64;
         let mut acc: Option<BitSet> = None;
-        for (ordinal, (pi, probe)) in plan.probes.iter().enumerate() {
+        for (ordinal, (pi, probe)) in probes.iter().enumerate() {
             ctx.charge_bytes(bitmap_bytes)?;
             // One probe answers the conjunct across *all* segments, so the
             // count is layout-invariant (same total before/after compact).
@@ -324,39 +378,21 @@ impl IndexSet {
                 break;
             }
         }
-        let acc = acc.expect("plan holds at least one probe");
-        let table = table_of(segments);
-        let residual: Vec<_> = plan.residual.iter().map(|f| f.bind(table)).collect();
-        let mut poll = ctx.poller();
-        let mut out = Vec::new();
-        let mut residual_evals = 0u64;
-        for d in doc_refs_at(segments, acc.iter()) {
-            poll.tick()?;
-            let tree = &segments[d.seg as usize];
-            if !residual.is_empty() {
-                residual_evals += 1;
-            }
-            if residual.iter().all(|f| f.matches_at(tree, d.node)) {
-                out.push(d);
-            }
-        }
-        ctx.record(Counter::ResidualEvals, residual_evals);
-        ctx.charge_rows(out.len() as u64)?;
-        Ok(out)
+        Ok(acc.expect("plan holds at least one probe"))
     }
 }
 
-/// `$eq` hits of one posting: classes the external constant into the
-/// segment's canon table and reads the posting list. An un-interned
-/// constant ([`jsondata::CanonTable::class_of_json`] → `None`) is an
-/// absence proof — nothing to insert.
-fn eq_hits(posting: &SegPosting, tree: &JsonTree, v: &Json, out: &mut BitSet) {
-    if let Some(class) = tree.canon().class_of_json(tree, v) {
-        if let Some(ords) = posting.eq.get(&class) {
-            for &o in ords {
-                out.insert(o as usize);
-            }
-        }
+impl SegPosting {
+    /// The ascending ordinals whose value equals `v`: classes the external
+    /// constant into the segment's canon table and reads the posting
+    /// list. An un-interned constant
+    /// ([`jsondata::CanonTable::class_of_json`] → `None`) is an absence
+    /// proof — the list is empty.
+    fn eq_list(&self, tree: &JsonTree, v: &Json) -> &[u32] {
+        tree.canon()
+            .class_of_json(tree, v)
+            .and_then(|class| self.eq.get(&class))
+            .map_or(&[], Vec::as_slice)
     }
 }
 
@@ -395,31 +431,6 @@ impl Collection {
     /// Whether a secondary index is declared on `path`.
     pub fn has_index(&self, path: &str) -> bool {
         self.indexes.declared().any(|p| p == path)
-    }
-
-    /// Whether the declared indexes can answer at least part of `filter`
-    /// — i.e. whether [`Collection::route_of`] picks the index route.
-    pub fn index_answerable(&self, filter: &Filter) -> bool {
-        self.indexes.answers(filter)
-    }
-
-    /// The index route of [`Collection::find_refs_with_ctx`]: the
-    /// conjunctive prefix the indexes can answer materialises
-    /// document-set bitmaps (one per probe, ANDed in place, each debiting
-    /// the byte budget), and only the surviving documents see the
-    /// residual predicate (polled per document, matches charged to the
-    /// row budget). Output is byte-identical to the scan for every filter
-    /// (differentially tested).
-    pub(crate) fn find_refs_by_index(
-        &self,
-        filter: &Filter,
-        ctx: &QueryCtx,
-    ) -> Result<Vec<DocRef>, QueryError> {
-        let plan = self
-            .indexes
-            .plan(filter)
-            .expect("the index route implies a plan");
-        self.indexes.execute(&plan, &self.segments, ctx)
     }
 }
 
@@ -530,7 +541,7 @@ mod tests {
         let mut c = Collection::parse_str("[]").unwrap();
         c.create_index("age");
         let q = f(r#"{"age": 28}"#);
-        assert!(c.index_answerable(&q));
+        assert_eq!(c.route_of(&q), Route::Index);
         assert!(routed(&c, &q).is_empty());
     }
 
@@ -540,7 +551,7 @@ mod tests {
         let mut c = coll();
         c.create_index("age");
         let q = f(r#"{"age": 28}"#);
-        // A one-byte budget cannot pay for the probe bitmap.
+        // A one-byte budget cannot pay for the probe's hit list.
         let ctx = QueryCtx::new().with_byte_budget(1);
         match c.find_refs_with_ctx(&q, &ctx) {
             Err(QueryError::BudgetExceeded {

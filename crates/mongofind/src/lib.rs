@@ -47,6 +47,7 @@
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 use jguard::{QueryCtx, QueryError};
@@ -1299,14 +1300,16 @@ impl Collection {
 
     /// `db.collection.find(filter)` — **the** governed read path: the
     /// tree-column locations of the matching documents, in `(segment,
-    /// doc)` order, answered on the route [`Collection::route_of`]
-    /// chooses (the index probe when the declared indexes answer part of
-    /// the conjunction, the document scan otherwise). The route decision
-    /// runs inside a `plan` span when the context carries a
-    /// span-recording sink. `EXPLAIN`, the `jagg` leading `$match` and
-    /// every `jserve` read verb reach execution through here, so a plan's
-    /// claimed route is the route that runs. Both routes poll `ctx` and
-    /// charge survivors against the row budget. The call runs under
+    /// doc)` order. The query is planned once, inside a `plan` span when
+    /// the context carries a span-recording sink: when the declared
+    /// indexes answer part of the conjunction, that index plan is
+    /// executed (a lone `$eq` reads its posting lists directly; other
+    /// plans intersect bitmaps), otherwise the document scan runs.
+    /// [`Collection::route_of`] and `EXPLAIN` ask the same planner, and
+    /// the `jagg` leading `$match` and every `jserve` read verb reach
+    /// execution through here, so a plan's claimed route is the route
+    /// that runs. Both routes poll `ctx` and charge survivors against
+    /// the row budget. The call runs under
     /// [`jpar::contain`]: a panic anywhere in it — in a scan chunk, or on
     /// the calling thread, such as the index route's residual loop —
     /// returns [`QueryError::WorkerPanicked`] with one audit event on
@@ -1318,11 +1321,11 @@ impl Collection {
     ) -> Result<Vec<DocRef>, QueryError> {
         jpar::contain(ctx, || {
             ctx.span_open(SpanKind::Plan, 0);
-            let route = self.route_of(filter);
+            let plan = self.indexes.plan(filter);
             ctx.span_close(SpanKind::Plan, 0);
-            match route {
-                Route::Index => self.find_refs_by_index(filter, ctx),
-                Route::Scan => self.find_refs_via_scan_with_ctx(filter, ctx),
+            match plan {
+                Some(plan) => self.indexes.execute(&plan, &self.segments, ctx),
+                None => self.find_refs_via_scan_with_ctx(filter, ctx),
             }
         })
     }
@@ -1391,18 +1394,19 @@ impl Collection {
         seed_len + self.segments[1..].partition_point(|t| !reaches(t))
     }
 
-    /// Materialises each ref through `make`, in parallel chunks, preserving
-    /// order (the output assembly of [`Collection::find_with_ctx`]). Polls
-    /// `ctx` per document and charges each materialised value against the
-    /// byte budget (a no-op traversal-free call when no budget is set).
+    /// Materialises each ref through `make`, preserving order (the output
+    /// assembly of [`Collection::find_with_ctx`]): in parallel chunks, or
+    /// on the calling thread with no chunk dispatched when
+    /// [`Pool::chunk_for`] yields a single chunk. Polls `ctx` per document
+    /// and charges each materialised value against the byte budget (a
+    /// no-op traversal-free call when no budget is set).
     fn materialize_refs(
         &self,
         ctx: &QueryCtx,
         refs: Vec<DocRef>,
         make: impl Fn(DocRef) -> Json + Sync,
     ) -> Result<Vec<Json>, QueryError> {
-        let chunk = self.pool.chunk_for(refs.len(), DOC_CHUNK_MIN);
-        self.pool.try_flat_map_chunks(ctx, refs.len(), chunk, |r| {
+        let build = |r: Range<usize>| {
             let mut poll = ctx.poller();
             let mut out = Vec::with_capacity(r.len());
             for &d in &refs[r] {
@@ -1412,7 +1416,12 @@ impl Collection {
                 out.push(v);
             }
             Ok(out)
-        })
+        };
+        let chunk = self.pool.chunk_for(refs.len(), DOC_CHUNK_MIN);
+        if chunk >= refs.len() {
+            return build(0..refs.len());
+        }
+        self.pool.try_flat_map_chunks(ctx, refs.len(), chunk, build)
     }
 
     /// `db.collection.find(filter)`: the matching documents, synthesized
