@@ -2137,13 +2137,13 @@ fn s10() {
         // The routed execution must return exactly what the scan oracle
         // returns.
         assert_eq!(
-            an.rows,
+            an.actual.rows,
             scan_refs(&icoll, &f).len(),
             "S10 gate: routed row count differs from the scan oracle on {label}"
         );
-        let probes = an.counters.get(Counter::IndexProbes);
-        let scanned = an.counters.get(Counter::DocsScanned);
-        let segments = an.counters.get(Counter::SegmentsVisited);
+        let probes = an.actual.counters.get(Counter::IndexProbes);
+        let scanned = an.actual.counters.get(Counter::DocsScanned);
+        let segments = an.actual.counters.get(Counter::SegmentsVisited);
         // The claimed route must be the one the counters prove ran, with
         // the unchosen routes' counters at zero.
         match ex.route {
@@ -2175,7 +2175,7 @@ fn s10() {
         println!(
             "route: {label}: {} ({} rows, {probes} probes, {scanned} scanned)",
             ex.route.name(),
-            an.rows
+            an.actual.rows
         );
         routes.push((label, probes, scanned));
     }
@@ -2199,13 +2199,13 @@ fn s10() {
             "S10 gate: traced cardinalities differ from the reference on {label}"
         );
         assert_eq!(
-            an.rows,
+            an.actual.rows,
             *expected.last().expect("pipelines are non-empty"),
             "S10 gate: output row count differs from the final cardinality on {label}"
         );
         let fused = an.plan.stages.iter().filter(|s| s.fused).count();
         println!("analyze: {label}: stage rows {got:?} == reference ({fused} fused stage(s))");
-        analyzed.push((label, an.wall_us, fused));
+        analyzed.push((label, an.actual.wall_us, fused));
     }
 
     // --- gate 1: metrics overhead on the S6 + selective S9 workloads --
@@ -2226,8 +2226,9 @@ fn s10() {
     });
     overheads.push(("indexed_probe", o));
 
-    // --- the flight recorder: one spanned run, dumped as Chrome trace --
-    let span_sink = Arc::new(QueryMetrics::with_spans(4096));
+    // --- the flight recorder: one spanned run under EXPLAIN ANALYZE's
+    // span-recording sink, dumped as Chrome trace ----------------------
+    let span_sink = mongofind::Actuals::recorder();
     let sctx = QueryCtx::new().with_metrics(Arc::clone(&span_sink));
     let pipe = jagg::Pipeline::parse_str(s6_pipelines()[0].1).expect("pipeline parses");
     jagg::aggregate_with_ctx(&icoll, &pipe, &sctx).expect("span ctx never trips");

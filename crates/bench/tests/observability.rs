@@ -12,7 +12,8 @@
 //! carry no such contract.)
 //!
 //! **Snapshots.** The `EXPLAIN` text and JSON renderings over the S9
-//! filter corpus are pinned byte-for-byte: plans are a public, diffable
+//! filter corpus are pinned byte-for-byte, and so are the `EXPLAIN
+//! ANALYZE` renderings up to wall time: plans are a public, diffable
 //! interface, and an accidental rendering change should fail loudly
 //! here rather than silently invalidate downstream tooling.
 
@@ -339,6 +340,78 @@ fn pipeline_explain_text_snapshot() {
                 \x20     probe[0] range: age >= 30\n\
                 \x20 note: top-k fusion: $sort+$skip+$limit run as a bounded heap (skip=5, limit=10)\n";
     assert_eq!(text, want, "pipeline explain snapshot drift:\n{text}");
+}
+
+/// `rendered` with every `wall_us` figure replaced by `_`: the only
+/// run-dependent value of an `EXPLAIN ANALYZE` rendering on a serial pool.
+fn mask_wall_us(rendered: &str) -> String {
+    let mut out = String::new();
+    let mut rest = rendered;
+    while let Some(i) = rest.find("wall_us") {
+        let (head, tail) = rest.split_at(i + "wall_us".len());
+        let sep = if tail.starts_with("\":") { 2 } else { 1 };
+        out.push_str(head);
+        out.push_str(&tail[..sep]);
+        out.push('_');
+        rest = tail[sep..].trim_start_matches(|c: char| c.is_ascii_digit());
+    }
+    out + rest
+}
+
+/// The top-level keys of a rendered plan, in order.
+fn keys(plan: &jsondata::Json) -> Vec<String> {
+    let obj = plan.as_object().expect("plans render to objects");
+    obj.pairs().iter().map(|(k, _)| k.clone()).collect()
+}
+
+#[test]
+fn analyze_snapshots_share_one_ending() {
+    let coll = snapshot_collection().with_pool(jpar::Pool::serial());
+    let f = Filter::parse_str(r#"{"age": {"$gte": 40, "$lt": 60}, "name.last": "Kim"}"#)
+        .expect("filter parses");
+    let an = coll
+        .explain_analyze(&f)
+        .expect("ungoverned analyze succeeds");
+    let want = "find (age >= 40 && age < 60 && name.last = \"Kim\")\n\
+                \x20 route: index  [docs=100, scan_docs=0, segments=1]\n\
+                \x20 indexes: [id, name.first, age]\n\
+                \x20 probe[0] range: age < 60\n\
+                \x20 probe[1] range: age >= 40\n\
+                \x20 residual: name.last = \"Kim\"\n\
+                \x20 actual: rows=6, wall_us=_\n\
+                \x20 counters: rows_emitted=6, index_probes=2, bitmap_intersections=1, \
+                residual_evals=31, bytes_charged=32, polls=1\n\
+                \x20 spans: recorded=6, dropped=0\n";
+    assert_eq!(mask_wall_us(&an.render_text()), want);
+    let find_keys = keys(&an.to_json());
+    assert_eq!(
+        find_keys[find_keys.len() - 4..],
+        ["rows", "wall_us", "counters", "spans"]
+    );
+    assert_eq!(find_keys[..find_keys.len() - 4], keys(&an.plan.to_json()));
+
+    let pipe = jagg::Pipeline::parse_str(
+        r#"[{"$match": {"age": {"$gte": 30}}}, {"$sort": {"age": 0}}, {"$skip": 5}, {"$limit": 10}]"#,
+    )
+    .expect("pipeline parses");
+    let an = jagg::explain_analyze(&coll, &pipe).expect("ungoverned analyze succeeds");
+    let text = mask_wall_us(&an.render_text());
+    let plan_text = an.plan.render_text();
+    let want = "  actual[0] $match: rows=87, wall_us=_\n\
+                \x20 actual[1] $sort: rows=87, wall_us=_\n\
+                \x20 actual[2] $skip: rows=82, wall_us=_\n\
+                \x20 actual[3] $limit: rows=10, wall_us=_\n\
+                \x20 actual: rows=10, wall_us=_\n\
+                \x20 counters: rows_emitted=87, index_probes=1, bytes_charged=16, polls=6, \
+                chunks_dispatched=1\n\
+                \x20 spans: recorded=10, dropped=0\n";
+    assert_eq!(text.strip_prefix(plan_text.as_str()), Some(want), "{text}");
+    let pipe_keys = keys(&an.to_json());
+    assert_eq!(
+        pipe_keys[pipe_keys.len() - 5..],
+        ["actual_stages", "rows", "wall_us", "counters", "spans"]
+    );
+    assert_eq!(pipe_keys[..pipe_keys.len() - 5], keys(&an.plan.to_json()));
 }
 
 /// `bytes_charged` of each S5 pipeline of [`bench::s5_pipelines`] under

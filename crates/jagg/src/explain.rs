@@ -12,9 +12,10 @@
 //! projection is marked fused too, with a second note naming the paths
 //! the sort keys are read at.
 //!
-//! [`explain_analyze`] executes the pipeline under a fresh
-//! [`QueryMetrics`] sink with per-stage tracing and annotates the plan
-//! with actual row counts, per-stage wall time, and the full counter
+//! [`explain_analyze`] executes the pipeline with per-stage tracing
+//! under a fresh span-recording sink ([`Actuals::measure`], the
+//! measurement the find analyzer shares) and annotates the plan with
+//! actual row counts, per-stage wall time, and the full counter
 //! snapshot. Fused blocks are expanded back into their constituent
 //! stages — `$project` and `$sort` preserve cardinality and the
 //! pagination arithmetic is exact — so the reported per-stage
@@ -27,13 +28,9 @@
 //! this crate in the dependency order, so the annotation flows from the
 //! caller.
 
-use std::sync::Arc;
-use std::time::Instant;
-
-use jguard::{QueryCtx, QueryError};
+use jguard::QueryError;
 use jsondata::Json;
-use jtrace::{QueryMetrics, Snapshot, ALL_COUNTERS};
-use mongofind::{Collection, FindExplain};
+use mongofind::{Actuals, Collection, FindExplain};
 
 use crate::exec::{clamp_len, execute, stage_label};
 use crate::pipeline::{
@@ -143,64 +140,29 @@ pub struct PipelineAnalyze {
     pub plan: PipelineExplain,
     /// Per-stage actuals, parallel to `plan.stages`.
     pub stages: Vec<StageActual>,
-    /// Output documents the pipeline produced.
-    pub rows: usize,
-    /// End-to-end wall time in microseconds.
-    pub wall_us: u64,
-    /// Counter snapshot of the execution's private metrics sink.
-    pub counters: Snapshot,
-    /// Span events the execution recorded into its ring.
-    pub spans_recorded: u64,
-    /// Span events lost to ring wrap-around — the honesty counter: a
-    /// nonzero value means the trace is a suffix, not the whole story.
-    pub spans_dropped: u64,
+    /// What the whole execution recorded; `rows` counts the output
+    /// documents.
+    pub actual: Actuals,
 }
 
 impl PipelineAnalyze {
-    /// Machine-stable JSON rendering: the plan annotated with actuals.
+    /// Machine-stable JSON rendering: the plan, then `actual_stages`,
+    /// then the [`Actuals::annotate_json`] keys.
     pub fn to_json(&self) -> Json {
-        let Json::Object(plan) = self.plan.to_json() else {
-            unreachable!("plans render to objects")
-        };
-        let mut pairs: Vec<(String, Json)> = plan
-            .pairs()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        pairs.push((
-            "actual_stages".into(),
-            Json::array(self.stages.iter().map(|s| {
-                Json::object(vec![
-                    ("stage".into(), Json::str(s.label)),
-                    ("rows".into(), Json::Num(s.rows_out as u64)),
-                    ("wall_us".into(), Json::Num(s.wall_us)),
-                ])
-                .expect("distinct literal keys")
-            })),
-        ));
-        pairs.push(("rows".into(), Json::Num(self.rows as u64)));
-        pairs.push(("wall_us".into(), Json::Num(self.wall_us)));
-        let counters: Vec<(String, Json)> = ALL_COUNTERS
-            .iter()
-            .map(|&c| (c.name().to_owned(), Json::Num(self.counters.get(c))))
-            .collect();
-        pairs.push((
-            "counters".into(),
-            Json::object(counters).expect("counter names are distinct"),
-        ));
-        pairs.push((
-            "spans".into(),
+        let stages = Json::array(self.stages.iter().map(|s| {
             Json::object(vec![
-                ("recorded".into(), Json::Num(self.spans_recorded)),
-                ("dropped".into(), Json::Num(self.spans_dropped)),
+                ("stage".into(), Json::str(s.label)),
+                ("rows".into(), Json::Num(s.rows_out as u64)),
+                ("wall_us".into(), Json::Num(s.wall_us)),
             ])
-            .expect("distinct literal keys"),
-        ));
-        Json::object(pairs).expect("annotation keys disjoint from plan keys")
+            .expect("distinct literal keys")
+        }));
+        self.actual
+            .annotate_json(self.plan.to_json(), Some(("actual_stages".into(), stages)))
     }
 
-    /// Human-readable rendering: the plan text plus per-stage actuals,
-    /// nonzero counters, and the span recorded/dropped tallies.
+    /// Human-readable rendering: the plan text, per-stage actuals, then
+    /// the [`Actuals::annotate_text`] lines.
     pub fn render_text(&self) -> String {
         let mut out = self.plan.render_text();
         for (i, s) in self.stages.iter().enumerate() {
@@ -209,19 +171,7 @@ impl PipelineAnalyze {
                 s.label, s.rows_out, s.wall_us
             ));
         }
-        out.push_str(&format!(
-            "  actual: rows={}, wall_us={}\n",
-            self.rows, self.wall_us
-        ));
-        let nz = self.counters.nonzero();
-        if !nz.is_empty() {
-            let parts: Vec<String> = nz.iter().map(|(k, v)| format!("{k}={v}")).collect();
-            out.push_str(&format!("  counters: {}\n", parts.join(", ")));
-        }
-        out.push_str(&format!(
-            "  spans: recorded={}, dropped={}\n",
-            self.spans_recorded, self.spans_dropped
-        ));
+        self.actual.annotate_text(&mut out);
         out
     }
 }
@@ -357,30 +307,22 @@ pub fn explain(coll: &Collection, pipeline: &Pipeline) -> PipelineExplain {
     }
 }
 
-/// `EXPLAIN ANALYZE`: plans, then executes the pipeline under a fresh
-/// private span-recording [`QueryMetrics`] sink with per-stage tracing,
-/// and returns the plan annotated with actual cardinalities, wall
-/// times, counters, and the span ring's recorded/dropped tallies.
+/// `EXPLAIN ANALYZE`: plans, then executes the pipeline with per-stage
+/// tracing under [`Actuals::measure`], and returns the plan annotated
+/// with actual cardinalities, wall times, counters, and the span ring's
+/// recorded/dropped tallies.
 pub fn explain_analyze(
     coll: &Collection,
     pipeline: &Pipeline,
 ) -> Result<PipelineAnalyze, QueryError> {
     let plan = explain(coll, pipeline);
-    let sink = Arc::new(QueryMetrics::with_spans(mongofind::ANALYZE_SPAN_CAPACITY));
-    let ctx = QueryCtx::new().with_metrics(Arc::clone(&sink));
     let mut stages = Vec::new();
-    let start = Instant::now();
-    let out = execute(coll, pipeline, &ctx, Some(&mut stages))?;
-    let wall_us = start.elapsed().as_micros() as u64;
-    let spans = sink.spans().expect("sink was built with a span ring");
+    let actual =
+        Actuals::measure(|ctx| Ok(execute(coll, pipeline, ctx, Some(&mut stages))?.len()))?;
     Ok(PipelineAnalyze {
         plan,
         stages,
-        rows: out.len(),
-        wall_us,
-        counters: sink.snapshot(),
-        spans_recorded: spans.recorded(),
-        spans_dropped: spans.dropped(),
+        actual,
     })
 }
 
@@ -481,7 +423,7 @@ mod tests {
             let expected = crate::reference::stage_cardinalities(&c.docs(), &p);
             let got: Vec<usize> = an.stages.iter().map(|s| s.rows_out).collect();
             assert_eq!(got, expected, "{src}");
-            assert_eq!(an.rows, *expected.last().unwrap(), "{src}");
+            assert_eq!(an.actual.rows, *expected.last().unwrap(), "{src}");
         }
     }
 
@@ -501,8 +443,9 @@ mod tests {
 
     #[test]
     fn analyze_execution_audits_each_contained_panic_once() {
-        use jguard::{Fault, QueryError, INJECTED_PANIC_MSG};
+        use jguard::{Fault, QueryCtx, QueryError, INJECTED_PANIC_MSG};
         use jtrace::Counter;
+        use std::sync::Arc;
 
         // `explain_analyze` executes through `execute` with a trace under
         // a context it builds; here the same context carries a fault.
@@ -514,7 +457,7 @@ mod tests {
         let mut panicked = 0;
         jguard::with_quiet_panics(|| {
             for k in 1..=8 {
-                let sink = Arc::new(QueryMetrics::with_spans(mongofind::ANALYZE_SPAN_CAPACITY));
+                let sink = Actuals::recorder();
                 let ctx = QueryCtx::new()
                     .with_metrics(Arc::clone(&sink))
                     .with_fault(Fault::PanicAtPoll(k));
@@ -545,8 +488,8 @@ mod tests {
         let an = explain_analyze(&c, &p).unwrap();
         // Per-stage tracing opens a span per stage; one small pipeline
         // never overflows the analyze ring.
-        assert!(an.spans_recorded > 0);
-        assert_eq!(an.spans_dropped, 0);
+        assert!(an.actual.spans_recorded > 0);
+        assert_eq!(an.actual.spans_dropped, 0);
         let text = an.render_text();
         assert!(text.contains("spans: recorded="), "{text}");
         let spans = an
@@ -556,7 +499,10 @@ mod tests {
             .and_then(Json::as_object)
             .cloned()
             .expect("spans object");
-        assert_eq!(spans.get("recorded"), Some(&Json::Num(an.spans_recorded)));
+        assert_eq!(
+            spans.get("recorded"),
+            Some(&Json::Num(an.actual.spans_recorded))
+        );
         assert_eq!(spans.get("dropped"), Some(&Json::Num(0)));
     }
 }

@@ -39,7 +39,9 @@ use mongofind::{Collection, Filter, Projection};
 use crate::admission::{Admission, AdmissionConfig};
 use crate::store::{Snapshot, Store};
 
-/// Per-tenant serving policy. Fields left `None` are unlimited.
+/// Per-tenant serving policy. Fields left `None` are unlimited. The
+/// tenant's metrics sink counts work and contained panics but records no
+/// spans ([`Server::tenant_metrics`]).
 #[derive(Debug, Clone)]
 pub struct TenantSpec {
     /// Tenant name — the routing key of [`Server::serve`].
@@ -52,14 +54,11 @@ pub struct TenantSpec {
     pub row_budget: Option<u64>,
     /// Ingestion limits for this tenant's inserts.
     pub parse_limits: ParseLimits,
-    /// Span-ring capacity of the tenant's metrics sink (0 = counters
-    /// only, no flight recorder).
-    pub span_capacity: usize,
 }
 
 impl TenantSpec {
-    /// A spec with no limits: counters-plus-spans sink, unlimited
-    /// everything, default parse limits.
+    /// A spec with no limits: unlimited everything, default parse
+    /// limits.
     pub fn new(name: impl Into<String>) -> TenantSpec {
         TenantSpec {
             name: name.into(),
@@ -67,7 +66,6 @@ impl TenantSpec {
             byte_budget: None,
             row_budget: None,
             parse_limits: ParseLimits::default(),
-            span_capacity: 1024,
         }
     }
 }
@@ -175,13 +173,10 @@ impl Server {
         }
     }
 
-    /// Registers a tenant; `false` (and no change) if the name is taken.
+    /// Registers a tenant with a fresh counters-only metrics sink (no
+    /// span ring); `false` (and no change) if the name is taken.
     pub fn register_tenant(&self, spec: TenantSpec) -> bool {
-        let metrics = Arc::new(if spec.span_capacity > 0 {
-            QueryMetrics::with_spans(spec.span_capacity)
-        } else {
-            QueryMetrics::new()
-        });
+        let metrics = Arc::new(QueryMetrics::new());
         let mut tenants = self.tenants.write().unwrap_or_else(|e| e.into_inner());
         if tenants.contains_key(&spec.name) {
             return false;
@@ -190,8 +185,12 @@ impl Server {
         true
     }
 
-    /// The shared metrics sink of a tenant — counters and spans
-    /// aggregated across every request the tenant has run.
+    /// The shared metrics sink of a tenant — counters and contained
+    /// panics aggregated across every request the tenant has run. It
+    /// records no spans: `EXPLAIN ANALYZE` records them in its own
+    /// private ring, and a caller that wants a trace attaches a
+    /// span-recording sink ([`mongofind::Actuals::recorder`]) to its own
+    /// [`QueryCtx`].
     pub fn tenant_metrics(&self, name: &str) -> Option<Arc<QueryMetrics>> {
         self.tenants
             .read()
@@ -537,6 +536,8 @@ mod tests {
         assert!(s.serve("slow", &req).is_ok());
         let m = s.tenant_metrics("slow").unwrap();
         assert!(m.get(Counter::DocsScanned) > 0);
+        // The sink counts without a span ring: no request pays for spans.
+        assert!(m.spans().is_none());
         // A fault that sleeps past the deadline trips Deadline, not a hang.
         let err = s
             .serve_with_fault("slow", &req, Fault::SleepAtPoll { at: 1, millis: 200 })

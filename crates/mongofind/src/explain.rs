@@ -12,7 +12,8 @@
 //! 2. **scan** — otherwise, the chunk-parallel document scan.
 //!
 //! [`Collection::explain_analyze`] executes the *same* routed path under
-//! a fresh [`QueryMetrics`] sink and annotates the plan with what
+//! a fresh span-recording sink ([`Actuals::measure`], the measurement
+//! `jagg`'s pipeline analyzer shares) and annotates the plan with what
 //! actually happened: row count, wall time, and the full counter
 //! snapshot. Because the plan and the execution share one planner, the
 //! claimed route and the recorded counters cannot drift —
@@ -145,20 +146,25 @@ impl FindExplain {
     }
 }
 
-/// Span-ring capacity for `EXPLAIN ANALYZE` sinks. A find touches a
+/// Span-ring capacity of the [`Actuals`] recorder. A find touches a
 /// handful of spans per segment; 4096 slots hold any realistic single
 /// query, and the `spans_dropped` honesty counter reports overflow when
 /// one doesn't fit.
-pub const ANALYZE_SPAN_CAPACITY: usize = 4096;
+const ANALYZE_SPAN_CAPACITY: usize = 4096;
 
-/// The `EXPLAIN ANALYZE` result: the plan plus what execution recorded.
+/// What one `EXPLAIN ANALYZE` execution recorded — the measurement both
+/// analyzers share ([`FindAnalyze`] here, `jagg`'s `PipelineAnalyze`).
+///
+/// [`Actuals::measure`] runs the execution under a fresh private sink
+/// that records spans as well as counters. Serving sinks count without
+/// a span ring, so spans are recorded only where a report reads them:
+/// here, or by a caller that attaches [`Actuals::recorder`] to its own
+/// [`QueryCtx`].
 #[derive(Debug, Clone)]
-pub struct FindAnalyze {
-    /// The plan, as [`Collection::explain`] would have produced it.
-    pub plan: FindExplain,
-    /// Matching documents the routed execution returned.
+pub struct Actuals {
+    /// Rows the execution returned.
     pub rows: usize,
-    /// Wall time of the routed execution, in microseconds.
+    /// Wall time of the execution, in microseconds.
     pub wall_us: u64,
     /// Counter snapshot of the execution's private metrics sink.
     pub counters: Snapshot,
@@ -169,19 +175,42 @@ pub struct FindAnalyze {
     pub spans_dropped: u64,
 }
 
-impl FindAnalyze {
-    /// Machine-stable JSON rendering: the plan annotated with actuals.
-    /// Counters appear under `"counters"` with every counter present
-    /// (zeros included) so the schema is layout-independent.
-    pub fn to_json(&self) -> Json {
-        let Json::Object(plan) = self.plan.to_json() else {
+impl Actuals {
+    /// A fresh metrics sink with a span ring of `EXPLAIN ANALYZE`'s
+    /// capacity.
+    pub fn recorder() -> Arc<QueryMetrics> {
+        Arc::new(QueryMetrics::with_spans(ANALYZE_SPAN_CAPACITY))
+    }
+
+    /// Runs `run` under a context carrying a fresh [`Actuals::recorder`]
+    /// and times it; `run` returns the number of rows it produced.
+    pub fn measure(
+        run: impl FnOnce(&QueryCtx) -> Result<usize, QueryError>,
+    ) -> Result<Actuals, QueryError> {
+        let sink = Actuals::recorder();
+        let ctx = QueryCtx::new().with_metrics(Arc::clone(&sink));
+        let start = Instant::now();
+        let rows = run(&ctx)?;
+        let wall_us = start.elapsed().as_micros() as u64;
+        let spans = sink.spans().expect("the recorder has a span ring");
+        Ok(Actuals {
+            rows,
+            wall_us,
+            counters: sink.snapshot(),
+            spans_recorded: spans.recorded(),
+            spans_dropped: spans.dropped(),
+        })
+    }
+
+    /// Annotates a rendered plan object: its keys, then `extra`, then
+    /// `rows`, `wall_us`, `counters` (every counter present, zeros
+    /// included, so the schema is layout-independent) and `spans`.
+    pub fn annotate_json(&self, plan: Json, extra: Option<(String, Json)>) -> Json {
+        let Json::Object(plan) = plan else {
             unreachable!("plans render to objects")
         };
-        let mut pairs: Vec<(String, Json)> = plan
-            .pairs()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
+        let mut pairs: Vec<(String, Json)> = plan.pairs().to_vec();
+        pairs.extend(extra);
         pairs.push(("rows".into(), Json::Num(self.rows as u64)));
         pairs.push(("wall_us".into(), Json::Num(self.wall_us)));
         let counters: Vec<(String, Json)> = ALL_COUNTERS
@@ -203,10 +232,9 @@ impl FindAnalyze {
         Json::object(pairs).expect("annotation keys disjoint from plan keys")
     }
 
-    /// Human-readable rendering: the plan text plus `actual:`,
-    /// `counters:` (nonzero counters only), and `spans:` lines.
-    pub fn render_text(&self) -> String {
-        let mut out = self.plan.render_text();
+    /// Appends the `actual:`, `counters:` (nonzero counters only) and
+    /// `spans:` lines to a rendered plan.
+    pub fn annotate_text(&self, out: &mut String) {
         out.push_str(&format!(
             "  actual: rows={}, wall_us={}\n",
             self.rows, self.wall_us
@@ -220,6 +248,31 @@ impl FindAnalyze {
             "  spans: recorded={}, dropped={}\n",
             self.spans_recorded, self.spans_dropped
         ));
+    }
+}
+
+/// The `EXPLAIN ANALYZE` result: the plan plus what execution recorded.
+#[derive(Debug, Clone)]
+pub struct FindAnalyze {
+    /// The plan, as [`Collection::explain`] would have produced it.
+    pub plan: FindExplain,
+    /// What the routed execution recorded; `rows` counts the matching
+    /// documents.
+    pub actual: Actuals,
+}
+
+impl FindAnalyze {
+    /// Machine-stable JSON rendering: the plan annotated with actuals
+    /// ([`Actuals::annotate_json`]).
+    pub fn to_json(&self) -> Json {
+        self.actual.annotate_json(self.plan.to_json(), None)
+    }
+
+    /// Human-readable rendering: the plan text plus the
+    /// [`Actuals::annotate_text`] lines.
+    pub fn render_text(&self) -> String {
+        let mut out = self.plan.render_text();
+        self.actual.annotate_text(&mut out);
         out
     }
 }
@@ -285,26 +338,14 @@ impl Collection {
         }
     }
 
-    /// `EXPLAIN ANALYZE`: plans, then executes the routed path under a
-    /// fresh private span-recording [`QueryMetrics`] sink, and returns
-    /// the plan annotated with actual rows, wall time, counters, and the
-    /// span ring's recorded/dropped tallies.
+    /// `EXPLAIN ANALYZE`: plans, then executes the routed path under
+    /// [`Actuals::measure`], and returns the plan annotated with actual
+    /// rows, wall time, counters, and the span ring's recorded/dropped
+    /// tallies.
     pub fn explain_analyze(&self, filter: &Filter) -> Result<FindAnalyze, QueryError> {
         let plan = self.explain(filter);
-        let sink = Arc::new(QueryMetrics::with_spans(ANALYZE_SPAN_CAPACITY));
-        let ctx = QueryCtx::new().with_metrics(Arc::clone(&sink));
-        let start = Instant::now();
-        let refs = self.find_refs_with_ctx(filter, &ctx)?;
-        let wall_us = start.elapsed().as_micros() as u64;
-        let spans = sink.spans().expect("sink was built with a span ring");
-        Ok(FindAnalyze {
-            plan,
-            rows: refs.len(),
-            wall_us,
-            counters: sink.snapshot(),
-            spans_recorded: spans.recorded(),
-            spans_dropped: spans.dropped(),
-        })
+        let actual = Actuals::measure(|ctx| Ok(self.find_refs_with_ctx(filter, ctx)?.len()))?;
+        Ok(FindAnalyze { plan, actual })
     }
 }
 
@@ -340,10 +381,10 @@ mod tests {
         assert_eq!(ex.probes.len(), 1);
         assert_eq!(ex.probes[0].kind, "range");
         let an = coll.explain_analyze(&f).unwrap();
-        assert_eq!(an.rows, 2);
-        assert!(an.counters.get(Counter::IndexProbes) > 0);
-        assert_eq!(an.counters.get(Counter::DocsScanned), 0);
-        assert_eq!(an.counters.get(Counter::SegmentsVisited), 0);
+        assert_eq!(an.actual.rows, 2);
+        assert!(an.actual.counters.get(Counter::IndexProbes) > 0);
+        assert_eq!(an.actual.counters.get(Counter::DocsScanned), 0);
+        assert_eq!(an.actual.counters.get(Counter::SegmentsVisited), 0);
 
         // Scan route: any unindexed filter, in or out of the exactly
         // JNL-compilable fragment.
@@ -357,11 +398,14 @@ mod tests {
             let ex = coll.explain(&f);
             assert_eq!(ex.route, Route::Scan, "{src}");
             let an = coll.explain_analyze(&f).unwrap();
-            assert_eq!(an.rows, rows, "{src}");
+            assert_eq!(an.actual.rows, rows, "{src}");
             assert_eq!(ex.scan_docs, scan_docs, "{src}");
-            assert_eq!(an.counters.get(Counter::DocsScanned), ex.scan_docs as u64);
-            assert_eq!(an.counters.get(Counter::IndexProbes), 0);
-            assert_eq!(an.counters.get(Counter::SegmentsVisited), 0);
+            assert_eq!(
+                an.actual.counters.get(Counter::DocsScanned),
+                ex.scan_docs as u64
+            );
+            assert_eq!(an.actual.counters.get(Counter::IndexProbes), 0);
+            assert_eq!(an.actual.counters.get(Counter::SegmentsVisited), 0);
         }
 
         // The JNL oracle is no route, but it records its own counter:
@@ -439,11 +483,14 @@ mod tests {
         let an = coll.explain_analyze(&f).unwrap();
         // The routed path always opens at least the plan span, and a
         // single small query never overflows the analyze ring.
-        assert!(an.spans_recorded > 0);
-        assert_eq!(an.spans_dropped, 0);
+        assert!(an.actual.spans_recorded > 0);
+        assert_eq!(an.actual.spans_dropped, 0);
         let text = an.render_text();
         assert!(
-            text.contains(&format!("spans: recorded={}, dropped=0", an.spans_recorded)),
+            text.contains(&format!(
+                "spans: recorded={}, dropped=0",
+                an.actual.spans_recorded
+            )),
             "{text}"
         );
         let json = an.to_json();
@@ -452,7 +499,10 @@ mod tests {
             .and_then(|o| o.get("spans"))
             .and_then(Json::as_object)
             .expect("spans object");
-        assert_eq!(spans.get("recorded"), Some(&Json::Num(an.spans_recorded)));
+        assert_eq!(
+            spans.get("recorded"),
+            Some(&Json::Num(an.actual.spans_recorded))
+        );
         assert_eq!(spans.get("dropped"), Some(&Json::Num(0)));
     }
 }

@@ -22,9 +22,9 @@
 //!   are differentially tested against.
 //! * [`Collection::find`] — evaluation over a collection (index probe or
 //!   document scan, chosen by [`Collection::route_of`]), plus
-//!   [`Projection`] (the §6 future-work feature) as a basic
-//!   include/exclude JSON→JSON transformation. The compiled JNL formula
-//!   evaluated by the Prop 1 engine stays available as an oracle
+//!   [`Projection`] (the §6 future-work feature) as a basic JSON→JSON
+//!   transformation, inclusions only (`{path: 1}`). The compiled JNL
+//!   formula evaluated by the Prop 1 engine stays available as an oracle
 //!   ([`Collection::find_refs_via_jnl_with_ctx`]).
 //!
 //! ```
@@ -59,7 +59,7 @@ use jtrace::{Counter, SpanKind};
 mod explain;
 mod index;
 
-pub use explain::{FindAnalyze, FindExplain, ProbeDesc, Route, ANALYZE_SPAN_CAPACITY};
+pub use explain::{Actuals, FindAnalyze, FindExplain, ProbeDesc, Route};
 pub use index::IndexSet;
 
 /// Minimum per-chunk document count for the parallel scan paths: ranges
@@ -923,7 +923,7 @@ pub fn cmp_nodes(ta: &JsonTree, a: NodeId, tb: &JsonTree, b: NodeId) -> Ordering
 }
 
 /// A projection: the second argument of `find` (§6 future work, basic
-/// include/exclude form).
+/// form: inclusions only, `{path: 1}`; every exclusion is rejected).
 #[derive(Debug, Clone, Default)]
 pub struct Projection {
     /// Paths to keep; empty = keep everything.
