@@ -2577,6 +2577,9 @@ fn s11() {
     // --- gate 4: a point read costs one probe, whatever the tail -------
     let point = s11_point_reads();
 
+    // --- gate 5: an insert costs what its own document costs -----------
+    let insert_costs = s11_insert_costs();
+
     let mut report = Report::new("s11_serving");
     report.gate(
         "every concurrent read byte-identical to the serial replay of its snapshot's committed \
@@ -2595,6 +2598,14 @@ fn s11() {
          record 1 index probe and 0 bitmap intersections, and make as many allocations with \
          64 insert segments as with none",
     );
+    report.gate(format!(
+        "a served insert makes at most {INSERT_MAX_ALLOCS} allocations at {INSERT_TAILS:?} \
+         insert segments, and its peak bytes grow by at most \
+         {INSERT_PEAK_BYTES_PER_SEGMENT} per segment from the first tail to the last"
+    ));
+    // Which epochs the storm's reads land on, and whether admission sheds
+    // a request (and so how many reads and inserts complete), depend on
+    // how the client threads interleave: two runs of one commit differ.
     for (name, n, better) in [
         (
             "storm.observations",
@@ -2603,12 +2614,16 @@ fn s11() {
         ),
         ("storm.epochs_checked", epochs_checked, Better::Higher),
         ("storm.inserts", inserts, Better::Higher),
-        ("storm.compactions", compactions, Better::Higher),
         ("storm.shed", shed, Better::Lower),
+        ("faults.shed", fault_shed, Better::Lower),
+    ] {
+        report.schedule_count(name, n, better);
+    }
+    for (name, n, better) in [
+        ("storm.compactions", compactions, Better::Higher),
         ("faults.ok", ok, Better::Higher),
         ("faults.panics_contained", contained, Better::Higher),
         ("faults.deadlines", deadlines, Better::Higher),
-        ("faults.shed", fault_shed, Better::Lower),
     ] {
         report.count(name, n, better);
     }
@@ -2633,19 +2648,23 @@ fn s11() {
             Better::Lower,
         );
     }
+    for (tail, prof) in insert_costs {
+        report.count(
+            format!("insert.allocs.tail{tail}"),
+            prof.allocs,
+            Better::Lower,
+        );
+        report.bytes(format!("insert.peak_bytes.tail{tail}"), prof.peak_bytes);
+    }
     report.write("BENCH_serving.json");
 }
 
-/// S11 gate 4: serves a point Find, FindProject and `$match` Aggregate on
-/// a serial-pool server over the servebench-shaped corpus, first with no
-/// insert segment and then with 64, and asserts each request's chunk,
-/// probe and intersection counts and that its allocations do not grow
-/// with the tail. Returns `(verb, insert segments, allocations)` rows.
-fn s11_point_reads() -> Vec<(&'static str, usize, u64)> {
-    use jserve::{AdmissionConfig, Request, Response, Server, TenantSpec};
-    use jtrace::Counter;
+/// The servebench-shaped corpus of S11 gates 4 and 5 on a serial-pool
+/// server: 20k person records indexed on `id`, `name.first` and `age`,
+/// with one tenant, `"point"`.
+fn s11_corpus_server() -> jserve::Server {
+    use jserve::{AdmissionConfig, Server, TenantSpec};
 
-    const TAIL: usize = 64;
     let corpus = jsondata::gen::person_records(20_000, 1);
     let mut coll = mongofind::Collection::parse_str(&jsondata::serialize::to_string(&corpus))
         .expect("corpus parses");
@@ -2655,6 +2674,92 @@ fn s11_point_reads() -> Vec<(&'static str, usize, u64)> {
     coll.set_pool(jpar::Pool::serial());
     let server = Server::new(coll, AdmissionConfig::default());
     assert!(server.register_tenant(TenantSpec::new("point")));
+    server
+}
+
+/// The `i`-th document S11 gates 4 and 5 insert: servebench-shaped, with
+/// an email that brings a new string.
+fn s11_insert_doc(i: usize) -> String {
+    format!(
+        r#"{{"id": {}, "name": {{"first": "Sue", "last": "Kim"}}, "age": 40, "hobbies": [], "email": "u{i}@example.org"}}"#,
+        20_000 + i
+    )
+}
+
+/// The insert tails S11 gate 5 measures at.
+const INSERT_TAILS: [usize; 3] = [0, 64, 127];
+/// Most allocations a served insert may make at each of [`INSERT_TAILS`].
+const INSERT_MAX_ALLOCS: u64 = 42;
+/// Most a served insert's peak bytes may grow per insert segment, from
+/// the first of [`INSERT_TAILS`] to the last: a snapshot clone copies one
+/// pointer per segment, and nothing else an insert does grows with them.
+const INSERT_PEAK_BYTES_PER_SEGMENT: usize = 16;
+
+/// S11 gate 5: on a fresh [`s11_corpus_server`], serves one insert at
+/// each of [`INSERT_TAILS`] insert segments (the ones before it
+/// unmeasured) and asserts its allocation count and the growth of its
+/// peak bytes with the tail (`bench::memtrack`, serial pool). Returns
+/// `(tail, profile)` rows.
+fn s11_insert_costs() -> Vec<(usize, memtrack::AllocProfile)> {
+    use jserve::{Request, Response};
+
+    let server = s11_corpus_server();
+    let insert = |i: usize| {
+        let reply = server.serve(
+            "point",
+            &Request::Insert {
+                doc: s11_insert_doc(i),
+            },
+        );
+        assert!(matches!(reply, Ok(Response::Inserted { .. })), "{reply:?}");
+    };
+    let mut rows = Vec::new();
+    let mut inserted = 0;
+    for tail in INSERT_TAILS {
+        for i in inserted..tail {
+            insert(i);
+        }
+        let ((), prof) = memtrack::measure(|| insert(tail));
+        inserted = tail + 1;
+        println!(
+            "insert at {tail} insert segments: {} allocations, peak {} bytes",
+            prof.allocs, prof.peak_bytes
+        );
+        assert!(
+            prof.allocs <= INSERT_MAX_ALLOCS,
+            "S11 gate: a served insert at {tail} insert segments makes {} allocations \
+             (at most {INSERT_MAX_ALLOCS} allowed)",
+            prof.allocs
+        );
+        rows.push((tail, prof));
+    }
+    let (first, last) = (&rows[0], &rows[rows.len() - 1]);
+    let segments = last.0 - first.0;
+    let growth = last.1.peak_bytes.saturating_sub(first.1.peak_bytes);
+    assert!(
+        growth <= INSERT_PEAK_BYTES_PER_SEGMENT * segments,
+        "S11 gate: a served insert peaks at {} bytes at {} insert segments and {} at {}: \
+         {growth} bytes more over {segments} segments (at most \
+         {INSERT_PEAK_BYTES_PER_SEGMENT} per segment allowed)",
+        first.1.peak_bytes,
+        first.0,
+        last.1.peak_bytes,
+        last.0
+    );
+    rows
+}
+
+/// S11 gate 4: serves a point Find, FindProject and `$match` Aggregate on
+/// a serial-pool server over the servebench-shaped corpus, first with no
+/// insert segment and then with 64, and asserts each request's chunk,
+/// probe and intersection counts and that its allocations do not grow
+/// with the tail. Returns `(verb, insert segments, allocations)` rows.
+fn s11_point_reads() -> Vec<(&'static str, usize, u64)> {
+    use jserve::{Request, Response};
+    use jtrace::Counter;
+
+    const TAIL: usize = 64;
+    let server = s11_corpus_server();
     let sink = server.tenant_metrics("point").expect("tenant registered");
     let filter = r#"{"id": 4242}"#;
     let verbs = [
@@ -2682,11 +2787,12 @@ fn s11_point_reads() -> Vec<(&'static str, usize, u64)> {
     for tail in [0, TAIL] {
         let inserted = server.store().snapshot().collection().segments().len() - 1;
         for i in inserted..tail {
-            let doc = format!(
-                r#"{{"id": {}, "name": {{"first": "Sue", "last": "Kim"}}, "age": 40, "hobbies": [], "email": "u{i}@example.org"}}"#,
-                20_000 + i
+            let reply = server.serve(
+                "point",
+                &Request::Insert {
+                    doc: s11_insert_doc(i),
+                },
             );
-            let reply = server.serve("point", &Request::Insert { doc });
             assert!(matches!(reply, Ok(Response::Inserted { .. })), "{reply:?}");
         }
         let segments = server.store().snapshot().collection().segments().len();

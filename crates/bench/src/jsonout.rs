@@ -93,6 +93,14 @@ impl Report {
         self.metric(name, n.into() as f64, "count", better);
     }
 
+    /// A count that depends on how concurrent threads interleave (epochs
+    /// a storm happened to observe, requests admission shed), so that two
+    /// runs of the same code may differ. Recorded under the unit
+    /// [`SCHEDULE_COUNT`], which [`Change::noisy`] treats as noisy.
+    pub fn schedule_count(&mut self, name: impl Into<String>, n: u64, better: Better) {
+        self.metric(name, n as f64, SCHEDULE_COUNT, better);
+    }
+
     /// The report as a JSON document, with `env` filled in as given.
     fn render(&self, nproc: usize, threads: usize, rev: &str) -> String {
         let mut out = format!(
@@ -149,10 +157,14 @@ pub struct Change {
     pub new: f64,
 }
 
+/// The unit of [`Report::schedule_count`] figures.
+pub const SCHEDULE_COUNT: &str = "count (schedule)";
+
 impl Change {
-    /// Wall-clock metrics (`ms`) move between two runs of the same code.
+    /// Wall-clock metrics (`ms`) and schedule-dependent counts
+    /// ([`SCHEDULE_COUNT`]) move between two runs of the same code.
     pub fn noisy(&self) -> bool {
-        self.unit == "ms"
+        self.unit == "ms" || self.unit == SCHEDULE_COUNT
     }
 
     /// Whether the value moved.
@@ -339,6 +351,20 @@ mod tests {
         let err = compare(&a, &Report::new("other").render(1, 1, "y")).unwrap_err();
         assert_eq!(err, "experiment differs: demo vs other");
         assert!(compare("{", &a).unwrap_err().starts_with("old report"));
+    }
+
+    #[test]
+    fn schedule_counts_are_noisy() {
+        let run = |epochs: u64| {
+            let mut r = Report::new("demo");
+            r.schedule_count("storm.epochs", epochs, Better::Higher);
+            r.count("insert.allocs", 29u64, Better::Lower);
+            r.render(2, 2, "x")
+        };
+        let changes = compare(&run(41), &run(40)).unwrap();
+        assert_eq!(changes[0].unit, SCHEDULE_COUNT);
+        assert!(changes[0].noisy() && changes[0].changed());
+        assert!(!changes[1].noisy() && !changes[1].changed());
     }
 
     #[test]

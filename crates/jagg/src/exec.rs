@@ -137,7 +137,7 @@ use jsondata::{Json, JsonTree, NodeId, NodeKind};
 use jtrace::{Counter, SpanKind};
 use mongofind::{
     cmp_node_json, cmp_nodes, insert_path, step_node, BoundFilter, BoundPath, Collection, DocRef,
-    Filter, Operand, Path,
+    Filter, Operand, Path, Step,
 };
 
 use crate::explain::StageActual;
@@ -983,6 +983,7 @@ impl<'c> Engine<'c> {
             .map(|p| self.bind(p))
             .collect();
         let width = paths.len();
+        let shared = shared_steps(&paths);
         // The distinct operand paths, one column each.
         let mut cols: Vec<BoundPath<'_>> = Vec::new();
         let srcs: Vec<Src<'_>> = spec
@@ -1028,7 +1029,7 @@ impl<'c> Engine<'c> {
                 for (k, i) in r.enumerate() {
                     poll.tick()?;
                     let row = &rows[i];
-                    let key = self.row_key(row, &paths, &spec.id, &mut ck);
+                    let key = self.row_key(row, &paths, shared, &spec.id, &mut ck);
                     ck.keys.push(key);
                     for (c, p) in cols.iter().enumerate() {
                         ck.cells[c * len + k] = match self.locate(row, p) {
@@ -1170,21 +1171,45 @@ impl<'c> Engine<'c> {
         Ok(out)
     }
 
-    /// Resolves a row's `$group` key, each field path once. While every
-    /// field is a tree node or missing, the key is a tuple appended to
-    /// the chunk's `classes`/`nodes`; at the first owned or merged field
-    /// the tuple so far is taken back and the key materialises from the
-    /// values already resolved plus the remaining fields.
+    /// Resolves a row's `$group` key, each field path once. The first
+    /// `shared` steps, which every field path has in common
+    /// ([`shared_steps`]), are walked once per row on a plain tree row
+    /// (no owned base, no binding), and each path goes on from there.
+    /// While every field is a tree node or missing, the key is a tuple
+    /// appended to the chunk's `classes`/`nodes`; at the first owned or
+    /// merged field the tuple so far is taken back and the key
+    /// materialises from the values already resolved plus the remaining
+    /// fields.
     fn row_key(
         &self,
         row: &Row<'_>,
         paths: &[BoundPath<'_>],
+        shared: usize,
         id: &IdExpr,
         ck: &mut GroupChunk<'_>,
     ) -> RowKey {
+        let walk = |d: DocRef, steps: &[Step]| {
+            let tree = self.tree(d.seg);
+            let node = steps
+                .iter()
+                .try_fold(d.node, |at, s| step_node(tree, at, s))?;
+            Some(DocRef { seg: d.seg, node })
+        };
+        let prefix = match &row.base {
+            Base::Node(d) if shared > 0 && row.binds.is_empty() => {
+                Some(walk(*d, &paths[0].steps()[..shared]))
+            }
+            _ => None,
+        };
         let at = ck.classes.len();
         for (j, p) in paths.iter().enumerate() {
-            match self.resolve(row, p) {
+            let resolved = match prefix {
+                Some(from) => from
+                    .and_then(|d| walk(d, &p.steps()[shared..]))
+                    .map(Resolved::Node),
+                None => self.resolve(row, p),
+            };
+            match resolved {
                 Some(Resolved::Node(d)) => {
                     ck.classes
                         .push((d.seg, self.tree(d.seg).canon().class_of(d.node)));
@@ -1677,6 +1702,22 @@ fn assemble_key(id: &IdExpr, mut values: impl Iterator<Item = Option<Json>>) -> 
 /// Whether a binding at `bind` lies strictly beneath the path `segs`.
 fn beneath(bind: &[String], segs: &[String]) -> bool {
     bind.len() > segs.len() && bind.starts_with(segs)
+}
+
+/// How many leading steps every `$group` key path has in common, when
+/// there are two or more: `{"f": "$name.first", "l": "$name.last"}`
+/// shares the one step `name`.
+fn shared_steps(paths: &[BoundPath<'_>]) -> usize {
+    let [first, rest @ ..] = paths else {
+        return 0;
+    };
+    if rest.is_empty() {
+        return 0;
+    }
+    let segs = &first.path().0;
+    (0..segs.len())
+        .take_while(|&k| rest.iter().all(|p| p.path().0.get(k) == Some(&segs[k])))
+        .count()
 }
 
 /// The field paths a `$group` `_id` reads, in id order: none for a

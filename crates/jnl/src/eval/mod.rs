@@ -232,8 +232,8 @@ pub fn evaluate_ctx(tree: &JsonTree, phi: &Unary, guard: &QueryCtx) -> Result<No
 /// with all workers joined and the pool reusable.
 ///
 /// Generic over how the caller stores its trees: a plain `&[JsonTree]`
-/// works, and so does the `&[Arc<JsonTree>]` a snapshot-sharing
-/// collection holds (anything `Borrow<JsonTree> + Sync`).
+/// works, and so do slices of `&JsonTree` or `Arc<JsonTree>` (anything
+/// `Borrow<JsonTree> + Sync`).
 pub fn evaluate_batch_ctx<T>(
     trees: &[T],
     phi: &Unary,

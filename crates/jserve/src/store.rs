@@ -3,10 +3,11 @@
 //! A [`Store`] wraps a [`Collection`] for concurrent serving. Readers
 //! call [`Store::snapshot`] and get an immutable [`Snapshot`] — an
 //! `Arc`-shared view of the collection (segment trees with their symbol
-//! tables, index set) that stays valid for as long as they hold it, no
-//! matter what the writer does meanwhile. The segmented column makes this
-//! cheap: a collection clone is O(segments) `Arc` bumps, never a copy of
-//! a symbol table or of document data.
+//! tables, index postings) that stays valid for as long as they hold it,
+//! no matter what the writer does meanwhile. The segmented column makes
+//! this cheap: a collection clone copies one pointer per segment (each
+//! segment carries its tree and its postings) and makes one allocation,
+//! never a copy of a symbol table, a posting or document data.
 //!
 //! ## Write protocol
 //!
@@ -15,11 +16,13 @@
 //! document as an insert-segment built on the last segment's symbol table
 //! (shared when the document brings no new string; when it does, the new
 //! segment's table shares the old one's runs and adds the new strings in
-//! O(log n) amortised copies each, leaving the old table untouched;
-//! indexes maintained incrementally), appends the document text to the
-//! **commit log**, and publishes the new snapshot atomically. Readers
-//! holding the old snapshot are untouched; the next
-//! [`Store::snapshot`] call sees the new epoch.
+//! O(log n) amortised pointer copies each, leaving the old table
+//! untouched) together with its postings for every declared index, built
+//! from that document alone, appends the document text to the **commit
+//! log**, and publishes the new snapshot atomically. The replaced
+//! snapshot is dropped after both locks are released. Readers holding
+//! the old snapshot are untouched; the next [`Store::snapshot`] call sees
+//! the new epoch.
 //!
 //! The **epoch** of a snapshot is the number of committed inserts it
 //! contains: snapshot at epoch `e` ≡ the seed collection plus the first
@@ -31,8 +34,9 @@
 //! [`Store::compact`] builds the merged single-segment column **off**
 //! the writer lock (readers and the writer keep going), then briefly
 //! takes the lock to catch up: segments committed while the merge ran
-//! are adopted by reference ([`Collection::adopt_segment`] — no
-//! re-parse, no copy), and the compacted snapshot is published with the
+//! are adopted by reference, postings included
+//! ([`Collection::adopt_segment`] — no re-parse, no copy, no posting
+//! rebuilt), and the compacted snapshot is published with the
 //! same epoch and a bumped **layout** generation. Two racing
 //! compactions are resolved by the layout check: the loser discards its
 //! stale merge and reports `false`.
@@ -108,8 +112,14 @@ impl Store {
         Arc::clone(&self.current.read().unwrap_or_else(|e| e.into_inner()))
     }
 
-    fn publish(&self, snap: Snapshot) {
-        *self.current.write().unwrap_or_else(|e| e.into_inner()) = Arc::new(snap);
+    /// Swaps `snap` in under the write lock and returns the replaced
+    /// snapshot, so that the caller drops it after the lock is released:
+    /// when no reader holds it, that drop releases one reference per
+    /// segment, and a concurrent [`Store::snapshot`] must not wait it out.
+    #[must_use = "drop the replaced snapshot outside the lock"]
+    fn publish(&self, snap: Snapshot) -> Arc<Snapshot> {
+        let mut current = self.current.write().unwrap_or_else(|e| e.into_inner());
+        std::mem::replace(&mut *current, Arc::new(snap))
     }
 
     /// Appends one document, limit-checked, and publishes the new
@@ -124,11 +134,13 @@ impl Store {
         coll.insert_str_with_limits(src, limits)?;
         writer.log.push(src.into());
         let epoch = base.epoch + 1;
-        self.publish(Snapshot {
+        let replaced = self.publish(Snapshot {
             epoch,
             layout: base.layout,
             coll,
         });
+        drop(writer);
+        drop((base, replaced));
         Ok(epoch)
     }
 
@@ -160,7 +172,7 @@ impl Store {
         // while segments are adopted, and the lock is held only for the
         // (bounded) suffix of segments that raced the merge — never for
         // the merge itself.
-        let _writer = lock(&self.writer);
+        let writer = lock(&self.writer);
         let cur = self.snapshot();
         if cur.layout != base.layout {
             return false;
@@ -168,11 +180,13 @@ impl Store {
         for seg in &cur.coll.segments()[base.coll.segments().len()..] {
             coll.adopt_segment(seg);
         }
-        self.publish(Snapshot {
+        let replaced = self.publish(Snapshot {
             epoch: cur.epoch,
             layout: cur.layout + 1,
             coll,
         });
+        drop(writer);
+        drop((cur, replaced));
         true
     }
 

@@ -20,10 +20,11 @@
 
 use crate::fxhash::FxHashMap;
 use crate::intern::Sym;
-use crate::tree::{JsonTree, NodeId, NodeKind};
+use crate::tree::{JsonTree, NodeId, NodeKind, RESERVE_NODES_MAX};
 use crate::value::Json;
 
 /// A canonical-label table for one [`JsonTree`].
+#[derive(Clone)]
 pub struct CanonTable {
     class: Vec<u32>,
     interner: FxHashMap<Sig, u32>,
@@ -31,7 +32,7 @@ pub struct CanonTable {
 
 /// The hash-consed signature of a node: its kind/value plus the classes of
 /// its children. Two nodes share a signature iff their subtrees are equal.
-#[derive(PartialEq, Eq, Hash)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 enum Sig {
     Int(u64),
     Str(Sym),
@@ -45,8 +46,10 @@ impl CanonTable {
     /// Builds the table in `O(|J|)` hash operations (one pass, children
     /// before parents).
     pub fn build(tree: &JsonTree) -> CanonTable {
-        let mut class = vec![0u32; tree.node_count()];
-        let mut interner: FxHashMap<Sig, u32> = FxHashMap::default();
+        let n = tree.node_count();
+        let mut class = vec![0u32; n];
+        let mut interner: FxHashMap<Sig, u32> =
+            FxHashMap::with_capacity_and_hasher(n.min(RESERVE_NODES_MAX), Default::default());
         for n in tree.bottom_up() {
             let sig = Self::signature_of_node(tree, &class, n);
             let next = interner.len() as u32;

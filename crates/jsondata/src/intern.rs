@@ -32,14 +32,17 @@
 //! Symbols are allocated densely in interning order and never move, so a
 //! table extended from another keeps every symbol of its base. The table
 //! is **persistent**: a list of immutable runs behind `Arc`s, each holding
-//! the strings of one contiguous symbol range and their lookup map. A
-//! clone copies the run pointers, never a string. Trees hold their table
+//! the strings of one contiguous symbol range and their lookup map. Each
+//! string is one `Arc<str>`, shared by its run's list and map and by
+//! every run a merge copies it into. A clone copies the run pointers,
+//! never a string. Trees hold their table
 //! behind an `Arc` too: a tree whose document brings no new string shares
 //! its base's table, and one that does clones the run list and extends
 //! the clone. A new string on a shared table goes into a run of its own,
 //! and the newest runs merge like a binary counter (while the older of
 //! the last two is less than twice the newer), so a table keeps
-//! O(log n) runs and each new string costs O(log n) amortised copies. The
+//! O(log n) runs and each new string costs O(log n) amortised pointer
+//! copies (and a merge allocates only the merged run's list and map). The
 //! runs the base shares are never written, so an older snapshot's table
 //! stays exactly as it was. A table nobody shares appends to its last run
 //! in place, so one big parse (or a query-owned table) stays one run.
@@ -95,12 +98,13 @@ pub struct Interner {
 }
 
 /// The strings of symbols `start..start + strings.len()` and their lookup
-/// map.
+/// map. Each string is one allocation, shared by the list, the map, and
+/// every run a merge copies it into.
 #[derive(Debug)]
 struct Run {
     start: u32,
-    strings: Vec<Box<str>>,
-    map: FxHashMap<Box<str>, Sym>,
+    strings: Vec<Arc<str>>,
+    map: FxHashMap<Arc<str>, Sym>,
 }
 
 impl Run {
@@ -117,11 +121,10 @@ impl Run {
     }
 
     /// Appends `s` (absent from the whole table) as the next symbol.
-    fn push(&mut self, s: &str) -> Sym {
+    fn push(&mut self, s: Arc<str>) -> Sym {
         let sym = Sym(self.start + self.strings.len() as u32);
-        let owned: Box<str> = s.into();
-        self.strings.push(owned.clone());
-        self.map.insert(owned, sym);
+        self.strings.push(Arc::clone(&s));
+        self.map.insert(s, sym);
         sym
     }
 }
@@ -164,10 +167,10 @@ impl Interner {
         }
         let last = self.tail.last_mut().unwrap_or(&mut self.head);
         let sym = match Arc::get_mut(last) {
-            Some(run) => run.push(s),
+            Some(run) => run.push(s.into()),
             None => {
                 let mut run = Run::with_capacity(self.len() as u32, 1);
-                let sym = run.push(s);
+                let sym = run.push(s.into());
                 self.tail.push(Arc::new(run));
                 sym
             }
@@ -192,13 +195,13 @@ impl Interner {
             if Arc::get_mut(older).is_none() {
                 let mut copy = Run::with_capacity(older.start, older.len() + newer.len());
                 for s in &older.strings {
-                    copy.push(s);
+                    copy.push(Arc::clone(s));
                 }
                 *older = Arc::new(copy);
             }
             let run = Arc::get_mut(older).expect("a run of this table's own");
             for s in &newer.strings {
-                run.push(s);
+                run.push(Arc::clone(s));
             }
         }
     }

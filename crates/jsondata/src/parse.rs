@@ -130,7 +130,7 @@ pub fn parse_to_tree_into(
     limits: ParseLimits,
     base: &Arc<Interner>,
 ) -> Result<JsonTree, ParseError> {
-    let mut builder = TreeBuilder::new(Arc::clone(base));
+    let mut builder = TreeBuilder::for_text(Arc::clone(base), input.len());
     parse_document(input, limits, &mut builder)?;
     Ok(builder.finish())
 }

@@ -165,6 +165,7 @@ impl Frames {
 }
 
 /// An immutable JSON tree `J = (D, Obj, Arr, Str, Int, A, O, val)`.
+#[derive(Clone)]
 pub struct JsonTree {
     kinds: Vec<NodeKind>,
     /// Parent node index, or [`NO_PARENT`] at the root.
@@ -267,22 +268,36 @@ struct OpenFrame {
     is_obj: bool,
 }
 
+/// The most nodes a builder (or a canonical-label table) reserves room
+/// for up front. A small document (an inserted one) then fills every
+/// working vector without regrowing it, and a large one grows them by
+/// doubling from here, as it would from empty.
+pub(crate) const RESERVE_NODES_MAX: usize = 256;
+
 impl TreeBuilder {
     /// A builder interning on top of `interner` (possibly pre-populated,
-    /// for shared-interner batch loading).
-    pub(crate) fn new(interner: Arc<Interner>) -> TreeBuilder {
+    /// for shared-interner batch loading), with room for `nodes` nodes in
+    /// each working vector.
+    pub(crate) fn new(interner: Arc<Interner>, nodes: usize) -> TreeBuilder {
         TreeBuilder {
             interner,
-            kinds: Vec::new(),
-            parents: Vec::new(),
-            payload: Vec::new(),
-            open: Vec::new(),
-            scratch: Vec::new(),
-            closed: Vec::new(),
-            closed_span: Vec::new(),
-            seen_keys: FxHashSet::default(),
+            kinds: Vec::with_capacity(nodes),
+            parents: Vec::with_capacity(nodes),
+            payload: Vec::with_capacity(nodes),
+            open: Vec::with_capacity(nodes),
+            scratch: Vec::with_capacity(nodes),
+            closed: Vec::with_capacity(nodes),
+            closed_span: Vec::with_capacity(nodes),
+            seen_keys: FxHashSet::with_capacity_and_hasher(nodes, Default::default()),
             pending_key: NO_KEY,
         }
+    }
+
+    /// A builder for a document of `len` bytes of text: room for one node
+    /// per 8 bytes, fewer than a typical document spends on one, up to
+    /// [`RESERVE_NODES_MAX`].
+    pub(crate) fn for_text(interner: Arc<Interner>, len: usize) -> TreeBuilder {
+        TreeBuilder::new(interner, (len / 8 + 1).min(RESERVE_NODES_MAX))
     }
 
     /// The symbol of `s`, cloning the base table's run list on the first
@@ -481,7 +496,7 @@ impl JsonTree {
     /// brings no new string; otherwise it holds an extended copy (cost
     /// `O(symbols)`, paid once, at the first new string).
     pub fn build_into(doc: &Json, base: &Arc<Interner>) -> JsonTree {
-        let mut b = TreeBuilder::new(Arc::clone(base));
+        let mut b = TreeBuilder::new(Arc::clone(base), 0);
         Self::feed(&mut b, doc);
         b.finish()
     }
@@ -553,7 +568,7 @@ impl JsonTree {
     /// layout; `json_at` values are exactly the part values (object
     /// equality is unordered).
     pub fn concat_subtrees(parts: &[(&JsonTree, NodeId)], base: &Arc<Interner>) -> JsonTree {
-        let mut b = TreeBuilder::new(Arc::clone(base));
+        let mut b = TreeBuilder::new(Arc::clone(base), 0);
         b.begin_array();
         for &(tree, node) in parts {
             tree.replay_into(node, &mut b);

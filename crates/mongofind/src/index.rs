@@ -5,12 +5,13 @@
 //!
 //! * a **hash index** on `(path, canon-class)` — per segment, the
 //!   segment's own canonical-label table ([`JsonTree::canon`]) assigns
-//!   every subtree a hash-consed class id, and the posting map sends each
-//!   class to the ascending document ordinals whose path value lands in
-//!   that class. `$eq` probes an external constant via
+//!   every subtree a hash-consed class id, and the postings list each
+//!   document whose path value lands in a class, sorted by class and then
+//!   by ordinal, so one class's documents form one run found by binary
+//!   search. `$eq` probes an external constant via
 //!   [`jsondata::CanonTable::class_of_json`]; an un-interned constant is
 //!   a *proof of absence* (no document can hold it), so the probe answers
-//!   in O(1) without touching a document. `$in` is a union of `$eq` probes.
+//!   without touching a document. `$in` is a union of `$eq` probes.
 //! * a **sorted column** — per segment, the `(ordinal, value-node)` pairs
 //!   ordered by [`cmp_nodes`](crate::cmp_nodes) (the node-node twin of
 //!   [`Json::total_cmp`]); `$gt`/`$gte`/`$lt`/`$lte` binary-search the
@@ -18,17 +19,21 @@
 //!   prefix/suffix. The column is also the substrate a future `$sort`
 //!   pushdown reads runs from.
 //!
-//! Both are **per-segment**: [`Collection::insert`] appends a single-doc
-//! segment and [`IndexSet::add_segment`] extends every index incrementally
-//! without touching existing postings; [`Collection::compact`] invalidates
-//! all node ids and classes, so it rebuilds from scratch
-//! ([`IndexSet::rebuild`]).
+//! Both are **per segment** and live in the [`Segment`] they index: one
+//! [`Postings`] record holds both structures for every declared index,
+//! and records ordinals *within* its segment, so it never depends on
+//! where the segment sits in a column. [`Collection::insert`] builds the
+//! new segment's record from its one document and touches no existing
+//! posting; [`Collection::compact`] invalidates all node ids and classes,
+//! so the merged segment builds its record afresh; a compacted clone
+//! adopts the segments its origin appended meanwhile, records included
+//! ([`Collection::adopt_segment`]).
 //!
 //! Planning ([`IndexSet::plan`]) flattens a conjunctive filter and splits
 //! it into an index-answerable prefix — `Compare(Eq|Gt|Gte|Lt|Lte)` and
 //! positive `In` on indexed paths — plus a residual predicate. A lone
-//! `$eq` probe reads its per-segment posting lists straight into the hit
-//! list: each list is ascending and the segments are in ordinal order, so
+//! `$eq` probe reads its per-segment posting runs straight into the hit
+//! list: each run is ascending and the segments are in ordinal order, so
 //! their concatenation is already in `(segment, doc)` order. Any other
 //! plan (intersections, `$in`, ranges) materialises one document-set
 //! bitmap ([`jnl::bitset::BitSet`]) per probe and ANDs them in place.
@@ -47,56 +52,61 @@
 //! thread counts asserting byte-identical output.
 
 use std::cmp::Ordering;
-use std::ops::Range;
 use std::sync::Arc;
 
 use jguard::{QueryCtx, QueryError};
 use jnl::bitset::BitSet;
-use jsondata::fxhash::FxHashMap;
 use jsondata::{Json, JsonTree, NodeId};
 use jtrace::{Counter, SpanKind};
 
 use crate::{
-    cmp_node_json, cmp_nodes, doc_count, doc_refs_at, table_of, Cmp, Collection, DocRef, Filter,
-    Path,
+    cmp_node_json, cmp_nodes, doc_count, doc_refs_at, step_node, table_of, Cmp, Collection, DocRef,
+    Filter, Path, Segment,
 };
 
-/// All secondary indexes of one [`Collection`]. Empty (the default)
-/// until [`Collection::create_index`] declares a path; an empty set costs
-/// nothing on insert.
+/// The secondary indexes declared on one [`Collection`], in declaration
+/// order, behind one [`Arc`] that every clone of the collection shares.
+/// Empty (the default) until [`Collection::create_index`] declares a
+/// path; an empty set costs nothing on insert.
 ///
-/// The hash side classes values through each segment's own
-/// canonical-label table ([`JsonTree::canon`]), so the index stores no
-/// table of its own. Per-segment postings are immutable once built (a
-/// segment's contents never change; maintenance only *appends* new
-/// per-segment entries), so they sit behind [`Arc`]s and cloning an
-/// `IndexSet` — which `Collection::clone` does for every snapshot — is a
-/// vector of reference bumps, never a posting rebuild.
+/// The set holds no postings: each [`Segment`] carries its own postings
+/// record for every declared index, built with the segment and
+/// immutable afterwards. The hash side classes values through each
+/// segment's own canonical-label table ([`JsonTree::canon`]), so the
+/// index stores no table of its own. Cloning an `IndexSet` — which
+/// `Collection::clone` does for every snapshot — is one reference bump.
 #[derive(Default, Clone)]
 pub struct IndexSet {
-    /// One index per declared path, in declaration order.
-    paths: Vec<PathIndex>,
+    defs: Arc<[IndexDef]>,
 }
 
-/// One declared index: the dotted path and its per-segment postings.
+/// One declared index.
 #[derive(Clone)]
-struct PathIndex {
+struct IndexDef {
     /// The declared path, as written (`"name.first"`).
     name: String,
     path: Path,
-    /// Parallel to `Collection::segments`.
-    segs: Vec<Arc<SegPosting>>,
 }
 
-/// The postings of one `(path, segment)` pair.
-#[derive(Default)]
-struct SegPosting {
-    /// canon class → ascending global document ordinals (the hash side).
-    eq: FxHashMap<u32, Vec<u32>>,
-    /// `(global ordinal, resolved value node)` ordered by
-    /// [`cmp_nodes`] then ordinal (the sorted column). Storing the value
-    /// node means range probes never re-resolve the path.
-    sorted: Vec<(u32, NodeId)>,
+/// The postings of one segment for every declared index, in one record
+/// of three allocations whatever the segment's size or the number of
+/// indexes. Each index lists one entry per segment document whose path
+/// resolves, keyed by the document's ordinal within the segment; index
+/// `i`'s entries are `starts[i * (c + 1)]..starts[i * (c + 1) + c]` of
+/// both lists, where `c` is the segment tree's
+/// [`class_count`](jsondata::CanonTable::class_count).
+#[derive(Default, Clone)]
+pub(crate) struct Postings {
+    /// Per index, `c + 1` offsets into `ords`: canon class `k`'s run is
+    /// `starts[i * (c + 1) + k]..starts[i * (c + 1) + k + 1]` (the hash
+    /// side, answered without hashing). Empty when no index is declared.
+    starts: Box<[u32]>,
+    /// Ordinals grouped by class, ascending within each class.
+    ords: Box<[u32]>,
+    /// `(ordinal, resolved value node)` ordered by [`cmp_nodes`] then
+    /// ordinal (the sorted column). Storing the value node means range
+    /// probes never re-resolve the path.
+    sorted: Box<[(u32, NodeId)]>,
 }
 
 /// One index-answerable conjunct, referencing the filter it came from.
@@ -114,113 +124,58 @@ pub(crate) enum Probe<'f> {
 /// `pub(crate)` so the explain module can describe the exact split the
 /// executor would run.
 pub(crate) struct IndexPlan<'f> {
-    /// `(position in IndexSet::paths, probe)` pairs.
+    /// `(position in the declarations, probe)` pairs.
     pub(crate) probes: Vec<(usize, Probe<'f>)>,
     /// Conjuncts the indexes cannot answer; empty means the probes are
     /// exact.
     pub(crate) residual: Vec<&'f Filter>,
 }
 
-/// Builds the postings of `path` for segments `first..` of the column,
-/// filing the documents at `ordinals` (which must be exactly those
-/// segments' documents) under their segments in one ordinal-order pass.
-/// The path is bound to the column's table once.
-fn build_postings(
-    path: &Path,
-    segments: &[Arc<JsonTree>],
-    first: usize,
-    ordinals: Range<usize>,
-) -> Vec<Arc<SegPosting>> {
-    let path = path.bind(table_of(segments));
-    let mut out: Vec<SegPosting> = segments[first..]
-        .iter()
-        .map(|_| SegPosting::default())
-        .collect();
-    for (ord, d) in ordinals.clone().zip(doc_refs_at(segments, ordinals)) {
-        let seg = d.seg as usize;
-        if let Some(v) = path.resolve_node(&segments[seg], d.node) {
-            let posting = &mut out[seg - first];
-            let class = segments[seg].canon().class_of(v);
-            posting.eq.entry(class).or_default().push(ord as u32);
-            posting.sorted.push((ord as u32, v));
-        }
-    }
-    out.into_iter()
-        .zip(&segments[first..])
-        .map(|(mut posting, tree)| {
-            // Ordinal tiebreak keeps the column deterministic across
-            // rebuilds.
-            posting
-                .sorted
-                .sort_by(|&(oa, na), &(ob, nb)| cmp_nodes(tree, na, tree, nb).then(oa.cmp(&ob)));
-            Arc::new(posting)
-        })
-        .collect()
-}
-
 impl IndexSet {
     /// The declared paths, in declaration order.
     pub fn declared(&self) -> impl Iterator<Item = &str> {
-        self.paths.iter().map(|p| p.name.as_str())
+        self.defs.iter().map(|d| d.name.as_str())
+    }
+
+    /// Whether `self` and `other` are the same declarations (one is a
+    /// clone of the other, with no index declared on either since).
+    pub(crate) fn same(&self, other: &IndexSet) -> bool {
+        Arc::ptr_eq(&self.defs, &other.defs)
     }
 
     /// Position of the index on `path`, if declared.
     fn position(&self, path: &Path) -> Option<usize> {
-        self.paths.iter().position(|p| p.path == *path)
+        self.defs.iter().position(|d| d.path == *path)
     }
 
     /// The declared path name of the index at position `i` (the plan's
     /// probe positions resolve through this for `EXPLAIN` rendering).
     pub(crate) fn path_name(&self, i: usize) -> &str {
-        &self.paths[i].name
+        &self.defs[i].name
     }
 
-    /// Declares an index on `path_str`, building it over the current
-    /// column. Returns `false` (and changes nothing) if already declared.
-    pub(crate) fn create(&mut self, path_str: &str, segments: &[Arc<JsonTree>]) -> bool {
-        if self.paths.iter().any(|p| p.name == path_str) {
+    /// Declares an index on `path_str`, last. Returns `false` (and
+    /// changes nothing) if already declared; the caller then adds its
+    /// postings to every segment.
+    fn declare(&mut self, path_str: &str) -> bool {
+        if self.defs.iter().any(|d| d.name == path_str) {
             return false;
         }
-        let path = Path::parse(path_str);
-        let segs = build_postings(&path, segments, 0, 0..doc_count(segments));
-        self.paths.push(PathIndex {
+        let mut defs = self.defs.to_vec();
+        defs.push(IndexDef {
             name: path_str.to_owned(),
-            path,
-            segs,
+            path: Path::parse(path_str),
         });
+        self.defs = defs.into();
         true
     }
 
-    /// Incremental maintenance for [`Collection::insert`]: the new last
-    /// segment of `segments`, holding the last document, gets one posting
-    /// per declared index (building that segment's canon table on the
-    /// way); existing postings are untouched. No-op while no index is
-    /// declared.
-    pub(crate) fn add_segment(&mut self, segments: &[Arc<JsonTree>]) {
-        if self.paths.is_empty() {
-            return;
-        }
-        let last = segments.len() - 1;
-        let n = doc_count(segments);
-        for pi in &mut self.paths {
-            debug_assert_eq!(pi.segs.len(), last, "segments append one at a time");
-            let posting = build_postings(&pi.path, segments, last, n - 1..n);
-            pi.segs.extend(posting);
-        }
-    }
-
-    /// Full rebuild for [`Collection::compact`]: node ids and canon
-    /// classes are all invalidated by the segment merge, so every posting
-    /// is reconstructed from the new column (whose trees carry their own,
-    /// fresh canon tables).
-    pub(crate) fn rebuild(&mut self, segments: &[Arc<JsonTree>]) {
-        if self.paths.is_empty() {
-            return;
-        }
-        let n = doc_count(segments);
-        for pi in &mut self.paths {
-            pi.segs = build_postings(&pi.path, segments, 0, 0..n);
-        }
+    /// The postings of every declared index over the documents `docs` of
+    /// `tree`, whose positions are their ordinals. For an insert segment
+    /// this is one document, so an insert builds one record from its own
+    /// document alone.
+    pub(crate) fn postings(&self, tree: &JsonTree, docs: &[NodeId]) -> Postings {
+        Postings::build(&self.defs, tree, docs)
     }
 
     /// Splits a conjunctive filter into index probes + residual. `None`
@@ -229,7 +184,7 @@ impl IndexSet {
     /// through nesting; any other top-level shape is treated as a
     /// one-conjunct conjunction.
     pub(crate) fn plan<'f>(&self, filter: &'f Filter) -> Option<IndexPlan<'f>> {
-        if self.paths.is_empty() {
+        if self.defs.is_empty() {
             return None;
         }
         let mut probes = Vec::new();
@@ -263,33 +218,34 @@ impl IndexSet {
 
     /// Runs one probe of the index at `pi`, inserting every matching
     /// document ordinal into `out`.
-    fn probe_into(
-        &self,
-        pi: usize,
-        probe: &Probe<'_>,
-        segments: &[Arc<JsonTree>],
-        out: &mut BitSet,
-    ) {
-        let index = &self.paths[pi];
-        let insert = |out: &mut BitSet, ords: &[u32]| {
-            for &o in ords {
-                out.insert(o as usize);
-            }
-        };
-        for (posting, tree) in index.segs.iter().zip(segments) {
+    fn probe_into(pi: usize, probe: &Probe<'_>, segments: &[Arc<Segment>], out: &mut BitSet) {
+        let mut base = 0;
+        for seg in segments {
+            let postings = &seg.postings;
             match probe {
-                Probe::Eq(v) => insert(out, posting.eq_list(tree, v)),
-                Probe::In(items) => {
-                    for v in items.iter() {
-                        insert(out, posting.eq_list(tree, v));
+                Probe::Eq(v) => {
+                    for &o in postings.eq_run(pi, seg, v) {
+                        out.insert(base + o as usize);
                     }
                 }
-                Probe::Range(cmp, v) => range_hits(posting, tree, *cmp, v, out),
+                Probe::In(items) => {
+                    for v in items.iter() {
+                        for &o in postings.eq_run(pi, seg, v) {
+                            out.insert(base + o as usize);
+                        }
+                    }
+                }
+                Probe::Range(cmp, v) => {
+                    for &(o, _) in postings.range_run(pi, seg, *cmp, v) {
+                        out.insert(base + o as usize);
+                    }
+                }
             }
+            base += seg.docs().len();
         }
     }
 
-    /// Executes a plan. A lone `$eq` probe concatenates its posting lists
+    /// Executes a plan. A lone `$eq` probe concatenates its posting runs
     /// into the hit list (charged to the byte budget); any other plan
     /// builds one bitmap per probe (each charged before it is built) and
     /// intersects them in place, stopping early on an empty one. The
@@ -300,26 +256,32 @@ impl IndexSet {
     pub(crate) fn execute(
         &self,
         plan: &IndexPlan<'_>,
-        segments: &[Arc<JsonTree>],
+        segments: &[Arc<Segment>],
         ctx: &QueryCtx,
     ) -> Result<Vec<DocRef>, QueryError> {
         let mut hits = match plan.probes.as_slice() {
             [(pi, Probe::Eq(v))] => {
                 ctx.record(Counter::IndexProbes, 1);
                 ctx.span_open(SpanKind::Probe, 0);
-                let ords = self.paths[*pi]
-                    .segs
-                    .iter()
+                let hits: Vec<DocRef> = (0u32..)
                     .zip(segments)
-                    .flat_map(|(posting, tree)| posting.eq_list(tree, v))
-                    .map(|&o| o as usize);
-                let hits: Vec<DocRef> = doc_refs_at(segments, ords).collect();
+                    .flat_map(|(s, seg)| {
+                        let docs = seg.docs();
+                        seg.postings
+                            .eq_run(*pi, seg, v)
+                            .iter()
+                            .map(move |&o| DocRef {
+                                seg: s,
+                                node: docs[o as usize],
+                            })
+                    })
+                    .collect();
                 ctx.span_close(SpanKind::Probe, 0);
                 ctx.charge_bytes(std::mem::size_of_val(hits.as_slice()) as u64)?;
                 hits
             }
             probes => {
-                let acc = self.intersect(probes, segments, ctx)?;
+                let acc = Self::intersect(probes, segments, ctx)?;
                 doc_refs_at(segments, acc.iter()).collect()
             }
         };
@@ -350,9 +312,8 @@ impl IndexSet {
     /// per probe (byte budget charged per bitmap), ANDed in place with
     /// early exit on empty.
     fn intersect(
-        &self,
         probes: &[(usize, Probe<'_>)],
-        segments: &[Arc<JsonTree>],
+        segments: &[Arc<Segment>],
         ctx: &QueryCtx,
     ) -> Result<BitSet, QueryError> {
         let n = doc_count(segments);
@@ -365,7 +326,7 @@ impl IndexSet {
             ctx.record(Counter::IndexProbes, 1);
             ctx.span_open(SpanKind::Probe, ordinal as u32);
             let mut bm = BitSet::new(n);
-            self.probe_into(*pi, probe, segments, &mut bm);
+            Self::probe_into(*pi, probe, segments, &mut bm);
             ctx.span_close(SpanKind::Probe, ordinal as u32);
             match &mut acc {
                 None => acc = Some(bm),
@@ -382,50 +343,133 @@ impl IndexSet {
     }
 }
 
-impl SegPosting {
-    /// The ascending ordinals whose value equals `v`: classes the external
-    /// constant into the segment's canon table and reads the posting
-    /// list. An un-interned constant
-    /// ([`jsondata::CanonTable::class_of_json`] → `None`) is an absence
-    /// proof — the list is empty.
-    fn eq_list(&self, tree: &JsonTree, v: &Json) -> &[u32] {
-        tree.canon()
-            .class_of_json(tree, v)
-            .and_then(|class| self.eq.get(&class))
-            .map_or(&[], Vec::as_slice)
+impl Postings {
+    /// The postings of `defs` over the documents `docs` of `tree`, whose
+    /// positions are their ordinals. Each path is bound to the tree's own
+    /// table: a string the table lacks is in none of the tree's
+    /// documents.
+    fn build(defs: &[IndexDef], tree: &JsonTree, docs: &[NodeId]) -> Postings {
+        if defs.is_empty() {
+            return Postings::default();
+        }
+        let table = tree.interner();
+        let mut steps = Vec::with_capacity(defs.iter().map(|d| d.path.0.len()).sum());
+        for d in defs.iter() {
+            steps.extend(d.path.steps(table));
+        }
+        let canon = tree.canon();
+        let classes = canon.class_count();
+        let cap = defs.len() * docs.len();
+        let mut starts = vec![0u32; defs.len() * (classes + 1)];
+        let mut ords = Vec::with_capacity(cap);
+        let mut sorted = Vec::with_capacity(cap);
+        let mut rest = steps.as_slice();
+        for (d, starts) in defs.iter().zip(starts.chunks_exact_mut(classes + 1)) {
+            let (path, tail) = rest.split_at(d.path.0.len());
+            rest = tail;
+            let first = sorted.len();
+            for (ord, &doc) in (0u32..).zip(docs) {
+                if let Some(v) = path.iter().try_fold(doc, |at, s| step_node(tree, at, s)) {
+                    sorted.push((ord, v));
+                }
+            }
+            // A counting sort by class: each class's end offset, then
+            // every entry placed from the back, so that the offsets end
+            // at each class's start and ordinals ascend within a class.
+            let entries = &sorted[first..];
+            for &(_, v) in entries {
+                starts[canon.class_of(v) as usize] += 1;
+            }
+            let mut end = first as u32;
+            for s in starts.iter_mut() {
+                end += *s;
+                *s = end;
+            }
+            ords.resize(sorted.len(), 0);
+            for &(ord, v) in entries.iter().rev() {
+                let s = &mut starts[canon.class_of(v) as usize];
+                *s -= 1;
+                ords[*s as usize] = ord;
+            }
+            // Ordinal tiebreak keeps the column deterministic across
+            // rebuilds.
+            sorted[first..]
+                .sort_by(|&(oa, na), &(ob, nb)| cmp_nodes(tree, na, tree, nb).then(oa.cmp(&ob)));
+        }
+        Postings {
+            starts: starts.into(),
+            ords: ords.into(),
+            sorted: sorted.into(),
+        }
     }
-}
 
-/// Range hits of one posting: binary-searches the sorted column boundary
-/// against the probe constant ([`cmp_node_json`] implements the same
-/// total order the column is sorted by — pinned by the order-property
-/// suite) and inserts the matching prefix/suffix.
-fn range_hits(posting: &SegPosting, tree: &JsonTree, cmp: Cmp, v: &Json, out: &mut BitSet) {
-    let s = &posting.sorted;
-    let run = match cmp {
-        Cmp::Gt => {
-            &s[s.partition_point(|&(_, n)| cmp_node_json(tree, n, v) != Ordering::Greater)..]
+    /// `self`'s indexes followed by `more`'s, over the same segment.
+    fn append(&self, more: &Postings) -> Postings {
+        let shift = self.ords.len() as u32;
+        let moved = more.starts.iter().map(|s| s + shift);
+        Postings {
+            starts: self.starts.iter().copied().chain(moved).collect(),
+            ords: [&self.ords[..], &more.ords[..]].concat().into(),
+            sorted: [&self.sorted[..], &more.sorted[..]].concat().into(),
         }
-        Cmp::Gte => &s[s.partition_point(|&(_, n)| cmp_node_json(tree, n, v) == Ordering::Less)..],
-        Cmp::Lt => &s[..s.partition_point(|&(_, n)| cmp_node_json(tree, n, v) == Ordering::Less)],
-        Cmp::Lte => {
-            &s[..s.partition_point(|&(_, n)| cmp_node_json(tree, n, v) != Ordering::Greater)]
+    }
+
+    /// Index `i`'s class offsets in a segment of `classes` canon classes.
+    fn starts(&self, i: usize, classes: usize) -> &[u32] {
+        &self.starts[i * (classes + 1)..(i + 1) * (classes + 1)]
+    }
+
+    /// Index `i`'s ordinals whose value equals `v`, ascending: classes
+    /// the external constant into the segment's canon table and reads
+    /// that class's run. An un-interned constant
+    /// ([`jsondata::CanonTable::class_of_json`] → `None`) is an absence
+    /// proof — the run is empty.
+    fn eq_run(&self, i: usize, tree: &JsonTree, v: &Json) -> &[u32] {
+        let canon = tree.canon();
+        let Some(class) = canon.class_of_json(tree, v) else {
+            return &[];
+        };
+        let starts = self.starts(i, canon.class_count());
+        let k = class as usize;
+        &self.ords[starts[k] as usize..starts[k + 1] as usize]
+    }
+
+    /// Index `i`'s range hits: binary-searches the sorted column boundary
+    /// against the probe constant ([`cmp_node_json`] implements the same
+    /// total order the column is sorted by — pinned by the order-property
+    /// suite) and returns the matching prefix/suffix.
+    fn range_run(&self, i: usize, tree: &JsonTree, cmp: Cmp, v: &Json) -> &[(u32, NodeId)] {
+        let starts = self.starts(i, tree.canon().class_count());
+        let s = &self.sorted[starts[0] as usize..starts[starts.len() - 1] as usize];
+        let below = |ord: Ordering| s.partition_point(|&(_, n)| cmp_node_json(tree, n, v) < ord);
+        match cmp {
+            Cmp::Gt => &s[below(Ordering::Greater)..],
+            Cmp::Gte => &s[below(Ordering::Equal)..],
+            Cmp::Lt => &s[..below(Ordering::Equal)],
+            Cmp::Lte => &s[..below(Ordering::Greater)],
+            Cmp::Eq | Cmp::Ne => unreachable!("not a range probe"),
         }
-        Cmp::Eq | Cmp::Ne => unreachable!("not a range probe"),
-    };
-    for &(o, _) in run {
-        out.insert(o as usize);
     }
 }
 
 impl Collection {
     /// Declares a secondary index on the dotted path `path` (hash +
-    /// sorted-column, see the module docs), building it over the current
-    /// column. Subsequent [`Collection::insert`]s maintain it
-    /// incrementally; [`Collection::compact`] rebuilds it. Returns
-    /// `false` if the path is already indexed.
+    /// sorted-column, see the module docs) and adds its postings to every
+    /// segment's record. Subsequent [`Collection::insert`]s build each
+    /// new segment's postings with it; [`Collection::compact`] rebuilds
+    /// them. Returns `false` if the path is already indexed.
     pub fn create_index(&mut self, path: &str) -> bool {
-        self.indexes.create(path, &self.segments)
+        if !self.indexes.declare(path) {
+            return false;
+        }
+        let new = &self.indexes.defs[self.indexes.defs.len() - 1..];
+        for seg in &mut self.segments {
+            let seg = Arc::make_mut(seg);
+            let more = Postings::build(new, &seg.tree, seg.docs());
+            seg.postings = seg.postings.append(&more);
+            seg.indexes = self.indexes.clone();
+        }
+        true
     }
 
     /// Whether a secondary index is declared on `path`.

@@ -61,6 +61,7 @@ mod index;
 
 pub use explain::{Actuals, FindAnalyze, FindExplain, ProbeDesc, Route};
 pub use index::IndexSet;
+use index::Postings;
 
 /// Minimum per-chunk document count for the parallel scan paths: ranges
 /// below this collapse into one chunk and run inline on the calling
@@ -137,15 +138,16 @@ impl Path {
     pub fn bind(&self, table: &Interner) -> BoundPath<'_> {
         BoundPath {
             path: self,
-            steps: self
-                .0
-                .iter()
-                .map(|seg| Step {
-                    key: table.lookup(seg),
-                    index: seg.parse().ok(),
-                })
-                .collect(),
+            steps: self.steps(table).collect(),
         }
+    }
+
+    /// The bound segments of [`Path::bind`], one [`Step`] per segment.
+    pub(crate) fn steps<'a>(&'a self, table: &'a Interner) -> impl Iterator<Item = Step> + 'a {
+        self.0.iter().map(|seg| Step {
+            key: table.lookup(seg),
+            index: seg.parse().ok(),
+        })
     }
 
     /// Compiles the path to its JNL navigation axis: numeric segments
@@ -1071,24 +1073,28 @@ pub struct DocRef {
 ///
 /// ## Snapshots
 ///
-/// Segment trees are held behind [`Arc`]s and never mutated after they
-/// are built, so a clone never re-builds or copies a tree: the trees,
-/// their symbol tables, the index postings and the schema are shared by
-/// reference bump, and a clone costs O(segments). An insert whose
-/// document brings no new string shares the previous segment's table.
-/// One that does clones that table's run list (O(log n) `Arc`s, see
-/// [`Interner`]) and adds its strings in runs of its own, in O(log n)
-/// amortised copies per new string; the runs it shares are never
-/// written, so an older snapshot's table stays untouched. Since string
-/// *values* are interned, the table holds document data.
+/// Segments are held behind [`Arc`]s and never mutated after they are
+/// built, so a clone never re-builds or copies a tree or a posting: a
+/// [`Segment`] carries its tree (with its symbol table) and the postings
+/// of every declared index over its documents, the index declarations
+/// sit behind one `Arc` ([`IndexSet`]), and the schema behind another. A
+/// clone therefore copies one pointer per segment and makes one
+/// allocation, the segment vector, sized with one spare slot so that the
+/// insert that usually follows a snapshot clone does not reallocate it.
+/// An insert whose document brings no new string shares the previous
+/// segment's table. One that does clones that table's run list (O(log n)
+/// `Arc`s, see [`Interner`]) and adds its strings in runs of its own, in
+/// O(log n) amortised pointer copies per new string; the runs it shares
+/// are never written, so an older snapshot's table stays untouched.
+/// Since string *values* are interned, the table holds document data.
 /// `jserve` builds its copy-on-write snapshot isolation on this clone
 /// (one per insert), with [`Collection::adopt_segment`] as the append
-/// that carries a segment built on a newer clone back onto an older one.
-#[derive(Clone)]
+/// that carries a segment built on a newer clone, postings included,
+/// back onto an older one.
 pub struct Collection {
     /// The tree column. Never empty; segment `s + 1`'s symbol table
     /// extends segment `s`'s, so the last table resolves every `Sym`.
-    segments: Vec<Arc<JsonTree>>,
+    segments: Vec<Arc<Segment>>,
     /// The worker pool driving `find` scans and JNL evaluations (and the
     /// `jagg` executor over this collection).
     pool: Pool,
@@ -1099,10 +1105,79 @@ pub struct Collection {
     /// (`J004`). The *expression itself* is validated at attachment:
     /// ill-formed schemas (dangling `$ref`, precedence cycle) are rejected.
     schema: Option<Arc<jsl::RecursiveJsl>>,
-    /// Secondary indexes declared via [`Collection::create_index`]:
-    /// per-path hash + sorted-column structures, maintained incrementally
-    /// per insert-segment and rebuilt on [`Collection::compact`].
+    /// The secondary indexes declared via [`Collection::create_index`].
+    /// Their postings live in the segments: built with each insert
+    /// segment, rebuilt for the merged one on [`Collection::compact`].
     indexes: IndexSet,
+}
+
+impl Clone for Collection {
+    /// One pointer per segment, plus one spare slot for the insert that
+    /// usually follows a snapshot clone (see "Snapshots" above).
+    fn clone(&self) -> Collection {
+        let mut segments = Vec::with_capacity(self.segments.len() + 1);
+        segments.extend(self.segments.iter().cloned());
+        Collection {
+            segments,
+            pool: self.pool,
+            schema: self.schema.clone(),
+            indexes: self.indexes.clone(),
+        }
+    }
+}
+
+/// One segment of a [`Collection`]'s tree column: a [`JsonTree`] and the
+/// postings of every declared index over its documents, built together
+/// and immutable afterwards. It dereferences to its tree, so
+/// `&collection.segments()[i]` is usable wherever a `&JsonTree` is.
+#[derive(Clone)]
+pub struct Segment {
+    tree: JsonTree,
+    /// Whether the tree holds a load's documents ([`seed_docs`]: the
+    /// root's array children, or a non-array root as the one document) —
+    /// segment 0 — rather than one inserted document at its root.
+    seed: bool,
+    /// The index declarations `postings` were built for.
+    indexes: IndexSet,
+    postings: Postings,
+}
+
+impl Segment {
+    /// A segment over `tree` with the postings of every index in
+    /// `indexes` over its documents.
+    fn new(tree: JsonTree, seed: bool, indexes: &IndexSet) -> Segment {
+        let mut seg = Segment {
+            tree,
+            seed,
+            indexes: indexes.clone(),
+            postings: Postings::default(),
+        };
+        seg.postings = indexes.postings(&seg.tree, seg.docs());
+        seg
+    }
+
+    /// The segment's tree.
+    pub fn tree(&self) -> &JsonTree {
+        &self.tree
+    }
+
+    /// The segment's document nodes; a document's position here is its
+    /// ordinal within the segment, which its postings record.
+    pub(crate) fn docs(&self) -> &[NodeId] {
+        if self.seed {
+            seed_docs(&self.tree)
+        } else {
+            ROOT
+        }
+    }
+}
+
+impl std::ops::Deref for Segment {
+    type Target = JsonTree;
+
+    fn deref(&self) -> &JsonTree {
+        &self.tree
+    }
 }
 
 impl Collection {
@@ -1142,11 +1217,12 @@ impl Collection {
 
     fn from_first_segment(tree: JsonTree) -> Collection {
         tree.ensure_horizon();
+        let indexes = IndexSet::default();
         Collection {
-            segments: vec![Arc::new(tree)],
+            segments: vec![Arc::new(Segment::new(tree, true, &indexes))],
             pool: Pool::auto(),
             schema: None,
-            indexes: IndexSet::default(),
+            indexes,
         }
     }
 
@@ -1202,7 +1278,7 @@ impl Collection {
     /// the extended collection (differentially tested).
     pub fn insert(&mut self, doc: &Json) {
         let tree = JsonTree::build_into(doc, self.interner());
-        self.push_segment(Arc::new(tree));
+        self.push_segment(tree);
     }
 
     /// [`Collection::insert`] from document text through the fused parser
@@ -1212,7 +1288,7 @@ impl Collection {
     pub fn insert_str(&mut self, src: &str) -> Result<(), FilterError> {
         let tree = jsondata::parse_to_tree_into(src, ParseLimits::default(), self.interner())
             .map_err(|e| FilterError(e.to_string()))?;
-        self.push_segment(Arc::new(tree));
+        self.push_segment(tree);
         Ok(())
     }
 
@@ -1226,21 +1302,26 @@ impl Collection {
         limits: ParseLimits,
     ) -> Result<(), QueryError> {
         let tree = jsondata::parse_to_tree_into(src, limits, self.interner())?;
-        self.push_segment(Arc::new(tree));
+        self.push_segment(tree);
         Ok(())
     }
 
-    /// Appends one single-document segment, maintaining the indexes
-    /// incrementally.
-    fn push_segment(&mut self, tree: Arc<JsonTree>) {
-        self.segments.push(tree);
-        self.indexes.add_segment(&self.segments);
+    /// Appends one single-document segment with its postings: one
+    /// record for every declared index, built from the new document
+    /// alone.
+    fn push_segment(&mut self, tree: JsonTree) {
+        let seg = Segment::new(tree, false, &self.indexes);
+        self.segments.push(Arc::new(seg));
     }
 
-    /// Appends an **already-built** segment tree shared with another
+    /// Appends an **already-built** segment shared with another
     /// collection — how a compacted clone catches up with segments its
     /// origin appended while the compaction ran, without re-parsing or
-    /// copying them.
+    /// copying them. Postings record ordinals within their segment, so
+    /// the segment's postings are adopted with it, by pointer, whenever
+    /// they were built for this collection's index declarations (a clone
+    /// shares them); otherwise its tree is copied and its postings are
+    /// built afresh.
     ///
     /// The segment's symbol table must extend this collection's — it was
     /// inserted into a clone of this collection's lineage after this
@@ -1248,8 +1329,13 @@ impl Collection {
     /// becomes the collection's table. Adopting a segment from an
     /// unrelated lineage is a logic error and will scramble query results
     /// (it cannot, however, cause memory unsafety).
-    pub fn adopt_segment(&mut self, tree: &Arc<JsonTree>) {
-        self.push_segment(Arc::clone(tree));
+    pub fn adopt_segment(&mut self, seg: &Arc<Segment>) {
+        debug_assert!(!seg.seed, "only insert segments are adopted");
+        if seg.indexes.same(&self.indexes) {
+            self.segments.push(Arc::clone(seg));
+        } else {
+            self.push_segment(seg.tree.clone());
+        }
     }
 
     /// The documents, as owned values, materialised from the tree column
@@ -1270,12 +1356,12 @@ impl Collection {
         self.len() == 0
     }
 
-    /// The segment trees of the collection's tree column (segment 0 is the
+    /// The segments of the collection's tree column (segment 0 is the
     /// initial load; one more per insert). All segments share one symbol
-    /// assignment. Trees are behind [`Arc`]s so snapshots can share them;
-    /// `&segments()[i]` deref-coerces to `&JsonTree` wherever a plain
-    /// tree is expected.
-    pub fn segments(&self) -> &[Arc<JsonTree>] {
+    /// assignment. Segments are behind [`Arc`]s so snapshots can share
+    /// them; `&segments()[i]` deref-coerces to `&JsonTree` wherever a
+    /// plain tree is expected.
+    pub fn segments(&self) -> &[Arc<Segment>] {
         &self.segments
     }
 
@@ -1381,13 +1467,13 @@ impl Collection {
             Horizon::Never => return self.len(),
             Horizon::From(sym) => sym,
         };
-        let reaches = |t: &Arc<JsonTree>| t.interner().len() > sym.index();
+        let reaches = |t: &Arc<Segment>| t.interner().len() > sym.index();
         let seed = &self.segments[0];
         let in_seed = match seed.kind(seed.root()) {
             NodeKind::Arr => seed.first_child_using(sym),
             _ => usize::from(!reaches(seed)),
         };
-        let seed_len = seed_docs(seed).len();
+        let seed_len = seed.docs().len();
         if in_seed < seed_len {
             return in_seed;
         }
@@ -1473,7 +1559,8 @@ impl Collection {
     ) -> Result<Vec<DocRef>, QueryError> {
         let phi = filter.to_jnl();
         ctx.record(Counter::SegmentsVisited, self.segments.len() as u64);
-        let sats = jnl::eval::evaluate_batch_ctx(&self.segments, &phi, &self.pool, ctx)?;
+        let trees: Vec<&JsonTree> = self.segments.iter().map(|s| s.tree()).collect();
+        let sats = jnl::eval::evaluate_batch_ctx(&trees, &phi, &self.pool, ctx)?;
         let out: Vec<DocRef> = doc_refs_at(&self.segments, 0..self.len())
             .filter(|d| sats[d.seg as usize][d.node.index()])
             .collect();
@@ -1500,22 +1587,23 @@ impl Collection {
             return;
         }
         let parts: Vec<(&JsonTree, NodeId)> = doc_refs_at(&self.segments, 0..self.len())
-            .map(|d| (self.segments[d.seg as usize].as_ref(), d.node))
+            .map(|d| (self.segments[d.seg as usize].tree(), d.node))
             .collect();
         let merged = JsonTree::concat_subtrees(&parts, self.interner());
         merged.ensure_horizon();
-        self.segments = vec![Arc::new(merged)];
-        // Node ids and canonical classes all changed: indexes are rebuilt
-        // from the merged segment (correctness pinned by the post-compact
-        // differential sweeps).
-        self.indexes.rebuild(&self.segments);
+        // Node ids and canonical classes all changed: the merged segment
+        // builds its postings afresh (correctness pinned by the
+        // post-compact differential sweeps).
+        self.segments = vec![Arc::new(Segment::new(merged, true, &self.indexes))];
     }
 }
+
+/// The documents of a segment holding one inserted document: its root.
+const ROOT: &[NodeId] = &[NodeId::from_index(0)];
 
 /// Segment 0's documents: its root's array children, or the root itself
 /// for a non-array load.
 fn seed_docs(seed: &JsonTree) -> &[NodeId] {
-    const ROOT: &[NodeId] = &[NodeId::from_index(0)];
     match seed.kind(seed.root()) {
         NodeKind::Arr => seed.arr_children(seed.root()),
         _ => ROOT,
@@ -1524,7 +1612,7 @@ fn seed_docs(seed: &JsonTree) -> &[NodeId] {
 
 /// The symbol table of the tree column `segments`: the last segment's,
 /// which every earlier segment's table is a prefix of.
-pub(crate) fn table_of(segments: &[Arc<JsonTree>]) -> &Arc<Interner> {
+pub(crate) fn table_of(segments: &[Arc<Segment>]) -> &Arc<Interner> {
     segments
         .last()
         .expect("a collection has at least one segment")
@@ -1533,8 +1621,8 @@ pub(crate) fn table_of(segments: &[Arc<JsonTree>]) -> &Arc<Interner> {
 
 /// Number of documents in the tree column `segments`: segment 0's, plus
 /// one per insert segment.
-pub(crate) fn doc_count(segments: &[Arc<JsonTree>]) -> usize {
-    seed_docs(&segments[0]).len() + segments.len() - 1
+pub(crate) fn doc_count(segments: &[Arc<Segment>]) -> usize {
+    segments[0].docs().len() + segments.len() - 1
 }
 
 /// The document column, derived from the segments — the one mapping from
@@ -1543,10 +1631,10 @@ pub(crate) fn doc_count(segments: &[Arc<JsonTree>]) -> usize {
 /// root of insert segment `s`. Yields the [`DocRef`] of each of
 /// `ordinals` (each `< doc_count(segments)`), in the order given.
 pub(crate) fn doc_refs_at<'a>(
-    segments: &'a [Arc<JsonTree>],
+    segments: &'a [Arc<Segment>],
     ordinals: impl Iterator<Item = usize> + 'a,
 ) -> impl Iterator<Item = DocRef> + 'a {
-    let seed = seed_docs(&segments[0]);
+    let seed = segments[0].docs();
     ordinals.map(move |i| match seed.get(i) {
         Some(&node) => DocRef { seg: 0, node },
         None => {

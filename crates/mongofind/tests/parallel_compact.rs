@@ -16,13 +16,20 @@
 //! `Collection::compact` itself is pinned by an equivalence property:
 //! documents, symbols and every query answer must be unchanged by
 //! compaction, on a hand corpus and on seeded generated documents.
+//!
+//! Each segment carries its own postings, which a background compaction
+//! adopts by pointer along with the segment. An interleaving of inserts,
+//! `Collection::compact` and background compactions that adopt the
+//! inserts committed during their merge checks, at tails of 0, 1, 64 and
+//! 127 insert segments, that the index route answers `$eq`, `$in` and
+//! range filters exactly as the scan and `Filter::matches` do.
 
 use std::sync::Arc;
 
 use jguard::QueryCtx;
 use jpar::Pool;
 use jsondata::{gen, parse, serialize::to_string, Json, NodeKind};
-use mongofind::{Collection, DocRef, Filter, Projection};
+use mongofind::{Collection, DocRef, Filter, Projection, Route};
 
 fn routed(coll: &Collection, f: &Filter) -> Vec<DocRef> {
     coll.find_refs_with_ctx(f, &QueryCtx::unlimited()).unwrap()
@@ -362,4 +369,117 @@ fn compact_handles_edge_layouts() {
             parse(r#"{"age": 7}"#).unwrap()
         ]
     );
+}
+
+/// The `i`-th document of the interleaving: repeated and fresh ids, a
+/// first name no earlier document has (a new string), a structured value
+/// and a string where the indexed paths usually hold a scalar and a
+/// number, and missing paths.
+fn interleaved_doc(i: usize) -> String {
+    match i % 5 {
+        0 => format!(
+            r#"{{"id": {}, "name": {{"first": "Sue", "last": "Kim"}}, "age": {}}}"#,
+            i % 40,
+            18 + i % 60
+        ),
+        1 => format!(
+            r#"{{"id": {}, "name": {{"first": "N{i}"}}, "age": 44}}"#,
+            5000 + i
+        ),
+        2 => format!(r#"{{"id": {i}, "name": {{"first": {{"nick": "S"}}}}, "age": "old"}}"#),
+        3 => format!(r#"{{"id": {}, "hobbies": ["yoga"]}}"#, 7 + i % 3),
+        _ => format!(r#"{{"id": [{i}], "name": "Ivy", "age": {}}}"#, i % 90),
+    }
+}
+
+/// `$eq`, `$in` and range probes on the indexed paths, alone, intersected
+/// and with a residual.
+fn probe_corpus() -> Vec<Filter> {
+    [
+        r#"{"id": 7}"#,
+        r#"{"id": {"$in": [3, 7, 5001, 9999]}}"#,
+        r#"{"name.first": "Sue"}"#,
+        r#"{"name.first": "N6"}"#,
+        r#"{"name.first": {"nick": "S"}}"#,
+        r#"{"name.first": {"$in": ["Ivy", "N126", "Nobody"]}}"#,
+        r#"{"age": 44}"#,
+        r#"{"age": "old"}"#,
+        r#"{"age": {"$gt": 40}}"#,
+        r#"{"age": {"$gte": 30, "$lt": 50}}"#,
+        r#"{"age": {"$lte": 20}}"#,
+        r#"{"name.first": {"$gte": "N"}}"#,
+        r#"{"name.first": "Sue", "age": {"$gte": 50}}"#,
+        r#"{"id": {"$lt": 20}, "hobbies": ["yoga"]}"#,
+    ]
+    .iter()
+    .map(|src| Filter::parse_str(src).expect("probe filter parses"))
+    .collect()
+}
+
+#[test]
+fn index_route_stays_exact_across_inserts_compactions_and_adoptions() {
+    let mut coll = big_parse(300);
+    for path in ["id", "name.first", "age"] {
+        assert!(coll.create_index(path));
+    }
+    let filters = probe_corpus();
+    let mut next = 0;
+    let mut insert = |coll: &mut Collection, n: usize| {
+        for _ in 0..n {
+            coll.insert_str(&interleaved_doc(next)).unwrap();
+            next += 1;
+        }
+    };
+    let mut checked = Vec::new();
+    let mut check = |coll: &Collection, step: &str| {
+        let tail = coll.segments().len() - 1;
+        let docs = coll.docs();
+        for f in &filters {
+            assert_eq!(coll.route_of(f), Route::Index, "{step} {f:?}");
+            let refs = routed(coll, f);
+            assert_eq!(refs, scan(coll, f), "{step}, tail {tail}: {f:?}");
+            let got: Vec<Json> = refs.iter().map(|&d| coll.json_of(d)).collect();
+            let want: Vec<Json> = docs.iter().filter(|d| f.matches(d)).cloned().collect();
+            assert_eq!(got, want, "{step}, tail {tail}: {f:?}");
+        }
+        checked.push(tail);
+    };
+    // A background compaction (the `jserve::Store::compact` protocol):
+    // merge a snapshot, commit `raced` inserts to the live column
+    // meanwhile, then adopt them onto the merge.
+    let background =
+        |coll: &mut Collection, raced: usize, insert: &mut dyn FnMut(&mut Collection, usize)| {
+            let mut merged = coll.clone();
+            merged.compact();
+            let base = coll.segments().len();
+            insert(coll, raced);
+            for seg in &coll.segments()[base..] {
+                merged.adopt_segment(seg);
+            }
+            *coll = merged;
+        };
+
+    check(&coll, "seed");
+    insert(&mut coll, 1);
+    check(&coll, "one insert");
+    insert(&mut coll, 63);
+    check(&coll, "64 inserts");
+    background(&mut coll, 5, &mut insert);
+    check(&coll, "background compaction, 5 raced");
+    insert(&mut coll, 59);
+    check(&coll, "59 inserts after adopting 5");
+    coll.compact();
+    check(&coll, "compact");
+    insert(&mut coll, 1);
+    check(&coll, "one insert after compact");
+    insert(&mut coll, 126);
+    check(&coll, "127 inserts after compact");
+    background(&mut coll, 0, &mut insert);
+    check(&coll, "background compaction, none raced");
+    background(&mut coll, 127, &mut insert);
+    check(&coll, "background compaction, 127 raced");
+    insert(&mut coll, 1);
+    coll.compact();
+    check(&coll, "compact after adopting");
+    assert_eq!(checked, [0, 1, 64, 5, 64, 0, 1, 127, 0, 127, 0]);
 }
