@@ -2322,6 +2322,17 @@ fn s10() {
 ///    index probe and no bitmap intersection, and make the same number
 ///    of allocations with 64 insert segments behind the seed as with
 ///    none.
+/// 5. **An insert costs what its own document costs.** On the same
+///    corpus, every served insert at tails 0 to 127 makes at most 42
+///    allocations and peaks at most 16 KiB, the worst included (the one
+///    on which the symbol table merges runs), and its peak bytes grow by
+///    at most 16 per insert segment.
+/// 6. **A compaction rewrites the tail, not the column.** A stream of
+///    16 compactions of 128 inserts over a 1k seed rewrites, per
+///    compaction, exactly the documents the tiering rule merges, leaves
+///    at most `log2 n + 1` segments, and rewrites at most `log2 n + 2`
+///    documents per document in all; a 128-insert tail compaction makes
+///    as many allocations over a 20k seed as over a 1k one.
 ///
 /// The persistent pool is gated by `s6`: output at several thread counts
 /// equal to the serial pool's, and the work split into chunks.
@@ -2580,6 +2591,9 @@ fn s11() {
     // --- gate 5: an insert costs what its own document costs -----------
     let insert_costs = s11_insert_costs();
 
+    // --- gate 6: a compaction rewrites the tail, not the column --------
+    let compaction = s11_compaction_costs();
+
     let mut report = Report::new("s11_serving");
     report.gate(
         "every concurrent read byte-identical to the serial replay of its snapshot's committed \
@@ -2599,9 +2613,18 @@ fn s11() {
          64 insert segments as with none",
     );
     report.gate(format!(
-        "a served insert makes at most {INSERT_MAX_ALLOCS} allocations at {INSERT_TAILS:?} \
-         insert segments, and its peak bytes grow by at most \
-         {INSERT_PEAK_BYTES_PER_SEGMENT} per segment from the first tail to the last"
+        "a served insert makes at most {INSERT_MAX_ALLOCS} allocations at every tail up to \
+         {} insert segments and peaks at most {INSERT_WORST_PEAK_BYTES} bytes, and its peak \
+         bytes grow by at most {INSERT_PEAK_BYTES_PER_SEGMENT} per segment from \
+         {INSERT_TAILS:?}'s first tail to its last",
+        INSERT_TAILS[INSERT_TAILS.len() - 1]
+    ));
+    report.gate(format!(
+        "{COMPACTIONS} compactions of {COMPACT_EVERY} inserts over a 1k seed each rewrite \
+         exactly what the tiering rule merges, leave at most log2 n + 1 segments, all \
+         multi-document, and rewrite at most log2 n + 2 documents per document in all; a \
+         {COMPACT_EVERY}-insert tail compaction makes as many allocations over a 20k seed as \
+         over a 1k one"
     ));
     // Which epochs the storm's reads land on, and whether admission sheds
     // a request (and so how many reads and inserts complete), depend on
@@ -2648,13 +2671,28 @@ fn s11() {
             Better::Lower,
         );
     }
-    for (tail, prof) in insert_costs {
+    for (tail, prof) in insert_costs.rows {
         report.count(
             format!("insert.allocs.tail{tail}"),
             prof.allocs,
             Better::Lower,
         );
         report.bytes(format!("insert.peak_bytes.tail{tail}"), prof.peak_bytes);
+    }
+    report.count(
+        "insert.allocs.worst",
+        insert_costs.worst_allocs.1,
+        Better::Lower,
+    );
+    report.bytes("insert.peak_bytes.worst", insert_costs.worst_peak.1);
+    for (i, (docs, segments)) in (1..).zip(compaction.stream) {
+        report.count(format!("compact.rewritten.c{i:02}"), docs, Better::Lower);
+        report.count(format!("compact.segments.c{i:02}"), segments, Better::Lower);
+    }
+    for (seed, allocs, peak) in compaction.tail {
+        let seed = format!("{}k", seed / 1000);
+        report.count(format!("compact.allocs.seed{seed}"), allocs, Better::Lower);
+        report.bytes(format!("compact.peak_bytes.seed{seed}"), peak);
     }
     report.write("BENCH_serving.json");
 }
@@ -2690,50 +2728,64 @@ fn s11_insert_doc(i: usize) -> String {
 const INSERT_TAILS: [usize; 3] = [0, 64, 127];
 /// Most allocations a served insert may make at each of [`INSERT_TAILS`].
 const INSERT_MAX_ALLOCS: u64 = 42;
+/// Most bytes a served insert may peak at, at any tail up to the last of
+/// [`INSERT_TAILS`]: the worst is an insert whose new string carries the
+/// symbol table's runs into its oldest, which it copies once.
+const INSERT_WORST_PEAK_BYTES: usize = 16_384;
 /// Most a served insert's peak bytes may grow per insert segment, from
 /// the first of [`INSERT_TAILS`] to the last: a snapshot clone copies one
 /// pointer per segment, and nothing else an insert does grows with them.
 const INSERT_PEAK_BYTES_PER_SEGMENT: usize = 16;
 
-/// S11 gate 5: on a fresh [`s11_corpus_server`], serves one insert at
-/// each of [`INSERT_TAILS`] insert segments (the ones before it
-/// unmeasured) and asserts its allocation count and the growth of its
-/// peak bytes with the tail (`bench::memtrack`, serial pool). Returns
-/// `(tail, profile)` rows.
-fn s11_insert_costs() -> Vec<(usize, memtrack::AllocProfile)> {
+/// S11 gate 5: on a fresh [`s11_corpus_server`], serves and measures
+/// (`bench::memtrack`, serial pool) the inserts at every tail from 0 to
+/// the last of [`INSERT_TAILS`] insert segments. Asserts the allocation
+/// count of every one, the worst included, and the growth of the peak
+/// bytes with the tail over [`INSERT_TAILS`]. Returns the
+/// `(tail, profile)` rows at [`INSERT_TAILS`] and the worst insert's
+/// `(tail, allocations)` and `(tail, peak bytes)`.
+fn s11_insert_costs() -> InsertCosts {
     use jserve::{Request, Response};
 
     let server = s11_corpus_server();
-    let insert = |i: usize| {
-        let reply = server.serve(
-            "point",
-            &Request::Insert {
-                doc: s11_insert_doc(i),
-            },
-        );
+    let mut costs = InsertCosts::default();
+    for tail in 0..=INSERT_TAILS[INSERT_TAILS.len() - 1] {
+        let (reply, prof) = memtrack::measure(|| {
+            server.serve(
+                "point",
+                &Request::Insert {
+                    doc: s11_insert_doc(tail),
+                },
+            )
+        });
         assert!(matches!(reply, Ok(Response::Inserted { .. })), "{reply:?}");
-    };
-    let mut rows = Vec::new();
-    let mut inserted = 0;
-    for tail in INSERT_TAILS {
-        for i in inserted..tail {
-            insert(i);
-        }
-        let ((), prof) = memtrack::measure(|| insert(tail));
-        inserted = tail + 1;
-        println!(
-            "insert at {tail} insert segments: {} allocations, peak {} bytes",
-            prof.allocs, prof.peak_bytes
-        );
         assert!(
             prof.allocs <= INSERT_MAX_ALLOCS,
             "S11 gate: a served insert at {tail} insert segments makes {} allocations \
              (at most {INSERT_MAX_ALLOCS} allowed)",
             prof.allocs
         );
-        rows.push((tail, prof));
+        if prof.allocs > costs.worst_allocs.1 {
+            costs.worst_allocs = (tail, prof.allocs);
+        }
+        if prof.peak_bytes > costs.worst_peak.1 {
+            costs.worst_peak = (tail, prof.peak_bytes);
+        }
+        if INSERT_TAILS.contains(&tail) {
+            println!(
+                "insert at {tail} insert segments: {} allocations, peak {} bytes",
+                prof.allocs, prof.peak_bytes
+            );
+            costs.rows.push((tail, prof));
+        }
     }
-    let (first, last) = (&rows[0], &rows[rows.len() - 1]);
+    let ((wa_tail, wa), (wp_tail, wp)) = (costs.worst_allocs, costs.worst_peak);
+    println!(
+        "worst insert over tails 0-{}: {wa} allocations (tail {wa_tail}), \
+         peak {wp} bytes (tail {wp_tail})",
+        INSERT_TAILS[INSERT_TAILS.len() - 1]
+    );
+    let (first, last) = (&costs.rows[0], &costs.rows[costs.rows.len() - 1]);
     let segments = last.0 - first.0;
     let growth = last.1.peak_bytes.saturating_sub(first.1.peak_bytes);
     assert!(
@@ -2746,7 +2798,182 @@ fn s11_insert_costs() -> Vec<(usize, memtrack::AllocProfile)> {
         last.1.peak_bytes,
         last.0
     );
-    rows
+    assert!(
+        wp <= INSERT_WORST_PEAK_BYTES,
+        "S11 gate: the served insert at {wp_tail} insert segments peaks at {wp} bytes \
+         (at most {INSERT_WORST_PEAK_BYTES} allowed)"
+    );
+    costs
+}
+
+/// What S11 gate 5 measures.
+#[derive(Default)]
+struct InsertCosts {
+    /// `(tail, profile)` at each of [`INSERT_TAILS`].
+    rows: Vec<(usize, memtrack::AllocProfile)>,
+    /// The insert with the most allocations: `(tail, allocations)`.
+    worst_allocs: (usize, u64),
+    /// The insert with the highest peak: `(tail, peak bytes)`.
+    worst_peak: (usize, usize),
+}
+
+/// Inserts S11 gate 6 commits between two compactions, as servebench's
+/// `ingest` does.
+const COMPACT_EVERY: usize = 128;
+/// Compactions of S11 gate 6's insert stream: enough for a tier merge
+/// to reach its 1k seed.
+const COMPACTIONS: usize = 16;
+
+/// What S11 gate 6 measures.
+struct CompactionCosts {
+    /// Per compaction of the stream: documents rewritten, and the
+    /// multi-document segments it leaves.
+    stream: Vec<(u64, u64)>,
+    /// `(seed size, allocations, peak bytes)` of one compaction of a
+    /// [`COMPACT_EVERY`]-insert tail.
+    tail: Vec<(usize, u64, usize)>,
+}
+
+/// A serial-pool store over `n` servebench-shaped person records,
+/// indexed on `id`, `name.first` and `age`.
+fn s11_store(n: usize) -> jserve::Store {
+    let corpus = jsondata::gen::person_records(n, 1);
+    let mut coll = mongofind::Collection::parse_str(&jsondata::serialize::to_string(&corpus))
+        .expect("corpus parses");
+    for path in ["id", "name.first", "age"] {
+        assert!(coll.create_index(path));
+    }
+    coll.set_pool(jpar::Pool::serial());
+    jserve::Store::new(coll)
+}
+
+/// The documents a compaction rewrote: those of the segments of `after`
+/// that `before` does not share.
+fn rewritten(before: &mongofind::Collection, after: &mongofind::Collection) -> u64 {
+    let kept = |seg: &std::sync::Arc<mongofind::Segment>| {
+        before
+            .segments()
+            .iter()
+            .any(|old| std::sync::Arc::ptr_eq(old, seg))
+    };
+    let fresh = after.segments().iter().filter(|seg| !kept(seg));
+    fresh.map(|seg| seg.len() as u64).sum()
+}
+
+/// The documents the tiering rule rewrites on a column whose segments
+/// hold `lens` documents, the first `multi` of them multi-document
+/// segments and the rest a non-empty insert tail: the tail, and each
+/// segment before it while that segment holds fewer than twice the
+/// documents merged so far. Worked out from the lengths alone,
+/// independently of `Collection::compact_tail`.
+fn tiering_rewrites(lens: &[usize], multi: usize) -> u64 {
+    let mut merged: usize = lens[multi..].iter().sum();
+    for &older in lens[..multi].iter().rev() {
+        if older >= 2 * merged {
+            break;
+        }
+        merged += older;
+    }
+    merged as u64
+}
+
+/// S11 gate 6: on a serial-pool store over 1k servebench-shaped records,
+/// commits [`COMPACTIONS`] rounds of [`COMPACT_EVERY`] inserts, each
+/// followed by a `Store::compact`. Asserts that each compaction rewrites
+/// exactly the documents the tiering rule merges (worked out from the
+/// segment lengths alone), leaves at most `log2 n + 1` multi-document
+/// segments and no insert segment, that the stream rewrites at most
+/// `log2 n + 2` documents per document in the final column, and that the
+/// replayed log equals the compacted column. Then, on fresh stores over
+/// 1k and 20k records, measures one compaction of a
+/// [`COMPACT_EVERY`]-insert tail and asserts the two make the same
+/// number of allocations.
+fn s11_compaction_costs() -> CompactionCosts {
+    let store = s11_store(1_000);
+    let mut stream = Vec::new();
+    let mut next = 0;
+    for round in 0..COMPACTIONS {
+        for _ in 0..COMPACT_EVERY {
+            store
+                .insert_str(&s11_insert_doc(next), jsondata::ParseLimits::default())
+                .expect("insert commits");
+            next += 1;
+        }
+        let before = store.snapshot();
+        let segs = before.collection().segments();
+        let lens: Vec<usize> = segs.iter().map(|s| s.len()).collect();
+        let multi = segs.iter().filter(|s| s.is_multi()).count();
+        assert!(store.compact(), "S11: an uncontended compaction publishes");
+        let after = store.snapshot();
+        let coll = after.collection();
+        let docs = rewritten(before.collection(), coll);
+        let expect = tiering_rewrites(&lens, multi);
+        assert_eq!(
+            docs, expect,
+            "S11 gate: compaction {round} rewrote {docs} documents, the tiering rule {expect}"
+        );
+        let segments = coll.segments();
+        let bound = 1 + coll.len().ilog2() as usize;
+        assert!(
+            segments.iter().all(|s| s.is_multi()) && segments.len() <= bound,
+            "S11 gate: compaction {round} leaves {} segments over {} documents \
+             (all multi-document, at most {bound} allowed)",
+            segments.len(),
+            coll.len()
+        );
+        stream.push((docs, segments.len() as u64));
+    }
+    let snap = store.snapshot();
+    let coll = snap.collection();
+    let total: u64 = stream.iter().map(|&(docs, _)| docs).sum();
+    let per_doc = total as f64 / coll.len() as f64;
+    let bound = coll.len().ilog2() as f64 + 2.0;
+    println!(
+        "compaction stream: {COMPACTIONS} compactions of {COMPACT_EVERY} inserts over a 1k \
+         seed rewrote {total} documents ({per_doc:.2} per document of the final {}), \
+         segments after each: {:?}",
+        coll.len(),
+        stream.iter().map(|&(_, s)| s).collect::<Vec<_>>()
+    );
+    assert!(
+        per_doc <= bound,
+        "S11 gate: the stream rewrote {per_doc:.2} documents per document (at most \
+         log2 n + 2 = {bound:.2} allowed)"
+    );
+    let mut replay = s11_store(1_000).snapshot().collection().clone();
+    for entry in store.log_prefix(usize::MAX) {
+        replay.insert_str(&entry).expect("log entries replay");
+    }
+    assert_eq!(
+        coll.docs(),
+        replay.docs(),
+        "S11 gate: the compacted column differs from its serial replay"
+    );
+
+    let mut tail = Vec::new();
+    for seed in [1_000, 20_000] {
+        let store = s11_store(seed);
+        for i in 0..COMPACT_EVERY {
+            store
+                .insert_str(&s11_insert_doc(i), jsondata::ParseLimits::default())
+                .expect("insert commits");
+        }
+        let (published, prof) = memtrack::measure(|| store.compact());
+        assert!(published, "S11: an uncontended compaction publishes");
+        println!(
+            "compaction of a {COMPACT_EVERY}-insert tail over {seed} records: {} \
+             allocations, peak {} bytes",
+            prof.allocs, prof.peak_bytes
+        );
+        tail.push((seed, prof.allocs, prof.peak_bytes));
+    }
+    assert_eq!(
+        tail[0].1, tail[1].1,
+        "S11 gate: a {COMPACT_EVERY}-insert tail compaction makes {} allocations over a 1k \
+         seed and {} over a 20k one: its cost grows with the seed",
+        tail[0].1, tail[1].1
+    );
+    CompactionCosts { stream, tail }
 }
 
 /// S11 gate 4: serves a point Find, FindProject and `$match` Aggregate on

@@ -42,7 +42,7 @@ fn corpus() -> Vec<jsondata::Json> {
     docs
 }
 
-/// The three segment layouts of the same logical collection, each with
+/// The four segment layouts of the same logical collection, each with
 /// the S9 indexes declared.
 fn layouts(docs: &[jsondata::Json]) -> Vec<(&'static str, Collection)> {
     let text = jsondata::serialize::to_string(&jsondata::Json::Array(docs.to_vec()));
@@ -65,10 +65,28 @@ fn layouts(docs: &[jsondata::Json]) -> Vec<(&'static str, Collection)> {
         compacted.insert(d);
     }
     compacted.compact();
+    // The layout tiered compaction leaves between two merges: a seed, two
+    // merged tails and single-document inserts.
+    let (seed, rest) = docs.split_at(docs.len() / 2);
+    let (first, rest) = rest.split_at(docs.len() / 5);
+    let (second, rest) = rest.split_at(docs.len() / 12);
+    let text = jsondata::serialize::to_string(&jsondata::Json::Array(seed.to_vec()));
+    let mut tiered = Collection::parse_str(&text).expect("corpus parses");
+    for p in S9_INDEX_PATHS {
+        tiered.create_index(p);
+    }
+    for tail in [first, second] {
+        tail.iter().for_each(|d| tiered.insert(d));
+        tiered.compact_tail();
+    }
+    rest.iter().for_each(|d| tiered.insert(d));
+    let multi = tiered.segments().iter().filter(|s| s.is_multi()).count();
+    assert_eq!(multi, 3, "seed and two merged tails");
     vec![
         ("one_parse", one_parse),
         ("fragmented", fragmented),
         ("post_compact", compacted),
+        ("tiered", tiered),
     ]
 }
 

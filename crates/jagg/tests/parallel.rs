@@ -256,7 +256,27 @@ fn layouts(docs: &[Json]) -> Vec<(&'static str, Collection)> {
         ("fragmented", fragmented),
         ("half_inserted", mixed),
         ("compacted", compacted),
+        ("tiered", tiered(docs)),
     ]
+}
+
+/// The layout tiered compaction leaves between two merges: the first
+/// half as a seed, two merged tails (a fifth, then a twelfth of the
+/// documents) and the rest as single-document inserts.
+fn tiered(docs: &[Json]) -> Collection {
+    let n = docs.len();
+    let (seed, rest) = docs.split_at(n / 2);
+    let (first, rest) = rest.split_at(n / 5);
+    let (second, rest) = rest.split_at(n / 12);
+    let mut coll = Collection::from_json(&Json::Array(seed.to_vec()));
+    for tail in [first, second] {
+        tail.iter().for_each(|d| coll.insert(d));
+        coll.compact_tail();
+    }
+    rest.iter().for_each(|d| coll.insert(d));
+    let multi = coll.segments().iter().filter(|s| s.is_multi()).count();
+    assert_eq!(multi, 3, "seed and two merged tails");
+    coll
 }
 
 #[test]

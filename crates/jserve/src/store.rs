@@ -31,15 +31,21 @@
 //!
 //! ## Background compaction
 //!
-//! [`Store::compact`] builds the merged single-segment column **off**
-//! the writer lock (readers and the writer keep going), then briefly
-//! takes the lock to catch up: segments committed while the merge ran
-//! are adopted by reference, postings included
+//! [`Store::compact`] merges the column's tail **off** the writer lock
+//! (readers and the writer keep going) with
+//! [`Collection::compact_tail`]: the insert segments since the last
+//! compaction become one multi-document segment, which then merges with
+//! the multi-document segments before it while the older holds fewer
+//! than twice the newer's documents, so a compaction rewrites the tail
+//! and what the tiering rule merges, not the whole column. The store then
+//! briefly takes the lock to catch up: segments committed while the merge
+//! ran are adopted by reference, postings included
 //! ([`Collection::adopt_segment`] — no re-parse, no copy, no posting
-//! rebuilt), and the compacted snapshot is published with the
-//! same epoch and a bumped **layout** generation. Two racing
-//! compactions are resolved by the layout check: the loser discards its
-//! stale merge and reports `false`.
+//! rebuilt), and the compacted snapshot is published with the same epoch
+//! and a bumped **layout** generation. A tier merge that reaches the seed
+//! still rewrites all of it, which is why the merge stays off the lock.
+//! Two racing compactions are resolved by the layout check: the loser
+//! discards its stale merge and reports `false`.
 
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
@@ -144,23 +150,24 @@ impl Store {
         Ok(epoch)
     }
 
-    /// Compacts the column in the background of ongoing traffic: the
-    /// merge runs off the writer lock against the snapshot current at
-    /// call time; under the lock, segments committed meanwhile are
-    /// adopted by reference and the result is published at the *current*
-    /// epoch with a bumped layout. Returns `false` (publishing nothing)
-    /// when a concurrent compaction published first.
+    /// Compacts the column's tail in the background of ongoing traffic
+    /// ([`Collection::compact_tail`]): the merge runs off the writer lock
+    /// against the snapshot current at call time; under the lock,
+    /// segments committed meanwhile are adopted by reference and the
+    /// result is published at the *current* epoch with a bumped layout.
+    /// Returns `false` (publishing nothing) when a concurrent compaction
+    /// published first.
     pub fn compact(&self) -> bool {
         let (base, merged) = self.merge();
         self.install(&base, merged)
     }
 
     /// The merge half of [`Store::compact`], off the writer lock: the
-    /// current snapshot and its compacted collection.
+    /// current snapshot and its collection with the tail compacted.
     fn merge(&self) -> (Arc<Snapshot>, Collection) {
         let base = self.snapshot();
         let mut coll = base.coll.clone();
-        coll.compact();
+        coll.compact_tail();
         (base, coll)
     }
 

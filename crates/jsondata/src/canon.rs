@@ -100,6 +100,12 @@ impl CanonTable {
         self.interner.len()
     }
 
+    /// The class id of the string atom `sym` (a symbol of the tree's
+    /// table), or `None` if no string leaf of the tree carries it.
+    pub fn class_of_str(&self, sym: Sym) -> Option<u32> {
+        self.interner.get(&Sig::Str(sym)).copied()
+    }
+
     /// The class id an *external* JSON value would have in `tree` (the tree
     /// this table was built from), or `None` if the value does not occur as
     /// a subtree anywhere in the tree.
@@ -113,7 +119,7 @@ impl CanonTable {
         // (and its work stacks).
         match value {
             Json::Num(n) => return self.interner.get(&Sig::Int(*n)).copied(),
-            Json::Str(s) => return self.interner.get(&Sig::Str(tree.sym(s)?)).copied(),
+            Json::Str(s) => return self.class_of_str(tree.sym(s)?),
             Json::Array(_) | Json::Object(_) => {}
         }
         // Iterative bottom-up over the external value, mirroring `build` but

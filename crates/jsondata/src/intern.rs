@@ -42,7 +42,8 @@
 //! and the newest runs merge like a binary counter (while the older of
 //! the last two is less than twice the newer), so a table keeps
 //! O(log n) runs and each new string costs O(log n) amortised pointer
-//! copies (and a merge allocates only the merged run's list and map). The
+//! copies (a merge copies only the run it merges into, once, cloning its
+//! list and map rather than rehashing its strings). The
 //! runs the base shares are never written, so an older snapshot's table
 //! stays exactly as it was. A table nobody shares appends to its last run
 //! in place, so one big parse (or a query-owned table) stays one run.
@@ -180,30 +181,51 @@ impl Interner {
     }
 
     /// Merges the last two runs while the older is less than twice the
-    /// newer, so run sizes at least halve from oldest to newest.
+    /// newer, so run sizes at least halve from oldest to newest. The
+    /// carry is worked out first, and the newest runs are merged into the
+    /// oldest one it reaches in one step: a shared run is copied once (its
+    /// list and map cloned, not rehashed string by string, with room for
+    /// the newer runs), and each newer string is pushed once.
     fn merge_tail(&mut self) {
-        while let Some(newer) = self.tail.last() {
-            let older = match self.tail.len() {
-                1 => &self.head,
-                n => &self.tail[n - 2],
+        let Some(newest) = self.tail.last() else {
+            return;
+        };
+        let (mut into, mut merged) = (self.tail.len(), newest.len());
+        while into > 0 {
+            let older = if into == 1 {
+                &self.head
+            } else {
+                &self.tail[into - 2]
             };
-            if older.len() >= 2 * newer.len() {
-                return;
+            if older.len() >= 2 * merged {
+                break;
             }
-            let newer = self.tail.pop().expect("a newer run");
-            let older = self.tail.last_mut().unwrap_or(&mut self.head);
-            if Arc::get_mut(older).is_none() {
-                let mut copy = Run::with_capacity(older.start, older.len() + newer.len());
-                for s in &older.strings {
-                    copy.push(Arc::clone(s));
-                }
-                *older = Arc::new(copy);
-            }
-            let run = Arc::get_mut(older).expect("a run of this table's own");
-            for s in &newer.strings {
-                run.push(Arc::clone(s));
-            }
+            merged += older.len();
+            into -= 1;
         }
+        if into == self.tail.len() {
+            return;
+        }
+        // `tail[into..]` merges into the run before it.
+        let (kept, newer) = self.tail.split_at_mut(into);
+        let older = kept.last_mut().unwrap_or(&mut self.head);
+        let extra = merged - older.len();
+        if Arc::get_mut(older).is_none() {
+            let mut strings = Vec::with_capacity(merged);
+            strings.extend_from_slice(&older.strings);
+            *older = Arc::new(Run {
+                start: older.start,
+                strings,
+                map: older.map.clone(),
+            });
+        }
+        let run = Arc::get_mut(older).expect("a run of this table's own");
+        run.strings.reserve(extra);
+        run.map.reserve(extra);
+        for s in newer.iter().flat_map(|r| &r.strings) {
+            run.push(Arc::clone(s));
+        }
+        self.tail.truncate(into);
     }
 
     /// The symbol of `s`, if it has been interned — the probe a query makes

@@ -551,9 +551,9 @@ impl JsonTree {
     /// Merges subtrees taken from trees that all share one symbol
     /// assignment into a **single array-rooted tree**: the result's
     /// root is an array whose `i`-th element is a copy of `parts[i]`'s
-    /// subtree. This is the segment-compaction primitive of
-    /// `mongofind::Collection::compact` — many single-document insert
-    /// segments replay into one tree so per-segment dispatch overhead
+    /// subtree. This is the segment-merge primitive of
+    /// `mongofind::Collection::compact_tail` and `compact` — a run of
+    /// segments replays into one tree so per-segment dispatch overhead
     /// (one JNL evaluation, one canonical-label table, one parallel task
     /// *per segment*) collapses to one.
     ///

@@ -22,12 +22,14 @@
 //! Both are **per segment** and live in the [`Segment`] they index: one
 //! [`Postings`] record holds both structures for every declared index,
 //! and records ordinals *within* its segment, so it never depends on
-//! where the segment sits in a column. [`Collection::insert`] builds the
-//! new segment's record from its one document and touches no existing
-//! posting; [`Collection::compact`] invalidates all node ids and classes,
-//! so the merged segment builds its record afresh; a compacted clone
-//! adopts the segments its origin appended meanwhile, records included
-//! ([`Collection::adopt_segment`]).
+//! where the segment sits in a column: a probe adds the segment's first
+//! ordinal ([`Segment::first`]). [`Collection::insert`] builds the new
+//! segment's record from its one document and touches no existing
+//! posting; a merge ([`Collection::compact_tail`], [`Collection::compact`])
+//! invalidates the node ids and classes of the segments it merges, so the
+//! merged segment builds its record afresh, and the segments it leaves
+//! keep theirs; a compacted clone adopts the segments its origin appended
+//! meanwhile, records included ([`Collection::adopt_segment`]).
 //!
 //! Planning ([`IndexSet::plan`]) flattens a conjunctive filter and splits
 //! it into an index-answerable prefix — `Compare(Eq|Gt|Gte|Lt|Lte)` and
@@ -56,7 +58,7 @@ use std::sync::Arc;
 
 use jguard::{QueryCtx, QueryError};
 use jnl::bitset::BitSet;
-use jsondata::{Json, JsonTree, NodeId};
+use jsondata::{Interner, Json, JsonTree, NodeId, Sym};
 use jtrace::{Counter, SpanKind};
 
 use crate::{
@@ -170,12 +172,11 @@ impl IndexSet {
         true
     }
 
-    /// The postings of every declared index over the documents `docs` of
-    /// `tree`, whose positions are their ordinals. For an insert segment
-    /// this is one document, so an insert builds one record from its own
-    /// document alone.
-    pub(crate) fn postings(&self, tree: &JsonTree, docs: &[NodeId]) -> Postings {
-        Postings::build(&self.defs, tree, docs)
+    /// The postings of every declared index over the documents of `seg`.
+    /// For an insert segment this is one document, so an insert builds
+    /// one record from its own document alone.
+    pub(crate) fn postings(&self, seg: &Segment) -> Postings {
+        Postings::build(&self.defs, seg)
     }
 
     /// Splits a conjunctive filter into index probes + residual. `None`
@@ -217,31 +218,28 @@ impl IndexSet {
     }
 
     /// Runs one probe of the index at `pi`, inserting every matching
-    /// document ordinal into `out`.
+    /// document ordinal into `out`. An `$eq` or `$in` constant is bound
+    /// to the column's table once, not once per segment.
     fn probe_into(pi: usize, probe: &Probe<'_>, segments: &[Arc<Segment>], out: &mut BitSet) {
-        let mut base = 0;
-        for seg in segments {
-            let postings = &seg.postings;
-            match probe {
-                Probe::Eq(v) => {
-                    for &o in postings.eq_run(pi, seg, v) {
-                        out.insert(base + o as usize);
-                    }
+        let table = table_of(segments);
+        let mut eq = |v: &Json| {
+            let key = Key::bind(v, table);
+            for seg in segments {
+                for &o in seg.postings.eq_run(pi, seg, &key) {
+                    out.insert(seg.first + o as usize);
                 }
-                Probe::In(items) => {
-                    for v in items.iter() {
-                        for &o in postings.eq_run(pi, seg, v) {
-                            out.insert(base + o as usize);
-                        }
-                    }
-                }
-                Probe::Range(cmp, v) => {
-                    for &(o, _) in postings.range_run(pi, seg, *cmp, v) {
-                        out.insert(base + o as usize);
+            }
+        };
+        match probe {
+            Probe::Eq(v) => eq(v),
+            Probe::In(items) => items.iter().for_each(eq),
+            Probe::Range(cmp, v) => {
+                for seg in segments {
+                    for &(o, _) in seg.postings.range_run(pi, seg, *cmp, v) {
+                        out.insert(seg.first + o as usize);
                     }
                 }
             }
-            base += seg.docs().len();
         }
     }
 
@@ -263,16 +261,16 @@ impl IndexSet {
             [(pi, Probe::Eq(v))] => {
                 ctx.record(Counter::IndexProbes, 1);
                 ctx.span_open(SpanKind::Probe, 0);
+                let key = Key::bind(v, table_of(segments));
                 let hits: Vec<DocRef> = (0u32..)
                     .zip(segments)
                     .flat_map(|(s, seg)| {
-                        let docs = seg.docs();
                         seg.postings
-                            .eq_run(*pi, seg, v)
+                            .eq_run(*pi, seg, &key)
                             .iter()
                             .map(move |&o| DocRef {
                                 seg: s,
-                                node: docs[o as usize],
+                                node: seg.doc(o as usize),
                             })
                     })
                     .collect();
@@ -343,15 +341,35 @@ impl IndexSet {
     }
 }
 
+/// An `$eq` constant bound to a column's table once per probe: a string
+/// by its symbol, any other value as itself.
+enum Key<'v> {
+    /// A string constant's symbol in the column's table; `None` when the
+    /// table lacks the string, which then equals no node.
+    Sym(Option<Sym>),
+    /// A number, array or object constant, classed per segment.
+    Value(&'v Json),
+}
+
+impl<'v> Key<'v> {
+    fn bind(v: &'v Json, table: &Interner) -> Key<'v> {
+        match v {
+            Json::Str(s) => Key::Sym(table.lookup(s)),
+            _ => Key::Value(v),
+        }
+    }
+}
+
 impl Postings {
-    /// The postings of `defs` over the documents `docs` of `tree`, whose
-    /// positions are their ordinals. Each path is bound to the tree's own
-    /// table: a string the table lacks is in none of the tree's
-    /// documents.
-    fn build(defs: &[IndexDef], tree: &JsonTree, docs: &[NodeId]) -> Postings {
+    /// The postings of `defs` over the documents of `seg`, whose
+    /// positions in the segment are their ordinals. Each path is bound to
+    /// the segment's own table: a string the table lacks is in none of
+    /// its documents.
+    fn build(defs: &[IndexDef], seg: &Segment) -> Postings {
         if defs.is_empty() {
             return Postings::default();
         }
+        let tree = seg.tree();
         let table = tree.interner();
         let mut steps = Vec::with_capacity(defs.iter().map(|d| d.path.0.len()).sum());
         for d in defs.iter() {
@@ -359,7 +377,8 @@ impl Postings {
         }
         let canon = tree.canon();
         let classes = canon.class_count();
-        let cap = defs.len() * docs.len();
+        let docs = seg.len();
+        let cap = defs.len() * docs;
         let mut starts = vec![0u32; defs.len() * (classes + 1)];
         let mut ords = Vec::with_capacity(cap);
         let mut sorted = Vec::with_capacity(cap);
@@ -368,9 +387,10 @@ impl Postings {
             let (path, tail) = rest.split_at(d.path.0.len());
             rest = tail;
             let first = sorted.len();
-            for (ord, &doc) in (0u32..).zip(docs) {
+            for ord in 0..docs {
+                let doc = seg.doc(ord);
                 if let Some(v) = path.iter().try_fold(doc, |at, s| step_node(tree, at, s)) {
-                    sorted.push((ord, v));
+                    sorted.push((ord as u32, v));
                 }
             }
             // A counting sort by class: each class's end offset, then
@@ -419,14 +439,21 @@ impl Postings {
         &self.starts[i * (classes + 1)..(i + 1) * (classes + 1)]
     }
 
-    /// Index `i`'s ordinals whose value equals `v`, ascending: classes
-    /// the external constant into the segment's canon table and reads
-    /// that class's run. An un-interned constant
+    /// Index `i`'s ordinals whose value equals `key`, ascending: classes
+    /// the constant into the segment's canon table and reads that class's
+    /// run. A string's symbol is comparable in every segment of the
+    /// column, and a segment whose table stops before it holds no node
+    /// carrying it. A constant that is not a subtree of the segment
     /// ([`jsondata::CanonTable::class_of_json`] → `None`) is an absence
     /// proof — the run is empty.
-    fn eq_run(&self, i: usize, tree: &JsonTree, v: &Json) -> &[u32] {
+    fn eq_run(&self, i: usize, tree: &JsonTree, key: &Key<'_>) -> &[u32] {
         let canon = tree.canon();
-        let Some(class) = canon.class_of_json(tree, v) else {
+        let class = match *key {
+            Key::Sym(Some(sym)) if sym.index() < tree.interner().len() => canon.class_of_str(sym),
+            Key::Sym(_) => None,
+            Key::Value(v) => canon.class_of_json(tree, v),
+        };
+        let Some(class) = class else {
             return &[];
         };
         let starts = self.starts(i, canon.class_count());
@@ -456,8 +483,8 @@ impl Collection {
     /// Declares a secondary index on the dotted path `path` (hash +
     /// sorted-column, see the module docs) and adds its postings to every
     /// segment's record. Subsequent [`Collection::insert`]s build each
-    /// new segment's postings with it; [`Collection::compact`] rebuilds
-    /// them. Returns `false` if the path is already indexed.
+    /// new segment's postings with it; a merge rebuilds them for the
+    /// merged segment. Returns `false` if the path is already indexed.
     pub fn create_index(&mut self, path: &str) -> bool {
         if !self.indexes.declare(path) {
             return false;
@@ -465,7 +492,7 @@ impl Collection {
         let new = &self.indexes.defs[self.indexes.defs.len() - 1..];
         for seg in &mut self.segments {
             let seg = Arc::make_mut(seg);
-            let more = Postings::build(new, &seg.tree, seg.docs());
+            let more = Postings::build(new, seg);
             seg.postings = seg.postings.append(&more);
             seg.indexes = self.indexes.clone();
         }

@@ -1026,13 +1026,13 @@ pub fn insert_path(pairs: &mut Vec<(String, Json)>, path: &[String], value: Json
 }
 
 /// Where a document lives inside a [`Collection`]'s tree column: the
-/// segment tree holding it and its root node within that segment. Segment
-/// `0` is the initial load; every [`Collection::insert`] appends one more.
-/// Refs are derived from the segments, never stored: the first documents
-/// are segment 0's (its root's array children, or the root itself for a
-/// non-array load), then one per insert segment, at that segment's root.
-/// Each segment's table extends the one before it, so a
-/// [`jsondata::Sym`] is comparable across the segments of one collection.
+/// segment tree holding it and its root node within that segment. Refs
+/// are derived from the segments, never stored: each segment records the
+/// ordinal of its first document ([`Segment::first`]), a multi-document
+/// segment holds its documents as its root's array children, and any
+/// other segment holds one document at its root. Each segment's table
+/// extends the one before it, so a [`jsondata::Sym`] is comparable
+/// across the segments of one collection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DocRef {
     /// Index into [`Collection::segments`].
@@ -1043,13 +1043,15 @@ pub struct DocRef {
 
 /// A queryable collection of documents, backed by a **persistent, segmented
 /// tree column**: the initial load is kept as one [`JsonTree`] (the whole
-/// collection array flattened through the fused parser), and every
+/// collection array flattened through the fused parser), every
 /// [`Collection::insert`] appends a further segment tree built on the last
-/// segment's [`Interner`] — so one symbol assignment spans every document
-/// ever loaded, and filters evaluate on the trees directly with no
-/// per-query parsing, tree building, or value traversal. The segments are
-/// the one source of truth: the collection's symbol table is the last
-/// segment's, and its document list is derived from the segments.
+/// segment's [`Interner`], and [`Collection::compact_tail`] merges runs of
+/// consecutive segments into multi-document ones — so one symbol
+/// assignment spans every document ever loaded, and filters evaluate on
+/// the trees directly with no per-query parsing, tree building, or value
+/// traversal. The segments are the one source of truth: the collection's
+/// symbol table is the last segment's, and its document list is derived
+/// from the segments.
 ///
 /// Owned [`Json`] documents are **not** kept: the value-returning APIs
 /// synthesize results from the tree ([`JsonTree::json_at`]), and
@@ -1093,7 +1095,8 @@ pub struct DocRef {
 /// back onto an older one.
 pub struct Collection {
     /// The tree column. Never empty; segment `s + 1`'s symbol table
-    /// extends segment `s`'s, so the last table resolves every `Sym`.
+    /// extends segment `s`'s, so the last table resolves every `Sym`, and
+    /// its first ordinal is segment `s`'s plus segment `s`'s length.
     segments: Vec<Arc<Segment>>,
     /// The worker pool driving `find` scans and JNL evaluations (and the
     /// `jagg` executor over this collection).
@@ -1107,7 +1110,8 @@ pub struct Collection {
     schema: Option<Arc<jsl::RecursiveJsl>>,
     /// The secondary indexes declared via [`Collection::create_index`].
     /// Their postings live in the segments: built with each insert
-    /// segment, rebuilt for the merged one on [`Collection::compact`].
+    /// segment, rebuilt for each merged one by [`Collection::compact`] and
+    /// [`Collection::compact_tail`].
     indexes: IndexSet,
 }
 
@@ -1126,34 +1130,51 @@ impl Clone for Collection {
     }
 }
 
-/// One segment of a [`Collection`]'s tree column: a [`JsonTree`] and the
-/// postings of every declared index over its documents, built together
-/// and immutable afterwards. It dereferences to its tree, so
-/// `&collection.segments()[i]` is usable wherever a `&JsonTree` is.
+/// One segment of a [`Collection`]'s tree column: a [`JsonTree`] holding
+/// one or many consecutive documents of the collection, and the postings
+/// of every declared index over them, built together and immutable
+/// afterwards. It dereferences to its tree, so `&collection.segments()[i]`
+/// is usable wherever a `&JsonTree` is.
 #[derive(Clone)]
 pub struct Segment {
     tree: JsonTree,
-    /// Whether the tree holds a load's documents ([`seed_docs`]: the
-    /// root's array children, or a non-array root as the one document) —
-    /// segment 0 — rather than one inserted document at its root.
-    seed: bool,
+    /// The ordinal of the segment's first document in its column. A merge
+    /// keeps document order and count, so it never changes once built.
+    first: usize,
+    /// Whether the tree's root is an array of documents (a load or a
+    /// merge), rather than one document.
+    many: bool,
     /// The index declarations `postings` were built for.
     indexes: IndexSet,
     postings: Postings,
 }
 
 impl Segment {
-    /// A segment over `tree` with the postings of every index in
-    /// `indexes` over its documents.
-    fn new(tree: JsonTree, seed: bool, indexes: &IndexSet) -> Segment {
+    /// A segment over `tree`, whose first document is ordinal `first`,
+    /// with the postings of every index in `indexes` over its documents.
+    fn new(tree: JsonTree, first: usize, many: bool, indexes: &IndexSet) -> Segment {
         let mut seg = Segment {
             tree,
-            seed,
+            first,
+            many,
             indexes: indexes.clone(),
             postings: Postings::default(),
         };
-        seg.postings = indexes.postings(&seg.tree, seg.docs());
+        seg.postings = indexes.postings(&seg);
         seg
+    }
+
+    /// The segments `range` merged into one many-document segment over
+    /// the newest table of the range ([`JsonTree::concat_subtrees`]),
+    /// with its horizon table and its postings built.
+    fn merge(range: &[Arc<Segment>], indexes: &IndexSet) -> Segment {
+        let parts: Vec<(&JsonTree, NodeId)> = range
+            .iter()
+            .flat_map(|s| (0..s.len()).map(move |o| (s.tree(), s.doc(o))))
+            .collect();
+        let merged = JsonTree::concat_subtrees(&parts, table_of(range));
+        merged.ensure_horizon();
+        Segment::new(merged, range[0].first, true, indexes)
     }
 
     /// The segment's tree.
@@ -1161,13 +1182,36 @@ impl Segment {
         &self.tree
     }
 
-    /// The segment's document nodes; a document's position here is its
-    /// ordinal within the segment, which its postings record.
-    pub(crate) fn docs(&self) -> &[NodeId] {
-        if self.seed {
-            seed_docs(&self.tree)
-        } else {
-            ROOT
+    /// The ordinal of the segment's first document in its collection.
+    pub fn first(&self) -> usize {
+        self.first
+    }
+
+    /// Number of documents in the segment.
+    pub fn len(&self) -> usize {
+        match self.many {
+            true => self.tree.child_count(self.tree.root()),
+            false => 1,
+        }
+    }
+
+    /// Whether the segment holds no document (only a load of `[]` does).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Whether the segment is a multi-document one: its root is an array
+    /// of documents (a load or a merge), rather than one document.
+    pub fn is_multi(&self) -> bool {
+        self.many
+    }
+
+    /// The root node of the segment's document at ordinal `o` within the
+    /// segment, which its postings record.
+    pub(crate) fn doc(&self, o: usize) -> NodeId {
+        match self.many {
+            true => self.tree.arr_children(self.tree.root())[o],
+            false => self.tree.root(),
         }
     }
 }
@@ -1215,11 +1259,16 @@ impl Collection {
         Ok(Collection::from_first_segment(tree))
     }
 
+    /// A collection over one loaded tree: an array root's elements are
+    /// its documents, any other root is its one document.
     fn from_first_segment(tree: JsonTree) -> Collection {
-        tree.ensure_horizon();
+        let many = tree.kind(tree.root()) == NodeKind::Arr;
+        if many {
+            tree.ensure_horizon();
+        }
         let indexes = IndexSet::default();
         Collection {
-            segments: vec![Arc::new(Segment::new(tree, true, &indexes))],
+            segments: vec![Arc::new(Segment::new(tree, 0, many, &indexes))],
             pool: Pool::auto(),
             schema: None,
             indexes,
@@ -1310,7 +1359,7 @@ impl Collection {
     /// record for every declared index, built from the new document
     /// alone.
     fn push_segment(&mut self, tree: JsonTree) {
-        let seg = Segment::new(tree, false, &self.indexes);
+        let seg = Segment::new(tree, self.len(), false, &self.indexes);
         self.segments.push(Arc::new(seg));
     }
 
@@ -1323,25 +1372,33 @@ impl Collection {
     /// shares them); otherwise its tree is copied and its postings are
     /// built afresh.
     ///
-    /// The segment's symbol table must extend this collection's — it was
-    /// inserted into a clone of this collection's lineage after this
-    /// collection's last segment was built — since the adopted table
-    /// becomes the collection's table. Adopting a segment from an
-    /// unrelated lineage is a logic error and will scramble query results
-    /// (it cannot, however, cause memory unsafety).
+    /// The segment must continue this collection: its first document is
+    /// ordinal [`Collection::len`] (a compaction keeps every ordinal),
+    /// and its symbol table extends this collection's — it was inserted
+    /// into a clone of this collection's lineage after this collection's
+    /// last segment was built — since the adopted table becomes the
+    /// collection's table. Adopting a segment from an unrelated lineage
+    /// is a logic error and will scramble query results (it cannot,
+    /// however, cause memory unsafety).
     pub fn adopt_segment(&mut self, seg: &Arc<Segment>) {
-        debug_assert!(!seg.seed, "only insert segments are adopted");
+        debug_assert_eq!(
+            seg.first,
+            self.len(),
+            "an adopted segment continues the column"
+        );
         if seg.indexes.same(&self.indexes) {
             self.segments.push(Arc::clone(seg));
         } else {
-            self.push_segment(seg.tree.clone());
+            let copy = Segment::new(seg.tree.clone(), seg.first, seg.many, &self.indexes);
+            self.segments.push(Arc::new(copy));
         }
     }
 
     /// The documents, as owned values, materialised from the tree column
     /// on every call. For tests and set-up; query paths never call it.
     pub fn docs(&self) -> Vec<Json> {
-        doc_refs_at(&self.segments, 0..self.len())
+        self.doc_refs()
+            .into_iter()
             .map(|d| self.json_of(d))
             .collect()
     }
@@ -1356,8 +1413,10 @@ impl Collection {
         self.len() == 0
     }
 
-    /// The segments of the collection's tree column (segment 0 is the
-    /// initial load; one more per insert). All segments share one symbol
+    /// The segments of the collection's tree column, in document order:
+    /// multi-document segments (the initial load and the merges of
+    /// [`Collection::compact_tail`]) and one single-document segment per
+    /// insert since the last merge. All segments share one symbol
     /// assignment. Segments are behind [`Arc`]s so snapshots can share
     /// them; `&segments()[i]` deref-coerces to `&JsonTree` wherever a
     /// plain tree is expected.
@@ -1368,7 +1427,20 @@ impl Collection {
     /// Every document's location in the tree column, in document order
     /// (derived from the segments on each call).
     pub fn doc_refs(&self) -> Vec<DocRef> {
-        doc_refs_at(&self.segments, 0..self.len()).collect()
+        let mut out = Vec::with_capacity(self.len());
+        for (s, seg) in (0u32..).zip(&self.segments) {
+            match seg.many {
+                true => {
+                    let docs = seg.arr_children(seg.root());
+                    out.extend(docs.iter().map(|&node| DocRef { seg: s, node }));
+                }
+                false => out.push(DocRef {
+                    seg: s,
+                    node: seg.root(),
+                }),
+            }
+        }
+        out
     }
 
     /// The collection's symbol table: the last segment's, which extends
@@ -1442,12 +1514,13 @@ impl Collection {
             let mut poll = ctx.poller();
             let mut out = Vec::new();
             ctx.record(Counter::DocsScanned, r.len() as u64);
-            for d in doc_refs_at(&self.segments, start + r.start..start + r.end) {
+            try_for_each_doc(&self.segments, start + r.start..start + r.end, |seg, d| {
                 poll.tick()?;
-                if bound.matches_at(&self.segments[d.seg as usize], d.node) {
+                if bound.matches_at(seg, d.node) {
                     out.push(d);
                 }
-            }
+                Ok::<_, QueryError>(())
+            })?;
             ctx.charge_rows(out.len() as u64)?;
             Ok(out)
         })
@@ -1456,28 +1529,26 @@ impl Collection {
     /// The ordinal of the first document that can satisfy `bound` (bound
     /// to [`Collection::interner`]): the first one that uses a symbol at
     /// or after [`BoundFilter::horizon`], `len()` for [`Horizon::Never`].
-    /// Segment 0 answers from its horizon table
-    /// ([`JsonTree::first_child_using`]). An insert segment holds one
-    /// document that uses only symbols its own table holds, and the
-    /// tables only grow from segment to segment, so the first insert
-    /// segment whose table reaches the horizon is found by binary search.
+    /// The tables only grow from segment to segment, so the first segment
+    /// whose table reaches the horizon is found by binary search, and no
+    /// earlier segment holds a document that can match. A multi-document
+    /// segment then answers from its horizon table
+    /// ([`JsonTree::first_child_using`]); a single-document one holds one
+    /// document, which uses only symbols its own table holds.
     pub fn scan_start(&self, bound: &BoundFilter<'_>) -> usize {
         let sym = match bound.horizon() {
             Horizon::Any => return 0,
             Horizon::Never => return self.len(),
             Horizon::From(sym) => sym,
         };
-        let reaches = |t: &Arc<Segment>| t.interner().len() > sym.index();
-        let seed = &self.segments[0];
-        let in_seed = match seed.kind(seed.root()) {
-            NodeKind::Arr => seed.first_child_using(sym),
-            _ => usize::from(!reaches(seed)),
-        };
-        let seed_len = seed.docs().len();
-        if in_seed < seed_len {
-            return in_seed;
+        let at = self
+            .segments
+            .partition_point(|t| t.interner().len() <= sym.index());
+        match self.segments.get(at) {
+            Some(seg) if seg.many => seg.first + seg.first_child_using(sym),
+            Some(seg) => seg.first,
+            None => self.len(),
         }
-        seed_len + self.segments[1..].partition_point(|t| !reaches(t))
     }
 
     /// Materialises each ref through `make`, preserving order (the output
@@ -1561,9 +1632,8 @@ impl Collection {
         ctx.record(Counter::SegmentsVisited, self.segments.len() as u64);
         let trees: Vec<&JsonTree> = self.segments.iter().map(|s| s.tree()).collect();
         let sats = jnl::eval::evaluate_batch_ctx(&trees, &phi, &self.pool, ctx)?;
-        let out: Vec<DocRef> = doc_refs_at(&self.segments, 0..self.len())
-            .filter(|d| sats[d.seg as usize][d.node.index()])
-            .collect();
+        let mut out = self.doc_refs();
+        out.retain(|d| sats[d.seg as usize][d.node.index()]);
         ctx.charge_rows(out.len() as u64)?;
         Ok(out)
     }
@@ -1574,39 +1644,59 @@ impl Collection {
     /// into a single array-rooted [`JsonTree`]
     /// ([`JsonTree::concat_subtrees`]). Document order, query results and
     /// the symbol assignment are all preserved exactly (property-tested);
-    /// only the layout changes.
+    /// only the layout changes. Every document is rewritten and every
+    /// posting rebuilt, so this costs what a load of the whole column
+    /// costs; [`Collection::compact_tail`] is the merge that rewrites
+    /// only what changed.
     ///
-    /// Compaction is what keeps insert-heavy collections fast: every
-    /// [`Collection::insert`] adds a single-document segment, and
-    /// per-segment work — one JNL evaluation, one canonical-label table,
-    /// one parallel task *per segment* — eventually drowns the queries.
     /// After `compact()` the collection is indistinguishable from one
     /// loaded in a single parse.
     pub fn compact(&mut self) {
         if self.segments.len() <= 1 {
             return;
         }
-        let parts: Vec<(&JsonTree, NodeId)> = doc_refs_at(&self.segments, 0..self.len())
-            .map(|d| (self.segments[d.seg as usize].tree(), d.node))
-            .collect();
-        let merged = JsonTree::concat_subtrees(&parts, self.interner());
-        merged.ensure_horizon();
-        // Node ids and canonical classes all changed: the merged segment
-        // builds its postings afresh (correctness pinned by the
-        // post-compact differential sweeps).
-        self.segments = vec![Arc::new(Segment::new(merged, true, &self.indexes))];
+        self.segments = vec![Arc::new(Segment::merge(&self.segments, &self.indexes))];
     }
-}
 
-/// The documents of a segment holding one inserted document: its root.
-const ROOT: &[NodeId] = &[NodeId::from_index(0)];
-
-/// Segment 0's documents: its root's array children, or the root itself
-/// for a non-array load.
-fn seed_docs(seed: &JsonTree) -> &[NodeId] {
-    match seed.kind(seed.root()) {
-        NodeKind::Arr => seed.arr_children(seed.root()),
-        _ => ROOT,
+    /// Merges the tail of the tree column, tiered like the runs of an
+    /// LSM tree: the segments after the newest multi-document segment —
+    /// one per insert since the last merge — become one multi-document
+    /// segment, which then absorbs the segment before it while that one
+    /// holds fewer than twice its documents. The reach of that carry is
+    /// worked out from the segment lengths first, and the whole run is
+    /// merged in one replay onto the newest table of its range
+    /// ([`JsonTree::concat_subtrees`]), so no document is rewritten twice
+    /// in one call and the tables still grow from segment to segment. The
+    /// merged segment builds its horizon table and postings. Document
+    /// order, ordinals, query results and the symbol assignment are all
+    /// preserved exactly.
+    ///
+    /// Compaction is what keeps insert-heavy collections fast: every
+    /// [`Collection::insert`] adds a single-document segment, and
+    /// per-segment work — one JNL evaluation, one canonical-label table,
+    /// one posting lookup *per segment* — eventually drowns the queries.
+    /// After `compact_tail()` segment sizes at least double from newest
+    /// to oldest, so a column of `n` documents keeps at most
+    /// `log2 n + 1` segments, and a document is rewritten `O(log n)`
+    /// times over any sequence of inserts and merges. A merge that
+    /// reaches the load still rewrites all of it; one that does not
+    /// leaves it, and its postings, untouched.
+    pub fn compact_tail(&mut self) {
+        let segs = &self.segments;
+        let tail = segs.iter().rposition(|s| s.many).map_or(0, |i| i + 1);
+        // With no insert since the last merge, the newest segment is the
+        // run that may carry.
+        let mut at = tail.min(segs.len() - 1);
+        let mut merged: usize = segs[at..].iter().map(|s| s.len()).sum();
+        while at > 0 && segs[at - 1].len() < 2 * merged {
+            at -= 1;
+            merged += segs[at].len();
+        }
+        if at + 1 < segs.len() || !segs[at].many {
+            let merged = Segment::merge(&segs[at..], &self.indexes);
+            self.segments.truncate(at);
+            self.segments.push(Arc::new(merged));
+        }
     }
 }
 
@@ -1619,32 +1709,66 @@ pub(crate) fn table_of(segments: &[Arc<Segment>]) -> &Arc<Interner> {
         .interner()
 }
 
-/// Number of documents in the tree column `segments`: segment 0's, plus
-/// one per insert segment.
+/// Number of documents in the tree column `segments`.
 pub(crate) fn doc_count(segments: &[Arc<Segment>]) -> usize {
-    segments[0].docs().len() + segments.len() - 1
+    let last = segments
+        .last()
+        .expect("a collection has at least one segment");
+    last.first + last.len()
 }
 
 /// The document column, derived from the segments — the one mapping from
-/// document ordinals to tree-column locations. Ordinals `0..n0` are
-/// segment 0's `n0` documents ([`seed_docs`]); ordinal `n0 + s - 1` is the
-/// root of insert segment `s`. Yields the [`DocRef`] of each of
-/// `ordinals` (each `< doc_count(segments)`), in the order given.
+/// document ordinals to tree-column locations: ordinal `i` is document
+/// `i - first` of the segment whose ordinals hold it. Yields the
+/// [`DocRef`] of each of `ordinals` (ascending, each
+/// `< doc_count(segments)`, such as a probe bitmap's members), in order,
+/// moving forward through the segments as the ordinals pass their ends.
 pub(crate) fn doc_refs_at<'a>(
     segments: &'a [Arc<Segment>],
     ordinals: impl Iterator<Item = usize> + 'a,
 ) -> impl Iterator<Item = DocRef> + 'a {
-    let seed = segments[0].docs();
-    ordinals.map(move |i| match seed.get(i) {
-        Some(&node) => DocRef { seg: 0, node },
-        None => {
-            let seg = i - seed.len() + 1;
-            DocRef {
-                seg: seg as u32,
-                node: segments[seg].root(),
-            }
+    let mut at = 0;
+    ordinals.map(move |i| {
+        while segments[at].first + segments[at].len() <= i {
+            at += 1;
+        }
+        let seg = &segments[at];
+        DocRef {
+            seg: at as u32,
+            node: seg.doc(i - seg.first),
         }
     })
+}
+
+/// Calls `f` with the segment and [`DocRef`] of each ordinal in `range`,
+/// in order, stopping at its first error: the range form of
+/// [`doc_refs_at`] that a scan walks, each segment's share as one run.
+pub(crate) fn try_for_each_doc<E>(
+    segments: &[Arc<Segment>],
+    range: Range<usize>,
+    mut f: impl FnMut(&Segment, DocRef) -> Result<(), E>,
+) -> Result<(), E> {
+    let from = segments.partition_point(|s| s.first <= range.start).max(1) - 1;
+    for (s, seg) in (from as u32..).zip(&segments[from..]) {
+        if seg.first >= range.end {
+            break;
+        }
+        let local = range.start.saturating_sub(seg.first)..(range.end - seg.first).min(seg.len());
+        if seg.many {
+            for &node in &seg.arr_children(seg.root())[local] {
+                f(seg, DocRef { seg: s, node })?;
+            }
+        } else if !local.is_empty() {
+            f(
+                seg,
+                DocRef {
+                    seg: s,
+                    node: seg.root(),
+                },
+            )?;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

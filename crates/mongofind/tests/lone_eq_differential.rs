@@ -6,7 +6,8 @@
 //! against `Filter::matches` on the materialised documents, for scalar,
 //! absent and structured constants, across every layout the tree column
 //! can be in ({one parse, one parse plus 1 and plus 64 inserts, compacted,
-//! inserted after a compaction, empty}) at 1, 2 and 4 threads. It also
+//! inserted after a compaction, tiered, empty}) at 1, 2 and 4 threads. It
+//! also
 //! pins what the probe records: one probe, no bitmap intersection, no
 //! scanned document, and a byte charge of exactly the hit list.
 
@@ -89,8 +90,23 @@ fn layouts() -> Vec<(&'static str, Collection)> {
         ("plus_64_inserts", with_inserts(seed(), 0, 64)),
         ("compacted", compacted),
         ("inserted_after_compaction", after_compaction),
+        ("tiered", tiered()),
         ("empty", indexed(Collection::parse_str("[]").unwrap())),
     ]
+}
+
+/// The seed, two merged tails (64, then 20 inserts) and 5
+/// single-document inserts: the layout tiered compaction leaves between
+/// two merges.
+fn tiered() -> Collection {
+    let mut coll = with_inserts(seed(), 0, 64);
+    coll.compact_tail();
+    coll = with_inserts(coll, 64, 20);
+    coll.compact_tail();
+    let coll = with_inserts(coll, 84, 5);
+    let multi = coll.segments().iter().filter(|s| s.is_multi()).count();
+    assert_eq!(multi, 3, "seed and two merged tails");
+    coll
 }
 
 #[test]

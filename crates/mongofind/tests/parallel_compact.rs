@@ -7,8 +7,9 @@
 //! with the segment layouts the tree column can be in: one big parse (a
 //! single array segment), many single-document insert segments, the
 //! post-`compact()` merge of the latter, a compacted clone that adopted
-//! segments its origin appended afterwards, and the `[]` and non-array
-//! single-document seeds. On every cell the
+//! segments its origin appended afterwards, the tiered layout
+//! `compact_tail` leaves (a seed, two merged tails, then inserts), and
+//! the `[]` and non-array single-document seeds. On every cell the
 //! routed path (`find_refs_with_ctx`, with and without an index to take)
 //! must equal the document-scan oracle, and so must the JNL oracle on
 //! the exactly JNL-compilable fragment.
@@ -22,7 +23,11 @@
 //! `Collection::compact` and background compactions that adopt the
 //! inserts committed during their merge checks, at tails of 0, 1, 64 and
 //! 127 insert segments, that the index route answers `$eq`, `$in` and
-//! range filters exactly as the scan and `Filter::matches` do.
+//! range filters exactly as the scan and `Filter::matches` do. A second
+//! interleaving races 0, 5 and 127 inserts against tail merges
+//! (`Collection::compact_tail`), up to merges that reach the seed, and
+//! checks every step against the scan and a serial replay of the same
+//! inserts that was never compacted.
 
 use std::sync::Arc;
 
@@ -122,6 +127,29 @@ fn compacted_then_adopted(n: usize, k: usize) -> Collection {
     compacted
 }
 
+/// The first half of `n` records as one parse, two merged tails (a
+/// fifth, then a twelfth of the records) and the rest inserted: the
+/// layout tiered compaction leaves between two merges.
+fn tiered(n: usize) -> Collection {
+    let docs = person_docs(n);
+    let (seed, rest) = docs.split_at(n / 2);
+    let (first, rest) = rest.split_at(n / 5);
+    let (second, rest) = rest.split_at(n / 12);
+    let mut coll = Collection::parse_str(&to_string(&Json::Array(seed.to_vec()))).unwrap();
+    for tail in [first, second] {
+        for d in tail {
+            coll.insert_str(&to_string(d)).unwrap();
+        }
+        coll.compact_tail();
+    }
+    for d in rest {
+        coll.insert_str(&to_string(d)).unwrap();
+    }
+    let multi = coll.segments().iter().filter(|s| s.is_multi()).count();
+    assert_eq!(multi, 3, "seed and two merged tails");
+    coll
+}
+
 /// Every layout, with the documents a one-parse load of the same input
 /// holds.
 fn shapes(n: usize) -> Vec<(&'static str, Collection, Vec<Json>)> {
@@ -137,6 +165,7 @@ fn shapes(n: usize) -> Vec<(&'static str, Collection, Vec<Json>)> {
             compacted_then_adopted(n, n / 10),
             person_docs(n),
         ),
+        ("tiered", tiered(n), person_docs(n)),
         ("empty", Collection::parse_str("[]").unwrap(), vec![]),
         (
             "single_doc",
@@ -188,27 +217,24 @@ fn derived_doc_column_and_symbol_table_hold_on_every_layout() {
     // The invariants the collection derives from its segments instead of
     // storing: the document list and the symbol table.
     for (label, mut coll, docs) in shapes(300) {
-        // doc_refs() is segment 0's documents (the root's array children,
-        // or the root of a non-array seed), then one root per insert
-        // segment.
+        // doc_refs() is each segment's documents in turn, from the
+        // segment's first ordinal on: a multi-document segment's root's
+        // array children, any other segment's root.
         let segs = coll.segments();
-        let seed = &segs[0];
-        let mut expect: Vec<DocRef> = match seed.kind(seed.root()) {
-            NodeKind::Arr => seed
-                .arr_children(seed.root())
-                .iter()
-                .map(|&node| DocRef { seg: 0, node })
-                .collect(),
-            _ => vec![DocRef {
-                seg: 0,
-                node: seed.root(),
-            }],
-        };
-        for (s, tree) in segs.iter().enumerate().skip(1) {
-            expect.push(DocRef {
-                seg: s as u32,
-                node: tree.root(),
-            });
+        let mut expect: Vec<DocRef> = Vec::new();
+        for (s, tree) in (0u32..).zip(segs) {
+            assert_eq!(tree.first(), expect.len(), "{label}");
+            match tree.is_multi() {
+                true => {
+                    assert_eq!(tree.kind(tree.root()), NodeKind::Arr, "{label}");
+                    let docs = tree.arr_children(tree.root());
+                    expect.extend(docs.iter().map(|&node| DocRef { seg: s, node }));
+                }
+                false => expect.push(DocRef {
+                    seg: s,
+                    node: tree.root(),
+                }),
+            }
         }
         assert_eq!(coll.doc_refs(), expect, "{label}");
         assert_eq!(coll.len(), docs.len(), "{label}");
@@ -482,4 +508,90 @@ fn index_route_stays_exact_across_inserts_compactions_and_adoptions() {
     coll.compact();
     check(&coll, "compact after adopting");
     assert_eq!(checked, [0, 1, 64, 5, 64, 0, 1, 127, 0, 127, 0]);
+}
+
+#[test]
+fn tail_merges_racing_inserts_match_scan_and_serial_replay() {
+    let mut coll = big_parse(300);
+    for path in ["id", "name.first", "age"] {
+        assert!(coll.create_index(path));
+    }
+    // The same inserts, applied serially and never compacted.
+    let mut replay = coll.clone();
+    let filters = probe_corpus();
+    let mut next = 0;
+    let mut insert = |coll: &mut Collection, replay: &mut Collection, n: usize| {
+        for _ in 0..n {
+            let doc = interleaved_doc(next);
+            coll.insert_str(&doc).unwrap();
+            replay.insert_str(&doc).unwrap();
+            next += 1;
+        }
+    };
+    let check = |coll: &Collection, replay: &Collection, step: &str| {
+        let docs = coll.docs();
+        assert_eq!(docs, replay.docs(), "{step}");
+        assert_eq!(coll.doc_refs().len(), coll.len(), "{step}");
+        for f in &filters {
+            let refs = routed(coll, f);
+            assert_eq!(refs, scan(coll, f), "{step}: {f:?}");
+            let got: Vec<Json> = refs.iter().map(|&d| coll.json_of(d)).collect();
+            assert_eq!(got, replay.find(f), "{step}: {f:?}");
+        }
+    };
+    // A background tail merge (the `jserve::Store::compact` protocol):
+    // merge the tail of a snapshot, commit `raced` inserts to the live
+    // column meanwhile, then adopt them onto the merge.
+    let mut merges = 0;
+    let mut background =
+        |coll: &mut Collection,
+         replay: &mut Collection,
+         raced: usize,
+         insert: &mut dyn FnMut(&mut Collection, &mut Collection, usize)| {
+            let mut merged = coll.clone();
+            merged.compact_tail();
+            let segs = merged.segments();
+            assert!(
+                segs.iter().all(|s| s.is_multi()),
+                "a merge leaves no insert segment"
+            );
+            assert!(
+                segs.len() <= 1 + merged.len().ilog2() as usize,
+                "{} segments over {} documents",
+                segs.len(),
+                merged.len()
+            );
+            assert!(segs.windows(2).all(|w| w[0].len() >= 2 * w[1].len()));
+            let base = coll.segments().len();
+            insert(coll, replay, raced);
+            for seg in &coll.segments()[base..] {
+                merged.adopt_segment(seg);
+            }
+            *coll = merged;
+            merges += 1;
+        };
+
+    check(&coll, &replay, "seed");
+    insert(&mut coll, &mut replay, 64);
+    background(&mut coll, &mut replay, 0, &mut insert);
+    check(&coll, &replay, "tail merge of 64, none raced");
+    insert(&mut coll, &mut replay, 20);
+    background(&mut coll, &mut replay, 5, &mut insert);
+    check(&coll, &replay, "tail merge of 20, 5 raced");
+    assert_eq!(
+        coll.segments().len(),
+        3 + 5,
+        "seed, two tiers and 5 adopted"
+    );
+    background(&mut coll, &mut replay, 127, &mut insert);
+    check(&coll, &replay, "tail merge of 5, 127 raced");
+    // Merges of the raced inserts, until a tier merge reaches the seed.
+    for raced in [0, 5, 127, 5, 127] {
+        background(&mut coll, &mut replay, raced, &mut insert);
+        check(&coll, &replay, &format!("tail merge, {raced} raced"));
+    }
+    coll.compact_tail();
+    check(&coll, &replay, "final tail merge");
+    assert_eq!(coll.segments().len(), 1, "the last merges reached the seed");
+    assert_eq!(merges, 8);
 }

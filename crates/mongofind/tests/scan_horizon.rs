@@ -2,12 +2,13 @@
 //!
 //! The document scan (`Collection::find_refs_via_scan_with_ctx`) skips
 //! every document before `Collection::scan_start`, which it derives from
-//! symbols: the filter's horizon (`BoundFilter::horizon`), segment 0's
-//! horizon table and the insert segments' table lengths. The oracle here
+//! symbols: the filter's horizon (`BoundFilter::horizon`), the segments'
+//! table lengths and the multi-document segments' horizon tables. The
+//! oracle here
 //! is `Filter::matches` over the materialised `Collection::docs`, which
 //! shares no symbol code with any of that. The sweep crosses the
 //! collection layouts (one parse, all inserted, half inserted, compacted,
-//! inserted after a compaction, empty) with 1, 2 and 4 threads, on
+//! inserted after a compaction, tiered, empty) with 1, 2 and 4 threads, on
 //! filters that need late strings, keys only inserted documents carry,
 //! strings the table lacks, numeric path segments, old and new strings
 //! mixed under `$or`/`$in`, and the negations that need nothing. A scan
@@ -113,7 +114,27 @@ fn layouts(docs: &[Json]) -> Vec<(&'static str, Collection)> {
         ("half_inserted", half_inserted),
         ("compacted", compacted),
         ("inserted_after_compaction", inserted_after_compaction),
+        ("tiered", tiered(docs)),
     ]
+}
+
+/// The seed records as one parse, then the late documents as two merged
+/// tails (30, then 12 documents) and single-document inserts: the layout
+/// tiered compaction leaves between two merges, with late strings inside
+/// merged segments.
+fn tiered(docs: &[Json]) -> Collection {
+    let (seed, late) = docs.split_at(docs.len() - LATE);
+    let (first, rest) = late.split_at(30);
+    let (second, rest) = rest.split_at(12);
+    let mut coll = from_docs(seed);
+    for tail in [first, second] {
+        tail.iter().for_each(|d| coll.insert(d));
+        coll.compact_tail();
+    }
+    rest.iter().for_each(|d| coll.insert(d));
+    let multi = coll.segments().iter().filter(|s| s.is_multi()).count();
+    assert_eq!(multi, 3, "seed and two merged tails");
+    coll
 }
 
 /// The scan's answer as document ordinals, with the documents it tested.
