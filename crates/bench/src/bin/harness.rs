@@ -11,8 +11,9 @@
 //! ```
 //!
 //! `compare` prints two reports of one experiment side by side, metric by
-//! metric, marking wall-clock (`ms`) metrics as noisy; it fails when the
-//! experiments or the metric sets differ.
+//! metric, marking wall-clock metrics (`ms`, `us`, `%` overheads) and
+//! schedule-dependent counts as noisy; it fails when the experiments or
+//! the metric sets differ.
 
 use bench::jsonout::{Better, Report};
 use bench::*;
@@ -914,9 +915,22 @@ fn s3() {
     report.write("BENCH_dfa_bitset.json");
 }
 
+/// The most live bytes per node an S4 workload's fused tree and its
+/// canonical-label table may retain together (S4 gate 3). The node
+/// columns take 29 bytes, and the class vector, class index and
+/// signature buffer about 15 more; per-node `height`/`size` columns,
+/// doubling slack left in a node column, or a heap signature per class
+/// each break it (70.6 on `person_records_20k` with the last two).
+const S4_RETAINED_BYTES_PER_NODE: f64 = 56.0;
+
+/// The most heap allocations one `CanonTable::build` may make on an S4
+/// workload (S4 gate 3): a fixed set of buffers grown by doubling,
+/// O(log n), never one per container or per class.
+const S4_CANON_ALLOCS: u64 = 64;
+
 /// S4 — the parser→tree fusion experiment: the fused `parse_to_tree`
 /// single pass vs the two-pass `parse` + `JsonTree::build` pipeline, on the
-/// large-document workloads. Two deterministic gates run inside the
+/// large-document workloads. Three deterministic gates run inside the
 /// harness: the fused tree must be node-for-node identical to the two-pass
 /// tree (arena layout + symbol table + canon classes), and the fused path
 /// must make at most 1/10 of the two-pass pipeline's heap allocations and
@@ -924,8 +938,13 @@ fn s3() {
 /// the owned `Json` the two-pass route builds first, one allocation per
 /// container and string, and it allocates per buffer, not per node: one
 /// allocation per node or per string fails the ratio (the two-pass route
-/// makes 1–1.5 per node). Times (medians of 9) and allocation profiles
-/// land in `BENCH_parse_fusion.json`.
+/// makes 1–1.5 per node). The third gate bounds what a loaded column
+/// keeps: the fused tree and its canonical-label table must retain at
+/// most [`S4_RETAINED_BYTES_PER_NODE`] live bytes per node together, and
+/// the table's build must make at most [`S4_CANON_ALLOCS`] allocations.
+/// Times
+/// (medians of 9), allocation profiles and retained bytes land in
+/// `BENCH_parse_fusion.json`.
 fn s4() {
     header(
         "S4",
@@ -937,6 +956,10 @@ fn s4() {
     report.gate(
         "fused allocations at most 1/10 of the two-pass pipeline's; fused peak live bytes below it",
     );
+    report.gate(format!(
+        "fused tree plus canon table retain at most {S4_RETAINED_BYTES_PER_NODE} bytes per \
+         node; CanonTable::build makes at most {S4_CANON_ALLOCS} allocations"
+    ));
     for (label, src) in s4_workloads() {
         // Deterministic gate 1: node-for-node identity (layout + symbols
         // + canon signatures).
@@ -987,6 +1010,50 @@ fn s4() {
         report.count(format!("{label}.fused_allocs"), fused.allocs, Better::Lower);
         report.bytes(format!("{label}.two_pass_peak_bytes"), two.peak_bytes);
         report.bytes(format!("{label}.fused_peak_bytes"), fused.peak_bytes);
+
+        // Deterministic gate 3: what a loaded column keeps, per node.
+        let (tree, kept) = memtrack::measure(|| jsondata::parse_to_tree(&src).unwrap());
+        let (canon, canon_kept) = memtrack::measure(|| jsondata::CanonTable::build(&tree));
+        let nodes = tree.node_count() as f64;
+        let tree_per_node = kept.live_bytes as f64 / nodes;
+        let canon_per_node = canon_kept.live_bytes as f64 / nodes;
+        let canon_ms = time_ms(9, || jsondata::CanonTable::build(&tree));
+        drop((canon, tree));
+        println!(
+            "{label}: tree {tree_per_node:.2} + canon {canon_per_node:.2} bytes/node retained, \
+             canon build {} allocations",
+            canon_kept.allocs
+        );
+        assert!(
+            tree_per_node + canon_per_node <= S4_RETAINED_BYTES_PER_NODE,
+            "S4 gate: tree plus canon retain {:.2} bytes per node on {label} (at most \
+             {S4_RETAINED_BYTES_PER_NODE} allowed)",
+            tree_per_node + canon_per_node
+        );
+        assert!(
+            canon_kept.allocs <= S4_CANON_ALLOCS,
+            "S4 gate: CanonTable::build made {} allocations on {label} (at most \
+             {S4_CANON_ALLOCS} allowed)",
+            canon_kept.allocs
+        );
+        report.ms(format!("{label}.canon_ms"), canon_ms);
+        report.count(
+            format!("{label}.canon_allocs"),
+            canon_kept.allocs,
+            Better::Lower,
+        );
+        report.metric(
+            format!("{label}.tree_retained_bytes_per_node"),
+            tree_per_node,
+            "bytes/node",
+            Better::Lower,
+        );
+        report.metric(
+            format!("{label}.canon_retained_bytes_per_node"),
+            canon_per_node,
+            "bytes/node",
+            Better::Lower,
+        );
     }
     report.write("BENCH_parse_fusion.json");
 }

@@ -161,10 +161,11 @@ pub struct Change {
 pub const SCHEDULE_COUNT: &str = "count (schedule)";
 
 impl Change {
-    /// Wall-clock metrics (`ms`) and schedule-dependent counts
+    /// Wall-clock metrics (`ms`, `us`, and the `%` overheads derived from
+    /// paired wall clocks) and schedule-dependent counts
     /// ([`SCHEDULE_COUNT`]) move between two runs of the same code.
     pub fn noisy(&self) -> bool {
-        self.unit == "ms" || self.unit == SCHEDULE_COUNT
+        matches!(self.unit.as_str(), "ms" | "us" | "%") || self.unit == SCHEDULE_COUNT
     }
 
     /// Whether the value moved.
@@ -365,6 +366,20 @@ mod tests {
         assert_eq!(changes[0].unit, SCHEDULE_COUNT);
         assert!(changes[0].noisy() && changes[0].changed());
         assert!(!changes[1].noisy() && !changes[1].changed());
+    }
+
+    #[test]
+    fn wall_clock_units_are_noisy() {
+        let run = |wall: f64| {
+            let mut r = Report::new("demo");
+            r.metric("overhead.find_scan.pct", wall, "%", Better::Lower);
+            r.metric("analyze.find.wall_us", wall * 10.0, "us", Better::Lower);
+            r.bytes("tree.retained_bytes", 1024);
+            r.render(2, 2, "x")
+        };
+        let changes = compare(&run(13.75), &run(1.77)).unwrap();
+        assert!(changes[..2].iter().all(|c| c.noisy() && c.changed()));
+        assert!(!changes[2].noisy() && !changes[2].changed());
     }
 
     #[test]

@@ -45,6 +45,7 @@ pub struct FxHasher {
 }
 
 impl Default for FxHasher {
+    #[inline]
     fn default() -> FxHasher {
         FxHasher {
             hash: process_seed(),

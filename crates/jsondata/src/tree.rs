@@ -165,10 +165,20 @@ impl Frames {
 }
 
 /// An immutable JSON tree `J = (D, Obj, Arr, Str, Int, A, O, val)`.
+///
+/// Per node the tree keeps 29 bytes of columns: the kind (1 byte); the
+/// parent, the slot in the parent's child span, the child-span offset,
+/// and the node's entry in the flattened `children` and `keys` arrays
+/// (4 bytes each); and the leaf payload (8). Measures that follow from
+/// these are computed, not stored: a subtree's size from pre-order
+/// contiguity ([`JsonTree::subtree_size`]), and of the heights only the
+/// root's, which construction sees for free.
 #[derive(Clone)]
 pub struct JsonTree {
+    /// The partition each node belongs to.
     kinds: Vec<NodeKind>,
-    /// Parent node index, or [`NO_PARENT`] at the root.
+    /// Parent node index, or [`NO_PARENT`] at the root: PDL's backward
+    /// steps and the edge label into a node.
     parents: Vec<u32>,
     /// Position of each node in its parent's child span; 0 for the root.
     slots: Vec<u32>,
@@ -181,12 +191,10 @@ pub struct JsonTree {
     /// Key symbol per child slot ([`NO_KEY`] under array nodes).
     keys: Vec<Sym>,
     /// Leaf payload: the number of an `Int` node, or the interned-string
-    /// index of a `Str` node.
+    /// index of a `Str` node (0 for containers).
     payload: Vec<u64>,
-    /// `height[i]`: height of the subtree rooted at node `i` (leaves = 0).
-    height: Vec<u32>,
-    /// `size[i]`: number of nodes in the subtree rooted at node `i`.
-    size: Vec<u32>,
+    /// Height of the whole tree (the root's subtree; a lone leaf is 0).
+    height: u32,
     /// The symbol table for keys and string atoms, shared with every tree
     /// built from the same base that added no string of its own.
     interner: Arc<Interner>,
@@ -260,6 +268,8 @@ pub(crate) struct TreeBuilder {
     seen_keys: FxHashSet<(u32, Sym)>,
     /// The key awaiting its value inside the innermost open object.
     pending_key: Sym,
+    /// The most containers ever open around one node: the tree's height.
+    height: u32,
 }
 
 struct OpenFrame {
@@ -290,6 +300,7 @@ impl TreeBuilder {
             closed_span: Vec::with_capacity(nodes),
             seen_keys: FxHashSet::with_capacity_and_hasher(nodes, Default::default()),
             pending_key: NO_KEY,
+            height: 0,
         }
     }
 
@@ -314,6 +325,7 @@ impl TreeBuilder {
         self.kinds.push(kind);
         self.payload.push(payload);
         self.closed_span.push((0, 0));
+        self.height = self.height.max(self.open.len() as u32);
         match self.open.last() {
             Some(f) => {
                 self.parents.push(f.id);
@@ -425,9 +437,11 @@ impl TreeBuilder {
         self.scratch.truncate(start);
     }
 
-    /// Flattens into the final CSR arrays and computes the height/size
-    /// measures (one descending pass: children before parents).
-    pub(crate) fn finish(self) -> JsonTree {
+    /// Flattens into the final CSR arrays. The node columns of a tree too
+    /// big for the builder's reservation grew by doubling; they give their
+    /// slack back here, while a small tree (an inserted document) keeps
+    /// its columns as reserved rather than pay a reallocation each.
+    pub(crate) fn finish(mut self) -> JsonTree {
         debug_assert!(self.open.is_empty(), "finish with open containers");
         debug_assert!(!self.kinds.is_empty(), "finish without a root value");
         let n = self.kinds.len();
@@ -447,18 +461,10 @@ impl TreeBuilder {
             }
         }
         child_start.push(children.len() as u32);
-
-        let mut height = vec![0u32; n];
-        let mut size = vec![1u32; n];
-        for i in (0..n).rev() {
-            let span = child_start[i] as usize..child_start[i + 1] as usize;
-            let (mut h, mut s) = (0u32, 1u32);
-            for c in &children[span] {
-                h = h.max(height[c.index()] + 1);
-                s += size[c.index()];
-            }
-            height[i] = h;
-            size[i] = s;
+        if n > RESERVE_NODES_MAX {
+            self.kinds.shrink_to_fit();
+            self.parents.shrink_to_fit();
+            self.payload.shrink_to_fit();
         }
         JsonTree {
             kinds: self.kinds,
@@ -468,8 +474,7 @@ impl TreeBuilder {
             children,
             keys,
             payload: self.payload,
-            height,
-            size,
+            height: self.height,
             interner: self.interner,
             canon: OnceLock::new(),
             horizon: OnceLock::new(),
@@ -716,12 +721,14 @@ impl JsonTree {
         self.horizon.get_or_init(|| {
             let mut steps = Vec::new();
             let mut bound = 0u32;
-            for (child, &c) in self.arr_children(self.root()).iter().enumerate() {
-                // A subtree is one contiguous id block. Its strings are
-                // its string leaves and its objects' keys, and an object's
-                // keys are sorted, so its last key is its largest.
-                let block = c.index()..c.index() + self.subtree_size(c);
-                let used = block
+            let kids = self.arr_children(self.root());
+            for (child, &c) in kids.iter().enumerate() {
+                // A subtree is one contiguous id block, ending where the
+                // next array element's begins. Its strings are its string
+                // leaves and its objects' keys, and an object's keys are
+                // sorted, so its last key is its largest.
+                let end = kids.get(child + 1).map_or(self.node_count(), |s| s.index());
+                let used = (c.index()..end)
                     .filter_map(|i| match self.kinds[i] {
                         NodeKind::Str => Some(self.payload[i] as u32),
                         NodeKind::Obj => self
@@ -775,19 +782,32 @@ impl JsonTree {
         self.kinds[n.index()]
     }
 
-    /// Height of the subtree rooted at `n` (leaves have height 0).
-    pub fn height_of(&self, n: NodeId) -> usize {
-        self.height[n.index()] as usize
-    }
-
-    /// Number of nodes in the subtree rooted at `n`.
+    /// Number of nodes in the subtree rooted at `n`, which occupies the
+    /// id block `n.index() .. n.index() + subtree_size(n)`.
+    ///
+    /// Node ids are pre-order, so the block ends just after its last
+    /// node, found by stepping from `n` into the child with the largest id
+    /// until a node has no children: `O(depth)` steps, each the last
+    /// element of an array or the largest id among an object's children
+    /// (stored symbol-sorted, not in id order).
     pub fn subtree_size(&self, n: NodeId) -> usize {
-        self.size[n.index()] as usize
+        let mut last = n;
+        loop {
+            let kids = &self.children[self.span(last)];
+            let next = match self.kind(last) {
+                NodeKind::Arr => kids.last(),
+                _ => kids.iter().max(),
+            };
+            match next {
+                Some(&c) => last = c,
+                None => return last.index() + 1 - n.index(),
+            }
+        }
     }
 
-    /// Height of the whole tree.
+    /// Height of the whole tree (a lone leaf has height 0).
     pub fn height(&self) -> usize {
-        self.height_of(self.root())
+        self.height as usize
     }
 
     /// The child span of `n` in the flattened arrays.
@@ -1438,7 +1458,8 @@ mod tests {
         assert_eq!(t.kind(e), NodeKind::Obj);
         assert_eq!(t.child_count(e), 0);
         assert_eq!(t.kind(a), NodeKind::Arr);
-        assert_eq!(t.height_of(e), 0);
+        assert_eq!(t.subtree_size(e), 1);
+        assert_eq!(t.height(), 1);
         assert_eq!(t.json_at(a), Json::array([]));
     }
 
