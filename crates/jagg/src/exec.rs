@@ -24,7 +24,8 @@
 //! Documents are materialised to [`Json`] exactly once, at pipeline output
 //! — or earlier only where a stage genuinely observes a synthesized value
 //! (a projected field, a distinct `$group` key, a `$group` output, or the
-//! rare merged view of a subtree that contains a binding).
+//! rare merged view of a subtree that contains a binding). Until a stage
+//! needs rows, the pipeline holds bare [`DocRef`]s.
 //!
 //! Sort keys and the observations `$min`/`$max`/`$push`/`$first`/`$last`
 //! keep are `Obs` values: a `(segment, node)` handle, or an owned value
@@ -39,7 +40,7 @@
 //! ## Bound paths
 //!
 //! Each stage binds what it reads when it starts: `$match` binds its
-//! filter ([`Filter::bind`]), and `$project`, `$unwind`, `$group` (key
+//! filter ([`mongofind::Filter::bind`]), and `$project`, `$unwind`, `$group` (key
 //! paths and accumulator fields) and sort-key resolution bind their paths
 //! ([`Path::bind`]), all to the collection's table
 //! ([`Collection::interner`]; [`BoundPath`] says why one table serves
@@ -57,7 +58,7 @@
 //! contiguous row-range chunks on the collection's [`jpar::Pool`]; chunk
 //! results splice back in chunk order, so the output is identical for
 //! every thread count and a 1-thread pool (or a row vector below
-//! `PAR_MIN_ROWS`) runs the exact sequential code inline. Everything a
+//! [`DOC_CHUNK_MIN`]) runs the exact sequential code inline. Everything a
 //! worker touches is read-only shared state, and `$group` is a three-phase
 //! plan (see `Engine::group`): parallel resolution of each row's key and
 //! of each distinct operand path into per-chunk columns, a sequential
@@ -79,12 +80,8 @@
 //!
 //! ## Fast paths
 //!
-//! * A leading `$match` runs straight off the collection through
-//!   [`Collection::find_refs_with_ctx`]: a secondary-index probe when
-//!   the declared indexes answer part of the filter, the document scan
-//!   ([`BoundFilter::matches_at`] per document, from the first document
-//!   that can hold the filter's newest required symbol) otherwise — no
-//!   materialisation either way.
+//! * A leading `$match` runs straight off the collection, on its routed
+//!   find path (see `Engine::run`), and yields bare refs.
 //! * A `$group` `_id` is a tuple of its field paths (none for a constant,
 //!   one for `"$path"`, one per path field of a compound document). When
 //!   every field of a row resolves to a tree node or is missing, the row's
@@ -112,19 +109,11 @@
 //!   observation), and each kept handle materialises once, in the
 //!   group's output document.
 //! * The stages run in the blocks of the one planner, `plan::plan`, which
-//!   `EXPLAIN` renders too. `$sort` immediately followed by `$limit k`
-//!   (or `$skip s` + `$limit k`) is a top-k block and never performs the
-//!   full sort: a bounded max-heap retains the `s + k` best rows under
-//!   the stable `(sort keys, input position)` order (see
-//!   `Engine::top_k`); `jagg::reference` keeps the full-sort semantics as
-//!   the oracle.
-//! * **Late projection.** A `$project` right before a top-k block's
-//!   `$sort` joins the block when each sort key is a `p: 1` or `"$q"`
-//!   output with no other output path above or below it (the exact
-//!   condition is on `plan::plan`). The heap then runs on the
-//!   pre-projection rows — keys resolve at `p` or `q`, as tree handles —
-//!   and only the `limit` survivors are projected, so a paginated
-//!   `$project`+`$sort` builds `limit` documents instead of one per row.
+//!   `EXPLAIN` renders too: top-k (`$sort` cut by `$limit`, answered by a
+//!   bounded heap, `Engine::top_k`), with late projection of a `$project`
+//!   before it, and output projection of a last `$project`, which the
+//!   output step runs as it materialises each row — so
+//!   `find(filter, projection)` builds one document per match.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -137,7 +126,7 @@ use jsondata::{Json, JsonTree, NodeId, NodeKind};
 use jtrace::{Counter, SpanKind};
 use mongofind::{
     cmp_node_json, cmp_nodes, insert_path, step_node, BoundFilter, BoundPath, Collection, DocRef,
-    Filter, Operand, Path, Step,
+    Operand, Path, Step, DOC_CHUNK_MIN,
 };
 
 use crate::explain::StageActual;
@@ -145,13 +134,6 @@ use crate::pipeline::{
     Accumulator, GroupSpec, IdExpr, Pipeline, ProjectField, SortOrder, Stage, ValueExpr,
 };
 use crate::plan::{plan, Block, TopK};
-
-/// Row vectors below this length always execute sequentially inline,
-/// whatever the pool size — fan-out overhead would dominate.
-const PAR_MIN_ROWS: usize = 512;
-
-/// Minimum rows per chunk when a stage does fan out.
-const ROW_CHUNK_MIN: usize = 128;
 
 /// Runs an aggregation pipeline over a collection's tree column, returning
 /// the output documents. Execution fans out on the collection's pool
@@ -266,6 +248,22 @@ impl Row<'_> {
         Row {
             base: Base::Owned(j),
             binds: Binds::default(),
+        }
+    }
+}
+
+/// The rows between blocks: the leading `$match`'s refs (or every
+/// document's), a tenth of a [`Row`]'s width, until a block needs rows.
+enum Rows<'p> {
+    Refs(Vec<DocRef>),
+    Rows(Vec<Row<'p>>),
+}
+
+impl<'p> Rows<'p> {
+    fn into_rows(self) -> Vec<Row<'p>> {
+        match self {
+            Rows::Refs(refs) => refs.into_iter().map(Row::node).collect(),
+            Rows::Rows(rows) => rows,
         }
     }
 }
@@ -394,10 +392,6 @@ impl<'c> Engine<'c> {
         &self.coll.segments()[seg as usize]
     }
 
-    fn json_of(&self, d: DocRef) -> Json {
-        self.tree(d.seg).json_at(d.node)
-    }
-
     /// Binds a path a stage reads to the collection's table — once, when
     /// the stage starts (see [`BoundPath`] for why one table serves every
     /// segment).
@@ -446,16 +440,6 @@ impl<'c> Engine<'c> {
             .map(drop)
     }
 
-    /// The chunk size row-range fan-outs use: collapses to one inline
-    /// chunk for serial pools and small row vectors.
-    fn row_chunk(&self, n: usize) -> usize {
-        if self.pool.threads() <= 1 || n < PAR_MIN_ROWS {
-            n.max(1)
-        } else {
-            self.pool.chunk_for(n, ROW_CHUNK_MIN)
-        }
-    }
-
     /// Runs the planned blocks, with an optional per-stage trace.
     /// Tracing adds one `Instant` read per block and nothing else — the
     /// untraced path runs the exact same blocks (the trace is the only
@@ -464,115 +448,126 @@ impl<'c> Engine<'c> {
     /// arithmetically: `$project` and `$sort` preserve the row count and
     /// the pagination arithmetic is exact, so the trace matches the
     /// unfused reference executor stage for stage.
-    fn run<'p>(
+    ///
+    /// A leading `$match` runs through the one governed find path,
+    /// [`Collection::find_refs_with_ctx`] (an index probe or the document
+    /// scan, whichever `EXPLAIN` reports), whose refs come in `(segment,
+    /// doc)` order on either route.
+    fn run(
         &self,
-        stages: &'p [Stage],
+        stages: &[Stage],
         mut trace: Option<&mut Vec<StageActual>>,
     ) -> Result<Vec<Json>, QueryError> {
-        let blocks = plan(stages);
-        let (mut rows, first): (Vec<Row<'p>>, usize) = match blocks.first() {
-            // Leading-$match fast path: the filter runs over the tree
-            // column before any row struct is even built.
-            Some(Block::Stage(Stage::Match(f))) => {
+        let (mut rows, first) = match stages.first() {
+            Some(Stage::Match(f)) => {
                 let t0 = trace.is_some().then(Instant::now);
                 self.guard.span_open(SpanKind::Stage, 0);
-                let rows = self.leading_match(f)?;
+                let refs = self.coll.find_refs_with_ctx(f, &self.guard)?;
                 self.guard.span_close(SpanKind::Stage, 0);
-                if let Some(tr) = trace.as_deref_mut() {
-                    tr.push(StageActual {
-                        label: "$match",
-                        rows_out: rows.len(),
-                        wall_us: elapsed_us(t0),
-                    });
-                }
-                (rows, 1)
+                record(&mut trace, "$match", refs.len(), elapsed_us(t0));
+                (Rows::Refs(refs), 1)
             }
-            _ => (self.coll.doc_refs().into_iter().map(Row::node).collect(), 0),
+            _ => (Rows::Refs(self.coll.doc_refs()), 0),
         };
         let mut stage_no = first;
-        for block in &blocks[first..] {
-            self.guard.check()?;
+        for block in plan(&stages[first..]) {
             let t0 = trace.is_some().then(Instant::now);
             match block {
-                Block::Stage(stage) => {
+                Block::Output(spec) => {
+                    // The output step polls per row; it makes no check of
+                    // its own, as a find's materialisation never did.
                     self.guard.span_open(SpanKind::Stage, stage_no as u32);
-                    rows = self.step(rows, stage)?;
+                    let out = self.output(rows, Some(spec))?;
                     self.guard.span_close(SpanKind::Stage, stage_no as u32);
-                    if let Some(tr) = trace.as_deref_mut() {
-                        tr.push(StageActual {
-                            label: stage_label(stage),
-                            rows_out: rows.len(),
-                            wall_us: elapsed_us(t0),
-                        });
-                    }
+                    record(&mut trace, "$project", out.len(), elapsed_us(t0));
+                    return Ok(out);
                 }
-                Block::TopK(tk) => {
+                Block::Stage(stage) => {
+                    self.guard.check()?;
+                    self.guard.span_open(SpanKind::Stage, stage_no as u32);
+                    let out = self.step(rows.into_rows(), stage)?;
+                    self.guard.span_close(SpanKind::Stage, stage_no as u32);
+                    record(&mut trace, stage_label(stage), out.len(), elapsed_us(t0));
+                    rows = Rows::Rows(out);
+                }
+                Block::TopK(ref tk) => {
+                    self.guard.check()?;
                     // The block's span and wall time belong to its `$sort`.
                     let sort_no = (stage_no + usize::from(tk.project.is_some())) as u32;
-                    let n_in = rows.len();
+                    let input = rows.into_rows();
+                    let n_in = input.len();
                     self.guard.span_open(SpanKind::Stage, sort_no);
-                    rows = self.top_k(rows, tk)?;
+                    let out = self.top_k(input, tk)?;
                     self.guard.span_close(SpanKind::Stage, sort_no);
-                    if let Some(tr) = trace.as_deref_mut() {
-                        let mut entry = |label, rows_out, wall_us| {
-                            tr.push(StageActual {
-                                label,
-                                rows_out,
-                                wall_us,
-                            })
-                        };
-                        if tk.project.is_some() {
-                            entry("$project", n_in, 0);
-                        }
-                        entry("$sort", n_in, elapsed_us(t0));
-                        if let Some(skip) = tk.skip {
-                            entry("$skip", n_in.saturating_sub(clamp_len(skip)), 0);
-                        }
-                        entry("$limit", rows.len(), 0);
+                    if tk.project.is_some() {
+                        record(&mut trace, "$project", n_in, 0);
                     }
+                    record(&mut trace, "$sort", n_in, elapsed_us(t0));
+                    if let Some(skip) = tk.skip {
+                        record(&mut trace, "$skip", n_in.saturating_sub(clamp_len(skip)), 0);
+                    }
+                    record(&mut trace, "$limit", out.len(), 0);
+                    rows = Rows::Rows(out);
                 }
             }
             stage_no += block.len();
         }
+        self.output(rows, None)
+    }
+
+    /// The output step: one document per row, charged to the byte
+    /// budget — the row, or its projection by the pipeline's last
+    /// `$project` (bound once, here).
+    fn output(
+        &self,
+        rows: Rows<'_>,
+        project: Option<&[(Path, ProjectField)]>,
+    ) -> Result<Vec<Json>, QueryError> {
+        let spec = project.map(|spec| self.bind_project(spec));
+        let emit = |row: Cow<'_, Row<'_>>, out: &mut Vec<Json>| {
+            let v = match &spec {
+                Some(spec) => self.project(&row, spec),
+                None => self.materialize(row),
+            };
+            self.guard.charge_json(&v)?;
+            out.push(v);
+            Ok(())
+        };
+        match rows {
+            Rows::Refs(refs) => self.each_row(refs, |d, out| emit(Cow::Owned(Row::node(*d)), out)),
+            Rows::Rows(rows) => self.each_row(rows, emit),
+        }
+    }
+
+    /// Runs `f` on every row in order, polling first, and returns what
+    /// the calls push: inline, taking each row by value and dispatching
+    /// nothing, when the rows form one chunk ([`Pool::chunk_for`]);
+    /// otherwise borrowing them, in parallel chunks spliced in order.
+    fn each_row<T: Clone + Sync, U: Send>(
+        &self,
+        rows: Vec<T>,
+        f: impl Fn(Cow<'_, T>, &mut Vec<U>) -> Result<(), QueryError> + Sync,
+    ) -> Result<Vec<U>, QueryError> {
         let n = rows.len();
-        let chunk = self.row_chunk(n);
+        let chunk = self.pool.chunk_for(n, DOC_CHUNK_MIN);
         if chunk >= n {
             let mut out = Vec::with_capacity(n);
             let mut poll = self.guard.poller();
             for row in rows {
                 poll.tick()?;
-                let v = self.materialize(row);
-                self.guard.charge_json(&v)?;
-                out.push(v);
+                f(Cow::Owned(row), &mut out)?;
+            }
+            return Ok(out);
+        }
+        self.pool.try_flat_map_chunks(&self.guard, n, chunk, |r| {
+            let mut out = Vec::with_capacity(r.len());
+            let mut poll = self.guard.poller();
+            for row in &rows[r] {
+                poll.tick()?;
+                f(Cow::Borrowed(row), &mut out)?;
             }
             Ok(out)
-        } else {
-            self.pool.try_flat_map_chunks(&self.guard, n, chunk, |r| {
-                let mut poll = self.guard.poller();
-                let mut out = Vec::with_capacity(r.len());
-                for i in r {
-                    poll.tick()?;
-                    let v = self.materialize_ref(&rows[i]);
-                    self.guard.charge_json(&v)?;
-                    out.push(v);
-                }
-                Ok(out)
-            })
-        }
-    }
-
-    /// The first `$match` of a pipeline, straight off the collection
-    /// through the one governed find path,
-    /// [`Collection::find_refs_with_ctx`]: a secondary-index probe when
-    /// the declared indexes answer part of the conjunction (the probe
-    /// hits plus a residual pass on them only), the bound filter per
-    /// document otherwise. Both routes return refs in `(segment, doc)`
-    /// order, so the route is unobservable in the output, and `EXPLAIN`
-    /// asks the same planner, so a plan's claimed route is the one that
-    /// runs.
-    fn leading_match<'p>(&self, f: &Filter) -> Result<Vec<Row<'p>>, QueryError> {
-        let refs = self.coll.find_refs_with_ctx(f, &self.guard)?;
-        Ok(refs.into_iter().map(Row::node).collect())
+        })
     }
 
     fn step<'p>(
@@ -582,35 +577,13 @@ impl<'c> Engine<'c> {
     ) -> Result<Vec<Row<'p>>, QueryError> {
         Ok(match stage {
             Stage::Match(f) => {
-                let f = f.bind(self.coll.interner());
-                let f = &f;
-                let n = rows.len();
-                let chunk = self.row_chunk(n);
-                if chunk >= n {
-                    let mut poll = self.guard.poller();
-                    let mut kept = Vec::new();
-                    for row in rows {
-                        poll.tick()?;
-                        if self.row_matches(&row, f) {
-                            kept.push(row);
-                        }
+                let f = &f.bind(self.coll.interner());
+                self.each_row(rows, |row, kept| {
+                    if self.row_matches(&row, f) {
+                        kept.push(row.into_owned());
                     }
-                    kept
-                } else {
-                    let keep: Vec<bool> =
-                        self.pool.try_flat_map_chunks(&self.guard, n, chunk, |r| {
-                            let mut poll = self.guard.poller();
-                            let mut out = Vec::with_capacity(r.len());
-                            for i in r {
-                                poll.tick()?;
-                                out.push(self.row_matches(&rows[i], f));
-                            }
-                            Ok(out)
-                        })?;
-                    let mut mask = keep.into_iter();
-                    rows.retain(|_| mask.next().expect("mask covers every row"));
-                    rows
-                }
+                    Ok(())
+                })?
             }
             Stage::Project(spec) => self.project_rows(rows, spec)?,
             Stage::Unwind(path) => self.unwind(rows, path)?,
@@ -712,35 +685,33 @@ impl<'c> Engine<'c> {
 
     /// Materialises `cur` with the surviving bindings written in, in order.
     fn merge<'a>(&self, cur: DocRef, binds: impl Iterator<Item = (&'a [String], DocRef)>) -> Json {
-        let mut j = self.json_of(cur);
+        let mut j = self.coll.json_of(cur);
         for (p, v) in binds {
-            set_at(&mut j, p, self.json_of(v));
+            set_at(&mut j, p, self.coll.json_of(v));
         }
         j
     }
 
-    /// Materialises a whole row (pipeline output, or an owned rebase).
-    fn materialize(&self, row: Row<'_>) -> Json {
-        match row.base {
-            Base::Owned(j) => j,
-            Base::Node(_) => self.materialize_ref(&row),
-        }
-    }
-
-    /// [`Engine::materialize`] without consuming the row (the parallel
-    /// output path, where rows are materialised through a shared borrow).
-    fn materialize_ref(&self, row: &Row<'_>) -> Json {
-        match &row.base {
-            Base::Owned(j) => j.clone(),
-            Base::Node(d) => {
-                self.merge(*d, row.binds.as_slice().iter().map(|(p, v)| (&p.0[..], *v)))
-            }
+    /// Materialises a whole row (pipeline output, or an owned rebase);
+    /// an owned row's document is moved out, a borrowed one's cloned.
+    fn materialize(&self, row: Cow<'_, Row<'_>>) -> Json {
+        match row {
+            Cow::Owned(Row {
+                base: Base::Owned(j),
+                ..
+            }) => j,
+            row => match &row.base {
+                Base::Owned(j) => j.clone(),
+                Base::Node(d) => {
+                    self.merge(*d, row.binds.as_slice().iter().map(|(p, v)| (&p.0[..], *v)))
+                }
+            },
         }
     }
 
     fn materialize_resolved(&self, r: Resolved<'_>) -> Json {
         match r {
-            Resolved::Node(d) => self.json_of(d),
+            Resolved::Node(d) => self.coll.json_of(d),
             Resolved::Owned(j) => j.clone(),
             Resolved::Merged(j) => j,
         }
@@ -780,7 +751,7 @@ impl<'c> Engine<'c> {
     /// Materialises a kept observation (once, at group output).
     fn obs_json(&self, o: Obs) -> Json {
         match o {
-            Obs::Node(d) => self.json_of(d),
+            Obs::Node(d) => self.coll.json_of(d),
             Obs::Owned(j) => j,
         }
     }
@@ -818,8 +789,19 @@ impl<'c> Engine<'c> {
         rows: Vec<Row<'p>>,
         spec: &[(Path, ProjectField)],
     ) -> Result<Vec<Row<'p>>, QueryError> {
-        let spec: Vec<(&Path, BoundExpr<'_>)> = spec
-            .iter()
+        let spec = &self.bind_project(spec);
+        self.each_row(rows, |row, out| {
+            let v = self.project(&row, spec);
+            self.guard.charge_json(&v)?;
+            out.push(Row::owned(v));
+            Ok(())
+        })
+    }
+
+    /// A `$project` spec with its value paths bound (`path: 1` binds the
+    /// path itself).
+    fn bind_project<'p>(&self, spec: &'p [(Path, ProjectField)]) -> Vec<(&'p Path, BoundExpr<'p>)> {
+        spec.iter()
             .map(|(path, field)| {
                 let e = match field {
                     ProjectField::Include => BoundExpr::Field(self.bind(path)),
@@ -827,21 +809,7 @@ impl<'c> Engine<'c> {
                 };
                 (path, e)
             })
-            .collect();
-        let spec = &spec;
-        let n = rows.len();
-        let chunk = self.row_chunk(n);
-        self.pool.try_flat_map_chunks(&self.guard, n, chunk, |r| {
-            let mut poll = self.guard.poller();
-            let mut out = Vec::with_capacity(r.len());
-            for i in r {
-                poll.tick()?;
-                let v = self.project(&rows[i], spec);
-                self.guard.charge_json(&v)?;
-                out.push(Row::owned(v));
-            }
-            Ok(out)
-        })
+            .collect()
     }
 
     /// One output document: each `(output path, bound value)` of the
@@ -860,31 +828,11 @@ impl<'c> Engine<'c> {
 
     fn unwind<'p>(&self, rows: Vec<Row<'p>>, path: &'p Path) -> Result<Vec<Row<'p>>, QueryError> {
         let path = &self.bind(path);
-        let n = rows.len();
-        let chunk = self.row_chunk(n);
-        if chunk >= n {
-            let mut out = Vec::new();
-            let mut poll = self.guard.poller();
-            for row in rows {
-                poll.tick()?;
-                let before = out.len();
-                self.unwind_into(row, path, &mut out);
-                self.guard.charge_rows((out.len() - before) as u64)?;
-            }
-            Ok(out)
-        } else {
-            self.pool.try_flat_map_chunks(&self.guard, n, chunk, |r| {
-                let mut out = Vec::new();
-                let mut poll = self.guard.poller();
-                for i in r {
-                    poll.tick()?;
-                    let before = out.len();
-                    self.unwind_into(rows[i].clone(), path, &mut out);
-                    self.guard.charge_rows((out.len() - before) as u64)?;
-                }
-                Ok(out)
-            })
-        }
+        self.each_row(rows, |row, out| {
+            let before = out.len();
+            self.unwind_into(row.into_owned(), path, out);
+            self.guard.charge_rows((out.len() - before) as u64)
+        })
     }
 
     /// Unwinds one row, appending its output rows in order.
@@ -933,7 +881,7 @@ impl<'c> Engine<'c> {
             Plan::OwnedElems(items) => {
                 // The resolve borrow has ended, so the row materialises
                 // by move — an owned base is reused, not re-cloned.
-                let base = self.materialize(row);
+                let base = self.materialize(Cow::Owned(row));
                 for elem in items {
                     let mut doc = base.clone();
                     set_at(&mut doc, &path.path().0, elem);
@@ -977,7 +925,7 @@ impl<'c> Engine<'c> {
     fn group<'p>(&self, rows: Vec<Row<'p>>, spec: &GroupSpec) -> Result<Vec<Row<'p>>, QueryError> {
         self.guard.span_open(SpanKind::Phase, PHASE_RESOLVE);
         let n = rows.len();
-        let chunk = self.row_chunk(n);
+        let chunk = self.pool.chunk_for(n, DOC_CHUNK_MIN);
         let paths: Vec<BoundPath<'_>> = key_paths(&spec.id)
             .into_iter()
             .map(|p| self.bind(p))
@@ -1244,7 +1192,7 @@ impl<'c> Engine<'c> {
         nodes: &'a [NodeId],
     ) -> impl Iterator<Item = Option<Json>> + 'a {
         classes.iter().zip(nodes).map(|(&(seg, c), &node)| {
-            ((seg, c) != MISSING).then(|| self.json_of(DocRef { seg, node }))
+            ((seg, c) != MISSING).then(|| self.coll.json_of(DocRef { seg, node }))
         })
     }
 
@@ -1439,7 +1387,7 @@ impl<'c> Engine<'c> {
     ) -> Result<SortKeys<'s, 'c>, QueryError> {
         let paths: Vec<BoundPath<'_>> = by.iter().map(|(p, _)| self.bind(p)).collect();
         let n = rows.len();
-        let chunk = self.row_chunk(n);
+        let chunk = self.pool.chunk_for(n, DOC_CHUNK_MIN);
         let keys = self.pool.try_flat_map_chunks(&self.guard, n, chunk, |r| {
             let mut poll = self.guard.poller();
             let mut out = Vec::with_capacity(r.len() * paths.len());
@@ -1749,6 +1697,22 @@ fn acc_operand(acc: &Accumulator) -> Option<&ValueExpr> {
         | Accumulator::First(e)
         | Accumulator::Last(e) => Some(e),
         Accumulator::Count => None,
+    }
+}
+
+/// Appends a stage's actuals to the trace, if there is one.
+fn record(
+    trace: &mut Option<&mut Vec<StageActual>>,
+    label: &'static str,
+    rows_out: usize,
+    wall_us: u64,
+) {
+    if let Some(tr) = trace {
+        tr.push(StageActual {
+            label,
+            rows_out,
+            wall_us,
+        });
     }
 }
 

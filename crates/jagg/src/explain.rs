@@ -10,7 +10,8 @@
 //! `skip + limit` rows) marks its stages fused with a note on the
 //! skip/limit arithmetic, and a `$project` it takes in for late
 //! projection is marked fused too, with a second note naming the paths
-//! the sort keys are read at.
+//! the sort keys are read at. A `$project` that ends the pipeline is
+//! marked fused into the output step, with a note.
 //!
 //! [`explain_analyze`] executes the pipeline with per-stage tracing
 //! under a fresh span-recording sink ([`Actuals::measure`], the
@@ -45,9 +46,10 @@ pub struct StageExplain {
     pub label: &'static str,
     /// Rendered operand (filter text, sort spec, group summary, …).
     pub detail: String,
-    /// Whether the stage is absorbed into a top-k fused block (a
-    /// `$project` is, when it runs late).
-    pub fused: bool,
+    /// The fused block the stage runs in, if any: `"top-k"` (a
+    /// `$project` is in one when it runs late) or `"output"` (a last
+    /// `$project`, run by the output step).
+    pub fused: Option<&'static str>,
 }
 
 /// The `EXPLAIN` plan of one pipeline.
@@ -79,7 +81,7 @@ impl PipelineExplain {
                     Json::object(vec![
                         ("stage".into(), Json::str(s.label)),
                         ("detail".into(), Json::str(&s.detail)),
-                        ("fused".into(), Json::Num(u64::from(s.fused))),
+                        ("fused".into(), Json::Num(u64::from(s.fused.is_some()))),
                     ])
                     .expect("distinct literal keys")
                 })),
@@ -102,7 +104,7 @@ impl PipelineExplain {
     pub fn render_text(&self) -> String {
         let mut out = format!("aggregate ({} stages)\n", self.stages.len());
         for (i, s) in self.stages.iter().enumerate() {
-            let fused = if s.fused { "  [fused: top-k]" } else { "" };
+            let fused = s.fused.map_or(String::new(), |b| format!("  [fused: {b}]"));
             out.push_str(&format!("  [{i}] {}: {}{fused}\n", s.label, s.detail));
         }
         if let Some(mp) = &self.match_plan {
@@ -261,11 +263,15 @@ fn stage_detail(stage: &Stage) -> String {
 pub fn explain(coll: &Collection, pipeline: &Pipeline) -> PipelineExplain {
     let stages = &pipeline.stages;
     let mut notes = Vec::new();
-    let mut fused = vec![false; stages.len()];
+    let mut fused = vec![None; stages.len()];
     let mut at = 0;
     for block in plan(stages) {
+        if let Block::Output(_) = block {
+            fused[at] = Some("output");
+            notes.push("output projection: the last $project runs in the output step".into());
+        }
         if let Block::TopK(tk) = &block {
-            fused[at..at + block.len()].fill(true);
+            fused[at..at + block.len()].fill(Some("top-k"));
             let limit = clamp_len(tk.limit);
             notes.push(match tk.skip {
                 None => format!(
@@ -360,8 +366,8 @@ mod tests {
         .unwrap();
         let ex = explain(&c, &p);
         assert_eq!(ex.stages.len(), 4);
-        assert!(!ex.stages[0].fused);
-        assert!(ex.stages[1].fused && ex.stages[2].fused && ex.stages[3].fused);
+        let fused: Vec<_> = ex.stages.iter().map(|s| s.fused).collect();
+        assert_eq!(fused, [None, Some("top-k"), Some("top-k"), Some("top-k")]);
         assert_eq!(ex.match_plan.as_ref().unwrap().route.name(), "scan");
         assert_eq!(ex.notes.len(), 1);
         let text = ex.render_text();
@@ -382,7 +388,7 @@ mod tests {
         )
         .unwrap();
         let ex = explain(&c, &p);
-        let fused: Vec<bool> = ex.stages.iter().map(|s| s.fused).collect();
+        let fused: Vec<bool> = ex.stages.iter().map(|s| s.fused.is_some()).collect();
         assert_eq!(fused, [false, true, true, true]);
         assert_eq!(
             ex.notes,
@@ -401,9 +407,28 @@ mod tests {
         )
         .unwrap();
         let ex = explain(&c, &p);
-        let fused: Vec<bool> = ex.stages.iter().map(|s| s.fused).collect();
+        let fused: Vec<bool> = ex.stages.iter().map(|s| s.fused.is_some()).collect();
         assert_eq!(fused, [false, true, true]);
         assert_eq!(ex.notes.len(), 1);
+    }
+
+    #[test]
+    fn explain_marks_a_last_project_fused_into_the_output_step() {
+        let c = coll();
+        let p = Pipeline::find(
+            mongofind::Filter::parse_str(r#"{"age": {"$gte": 30}}"#).unwrap(),
+            mongofind::Projection::parse_str(r#"{"name.first": 1, "age": 1}"#).unwrap(),
+        );
+        let ex = explain(&c, &p);
+        let fused: Vec<_> = ex.stages.iter().map(|s| s.fused).collect();
+        assert_eq!(fused, [None, Some("output")]);
+        assert_eq!(
+            ex.notes,
+            ["output projection: the last $project runs in the output step"]
+        );
+        assert!(ex
+            .render_text()
+            .contains("[1] $project: name.first, age  [fused: output]"));
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use std::fmt;
 
 use jsondata::Json;
-use mongofind::{Filter, Path};
+use mongofind::{Filter, Path, Projection};
 
 /// Pipeline-parsing and execution errors.
 #[derive(Debug, Clone, PartialEq)]
@@ -167,6 +167,20 @@ impl Pipeline {
         let doc = jsondata::parse(src).map_err(|e| AggError(e.to_string()))?;
         Pipeline::parse(&doc)
     }
+
+    /// `find(filter, projection)` as the pipeline it is:
+    /// `[{"$match": filter}, {"$project": projection}]`, with no
+    /// `$project` when the projection keeps whole documents.
+    pub fn find(filter: Filter, projection: Projection) -> Pipeline {
+        let include = projection.include;
+        let mut stages = Vec::with_capacity(1 + usize::from(!include.is_empty()));
+        stages.push(Stage::Match(filter));
+        if !include.is_empty() {
+            let spec = include.into_iter().map(|p| (p, ProjectField::Include));
+            stages.push(Stage::Project(spec.collect()));
+        }
+        Pipeline { stages }
+    }
 }
 
 fn parse_stage(v: &Json) -> Result<Stage, AggError> {
@@ -249,15 +263,13 @@ fn parse_project(v: &Json) -> Result<Stage, AggError> {
     }
     let mut fields = Vec::new();
     for (k, spec) in obj.iter() {
-        if k.starts_with('$') {
-            return err(format!("$project field {k:?} must not start with $"));
-        }
+        let path = Projection::output_path(k).map_err(|e| AggError(e.0))?;
         let field = match spec {
             Json::Num(1) => ProjectField::Include,
             Json::Num(_) => return err("$project supports 1 (include) only; exclusion ($project: 0) is not part of the fragment"),
             other => ProjectField::Expr(parse_value_expr(other).map_err(|e| AggError(format!("$project {k:?}: {}", e.0)))?),
         };
-        fields.push((Path::parse(k), field));
+        fields.push((path, field));
     }
     Ok(Stage::Project(fields))
 }

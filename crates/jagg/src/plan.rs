@@ -1,7 +1,7 @@
 //! The pipeline planner: the one function that decides which stages run
-//! fused. The executor ([`crate::exec`]) runs the blocks [`plan`] returns
+//! fused. The executor ([`crate::exec`]) runs the blocks [`plan`] yields
 //! and `EXPLAIN` ([`crate::explain`]) renders them, so a plan cannot
-//! claim a fusion that does not run.
+//! claim a fusion that does not run, or miss one that does.
 
 use mongofind::Path;
 
@@ -14,6 +14,9 @@ pub(crate) enum Block<'p> {
     Stage(&'p Stage),
     /// `[$project] $sort [$skip] $limit`, answered by a bounded heap.
     TopK(TopK<'p>),
+    /// The pipeline's last stage, a `$project`, run by the output step:
+    /// each row is projected as it is materialised.
+    Output(&'p [(Path, ProjectField)]),
 }
 
 /// A top-k block: `$sort` whose output is immediately cut to
@@ -37,7 +40,7 @@ impl Block<'_> {
     /// How many written stages the block covers.
     pub(crate) fn len(&self) -> usize {
         match self {
-            Block::Stage(_) => 1,
+            Block::Stage(_) | Block::Output(_) => 1,
             Block::TopK(tk) => {
                 2 + usize::from(tk.project.is_some()) + usize::from(tk.skip.is_some())
             }
@@ -65,17 +68,25 @@ impl Block<'_> {
 ///    value found at `p`.
 ///
 /// A `$project` that fails either condition runs unfused, before the
-/// block. This is a syntactic rewrite; [`crate::reference`] keeps running
-/// the pipeline as written, and the differential suites compare the two.
-pub(crate) fn plan(stages: &[Stage]) -> Vec<Block<'_>> {
-    let mut blocks = Vec::new();
+/// block.
+///
+/// **Output projection.** The output step runs a last `$project`,
+/// projecting each row as it materialises it (and charging the byte
+/// budget once per document), instead of materialising a projected row.
+///
+/// These are syntactic rewrites; [`crate::reference`] keeps running the
+/// pipeline as written, and the differential suites compare the two.
+/// Blocks are yielded lazily: planning allocates only top-k key lists.
+pub(crate) fn plan(stages: &[Stage]) -> impl Iterator<Item = Block<'_>> {
     let mut i = 0;
-    while i < stages.len() {
-        let block = top_k_at(stages, i).unwrap_or(Block::Stage(&stages[i]));
+    std::iter::from_fn(move || {
+        let block = match stages.get(i)? {
+            Stage::Project(spec) if i + 1 == stages.len() => Block::Output(spec),
+            stage => top_k_at(stages, i).unwrap_or(Block::Stage(stage)),
+        };
         i += block.len();
-        blocks.push(block);
-    }
-    blocks
+        Some(block)
+    })
 }
 
 /// The top-k block starting at stage `i`, if there is one.
@@ -138,7 +149,8 @@ mod tests {
     /// or `None` when its `$project` runs unfused.
     fn late(src: &str) -> Option<Vec<String>> {
         let p = Pipeline::parse_str(src).unwrap();
-        match plan(&p.stages).into_iter().next() {
+        let first = plan(&p.stages).next();
+        match first {
             Some(Block::TopK(TopK {
                 project: Some(_),
                 keys,
@@ -190,9 +202,34 @@ mod tests {
                 {"$sort": {"age": 1}}]"#,
         )
         .unwrap();
-        let lens: Vec<usize> = plan(&p.stages).iter().map(Block::len).collect();
+        let lens: Vec<usize> = plan(&p.stages).map(|b| b.len()).collect();
         // The first $project is eligible ("age" has no prefix clash); the
         // fifth stage runs alone, the sixth joins the next top-k.
         assert_eq!(lens, [4, 1, 3, 1]);
+    }
+
+    #[test]
+    fn only_a_last_project_runs_in_the_output_step() {
+        let output = |src: &str| {
+            let p = Pipeline::parse_str(src).unwrap();
+            let blocks: Vec<bool> = plan(&p.stages)
+                .map(|b| matches!(b, Block::Output(_)))
+                .collect();
+            blocks
+        };
+        assert_eq!(
+            output(r#"[{"$match": {"a": 1}}, {"$project": {"a": 1}}]"#),
+            [false, true]
+        );
+        assert_eq!(output(r#"[{"$project": {"a": 1}}]"#), [true]);
+        assert_eq!(
+            output(r#"[{"$project": {"a": 1}}, {"$project": {"a": 1}}]"#),
+            [false, true]
+        );
+        // A `$project` a top-k block takes in is not the last stage.
+        assert_eq!(
+            output(r#"[{"$project": {"a": 1}}, {"$sort": {"a": 1}}, {"$limit": 1}]"#),
+            [false]
+        );
     }
 }

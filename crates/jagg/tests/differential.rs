@@ -9,7 +9,7 @@
 
 use jagg::{reference, Pipeline};
 use jsondata::{gen, parse, Json};
-use mongofind::Collection;
+use mongofind::{Collection, Filter, Projection};
 
 /// Asserts tree executor == value oracle on one (collection, pipeline).
 fn check(coll: &Collection, pipeline_src: &str) {
@@ -469,4 +469,87 @@ fn late_segment_strings_bind_in_every_stage() {
             }
         }
     }
+}
+
+/// `find(f)` is `[{"$match": f}]` and `find(f, p)` is `[{"$match": f},
+/// {"$project": p}]` (`Pipeline::find`): on the tiered and fragmented
+/// layouts, at 1, 2 and 8 threads, both agree with `Filter::matches`
+/// plus `Projection::apply` over the collection's documents. The
+/// projections cross overlapping paths (a path and its extension, in
+/// either order), missing paths, numeric segments (array positions, and
+/// an object key `"0"`) and the empty projection, which keeps whole
+/// documents. 1,200 records put the output step past its parallel
+/// threshold.
+#[test]
+fn find_pipelines_agree_with_filter_and_projection() {
+    let Json::Array(mut docs) = gen::person_records(1_200, 3) else {
+        panic!("person_records returns an array");
+    };
+    for extra in [
+        r#"{"id": 5000, "name": "just a string", "age": 50, "hobbies": {"0": "keyed"}}"#,
+        r#"{"id": 5001, "name": {"first": "Ana"}, "age": 61}"#,
+        r#"{"id": 5002, "name": {"first": {"deep": 1}, "last": "Kim"}, "hobbies": []}"#,
+    ] {
+        docs.insert(docs.len() / 3, parse(extra).unwrap());
+    }
+    let mut fragmented = Collection::parse_str("[]").unwrap();
+    docs.iter().for_each(|d| fragmented.insert(d));
+    let layouts = [("fragmented", fragmented), ("tiered", tiered(&docs))];
+    let filters = [
+        "{}",
+        r#"{"age": {"$gte": 40}}"#,
+        r#"{"name.last": "Kim"}"#,
+        r#"{"hobbies.0": {"$in": ["chess", "keyed"]}}"#,
+        r#"{"nope": {"$exists": "true"}}"#,
+    ];
+    let projections = [
+        "{}",
+        r#"{"name.first": 1, "age": 1}"#,
+        r#"{"name": 1, "name.first": 1}"#,
+        r#"{"name.first": 1, "name": 1}"#,
+        r#"{"nope": 1, "name.middle": 1, "age.x": 1}"#,
+        r#"{"hobbies.0": 1, "hobbies.1": 1}"#,
+        r#"{"hobbies.0": 1, "name.first.deep": 1}"#,
+    ];
+    for (label, mut coll) in layouts {
+        let values = coll.docs();
+        assert_eq!(values, docs, "{label}");
+        for f in filters {
+            let filter = Filter::parse_str(f).unwrap();
+            let hits: Vec<&Json> = values.iter().filter(|d| filter.matches(d)).collect();
+            for p in projections {
+                let projection = Projection::parse_str(p).unwrap();
+                let want: Vec<Json> = hits.iter().map(|d| projection.apply(d)).collect();
+                let pipe = Pipeline::find(filter.clone(), projection);
+                assert_eq!(pipe.stages.len(), 1 + usize::from(p != "{}"), "{p}");
+                for threads in [1, 2, 8] {
+                    coll.set_pool(jpar::Pool::with_threads(threads));
+                    assert_eq!(
+                        jagg::aggregate(&coll, &pipe),
+                        want,
+                        "{label} x{threads}: find({f}, {p})"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The layout tiered compaction leaves between two merges: the first
+/// half as a seed, two merged tails (a fifth, then a twelfth of the
+/// documents) and the rest as single-document inserts.
+fn tiered(docs: &[Json]) -> Collection {
+    let n = docs.len();
+    let (seed, rest) = docs.split_at(n / 2);
+    let (first, rest) = rest.split_at(n / 5);
+    let (second, rest) = rest.split_at(n / 12);
+    let mut coll = Collection::from_json(&Json::Array(seed.to_vec()));
+    for tail in [first, second] {
+        tail.iter().for_each(|d| coll.insert(d));
+        coll.compact_tail();
+    }
+    rest.iter().for_each(|d| coll.insert(d));
+    let multi = coll.segments().iter().filter(|s| s.is_multi()).count();
+    assert_eq!(multi, 3, "seed and two merged tails");
+    coll
 }

@@ -7,9 +7,10 @@
 //! registered tenant ([`TenantSpec`]): admission first, then a
 //! [`QueryCtx`] carrying the tenant's deadline and budgets plus its
 //! shared [`QueryMetrics`] sink, then execution against an immutable
-//! [`crate::Snapshot`] acquired once per request. Every read verb —
-//! find, projected find, a pipeline's leading `$match`, and `EXPLAIN
-//! ANALYZE` — executes through [`Collection::find_refs_with_ctx`], the
+//! [`crate::Snapshot`] acquired once per request. A find is a pipeline
+//! ([`jagg::Pipeline::find`]): find, projected find and aggregation all
+//! run through [`jagg::aggregate_with_ctx`], whose leading `$match`, like
+//! `EXPLAIN ANALYZE`, takes [`Collection::find_refs_with_ctx`], the
 //! routed path whose route `EXPLAIN` reports.
 //!
 //! ## Failure envelope
@@ -267,53 +268,33 @@ impl Server {
         let snap: Arc<Snapshot> = self.store.snapshot();
         let coll = snap.collection();
         let epoch = snap.epoch();
-        match req {
-            Request::Find { filter } => {
-                let f = Filter::parse_str(filter).map_err(bad_query)?;
-                let docs = coll.find_with_ctx(&f, None, ctx)?;
-                Ok(Response::Docs { epoch, docs })
+        let filter = |src: &str| Filter::parse_str(src).map_err(bad_query);
+        let pipeline = |src: &str| jagg::Pipeline::parse_str(src).map_err(bad_query);
+        let plan = |plan| Ok(Response::Plan { epoch, plan });
+        let read = match req {
+            Request::Find { filter: f } => jagg::Pipeline::find(filter(f)?, Projection::default()),
+            Request::FindProject {
+                filter: f,
+                projection,
+            } => {
+                let f = filter(f)?;
+                jagg::Pipeline::find(f, Projection::parse_str(projection).map_err(bad_query)?)
             }
-            Request::FindProject { filter, projection } => {
-                let f = Filter::parse_str(filter).map_err(bad_query)?;
-                let p = Projection::parse_str(projection).map_err(bad_query)?;
-                let docs = coll.find_with_ctx(&f, Some(&p), ctx)?;
-                Ok(Response::Docs { epoch, docs })
+            Request::Aggregate { pipeline: p } => pipeline(p)?,
+            Request::Explain { filter: f } => return plan(coll.explain(&filter(f)?).to_json()),
+            Request::ExplainAnalyze { filter: f } => {
+                return plan(coll.explain_analyze(&filter(f)?)?.to_json())
             }
-            Request::Aggregate { pipeline } => {
-                let p = jagg::Pipeline::parse_str(pipeline).map_err(bad_query)?;
-                let docs = jagg::aggregate_with_ctx(coll, &p, ctx)?;
-                Ok(Response::Docs { epoch, docs })
+            Request::ExplainPipeline { pipeline: p } => {
+                return plan(jagg::explain(coll, &pipeline(p)?).to_json())
             }
-            Request::Explain { filter } => {
-                let f = Filter::parse_str(filter).map_err(bad_query)?;
-                Ok(Response::Plan {
-                    epoch,
-                    plan: coll.explain(&f).to_json(),
-                })
-            }
-            Request::ExplainAnalyze { filter } => {
-                let f = Filter::parse_str(filter).map_err(bad_query)?;
-                Ok(Response::Plan {
-                    epoch,
-                    plan: coll.explain_analyze(&f)?.to_json(),
-                })
-            }
-            Request::ExplainPipeline { pipeline } => {
-                let p = jagg::Pipeline::parse_str(pipeline).map_err(bad_query)?;
-                Ok(Response::Plan {
-                    epoch,
-                    plan: jagg::explain(coll, &p).to_json(),
-                })
-            }
-            Request::ExplainAnalyzePipeline { pipeline } => {
-                let p = jagg::Pipeline::parse_str(pipeline).map_err(bad_query)?;
-                Ok(Response::Plan {
-                    epoch,
-                    plan: jagg::explain_analyze(coll, &p)?.to_json(),
-                })
+            Request::ExplainAnalyzePipeline { pipeline: p } => {
+                return plan(jagg::explain_analyze(coll, &pipeline(p)?)?.to_json())
             }
             Request::Insert { .. } => unreachable!("handled before snapshot acquisition"),
-        }
+        };
+        let docs = jagg::aggregate_with_ctx(coll, &read, ctx)?;
+        Ok(Response::Docs { epoch, docs })
     }
 }
 
@@ -503,6 +484,31 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, QueryError::BadQuery(_)));
+    }
+
+    #[test]
+    fn a_projection_key_follows_the_project_key_rule() {
+        // `find(f, p)` is `[$match f, $project p]`: an operator key is no
+        // output path in either form.
+        let s = server();
+        let find = Request::FindProject {
+            filter: r#"{"id": 1}"#.into(),
+            projection: r#"{"$x": 1}"#.into(),
+        };
+        let pipeline = Request::Aggregate {
+            pipeline: r#"[{"$match": {"id": 1}}, {"$project": {"$x": 1}}]"#.into(),
+        };
+        for req in [find, pipeline] {
+            let err = s.serve("t0", &req).unwrap_err();
+            let QueryError::BadQuery(msg) = &err else {
+                panic!("{req:?}: {err}")
+            };
+            assert!(
+                msg.contains(r#"$project field "$x" must not start with $"#),
+                "{msg}"
+            );
+            assert!(!err.is_retryable());
+        }
     }
 
     #[test]

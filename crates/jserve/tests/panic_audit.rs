@@ -9,7 +9,7 @@ use std::sync::Arc;
 use jguard::{with_quiet_panics, Fault, QueryCtx, QueryError, INJECTED_PANIC_MSG};
 use jserve::{AdmissionConfig, Request, Server, TenantSpec};
 use jtrace::{Counter, QueryMetrics};
-use mongofind::{Collection, Filter, Route};
+use mongofind::{Collection, Filter, Projection, Route};
 
 /// Six documents over `a` and `b`, with an index on `a` when `indexed`.
 fn coll(indexed: bool) -> Collection {
@@ -84,7 +84,10 @@ fn every_contained_panic_leaves_one_audit_event() {
     let scan = coll(false);
     let indexed = coll(true);
     let filter_src = r#"{"a": 1, "b": {"$gte": 2}}"#;
-    let filter = Filter::parse_str(filter_src).expect("filter parses");
+    let find = jagg::Pipeline::find(
+        Filter::parse_str(filter_src).expect("filter parses"),
+        Projection::default(),
+    );
     let pipe_src =
         r#"[{"$match": {"a": 1}}, {"$group": {"_id": "$a", "n": {"$sum": "$b"}}}, {"$limit": 2}]"#;
     let pipe = jagg::Pipeline::parse_str(pipe_src).expect("pipeline parses");
@@ -102,7 +105,7 @@ fn every_contained_panic_leaves_one_audit_event() {
         for k in 1..=12 {
             for (what, c) in [("scan find", &scan), ("index find", &indexed)] {
                 let (ctx, sink) = faulty(Fault::PanicAtPoll(k));
-                let r = c.find_with_ctx(&filter, None, &ctx);
+                let r = jagg::aggregate_with_ctx(c, &find, &ctx);
                 panicked += usize::from(audited(&format!("{what} k={k}"), &r, &sink));
                 let (ctx, sink) = faulty(Fault::PanicAtPoll(k));
                 let r = jagg::aggregate_with_ctx(c, &pipe, &ctx);

@@ -6,6 +6,7 @@
 //! cargo run --example mongo_collection
 //! ```
 
+use json_foundations::agg;
 use json_foundations::guard::QueryCtx;
 use json_foundations::mongo::{Collection, Filter, Projection};
 use jsondata::gen::person_records;
@@ -59,11 +60,10 @@ fn main() {
         coll.find(&any).len()
     );
 
-    // Projection (§6 future work): keep only name.first and age.
+    // Projection (§6 future work): keep only name.first and age. A
+    // projected find is the pipeline [{"$match": filter}, {"$project": …}].
     let projection = Projection::parse_str(r#"{"name.first": 1, "age": 1}"#).unwrap();
-    let preview = coll
-        .find_with_ctx(&filter, Some(&projection), &QueryCtx::unlimited())
-        .expect("an unlimited find never trips");
+    let preview = agg::aggregate(&coll, &agg::Pipeline::find(filter, projection));
     println!("\nprojected sample:");
     for doc in preview.iter().take(3) {
         println!("  {doc}");

@@ -9,7 +9,7 @@ use std::time::Duration;
 use jguard::{QueryCtx, QueryError};
 use jpar::Pool;
 use json_foundations::agg::Pipeline;
-use json_foundations::mongo::{Collection, Filter};
+use json_foundations::mongo::{Collection, Filter, Projection};
 use jsondata::{gen, ParseLimits};
 
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -34,6 +34,7 @@ fn queries() -> (Filter, Pipeline) {
 #[test]
 fn hostile_corpus_never_panics_across_thread_counts() {
     let (filter, pipe) = queries();
+    let find = Pipeline::find(filter.clone(), Projection::default());
     for (label, text) in gen::hostile_corpus(7) {
         let parsed = Collection::parse_str(&text);
         if MUST_REJECT.contains(&label) {
@@ -49,8 +50,7 @@ fn hostile_corpus_never_panics_across_thread_counts() {
             // enough that the hostile shape, not the guard, is on trial.
             let found = coll.find(&filter);
             let ctx = QueryCtx::new().with_timeout(Duration::from_secs(60));
-            let governed = coll
-                .find_with_ctx(&filter, None, &ctx)
+            let governed = json_foundations::agg::aggregate_with_ctx(&coll, &find, &ctx)
                 .unwrap_or_else(|e| panic!("{label} x{threads}: {e}"));
             assert_eq!(found, governed, "{label} x{threads}");
             let agg = json_foundations::agg::aggregate(&coll, &pipe);
@@ -102,6 +102,7 @@ fn hostile_corpus_under_ingestion_limits_fails_closed() {
 #[test]
 fn starved_budgets_fail_closed_on_hostile_survivors() {
     let (filter, pipe) = queries();
+    let find = Pipeline::find(filter, Projection::default());
     for (label, text) in gen::hostile_corpus(13) {
         let Ok(mut coll) = Collection::parse_str(&text) else {
             continue;
@@ -111,7 +112,7 @@ fn starved_budgets_fail_closed_on_hostile_survivors() {
             // A zero byte budget: any query materialising output must
             // return BudgetExceeded (or legitimately produce nothing).
             let starved = QueryCtx::new().with_byte_budget(0);
-            if let Err(e) = coll.find_with_ctx(&filter, None, &starved) {
+            if let Err(e) = json_foundations::agg::aggregate_with_ctx(&coll, &find, &starved) {
                 assert!(
                     matches!(e, QueryError::BudgetExceeded { .. }),
                     "{label} x{threads}: {e}"
@@ -127,7 +128,7 @@ fn starved_budgets_fail_closed_on_hostile_survivors() {
             let cancelled = QueryCtx::new();
             cancelled.cancel();
             assert!(matches!(
-                coll.find_with_ctx(&filter, None, &cancelled),
+                json_foundations::agg::aggregate_with_ctx(&coll, &find, &cancelled),
                 Err(QueryError::Cancelled)
             ));
             // An expired deadline is indistinguishable from cancellation

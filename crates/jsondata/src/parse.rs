@@ -174,6 +174,10 @@ impl Sink for TreeBuilder {
     }
 }
 
+/// Keys an object checks for duplicates by scanning before it builds its
+/// hash set, which small objects, such as query texts, never allocate.
+const SCAN_KEYS: usize = 8;
+
 /// Folds parse events into an owned [`Json`] value.
 #[derive(Default)]
 struct JsonSink {
@@ -189,11 +193,12 @@ enum JsonFrame {
         /// overwriting the pending slot).
         key: Option<String>,
         pairs: Vec<(String, Json)>,
-        /// Duplicate-key detection: a set of key *hashes* keeps the probe
-        /// allocation-free and the whole object near-linear (a hash hit —
-        /// in practice only a true duplicate — is confirmed by one scan, so
-        /// an adversarial collision degrades a single key to O(n), never
-        /// the silent acceptance of a duplicate).
+        /// Duplicate-key detection past [`SCAN_KEYS`] keys: a set of key
+        /// *hashes* keeps the probe allocation-free and the whole object
+        /// near-linear (a hash hit — in practice only a true duplicate —
+        /// is confirmed by one scan, so an adversarial collision degrades
+        /// a single key to O(n), never the silent acceptance of a
+        /// duplicate).
         seen: FxHashSet<u64>,
     },
     Arr {
@@ -240,9 +245,16 @@ impl Sink for JsonSink {
         let Some(JsonFrame::Obj { pairs, seen, .. }) = self.stack.last_mut() else {
             unreachable!("object_key outside an object");
         };
-        let mut h = FxHasher::default();
-        key.hash(&mut h);
-        if !seen.insert(h.finish()) && pairs.iter().any(|(k, _)| k == key) {
+        let hash = |k: &str| {
+            let mut h = FxHasher::default();
+            k.hash(&mut h);
+            h.finish()
+        };
+        if pairs.len() == SCAN_KEYS {
+            seen.extend(pairs.iter().map(|(k, _)| hash(k)));
+        }
+        let fresh = pairs.len() >= SCAN_KEYS && seen.insert(hash(key));
+        if !fresh && pairs.iter().any(|(k, _)| k == key) {
             return false;
         }
         self.pending_key = Some(key.to_owned());

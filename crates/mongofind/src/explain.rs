@@ -341,7 +341,8 @@ impl Collection {
     /// `EXPLAIN ANALYZE`: plans, then executes the routed path under
     /// [`Actuals::measure`], and returns the plan annotated with actual
     /// rows, wall time, counters, and the span ring's recorded/dropped
-    /// tallies.
+    /// tallies. This and [`FindAnalyze`] stay beside `jagg`'s analyzer
+    /// because the serving benchmark's traced replay calls them.
     pub fn explain_analyze(&self, filter: &Filter) -> Result<FindAnalyze, QueryError> {
         let plan = self.explain(filter);
         let actual = Actuals::measure(|ctx| Ok(self.find_refs_with_ctx(filter, ctx)?.len()))?;

@@ -63,11 +63,11 @@ pub use explain::{Actuals, FindAnalyze, FindExplain, ProbeDesc, Route};
 pub use index::IndexSet;
 use index::Postings;
 
-/// Minimum per-chunk document count for the parallel scan paths: ranges
-/// below this collapse into one chunk and run inline on the calling
-/// thread (see [`Pool::chunk_for`]), so small collections never pay a
-/// thread spawn.
-const DOC_CHUNK_MIN: usize = 256;
+/// Minimum per-chunk count of documents or rows for the parallel scan
+/// paths here and `jagg`'s per-row stages: ranges below this collapse
+/// into one chunk and run inline on the calling thread (see
+/// [`Pool::chunk_for`]), so small inputs never pay a thread spawn.
+pub const DOC_CHUNK_MIN: usize = 256;
 
 /// A comparison operator of the dialect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -347,7 +347,7 @@ impl Filter {
                 _ if k.starts_with('$') => {
                     return Err(FilterError(format!("unknown top-level operator {k}")))
                 }
-                path => parts.extend(Self::parse_condition(Path::parse(path), v)?),
+                path => Self::parse_condition(Path::parse(path), v, &mut parts)?,
             }
         }
         Ok(Filter::And(parts))
@@ -359,17 +359,18 @@ impl Filter {
         Filter::parse(&doc)
     }
 
-    fn parse_condition(path: Path, v: &Json) -> Result<Vec<Filter>, FilterError> {
+    /// Parses the condition on `path`, pushing its conjuncts onto `out`.
+    fn parse_condition(path: Path, v: &Json, out: &mut Vec<Filter>) -> Result<(), FilterError> {
         // An object whose keys are all operators is a condition set;
         // anything else is implicit equality.
         let is_ops = v
             .as_object()
             .is_some_and(|o| !o.is_empty() && o.iter().all(|(k, _)| k.starts_with('$')));
         if !is_ops {
-            return Ok(vec![Filter::Compare(path, Cmp::Eq, v.clone())]);
+            out.push(Filter::Compare(path, Cmp::Eq, v.clone()));
+            return Ok(());
         }
         let obj = v.as_object().expect("checked");
-        let mut out = Vec::new();
         for (op, operand) in obj.iter() {
             out.push(match op {
                 "$eq" => Filter::Compare(path.clone(), Cmp::Eq, operand.clone()),
@@ -411,14 +412,15 @@ impl Filter {
                     };
                     Filter::Type(path.clone(), ty)
                 }
-                "$not" => Filter::Not(Box::new(Filter::And(Self::parse_condition(
-                    path.clone(),
-                    operand,
-                )?))),
+                "$not" => {
+                    let mut inner = Vec::new();
+                    Self::parse_condition(path.clone(), operand, &mut inner)?;
+                    Filter::Not(Box::new(Filter::And(inner)))
+                }
                 other => return Err(FilterError(format!("unknown operator {other}"))),
             });
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Compiles to a deterministic JNL unary formula — the paper's claim
@@ -933,7 +935,8 @@ pub struct Projection {
 }
 
 impl Projection {
-    /// Parses `{"name": 1, "age": 1}`-style projections.
+    /// Parses `{"name": 1, "age": 1}`-style projections; keys follow
+    /// [`Projection::output_path`].
     pub fn parse_str(src: &str) -> Result<Projection, FilterError> {
         let doc = jsondata::parse(src).map_err(|e| FilterError(e.to_string()))?;
         let Some(obj) = doc.as_object() else {
@@ -941,27 +944,32 @@ impl Projection {
         };
         let mut include = Vec::new();
         for (k, v) in obj.iter() {
-            if v.as_num() == Some(1) {
-                include.push(Path::parse(k));
-            } else {
+            if v.as_num() != Some(1) {
                 return Err(FilterError("only inclusive projections ({path: 1})".into()));
             }
+            include.push(Projection::output_path(k)?);
         }
         Ok(Projection { include })
     }
 
+    /// The dotted path a projection key names. A `$`-prefixed key is
+    /// rejected: the one key rule of this projection and `jagg`'s
+    /// `$project`.
+    pub fn output_path(key: &str) -> Result<Path, FilterError> {
+        if key.starts_with('$') {
+            return Err(FilterError(format!(
+                "$project field {key:?} must not start with $"
+            )));
+        }
+        Ok(Path::parse(key))
+    }
+
     /// Applies the projection to one document.
     pub fn apply(&self, doc: &Json) -> Json {
-        if self.include.is_empty() {
-            return doc.clone();
+        match self.include.is_empty() {
+            true => doc.clone(),
+            false => self.assemble(|p| resolve(doc, p).cloned()),
         }
-        let mut pairs: Vec<(String, Json)> = Vec::new();
-        for p in &self.include {
-            if let Some(v) = resolve(doc, p) {
-                insert_path(&mut pairs, &p.0, v.clone());
-            }
-        }
-        Json::object(pairs).expect("projection paths produce distinct keys")
     }
 
     /// [`Projection::apply`] evaluated directly on a tree node: each include
@@ -969,31 +977,28 @@ impl Projection {
     /// materialised (via [`JsonTree::json_at`]) — the full document is never
     /// synthesised just to be cut down. Agrees with
     /// `apply(&tree.json_at(doc))` exactly (differentially tested). Binds
-    /// the include paths to `tree`'s own table on every call;
-    /// [`Collection::find_with_ctx`] binds them once per query instead.
+    /// the include paths to `tree`'s own table on every call. Serving
+    /// projects through `jagg`'s `$project`; this stays for the serving
+    /// benchmark's traced replay.
     pub fn apply_tree(&self, tree: &JsonTree, doc: NodeId) -> Json {
-        apply_bound(&self.bind(tree.interner()), tree, doc)
-    }
-
-    /// The include paths, bound to `table`.
-    fn bind(&self, table: &Interner) -> Vec<BoundPath<'_>> {
-        self.include.iter().map(|p| p.bind(table)).collect()
-    }
-}
-
-/// [`Projection::apply_tree`] with include paths already bound (empty =
-/// keep the whole document).
-fn apply_bound(include: &[BoundPath<'_>], tree: &JsonTree, doc: NodeId) -> Json {
-    if include.is_empty() {
-        return tree.json_at(doc);
-    }
-    let mut pairs: Vec<(String, Json)> = Vec::new();
-    for p in include {
-        if let Some(n) = p.resolve_node(tree, doc) {
-            insert_path(&mut pairs, &p.path().0, tree.json_at(n));
+        let at = |p: &Path| p.bind(tree.interner()).resolve_node(tree, doc);
+        match self.include.is_empty() {
+            true => tree.json_at(doc),
+            false => self.assemble(|p| at(p).map(|n| tree.json_at(n))),
         }
     }
-    Json::object(pairs).expect("projection paths produce distinct keys")
+
+    /// The projected document: each include path's value, where `value`
+    /// finds one, in include order.
+    fn assemble(&self, value: impl Fn(&Path) -> Option<Json>) -> Json {
+        let mut pairs: Vec<(String, Json)> = Vec::new();
+        for p in &self.include {
+            if let Some(v) = value(p) {
+                insert_path(&mut pairs, &p.0, v);
+            }
+        }
+        Json::object(pairs).expect("projection paths produce distinct keys")
+    }
 }
 
 /// Inserts `value` at a dotted `path` into an under-construction object's
@@ -1056,6 +1061,8 @@ pub struct DocRef {
 /// Owned [`Json`] documents are **not** kept: the value-returning APIs
 /// synthesize results from the tree ([`JsonTree::json_at`]), and
 /// [`Collection::docs`] materialises every document afresh on each call.
+/// A governed find answers with refs; one that returns documents is a
+/// `jagg` pipeline, materialised by `jagg`'s output step.
 ///
 /// A collection loaded from a non-array root has defined **single-document
 /// semantics**: the root value is the collection's one document. `find` and
@@ -1551,64 +1558,14 @@ impl Collection {
         }
     }
 
-    /// Materialises each ref through `make`, preserving order (the output
-    /// assembly of [`Collection::find_with_ctx`]): in parallel chunks, or
-    /// on the calling thread with no chunk dispatched when
-    /// [`Pool::chunk_for`] yields a single chunk. Polls `ctx` per document
-    /// and charges each materialised value against the byte budget (a
-    /// no-op traversal-free call when no budget is set).
-    fn materialize_refs(
-        &self,
-        ctx: &QueryCtx,
-        refs: Vec<DocRef>,
-        make: impl Fn(DocRef) -> Json + Sync,
-    ) -> Result<Vec<Json>, QueryError> {
-        let build = |r: Range<usize>| {
-            let mut poll = ctx.poller();
-            let mut out = Vec::with_capacity(r.len());
-            for &d in &refs[r] {
-                poll.tick()?;
-                let v = make(d);
-                ctx.charge_json(&v)?;
-                out.push(v);
-            }
-            Ok(out)
-        };
-        let chunk = self.pool.chunk_for(refs.len(), DOC_CHUNK_MIN);
-        if chunk >= refs.len() {
-            return build(0..refs.len());
-        }
-        self.pool.try_flat_map_chunks(ctx, refs.len(), chunk, build)
-    }
-
-    /// `db.collection.find(filter)`: the matching documents, synthesized
-    /// from the tree column — [`Collection::find_with_ctx`] without a
-    /// projection or limits ([`jpar::ungoverned`]: a contained panic is
-    /// re-raised).
+    /// `db.collection.find(filter)`, ungoverned ([`jpar::ungoverned`]: a
+    /// contained panic is re-raised): the refs of
+    /// [`Collection::find_refs_with_ctx`], each [`Collection::json_of`].
     pub fn find(&self, filter: &Filter) -> Vec<Json> {
-        jpar::ungoverned(|ctx| self.find_with_ctx(filter, None, ctx))
-    }
-
-    /// `find(filter, projection)` under a [`QueryCtx`]: the refs of
-    /// [`Collection::find_refs_with_ctx`], materialised in order — whole
-    /// documents, or only the kept subtrees of a [`Projection`]
-    /// ([`Projection::apply_tree`], with the include paths bound once per
-    /// query). Materialisation polls `ctx` per document and charges each
-    /// value (projected, when projecting) against the byte budget. Like
-    /// the refs, the call runs under [`jpar::contain`].
-    pub fn find_with_ctx(
-        &self,
-        filter: &Filter,
-        projection: Option<&Projection>,
-        ctx: &QueryCtx,
-    ) -> Result<Vec<Json>, QueryError> {
-        jpar::contain(ctx, || {
-            let refs = self.find_refs_with_ctx(filter, ctx)?;
-            let include = projection.map_or_else(Vec::new, |p| p.bind(self.interner()));
-            self.materialize_refs(ctx, refs, |d| {
-                apply_bound(&include, &self.segments[d.seg as usize], d.node)
-            })
-        })
+        jpar::ungoverned(|ctx| self.find_refs_with_ctx(filter, ctx))
+            .into_iter()
+            .map(|d| self.json_of(d))
+            .collect()
     }
 
     /// The paper's engine as an oracle: compiles the filter to JNL and
@@ -1785,8 +1742,10 @@ mod tests {
     }
 
     fn find_project(coll: &Collection, f: &Filter, p: &Projection) -> Vec<Json> {
-        coll.find_with_ctx(f, Some(p), &QueryCtx::unlimited())
-            .unwrap()
+        let refs = coll.find_refs_with_ctx(f, &QueryCtx::unlimited()).unwrap();
+        refs.into_iter()
+            .map(|d| p.apply_tree(&coll.segments()[d.seg as usize], d.node))
+            .collect()
     }
 
     fn people() -> Collection {
@@ -1956,6 +1915,9 @@ mod tests {
         assert!(Filter::parse_str(r#"{"a": {"$size": "x"}}"#).is_err());
         assert!(Filter::parse_str("[1]").is_err());
         assert!(Projection::parse_str(r#"{"a": 0}"#).is_err());
+        // `$project`'s key rule: an operator is not an output path.
+        let e = Projection::parse_str(r#"{"$x": 1}"#).unwrap_err();
+        assert_eq!(e.0, r#"$project field "$x" must not start with $"#);
     }
 
     /// The filter corpus used by the tree/value equivalence sweeps: every

@@ -58,9 +58,12 @@ fn via_jnl_docs(coll: &Collection, f: &Filter) -> Vec<Json> {
         .collect()
 }
 
+/// The routed refs, projected ([`Projection::apply_tree`]).
 fn find_project(coll: &Collection, f: &Filter, p: &Projection) -> Vec<Json> {
-    coll.find_with_ctx(f, Some(p), &QueryCtx::unlimited())
-        .unwrap()
+    routed(coll, f)
+        .into_iter()
+        .map(|d| p.apply_tree(&coll.segments()[d.seg as usize], d.node))
+        .collect()
 }
 
 /// Filters crossing the exact-JNL fragment boundary, nested paths,
