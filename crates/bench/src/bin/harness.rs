@@ -1938,7 +1938,10 @@ fn s8() {
 /// 3. the unindexed scan starts at the filter's symbol horizon: a lookup
 ///    by a late inserted `email` scans only its document and the ones
 ///    after it, while a filter on strings the first record uses scans
-///    every document.
+///    every document;
+/// 4. value fences: on that 300-insert layout, `{"id": k}` reads the
+///    postings of exactly one segment, for a seed id and for an inserted
+///    id, and so does an `$in` of three seed ids.
 ///
 /// Times (medians of 9) are reported in `BENCH_index.json`.
 fn s9() {
@@ -2090,6 +2093,11 @@ fn s9() {
          the control {name.last: {$gt: K}} scans all n",
     );
     let mut grown = mongofind::Collection::parse_str(&text).expect("workload parses");
+    // Indexed as the 20k layout is; `email` and `name.last` stay
+    // unindexed, so both gate-3 filters take the scan.
+    for p in S9_INDEX_PATHS {
+        grown.create_index(p);
+    }
     let emails: Vec<String> = (0..300).map(|i| format!("u{i}@example.org")).collect();
     for (i, email) in emails.iter().enumerate() {
         let doc = format!(
@@ -2133,6 +2141,38 @@ fn s9() {
         control_scanned,
         Better::Lower,
     );
+
+    // Gate 4: a point read skips every segment whose value fence rules
+    // its number out. The seed ids live in the merged segment and each
+    // late id in its own insert segment, so each of these probes reads
+    // one segment's postings of the layout's many.
+    report.gate(
+        "value fences: on the horizon layout, {id: k} reads 1 segment's postings for a seed id \
+         and for an inserted id, and an $in of three seed ids reads 1",
+    );
+    let segments = grown.segments().len() as u64;
+    for (label, src) in [
+        ("fence.eq_seed", r#"{"id": 12345}"#),
+        ("fence.eq_inserted", r#"{"id": 20149}"#),
+        ("fence.in_seed", r#"{"id": {"$in": [7, 12345, 19999]}}"#),
+    ] {
+        let f = mongofind::Filter::parse_str(src).expect("filter parses");
+        let (hits, c) = metered(|ctx| {
+            grown
+                .find_refs_with_ctx(&f, ctx)
+                .expect("the context never trips")
+        });
+        let probed = c[Counter::SegmentsProbed];
+        assert!(
+            !hits.is_empty() && hits == scan_refs(&grown, &f) && probed == 1,
+            "S9 gate: {src} read the postings of {probed} of {segments} segments (want 1) \
+             and found {} documents",
+            hits.len()
+        );
+        report.count(format!("{label}.segments_probed"), probed, Better::Lower);
+    }
+    println!("value fences: each point read probes 1 of {segments} segments");
+    report.count("fence.segments", segments, Better::Lower);
     report.write("BENCH_index.json");
 }
 

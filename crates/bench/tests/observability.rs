@@ -8,8 +8,8 @@
 //! whether one worker does it or eight, and whether the collection was
 //! parsed in one shot, built from per-insert segments, or compacted.
 //! (*Schedule* counters — chunks dispatched/stolen, polls — and the
-//! per-segment `SegmentsVisited` are execution-shape by definition and
-//! carry no such contract.)
+//! per-segment `SegmentsVisited` and `SegmentsProbed` are execution-shape
+//! by definition and carry no such contract.)
 //!
 //! **Snapshots.** The `EXPLAIN` text and JSON renderings over the S9
 //! filter corpus are pinned byte-for-byte, and so are the `EXPLAIN
@@ -397,8 +397,8 @@ fn analyze_snapshots_share_one_ending() {
                 \x20 probe[1] range: age >= 40\n\
                 \x20 residual: name.last = \"Kim\"\n\
                 \x20 actual: rows=6, wall_us=_\n\
-                \x20 counters: rows_emitted=6, index_probes=2, bitmap_intersections=1, \
-                residual_evals=31, bytes_charged=32, polls=1\n\
+                \x20 counters: rows_emitted=6, index_probes=2, segments_probed=2, \
+                bitmap_intersections=1, residual_evals=31, bytes_charged=32, polls=1\n\
                 \x20 spans: recorded=6, dropped=0\n";
     assert_eq!(mask_wall_us(&an.render_text()), want);
     let find_keys = keys(&an.to_json());
@@ -420,8 +420,8 @@ fn analyze_snapshots_share_one_ending() {
                 \x20 actual[2] $skip: rows=82, wall_us=_\n\
                 \x20 actual[3] $limit: rows=10, wall_us=_\n\
                 \x20 actual: rows=10, wall_us=_\n\
-                \x20 counters: rows_emitted=87, index_probes=1, bytes_charged=16, polls=6, \
-                chunks_dispatched=1\n\
+                \x20 counters: rows_emitted=87, index_probes=1, segments_probed=1, \
+                bytes_charged=16, polls=6, chunks_dispatched=1\n\
                 \x20 spans: recorded=10, dropped=0\n";
     assert_eq!(text.strip_prefix(plan_text.as_str()), Some(want), "{text}");
     let pipe_keys = keys(&an.to_json());
@@ -439,8 +439,13 @@ fn analyze_snapshots_share_one_ending() {
 /// handle what its value will cost, so a budget trips on the same row.
 /// The paginate pipeline's `$project` runs late, on its 50 survivors
 /// only, so it charges less than the executor that projected every row
-/// (124,798); [`FULL_SORT`] pins the unfused figures.
-const S5_BYTES_CHARGED: [u64; 3] = [2071, 41_683, 36_726];
+/// (124,798); [`FULL_SORT`] pins the unfused figures. Every document is
+/// charged once, by the step that makes it: the projected page where the
+/// `$project` makes it (the output step charged it a second time,
+/// 41,683), and every `$group` output where the fold makes it, all 48
+/// groups of the compound-key pipeline rather than the 10 its `$limit`
+/// keeps (36,726).
+const S5_BYTES_CHARGED: [u64; 3] = [2071, 29_093, 60_644];
 
 #[test]
 fn s5_bytes_charged_are_those_of_the_materialising_executor() {
@@ -465,11 +470,41 @@ fn s5_bytes_charged_are_those_of_the_materialising_executor() {
     }
 }
 
+/// A `$project`'s documents are charged once, where the `$project` makes
+/// them: a `$limit` after it that keeps every row adds no charge (the
+/// output step charged each projected document again, 134,000 bytes).
+#[test]
+fn a_projected_document_is_charged_once() {
+    let docs = corpus();
+    for src in [
+        r#"[{"$project": {"age": 1}}]"#,
+        r#"[{"$project": {"age": 1}}, {"$limit": 100000}]"#,
+    ] {
+        let pipe = jagg::Pipeline::parse_str(src).expect("pipeline parses");
+        for (label, mut coll) in layouts(&docs) {
+            for threads in [1, 2] {
+                coll.set_pool(jpar::Pool::with_threads(threads));
+                let sink = Arc::new(QueryMetrics::new());
+                let ctx = QueryCtx::new()
+                    .with_byte_budget(u64::MAX / 2)
+                    .with_metrics(Arc::clone(&sink));
+                jagg::aggregate_with_ctx(&coll, &pipe, &ctx).expect("within budget");
+                assert_eq!(
+                    sink.get(Counter::BytesCharged),
+                    67_000,
+                    "{label} x{threads}: {src}"
+                );
+            }
+        }
+    }
+}
+
 /// Full `$sort`s (no `$limit` follows) over the S5 paginate selection,
 /// with the `bytes_charged` of the executor that materialised every sort
 /// key: keys that are tree handles (sorting the matched documents), and
 /// keys of owned rows (sorting after the `$project`, which therefore runs
-/// before the sort and projects every row).
+/// before the sort and projects every row, each charged once: the output
+/// step charged them again, 207,913).
 const FULL_SORT: [(&str, u64); 2] = [
     (
         r#"[{"$match": {"name.first": {"$in": ["Sue", "Omar", "Ivy"]}, "age": {"$lte": 89}}},
@@ -480,7 +515,7 @@ const FULL_SORT: [(&str, u64); 2] = [
         r#"[{"$match": {"name.first": {"$in": ["Sue", "Omar", "Ivy"]}, "age": {"$lte": 89}}},
             {"$project": {"name.first": 1, "age": 1, "nh": "$hobbies"}},
             {"$sort": {"age": 0, "name.first": 1}}]"#,
-        207_913,
+        112_208,
     ),
 ];
 

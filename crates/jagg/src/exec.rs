@@ -25,7 +25,9 @@
 //! — or earlier only where a stage genuinely observes a synthesized value
 //! (a projected field, a distinct `$group` key, a `$group` output, or the
 //! rare merged view of a subtree that contains a binding). Until a stage
-//! needs rows, the pipeline holds bare [`DocRef`]s.
+//! needs rows, the pipeline holds bare [`DocRef`]s. A document is charged
+//! to the byte budget once, by the step that makes it, so a `$limit` or
+//! `$skip` after a `$project` adds no charge of its own.
 //!
 //! Sort keys and the observations `$min`/`$max`/`$push`/`$first`/`$last`
 //! keep are `Obs` values: a `(segment, node)` handle, or an owned value
@@ -146,8 +148,11 @@ pub fn aggregate(coll: &Collection, pipeline: &Pipeline) -> Vec<Json> {
 
 /// [`aggregate`] under a [`QueryCtx`]: every stage loop polls the
 /// context (per row, amortised through a [`jguard::Poller`]), `$group`
-/// accumulation and the `$push`/`$sort`/output buffers charge the byte
-/// budget, `$unwind` expansion and the leading `$match` charge the row
+/// accumulation and the `$push`/`$sort` buffers charge the byte budget,
+/// as does every document, once, in the step that creates it (a
+/// `$project`, a `$group` or `$count` output, an owned `$unwind`
+/// rebase, or the output step's materialisation of a tree row),
+/// `$unwind` expansion and the leading `$match` charge the row
 /// budget, and a panic — in a worker or on the calling thread — surfaces
 /// as [`QueryError::WorkerPanicked`] with the collection untouched.
 pub fn aggregate_with_ctx(
@@ -515,9 +520,11 @@ impl<'c> Engine<'c> {
         self.output(rows, None)
     }
 
-    /// The output step: one document per row, charged to the byte
-    /// budget — the row, or its projection by the pipeline's last
-    /// `$project` (bound once, here).
+    /// The output step: one document per row — the row, or its
+    /// projection by the pipeline's last `$project` (bound once, here).
+    /// A document is charged to the byte budget once, by the step that
+    /// creates it: here a projection or a tree row's materialisation,
+    /// while an owned row's document was charged where it was made.
     fn output(
         &self,
         rows: Rows<'_>,
@@ -525,11 +532,14 @@ impl<'c> Engine<'c> {
     ) -> Result<Vec<Json>, QueryError> {
         let spec = project.map(|spec| self.bind_project(spec));
         let emit = |row: Cow<'_, Row<'_>>, out: &mut Vec<Json>| {
+            let created = spec.is_some() || matches!(row.base, Base::Node(_));
             let v = match &spec {
                 Some(spec) => self.project(&row, spec),
                 None => self.materialize(row),
             };
-            self.guard.charge_json(&v)?;
+            if created {
+                self.guard.charge_json(&v)?;
+            }
             out.push(v);
             Ok(())
         };
@@ -608,6 +618,7 @@ impl<'c> Engine<'c> {
                 } else {
                     let doc = Json::object(vec![(label.clone(), Json::Num(rows.len() as u64))])
                         .expect("single key");
+                    self.guard.charge_json(&doc)?;
                     vec![Row::owned(doc)]
                 }
             }
@@ -830,13 +841,19 @@ impl<'c> Engine<'c> {
         let path = &self.bind(path);
         self.each_row(rows, |row, out| {
             let before = out.len();
-            self.unwind_into(row.into_owned(), path, out);
+            self.unwind_into(row.into_owned(), path, out)?;
             self.guard.charge_rows((out.len() - before) as u64)
         })
     }
 
-    /// Unwinds one row, appending its output rows in order.
-    fn unwind_into<'p>(&self, row: Row<'p>, path: &BoundPath<'p>, out: &mut Vec<Row<'p>>) {
+    /// Unwinds one row, appending its output rows in order; a rebased
+    /// owned document is charged to the byte budget as it is made.
+    fn unwind_into<'p>(
+        &self,
+        row: Row<'p>,
+        path: &BoundPath<'p>,
+        out: &mut Vec<Row<'p>>,
+    ) -> Result<(), QueryError> {
         enum Plan {
             Keep,
             Drop,
@@ -885,10 +902,12 @@ impl<'c> Engine<'c> {
                 for elem in items {
                     let mut doc = base.clone();
                     set_at(&mut doc, &path.path().0, elem);
+                    self.guard.charge_json(&doc)?;
                     out.push(Row::owned(doc));
                 }
             }
         }
+        Ok(())
     }
 
     // ---- $group ------------------------------------------------------
@@ -1099,22 +1118,22 @@ impl<'c> Engine<'c> {
         // Deterministic output order: missing key first, then total order.
         let mut groups: Vec<(Option<Json>, usize)> = group_keys.into_iter().zip(0..).collect();
         groups.sort_by(|a, b| cmp_opt_json(&a.0, &b.0));
-        let out = groups
-            .into_iter()
-            .map(|(id, gi)| {
-                let mut pairs: Vec<(String, Json)> = Vec::new();
-                if let Some(idj) = id {
-                    pairs.push(("_id".into(), idj));
+        let mut out = Vec::with_capacity(groups.len());
+        for (id, gi) in groups {
+            let mut pairs: Vec<(String, Json)> = Vec::new();
+            if let Some(idj) = id {
+                pairs.push(("_id".into(), idj));
+            }
+            for (a, (name, _)) in spec.accs.iter().enumerate() {
+                let state = std::mem::replace(&mut states[gi * accs + a], AccState::Count(0));
+                if let Some(v) = self.finish(state) {
+                    pairs.push((name.clone(), v));
                 }
-                for (a, (name, _)) in spec.accs.iter().enumerate() {
-                    let state = std::mem::replace(&mut states[gi * accs + a], AccState::Count(0));
-                    if let Some(v) = self.finish(state) {
-                        pairs.push((name.clone(), v));
-                    }
-                }
-                Row::owned(Json::object(pairs).expect("parser validated distinct names"))
-            })
-            .collect();
+            }
+            let doc = Json::object(pairs).expect("parser validated distinct names");
+            self.guard.charge_json(&doc)?;
+            out.push(Row::owned(doc));
+        }
         self.guard.span_close(SpanKind::Phase, PHASE_FOLD);
         Ok(out)
     }

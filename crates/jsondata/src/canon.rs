@@ -289,6 +289,13 @@ impl CanonTable {
         self.find_atom(STR, sym.index() as u64)
     }
 
+    /// The class id of the number atom `n`, or `None` if no number leaf
+    /// of the tree carries it.
+    #[inline]
+    pub fn class_of_num(&self, n: u64) -> Option<u32> {
+        self.find_atom(INT, n)
+    }
+
     /// The class of the atom `value` of `kind`, or `None` if no leaf of
     /// the tree carries it.
     #[inline]
@@ -317,7 +324,7 @@ impl CanonTable {
         // probe makes one per segment); only containers need the walk and
         // its work stacks.
         match value {
-            Json::Num(n) => self.find_atom(INT, *n),
+            Json::Num(n) => self.class_of_num(*n),
             Json::Str(s) => self.class_of_str(tree.sym(s)?),
             Json::Array(_) | Json::Object(_) => self.container_class(tree, value),
         }

@@ -61,6 +61,12 @@ pub enum Counter {
     /// Index probes executed (one per index-answerable conjunct, not per
     /// segment). Zero when the planner chose the scan.
     IndexProbes,
+    /// Segments whose postings an index probe read past their value
+    /// fence, recorded once per probe: every segment for a range probe;
+    /// for an `$eq`, the segments whose fence admits the constant (all
+    /// of them for a non-number); for an `$in`, those that admit any
+    /// item. Depends on the segment layout, unlike `IndexProbes`.
+    SegmentsProbed,
     /// Doc-bitmap AND operations performed while intersecting probe
     /// results.
     BitmapIntersections,
@@ -100,13 +106,14 @@ pub enum Counter {
 }
 
 /// Number of counters in the vocabulary.
-pub const NUM_COUNTERS: usize = 13;
+pub const NUM_COUNTERS: usize = 14;
 
 /// Every counter, in slot order.
 pub const ALL_COUNTERS: [Counter; NUM_COUNTERS] = [
     Counter::DocsScanned,
     Counter::RowsEmitted,
     Counter::IndexProbes,
+    Counter::SegmentsProbed,
     Counter::BitmapIntersections,
     Counter::ResidualEvals,
     Counter::SegmentsVisited,
@@ -127,6 +134,7 @@ impl Counter {
             Counter::DocsScanned => "docs_scanned",
             Counter::RowsEmitted => "rows_emitted",
             Counter::IndexProbes => "index_probes",
+            Counter::SegmentsProbed => "segments_probed",
             Counter::BitmapIntersections => "bitmap_intersections",
             Counter::ResidualEvals => "residual_evals",
             Counter::SegmentsVisited => "segments_visited",

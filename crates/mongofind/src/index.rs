@@ -1,7 +1,8 @@
 //! Secondary indexes over the segmented tree column.
 //!
 //! Two structures per declared path, both keyed through the collection's
-//! interned substrate rather than re-materialised values:
+//! interned substrate rather than re-materialised values, and a fence
+//! in front of them:
 //!
 //! * a **hash index** on `(path, canon-class)` — per segment, the
 //!   segment's own canonical-label table ([`JsonTree::canon`]) assigns
@@ -12,6 +13,13 @@
 //!   [`jsondata::CanonTable::class_of_json`]; an un-interned constant is
 //!   a *proof of absence* (no document can hold it), so the probe answers
 //!   without touching a document. `$in` is a union of `$eq` probes.
+//! * a **value fence** — per segment, the least and greatest number at
+//!   the path. A number equals only a number node of the same value, so
+//!   an `$eq` (or `$in` item) whose number lies outside a segment's fence
+//!   is answered from the fence alone: the segment's canon table, class
+//!   offsets and ordinals are not read. A point read by a key that grows
+//!   with the ordinal (an `id`) thus reads one segment's postings however
+//!   long the insert tail is (`segments_probed`).
 //! * a **sorted column** — per segment, the `(ordinal, value-node)` pairs
 //!   ordered by [`cmp_nodes`](crate::cmp_nodes) (the node-node twin of
 //!   [`Json::total_cmp`]); `$gt`/`$gte`/`$lt`/`$lte` binary-search the
@@ -19,8 +27,8 @@
 //!   prefix/suffix. The column is also the substrate a future `$sort`
 //!   pushdown reads runs from.
 //!
-//! Both are **per segment** and live in the [`Segment`] they index: one
-//! [`Postings`] record holds both structures for every declared index,
+//! All three are **per segment** and live in the [`Segment`] they index:
+//! one [`Postings`] record holds them for every declared index,
 //! and records ordinals *within* its segment, so it never depends on
 //! where the segment sits in a column: a probe adds the segment's first
 //! ordinal ([`Segment::first`]). [`Collection::insert`] builds the new
@@ -90,9 +98,9 @@ struct IndexDef {
     path: Path,
 }
 
-/// The postings of one segment for every declared index, in one record
-/// of three allocations whatever the segment's size or the number of
-/// indexes. Each index lists one entry per segment document whose path
+/// The postings of one segment for every declared index, fences
+/// included, in one record of three allocations whatever the segment's
+/// size or the number of indexes. Each index lists one entry per segment document whose path
 /// resolves, keyed by the document's ordinal within the segment; index
 /// `i`'s entries are `starts[i * (c + 1)]..starts[i * (c + 1) + c]` of
 /// both lists, where `c` is the segment tree's
@@ -101,7 +109,10 @@ struct IndexDef {
 pub(crate) struct Postings {
     /// Per index, `c + 1` offsets into `ords`: canon class `k`'s run is
     /// `starts[i * (c + 1) + k]..starts[i * (c + 1) + k + 1]` (the hash
-    /// side, answered without hashing). Empty when no index is declared.
+    /// side, answered without hashing). Then, from the end backwards,
+    /// each index's value fence ([`Postings::fence`]), four words an
+    /// index, so that index `i`'s is found from the slice's length alone.
+    /// Empty when no index is declared.
     starts: Box<[u32]>,
     /// Ordinals grouped by class, ascending within each class.
     ords: Box<[u32]>,
@@ -218,27 +229,53 @@ impl IndexSet {
     }
 
     /// Runs one probe of the index at `pi`, inserting every matching
-    /// document ordinal into `out`. An `$eq` or `$in` constant is bound
-    /// to the column's table once, not once per segment.
-    fn probe_into(pi: usize, probe: &Probe<'_>, segments: &[Arc<Segment>], out: &mut BitSet) {
+    /// document ordinal into `out`, and returns the number of segments
+    /// whose postings it read past their fences. An `$eq` or `$in`
+    /// constant is bound to the column's table once, not once per
+    /// segment.
+    fn probe_into(
+        pi: usize,
+        probe: &Probe<'_>,
+        segments: &[Arc<Segment>],
+        out: &mut BitSet,
+    ) -> usize {
         let table = table_of(segments);
         let mut eq = |v: &Json| {
             let key = Key::bind(v, table);
+            let mut probed = 0;
             for seg in segments {
-                for &o in seg.postings.eq_run(pi, seg, &key) {
-                    out.insert(seg.first + o as usize);
+                if let Some(run) = seg.postings.eq_run(pi, seg, &key) {
+                    probed += 1;
+                    for &o in run {
+                        out.insert(seg.first + o as usize);
+                    }
                 }
             }
+            probed
         };
         match probe {
             Probe::Eq(v) => eq(v),
-            Probe::In(items) => items.iter().for_each(eq),
+            Probe::In(items) => {
+                for v in items.iter() {
+                    eq(v);
+                }
+                // A segment counts once, however many items it admits.
+                let admits = |seg: &Segment, v: &Json| match v {
+                    Json::Num(n) => seg.postings.admits(pi, *n),
+                    _ => true,
+                };
+                segments
+                    .iter()
+                    .filter(|seg| items.iter().any(|v| admits(seg, v)))
+                    .count()
+            }
             Probe::Range(cmp, v) => {
                 for seg in segments {
                     for &(o, _) in seg.postings.range_run(pi, seg, *cmp, v) {
                         out.insert(seg.first + o as usize);
                     }
                 }
+                segments.len()
             }
         }
     }
@@ -262,18 +299,19 @@ impl IndexSet {
                 ctx.record(Counter::IndexProbes, 1);
                 ctx.span_open(SpanKind::Probe, 0);
                 let key = Key::bind(v, table_of(segments));
+                let mut probed = 0;
                 let hits: Vec<DocRef> = (0u32..)
                     .zip(segments)
-                    .flat_map(|(s, seg)| {
-                        seg.postings
-                            .eq_run(*pi, seg, &key)
-                            .iter()
-                            .map(move |&o| DocRef {
-                                seg: s,
-                                node: seg.doc(o as usize),
-                            })
+                    .filter_map(|(s, seg)| Some((s, seg, seg.postings.eq_run(*pi, seg, &key)?)))
+                    .inspect(|_| probed += 1)
+                    .flat_map(|(s, seg, run)| {
+                        run.iter().map(move |&o| DocRef {
+                            seg: s,
+                            node: seg.doc(o as usize),
+                        })
                     })
                     .collect();
+                ctx.record(Counter::SegmentsProbed, probed);
                 ctx.span_close(SpanKind::Probe, 0);
                 ctx.charge_bytes(std::mem::size_of_val(hits.as_slice()) as u64)?;
                 hits
@@ -324,7 +362,8 @@ impl IndexSet {
             ctx.record(Counter::IndexProbes, 1);
             ctx.span_open(SpanKind::Probe, ordinal as u32);
             let mut bm = BitSet::new(n);
-            Self::probe_into(*pi, probe, segments, &mut bm);
+            let probed = Self::probe_into(*pi, probe, segments, &mut bm);
+            ctx.record(Counter::SegmentsProbed, probed as u64);
             ctx.span_close(SpanKind::Probe, ordinal as u32);
             match &mut acc {
                 None => acc = Some(bm),
@@ -342,12 +381,14 @@ impl IndexSet {
 }
 
 /// An `$eq` constant bound to a column's table once per probe: a string
-/// by its symbol, any other value as itself.
+/// by its symbol, a number by its value, a container as itself.
 enum Key<'v> {
     /// A string constant's symbol in the column's table; `None` when the
     /// table lacks the string, which then equals no node.
     Sym(Option<Sym>),
-    /// A number, array or object constant, classed per segment.
+    /// A number constant, tested against each segment's fence first.
+    Num(u64),
+    /// An array or object constant, classed per segment.
     Value(&'v Json),
 }
 
@@ -355,10 +396,19 @@ impl<'v> Key<'v> {
     fn bind(v: &'v Json, table: &Interner) -> Key<'v> {
         match v {
             Json::Str(s) => Key::Sym(table.lookup(s)),
+            Json::Num(n) => Key::Num(*n),
             _ => Key::Value(v),
         }
     }
 }
+
+/// Words of one index's fence at the end of [`Postings::starts`]: the
+/// least and the greatest number, each as its low and high half.
+const FENCE_WORDS: usize = 4;
+
+/// The fence of a segment none of whose values at an indexed path is a
+/// number: empty, since its least bound exceeds its greatest.
+const NO_NUMBERS: (u64, u64) = (u64::MAX, 0);
 
 impl Postings {
     /// The postings of `defs` over the documents of `seg`, whose
@@ -379,20 +429,28 @@ impl Postings {
         let classes = canon.class_count();
         let docs = seg.len();
         let cap = defs.len() * docs;
-        let mut starts = vec![0u32; defs.len() * (classes + 1)];
+        let mut starts = vec![0u32; defs.len() * (classes + 1 + FENCE_WORDS)];
+        let (offsets, fences) = starts.split_at_mut(defs.len() * (classes + 1));
         let mut ords = Vec::with_capacity(cap);
         let mut sorted = Vec::with_capacity(cap);
         let mut rest = steps.as_slice();
-        for (d, starts) in defs.iter().zip(starts.chunks_exact_mut(classes + 1)) {
+        let per_index = offsets.chunks_exact_mut(classes + 1);
+        let fences = fences.chunks_exact_mut(FENCE_WORDS).rev();
+        for ((d, starts), fence) in defs.iter().zip(per_index).zip(fences) {
             let (path, tail) = rest.split_at(d.path.0.len());
             rest = tail;
             let first = sorted.len();
+            let (mut lo, mut hi) = NO_NUMBERS;
             for ord in 0..docs {
                 let doc = seg.doc(ord);
                 if let Some(v) = path.iter().try_fold(doc, |at, s| step_node(tree, at, s)) {
+                    if let Some(n) = tree.num_value(v) {
+                        (lo, hi) = (lo.min(n), hi.max(n));
+                    }
                     sorted.push((ord as u32, v));
                 }
             }
+            fence.copy_from_slice(&[lo as u32, (lo >> 32) as u32, hi as u32, (hi >> 32) as u32]);
             // A counting sort by class: each class's end offset, then
             // every entry placed from the back, so that the offsets end
             // at each class's start and ordinals ascend within a class.
@@ -423,15 +481,32 @@ impl Postings {
         }
     }
 
-    /// `self`'s indexes followed by `more`'s, over the same segment.
-    fn append(&self, more: &Postings) -> Postings {
+    /// `self`'s indexes followed by `more`'s, over the same segment of
+    /// `classes` canon classes: the offsets of both, then the fences of
+    /// both, `more`'s nearer the front as the fences run backwards.
+    fn append(&self, more: &Postings, classes: usize) -> Postings {
+        let (offsets, fences) = self.split(classes);
+        let (more_offsets, more_fences) = more.split(classes);
         let shift = self.ords.len() as u32;
-        let moved = more.starts.iter().map(|s| s + shift);
+        let moved = more_offsets.iter().map(|s| s + shift);
         Postings {
-            starts: self.starts.iter().copied().chain(moved).collect(),
+            starts: offsets
+                .iter()
+                .copied()
+                .chain(moved)
+                .chain(more_fences.iter().copied())
+                .chain(fences.iter().copied())
+                .collect(),
             ords: [&self.ords[..], &more.ords[..]].concat().into(),
             sorted: [&self.sorted[..], &more.sorted[..]].concat().into(),
         }
+    }
+
+    /// `starts` split into every index's class offsets and every index's
+    /// fence, in a segment of `classes` canon classes.
+    fn split(&self, classes: usize) -> (&[u32], &[u32]) {
+        let indexes = self.starts.len() / (classes + 1 + FENCE_WORDS);
+        self.starts.split_at(indexes * (classes + 1))
     }
 
     /// Index `i`'s class offsets in a segment of `classes` canon classes.
@@ -439,26 +514,53 @@ impl Postings {
         &self.starts[i * (classes + 1)..(i + 1) * (classes + 1)]
     }
 
-    /// Index `i`'s ordinals whose value equals `key`, ascending: classes
-    /// the constant into the segment's canon table and reads that class's
-    /// run. A string's symbol is comparable in every segment of the
-    /// column, and a segment whose table stops before it holds no node
-    /// carrying it. A constant that is not a subtree of the segment
-    /// ([`jsondata::CanonTable::class_of_json`] → `None`) is an absence
-    /// proof — the run is empty.
-    fn eq_run(&self, i: usize, tree: &JsonTree, key: &Key<'_>) -> &[u32] {
+    /// Index `i`'s fence: the least and the greatest number among the
+    /// segment's values at its path ([`NO_NUMBERS`] when none is a
+    /// number). It sits at the end of `starts`, so reading it needs
+    /// neither the segment's class count nor its canon table.
+    fn fence(&self, i: usize) -> (u64, u64) {
+        let at = self.starts.len() - FENCE_WORDS * (i + 1);
+        let w = |k: usize| u64::from(self.starts[at + k]);
+        (w(0) | w(1) << 32, w(2) | w(3) << 32)
+    }
+
+    /// Whether index `i`'s fence admits the number `n`: `false` proves
+    /// that no document of the segment has `n` at the path.
+    fn admits(&self, i: usize, n: u64) -> bool {
+        let (lo, hi) = self.fence(i);
+        lo <= n && n <= hi
+    }
+
+    /// Index `i`'s ordinals whose value equals `key`, ascending, or
+    /// `None` when the segment's fence rules a number constant out. A
+    /// number equals only a number node of the same value, so a constant
+    /// outside the fence is answered from the fence alone, before the
+    /// segment's canon table, class offsets or ordinals are read.
+    /// Otherwise the constant is classed into the segment's canon table
+    /// and that class's run read. A string's symbol is comparable in
+    /// every segment of the column, and a segment whose table stops
+    /// before it holds no node carrying it. A constant that is not a
+    /// subtree of the segment ([`jsondata::CanonTable::class_of_json`]
+    /// → `None`) is an absence proof — the run is empty, but read.
+    fn eq_run(&self, i: usize, tree: &JsonTree, key: &Key<'_>) -> Option<&[u32]> {
+        if let Key::Num(n) = *key {
+            if !self.admits(i, n) {
+                return None;
+            }
+        }
         let canon = tree.canon();
         let class = match *key {
             Key::Sym(Some(sym)) if sym.index() < tree.interner().len() => canon.class_of_str(sym),
             Key::Sym(_) => None,
+            Key::Num(n) => canon.class_of_num(n),
             Key::Value(v) => canon.class_of_json(tree, v),
         };
         let Some(class) = class else {
-            return &[];
+            return Some(&[]);
         };
         let starts = self.starts(i, canon.class_count());
         let k = class as usize;
-        &self.ords[starts[k] as usize..starts[k + 1] as usize]
+        Some(&self.ords[starts[k] as usize..starts[k + 1] as usize])
     }
 
     /// Index `i`'s range hits: binary-searches the sorted column boundary
@@ -493,7 +595,8 @@ impl Collection {
         for seg in &mut self.segments {
             let seg = Arc::make_mut(seg);
             let more = Postings::build(new, seg);
-            seg.postings = seg.postings.append(&more);
+            let classes = seg.tree().canon().class_count();
+            seg.postings = seg.postings.append(&more, classes);
             seg.indexes = self.indexes.clone();
         }
         true

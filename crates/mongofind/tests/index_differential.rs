@@ -233,3 +233,156 @@ fn structured_value_probes_agree() {
         assert_eq!(routed(&coll, &f), scan(&coll, &f), "{src}");
     }
 }
+
+/// Fence documents: the value at the indexed path `v` cycles through the
+/// fence edges (0 and `u64::MAX`), numbers that climb or fall with the
+/// ordinal, a string, an array and an object holding a number, and no
+/// `v` at all; `w`, the second index, mixes numbers with a string and
+/// documents without it.
+fn fence_docs(n: usize) -> Vec<String> {
+    (0..n)
+        .map(|i| {
+            let v = match i % 9 {
+                0 => "0".to_owned(),
+                1 => u64::MAX.to_string(),
+                2 => (7 + i).to_string(),
+                3 => r#""7""#.to_owned(),
+                4 => "[7]".to_owned(),
+                5 => r#"{"a": 7}"#.to_owned(),
+                6 => String::new(),
+                7 => (1000 - i).to_string(),
+                _ => (u64::MAX - i as u64).to_string(),
+            };
+            let w = match i % 4 {
+                0 => format!(r#", "w": {i}"#),
+                1 => r#", "w": "w""#.to_owned(),
+                2 => String::new(),
+                _ => format!(r#", "w": {}"#, i * 1000),
+            };
+            match v.as_str() {
+                "" => format!(r#"{{"k": {i}{w}}}"#),
+                v => format!(r#"{{"k": {i}, "v": {v}{w}}}"#),
+            }
+        })
+        .collect()
+}
+
+fn fence_parse(docs: &[String]) -> Collection {
+    Collection::parse_str(&format!("[{}]", docs.join(","))).unwrap()
+}
+
+fn fence_insert(mut coll: Collection, docs: &[String]) -> Collection {
+    for d in docs {
+        coll.insert_str(d).unwrap();
+    }
+    coll
+}
+
+fn fence_indexed(mut coll: Collection) -> Collection {
+    assert!(coll.create_index("v"));
+    assert!(coll.create_index("w"));
+    coll
+}
+
+/// Every layout whose segments carry different fences, each over the
+/// same 90 fence documents.
+fn fence_layouts() -> Vec<(&'static str, Collection)> {
+    let docs = fence_docs(90);
+    let empty = || Collection::parse_str("[]").unwrap();
+    // The seed, two merged tails and single-document inserts.
+    let mut tiered = fence_insert(fence_indexed(fence_parse(&docs[..30])), &docs[30..60]);
+    tiered.compact_tail();
+    tiered = fence_insert(tiered, &docs[60..80]);
+    tiered.compact_tail();
+    let tiered = fence_insert(tiered, &docs[80..]);
+    assert!(tiered.segments().iter().filter(|s| s.is_multi()).count() >= 2);
+    // A compacted clone adopting the segments its origin appended.
+    let mut origin = fence_insert(fence_indexed(fence_parse(&docs[..30])), &docs[30..60]);
+    let mut adopted = origin.clone();
+    adopted.compact();
+    let from = origin.segments().len();
+    origin = fence_insert(origin, &docs[60..]);
+    for seg in &origin.segments()[from..] {
+        adopted.adopt_segment(seg);
+    }
+    // Indexes declared after inserts (postings appended to every
+    // segment's record, one index at a time), then more inserts.
+    let mut late = fence_insert(fence_parse(&docs[..30]), &docs[30..60]);
+    assert!(late.create_index("w"));
+    late = fence_insert(late, &docs[60..75]);
+    assert!(late.create_index("v"));
+    let late = fence_insert(late, &docs[75..]);
+    vec![
+        ("one_parse", fence_indexed(fence_parse(&docs))),
+        ("fragmented", fence_insert(fence_indexed(empty()), &docs)),
+        ("tiered", tiered),
+        ("adopted", adopted),
+        ("indexed_after_inserts", late),
+    ]
+}
+
+/// The number constants to probe: every number at `v` or `w`, its
+/// neighbours, and both ends of the number line.
+fn fence_numbers() -> Vec<u64> {
+    let mut ns = vec![0, 1, u64::MAX - 1, u64::MAX];
+    for i in 0..90u64 {
+        for n in [7 + i, 1000 - i, u64::MAX - i, i, i * 1000] {
+            ns.extend([n.saturating_sub(1), n, n.saturating_add(1)]);
+        }
+    }
+    ns.sort_unstable();
+    ns.dedup();
+    ns
+}
+
+/// Number, string, array and object probes over the fenced indexes
+/// agree with the scan on every layout. On the fragmented layout every
+/// segment holds one document, so its fence is one number (or none): a
+/// lone number `$eq` must read exactly the segments holding it.
+#[test]
+fn value_fences_keep_probes_exact() {
+    let max = u64::MAX;
+    // (filter, whether it is a lone number `$eq`)
+    let mut filters: Vec<(String, bool)> = fence_numbers()
+        .into_iter()
+        .flat_map(|n| [format!(r#"{{"v": {n}}}"#), format!(r#"{{"w": {n}}}"#)])
+        .map(|src| (src, true))
+        .collect();
+    let others = [
+        r#"{"v": "7"}"#.to_owned(),
+        r#"{"v": [7]}"#.to_owned(),
+        r#"{"v": {"a": 7}}"#.to_owned(),
+        r#"{"w": "w"}"#.to_owned(),
+        r#"{"v": 7, "w": 3000}"#.to_owned(),
+        r#"{"v": {"$gte": 7, "$lte": 9}}"#.to_owned(),
+        // `$in` lists whose items fall in several segments' fences.
+        format!(r#"{{"v": {{"$in": [0, 9, 993, {max}]}}}}"#),
+        format!(r#"{{"v": {{"$in": [1, 8, 994, {}]}}}}"#, max - 1),
+        r#"{"v": {"$in": [7, "7", [7], {"a": 7}, 100]}}"#.to_owned(),
+        r#"{"w": {"$in": [0, 4, 3000, 87000, 88000, "w"]}}"#.to_owned(),
+        format!(r#"{{"v": {{"$in": [{max}, 0]}}, "w": {{"$in": [0, 36]}}}}"#),
+    ];
+    filters.extend(others.into_iter().map(|src| (src, false)));
+    let mut hits = 0;
+    for (label, mut coll) in fence_layouts() {
+        let docs = coll.docs();
+        for (src, lone_number) in &filters {
+            let f = Filter::parse_str(src).unwrap();
+            assert_eq!(coll.route_of(&f), Route::Index, "{label} {src}");
+            let want = scan(&coll, &f);
+            hits += want.len();
+            for threads in [1, 2] {
+                coll.set_pool(Pool::with_threads(threads));
+                let sink = Arc::new(QueryMetrics::new());
+                let ctx = QueryCtx::new().with_metrics(Arc::clone(&sink));
+                let refs = coll.find_refs_with_ctx(&f, &ctx).unwrap();
+                assert_eq!(refs, want, "{label} x{threads} {src}");
+                if label == "fragmented" && *lone_number {
+                    let holding = docs.iter().filter(|d| f.matches(d)).count() as u64;
+                    assert_eq!(sink.get(Counter::SegmentsProbed), holding, "{src}");
+                }
+            }
+        }
+    }
+    assert!(hits > 0, "the sweep must find documents, not only absences");
+}
