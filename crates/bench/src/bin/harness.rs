@@ -590,6 +590,20 @@ fn e10() {
     );
 }
 
+/// A [`jsondata::gen::GenConfig`] whose leaf strings take every byte
+/// length from 0 to 48, some with two-byte characters, so the paper
+/// experiments' documents hold strings on both sides of `JStr`'s inline
+/// limit and characters that straddle it.
+fn paper_probe_cfg(seed: u64, target_nodes: usize) -> jsondata::gen::GenConfig {
+    let string_pool = (0..=48)
+        .map(|n: usize| "é".repeat(n / 4) + &"x".repeat(n - 2 * (n / 4)))
+        .collect();
+    jsondata::gen::GenConfig {
+        string_pool,
+        ..jsondata::gen::GenConfig::sized(seed, target_nodes)
+    }
+}
+
 /// E11 — Thm 1: schema ⇔ JSL differential.
 fn e11() {
     header("E11", "Thm 1 — Schema <-> JSL differential agreement");
@@ -597,15 +611,13 @@ fn e11() {
     let mut agreed = 0usize;
     for seed in 0..400u64 {
         let examples: Vec<jsondata::Json> = (0..3)
-            .map(|i| jsondata::gen::random_json(&jsondata::gen::GenConfig::sized(seed * 3 + i, 60)))
+            .map(|i| jsondata::gen::random_json(&paper_probe_cfg(seed * 3 + i, 60)))
             .collect();
         let schema = jschema::infer(&examples);
         let delta = jschema::schema_to_jsl(&schema).unwrap();
         for probe_seed in 0..5u64 {
-            let probe = jsondata::gen::random_json(&jsondata::gen::GenConfig::sized(
-                9_000 + seed * 5 + probe_seed,
-                40,
-            ));
+            let probe =
+                jsondata::gen::random_json(&paper_probe_cfg(9_000 + seed * 5 + probe_seed, 40));
             let via_schema = jschema::is_valid(&schema, &probe).unwrap();
             let via_jsl = delta.check_root(&JsonTree::build(&probe));
             checked += 1;
@@ -617,6 +629,10 @@ fn e11() {
     println!(
         "document/schema pairs checked: {checked}; agreement: {agreed} ({:.1}%)",
         100.0 * agreed as f64 / checked as f64
+    );
+    assert_eq!(
+        agreed, checked,
+        "E11 gate: the validator and the Thm 1 JSL translation must agree on every pair"
     );
 }
 
@@ -659,7 +675,7 @@ fn e12() {
         .unwrap();
     }
     for seed in 0..200u64 {
-        let probe = jsondata::gen::random_json(&jsondata::gen::GenConfig::sized(seed, 30));
+        let probe = jsondata::gen::random_json(&paper_probe_cfg(seed, 30));
         checked += 1;
         let v = jschema::is_valid(&schema, &probe).unwrap();
         let j = delta.check_root(&JsonTree::build(&probe));
@@ -670,6 +686,10 @@ fn e12() {
     println!(
         "documents checked: {checked}; agreement: {agreed} ({:.1}%)",
         100.0 * agreed as f64 / checked as f64
+    );
+    assert_eq!(
+        agreed, checked,
+        "E12 gate: the recursive schema and its recursive JSL must agree on every document"
     );
 }
 
@@ -795,6 +815,10 @@ fn t1() {
         );
     }
     println!("all Table 1 keywords agree: {all_agree}");
+    assert!(
+        all_agree,
+        "T1 gate: every Table 1 keyword must give the expected verdict through both routes"
+    );
 }
 
 /// S1 — the §4.1 systems survey: dialects vs their JNL compilations.
@@ -3089,9 +3113,9 @@ fn s11_compaction_costs() -> CompactionCosts {
 
 /// Most allocations a served point Find, FindProject and `$match`
 /// Aggregate may each make (S11 gate 4).
-const POINT_FIND_MAX_ALLOCS: u64 = 28;
-const POINT_FIND_PROJECT_MAX_ALLOCS: u64 = 38;
-const POINT_AGGREGATE_MAX_ALLOCS: u64 = 32;
+const POINT_FIND_MAX_ALLOCS: u64 = 14;
+const POINT_FIND_PROJECT_MAX_ALLOCS: u64 = 23;
+const POINT_AGGREGATE_MAX_ALLOCS: u64 = 16;
 
 /// S11 gate 4: serves a point Find, FindProject and `$match` Aggregate on
 /// a serial-pool server over the servebench-shaped corpus, first with no

@@ -250,7 +250,7 @@ pub fn s3_jnl_doc(objects: usize, keys_each: usize) -> Json {
                     (0..keys_each)
                         .map(|j| {
                             let i = o * keys_each + j;
-                            (format!("k{i}"), Json::Num(i as u64))
+                            (format!("k{i}").into(), Json::Num(i as u64))
                         })
                         .collect(),
                 )
@@ -275,7 +275,7 @@ pub fn s3_jnl_workload() -> Unary {
 pub fn s3_doc(n: usize) -> Json {
     Json::object(
         (0..n)
-            .map(|i| (format!("u{i}"), Json::Str(format!("v{i}"))))
+            .map(|i| (format!("u{i}").into(), Json::str(format!("v{i}"))))
             .collect(),
     )
     .expect("generated keys are distinct")

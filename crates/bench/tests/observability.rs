@@ -379,7 +379,10 @@ fn mask_wall_us(rendered: &str) -> String {
 /// The top-level keys of a rendered plan, in order.
 fn keys(plan: &jsondata::Json) -> Vec<String> {
     let obj = plan.as_object().expect("plans render to objects");
-    obj.pairs().iter().map(|(k, _)| k.clone()).collect()
+    obj.pairs()
+        .iter()
+        .map(|(k, _)| k.as_str().to_owned())
+        .collect()
 }
 
 #[test]

@@ -124,7 +124,7 @@ use std::time::Instant;
 use jguard::{QueryCtx, QueryError};
 use jpar::Pool;
 use jsondata::fxhash::FxHashMap;
-use jsondata::{Json, JsonTree, NodeId, NodeKind};
+use jsondata::{JStr, Json, JsonTree, NodeId, NodeKind};
 use jtrace::{Counter, SpanKind};
 use mongofind::{
     cmp_node_json, cmp_nodes, insert_path, step_node, BoundFilter, BoundPath, Collection, DocRef,
@@ -616,8 +616,9 @@ impl<'c> Engine<'c> {
                 if rows.is_empty() {
                     Vec::new()
                 } else {
-                    let doc = Json::object(vec![(label.clone(), Json::Num(rows.len() as u64))])
-                        .expect("single key");
+                    let doc =
+                        Json::object(vec![(label.as_str().into(), Json::Num(rows.len() as u64))])
+                            .expect("single key");
                     self.guard.charge_json(&doc)?;
                     vec![Row::owned(doc)]
                 }
@@ -695,7 +696,7 @@ impl<'c> Engine<'c> {
     }
 
     /// Materialises `cur` with the surviving bindings written in, in order.
-    fn merge<'a>(&self, cur: DocRef, binds: impl Iterator<Item = (&'a [String], DocRef)>) -> Json {
+    fn merge<'a>(&self, cur: DocRef, binds: impl Iterator<Item = (&'a [JStr], DocRef)>) -> Json {
         let mut j = self.coll.json_of(cur);
         for (p, v) in binds {
             set_at(&mut j, p, self.coll.json_of(v));
@@ -826,7 +827,7 @@ impl<'c> Engine<'c> {
     /// One output document: each `(output path, bound value)` of the
     /// stage's spec, in spec order (`path: 1` binds the path itself).
     fn project(&self, row: &Row<'_>, spec: &[(&Path, BoundExpr<'_>)]) -> Json {
-        let mut pairs: Vec<(String, Json)> = Vec::new();
+        let mut pairs: Vec<(JStr, Json)> = Vec::new();
         for (path, e) in spec {
             if let Some(v) = self.eval_expr(row, e) {
                 insert_path(&mut pairs, &path.0, v);
@@ -1120,14 +1121,14 @@ impl<'c> Engine<'c> {
         groups.sort_by(|a, b| cmp_opt_json(&a.0, &b.0));
         let mut out = Vec::with_capacity(groups.len());
         for (id, gi) in groups {
-            let mut pairs: Vec<(String, Json)> = Vec::new();
+            let mut pairs: Vec<(JStr, Json)> = Vec::new();
             if let Some(idj) = id {
                 pairs.push(("_id".into(), idj));
             }
             for (a, (name, _)) in spec.accs.iter().enumerate() {
                 let state = std::mem::replace(&mut states[gi * accs + a], AccState::Count(0));
                 if let Some(v) = self.finish(state) {
-                    pairs.push((name.clone(), v));
+                    pairs.push((name.as_str().into(), v));
                 }
             }
             let doc = Json::object(pairs).expect("parser validated distinct names");
@@ -1651,14 +1652,14 @@ fn assemble_key(id: &IdExpr, mut values: impl Iterator<Item = Option<Json>>) -> 
         IdExpr::Const(c) => Some(c.clone()),
         IdExpr::Field(_) => next(),
         IdExpr::Doc(fields) => {
-            let mut pairs: Vec<(String, Json)> = Vec::new();
+            let mut pairs: Vec<(JStr, Json)> = Vec::new();
             for (name, e) in fields {
                 let v = match e {
                     ValueExpr::Const(c) => Some(c.clone()),
                     ValueExpr::Field(_) => next(),
                 };
                 if let Some(v) = v {
-                    pairs.push((name.clone(), v));
+                    pairs.push((name.as_str().into(), v));
                 }
             }
             Some(Json::object(pairs).expect("parser validated distinct names"))
@@ -1667,7 +1668,7 @@ fn assemble_key(id: &IdExpr, mut values: impl Iterator<Item = Option<Json>>) -> 
 }
 
 /// Whether a binding at `bind` lies strictly beneath the path `segs`.
-fn beneath(bind: &[String], segs: &[String]) -> bool {
+fn beneath(bind: &[JStr], segs: &[JStr]) -> bool {
     bind.len() > segs.len() && bind.starts_with(segs)
 }
 
@@ -1755,7 +1756,7 @@ pub(crate) fn stage_label(stage: &Stage) -> &'static str {
 }
 
 /// Clamps a `u128` accumulator total into the fragment's `u64` numbers.
-pub(crate) fn saturate(n: u128) -> u64 {
+fn saturate(n: u128) -> u64 {
     u64::try_from(n).unwrap_or(u64::MAX)
 }
 
@@ -1768,7 +1769,7 @@ pub(crate) fn clamp_len(n: u64) -> usize {
 
 /// `None` (missing) sorts before every present value; present values
 /// compare under [`Json::total_cmp`].
-pub(crate) fn cmp_opt_json(a: &Option<Json>, b: &Option<Json>) -> Ordering {
+fn cmp_opt_json(a: &Option<Json>, b: &Option<Json>) -> Ordering {
     match (a, b) {
         (None, None) => Ordering::Equal,
         (None, Some(_)) => Ordering::Less,
@@ -1779,9 +1780,9 @@ pub(crate) fn cmp_opt_json(a: &Option<Json>, b: &Option<Json>) -> Ordering {
 
 /// Replaces the value at an existing dotted path inside an owned document
 /// (resolution mirrors [`Path::resolve`]; a path that does not resolve is
-/// a no-op). Shared with the value-based reference executor — it is pure
-/// plumbing on already-evaluated values.
-pub(crate) fn set_at(root: &mut Json, path: &[String], value: Json) {
+/// a no-op). The value-based reference executor has its own transcription
+/// (`reference::replace`), so the two are checked against each other.
+fn set_at(root: &mut Json, path: &[JStr], value: Json) {
     if path.is_empty() {
         *root = value;
         return;

@@ -30,7 +30,7 @@
 //! caller.
 
 use jguard::QueryError;
-use jsondata::Json;
+use jsondata::{JStr, Json};
 use mongofind::{Actuals, Collection, FindExplain};
 
 use crate::exec::{clamp_len, execute, stage_label};
@@ -73,7 +73,7 @@ impl PipelineExplain {
 
     /// Machine-stable JSON rendering of the plan.
     pub fn to_json(&self) -> Json {
-        let mut pairs: Vec<(String, Json)> = vec![
+        let mut pairs: Vec<(JStr, Json)> = vec![
             ("query".into(), Json::str("aggregate")),
             (
                 "stages".into(),

@@ -5,16 +5,19 @@
 //! keys are found by linear scan with [`Json`] equality. This is the
 //! semantics oracle the tree-backed executor ([`crate::exec`]) is
 //! differentially tested and benchmarked against: slow on purpose, simple
-//! enough to audit by eye, and sharing **no** evaluation machinery with
-//! the tree path (only the parsed [`Pipeline`] IR and the pure
-//! output-assembly helpers `insert_path`/`set_at`).
+//! enough to audit by eye, and sharing **no** code with the tree path
+//! beyond the parsed [`Pipeline`] IR, [`Path::resolve`] and the data
+//! model's own `Json` order. Its output assembly (projection nesting,
+//! `$unwind` rebinding), its missing-first sort order and its numeric
+//! clamps are its own transcriptions of the aggregation semantics of
+//! Botoeva et al. (arXiv 2509.12189), so a bug in the executor's versions
+//! shows up as a disagreement.
 
 use std::cmp::Ordering;
 
-use jsondata::Json;
-use mongofind::{insert_path, Path};
+use jsondata::{JStr, Json};
+use mongofind::Path;
 
-use crate::exec::{clamp_len, cmp_opt_json, saturate, set_at};
 use crate::pipeline::{
     Accumulator, GroupSpec, IdExpr, Pipeline, ProjectField, SortOrder, Stage, ValueExpr,
 };
@@ -63,12 +66,12 @@ fn step(mut rows: Vec<Json>, stage: &Stage) -> Vec<Json> {
         Stage::Group(spec) => group(&rows, spec),
         Stage::Sort(spec) => sort(rows, spec),
         Stage::Skip(n) => {
-            let n = clamp_len(*n).min(rows.len());
+            let n = length(*n).min(rows.len());
             rows.drain(..n);
             rows
         }
         Stage::Limit(n) => {
-            rows.truncate(clamp_len(*n));
+            rows.truncate(length(*n));
             rows
         }
         Stage::Count(label) => {
@@ -76,7 +79,7 @@ fn step(mut rows: Vec<Json>, stage: &Stage) -> Vec<Json> {
                 Vec::new()
             } else {
                 vec![
-                    Json::object(vec![(label.clone(), Json::Num(rows.len() as u64))])
+                    Json::object(vec![(label.as_str().into(), Json::Num(rows.len() as u64))])
                         .expect("single key"),
                 ]
             }
@@ -85,35 +88,85 @@ fn step(mut rows: Vec<Json>, stage: &Stage) -> Vec<Json> {
 }
 
 fn project(doc: &Json, spec: &[(Path, ProjectField)]) -> Json {
-    let mut pairs: Vec<(String, Json)> = Vec::new();
-    for (path, field) in spec {
-        let value = match field {
-            ProjectField::Include => path.resolve(doc).cloned(),
-            ProjectField::Expr(e) => eval_expr(doc, e),
-        };
-        if let Some(v) = value {
-            insert_path(&mut pairs, &path.0, v);
+    spec.iter()
+        .fold(Json::empty_object(), |out, (path, field)| {
+            let value = match field {
+                ProjectField::Include => path.resolve(doc).cloned(),
+                ProjectField::Expr(e) => eval_expr(doc, e),
+            };
+            match value {
+                Some(v) => put(out, &path.0, v),
+                None => out,
+            }
+        })
+}
+
+/// `$project`'s output tree: `obj` with `v` placed at the dotted `path`.
+/// Fields come out in the order the projection names them, a path's
+/// missing prefix becomes nested objects, the first value placed at a
+/// path wins, and a prefix that already holds a non-object leaves `obj`
+/// as it is.
+fn put(obj: Json, path: &[JStr], v: Json) -> Json {
+    let Json::Object(o) = obj else {
+        return obj;
+    };
+    let (head, rest) = path.split_first().expect("projection paths are nonempty");
+    let mut fields: Vec<(JStr, Json)> = o.pairs().to_vec();
+    match fields.iter().position(|(k, _)| k == head) {
+        Some(_) if rest.is_empty() => {}
+        Some(i) => {
+            let inner = std::mem::replace(&mut fields[i].1, Json::Num(0));
+            fields[i].1 = put(inner, rest, v);
         }
+        None if rest.is_empty() => fields.push((head.clone(), v)),
+        None => fields.push((head.clone(), put(Json::empty_object(), rest, v))),
     }
-    Json::object(pairs).expect("insert_path keeps keys distinct")
+    Json::object(fields).expect("a field is added only under a fresh key")
 }
 
 fn unwind(doc: Json, path: &Path) -> Vec<Json> {
     match path.resolve(&doc) {
         None => Vec::new(),
-        Some(Json::Array(items)) => {
-            let items = items.clone();
-            items
-                .into_iter()
-                .map(|elem| {
-                    let mut out = doc.clone();
-                    set_at(&mut out, &path.0, elem);
-                    out
-                })
-                .collect()
-        }
+        Some(Json::Array(items)) => items
+            .iter()
+            .map(|elem| replace(doc.clone(), &path.0, elem.clone()))
+            .collect(),
         // Non-array values pass through as their own single element.
         Some(_) => vec![doc],
+    }
+}
+
+/// `doc` with the value at the dotted `path` replaced by `v`, stepping as
+/// [`Path::resolve`] does (a numeric segment indexes an array, any
+/// segment names an object key); a path that does not resolve leaves
+/// `doc` as it is.
+fn replace(doc: Json, path: &[JStr], v: Json) -> Json {
+    let Some((head, rest)) = path.split_first() else {
+        return v;
+    };
+    match doc {
+        Json::Array(mut items) => {
+            if let Some(slot) = head.parse::<usize>().ok().and_then(|i| items.get_mut(i)) {
+                let old = std::mem::replace(slot, Json::Num(0));
+                *slot = replace(old, rest, v);
+            }
+            Json::Array(items)
+        }
+        Json::Object(o) if o.get(head).is_some() => Json::object(
+            o.pairs()
+                .iter()
+                .map(|(k, c)| {
+                    let c = if k == head {
+                        replace(c.clone(), rest, v.clone())
+                    } else {
+                        c.clone()
+                    };
+                    (k.clone(), c)
+                })
+                .collect(),
+        )
+        .expect("keys are unchanged"),
+        other => other,
     }
 }
 
@@ -122,10 +175,10 @@ fn group_key(doc: &Json, id: &IdExpr) -> Option<Json> {
         IdExpr::Const(c) => Some(c.clone()),
         IdExpr::Field(p) => p.resolve(doc).cloned(),
         IdExpr::Doc(fields) => {
-            let mut pairs: Vec<(String, Json)> = Vec::new();
+            let mut pairs: Vec<(JStr, Json)> = Vec::new();
             for (name, e) in fields {
                 if let Some(v) = eval_expr(doc, e) {
-                    pairs.push((name.clone(), v));
+                    pairs.push((name.as_str().into(), v));
                 }
             }
             Some(Json::object(pairs).expect("parser validated distinct names"))
@@ -148,17 +201,17 @@ fn group(rows: &[Json], spec: &GroupSpec) -> Vec<Json> {
         }
     }
     let mut groups: Vec<(Option<Json>, Vec<&Json>)> = keys.into_iter().zip(members).collect();
-    groups.sort_by(|(a, _), (b, _)| cmp_opt_json(a, b));
+    groups.sort_by(|(a, _), (b, _)| missing_first(a, b));
     groups
         .into_iter()
         .map(|(key, docs)| {
-            let mut pairs: Vec<(String, Json)> = Vec::new();
+            let mut pairs: Vec<(JStr, Json)> = Vec::new();
             if let Some(k) = key {
                 pairs.push(("_id".into(), k));
             }
             for (name, acc) in &spec.accs {
                 if let Some(v) = accumulate(&docs, acc) {
-                    pairs.push((name.clone(), v));
+                    pairs.push((name.as_str().into(), v));
                 }
             }
             Json::object(pairs).expect("parser validated distinct names")
@@ -175,7 +228,7 @@ fn accumulate(docs: &[&Json], acc: &Accumulator) -> Option<Json> {
             .collect()
     };
     match acc {
-        Accumulator::Sum(e) => Some(Json::Num(saturate(
+        Accumulator::Sum(e) => Some(Json::Num(clamp(
             numbers(e).into_iter().map(u128::from).sum(),
         ))),
         Accumulator::Avg(e) => {
@@ -184,7 +237,7 @@ fn accumulate(docs: &[&Json], acc: &Accumulator) -> Option<Json> {
                 None
             } else {
                 let total: u128 = ns.iter().copied().map(u128::from).sum();
-                Some(Json::Num(saturate(total / ns.len() as u128)))
+                Some(Json::Num(clamp(total / ns.len() as u128)))
             }
         }
         Accumulator::Min(e) => observed(e).into_iter().min_by(|a, b| a.total_cmp(b)),
@@ -209,10 +262,10 @@ fn sort(rows: Vec<Json>, spec: &[(Path, SortOrder)]) -> Vec<Json> {
 }
 
 /// The `$sort` comparator over per-row key vectors: the first inequality
-/// under [`cmp_opt_json`] decides, honouring each key's direction.
+/// under [`missing_first`] decides, honouring each key's direction.
 fn cmp_sort_keys(spec: &[(Path, SortOrder)], ka: &[Option<Json>], kb: &[Option<Json>]) -> Ordering {
     for (i, (_, order)) in spec.iter().enumerate() {
-        let ord = cmp_opt_json(&ka[i], &kb[i]);
+        let ord = missing_first(&ka[i], &kb[i]);
         let ord = match order {
             SortOrder::Asc => ord,
             SortOrder::Desc => ord.reverse(),
@@ -222,4 +275,26 @@ fn cmp_sort_keys(spec: &[(Path, SortOrder)], ka: &[Option<Json>], kb: &[Option<J
         }
     }
     Ordering::Equal
+}
+
+/// The sort and group order on possibly missing values: a missing value
+/// precedes every present one, and present values compare under
+/// [`Json::total_cmp`].
+fn missing_first(a: &Option<Json>, b: &Option<Json>) -> Ordering {
+    match (a, b) {
+        (Some(x), Some(y)) => x.total_cmp(y),
+        _ => a.is_some().cmp(&b.is_some()),
+    }
+}
+
+/// A `$sum`/`$avg` total in the fragment's numbers: past `u64::MAX` it
+/// stays at `u64::MAX`.
+fn clamp(total: u128) -> u64 {
+    total.min(u128::from(u64::MAX)) as u64
+}
+
+/// A `$skip`/`$limit` operand as a row count: one the platform cannot
+/// count to means "every row".
+fn length(n: u64) -> usize {
+    usize::try_from(n).unwrap_or(usize::MAX)
 }

@@ -303,6 +303,56 @@ fn unwind_edge_semantics_are_pinned() {
 }
 
 #[test]
+fn output_assembly_and_clamps_agree_and_are_pinned() {
+    // The reference assembles, rebinds, orders and clamps with code of its
+    // own, so each of these edges is checked, not shared: overlapping
+    // projection paths (the first value placed wins, a non-object prefix
+    // is left alone), `$unwind` through an array position, missing sort
+    // keys, and `$sum`/`$avg` totals past `u64::MAX`.
+    let coll = Collection::parse_str(
+        r#"[
+        {"name": {"first": "Sue", "last": "Kim"}, "age": 28, "grid": [[1, 2], [3]],
+         "big": 18446744073709551615, "tag": "x"},
+        {"name": {"first": "Ann"}, "age": 30, "grid": [[4]], "big": 18446744073709551615},
+        {"name": "flat", "age": 41, "grid": [], "big": 5, "tag": 7}
+    ]"#,
+    )
+    .unwrap();
+    let pinned = [
+        (
+            r#"[{"$project": {"name": 1, "name.first": "$age", "name.extra": "$tag"}}]"#,
+            r#"[{"name": {"first": "Sue", "last": "Kim", "extra": "x"}},
+                {"name": {"first": "Ann"}}, {"name": "flat"}]"#,
+        ),
+        (
+            r#"[{"$project": {"age": 1, "age.x": "$tag", "n.a": "$age", "n": "$tag"}}]"#,
+            r#"[{"age": 28, "n": {"a": 28}}, {"age": 30, "n": {"a": 30}},
+                {"age": 41, "n": {"a": 41}}]"#,
+        ),
+        (
+            r#"[{"$unwind": "$grid.0"}, {"$project": {"grid": 1}}]"#,
+            r#"[{"grid": [1, [3]]}, {"grid": [2, [3]]}, {"grid": [4]}]"#,
+        ),
+        (
+            r#"[{"$sort": {"tag": 1, "age": 0}}, {"$project": {"age": 1}}]"#,
+            r#"[{"age": 30}, {"age": 41}, {"age": 28}]"#,
+        ),
+        (
+            r#"[{"$group": {"_id": 1, "total": {"$sum": "$big"}, "mean": {"$avg": "$big"}}}]"#,
+            r#"[{"_id": 1, "total": 18446744073709551615, "mean": 12297829382473034411}]"#,
+        ),
+    ];
+    for (src, want) in pinned {
+        check(&coll, src);
+        let Json::Array(want) = parse(want).unwrap() else {
+            unreachable!("pinned outputs are arrays")
+        };
+        let pipe = Pipeline::parse_str(src).unwrap();
+        assert_eq!(jagg::aggregate(&coll, &pipe), want, "pipeline {src}");
+    }
+}
+
+#[test]
 fn overlay_bindings_observed_from_above() {
     // A $match on a PARENT of an unwound path must see the merged view
     // (the binding nests inside the compared subtree).

@@ -79,8 +79,8 @@ fn path(rng: &mut StdRng, depth: usize) -> Binary {
 fn leaf_doc(rng: &mut StdRng) -> Json {
     match rng.gen_range(0..5u32) {
         0 | 1 => Json::Num(rng.gen_range(0..3u64)),
-        2 => Json::Str("s".to_owned()),
-        3 => Json::object(vec![("z".to_owned(), Json::Num(rng.gen_range(0..2u64)))])
+        2 => Json::str("s"),
+        3 => Json::object(vec![("z".into(), Json::Num(rng.gen_range(0..2u64)))])
             .expect("distinct keys"),
         _ => Json::Array(vec![Json::Num(1)]),
     }
@@ -121,7 +121,7 @@ pub fn small_model(phi: &Unary, cap: u64) -> Result<Option<Json>, OutOfBounds> {
     // Fresh strings longer than every formula string cannot equal one.
     let longest = atoms.iter().filter_map(Json::as_str).map(str::len).max();
     let fresh = "#".repeat(1 + longest.unwrap_or(0));
-    atoms.extend((0..2).map(|i| Json::Str(format!("{fresh}{i}"))));
+    atoms.extend((0..2).map(|i| Json::str(format!("{fresh}{i}"))));
     let count = trie.count(atoms.len() as f64);
     if count > cap as f64 {
         return Err(OutOfBounds);
@@ -213,7 +213,7 @@ impl Pos {
         }
         out.extend(objects.into_iter().map(|vals| {
             let pairs = self.keys.keys().zip(vals);
-            Json::object(pairs.filter_map(|(k, v)| Some((k.clone(), v?))).collect())
+            Json::object(pairs.filter_map(|(k, v)| Some((k.into(), v?))).collect())
                 .expect("trie keys are distinct")
         }));
         let mut arrays = vec![Vec::new()];
@@ -221,7 +221,7 @@ impl Pos {
             out.extend(arrays.iter().cloned().map(Json::Array));
             let choices = match self.idxs.get(&i) {
                 Some(c) => c.candidates(atoms, pad),
-                None => vec![Json::Str(format!("{pad}pad{i}"))],
+                None => vec![Json::str(format!("{pad}pad{i}"))],
             };
             arrays = extend_each(&arrays, &choices);
         }

@@ -353,7 +353,7 @@ impl<'a> P<'a> {
         }
         let slice = &self.src[start..self.pos];
         match jsondata::parse(slice) {
-            Ok(jsondata::Json::Str(s)) => Ok(s),
+            Ok(jsondata::Json::Str(s)) => Ok(s.into()),
             _ => Err(self.err("invalid string literal")),
         }
     }

@@ -114,9 +114,9 @@ impl MinskyMachine {
 
     /// Encodes a counter value as an `a`-chain ending in the string `"0"`.
     pub fn encode_counter(v: u64) -> Json {
-        let mut j = Json::Str("0".to_owned());
+        let mut j = Json::str("0");
         for _ in 0..v {
-            j = Json::object(vec![("a".to_owned(), j)]).expect("single key");
+            j = Json::object(vec![("a".into(), j)]).expect("single key");
         }
         j
     }
@@ -126,12 +126,12 @@ impl MinskyMachine {
         let mut next: Option<Json> = None;
         for cfg in trace.iter().rev() {
             let mut pairs = vec![
-                ("state".to_owned(), Json::Str(Self::state_name(cfg.state))),
-                ("c1".to_owned(), Self::encode_counter(cfg.counters[0])),
-                ("c2".to_owned(), Self::encode_counter(cfg.counters[1])),
+                ("state".into(), Json::str(Self::state_name(cfg.state))),
+                ("c1".into(), Self::encode_counter(cfg.counters[0])),
+                ("c2".into(), Self::encode_counter(cfg.counters[1])),
             ];
             if let Some(n) = next.take() {
-                pairs.push(("next".to_owned(), n));
+                pairs.push(("next".into(), n));
             }
             next = Some(Json::object(pairs).expect("distinct keys"));
         }
@@ -141,7 +141,7 @@ impl MinskyMachine {
     /// The Proposition 4 formula `Φ_M`: satisfiable iff the machine has a
     /// halting run (over well-formed run encodings).
     pub fn to_jnl(&self) -> Unary {
-        let eq_str = |alpha: Binary, s: &str| Unary::eq_doc(alpha, Json::Str(s.to_owned()));
+        let eq_str = |alpha: Binary, s: &str| Unary::eq_doc(alpha, Json::str(s));
         let state_is = |q: usize| eq_str(Binary::key("state"), &Self::state_name(q));
         let next_state_is = |q: usize| {
             eq_str(
@@ -328,8 +328,8 @@ mod tests {
 
     #[test]
     fn counter_encoding_shape() {
-        assert_eq!(MinskyMachine::encode_counter(0), Json::Str("0".into()));
+        assert_eq!(MinskyMachine::encode_counter(0), Json::str("0"));
         let two = MinskyMachine::encode_counter(2);
-        assert_eq!(two.get("a").unwrap().get("a"), Some(&Json::Str("0".into())));
+        assert_eq!(two.get("a").unwrap().get("a"), Some(&Json::str("0")));
     }
 }

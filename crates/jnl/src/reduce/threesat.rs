@@ -115,10 +115,10 @@ impl ThreeSat {
                     let val = if assignment[v] {
                         Json::Array(vec![Json::Num(1)])
                     } else {
-                        Json::object(vec![(FALSE_MARKER_KEY.to_owned(), Json::Num(1))])
+                        Json::object(vec![(FALSE_MARKER_KEY.into(), Json::Num(1))])
                             .expect("single key")
                     };
-                    (Self::var_key(v), val)
+                    (Self::var_key(v).into(), val)
                 })
                 .collect(),
         )

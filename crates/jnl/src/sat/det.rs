@@ -3,7 +3,8 @@
 //! The upper-bound proof guesses a polynomial witness and evaluates it.
 //! This solver realises the guess as a backtracking tableau:
 //!
-//! 1. The formula is put in negation normal form.
+//! 1. The formula is read in negation normal form, lazily: an obligation
+//!    carries its polarity, and `¬` flips it.
 //! 2. Constraints are asserted against an abstract **pattern tree** whose
 //!    nodes carry: a kind (or exclusions), materialised key/index children,
 //!    leaf values, "exactly this document" bindings (from `EQ(α, A)`),
@@ -14,28 +15,29 @@
 //!    negated equalities branch; the search is depth-first with full state
 //!    cloning at choice points, bounded by a step budget.
 //! 4. A conflict-free saturated state is concretised into a JSON document
-//!    (fresh string leaves keep disequalities easy) and **re-verified with
-//!    the reference evaluator** — a `Sat` answer is therefore sound by
-//!    construction; `Unsat` is sound because every branch of the complete
-//!    case split was exhausted.
+//!    (fresh string leaves keep disequalities easy) and **re-verified
+//!    against the formula** by a direct walk of the witness value — a
+//!    `Sat` answer is therefore sound by construction; `Unsat` is sound
+//!    because every branch of the complete case split was exhausted.
 //!
 //! The paper's binary-number preprocessing (replacing `X_i` indices by
 //! their ranks) is applied first so materialised arrays stay polynomial.
 //!
-//! ## Symbol keying
+//! ## Borrowing the formula
 //!
-//! The pattern tree is keyed by [`jsondata::Sym`] on a **query-owned
-//! interner**: every key word occurring in the formula (including the
-//! single-word regexes the deterministic fragment admits) is interned once
-//! up front, so the tableau's child maps and forbidden-key sets compare
-//! `u32`s and — crucially — the full state clone at every branch point
-//! copies `Copy` symbols instead of owned `String`s. Strings are resolved
-//! only at the edges: against embedded `EQ(α, A)` documents and when a
-//! saturated state is concretised into a witness.
+//! The search never copies the formula. Obligations, path tests and the
+//! documents of `EQ(α, A)` are borrowed from it, and the pattern tree is
+//! keyed by `Key` numbers of a **query-owned key table**: every key word
+//! of the formula, numbered once up front in order of first occurrence.
+//! The tableau's child maps and forbidden-key sets compare `u32`s, and the
+//! full state clone at every branch point copies numbers and references,
+//! not strings or documents. Strings are resolved only at the edges:
+//! against embedded `EQ(α, A)` documents and when a saturated state is
+//! concretised into a witness.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use jsondata::{Interner, Json, JsonTree, NodeKind, Sym};
+use jsondata::{Json, NodeKind};
 
 use crate::ast::{Binary, Unary};
 use crate::sat::SatResult;
@@ -83,20 +85,16 @@ pub fn sat_deterministic_with_budget(phi: &Unary, budget: usize) -> SatResult {
     } else {
         phi
     };
-    // Intern every key word of the formula once; the search then never
-    // touches a string except to resolve against embedded documents.
-    let mut syms = Interner::new();
-    intern_keys_u(phi, &mut syms);
+    let keys = Keys::of(phi);
     let mut solver = Solver {
         budget,
         exhausted: false,
         original: phi,
-        syms: &syms,
+        keys: &keys,
     };
-    let mut state = State::new();
+    let mut state = State::default();
     let root = state.fresh_node();
-    let nnf = nnf(phi, false);
-    match solver.search(state, root, vec![(root, nnf)]) {
+    match solver.search(state, root, vec![(root, phi, false)]) {
         Some(witness) => SatResult::Sat(witness),
         None if solver.exhausted => SatResult::Unknown("branch budget exhausted".to_owned()),
         None => SatResult::Unsat,
@@ -145,36 +143,69 @@ fn uses_equality_b(alpha: &Binary) -> bool {
     }
 }
 
-/// Interns every key word reachable in the formula (including single-word
-/// key regexes, the only regex shape the deterministic fragment admits), so
-/// that [`flatten`] can translate paths by pure lookups.
-fn intern_keys_u(phi: &Unary, syms: &mut Interner) {
-    match phi {
-        Unary::True => {}
-        Unary::Not(p) => intern_keys_u(p, syms),
-        Unary::And(ps) | Unary::Or(ps) => ps.iter().for_each(|p| intern_keys_u(p, syms)),
-        Unary::Exists(a) | Unary::EqDoc(a, _) => intern_keys_b(a, syms),
-        Unary::EqPair(a, b) => {
-            intern_keys_b(a, syms);
-            intern_keys_b(b, syms);
-        }
-    }
+/// A key word's number in the query's [`Keys`] table.
+type Key = u32;
+
+/// The query-owned key table: every key word of the formula, numbered in
+/// order of first occurrence and borrowed from the formula.
+struct Keys<'a> {
+    words: Vec<&'a str>,
+    /// The numbers in word order, for lookups by binary search.
+    sorted: Vec<Key>,
 }
 
-fn intern_keys_b(alpha: &Binary, syms: &mut Interner) {
-    match alpha {
-        Binary::Key(w) => {
-            syms.intern(w);
+impl<'a> Keys<'a> {
+    fn of(phi: &'a Unary) -> Keys<'a> {
+        let mut keys = Keys {
+            words: Vec::new(),
+            sorted: Vec::new(),
+        };
+        keys.add_u(phi);
+        keys
+    }
+
+    fn search(&self, w: &str) -> Result<usize, usize> {
+        self.sorted
+            .binary_search_by(|&k| self.words[k as usize].cmp(w))
+    }
+
+    fn add(&mut self, w: &'a str) {
+        if let Err(at) = self.search(w) {
+            self.sorted.insert(at, self.words.len() as Key);
+            self.words.push(w);
         }
-        Binary::KeyRegex(e) => {
-            if let Some(w) = e.as_single_word() {
-                syms.intern(&w);
+    }
+
+    /// The number of a formula key word; a miss can only come from a
+    /// shape the fragment check already rejected.
+    fn lookup(&self, w: &str) -> Option<Key> {
+        self.search(w).ok().map(|at| self.sorted[at])
+    }
+
+    fn resolve(&self, k: Key) -> &str {
+        self.words[k as usize]
+    }
+
+    fn add_u(&mut self, phi: &'a Unary) {
+        match phi {
+            Unary::True => {}
+            Unary::Not(p) => self.add_u(p),
+            Unary::And(ps) | Unary::Or(ps) => ps.iter().for_each(|p| self.add_u(p)),
+            Unary::Exists(a) | Unary::EqDoc(a, _) => self.add_b(a),
+            Unary::EqPair(a, b) => {
+                self.add_b(a);
+                self.add_b(b);
             }
         }
-        Binary::Test(p) => intern_keys_u(p, syms),
-        Binary::Compose(ps) => ps.iter().for_each(|p| intern_keys_b(p, syms)),
-        Binary::Star(a) => intern_keys_b(a, syms),
-        _ => {}
+    }
+
+    fn add_b(&mut self, alpha: &'a Binary) {
+        match alpha {
+            Binary::Key(w) => self.add(w),
+            Binary::Test(p) => self.add_u(p),
+            Binary::Compose(ps) => ps.iter().for_each(|p| self.add_b(p)),
+            _ => {}
+        }
     }
 }
 
@@ -230,74 +261,63 @@ fn map_indices_b(alpha: &Binary, rank: &BTreeMap<u64, u64>) -> Binary {
 }
 
 // ---------------------------------------------------------------------
-// NNF
-// ---------------------------------------------------------------------
-
-/// Negation normal form: `Not` only wraps `True`, `Exists`, `EqDoc`,
-/// `EqPair`.
-fn nnf(phi: &Unary, negated: bool) -> Unary {
-    match (phi, negated) {
-        (Unary::True, false) => Unary::True,
-        (Unary::True, true) => Unary::Not(Box::new(Unary::True)),
-        (Unary::Not(p), _) => nnf(p, !negated),
-        (Unary::And(ps), false) => Unary::And(ps.iter().map(|p| nnf(p, false)).collect()),
-        (Unary::And(ps), true) => Unary::Or(ps.iter().map(|p| nnf(p, true)).collect()),
-        (Unary::Or(ps), false) => Unary::Or(ps.iter().map(|p| nnf(p, false)).collect()),
-        (Unary::Or(ps), true) => Unary::And(ps.iter().map(|p| nnf(p, true)).collect()),
-        (leaf, false) => leaf.clone(),
-        (leaf, true) => Unary::Not(Box::new(leaf.clone())),
-    }
-}
-
-// ---------------------------------------------------------------------
 // Pattern tree
 // ---------------------------------------------------------------------
 
 type PId = usize;
 
 #[derive(Debug, Clone, Default)]
-struct PNode {
+struct PNode<'a> {
     /// Union-find parent (self when representative).
     uf: PId,
+    /// A representative that `EQ(α, β)` merged another class into: it
+    /// can be reached from more than one parent, so concretisation
+    /// memoises its document.
+    merged: bool,
     kind: Option<NodeKind>,
-    kind_not: BTreeSet<u8>, // NodeKind encoded (0..4)
-    keys: BTreeMap<Sym, PId>,
+    /// Excluded kinds, one [`kind_bit`] each.
+    kind_not: u8,
+    keys: BTreeMap<Key, PId>,
     idxs: BTreeMap<u64, PId>,
-    str_val: Option<String>,
+    str_val: Option<&'a str>,
     num_val: Option<u64>,
     /// Subtree must equal exactly this document.
-    exact: Option<Json>,
+    exact: Option<&'a Json>,
     /// Subtree must differ from each of these documents.
-    not_exact: Vec<Json>,
+    not_exact: Vec<&'a Json>,
     /// Keys that must not exist (failure points of `¬[α]`).
-    forbidden_keys: BTreeSet<Sym>,
-    /// If an array, its length must be < this bound.
+    forbidden_keys: BTreeSet<Key>,
+    /// If an array, its length must be at most this bound.
     max_len: Option<u64>,
     /// Nodes whose subtrees must differ from this one (`¬EQ(α, β)`).
     diseq: Vec<PId>,
 }
 
-fn kind_code(k: NodeKind) -> u8 {
+fn kind_bit(k: NodeKind) -> u8 {
     match k {
-        NodeKind::Obj => 0,
-        NodeKind::Arr => 1,
-        NodeKind::Str => 2,
-        NodeKind::Int => 3,
+        NodeKind::Obj => 1,
+        NodeKind::Arr => 2,
+        NodeKind::Str => 4,
+        NodeKind::Int => 8,
     }
 }
+
+/// Every kind excluded: no model for the node.
+const ALL_KINDS: u8 = 0b1111;
 
 #[derive(Debug, Clone, Default)]
-struct State {
-    nodes: Vec<PNode>,
-    /// Concretisation re-entrancy guard (see the occurs check).
-    visiting: Vec<PId>,
+struct State<'a> {
+    nodes: Vec<PNode<'a>>,
 }
 
-impl State {
-    fn new() -> State {
-        State::default()
-    }
+/// One node on the concretisation path from the root, for the occurs
+/// check.
+struct Visit<'v> {
+    node: PId,
+    up: Option<&'v Visit<'v>>,
+}
 
+impl<'a> State<'a> {
     fn fresh_node(&mut self) -> PId {
         let id = self.nodes.len();
         self.nodes.push(PNode {
@@ -318,7 +338,7 @@ impl State {
     }
 
     /// Mutable access to the representative node of `x`.
-    fn node_mut(&mut self, x: PId) -> &mut PNode {
+    fn node_mut(&mut self, x: PId) -> &mut PNode<'a> {
         let r = self.find(x);
         &mut self.nodes[r]
     }
@@ -327,7 +347,7 @@ impl State {
     fn set_kind(&mut self, x: PId, k: NodeKind) -> bool {
         let x = self.find(x);
         let node = &mut self.nodes[x];
-        if node.kind_not.contains(&kind_code(k)) {
+        if node.kind_not & kind_bit(k) != 0 {
             return false;
         }
         match node.kind {
@@ -345,13 +365,12 @@ impl State {
         if node.kind == Some(k) {
             return false;
         }
-        node.kind_not.insert(kind_code(k));
-        // All four kinds excluded = no model for this node.
-        node.kind_not.len() < 4
+        node.kind_not |= kind_bit(k);
+        node.kind_not != ALL_KINDS
     }
 
     /// Child of `x` under key `w`, materialising it if needed.
-    fn key_child(&mut self, x: PId, w: Sym, syms: &Interner) -> Option<PId> {
+    fn key_child(&mut self, x: PId, w: Key, keys: &Keys) -> Option<PId> {
         let x = self.find(x);
         if !self.set_kind(x, NodeKind::Obj) {
             return None;
@@ -363,11 +382,11 @@ impl State {
             return Some(c);
         }
         // A closed (exact-bound) object admits only the document's keys.
-        if let Some(doc) = self.nodes[x].exact.clone() {
-            let sub = doc.get(syms.resolve(w))?.clone();
+        if let Some(doc) = self.nodes[x].exact {
+            let sub = doc.get(keys.resolve(w))?;
             let c = self.fresh_node();
             self.node_mut(x).keys.insert(w, c);
-            if !self.impose_exact(c, &sub, syms) {
+            if !self.impose_exact(c, sub, keys) {
                 return None;
             }
             return Some(c);
@@ -378,7 +397,7 @@ impl State {
     }
 
     /// Child of `x` at index `i`, materialising it if needed.
-    fn idx_child(&mut self, x: PId, i: u64, syms: &Interner) -> Option<PId> {
+    fn idx_child(&mut self, x: PId, i: u64, keys: &Keys) -> Option<PId> {
         let x = self.find(x);
         if !self.set_kind(x, NodeKind::Arr) {
             return None;
@@ -391,11 +410,11 @@ impl State {
         if let Some(&c) = self.nodes[x].idxs.get(&i) {
             return Some(c);
         }
-        if let Some(doc) = self.nodes[x].exact.clone() {
-            let sub = doc.index(i as usize)?.clone();
+        if let Some(doc) = self.nodes[x].exact {
+            let sub = doc.index(i as usize)?;
             let c = self.fresh_node();
             self.node_mut(x).idxs.insert(i, c);
-            if !self.impose_exact(c, &sub, syms) {
+            if !self.impose_exact(c, sub, keys) {
                 return None;
             }
             return Some(c);
@@ -406,12 +425,12 @@ impl State {
     }
 
     /// Binds `x`'s subtree to exactly `doc`; `false` on conflict.
-    fn impose_exact(&mut self, x: PId, doc: &Json, syms: &Interner) -> bool {
+    fn impose_exact(&mut self, x: PId, doc: &'a Json, keys: &Keys) -> bool {
         let x = self.find(x);
-        if let Some(existing) = self.nodes[x].exact.clone() {
-            return existing == *doc;
+        if let Some(existing) = self.nodes[x].exact {
+            return existing == doc;
         }
-        if self.nodes[x].not_exact.iter().any(|d| d == doc) {
+        if self.nodes[x].not_exact.contains(&doc) {
             return false;
         }
         let kind = match doc {
@@ -425,64 +444,57 @@ impl State {
         }
         match doc {
             Json::Str(s) => {
-                let node = &mut self.node_mut(x);
-                if let Some(v) = &node.str_val {
-                    if v != s {
-                        return false;
-                    }
+                let node = self.node_mut(x);
+                if node.str_val.is_some_and(|v| v != s.as_str()) {
+                    return false;
                 }
-                node.str_val = Some(s.clone());
+                node.str_val = Some(s.as_str());
             }
             Json::Num(v) => {
-                let node = &mut self.node_mut(x);
-                if let Some(existing) = node.num_val {
-                    if existing != *v {
-                        return false;
-                    }
+                let node = self.node_mut(x);
+                if node.num_val.is_some_and(|existing| existing != *v) {
+                    return false;
                 }
                 node.num_val = Some(*v);
             }
             Json::Object(o) => {
                 // Existing materialised children must be covered by doc.
-                let existing: Vec<(Sym, PId)> = {
-                    let node = &self.node_mut(x);
-                    node.keys.iter().map(|(&k, &c)| (k, c)).collect()
-                };
+                let existing: Vec<(Key, PId)> =
+                    self.nodes[x].keys.iter().map(|(&k, &c)| (k, c)).collect();
                 for (k, c) in existing {
-                    let Some(sub) = o.get(syms.resolve(k)) else {
+                    let Some(sub) = o.get(keys.resolve(k)) else {
                         return false;
                     };
-                    if !self.impose_exact(c, &sub.clone(), syms) {
+                    if !self.impose_exact(c, sub, keys) {
                         return false;
                     }
                 }
                 // Forbidden keys must not occur in doc.
-                let forb = self.node_mut(x).forbidden_keys.clone();
-                if forb.iter().any(|&k| o.get(syms.resolve(k)).is_some()) {
+                let forbidden = &self.nodes[x].forbidden_keys;
+                if forbidden.iter().any(|&k| o.get(keys.resolve(k)).is_some()) {
                     return false;
                 }
             }
             Json::Array(items) => {
-                if let Some(ml) = self.node_mut(x).max_len {
-                    if items.len() as u64 > ml.saturating_sub(0) && items.len() as u64 >= ml {
-                        return false;
-                    }
+                if self.nodes[x]
+                    .max_len
+                    .is_some_and(|ml| items.len() as u64 > ml)
+                {
+                    return false;
                 }
-                let existing: Vec<(u64, PId)> = {
-                    let node = &self.node_mut(x);
-                    node.idxs.iter().map(|(&i, &c)| (i, c)).collect()
-                };
+                let existing: Vec<(u64, PId)> =
+                    self.nodes[x].idxs.iter().map(|(&i, &c)| (i, c)).collect();
                 for (i, c) in existing {
                     let Some(sub) = items.get(i as usize) else {
                         return false;
                     };
-                    if !self.impose_exact(c, &sub.clone(), syms) {
+                    if !self.impose_exact(c, sub, keys) {
                         return false;
                     }
                 }
             }
         }
-        self.node_mut(x).exact = Some(doc.clone());
+        self.node_mut(x).exact = Some(doc);
         true
     }
 
@@ -508,7 +520,7 @@ impl State {
 
     /// Identifies the subtrees at `x` and `y` (`EQ(α, β)`); `false` on
     /// conflict.
-    fn merge(&mut self, x: PId, y: PId, syms: &Interner) -> bool {
+    fn merge(&mut self, x: PId, y: PId, keys: &Keys) -> bool {
         let (x, y) = (self.find(x), self.find(y));
         if x == y {
             return true;
@@ -522,49 +534,45 @@ impl State {
         // Merge y into x.
         let ynode = std::mem::take(&mut self.nodes[y]);
         self.nodes[y].uf = x;
+        self.nodes[x].merged = true;
         if let Some(k) = ynode.kind {
             if !self.set_kind(x, k) {
                 return false;
             }
         }
-        for kc in ynode.kind_not {
-            let node = &mut self.node_mut(x);
-            if node.kind.map(kind_code) == Some(kc) {
-                return false;
-            }
-            node.kind_not.insert(kc);
+        let node = self.node_mut(x);
+        if node.kind.is_some_and(|k| ynode.kind_not & kind_bit(k) != 0) {
+            return false;
         }
+        node.kind_not |= ynode.kind_not;
         if let Some(s) = ynode.str_val {
-            let node = &mut self.node_mut(x);
-            match &node.str_val {
-                Some(v) if *v != s => return false,
+            match node.str_val {
+                Some(v) if v != s => return false,
                 _ => node.str_val = Some(s),
             }
         }
         if let Some(v) = ynode.num_val {
-            let node = &mut self.node_mut(x);
             match node.num_val {
                 Some(e) if e != v => return false,
                 _ => node.num_val = Some(v),
             }
         }
         for k in ynode.forbidden_keys {
-            if self.node_mut(x).keys.contains_key(&k) {
+            if node.keys.contains_key(&k) {
                 return false;
             }
-            self.node_mut(x).forbidden_keys.insert(k);
+            node.forbidden_keys.insert(k);
         }
         if let Some(ml) = ynode.max_len {
-            let node = &mut self.node_mut(x);
             node.max_len = Some(node.max_len.map_or(ml, |m| m.min(ml)));
         }
-        self.node_mut(x).not_exact.extend(ynode.not_exact);
-        self.node_mut(x).diseq.extend(ynode.diseq.iter().copied());
+        node.not_exact.extend(ynode.not_exact);
+        node.diseq.extend(ynode.diseq);
         // Children merge recursively.
         for (k, yc) in ynode.keys {
-            match self.key_child(x, k, syms) {
+            match self.key_child(x, k, keys) {
                 Some(xc) => {
-                    if !self.merge(xc, yc, syms) {
+                    if !self.merge(xc, yc, keys) {
                         return false;
                     }
                 }
@@ -572,9 +580,9 @@ impl State {
             }
         }
         for (i, yc) in ynode.idxs {
-            match self.idx_child(x, i, syms) {
+            match self.idx_child(x, i, keys) {
                 Some(xc) => {
-                    if !self.merge(xc, yc, syms) {
+                    if !self.merge(xc, yc, keys) {
                         return false;
                     }
                 }
@@ -582,7 +590,7 @@ impl State {
             }
         }
         if let Some(doc) = ynode.exact {
-            if !self.impose_exact(x, &doc, syms) {
+            if !self.impose_exact(x, doc, keys) {
                 return false;
             }
         }
@@ -591,46 +599,55 @@ impl State {
 
     /// Concretises the pattern tree at `root` into a JSON document. Free
     /// leaves get globally-unique fresh strings so that disequalities
-    /// resolve themselves wherever possible.
+    /// resolve themselves wherever possible. `path` is the chain of
+    /// nodes above `root`.
     fn concretize(
-        &mut self,
+        &self,
         root: PId,
         fresh: &mut u64,
         memo: &mut BTreeMap<PId, Json>,
-        syms: &Interner,
+        keys: &Keys,
+        path: Option<&Visit>,
     ) -> Option<Json> {
         let x = self.find(root);
-        // Memoise per representative: `EQ(α, β)`-merged nodes must
-        // concretise to identical documents (fresh leaves included).
+        // Memoise merged representatives: `EQ(α, β)`-merged nodes must
+        // concretise to identical documents (fresh leaves included). No
+        // other node is reached twice.
         if let Some(done) = memo.get(&x) {
             return Some(done.clone());
         }
         // Occurs check: `EQ(α, β)` can merge a node with its own
         // descendant; no finite tree equals a strict subtree of itself, so
         // such a branch is unsatisfiable.
-        if self.visiting.contains(&x) {
-            return None;
+        let mut above = path;
+        while let Some(v) = above {
+            if v.node == x {
+                return None;
+            }
+            above = v.up;
         }
-        self.visiting.push(x);
-        let out = self.concretize_inner(x, fresh, memo, syms);
-        self.visiting.pop();
-        out
+        let here = Visit { node: x, up: path };
+        let out = self.concretize_node(x, fresh, memo, keys, &here)?;
+        if self.nodes[x].merged {
+            memo.insert(x, out.clone());
+        }
+        Some(out)
     }
 
-    fn concretize_inner(
-        &mut self,
+    fn concretize_node(
+        &self,
         x: PId,
         fresh: &mut u64,
         memo: &mut BTreeMap<PId, Json>,
-        syms: &Interner,
+        keys: &Keys,
+        here: &Visit,
     ) -> Option<Json> {
-        if let Some(doc) = self.nodes[x].exact.clone() {
-            memo.insert(x, doc.clone());
-            return Some(doc);
+        let node = &self.nodes[x];
+        if let Some(doc) = node.exact {
+            return Some(doc.clone());
         }
-        let kind = self.nodes[x].kind.or_else(|| {
+        let kind = node.kind.or_else(|| {
             // Default: infer from children, else a fresh string leaf.
-            let node = &self.nodes[x];
             if !node.keys.is_empty() {
                 Some(NodeKind::Obj)
             } else if !node.idxs.is_empty() || node.max_len.is_some() {
@@ -641,53 +658,42 @@ impl State {
                 // Respect kind exclusions when defaulting.
                 [NodeKind::Str, NodeKind::Int, NodeKind::Obj, NodeKind::Arr]
                     .into_iter()
-                    .find(|k| !node.kind_not.contains(&kind_code(*k)))
+                    .find(|&k| node.kind_not & kind_bit(k) == 0)
             }
         })?;
-        let result = match kind {
-            NodeKind::Str => {
-                let v = self.nodes[x].str_val.clone().unwrap_or_else(|| {
-                    *fresh += 1;
-                    format!("#fresh{}", *fresh)
-                });
-                Json::Str(v)
-            }
-            NodeKind::Int => Json::Num(self.nodes[x].num_val.unwrap_or(0)),
+        Some(match kind {
+            NodeKind::Str => match node.str_val {
+                Some(v) => Json::str(v),
+                None => fresh_leaf(fresh),
+            },
+            NodeKind::Int => Json::Num(node.num_val.unwrap_or(0)),
             NodeKind::Obj => {
-                let entries: Vec<(Sym, PId)> =
-                    self.nodes[x].keys.iter().map(|(&k, &c)| (k, c)).collect();
-                let mut pairs = Vec::with_capacity(entries.len());
-                for (k, c) in entries {
-                    pairs.push((
-                        syms.resolve(k).to_owned(),
-                        self.concretize(c, fresh, memo, syms)?,
-                    ));
+                let mut pairs = Vec::with_capacity(node.keys.len());
+                for (&k, &c) in &node.keys {
+                    let value = self.concretize(c, fresh, memo, keys, Some(here))?;
+                    pairs.push((keys.resolve(k).into(), value));
                 }
                 Json::object(pairs).ok()?
             }
             NodeKind::Arr => {
-                let idxs: Vec<(u64, PId)> =
-                    self.nodes[x].idxs.iter().map(|(&i, &c)| (i, c)).collect();
-                let len = idxs.iter().map(|&(i, _)| i + 1).max().unwrap_or(0);
-                if let Some(ml) = self.nodes[x].max_len {
-                    if len > ml {
-                        return None;
-                    }
+                let len = node.idxs.keys().next_back().map_or(0, |&i| i + 1);
+                if node.max_len.is_some_and(|ml| len > ml) {
+                    return None;
                 }
-                let mut items: Vec<Json> = Vec::with_capacity(len as usize);
-                for _ in 0..len {
-                    *fresh += 1;
-                    items.push(Json::Str(format!("#fresh{}", *fresh)));
-                }
-                for (i, c) in idxs {
-                    items[i as usize] = self.concretize(c, fresh, memo, syms)?;
+                let mut items: Vec<Json> = (0..len).map(|_| fresh_leaf(fresh)).collect();
+                for (&i, &c) in &node.idxs {
+                    items[i as usize] = self.concretize(c, fresh, memo, keys, Some(here))?;
                 }
                 Json::Array(items)
             }
-        };
-        memo.insert(x, result.clone());
-        Some(result)
+        })
     }
+}
+
+/// The next fresh string leaf, `#fresh<n>`.
+fn fresh_leaf(fresh: &mut u64) -> Json {
+    *fresh += 1;
+    Json::str(format!("#fresh{}", *fresh))
 }
 
 // ---------------------------------------------------------------------
@@ -698,21 +704,27 @@ struct Solver<'a> {
     budget: usize,
     exhausted: bool,
     original: &'a Unary,
-    /// The query-owned symbol table: every formula key word, interned once
+    /// The query-owned key table: every formula key word, numbered once
     /// before the search starts (so in-search path translation is pure
     /// lookup and never mutates).
-    syms: &'a Interner,
+    keys: &'a Keys<'a>,
 }
 
-/// A pending obligation: formula `φ` must hold at pattern node `x`.
-type Obligation = (PId, Unary);
+/// A pending obligation: formula `φ` must hold at pattern node `x`, or
+/// must fail there when the flag is set (`¬φ`).
+type Obligation<'a> = (PId, &'a Unary, bool);
 
 impl<'a> Solver<'a> {
     /// The complete search: processes obligations, branching as needed.
     /// Non-branching obligations are consumed iteratively so that recursion
     /// depth is bounded by the *branching* nesting only (deep conjunctive
     /// chains must not grow the call stack).
-    fn search(&mut self, state: State, root: PId, obligations: Vec<Obligation>) -> Option<Json> {
+    fn search(
+        &mut self,
+        state: State<'a>,
+        root: PId,
+        obligations: Vec<Obligation<'a>>,
+    ) -> Option<Json> {
         let mut state = state;
         let mut obligations = obligations;
         loop {
@@ -723,29 +735,36 @@ impl<'a> Solver<'a> {
             self.budget -= 1;
 
             // Pop the next obligation; if none remain, close the state.
-            let Some((x, phi)) = obligations.pop() else {
+            let Some((x, mut phi, mut negated)) = obligations.pop() else {
                 return self.try_close(&state);
             };
+            while let Unary::Not(p) = phi {
+                phi = p;
+                negated = !negated;
+            }
 
-            match phi {
-                Unary::True => continue,
-                Unary::And(ps) => {
+            match (phi, negated) {
+                (Unary::True, false) => continue,
+                (Unary::And(ps), false) | (Unary::Or(ps), true) => {
                     for p in ps {
-                        obligations.push((x, p));
+                        obligations.push((x, p, negated));
                     }
                     continue;
                 }
-                Unary::Or(ps) => {
+                (Unary::Or(ps), false) | (Unary::And(ps), true) => {
                     // If some branch is already entailed by the current
                     // state, the disjunction is settled — drop it instead of
                     // multiplying the search (this is what keeps UNSAT 3SAT
                     // instances at 2^vars instead of 3^clauses).
-                    if ps.iter().any(|p| entailed(&state, x, p, self.syms)) {
+                    if ps
+                        .iter()
+                        .any(|p| entailed(&state, x, p, negated, self.keys))
+                    {
                         continue;
                     }
                     for p in ps {
                         let mut obs = obligations.clone();
-                        obs.push((x, p));
+                        obs.push((x, p, negated));
                         if let Some(w) = self.search(state.clone(), root, obs) {
                             return Some(w);
                         }
@@ -755,31 +774,32 @@ impl<'a> Solver<'a> {
                     }
                     return None;
                 }
-                Unary::Exists(alpha) => {
+                (Unary::Exists(alpha), false) => {
                     // Walk and convert embedded tests into obligations so
                     // their own branching is handled uniformly.
-                    match self.walk_ob(&mut state, x, &alpha, &mut obligations) {
+                    match self.walk_ob(&mut state, x, alpha, &mut obligations) {
                         Some(_) => continue,
                         None => return None,
                     }
                 }
-                Unary::EqDoc(alpha, doc) => {
-                    match self.walk_ob(&mut state, x, &alpha, &mut obligations) {
-                        Some(end) if state.impose_exact(end, &doc, self.syms) => continue,
+                (Unary::EqDoc(alpha, doc), false) => {
+                    match self.walk_ob(&mut state, x, alpha, &mut obligations) {
+                        Some(end) if state.impose_exact(end, doc, self.keys) => continue,
                         _ => return None,
                     }
                 }
-                Unary::EqPair(alpha, beta) => {
-                    let a = self.walk_ob(&mut state, x, &alpha, &mut obligations)?;
-                    let b = self.walk_ob(&mut state, x, &beta, &mut obligations)?;
-                    if state.merge(a, b, self.syms) {
+                (Unary::EqPair(alpha, beta), false) => {
+                    let a = self.walk_ob(&mut state, x, alpha, &mut obligations)?;
+                    let b = self.walk_ob(&mut state, x, beta, &mut obligations)?;
+                    if state.merge(a, b, self.keys) {
                         continue;
                     }
                     return None;
                 }
-                Unary::Not(inner) => {
-                    return self.search_negation(state, root, obligations, x, *inner)
+                (literal, true) => {
+                    return self.search_negation(state, root, obligations, x, literal)
                 }
+                (Unary::Not(_), false) => unreachable!("negations are read off above"),
             }
         }
     }
@@ -787,27 +807,19 @@ impl<'a> Solver<'a> {
     /// Handles a negated literal (the branching cases of the search).
     fn search_negation(
         &mut self,
-        state: State,
+        state: State<'a>,
         root: PId,
-        obligations: Vec<Obligation>,
+        obligations: Vec<Obligation<'a>>,
         x: PId,
-        inner: Unary,
+        literal: &'a Unary,
     ) -> Option<Json> {
-        match inner {
-            Unary::True => None,
+        match literal {
             Unary::Exists(alpha) => {
-                self.branch_path_failure(state, root, obligations, x, &alpha, None)
+                self.branch_path_failure(state, root, obligations, x, alpha, None)
             }
             Unary::EqDoc(alpha, doc) => {
                 // ¬EQ(α, A): path fails, or end differs from A.
-                self.branch_path_failure(
-                    state,
-                    root,
-                    obligations,
-                    x,
-                    &alpha,
-                    Some(NegEnd::NotDoc(doc)),
-                )
+                self.branch_path_failure(state, root, obligations, x, alpha, Some(doc))
             }
             Unary::EqPair(alpha, beta) => {
                 // ¬EQ(α, β): α fails, or β fails, or both end nodes differ.
@@ -817,7 +829,7 @@ impl<'a> Solver<'a> {
                     root,
                     obligations.clone(),
                     x,
-                    &alpha,
+                    alpha,
                     None,
                 ) {
                     return Some(w);
@@ -829,8 +841,8 @@ impl<'a> Solver<'a> {
                 {
                     let mut st = state.clone();
                     let mut obs = obligations.clone();
-                    if self.walk_ob(&mut st, x, &alpha, &mut obs).is_some() {
-                        if let Some(w) = self.branch_path_failure(st, root, obs, x, &beta, None) {
+                    if self.walk_ob(&mut st, x, alpha, &mut obs).is_some() {
+                        if let Some(w) = self.branch_path_failure(st, root, obs, x, beta, None) {
                             return Some(w);
                         }
                         if self.exhausted {
@@ -841,8 +853,8 @@ impl<'a> Solver<'a> {
                 // Case 3: both succeed, subtrees differ.
                 let mut st = state;
                 let mut obs = obligations;
-                let a = self.walk_ob(&mut st, x, &alpha, &mut obs)?;
-                let b = self.walk_ob(&mut st, x, &beta, &mut obs)?;
+                let a = self.walk_ob(&mut st, x, alpha, &mut obs)?;
+                let b = self.walk_ob(&mut st, x, beta, &mut obs)?;
                 let (ra, rb) = (st.find(a), st.find(b));
                 if ra == rb {
                     return None;
@@ -850,48 +862,46 @@ impl<'a> Solver<'a> {
                 st.nodes[ra].diseq.push(rb);
                 self.search(st, root, obs)
             }
-            // NNF guarantees no other shapes under Not.
-            other => {
-                let nf = nnf(&Unary::Not(Box::new(other)), false);
-                let mut obs = obligations;
-                obs.push((x, nf));
-                self.search(state, root, obs)
+            // `¬⊤` has no model.
+            Unary::True => None,
+            Unary::Not(_) | Unary::And(_) | Unary::Or(_) => {
+                unreachable!("the search negates literals only")
             }
         }
     }
 
     /// Walks a path converting tests into obligations.
     fn walk_ob(
-        &mut self,
-        state: &mut State,
+        &self,
+        state: &mut State<'a>,
         x: PId,
-        alpha: &Binary,
-        obligations: &mut Vec<Obligation>,
+        alpha: &'a Binary,
+        obligations: &mut Vec<Obligation<'a>>,
     ) -> Option<PId> {
-        let steps = flatten(alpha, self.syms)?;
         let mut cur = x;
-        for s in steps {
+        each_step(alpha, self.keys, &mut |s| {
             match s {
-                FStep::Key(w) => cur = state.key_child(cur, w, self.syms)?,
-                FStep::Index(i) => cur = state.idx_child(cur, i, self.syms)?,
-                FStep::Test(phi) => obligations.push((cur, nnf(&phi, false))),
+                FStep::Key(w) => cur = state.key_child(cur, w, self.keys)?,
+                FStep::Index(i) => cur = state.idx_child(cur, i, self.keys)?,
+                FStep::Test(phi) => obligations.push((cur, phi, false)),
             }
-        }
+            Some(())
+        })?;
         Some(cur)
     }
 
     /// `¬[α]`-style branching: the path must fail at some position, or (if
-    /// `neg_end` is given) succeed with a constrained end.
+    /// `not_doc` is given) succeed with an end that differs from it.
     fn branch_path_failure(
         &mut self,
-        state: State,
+        state: State<'a>,
         root: PId,
-        obligations: Vec<Obligation>,
+        obligations: Vec<Obligation<'a>>,
         x: PId,
-        alpha: &Binary,
-        neg_end: Option<NegEnd>,
+        alpha: &'a Binary,
+        not_doc: Option<&'a Json>,
     ) -> Option<Json> {
-        let Some(steps) = flatten(alpha, self.syms) else {
+        let Some(steps) = flatten(alpha, self.keys) else {
             // Unflattenable (non-deterministic) — cannot happen: fragment
             // checked up front.
             return None;
@@ -904,29 +914,29 @@ impl<'a> Solver<'a> {
             let mut cur = x;
             let mut ok = true;
             for s in &steps[..p] {
-                match s {
-                    FStep::Key(w) => match st.key_child(cur, *w, self.syms) {
+                match *s {
+                    FStep::Key(w) => match st.key_child(cur, w, self.keys) {
                         Some(c) => cur = c,
                         None => {
                             ok = false;
                             break;
                         }
                     },
-                    FStep::Index(i) => match st.idx_child(cur, *i, self.syms) {
+                    FStep::Index(i) => match st.idx_child(cur, i, self.keys) {
                         Some(c) => cur = c,
                         None => {
                             ok = false;
                             break;
                         }
                     },
-                    FStep::Test(phi) => obs.push((cur, nnf(phi, false))),
+                    FStep::Test(phi) => obs.push((cur, phi, false)),
                 }
             }
             if !ok {
                 continue;
             }
             // Fail at step p.
-            match &steps[p] {
+            match steps[p] {
                 FStep::Key(w) => {
                     // (a) not an object
                     {
@@ -943,15 +953,15 @@ impl<'a> Solver<'a> {
                     // (b) object but key absent
                     let mut st2 = st;
                     let rep = st2.find(cur);
-                    if st2.nodes[rep].keys.contains_key(w) {
+                    if st2.nodes[rep].keys.contains_key(&w) {
                         continue;
                     }
-                    if let Some(doc) = &st2.nodes[rep].exact {
-                        if doc.get(self.syms.resolve(*w)).is_some() {
+                    if let Some(doc) = st2.nodes[rep].exact {
+                        if doc.get(self.keys.resolve(w)).is_some() {
                             continue;
                         }
                     }
-                    st2.nodes[rep].forbidden_keys.insert(*w);
+                    st2.nodes[rep].forbidden_keys.insert(w);
                     if let Some(wit) = self.search(st2, root, obs) {
                         return Some(wit);
                     }
@@ -975,11 +985,10 @@ impl<'a> Solver<'a> {
                     // (b) array shorter than i+1
                     let mut st2 = st;
                     let rep = st2.find(cur);
-                    let needed = *i + 1;
-                    let too_long = st2.nodes[rep].idxs.keys().any(|&k| k >= *i)
+                    let needed = i + 1;
+                    let too_long = st2.nodes[rep].idxs.keys().any(|&k| k >= i)
                         || st2.nodes[rep]
                             .exact
-                            .as_ref()
                             .and_then(|d| d.as_array())
                             .is_some_and(|a| a.len() as u64 >= needed);
                     if too_long {
@@ -996,7 +1005,7 @@ impl<'a> Solver<'a> {
                 }
                 FStep::Test(phi) => {
                     let mut obs2 = obs.clone();
-                    obs2.push((cur, nnf(phi, true)));
+                    obs2.push((cur, phi, true));
                     if let Some(wit) = self.search(st, root, obs2) {
                         return Some(wit);
                     }
@@ -1007,12 +1016,12 @@ impl<'a> Solver<'a> {
             }
         }
         // Option B: path succeeds, end constrained.
-        if let Some(NegEnd::NotDoc(doc)) = neg_end {
+        if let Some(doc) = not_doc {
             let mut st = state;
             let mut obs = obligations;
             if let Some(end) = self.walk_ob(&mut st, x, alpha, &mut obs) {
                 let rep = st.find(end);
-                if st.nodes[rep].exact.as_ref() == Some(&doc) {
+                if st.nodes[rep].exact == Some(doc) {
                     return None;
                 }
                 st.nodes[rep].not_exact.push(doc);
@@ -1023,130 +1032,166 @@ impl<'a> Solver<'a> {
     }
 
     /// Concretises and verifies a saturated state.
-    fn try_close(&mut self, state: &State) -> Option<Json> {
-        let mut st = state.clone();
+    fn try_close(&mut self, state: &State<'a>) -> Option<Json> {
         let mut fresh = 0u64;
-        let candidate = st.concretize(0, &mut fresh, &mut BTreeMap::new(), self.syms)?;
-        // Soundness net: re-verify with the reference evaluator (this also
-        // enforces `not_exact` and `diseq`, which concretisation handles
-        // only heuristically via fresh leaves).
-        let tree = JsonTree::build(&candidate);
-        let ok = crate::eval::naive::eval(&tree, self.original)[tree.root().index()];
-        ok.then_some(candidate)
+        let candidate = state.concretize(0, &mut fresh, &mut BTreeMap::new(), self.keys, None)?;
+        // Soundness net: re-verify against the formula (this also enforces
+        // `not_exact` and `diseq`, which concretisation handles only
+        // heuristically via fresh leaves).
+        holds(&candidate, self.original).then_some(candidate)
     }
 }
 
-enum NegEnd {
-    NotDoc(Json),
+/// Conservative entailment: `true` only if `phi` (negated when the flag is
+/// set) is guaranteed to hold in every concretisation of `state` (peeking
+/// at existing structure, never materialising). Used to discharge settled
+/// disjunctions.
+fn entailed(state: &State, x: PId, phi: &Unary, negated: bool, keys: &Keys) -> bool {
+    match (phi, negated) {
+        (Unary::Not(p), _) => entailed(state, x, p, !negated, keys),
+        (Unary::True, false) => true,
+        (Unary::And(ps), false) | (Unary::Or(ps), true) => {
+            ps.iter().all(|p| entailed(state, x, p, negated, keys))
+        }
+        (Unary::Or(ps), false) | (Unary::And(ps), true) => {
+            ps.iter().any(|p| entailed(state, x, p, negated, keys))
+        }
+        (Unary::Exists(alpha), false) => peek_walk(state, x, alpha, keys).is_some(),
+        (Unary::EqDoc(alpha, doc), false) => peek_walk(state, x, alpha, keys)
+            .is_some_and(|end| state.nodes[state.find(end)].exact == Some(doc)),
+        (Unary::EqPair(alpha, beta), false) => {
+            match (
+                peek_walk(state, x, alpha, keys),
+                peek_walk(state, x, beta, keys),
+            ) {
+                (Some(a), Some(b)) => state.find(a) == state.find(b),
+                _ => false,
+            }
+        }
+        // A negated literal is never taken as entailed.
+        (_, true) => false,
+    }
 }
 
-/// Conservative entailment: `true` only if `phi` is guaranteed to hold in
-/// every concretisation of `state` (peeking at existing structure, never
-/// materialising). Used to discharge settled disjunctions.
-fn entailed(state: &State, x: PId, phi: &Unary, syms: &Interner) -> bool {
+/// [`entailed`] for a path test as written: a negation inside it is
+/// never taken as entailed.
+fn test_entailed(state: &State, x: PId, phi: &Unary, keys: &Keys) -> bool {
     match phi {
-        Unary::True => true,
-        Unary::And(ps) => ps.iter().all(|p| entailed(state, x, p, syms)),
-        Unary::Or(ps) => ps.iter().any(|p| entailed(state, x, p, syms)),
-        Unary::Exists(alpha) => peek_walk(state, x, alpha, syms).is_some(),
-        Unary::EqDoc(alpha, doc) => peek_walk(state, x, alpha, syms)
-            .is_some_and(|end| state.nodes[state.find(end)].exact.as_ref() == Some(doc)),
-        Unary::EqPair(alpha, beta) => match (
-            peek_walk(state, x, alpha, syms),
-            peek_walk(state, x, beta, syms),
-        ) {
-            (Some(a), Some(b)) => state.find(a) == state.find(b),
-            _ => false,
-        },
         Unary::Not(_) => false,
+        Unary::And(ps) => ps.iter().all(|p| test_entailed(state, x, p, keys)),
+        Unary::Or(ps) => ps.iter().any(|p| test_entailed(state, x, p, keys)),
+        literal => entailed(state, x, literal, false, keys),
     }
 }
 
 /// Walks a path through *existing* structure only.
-fn peek_walk(state: &State, x: PId, alpha: &Binary, syms: &Interner) -> Option<PId> {
-    let steps = flatten(alpha, syms)?;
+fn peek_walk(state: &State, x: PId, alpha: &Binary, keys: &Keys) -> Option<PId> {
     let mut cur = state.find(x);
-    for s in &steps {
+    each_step(alpha, keys, &mut |s| {
         match s {
             FStep::Key(w) => {
                 if state.nodes[cur].kind != Some(NodeKind::Obj) {
                     return None;
                 }
-                cur = state.find(*state.nodes[cur].keys.get(w)?);
+                cur = state.find(*state.nodes[cur].keys.get(&w)?);
             }
             FStep::Index(i) => {
                 if state.nodes[cur].kind != Some(NodeKind::Arr) {
                     return None;
                 }
-                cur = state.find(*state.nodes[cur].idxs.get(i)?);
+                cur = state.find(*state.nodes[cur].idxs.get(&i)?);
             }
             FStep::Test(phi) => {
-                if !entailed(state, cur, phi, syms) {
+                if !test_entailed(state, cur, phi, keys) {
                     return None;
                 }
             }
         }
-    }
+        Some(())
+    })?;
     Some(cur)
 }
 
-/// A flattened deterministic path step.
-#[derive(Clone)]
-enum FStep {
-    Key(Sym),
-    Index(u64),
-    Test(Unary),
+/// Whether `phi` holds at the root of `doc`, read straight off the value:
+/// a deterministic path leads to at most one node.
+fn holds(doc: &Json, phi: &Unary) -> bool {
+    match phi {
+        Unary::True => true,
+        Unary::Not(p) => !holds(doc, p),
+        Unary::And(ps) => ps.iter().all(|p| holds(doc, p)),
+        Unary::Or(ps) => ps.iter().any(|p| holds(doc, p)),
+        Unary::Exists(alpha) => end_of(doc, alpha).is_some(),
+        Unary::EqDoc(alpha, d) => end_of(doc, alpha) == Some(d),
+        Unary::EqPair(alpha, beta) => match (end_of(doc, alpha), end_of(doc, beta)) {
+            (Some(a), Some(b)) => a == b,
+            _ => false,
+        },
+    }
 }
 
-/// Flattens a deterministic binary formula; `None` if it uses negative
-/// indices or non-deterministic constructs (callers pre-check the fragment,
-/// negative indices yield `Unknown` upstream). Key words translate by pure
-/// interner lookup — every formula key was interned before the search, so a
-/// lookup can only miss on shapes the fragment check already rejected.
-fn flatten(alpha: &Binary, syms: &Interner) -> Option<Vec<FStep>> {
-    fn go(alpha: &Binary, out: &mut Vec<FStep>, syms: &Interner) -> Option<()> {
-        match alpha {
-            Binary::Epsilon => Some(()),
-            Binary::Key(w) => {
-                out.push(FStep::Key(syms.lookup(w)?));
-                Some(())
-            }
-            Binary::Index(i) if *i >= 0 => {
-                out.push(FStep::Index(*i as u64));
-                Some(())
-            }
-            Binary::Index(_) => None,
-            Binary::Test(phi) => {
-                out.push(FStep::Test((**phi).clone()));
-                Some(())
-            }
-            Binary::Compose(ps) => {
-                for p in ps {
-                    go(p, out, syms)?;
-                }
-                Some(())
-            }
-            Binary::KeyRegex(e) => {
-                let w = e.as_single_word()?;
-                out.push(FStep::Key(syms.lookup(&w)?));
-                Some(())
-            }
-            Binary::Range(i, Some(j)) if i == j => {
-                out.push(FStep::Index(*i));
-                Some(())
-            }
-            Binary::Range(_, _) | Binary::Star(_) => None,
+/// The node a deterministic path leads to from `doc`, if any.
+fn end_of<'d>(doc: &'d Json, alpha: &Binary) -> Option<&'d Json> {
+    match alpha {
+        Binary::Epsilon => Some(doc),
+        Binary::Key(w) => doc.get(w),
+        Binary::Index(i) if *i >= 0 => doc.index(*i as usize),
+        Binary::Test(p) => holds(doc, p).then_some(doc),
+        Binary::Compose(ps) => ps.iter().try_fold(doc, |cur, p| end_of(cur, p)),
+        Binary::Index(_) | Binary::KeyRegex(_) | Binary::Range(_, _) | Binary::Star(_) => {
+            unreachable!("the fragment and the indices are checked before the search")
         }
     }
+}
+
+/// A flattened deterministic path step.
+#[derive(Clone, Copy)]
+enum FStep<'a> {
+    Key(Key),
+    Index(u64),
+    Test(&'a Unary),
+}
+
+/// Feeds the steps of a deterministic binary formula to `f` in order.
+/// `None` if `f` fails, or if the path uses negative indices or
+/// non-deterministic constructs (callers pre-check the fragment, negative
+/// indices yield `Unknown` upstream). Key words translate by pure table
+/// lookup.
+fn each_step<'a, F>(alpha: &'a Binary, keys: &Keys, f: &mut F) -> Option<()>
+where
+    F: FnMut(FStep<'a>) -> Option<()>,
+{
+    match alpha {
+        Binary::Epsilon => Some(()),
+        Binary::Key(w) => f(FStep::Key(keys.lookup(w)?)),
+        Binary::Index(i) if *i >= 0 => f(FStep::Index(*i as u64)),
+        Binary::Index(_) => None,
+        Binary::Test(phi) => f(FStep::Test(phi)),
+        Binary::Compose(ps) => {
+            for p in ps {
+                each_step(p, keys, f)?;
+            }
+            Some(())
+        }
+        Binary::KeyRegex(_) | Binary::Range(_, _) | Binary::Star(_) => None,
+    }
+}
+
+/// The steps of a deterministic binary formula, as [`each_step`] feeds
+/// them.
+fn flatten<'a>(alpha: &'a Binary, keys: &Keys) -> Option<Vec<FStep<'a>>> {
     let mut out = Vec::new();
-    go(alpha, &mut out, syms).map(|()| out)
+    each_step(alpha, keys, &mut |s| {
+        out.push(s);
+        Some(())
+    })?;
+    Some(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ast::{Binary as B, Unary as U};
-    use jsondata::parse;
+    use jsondata::{parse, JsonTree};
 
     fn verify_sat(phi: &U) -> Json {
         match sat_deterministic(phi) {

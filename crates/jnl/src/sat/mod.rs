@@ -4,7 +4,8 @@
 //!   a backtracking tableau over an abstract *pattern tree*, with
 //!   union-find merging for `EQ(α, β)` constraints and a final
 //!   generate-and-verify pass (every `Sat` answer carries a witness
-//!   document that has been re-checked by the reference evaluator).
+//!   document that has been re-checked against the formula by walking
+//!   the witness value).
 //!
 //!   `sat_parity` and `harness s8` check its verdicts against
 //!   [`crate::gen::small_model`], an exhaustive search of small documents

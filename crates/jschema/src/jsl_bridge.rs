@@ -8,7 +8,7 @@
 
 use jsl::ast::{Jsl, NodeTest};
 use jsl::recursive::RecursiveJsl;
-use jsondata::{Json, JsonPointer};
+use jsondata::{JStr, Json, JsonPointer};
 use relex::Regex;
 
 use crate::ir::{Schema, SchemaError, SchemaType};
@@ -191,7 +191,7 @@ pub fn jsl_to_schema(phi: &Jsl) -> Result<Json, SchemaError> {
         // □_e ψ ⇒ patternProperties.
         Jsl::BoxKey(e, p) => obj(vec![(
             "patternProperties",
-            obj_s(vec![(e.to_string(), jsl_to_schema(p)?)]),
+            obj_s(vec![(e.to_string().into(), jsl_to_schema(p)?)]),
         )]),
         // ◇_e ψ ⇒ ¬ □_e ¬ψ.
         Jsl::DiamondKey(e, p) => {
@@ -237,11 +237,11 @@ pub fn jsl_to_schema(phi: &Jsl) -> Result<Json, SchemaError> {
 }
 
 fn obj(pairs: Vec<(&str, Json)>) -> Json {
-    Json::object(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+    Json::object(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
         .expect("distinct keys by construction")
 }
 
-fn obj_s(pairs: Vec<(String, Json)>) -> Json {
+fn obj_s(pairs: Vec<(JStr, Json)>) -> Json {
     Json::object(pairs).expect("distinct keys by construction")
 }
 

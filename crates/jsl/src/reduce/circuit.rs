@@ -59,8 +59,8 @@ impl Circuit {
                 .enumerate()
                 .map(|(i, &b)| {
                     (
-                        format!("IN{i}"),
-                        Json::Str(if b { "T" } else { "F" }.to_owned()),
+                        format!("IN{i}").into(),
+                        Json::str(if b { "T" } else { "F" }),
                     )
                 })
                 .collect(),

@@ -184,20 +184,17 @@ impl Qbf {
                     } else {
                         (false, branch(q, i, assignment, false)?)
                     };
-                    vec![(if b { "T" } else { "F" }.to_owned(), sub)]
+                    vec![(if b { "T" } else { "F" }.into(), sub)]
                 }
                 Quant::Forall => {
                     let t = branch(q, i, assignment, true)?;
                     let f = branch(q, i, assignment, false)?;
-                    vec![("T".to_owned(), t), ("F".to_owned(), f)]
+                    vec![("T".into(), t), ("F".into(), f)]
                 }
             };
             Some(
-                Json::object(vec![(
-                    "X".to_owned(),
-                    Json::object(pairs).expect("distinct"),
-                )])
-                .expect("single key"),
+                Json::object(vec![("X".into(), Json::object(pairs).expect("distinct"))])
+                    .expect("single key"),
             )
         }
         let mut a = vec![false; self.prefix.len()];
@@ -254,10 +251,10 @@ mod tests {
         };
         assert!(!q.brute_force());
         let full = Json::object(vec![(
-            "X".to_owned(),
+            "X".into(),
             Json::object(vec![
-                ("T".to_owned(), Json::empty_object()),
-                ("F".to_owned(), Json::empty_object()),
+                ("T".into(), Json::empty_object()),
+                ("F".into(), Json::empty_object()),
             ])
             .unwrap(),
         )])

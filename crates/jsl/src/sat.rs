@@ -24,7 +24,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use jsondata::{Interner, Json, JsonTree, Sym};
+use jsondata::{Interner, JStr, Json, JsonTree, Sym};
 use relex::{Dfa, Regex};
 
 use crate::ast::{Jsl, NodeTest};
@@ -417,7 +417,7 @@ impl<'a> Tableau<'a> {
                 lang = lang.intersect(&lit.complement());
             }
         }
-        lang.example().map(Json::Str)
+        lang.example().map(Json::str)
     }
 
     fn close_number(&mut self, atoms: &NodeAtoms) -> Option<Json> {
@@ -699,9 +699,9 @@ impl<'a> Tableau<'a> {
         // disjoint), but shared-key groups may collide with padding — the
         // object constructor rejects duplicates, treat as branch failure.
         // Symbols resolve back to strings only here, at assembly.
-        let pairs: Vec<(String, Json)> = pairs
+        let pairs: Vec<(JStr, Json)> = pairs
             .into_iter()
-            .map(|(k, v)| (self.syms.resolve(k).to_owned(), v))
+            .map(|(k, v)| (self.syms.resolve(k).into(), v))
             .collect();
         Json::object(pairs).ok()
     }
@@ -1053,7 +1053,7 @@ mod tests {
     fn string_constraints() {
         let w = assert_sat(J::and(vec![
             J::Test(T::Pattern(Regex::parse("(0|1)+").unwrap())),
-            J::not(J::Test(T::EqDoc(Json::Str("0".into())))),
+            J::not(J::Test(T::EqDoc(Json::str("0")))),
         ]));
         assert!(w.is_string());
         assert_unsat(J::and(vec![

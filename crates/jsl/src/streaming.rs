@@ -67,7 +67,7 @@ pub fn events_of(doc: &Json) -> Vec<Event> {
                 out.push(Event::Key(k.to_owned()));
                 stack.push(W::Value(v));
             }
-            W::Value(Json::Str(s)) => out.push(Event::Str(s.clone())),
+            W::Value(Json::Str(s)) => out.push(Event::Str(s.as_str().to_owned())),
             W::Value(Json::Num(n)) => out.push(Event::Num(*n)),
             W::Value(Json::Array(items)) => {
                 out.push(Event::BeginArray);
@@ -485,7 +485,7 @@ mod tests {
                 None,
                 Box::new(J::or(vec![J::Test(T::Str), J::Test(T::Int)])),
             ),
-            J::Test(T::EqDoc(Json::Str("hello".into()))),
+            J::Test(T::EqDoc(Json::str("hello"))),
             J::Test(T::EqDoc(Json::empty_object())),
             J::diamond_key(
                 "nested",

@@ -14,13 +14,14 @@ use std::hash::{Hash, Hasher};
 fn arb_json() -> impl Strategy<Value = Json> {
     let leaf = prop_oneof![
         (0u64..40).prop_map(Json::Num),
-        "[a-e]{0,3}".prop_map(Json::Str),
+        "[a-e]{0,3}".prop_map(Json::str),
     ];
     leaf.prop_recursive(4, 64, 5, |inner| {
         prop_oneof![
             prop::collection::vec(inner.clone(), 0..5).prop_map(Json::Array),
             prop::collection::btree_map("[a-f]{1,2}", inner, 0..5).prop_map(|m| {
-                Json::object(m.into_iter().collect()).expect("btree keys are distinct")
+                Json::object(m.into_iter().map(|(k, v)| (k.into(), v)).collect())
+                    .expect("btree keys are distinct")
             }),
         ]
     })
@@ -36,9 +37,9 @@ fn hash_of(j: &Json) -> u64 {
 fn permute(doc: &Json, seed: usize) -> Json {
     match doc {
         Json::Object(o) => {
-            let mut pairs: Vec<(String, Json)> = o
+            let mut pairs: Vec<(jsondata::JStr, Json)> = o
                 .iter()
-                .map(|(k, v)| (k.to_owned(), permute(v, seed.wrapping_add(k.len()))))
+                .map(|(k, v)| (k.into(), permute(v, seed.wrapping_add(k.len()))))
                 .collect();
             if pairs.len() > 1 {
                 let k = seed % pairs.len();

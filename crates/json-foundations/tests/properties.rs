@@ -13,13 +13,14 @@ use proptest::prelude::*;
 fn arb_json() -> impl Strategy<Value = Json> {
     let leaf = prop_oneof![
         (0u64..50).prop_map(Json::Num),
-        "[a-d]{0,3}".prop_map(Json::Str),
+        "[a-d]{0,3}".prop_map(Json::str),
     ];
     leaf.prop_recursive(4, 64, 6, |inner| {
         prop_oneof![
             prop::collection::vec(inner.clone(), 0..5).prop_map(Json::Array),
             prop::collection::btree_map("[a-e]{1,2}", inner, 0..5).prop_map(|m| {
-                Json::object(m.into_iter().collect()).expect("btree keys are distinct")
+                Json::object(m.into_iter().map(|(k, v)| (k.into(), v)).collect())
+                    .expect("btree keys are distinct")
             }),
         ]
     })
@@ -55,17 +56,19 @@ fn arb_regex() -> impl Strategy<Value = relex::Regex> {
 fn arb_json_unicode() -> impl Strategy<Value = Json> {
     let leaf = prop_oneof![
         (0u64..50).prop_map(Json::Num),
-        "[a-d]{0,3}".prop_map(Json::Str),
-        "[α-δ]{1,2}".prop_map(Json::Str),
+        "[a-d]{0,3}".prop_map(Json::str),
+        "[α-δ]{1,2}".prop_map(Json::str),
     ];
     leaf.prop_recursive(4, 64, 6, |inner| {
         prop_oneof![
             prop::collection::vec(inner.clone(), 0..5).prop_map(Json::Array),
             prop::collection::btree_map("[a-e]{1,2}", inner.clone(), 0..5).prop_map(|m| {
-                Json::object(m.into_iter().collect()).expect("btree keys are distinct")
+                Json::object(m.into_iter().map(|(k, v)| (k.into(), v)).collect())
+                    .expect("btree keys are distinct")
             }),
             prop::collection::btree_map("[α-γ]{1,2}", inner, 0..4).prop_map(|m| {
-                Json::object(m.into_iter().collect()).expect("btree keys are distinct")
+                Json::object(m.into_iter().map(|(k, v)| (k.into(), v)).collect())
+                    .expect("btree keys are distinct")
             }),
         ]
     })
@@ -74,12 +77,13 @@ fn arb_json_unicode() -> impl Strategy<Value = Json> {
 /// An arbitrary document whose keys and string atoms are drawn from
 /// `{a,b}^13` — the words `(a|b)*a(a|b){12}` tests, so that regex has hits.
 fn arb_json_ab13() -> impl Strategy<Value = Json> {
-    let leaf = "[a-b]{13,13}".prop_map(Json::Str);
+    let leaf = "[a-b]{13,13}".prop_map(Json::str);
     leaf.prop_recursive(3, 32, 4, |inner| {
         prop_oneof![
             prop::collection::vec(inner.clone(), 0..4).prop_map(Json::Array),
             prop::collection::btree_map("[a-b]{13,13}", inner, 0..4).prop_map(|m| {
-                Json::object(m.into_iter().collect()).expect("btree keys are distinct")
+                Json::object(m.into_iter().map(|(k, v)| (k.into(), v)).collect())
+                    .expect("btree keys are distinct")
             }),
         ]
     })

@@ -314,7 +314,7 @@ impl FormalJson {
             }
         } else if self.str_.contains(n) {
             match &self.val[n] {
-                AtomValue::Str(s) => Json::Str(s.clone()),
+                AtomValue::Str(s) => Json::str(s),
                 AtomValue::Num(_) => unreachable!("validated"),
             }
         } else if self.arr.contains(n) {
@@ -335,7 +335,7 @@ impl FormalJson {
             let mut pairs = Vec::new();
             for (p, k, c) in &self.o_rel {
                 if p == n {
-                    pairs.push((k.clone(), self.build_value(c)));
+                    pairs.push((k.into(), self.build_value(c)));
                 }
             }
             Json::object(pairs).expect("validated keys are distinct")

@@ -82,7 +82,7 @@ fn gen_value(rng: &mut StdRng, cfg: &GenConfig, depth: usize, budget: &mut usize
         0 => Json::Num(rng.gen_range(0..cfg.num_bound)),
         1 => {
             let i = rng.gen_range(0..cfg.string_pool.len());
-            Json::Str(cfg.string_pool[i].clone())
+            Json::str(&cfg.string_pool[i])
         }
         2 => {
             let width = rng.gen_range(0..=cfg.max_width.min(*budget));
@@ -103,7 +103,7 @@ fn gen_value(rng: &mut StdRng, cfg: &GenConfig, depth: usize, budget: &mut usize
             let pairs = keys
                 .into_iter()
                 .take(width)
-                .map(|k| (k.clone(), gen_value(rng, cfg, depth + 1, budget)))
+                .map(|k| (k.into(), gen_value(rng, cfg, depth + 1, budget)))
                 .collect();
             Json::object(pairs).expect("sampled keys are distinct")
         }
@@ -115,7 +115,7 @@ fn gen_value(rng: &mut StdRng, cfg: &GenConfig, depth: usize, budget: &mut usize
 pub fn deep_chain(depth: usize, key: &str, leaf: Json) -> Json {
     let mut j = leaf;
     for _ in 0..depth {
-        j = Json::object(vec![(key.to_owned(), j)]).expect("single key");
+        j = Json::object(vec![(key.into(), j)]).expect("single key");
     }
     j
 }
@@ -124,7 +124,7 @@ pub fn deep_chain(depth: usize, key: &str, leaf: Json) -> Json {
 pub fn wide_object(n: usize) -> Json {
     Json::object(
         (0..n)
-            .map(|i| (format!("k{i}"), Json::Num(i as u64)))
+            .map(|i| (format!("k{i}").into(), Json::Num(i as u64)))
             .collect(),
     )
     .expect("generated keys are distinct")
@@ -144,7 +144,7 @@ pub fn array_with_duplicates(n: usize, distinct: usize, seed: u64) -> Json {
         (0..n)
             .map(|_| {
                 let v = rng.gen_range(0..distinct as u64);
-                Json::object(vec![("v".to_owned(), Json::Num(v))]).expect("single key")
+                Json::object(vec![("v".into(), Json::Num(v))]).expect("single key")
             })
             .collect(),
     )
@@ -162,7 +162,7 @@ pub fn balanced_tree(depth: usize, branch: usize) -> Json {
         }
         Json::object(
             (0..branch)
-                .map(|i| (format!("c{i}"), build(depth - 1, branch, next)))
+                .map(|i| (format!("c{i}").into(), build(depth - 1, branch, next)))
                 .collect(),
         )
         .expect("generated keys are distinct")
@@ -187,23 +187,23 @@ pub fn person_records(n: usize, seed: u64) -> Json {
                     hs.push(Json::str(hobbies[rng.gen_range(0..hobbies.len())]));
                 }
                 Json::object(vec![
-                    ("id".to_owned(), Json::Num(i as u64)),
+                    ("id".into(), Json::Num(i as u64)),
                     (
-                        "name".to_owned(),
+                        "name".into(),
                         Json::object(vec![
                             (
-                                "first".to_owned(),
+                                "first".into(),
                                 Json::str(firsts[rng.gen_range(0..firsts.len())]),
                             ),
                             (
-                                "last".to_owned(),
+                                "last".into(),
                                 Json::str(lasts[rng.gen_range(0..lasts.len())]),
                             ),
                         ])
                         .expect("distinct"),
                     ),
-                    ("age".to_owned(), Json::Num(rng.gen_range(18..90))),
-                    ("hobbies".to_owned(), Json::Array(hs)),
+                    ("age".into(), Json::Num(rng.gen_range(18..90))),
+                    ("hobbies".into(), Json::Array(hs)),
                 ])
                 .expect("distinct")
             })

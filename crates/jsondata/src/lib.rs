@@ -7,6 +7,9 @@
 //! * [`Json`] — a JSON value restricted to the paper's §2 fragment:
 //!   objects (with pairwise-distinct keys), arrays, strings, and natural
 //!   numbers. Object equality is **unordered**, as the paper requires.
+//!   Strings and keys are [`JStr`]s, inline up to 22 bytes, so a value
+//!   owns one heap buffer per non-empty container and none per short
+//!   string.
 //! * A from-scratch [`parse`](parse()) / [`serialize`](mod@serialize) pair
 //!   for the textual format, with precise error positions — plus the fused
 //!   [`parse_to_tree`](parse_to_tree()) family, which lexes, interns and
@@ -67,6 +70,7 @@ pub mod error;
 pub mod fxhash;
 pub mod gen;
 pub mod intern;
+pub mod jstr;
 pub mod nav;
 pub mod parse;
 pub mod pointer;
@@ -77,6 +81,7 @@ pub mod value;
 pub use canon::CanonTable;
 pub use error::{JsonError, ParseError, ParseErrorKind, Position};
 pub use intern::{Interner, Sym};
+pub use jstr::JStr;
 pub use nav::{NavPath, NavStep};
 pub use parse::{
     parse, parse_to_tree, parse_to_tree_into, parse_to_tree_with_limits, parse_with_limits,

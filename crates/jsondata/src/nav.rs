@@ -176,7 +176,7 @@ impl FromStr for NavPath {
                 let parsed = crate::parse::parse(&format!("\"{inner}\""))
                     .map_err(|_| JsonError::PointerSyntax(s.to_owned()))?;
                 match parsed {
-                    Json::Str(k) => steps.push(NavStep::Key(k)),
+                    Json::Str(k) => steps.push(NavStep::Key(k.into())),
                     _ => unreachable!("quoted body parses to a string"),
                 }
             } else {

@@ -45,8 +45,9 @@ use std::sync::Arc;
 use crate::error::{ParseError, ParseErrorKind, Position};
 use crate::fxhash::{FxHashSet, FxHasher};
 use crate::intern::Interner;
+use crate::jstr::JStr;
 use crate::tree::{JsonTree, TreeBuilder};
-use crate::value::Json;
+use crate::value::{Json, ObjectRepr, SMALL_OBJECT};
 
 /// Resource limits applied while parsing.
 #[derive(Debug, Clone, Copy)]
@@ -174,15 +175,11 @@ impl Sink for TreeBuilder {
     }
 }
 
-/// Keys an object checks for duplicates by scanning before it builds its
-/// hash set, which small objects, such as query texts, never allocate.
-const SCAN_KEYS: usize = 8;
-
 /// Folds parse events into an owned [`Json`] value.
 #[derive(Default)]
 struct JsonSink {
     stack: Vec<JsonFrame>,
-    pending_key: Option<String>,
+    pending_key: Option<JStr>,
     out: Option<Json>,
 }
 
@@ -191,9 +188,9 @@ enum JsonFrame {
         /// The member key this object attaches under in its parent object
         /// (captured at `begin_object`, before the object's own keys start
         /// overwriting the pending slot).
-        key: Option<String>,
-        pairs: Vec<(String, Json)>,
-        /// Duplicate-key detection past [`SCAN_KEYS`] keys: a set of key
+        key: Option<JStr>,
+        pairs: Vec<(JStr, Json)>,
+        /// Duplicate-key detection past [`SMALL_OBJECT`] keys: a set of key
         /// *hashes* keeps the probe allocation-free and the whole object
         /// near-linear (a hash hit — in practice only a true duplicate —
         /// is confirmed by one scan, so an adversarial collision degrades
@@ -203,7 +200,7 @@ enum JsonFrame {
     },
     Arr {
         /// The member key this array attaches under, as above.
-        key: Option<String>,
+        key: Option<JStr>,
         items: Vec<Json>,
     },
 }
@@ -211,7 +208,7 @@ enum JsonFrame {
 impl JsonSink {
     /// Attaches a completed value: under `key` in the innermost open
     /// object, positionally in the innermost open array, or as the result.
-    fn complete(&mut self, v: Json, key: Option<String>) {
+    fn complete(&mut self, v: Json, key: Option<JStr>) {
         match self.stack.last_mut() {
             Some(JsonFrame::Obj { pairs, .. }) => {
                 pairs.push((key.expect("member key before value"), v));
@@ -230,7 +227,7 @@ impl Sink for JsonSink {
 
     fn str_atom(&mut self, s: &str) {
         let key = self.pending_key.take();
-        self.complete(Json::Str(s.to_owned()), key);
+        self.complete(Json::str(s), key);
     }
 
     fn begin_object(&mut self) {
@@ -250,14 +247,14 @@ impl Sink for JsonSink {
             k.hash(&mut h);
             h.finish()
         };
-        if pairs.len() == SCAN_KEYS {
+        if pairs.len() == SMALL_OBJECT {
             seen.extend(pairs.iter().map(|(k, _)| hash(k)));
         }
-        let fresh = pairs.len() >= SCAN_KEYS && seen.insert(hash(key));
+        let fresh = pairs.len() >= SMALL_OBJECT && seen.insert(hash(key));
         if !fresh && pairs.iter().any(|(k, _)| k == key) {
             return false;
         }
-        self.pending_key = Some(key.to_owned());
+        self.pending_key = Some(key.into());
         true
     }
 
@@ -265,10 +262,8 @@ impl Sink for JsonSink {
         let Some(JsonFrame::Obj { key, pairs, .. }) = self.stack.pop() else {
             unreachable!("end_object without begin_object");
         };
-        self.complete(
-            Json::object(pairs).expect("duplicates checked during parse"),
-            key,
-        );
+        // Duplicates were rejected key by key in `object_key`.
+        self.complete(Json::Object(ObjectRepr::from_distinct(pairs)), key);
     }
 
     fn begin_array(&mut self) {

@@ -42,6 +42,7 @@ use std::sync::{Arc, OnceLock};
 use crate::canon::CanonTable;
 use crate::fxhash::FxHashSet;
 use crate::intern::{Interner, Sym};
+use crate::jstr::JStr;
 use crate::value::{Json, ObjectRepr};
 
 /// Identifier of a node within one [`JsonTree`]; indexes the arena.
@@ -117,7 +118,7 @@ const INLINE_FRAMES: usize = 16;
 /// A container [`JsonTree::json_at`] is still filling.
 enum Open {
     Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
+    Obj(Vec<(JStr, Json)>),
 }
 
 impl Open {
@@ -988,13 +989,15 @@ impl JsonTree {
     /// again a valid JSON value (compositionality).
     ///
     /// One pre-order walk over the subtree builds every container straight
-    /// into its exact-capacity vector. An object's members come out in the
-    /// stored symbol order, and its key index is built without a duplicate
-    /// check (tree keys are distinct by §3.1 determinism). The walk keeps
-    /// its open containers on an explicit stack, held inline up to 16
-    /// deep, so document depth never becomes call-stack depth and a
-    /// document no deeper than that allocates only what the returned value
-    /// owns.
+    /// into its exact-capacity vector, and every key and string atom
+    /// straight from the symbol table's `&str` into a [`JStr`] (inline up
+    /// to 22 bytes). An object's members come out in the stored symbol
+    /// order with no duplicate check (tree keys are distinct by §3.1
+    /// determinism); only an object of more than 8 keys gets a key index.
+    /// The walk keeps its open containers on an explicit stack, held
+    /// inline up to 16 deep, so document depth never becomes call-stack
+    /// depth and a document no deeper than that allocates only what the
+    /// returned value owns.
     #[inline]
     pub fn json_at(&self, n: NodeId) -> Json {
         match self.leaf_json(n) {
@@ -1033,7 +1036,7 @@ impl JsonTree {
     fn leaf_json(&self, n: NodeId) -> Option<Json> {
         match self.kind(n) {
             NodeKind::Int => Some(Json::Num(self.payload[n.index()])),
-            NodeKind::Str => Some(Json::Str(self.resolve(self.str_sym(n)?).to_owned())),
+            NodeKind::Str => Some(Json::Str(self.resolve(self.str_sym(n)?).into())),
             NodeKind::Arr | NodeKind::Obj => None,
         }
     }
@@ -1059,7 +1062,7 @@ impl JsonTree {
             Open::Arr(items) => items.push(value),
             Open::Obj(pairs) => {
                 let key = self.resolve(self.keys[frame.next - 1]);
-                pairs.push((key.to_owned(), value));
+                pairs.push((key.into(), value));
             }
         }
     }
@@ -1546,12 +1549,12 @@ mod tests {
     fn strings_of(v: &Json, out: &mut FxHashSet<String>) {
         match v {
             Json::Str(s) => {
-                out.insert(s.clone());
+                out.insert(s.as_str().to_owned());
             }
             Json::Array(items) => items.iter().for_each(|x| strings_of(x, out)),
             Json::Object(o) => {
                 for (k, x) in o.pairs() {
-                    out.insert(k.clone());
+                    out.insert(k.as_str().to_owned());
                     strings_of(x, out);
                 }
             }

@@ -12,6 +12,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 
 use crate::error::JsonError;
+use crate::jstr::JStr;
 
 /// A JSON value in the paper's fragment.
 ///
@@ -22,6 +23,10 @@ use crate::error::JsonError;
 /// * Object key order is preserved for serialization, but **equality and
 ///   hashing are unordered**: `{"a":1,"b":2} == {"b":2,"a":1}`. This mirrors
 ///   the paper's "each JSON dictionary is unordered".
+///
+/// Strings and keys are [`JStr`]s, held inline up to [`JStr::INLINE`]
+/// (22) bytes, so a value owns one heap buffer per non-empty container
+/// plus one per longer string.
 #[derive(Clone)]
 pub enum Json {
     /// An object: a set of key–value pairs with pairwise distinct keys.
@@ -29,26 +34,38 @@ pub enum Json {
     /// An array: an ordered sequence of JSON values with positional access.
     Array(Vec<Json>),
     /// A string value over the unicode alphabet Σ.
-    Str(String),
+    Str(JStr),
     /// A natural number (the paper restricts numbers to ℕ).
     Num(u64),
 }
 
+const _: () = assert!(std::mem::size_of::<Json>() == 40);
+const _: () = assert!(std::mem::size_of::<JStr>() <= 24);
+
+/// Objects of at most this many keys keep no key index: lookups scan the
+/// pairs, and the parser checks their keys for duplicates by scanning.
+pub(crate) const SMALL_OBJECT: usize = 8;
+
 /// Internal object representation: insertion-ordered pairs with a uniqueness
-/// invariant maintained by construction, plus a key-sorted index giving
-/// `O(log n)` lookups (`get` sits on the `jschema` required-key loop and the
-/// `mongofind` path-traversal hot paths).
+/// invariant maintained by construction.
+///
+/// An object of more than 8 keys (`SMALL_OBJECT`) also keeps a key-sorted
+/// index, giving `O(log n)` lookups (`get` sits on the `jschema`
+/// required-key loop and the `mongofind` path-traversal hot paths). A
+/// smaller object keeps none, so it costs its pairs' one buffer: `get`
+/// and `get_mut` scan at most 8 keys, and [`ObjectRepr::iter_sorted`]
+/// sorts their positions in a stack array. Either way `iter_sorted`
+/// yields pairs in key order.
 #[derive(Clone, Default)]
 pub struct ObjectRepr {
-    pairs: Vec<(String, Json)>,
-    /// Indices into `pairs`, sorted by key.
-    by_key: Vec<u32>,
+    pairs: Vec<(JStr, Json)>,
+    /// Indices into `pairs`, sorted by key; empty for a small object.
+    by_key: Box<[u32]>,
 }
 
 impl ObjectRepr {
-    /// Builds the representation, rejecting duplicate keys. The sorted index
-    /// doubles as the duplicate detector (adjacent equal keys).
-    fn new(pairs: Vec<(String, Json)>) -> Result<ObjectRepr, JsonError> {
+    /// Builds the representation, rejecting duplicate keys.
+    fn new(pairs: Vec<(JStr, Json)>) -> Result<ObjectRepr, JsonError> {
         let o = Self::indexed(pairs);
         match o.duplicate() {
             Some(k) => Err(JsonError::DuplicateKey(k.to_owned())),
@@ -57,54 +74,74 @@ impl ObjectRepr {
     }
 
     /// The trusted constructor, for pairs whose keys are distinct by
-    /// construction (a tree's object edges, §3.1 determinism): builds the
-    /// key-sorted index and skips the duplicate check, except in debug
-    /// builds.
-    pub(crate) fn from_distinct(pairs: Vec<(String, Json)>) -> ObjectRepr {
+    /// construction (a tree's object edges, §3.1 determinism, or a parse
+    /// that already rejected duplicates): skips the duplicate check,
+    /// except in debug builds.
+    pub(crate) fn from_distinct(pairs: Vec<(JStr, Json)>) -> ObjectRepr {
         let o = Self::indexed(pairs);
         debug_assert!(o.duplicate().is_none(), "keys must be distinct");
         o
     }
 
-    /// `pairs` with its key-sorted index (exact capacity, one allocation).
-    fn indexed(pairs: Vec<(String, Json)>) -> ObjectRepr {
-        let mut by_key: Vec<u32> = (0..pairs.len() as u32).collect();
-        by_key.sort_unstable_by(|&a, &b| pairs[a as usize].0.cmp(&pairs[b as usize].0));
+    /// `pairs`, with a key-sorted index past [`SMALL_OBJECT`] keys.
+    fn indexed(pairs: Vec<(JStr, Json)>) -> ObjectRepr {
+        let by_key = if pairs.len() <= SMALL_OBJECT {
+            Box::default()
+        } else {
+            let mut by_key: Box<[u32]> = (0..pairs.len() as u32).collect();
+            by_key.sort_unstable_by(|&a, &b| pairs[a as usize].0.cmp(&pairs[b as usize].0));
+            by_key
+        };
         ObjectRepr { pairs, by_key }
     }
 
-    /// A key that occurs twice, if any (equal keys are adjacent in the
-    /// sorted index).
+    /// A key that occurs twice, if any.
     fn duplicate(&self) -> Option<&str> {
-        self.by_key
-            .windows(2)
-            .map(|w| (&self.pairs[w[0] as usize].0, &self.pairs[w[1] as usize].0))
-            .find(|(a, b)| a == b)
-            .map(|(_, b)| b.as_str())
+        if self.by_key.is_empty() {
+            let keys = || self.pairs.iter().map(|(k, _)| k);
+            keys()
+                .enumerate()
+                .find(|&(i, k)| keys().skip(i + 1).any(|other| other == k))
+                .map(|(_, k)| k.as_str())
+        } else {
+            // Equal keys are adjacent in the sorted index.
+            self.by_key
+                .windows(2)
+                .map(|w| (&self.pairs[w[0] as usize].0, &self.pairs[w[1] as usize].0))
+                .find(|(a, b)| a == b)
+                .map(|(_, b)| b.as_str())
+        }
+    }
+
+    /// The position in `pairs` of the key spelled by `key`, if present.
+    #[inline]
+    fn position(&self, key: &[u8]) -> Option<usize> {
+        if self.by_key.is_empty() {
+            self.pairs.iter().position(|(k, _)| k.as_bytes() == key)
+        } else {
+            self.by_key
+                .binary_search_by(|&i| self.pairs[i as usize].0.as_bytes().cmp(key))
+                .ok()
+                .map(|pos| self.by_key[pos] as usize)
+        }
     }
 
     /// The key–value pairs in insertion order.
-    pub fn pairs(&self) -> &[(String, Json)] {
+    pub fn pairs(&self) -> &[(JStr, Json)] {
         &self.pairs
     }
 
-    /// Looks up the value under `key`, if present (`O(log n)` via the
-    /// sorted key index).
+    /// Looks up the value under `key`, if present (a scan of at most
+    /// 8 keys, or `O(log n)` via the sorted key index).
     pub fn get(&self, key: &str) -> Option<&Json> {
-        self.by_key
-            .binary_search_by(|&i| self.pairs[i as usize].0.as_str().cmp(key))
-            .ok()
-            .map(|pos| &self.pairs[self.by_key[pos] as usize].1)
+        self.position(key.as_bytes()).map(|i| &self.pairs[i].1)
     }
 
     /// Mutable [`ObjectRepr::get`]. Only the *value* is exposed — keys stay
     /// immutable, so the distinctness invariant and the sorted index cannot
     /// be broken through this accessor.
     pub fn get_mut(&mut self, key: &str) -> Option<&mut Json> {
-        self.by_key
-            .binary_search_by(|&i| self.pairs[i as usize].0.as_str().cmp(key))
-            .ok()
-            .map(|pos| &mut self.pairs[self.by_key[pos] as usize].1)
+        self.position(key.as_bytes()).map(|i| &mut self.pairs[i].1)
     }
 
     /// Number of key–value pairs.
@@ -122,15 +159,31 @@ impl ObjectRepr {
         self.pairs.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// Iterates `(key, value)` pairs in **key order** (reuses the sorted
-    /// index) — the canonical order [`Json::total_cmp`] compares objects in,
-    /// exposed so tree-backed evaluators can mirror that comparison without
-    /// materialising a [`Json`].
+    /// Iterates `(key, value)` pairs in **key order** — the canonical order
+    /// [`Json::total_cmp`] compares objects in, exposed so tree-backed
+    /// evaluators can mirror that comparison without materialising a
+    /// [`Json`]. A small object sorts its positions on the stack; a larger
+    /// one reuses its index.
     pub fn iter_sorted(&self) -> impl Iterator<Item = (&str, &Json)> {
-        self.by_key.iter().map(|&i| {
-            let (k, v) = &self.pairs[i as usize];
-            (k.as_str(), v)
-        })
+        let mut small = [0u32; SMALL_OBJECT];
+        let n = if self.by_key.is_empty() {
+            self.pairs.len()
+        } else {
+            0
+        };
+        for (i, slot) in small[..n].iter_mut().enumerate() {
+            *slot = i as u32;
+        }
+        small[..n]
+            .sort_unstable_by(|&a, &b| self.pairs[a as usize].0.cmp(&self.pairs[b as usize].0));
+        small
+            .into_iter()
+            .take(n)
+            .chain(self.by_key.iter().copied())
+            .map(|i| {
+                let (k, v) = &self.pairs[i as usize];
+                (k.as_str(), v)
+            })
     }
 }
 
@@ -147,7 +200,7 @@ impl Json {
     /// ]);
     /// assert!(dup.is_err());
     /// ```
-    pub fn object(pairs: Vec<(String, Json)>) -> Result<Json, JsonError> {
+    pub fn object(pairs: Vec<(JStr, Json)>) -> Result<Json, JsonError> {
         Ok(Json::Object(ObjectRepr::new(pairs)?))
     }
 
@@ -157,7 +210,7 @@ impl Json {
     }
 
     /// Convenience string constructor.
-    pub fn str(s: impl Into<String>) -> Json {
+    pub fn str(s: impl Into<JStr>) -> Json {
         Json::Str(s.into())
     }
 
@@ -205,7 +258,7 @@ impl Json {
     /// String accessor.
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Json::Str(s) => Some(s),
+            Json::Str(s) => Some(s.as_str()),
             _ => None,
         }
     }
@@ -346,8 +399,10 @@ impl PartialEq for Json {
                 // present in `y`.
                 (Json::Object(x), Json::Object(y)) => {
                     x.len() == y.len()
-                        && x.iter()
-                            .all(|(k, v)| y.get(k).is_some_and(|w| member_eq(v, w, &mut work)))
+                        && x.pairs().iter().all(|(k, v)| {
+                            y.position(k.as_bytes())
+                                .is_some_and(|i| member_eq(v, &y.pairs[i].1, &mut work))
+                        })
                 }
                 _ => member_eq(a, b, &mut work),
             };
@@ -427,13 +482,13 @@ impl From<u64> for Json {
 
 impl From<&str> for Json {
     fn from(s: &str) -> Json {
-        Json::Str(s.to_owned())
+        Json::Str(s.into())
     }
 }
 
 impl From<String> for Json {
     fn from(s: String) -> Json {
-        Json::Str(s)
+        Json::Str(s.into())
     }
 }
 
@@ -456,7 +511,7 @@ impl<T: Into<Json>> From<Vec<T>> for Json {
 /// ```
 #[derive(Default)]
 pub struct ObjectBuilder {
-    pairs: Vec<(String, Json)>,
+    pairs: Vec<(JStr, Json)>,
 }
 
 impl ObjectBuilder {
@@ -469,7 +524,7 @@ impl ObjectBuilder {
     ///
     /// [`build`]: ObjectBuilder::build
     #[must_use]
-    pub fn insert(mut self, key: impl Into<String>, value: impl Into<Json>) -> Self {
+    pub fn insert(mut self, key: impl Into<JStr>, value: impl Into<Json>) -> Self {
         self.pairs.push((key.into(), value.into()));
         self
     }

@@ -22,7 +22,7 @@ use jagg::{reference, Pipeline};
 use jnl::ast::{Binary, Unary};
 use jsl::translate::jnl_to_jsl_cps;
 use jsl::RecursiveJsl;
-use jsondata::Json;
+use jsondata::{JStr, Json};
 use jstat::{Action, Analyze};
 use mongofind::Collection;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -76,26 +76,25 @@ fn random_pipeline(rng: &mut StdRng) -> Pipeline {
 /// A schema-conforming random document: draws from the keys the stage
 /// pool navigates — never `"q"`.
 fn random_doc(rng: &mut StdRng) -> Json {
-    let mut pairs: Vec<(String, Json)> = Vec::new();
+    let mut pairs: Vec<(JStr, Json)> = Vec::new();
     if rng.gen_bool(0.8) {
-        pairs.push(("k".to_owned(), Json::Num(rng.gen_range(0..4u64))));
+        pairs.push(("k".into(), Json::Num(rng.gen_range(0..4u64))));
     }
     if rng.gen_bool(0.5) {
-        pairs.push(("x".to_owned(), Json::Num(rng.gen_range(0..3u64))));
+        pairs.push(("x".into(), Json::Num(rng.gen_range(0..3u64))));
     }
     if rng.gen_bool(0.5) {
-        pairs.push(("n".to_owned(), Json::Num(rng.gen_range(0..5u64))));
+        pairs.push(("n".into(), Json::Num(rng.gen_range(0..5u64))));
     }
     if rng.gen_bool(0.6) {
         let len = rng.gen_range(0..3usize);
         let items = (0..len).map(|i| Json::Num(i as u64)).collect();
-        pairs.push(("arr".to_owned(), Json::Array(items)));
+        pairs.push(("arr".into(), Json::Array(items)));
     }
     if rng.gen_bool(0.3) {
         pairs.push((
-            "name".to_owned(),
-            Json::object(vec![("first".to_owned(), Json::Str("Sue".to_owned()))])
-                .expect("distinct keys"),
+            "name".into(),
+            Json::object(vec![("first".into(), Json::str("Sue"))]).expect("distinct keys"),
         ));
     }
     Json::object(pairs).expect("distinct keys")
@@ -209,8 +208,8 @@ fn delete_and_replace_rewrites_shrink_but_preserve_row_counts() {
     let docs: Vec<Json> = (0..8)
         .map(|i| {
             Json::object(vec![
-                ("k".to_owned(), Json::Num(i % 4)),
-                ("x".to_owned(), Json::Num(7 - i)),
+                ("k".into(), Json::Num(i % 4)),
+                ("x".into(), Json::Num(7 - i)),
             ])
             .expect("distinct keys")
         })

@@ -30,7 +30,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use jguard::{QueryCtx, QueryError};
-use jsondata::Json;
+use jsondata::{JStr, Json};
 use jtrace::{QueryMetrics, Snapshot, ALL_COUNTERS};
 
 use crate::index::Probe;
@@ -93,7 +93,7 @@ pub struct FindExplain {
 impl FindExplain {
     /// Machine-stable JSON rendering of the plan.
     pub fn to_json(&self) -> Json {
-        let mut pairs: Vec<(String, Json)> = vec![
+        let mut pairs: Vec<(JStr, Json)> = vec![
             ("query".into(), Json::str("find")),
             ("filter".into(), Json::str(&self.filter)),
             ("route".into(), Json::str(self.route.name())),
@@ -205,17 +205,17 @@ impl Actuals {
     /// Annotates a rendered plan object: its keys, then `extra`, then
     /// `rows`, `wall_us`, `counters` (every counter present, zeros
     /// included, so the schema is layout-independent) and `spans`.
-    pub fn annotate_json(&self, plan: Json, extra: Option<(String, Json)>) -> Json {
+    pub fn annotate_json(&self, plan: Json, extra: Option<(JStr, Json)>) -> Json {
         let Json::Object(plan) = plan else {
             unreachable!("plans render to objects")
         };
-        let mut pairs: Vec<(String, Json)> = plan.pairs().to_vec();
+        let mut pairs: Vec<(JStr, Json)> = plan.pairs().to_vec();
         pairs.extend(extra);
         pairs.push(("rows".into(), Json::Num(self.rows as u64)));
         pairs.push(("wall_us".into(), Json::Num(self.wall_us)));
-        let counters: Vec<(String, Json)> = ALL_COUNTERS
+        let counters: Vec<(JStr, Json)> = ALL_COUNTERS
             .iter()
-            .map(|&c| (c.name().to_owned(), Json::Num(self.counters.get(c))))
+            .map(|&c| (c.name().into(), Json::Num(self.counters.get(c))))
             .collect();
         pairs.push((
             "counters".into(),

@@ -53,7 +53,7 @@ use std::sync::Arc;
 use jguard::{QueryCtx, QueryError};
 use jnl::ast::{Binary, Unary};
 use jpar::Pool;
-use jsondata::{Interner, Json, JsonTree, NodeId, NodeKind, ParseLimits, Sym};
+use jsondata::{Interner, JStr, Json, JsonTree, NodeId, NodeKind, ParseLimits, Sym};
 use jtrace::{Counter, SpanKind};
 
 mod explain;
@@ -116,13 +116,16 @@ pub enum Filter {
 /// through the [`BoundPath`] with [`step_node`] — a `u32` binary search per
 /// object step, never a string hash. [`Path::resolve`] walks owned
 /// [`Json`] values (the oracle side) by string.
+///
+/// Segments are [`JStr`]s, like object keys, so a path of short segments
+/// owns one heap buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Path(pub Vec<String>);
+pub struct Path(pub Vec<JStr>);
 
 impl Path {
     /// Parses a dotted path (`"name.first"`, `"hobbies.0"`).
     pub fn parse(s: &str) -> Path {
-        Path(s.split('.').map(str::to_owned).collect())
+        Path(s.split('.').map(JStr::from).collect())
     }
 
     /// Resolves this path against a [`Json`] value: numeric segments index
@@ -161,7 +164,7 @@ impl Path {
                 .iter()
                 .map(|seg| match seg.parse::<u64>() {
                     Ok(i) => Binary::Index(i as i64),
-                    Err(_) => Binary::Key(seg.clone()),
+                    Err(_) => Binary::Key(seg.as_str().to_owned()),
                 })
                 .collect(),
         )
@@ -991,7 +994,7 @@ impl Projection {
     /// The projected document: each include path's value, where `value`
     /// finds one, in include order.
     fn assemble(&self, value: impl Fn(&Path) -> Option<Json>) -> Json {
-        let mut pairs: Vec<(String, Json)> = Vec::new();
+        let mut pairs: Vec<(JStr, Json)> = Vec::new();
         for p in &self.include {
             if let Some(v) = value(p) {
                 insert_path(&mut pairs, &p.0, v);
@@ -1005,9 +1008,11 @@ impl Projection {
 /// pair list, creating nested objects for intermediate segments; first-wins
 /// on a leaf that is already occupied. This is the shared output-assembly
 /// primitive of projections — [`Projection::apply`]/[`Projection::apply_tree`]
-/// here and `$project` in the `jagg` aggregation executors all build their
-/// output documents through it, so assembly semantics cannot drift apart.
-pub fn insert_path(pairs: &mut Vec<(String, Json)>, path: &[String], value: Json) {
+/// here and `$project` in the `jagg` tree executor all build their output
+/// documents through it, so assembly semantics cannot drift apart. The
+/// `jagg` reference executor assembles with its own transcription, which
+/// is what checks this one.
+pub fn insert_path(pairs: &mut Vec<(JStr, Json)>, path: &[JStr], value: Json) {
     let (head, rest) = path.split_first().expect("nonempty path");
     if rest.is_empty() {
         if !pairs.iter().any(|(k, _)| k == head) {
@@ -1018,8 +1023,7 @@ pub fn insert_path(pairs: &mut Vec<(String, Json)>, path: &[String], value: Json
     // Find or create the nested object.
     if let Some((_, sub)) = pairs.iter_mut().find(|(k, _)| k == head) {
         if let Json::Object(o) = sub {
-            let mut inner: Vec<(String, Json)> =
-                o.iter().map(|(k, v)| (k.to_owned(), v.clone())).collect();
+            let mut inner = o.pairs().to_vec();
             insert_path(&mut inner, rest, value);
             *sub = Json::object(inner).expect("distinct");
         }

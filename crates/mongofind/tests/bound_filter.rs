@@ -16,7 +16,7 @@
 
 use jguard::QueryCtx;
 use jpar::Pool;
-use jsondata::{parse, serialize::to_string, Json};
+use jsondata::{parse, serialize::to_string, JStr, Json};
 use mongofind::{Collection, DocRef, Filter, Route};
 
 /// The oracle: documents whose materialised value satisfies the filter.
@@ -254,10 +254,10 @@ fn value(rng: &mut Rng, keys: usize, strs: usize, depth: u32) -> Json {
 }
 
 fn document(rng: &mut Rng, keys: usize, strs: usize, depth: u32) -> Json {
-    let mut pairs: Vec<(String, Json)> = Vec::new();
+    let mut pairs: Vec<(JStr, Json)> = Vec::new();
     for k in &KEYS[..keys] {
         if rng.below(2) == 0 {
-            pairs.push(((*k).to_owned(), value(rng, keys, strs, depth)));
+            pairs.push(((*k).into(), value(rng, keys, strs, depth)));
         }
     }
     Json::object(pairs).expect("distinct keys")
